@@ -362,12 +362,27 @@ impl Checkpoint {
         Ok(cp)
     }
 
-    /// Writes the snapshot to `path` (atomic enough for recovery tests:
-    /// the checksum rejects a torn file on load).
+    /// Writes the snapshot to `path` atomically: the bytes are encoded
+    /// first, written and synced to a sibling temp file, then renamed over
+    /// the target, so a reader — or a process killed at any point — sees
+    /// either the previous snapshot or the new one, never a torn file.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(&self.to_bytes())?;
-        f.sync_all()?;
+        let bytes = self.to_bytes();
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = Path::new(&tmp);
+        let written = std::fs::File::create(tmp).and_then(|mut f| {
+            f.write_all(&bytes)?;
+            f.sync_all()
+        });
+        if let Err(e) = written.and_then(|()| std::fs::rename(tmp, path)) {
+            let _ = std::fs::remove_file(tmp);
+            return Err(e.into());
+        }
+        // Make the rename itself durable.
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::File::open(dir)?.sync_all()?;
+        }
         Ok(())
     }
 

@@ -24,7 +24,12 @@ pub struct Telemetry {
     pub tuples: TupleCounts,
     /// Scalar virial from the most recent force computation.
     pub virial: f64,
-    /// Phase breakdown of the most recent force computation / step.
+    /// Phase breakdown of the most recent force computation / step. In every
+    /// distributed executor the reverse ghost-force return is booked under
+    /// [`sc_obs::Phase::Reduce`] (with the lane/scratch merge), never under
+    /// `Exchange`: the BSP executor books it on its wall clock (registry,
+    /// `timings()`, executor trace row), the threaded executor per rank
+    /// (these phases and the rank trace rows).
     pub phases: PhaseBreakdown,
     /// Phase breakdown accumulated since construction.
     pub total_phases: PhaseBreakdown,

@@ -124,3 +124,47 @@ fn builder_rejects_degenerate_timestep_and_atoms() {
         Err(BuildError::NonFiniteAtom { index: 5, what: "velocity" })
     ));
 }
+
+/// `save` must replace the previous snapshot atomically: a reader polling
+/// the path while a writer overwrites it in a loop never sees a torn or
+/// empty file (the window a SIGKILL mid-save used to leave behind), and no
+/// temp file outlives the save.
+#[test]
+fn concurrent_load_never_observes_a_torn_save() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let dir = std::env::temp_dir().join(format!("sc-ckpt-atomic-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("checkpoint.bin");
+    let mut sim = mk_sim();
+    let first = sim.checkpoint();
+    first.save(&path).unwrap();
+
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut loads = 0u32;
+            // Keep polling until the writer is done, and at least once after.
+            loop {
+                let finished = done.load(Ordering::SeqCst);
+                let cp = sc_md::Checkpoint::load(&path)
+                    .unwrap_or_else(|e| panic!("load {loads} observed a torn checkpoint: {e}"));
+                assert_eq!(cp.ids.len(), first.ids.len());
+                loads += 1;
+                if finished {
+                    return loads;
+                }
+            }
+        });
+        for _ in 0..200 {
+            sim.run(1);
+            sim.checkpoint().save(&path).unwrap();
+        }
+        done.store(true, Ordering::SeqCst);
+        assert!(reader.join().unwrap() > 0);
+    });
+
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(left, [std::ffi::OsString::from("checkpoint.bin")], "temp file left behind");
+    std::fs::remove_dir_all(&dir).ok();
+}

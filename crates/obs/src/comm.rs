@@ -15,9 +15,10 @@ pub struct CommCounters {
     pub messages: u64,
     /// Bytes sent.
     pub bytes: u64,
-    /// Ghost atoms imported this step (the import-volume observable).
+    /// Ghost atoms imported (cumulative, like every counter here; the
+    /// import-volume observable — take deltas for a per-step figure).
     pub ghosts_imported: u64,
-    /// Atoms migrated away this step.
+    /// Atoms migrated away (cumulative).
     pub atoms_migrated: u64,
     /// Delivery retries performed after a validation failure or loss
     /// (cumulative; exposed by the `--measured` bench modes as the
@@ -33,7 +34,8 @@ pub struct CommCounters {
     /// summed per-rank CPU time, not wall time). Which slots are filled
     /// depends on the view: rank-local force computation fills
     /// bin/enumerate/eval/reduce, per-rank communicating executors also
-    /// fill exchange, and wall-clock views live in a separate breakdown.
+    /// fill exchange/migrate/integrate and add the rank-to-rank force
+    /// return to reduce, and wall-clock views live in a separate breakdown.
     pub phases: PhaseBreakdown,
 }
 

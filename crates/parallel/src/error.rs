@@ -209,47 +209,6 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// Either failure mode of a one-shot executor run ([`crate::ThreadedSim`]):
-/// the configuration was rejected up front, or a rank hit an unrecoverable
-/// communication fault mid-run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RunError {
-    /// Setup-time rejection.
-    Setup(SetupError),
-    /// Mid-run fault.
-    Runtime(RuntimeError),
-}
-
-impl fmt::Display for RunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunError::Setup(e) => write!(f, "setup: {e}"),
-            RunError::Runtime(e) => write!(f, "runtime: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RunError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RunError::Setup(e) => Some(e),
-            RunError::Runtime(e) => Some(e),
-        }
-    }
-}
-
-impl From<SetupError> for RunError {
-    fn from(e: SetupError) -> Self {
-        RunError::Setup(e)
-    }
-}
-
-impl From<RuntimeError> for RunError {
-    fn from(e: RuntimeError) -> Self {
-        RunError::Runtime(e)
-    }
-}
-
 // Funnels into the unified `sc_md::Error`, so a binary's whole
 // setup-run-output pipeline is one `?`-chain. Defined here (not in `sc-md`)
 // to keep the crate layering acyclic: `sc-md` cannot name these types.
@@ -263,15 +222,6 @@ impl From<SetupError> for sc_md::Error {
 impl From<RuntimeError> for sc_md::Error {
     fn from(e: RuntimeError) -> Self {
         sc_md::Error::Runtime(Box::new(e))
-    }
-}
-
-impl From<RunError> for sc_md::Error {
-    fn from(e: RunError) -> Self {
-        match e {
-            RunError::Setup(s) => s.into(),
-            RunError::Runtime(r) => r.into(),
-        }
     }
 }
 
@@ -317,21 +267,12 @@ mod tests {
     }
 
     #[test]
-    fn run_error_wraps_both_failure_modes() {
-        let s: RunError = SetupError::UnsupportedSubdivision(9).into();
-        assert!(s.to_string().starts_with("setup"));
-        let r: RunError = RuntimeError::EpochMismatch { rank: 1, expected: 2, got: 3 }.into();
-        assert!(r.to_string().starts_with("runtime"));
-        assert!(std::error::Error::source(&r).is_some());
-    }
-
-    #[test]
     fn executor_errors_funnel_into_the_unified_error() {
         let e: sc_md::Error = SetupError::UnsupportedSubdivision(9).into();
         assert!(e.to_string().starts_with("setup:"), "{e}");
         let e: sc_md::Error = RuntimeError::EpochMismatch { rank: 1, expected: 2, got: 3 }.into();
         assert!(e.to_string().starts_with("runtime:"), "{e}");
-        let e: sc_md::Error = RunError::Setup(SetupError::NonPositiveHalo { width: 0.0 }).into();
+        let e: sc_md::Error = SetupError::NonPositiveHalo { width: 0.0 }.into();
         assert!(e.to_string().contains("positive"), "{e}");
         assert!(std::error::Error::source(&e).is_some());
     }

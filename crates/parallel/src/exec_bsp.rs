@@ -1,31 +1,29 @@
-//! Bulk-synchronous executor: deterministic reference implementation of the
-//! distributed MD step, with validated message delivery, scriptable fault
-//! injection, checkpoint/rollback support, and the communication-optimal
-//! schedule from [`crate::transport`]: per-neighbor message aggregation,
-//! compute/communication overlap over interior cells, and adaptive load
-//! rebalancing of the rank grid.
+//! Bulk-synchronous scheduler of the rank-step protocol ([`crate::step`]):
+//! the deterministic reference executor. What lives here is what makes it
+//! BSP — lockstep delivery of each phase through the scriptable
+//! [`FaultPlan`] with bounded retry, the `ThreadPool` compute fan-out, the
+//! staged (overlapped) exchange as a pool task, adaptive rebalancing of the
+//! rank grid, and re-decomposition over the survivors of a rank death.
 
 use crate::comm::GhostPlan;
 use crate::error::{RuntimeError, SetupError};
 use crate::fault::{Delivery, FaultPlan};
 use crate::grid::RankGrid;
-use crate::health::{HealthConfig, HealthCounters, HealthTracker};
-use crate::msg::{Channel, GhostMsg, Message, Payload};
+use crate::health::{HealthConfig, HealthTracker};
+use crate::msg::{Channel, Message, Payload};
 use crate::rank::{
     best_grid_for, halo_width_for, validate_decomposition, ForceField, InteriorTask, RankState,
-    DEFAULT_RESORT_EVERY,
+    StagedBand, DEFAULT_RESORT_EVERY,
 };
+use crate::step::{self, Decomposition, Exchange, Feed, Scheduler};
 use crate::transport::{self, CommConfig, Slot};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
-use sc_md::checkpoint::{Checkpoint, SnapshotLayout};
-use sc_md::supervisor::Recoverable;
+use sc_md::checkpoint::Checkpoint;
 use sc_md::{EnergyBreakdown, LaneSlots, Observer, Telemetry, ThreadPool, TupleCounts};
 use sc_obs::trace::EventKind;
-use sc_obs::{
-    CommCounters, Counter, Histogram, ImbalanceReport, Phase, PhaseBreakdown, Registry, TraceSink,
-    Tracer,
-};
+use sc_obs::{CommCounters, ImbalanceReport, Phase, PhaseBreakdown, Registry, TraceSink, Tracer};
+use std::sync::{Arc, Mutex};
 
 /// Retries after a failed delivery before escalating (so each hop gets
 /// `1 + MAX_RETRIES` attempts). Two retries cover every single-fault
@@ -33,254 +31,153 @@ use sc_obs::{
 /// stall) while keeping worst-case latency bounded.
 const MAX_RETRIES: u32 = 2;
 
-/// Verifies every section of a batched frame against its own stamp, so
-/// in-frame corruption is detected — and retried at frame granularity —
-/// before the receiver unpacks anything. Bare (un-aggregated) messages have
-/// no inner sections and pass through.
-fn verify_sections(m: &Message, to: usize, epoch: u64) -> Result<(), RuntimeError> {
-    if let Payload::Batch(secs) = &m.payload {
-        for s in secs {
-            s.verify(to, epoch, s.channel)?;
-        }
-    }
-    Ok(())
-}
-
-/// Delivers one wire unit (a bare message or an aggregated frame) from
-/// `from` to `to` through the fault plan, verifying the outer stamp — and
-/// each section's stamp — on arrival and retrying (the sender re-sends its
-/// buffered copy) up to [`MAX_RETRIES`] times. Detected faults and retries
-/// are recorded in the sender's `stats`; every attempt's outcome also feeds
-/// the `health` watchdog, whose transitions are emitted as
-/// [`EventKind::Health`] events on `sink`. A sender the watchdog has
-/// declared dead escalates as [`RuntimeError::RankDead`] instead of the
-/// per-delivery fault — the signal for the supervisor to re-decompose
-/// rather than roll back.
-#[allow(clippy::too_many_arguments)]
-fn deliver_validated(
-    fault: &mut FaultPlan,
-    health: &mut HealthTracker,
-    sink: &TraceSink,
-    stats: &mut CommCounters,
-    epoch: u64,
-    from: usize,
-    to: usize,
-    channel: Channel,
-    msg: Message,
-) -> Result<Message, RuntimeError> {
-    let class = channel.trace_class();
-    // Inert plan: the delivery cannot be dropped, delayed, or corrupted, so
-    // skip the retransmission copy and hand the message straight across.
-    // Verification and watchdog feeding stay identical to the slow path.
-    if fault.is_inert() {
-        msg.verify(to, epoch, channel)?;
-        verify_sections(&msg, to, epoch)?;
-        if let Some(state) = health.record_success(from, class, epoch) {
-            sink.instant(epoch, EventKind::Health { peer: from as u32, state: state.code() });
-        }
-        if health.is_dead(from) {
-            return Err(RuntimeError::RankDead { rank: from, step: epoch, epoch });
-        }
-        return Ok(msg);
-    }
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        if attempts > 1 {
-            stats.retries += 1;
-        }
-        // The transit copy may be corrupted; the sender keeps the original
-        // for retransmission.
-        let outcome = fault.transmit(epoch, from, msg.clone());
-        let err = match outcome {
-            Delivery::Deliver(m) => {
-                match m.verify(to, epoch, channel).and_then(|()| verify_sections(&m, to, epoch)) {
-                    Ok(()) => {
-                        if let Some(state) = health.record_success(from, class, epoch) {
-                            sink.instant(
-                                epoch,
-                                EventKind::Health { peer: from as u32, state: state.code() },
-                            );
-                        }
-                        // A flapping link can trip the circuit breaker on the
-                        // very delivery that succeeded; death still wins.
-                        if health.is_dead(from) {
-                            return Err(RuntimeError::RankDead { rank: from, step: epoch, epoch });
-                        }
-                        return Ok(m);
-                    }
-                    Err(e) => e,
-                }
-            }
-            Delivery::Lost { stalled } => {
-                if stalled {
-                    RuntimeError::RankStalled { rank: from, epoch, attempts }
-                } else {
-                    RuntimeError::MissingHop { rank: to, channel, epoch, attempts }
-                }
-            }
-        };
-        stats.faults_detected += 1;
-        if let Some(state) = health.record_failure(from, class, epoch) {
-            sink.instant(epoch, EventKind::Health { peer: from as u32, state: state.code() });
-        }
-        if attempts > MAX_RETRIES {
-            if health.is_dead(from) {
-                return Err(RuntimeError::RankDead { rank: from, step: epoch, epoch });
-            }
-            return Err(err);
-        }
-    }
-}
-
-/// Runs one merged exchange phase on the wire: frames every rank's stamped
-/// sections per destination ([`transport::frame_sections`]), delivers each
-/// frame through the fault plan with validation and retry, and hands every
-/// receiver its payloads in canonical slot order
-/// ([`transport::match_sections`]).
-///
-/// Counter discipline (bytes are counted once): `record_send` and the trace
-/// Send/Recv events fire **once per wire unit** with the frame's total
-/// payload bytes and its section count — never again per section — so
-/// `comm.messages`, `comm.bytes`, and the `comm.step_bytes` histogram see
-/// aggregated traffic exactly once.
-#[allow(clippy::too_many_arguments)]
-fn wire_phase(
+/// The lockstep interconnect: every wire unit of a phase is handed across
+/// between the ranks' send and absorb halves, through the fault plan.
+struct Wire<'a> {
     aggregation: bool,
-    phase: u64,
-    epoch: u64,
-    fault: &mut FaultPlan,
-    health: &mut HealthTracker,
-    exec_sink: &TraceSink,
-    tsinks: &[TraceSink],
-    stats: &mut [CommCounters],
-    sends: Vec<Vec<(usize, Message)>>,
-    recvs: &[Vec<Slot>],
-) -> Result<Vec<Vec<Payload>>, RuntimeError> {
-    let nranks = recvs.len();
-    let mut units: Vec<Vec<(usize, Message)>> = vec![Vec::new(); nranks];
-    for (from, sections) in sends.into_iter().enumerate() {
-        for (to, unit) in transport::frame_sections(aggregation, phase, epoch, sections) {
-            let bytes = unit.payload.wire_bytes();
-            let nsec = unit.payload.section_count() as u16;
-            let class = unit.channel.trace_class();
-            stats[from].record_send(to, bytes);
-            tsinks[from].send(epoch, class, to as u32, bytes, nsec, epoch);
-            // The k-th unit from `from` fills the k-th canonical receive
-            // slot `to` expects from that source (k > 0 only without
-            // aggregation).
-            let already = units[to].iter().filter(|(f, _)| *f == from).count();
-            let expected = recvs[to]
-                .iter()
-                .filter(|s| s.peer == from)
-                .nth(already)
-                .map(|s| s.channel)
-                .unwrap_or(unit.channel);
-            let got = deliver_validated(
-                fault,
-                health,
-                exec_sink,
-                &mut stats[from],
-                epoch,
-                from,
-                to,
-                expected,
-                unit,
-            )?;
-            tsinks[to].recv(epoch, class, from as u32, bytes, nsec, epoch);
-            units[to].push((from, got));
+    fault: &'a mut FaultPlan,
+    health: &'a mut HealthTracker,
+    /// Where health transitions are traced (the executor row).
+    exec_sink: &'a TraceSink,
+    /// One sink per rank (comm events).
+    tsinks: &'a [TraceSink],
+}
+
+impl Wire<'_> {
+    /// Delivers one wire unit (a bare message or an aggregated frame) from
+    /// `from` to `to` through the fault plan, verifying it on arrival
+    /// ([`step::verify_unit`]) and retrying (the sender re-sends its
+    /// buffered copy) up to [`MAX_RETRIES`] times. Detected faults and
+    /// retries are recorded in the sender's `stats`; every attempt's
+    /// outcome feeds the watchdog, and a sender it has declared dead
+    /// escalates as [`RuntimeError::RankDead`] instead of the per-delivery
+    /// fault.
+    fn deliver(
+        &mut self,
+        stats: &mut CommCounters,
+        epoch: u64,
+        from: usize,
+        to: usize,
+        channel: Channel,
+        msg: Message,
+    ) -> Result<Message, RuntimeError> {
+        // Inert plan: the delivery cannot be dropped, delayed, or
+        // corrupted, so skip the retransmission copy and hand the message
+        // straight across. Acceptance stays identical to the slow path.
+        if self.fault.is_inert() {
+            step::accept_unit(self.health, self.exec_sink, &msg, from, to, channel, epoch)?;
+            return Ok(msg);
+        }
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            if attempts > 1 {
+                stats.retries += 1;
+            }
+            // The transit copy may be corrupted; the sender keeps the
+            // original for retransmission.
+            let arrived = match self.fault.transmit(epoch, from, msg.clone()) {
+                Delivery::Deliver(m) => step::verify_unit(&m, to, epoch, channel).map(|()| m),
+                Delivery::Lost { stalled: true } => {
+                    Err(RuntimeError::RankStalled { rank: from, epoch, attempts })
+                }
+                Delivery::Lost { stalled: false } => {
+                    Err(RuntimeError::MissingHop { rank: to, channel, epoch, attempts })
+                }
+            };
+            step::note_delivery(self.health, self.exec_sink, from, channel, epoch, arrived.is_ok());
+            if arrived.is_err() {
+                stats.faults_detected += 1;
+            }
+            if arrived.is_ok() || attempts > MAX_RETRIES {
+                return step::dead_or(self.health, from, epoch, arrived);
+            }
         }
     }
-    let mut out = Vec::with_capacity(nranks);
-    for (rank, u) in units.into_iter().enumerate() {
-        out.push(transport::match_sections(rank, epoch, &recvs[rank], u)?);
+
+    /// Runs one merged exchange phase on the wire: frames every rank's
+    /// stamped sections per destination, delivers each frame with
+    /// validation and retry against the canonical slot it must fill, and
+    /// hands every receiver its payloads in canonical slot order
+    /// ([`transport::match_sections`]).
+    fn phase(
+        &mut self,
+        phase: u64,
+        epoch: u64,
+        stats: &mut [CommCounters],
+        sends: Vec<Vec<(usize, Message)>>,
+        recvs: &[Vec<Slot>],
+    ) -> Result<Vec<Vec<Payload>>, RuntimeError> {
+        let mut units: Vec<Vec<(usize, Message)>> = vec![Vec::new(); recvs.len()];
+        for (from, sections) in sends.into_iter().enumerate() {
+            let framed = step::frame(
+                self.aggregation,
+                phase,
+                epoch,
+                sections,
+                &mut stats[from],
+                &self.tsinks[from],
+            );
+            for (to, unit) in framed {
+                let channel = step::expected_channel(&recvs[to], &units[to], from, &unit);
+                let got = self.deliver(&mut stats[from], epoch, from, to, channel, unit)?;
+                step::trace_recv(&self.tsinks[to], epoch, from, &got);
+                units[to].push((from, got));
+            }
+        }
+        let matched = units.into_iter().enumerate();
+        matched.map(|(to, u)| transport::match_sections(to, &recvs[to], u)).collect()
     }
-    Ok(out)
 }
 
 /// The result of a staged (overlapped) ghost exchange: everything the
 /// executor needs to absorb once the interior compute pass joins.
 struct StagedGhosts {
-    /// Per destination rank: `(hop, from, ghosts)` in canonical absorb
-    /// order (phase order, then ascending hop within a phase).
-    inbox: Vec<Vec<(usize, usize, Vec<GhostMsg>)>>,
+    /// Per destination rank: the received bands in canonical absorb order
+    /// (phase order, then ascending hop within a phase).
+    inbox: Vec<Vec<StagedBand>>,
     /// Side communication counters per source rank, merged into the rank
     /// stats after the join.
     stats: Vec<CommCounters>,
-    /// The executor phase counter after the ghost phases.
-    phase: u64,
-    /// The exchange thread's own wall-clock seconds.
+    /// The exchange task's own wall-clock seconds.
     elapsed: f64,
 }
 
-/// The full forwarded-routing ghost exchange run on a side thread while the
-/// main thread computes interior tuples: identical wire schedule, framing,
+/// The full forwarded-routing ghost exchange run on a pool lane while the
+/// other lanes compute interior tuples: identical wire schedule, framing,
 /// validation, and fault handling to the in-line exchange, but received
 /// bands are *staged* instead of absorbed (the rank stores are concurrently
 /// read by the interior pass). Forwarding across axes reads earlier-phase
-/// bands from the staging inbox ([`RankState::collect_ghost_band_staged`]),
-/// so the staged exchange ships exactly the bytes the in-line one does.
-#[allow(clippy::too_many_arguments)]
+/// bands from the staging inbox, so the staged exchange ships exactly the
+/// bytes the in-line one does.
 fn staged_exchange(
-    grid: &RankGrid,
-    plan: &GhostPlan,
+    dec: &Decomposition,
     ranks: &[RankState],
-    fault: &mut FaultPlan,
-    health: &mut HealthTracker,
-    exec_sink: &TraceSink,
-    tsinks: &[TraceSink],
-    aggregation: bool,
+    mut wire: Wire<'_>,
     epoch: u64,
     mut phase: u64,
 ) -> Result<StagedGhosts, RuntimeError> {
     let t0 = std::time::Instant::now();
-    let nranks = ranks.len();
-    let mut inbox: Vec<Vec<(usize, usize, Vec<GhostMsg>)>> = vec![Vec::new(); nranks];
-    let mut stats = vec![CommCounters::default(); nranks];
-    for hops in transport::ghost_phase_groups(plan) {
+    let mut inbox: Vec<Vec<StagedBand>> = vec![Vec::new(); ranks.len()];
+    let mut stats = vec![CommCounters::default(); ranks.len()];
+    for hops in &dec.ghost_groups {
         phase += 1;
-        let mut sends = Vec::with_capacity(nranks);
-        let mut recvs = Vec::with_capacity(nranks);
-        for (r, rank) in ranks.iter().enumerate() {
-            let (slots, rx) = transport::ghost_phase(grid, plan, r, &hops);
-            let mut secs = Vec::with_capacity(slots.len());
-            for (slot, &hop) in slots.iter().zip(&hops) {
-                let (axis, recv_dir) = plan.hops[hop];
-                let band = rank.collect_ghost_band_staged(plan, axis, recv_dir, &inbox[r]);
-                secs.push((
-                    slot.peer,
-                    Message::stamped(phase, epoch, slot.channel, Payload::Ghosts(band)),
-                ));
-            }
-            sends.push(secs);
-            recvs.push(rx);
-        }
-        let delivered = wire_phase(
-            aggregation,
-            phase,
-            epoch,
-            fault,
-            health,
-            exec_sink,
-            tsinks,
-            &mut stats,
-            sends,
-            &recvs,
-        )?;
-        for (to, payloads) in delivered.into_iter().enumerate() {
-            for ((slot, &hop), payload) in recvs[to].iter().zip(&hops).zip(payloads) {
-                let Payload::Ghosts(ghosts) = payload else {
-                    return Err(RuntimeError::WrongPayload { rank: to, channel: slot.channel });
-                };
-                inbox[to].push((hop, slot.peer, ghosts));
-            }
+        let (sends, recvs): (Vec<_>, Vec<_>) = ranks
+            .iter()
+            .zip(&inbox)
+            .map(|(rank, staged)| step::ghost_sections(rank, dec, hops, staged, phase, epoch))
+            .unzip();
+        let delivered = wire.phase(phase, epoch, &mut stats, sends, &recvs)?;
+        for (to, (rx, payloads)) in recvs.iter().zip(delivered).enumerate() {
+            inbox[to].extend(step::ghost_bands(to, hops, rx, payloads)?);
         }
     }
-    Ok(StagedGhosts { inbox, stats, phase, elapsed: t0.elapsed().as_secs_f64() })
+    Ok(StagedGhosts { inbox, stats, elapsed: t0.elapsed().as_secs_f64() })
 }
 
 /// A distributed MD simulation executed bulk-synchronously: all ranks run
-/// each phase in lockstep with messages delivered between phases. Message
+/// each phase of the rank-step protocol ([`crate::step`]) in lockstep, with
+/// messages delivered between a phase's send and absorb halves. Message
 /// content and counts are identical to the threaded executor — only the
 /// scheduling differs — so this is the deterministic reference for
 /// correctness tests and communication accounting.
@@ -297,11 +194,10 @@ fn staged_exchange(
 /// Every delivery goes through the [`FaultPlan`] (a no-op by default) and is
 /// verified against its stamp on arrival; [`DistributedSim::try_step`]
 /// surfaces unrecovered faults as [`RuntimeError`], at which point the state
-/// is unspecified and the caller must [`restore`](Recoverable::restore) from
-/// a checkpoint before continuing (the `sc-md` `Supervisor` automates this).
+/// is unspecified and the caller must restore from a checkpoint before
+/// continuing (the `sc-md` `Supervisor` automates this).
 pub struct DistributedSim {
-    grid: RankGrid,
-    plan: GhostPlan,
+    dec: Arc<Decomposition>,
     ranks: Vec<RankState>,
     ff: ForceField,
     dt: f64,
@@ -319,17 +215,13 @@ pub struct DistributedSim {
     // Per-rank (energy, tuples, phases) slots reused every compute call so
     // the compute fan-out allocates nothing in steady state.
     results: Vec<(EnergyBreakdown, TupleCounts, PhaseBreakdown)>,
-    registry: Registry,
-    obs: DistMetrics,
+    feed: Feed,
     tracer: Tracer,
     /// One event sink per rank (per-rank compute phases and comm events).
     tsinks: Vec<TraceSink>,
     /// Executor-level sink for the synchronous wall-clock phases, tagged
     /// with the synthetic rank `nranks` so it gets its own timeline row.
     exec_sink: TraceSink,
-    /// Aggregate counters at the end of the previous step, so the registry
-    /// is fed per-step deltas rather than re-counted totals.
-    last_totals: CommCounters,
     /// Counters of rank sets retired by adaptive rebalancing, folded into
     /// [`DistributedSim::comm_stats`] so aggregate totals stay monotone
     /// across re-decompositions.
@@ -340,48 +232,9 @@ pub struct DistributedSim {
     observer: Option<(u64, Box<dyn Observer>)>,
     /// The per-rank deadline watchdog / circuit breaker.
     health: HealthTracker,
-    /// Watchdog counter totals at the last metrics feed (delta source).
-    last_health: HealthCounters,
     /// Set by [`DistributedSim::restore_excluding`]: the runtime lost at
     /// least one rank and is running on a re-decomposed survivor grid.
     degraded: bool,
-}
-
-/// Pre-registered metric handles for the distributed executor; inert when
-/// the registry is disabled.
-struct DistMetrics {
-    steps: Counter,
-    messages: Counter,
-    bytes: Counter,
-    ghosts: Counter,
-    migrated: Counter,
-    retries: Counter,
-    faults: Counter,
-    step_bytes: Histogram,
-    health_suspects: Counter,
-    health_deaths: Counter,
-    health_recoveries: Counter,
-    health_breaker_trips: Counter,
-}
-
-impl DistMetrics {
-    fn register(reg: &Registry) -> Self {
-        DistMetrics {
-            steps: reg.counter("dist.steps"),
-            messages: reg.counter("comm.messages"),
-            bytes: reg.counter("comm.bytes"),
-            ghosts: reg.counter("comm.ghosts_imported"),
-            migrated: reg.counter("comm.atoms_migrated"),
-            retries: reg.counter("comm.retries"),
-            faults: reg.counter("comm.faults_detected"),
-            step_bytes: reg
-                .histogram("comm.step_bytes", &[1024.0, 16384.0, 262144.0, 4194304.0, 67108864.0]),
-            health_suspects: reg.counter("health.suspects"),
-            health_deaths: reg.counter("health.deaths"),
-            health_recoveries: reg.counter("health.recoveries"),
-            health_breaker_trips: reg.counter("health.breaker_trips"),
-        }
-    }
 }
 
 impl DistributedSim {
@@ -412,24 +265,10 @@ impl DistributedSim {
         dt: f64,
         k: i32,
     ) -> Result<Self, SetupError> {
-        if !(1..=3).contains(&k) {
-            return Err(SetupError::UnsupportedSubdivision(k));
-        }
-        let grid = RankGrid::try_new(pdims, bbox)?;
-        let width = validate_decomposition(&ff, &grid)?;
-        let plan = GhostPlan::for_method(ff.method, width)?;
-        let ranks: Vec<RankState> = (0..grid.len())
-            .map(|r| RankState::new_subdivided(r, grid.clone(), &store, &ff, k))
-            .collect();
-        let total: usize = ranks.iter().map(|r| r.owned()).sum();
-        if total != store.len() {
-            return Err(SetupError::AtomsLost { expected: store.len(), claimed: total });
-        }
+        let (dec, ranks) = step::decompose(RankGrid::try_new(pdims, bbox)?, &store, &ff, k)?;
         let nranks = ranks.len();
-        let registry = Registry::disabled();
         Ok(DistributedSim {
-            grid,
-            plan,
+            dec,
             ranks,
             ff,
             dt,
@@ -445,17 +284,14 @@ impl DistributedSim {
             timings: PhaseBreakdown::default(),
             pool: ThreadPool::auto(),
             results: vec![Default::default(); nranks],
-            obs: DistMetrics::register(&registry),
-            registry,
+            feed: Feed::new(Registry::disabled(), Default::default(), Default::default()),
             tracer: Tracer::disabled(),
             tsinks: vec![TraceSink::disabled(); nranks],
             exec_sink: TraceSink::disabled(),
-            last_totals: CommCounters::default(),
             carried: CommCounters::default(),
             last_loads: vec![0.0; nranks],
             observer: None,
             health: HealthTracker::new(nranks, HealthConfig::default()),
-            last_health: HealthCounters::default(),
             degraded: false,
         })
     }
@@ -477,7 +313,7 @@ impl DistributedSim {
     /// healthy; cumulative transition counters restart).
     pub fn set_health_config(&mut self, config: HealthConfig) {
         self.health = HealthTracker::new(self.ranks.len(), config);
-        self.last_health = HealthCounters::default();
+        self.feed.last_health = Default::default();
     }
 
     /// The per-rank health watchdog (state and cumulative transitions).
@@ -492,17 +328,16 @@ impl DistributedSim {
 
     /// Routes this executor's counters and phase timings into `registry`
     /// (per-step deltas: `comm.messages`, `comm.bytes`, `comm.retries`, …,
-    /// plus a `comm.step_bytes` histogram and the wall-clock phase slots).
+    /// the `health.*` transitions, a `comm.step_bytes` histogram and the
+    /// phase slots).
     pub fn set_metrics(&mut self, registry: Registry) {
-        self.obs = DistMetrics::register(&registry);
-        self.registry = registry;
-        self.last_totals = self.comm_stats();
+        self.feed = Feed::new(registry, self.comm_stats(), self.health.counters());
     }
 
     /// The metrics registry in use (disabled unless
     /// [`DistributedSim::set_metrics`] installed a live one).
     pub fn metrics(&self) -> &Registry {
-        &self.registry
+        self.feed.registry()
     }
 
     /// Routes event-level tracing through `tracer`: one sink per rank
@@ -538,26 +373,18 @@ impl DistributedSim {
     /// the merged phase breakdown (per-rank CPU seconds for bin / enumerate
     /// / eval / reduce, executor wall clock for exchange / migrate /
     /// integrate / compute), aggregate and per-rank communication counters,
-    /// and allocation accounting. The distributed executors do not compute
-    /// a virial, so `virial` is 0.
+    /// and allocation accounting.
     pub fn telemetry(&self) -> Telemetry {
-        let comm = self.comm_stats();
-        let mut phases = comm.phases;
-        for ph in [Phase::Exchange, Phase::Migrate, Phase::Integrate, Phase::Compute] {
-            phases.set(ph, self.timings.get(ph));
-        }
-        Telemetry {
-            step: self.steps_done,
-            energy: self.last_energy,
-            tuples: self.last_tuples,
-            virial: 0.0,
-            phases,
-            total_phases: phases,
-            per_rank: self.ranks.iter().map(|r| r.stats.clone()).collect(),
-            comm,
-            alloc_events: self.registry.allocation_events(),
-            degraded: self.degraded,
-        }
+        step::telemetry(
+            self.steps_done,
+            self.last_energy,
+            self.last_tuples,
+            self.ranks.iter().map(|r| r.stats.clone()).collect(),
+            &self.carried,
+            &self.timings,
+            self.feed.registry().allocation_events(),
+            self.degraded,
+        )
     }
 
     /// The per-rank load-imbalance report, with the Eq. 33 import-volume
@@ -569,7 +396,7 @@ impl DistributedSim {
         let per_rank: Vec<CommCounters> = self.ranks.iter().map(|r| r.stats.clone()).collect();
         let mut rep = ImbalanceReport::from_per_rank(&per_rank);
         if let Some((n, rcut)) = self.ff.terms().into_iter().max_by_key(|&(n, _)| n) {
-            let sub = self.grid.rank_box_lengths();
+            let sub = self.dec.grid.rank_box_lengths();
             let l = (sub.x.min(sub.y).min(sub.z) / rcut).floor().max(1.0);
             rep = rep.with_import_prediction(l, n as u32);
         }
@@ -578,12 +405,12 @@ impl DistributedSim {
 
     /// The rank grid.
     pub fn grid(&self) -> &RankGrid {
-        &self.grid
+        &self.dec.grid
     }
 
     /// The ghost plan in force.
     pub fn plan(&self) -> &GhostPlan {
-        &self.plan
+        &self.dec.plan
     }
 
     /// Installs a fault plan; subsequent deliveries route through it.
@@ -641,13 +468,16 @@ impl DistributedSim {
         self.ranks.iter().map(|r| r.kinetic_energy()).sum()
     }
 
-    /// Total energy; recomputes forces.
+    /// Total energy; recomputes forces without integrating (and without
+    /// clearing the priming flag, so both executors run the same number of
+    /// exchange cycles over a run).
     ///
     /// # Panics
     /// Panics on an unrecovered communication fault; fault-injected runs
     /// should step through [`DistributedSim::try_step`] instead.
     pub fn total_energy(&mut self) -> f64 {
-        self.exchange_and_compute().unwrap_or_else(|e| panic!("{e}"));
+        let overlap = self.comm.overlap;
+        step::cycle(self, overlap).unwrap_or_else(|e| panic!("{e}"));
         self.potential_energy() + self.kinetic_energy()
     }
 
@@ -695,313 +525,42 @@ impl DistributedSim {
         self.ranks.iter().map(|r| &r.stats).collect()
     }
 
-    /// Migration: three axis-ordered merged phases; every rank sends both
-    /// directions each axis (empty messages included, as MPI codes do),
-    /// framed per neighbor when aggregation is on.
-    fn migrate(&mut self) -> Result<(), RuntimeError> {
-        let epoch = self.steps_done;
-        let nranks = self.ranks.len();
-        for axis in 0..3 {
-            self.phase += 1;
-            let mut sends = Vec::with_capacity(nranks);
-            let mut recvs = Vec::with_capacity(nranks);
-            for r in 0..nranks {
-                let (slots, rx) = transport::migrate_phase(&self.grid, r, axis);
-                let (to_minus, to_plus) = self.ranks[r].collect_migrants(axis);
-                let secs = slots
-                    .into_iter()
-                    .zip([to_minus, to_plus])
-                    .map(|(slot, atoms)| {
-                        let msg = Message::stamped(
-                            self.phase,
-                            epoch,
-                            slot.channel,
-                            Payload::Migrate(atoms),
-                        );
-                        (slot.peer, msg)
-                    })
-                    .collect();
-                sends.push(secs);
-                recvs.push(rx);
-            }
-            let mut side = vec![CommCounters::default(); nranks];
-            let delivered = wire_phase(
-                self.comm.aggregation,
-                self.phase,
-                epoch,
-                &mut self.fault_plan,
-                &mut self.health,
-                &self.exec_sink,
-                &self.tsinks,
-                &mut side,
-                sends,
-                &recvs,
-            )?;
-            for (r, s) in side.iter().enumerate() {
-                self.ranks[r].stats.merge(s);
-            }
-            for (to, payloads) in delivered.into_iter().enumerate() {
-                for (slot, payload) in recvs[to].iter().zip(payloads) {
-                    let Payload::Migrate(atoms) = payload else {
-                        return Err(RuntimeError::WrongPayload { rank: to, channel: slot.channel });
-                    };
-                    self.ranks[to].absorb_migrants(&atoms);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Halo exchange: forwarded routing per the ghost plan, merged into one
-    /// phase per axis group, absorbed in canonical slot order.
-    fn exchange_ghosts(&mut self) -> Result<(), RuntimeError> {
-        let epoch = self.steps_done;
-        let nranks = self.ranks.len();
-        for r in &mut self.ranks {
-            r.drop_ghosts();
-        }
-        for hops in transport::ghost_phase_groups(&self.plan) {
-            self.phase += 1;
-            let mut sends = Vec::with_capacity(nranks);
-            let mut recvs = Vec::with_capacity(nranks);
-            for r in 0..nranks {
-                let (slots, rx) = transport::ghost_phase(&self.grid, &self.plan, r, &hops);
-                let mut secs = Vec::with_capacity(slots.len());
-                for (slot, &hop) in slots.iter().zip(&hops) {
-                    let (axis, recv_dir) = self.plan.hops[hop];
-                    let band = self.ranks[r].collect_ghost_band(&self.plan, axis, recv_dir);
-                    secs.push((
-                        slot.peer,
-                        Message::stamped(self.phase, epoch, slot.channel, Payload::Ghosts(band)),
-                    ));
-                }
-                sends.push(secs);
-                recvs.push(rx);
-            }
-            let mut side = vec![CommCounters::default(); nranks];
-            let delivered = wire_phase(
-                self.comm.aggregation,
-                self.phase,
-                epoch,
-                &mut self.fault_plan,
-                &mut self.health,
-                &self.exec_sink,
-                &self.tsinks,
-                &mut side,
-                sends,
-                &recvs,
-            )?;
-            for (r, s) in side.iter().enumerate() {
-                self.ranks[r].stats.merge(s);
-            }
-            for (to, payloads) in delivered.into_iter().enumerate() {
-                for ((slot, &hop), payload) in recvs[to].iter().zip(&hops).zip(payloads) {
-                    let Payload::Ghosts(ghosts) = payload else {
-                        return Err(RuntimeError::WrongPayload { rank: to, channel: slot.channel });
-                    };
-                    self.ranks[to].absorb_ghosts(hop, slot.peer, &ghosts);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Reverse force reduction along the reversed routing schedule, merged
-    /// into one phase per axis group (hops descending within a group).
-    fn reduce_forces(&mut self) -> Result<(), RuntimeError> {
-        let epoch = self.steps_done;
-        let nranks = self.ranks.len();
-        for hops in transport::force_phase_groups(&self.plan) {
-            self.phase += 1;
-            let mut sends = Vec::with_capacity(nranks);
-            let mut recvs = Vec::with_capacity(nranks);
-            for r in 0..nranks {
-                let (slots, rx) = transport::force_phase(&self.grid, &self.plan, r, &hops);
-                let mut secs = Vec::with_capacity(slots.len());
-                for (slot, &hop) in slots.iter().zip(&hops) {
-                    let (forces, recorded) = self.ranks[r].collect_ghost_forces(hop);
-                    debug_assert!(
-                        recorded.is_none_or(|t| t == slot.peer),
-                        "ghost origin disagrees with the routing schedule"
-                    );
-                    secs.push((
-                        slot.peer,
-                        Message::stamped(self.phase, epoch, slot.channel, Payload::Forces(forces)),
-                    ));
-                }
-                sends.push(secs);
-                recvs.push(rx);
-            }
-            let mut side = vec![CommCounters::default(); nranks];
-            let delivered = wire_phase(
-                self.comm.aggregation,
-                self.phase,
-                epoch,
-                &mut self.fault_plan,
-                &mut self.health,
-                &self.exec_sink,
-                &self.tsinks,
-                &mut side,
-                sends,
-                &recvs,
-            )?;
-            for (r, s) in side.iter().enumerate() {
-                self.ranks[r].stats.merge(s);
-            }
-            for (to, payloads) in delivered.into_iter().enumerate() {
-                for ((slot, &hop), payload) in recvs[to].iter().zip(&hops).zip(payloads) {
-                    let Payload::Forces(forces) = payload else {
-                        return Err(RuntimeError::WrongPayload { rank: to, channel: slot.channel });
-                    };
-                    self.ranks[to].absorb_ghost_forces(hop, &forces)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The per-rank force-computation fan-out: each pool task owns exactly
-    /// one rank slot and one result slot.
-    fn compute_all(&mut self) {
-        let ff = &self.ff;
-        let nranks = self.ranks.len();
-        let ranks = LaneSlots::new(self.ranks.as_mut_ptr());
-        let out = LaneSlots::new(self.results.as_mut_ptr());
-        self.pool.run(nranks, &move |r| {
-            // SAFETY: task index r is claimed exactly once per run, so
-            // each rank/result slot is touched by a single lane.
-            let rank = unsafe { &mut *ranks.get(r) };
-            let slot = unsafe { &mut *out.get(r) };
-            *slot = rank.compute_forces(ff);
-        });
-    }
-
-    /// Sums the per-rank results (in rank order, for determinism) into the
-    /// global energy and tuple totals.
-    fn sum_results(&mut self) {
-        let mut energy = EnergyBreakdown::default();
-        let mut tuples = TupleCounts::default();
-        for (e, t, _phases) in &self.results {
-            energy.pair += e.pair;
-            energy.triplet += e.triplet;
-            energy.quadruplet += e.quadruplet;
-            tuples.pair.merge(t.pair);
-            tuples.triplet.merge(t.triplet);
-            tuples.quadruplet.merge(t.quadruplet);
-        }
-        self.last_energy = energy;
-        self.last_tuples = tuples;
-    }
-
-    /// Emits each rank's fine-grained compute phases, laid out cumulatively
-    /// from `start_ns` so each rank's timeline row shows its own bin /
-    /// enumerate / eval / reduce split.
-    fn trace_compute_phases(&self, start_ns: u64) {
-        if !self.tracer.enabled() {
-            return;
-        }
-        let step = self.steps_done;
-        for (r, (_, _, phases)) in self.results.iter().enumerate() {
-            let mut cursor = start_ns;
-            for (phase, secs) in phases.iter() {
-                let dur_ns = (secs * 1e9) as u64;
-                if dur_ns > 0 {
-                    self.tsinks[r].phase(step, phase, cursor, dur_ns);
-                    cursor += dur_ns;
-                }
-            }
-        }
-    }
-
-    /// One full ghost-exchange + force-computation + reduction cycle,
-    /// overlapped or sequential per [`CommConfig::overlap`]. Both paths are
-    /// bitwise-identical: sweeps always run interior cells first, then
-    /// frontier cells, and ghosts are absorbed in canonical order either
-    /// way.
-    fn exchange_and_compute(&mut self) -> Result<(), RuntimeError> {
-        // Overlap needs at least one worker lane to hide the exchange
-        // behind; on a single-lane pool the split would serialize anyway
-        // and only pay the second lattice rebuild, so degrade to the fused
-        // single-pass cycle (bitwise-identical — see the comm_modes suite).
-        if self.comm.overlap && self.pool.lanes() > 1 {
-            return self.exchange_and_compute_overlapped();
-        }
-        let t0 = std::time::Instant::now();
-        self.exchange_ghosts()?;
-        let t1 = std::time::Instant::now();
-        let t1_ns = if self.tracer.enabled() { self.exec_sink.now_ns() } else { 0 };
-        self.record_wall(Phase::Exchange, (t1 - t0).as_secs_f64());
-        // Ranks compute independently — the BSP phase structure makes this
-        // embarrassingly parallel.
-        self.compute_all();
-        let t2 = std::time::Instant::now();
-        self.record_wall(Phase::Compute, (t2 - t1).as_secs_f64());
-        self.trace_compute_phases(t1_ns);
-        self.reduce_forces()?;
-        self.record_wall(Phase::Reduce, t2.elapsed().as_secs_f64());
-        self.sum_results();
-        Ok(())
-    }
-
-    /// The overlapped cycle: a scoped thread runs the staged boundary
+    /// The overlapped halo import: one pool task runs the staged boundary
     /// exchange (band collection reads the rank states immutably) while the
-    /// pool computes every rank's interior cells on lattices extracted via
-    /// [`RankState::begin_interior`]. After the join the staged ghosts are
-    /// absorbed in canonical order and the frontier pass completes the
-    /// forces.
-    fn exchange_and_compute_overlapped(&mut self) -> Result<(), RuntimeError> {
-        let t0_ns = if self.tracer.enabled() { self.exec_sink.now_ns() } else { 0 };
-        for r in &mut self.ranks {
-            r.drop_ghosts();
-        }
+    /// other lanes compute every rank's interior cells on lattices
+    /// extracted via [`RankState::begin_interior`]. After the join the
+    /// staged ghosts are absorbed in canonical order; the frontier pass
+    /// then completes the forces. Returns the interior pass's seconds.
+    fn import_ghosts_staged(&mut self) -> Result<f64, RuntimeError> {
         let mut tasks: Vec<InteriorTask> =
             self.ranks.iter_mut().map(|r| r.begin_interior()).collect();
         let nranks = self.ranks.len();
-        let epoch = self.steps_done;
-        let start_phase = self.phase;
-        let aggregation = self.comm.aggregation;
-        // Disjoint field borrows: the exchange thread takes the fault plan
+        let (epoch, start_phase) = (self.steps_done, self.phase);
+        // Disjoint field borrows: the exchange task takes the fault plan
         // and health watchdog mutably plus shared reads of the rank states;
         // the interior fan-out reads the same rank states and mutates only
         // the extracted tasks.
-        let ranks = &self.ranks;
-        let fault = &mut self.fault_plan;
-        let health = &mut self.health;
-        let exec_sink = &self.exec_sink;
-        let tsinks = &self.tsinks;
-        let grid = &self.grid;
-        let plan = &self.plan;
-        let pool = &self.pool;
-        let ff = &self.ff;
+        let (ranks, dec, ff) = (&self.ranks, &*self.dec, &self.ff);
         // The exchange runs as one extra pool task alongside the per-rank
-        // interior tasks — same disjoint borrows as a scoped side thread,
-        // but without spawning (and joining) an OS thread every step. The
-        // mutable exchange state rides in a Mutex claimed exactly once by
+        // interior tasks — no OS thread is spawned (and joined) per step.
+        // Its mutable state rides in a Mutex claimed exactly once by
         // whichever lane draws task 0.
-        let exchange_state = std::sync::Mutex::new(Some((fault, health)));
-        let staged_out: std::sync::Mutex<Option<Result<StagedGhosts, RuntimeError>>> =
-            std::sync::Mutex::new(None);
+        let wire = Mutex::new(Some(Wire {
+            aggregation: self.comm.aggregation,
+            fault: &mut self.fault_plan,
+            health: &mut self.health,
+            exec_sink: &self.exec_sink,
+            tsinks: &self.tsinks,
+        }));
+        let staged_out: Mutex<Option<Result<StagedGhosts, RuntimeError>>> = Mutex::new(None);
         let t_int = std::time::Instant::now();
         {
             let slots = LaneSlots::new(tasks.as_mut_ptr());
-            let exchange_state = &exchange_state;
-            let staged_out = &staged_out;
-            pool.run(nranks + 1, &move |t| {
+            let (wire, staged_out) = (&wire, &staged_out);
+            self.pool.run(nranks + 1, &move |t| {
                 if t == 0 {
-                    let (fault, health) =
-                        exchange_state.lock().unwrap().take().expect("exchange task runs once");
-                    let r = staged_exchange(
-                        grid,
-                        plan,
-                        ranks,
-                        fault,
-                        health,
-                        exec_sink,
-                        tsinks,
-                        aggregation,
-                        epoch,
-                        start_phase,
-                    );
+                    let wire = wire.lock().unwrap().take().expect("exchange task runs once");
+                    let r = staged_exchange(dec, ranks, wire, epoch, start_phase);
                     *staged_out.lock().unwrap() = Some(r);
                 } else {
                     // SAFETY: task index t is claimed exactly once per run,
@@ -1014,40 +573,23 @@ impl DistributedSim {
         }
         let interior_secs = t_int.elapsed().as_secs_f64();
         let staged = staged_out.into_inner().expect("no lane panicked").expect("task 0 ran");
-        let staged = match staged {
-            Ok(s) => s,
-            Err(e) => {
-                // Hand the lattices back so a checkpoint restore finds the
-                // rank states structurally whole.
-                for (r, task) in self.ranks.iter_mut().zip(tasks) {
-                    r.finish_interior(task);
-                }
-                return Err(e);
-            }
-        };
-        // Bank the interior passes and absorb the staged ghosts in the
-        // same canonical order the in-line exchange uses.
-        for ((rank, task), inbox) in self.ranks.iter_mut().zip(tasks).zip(&staged.inbox) {
+        // Bank the interior passes (on failure too: a checkpoint restore
+        // must find the rank states structurally whole).
+        for (rank, task) in self.ranks.iter_mut().zip(tasks) {
             rank.finish_interior(task);
+        }
+        let staged = staged?;
+        // Absorb the staged ghosts in the same canonical order the in-line
+        // exchange uses.
+        for ((rank, inbox), stats) in self.ranks.iter_mut().zip(&staged.inbox).zip(&staged.stats) {
             for (hop, from, ghosts) in inbox {
                 rank.absorb_ghosts(*hop, *from, ghosts);
             }
+            rank.stats.merge(stats);
         }
-        for (r, s) in staged.stats.iter().enumerate() {
-            self.ranks[r].stats.merge(s);
-        }
-        self.phase = staged.phase;
-        self.record_wall(Phase::Exchange, staged.elapsed);
-        let t1 = std::time::Instant::now();
-        // Frontier (and Hybrid full) computation now that the halo landed.
-        self.compute_all();
-        self.record_wall(Phase::Compute, interior_secs + t1.elapsed().as_secs_f64());
-        self.trace_compute_phases(t0_ns);
-        let t2 = std::time::Instant::now();
-        self.reduce_forces()?;
-        self.record_wall(Phase::Reduce, t2.elapsed().as_secs_f64());
-        self.sum_results();
-        Ok(())
+        self.phase += self.dec.ghost_groups.len() as u64;
+        self.book(Phase::Exchange, staged.elapsed);
+        Ok(interior_secs)
     }
 
     /// Closes the adaptive load-balance loop: converts the last window's
@@ -1065,21 +607,16 @@ impl DistributedSim {
             .map(|(r, last)| (r.stats.phases.compute_total_s() - last).max(0.0))
             .collect();
         self.last_loads = self.ranks.iter().map(|r| r.stats.phases.compute_total_s()).collect();
-        let min_width = halo_width_for(&self.ff, &self.grid);
-        let Some(cuts) = self.grid.rebalanced_cuts(&loads, 0.5, min_width) else { return };
-        let Ok(grid) = RankGrid::with_splits(self.grid.pdims(), *self.grid.bbox(), cuts) else {
+        let grid = &self.dec.grid;
+        let min_width = halo_width_for(&self.ff, grid);
+        let Some(cuts) = grid.rebalanced_cuts(&loads, 0.5, min_width) else { return };
+        let Ok(grid) = RankGrid::with_splits(grid.pdims(), *grid.bbox(), cuts) else { return };
+        // A proposal that fails validation (or whose split would lose
+        // atoms) is skipped: keep the old grid.
+        let Ok((dec, ranks)) = step::decompose(grid, &self.gather(), &self.ff, self.subdivision)
+        else {
             return;
         };
-        if validate_decomposition(&self.ff, &grid).is_err() {
-            return;
-        }
-        let store = self.gather();
-        let ranks: Vec<RankState> = (0..grid.len())
-            .map(|r| RankState::new_subdivided(r, grid.clone(), &store, &self.ff, self.subdivision))
-            .collect();
-        if ranks.iter().map(|r| r.owned()).sum::<usize>() != store.len() {
-            return; // a malformed split would lose atoms; keep the old grid
-        }
         for r in &self.ranks {
             self.carried.merge(&r.stats);
         }
@@ -1087,7 +624,7 @@ impl DistributedSim {
             self.steps_done,
             EventKind::Redecompose { rank: self.ranks.len() as u32, lost: false },
         );
-        self.grid = grid;
+        self.dec = dec;
         self.ranks = ranks;
         self.last_loads = vec![0.0; self.ranks.len()];
         self.health.reset(self.ranks.len());
@@ -1109,36 +646,14 @@ impl DistributedSim {
         {
             self.rebalance();
         }
-        if self.needs_prime {
-            self.exchange_and_compute()?;
-            self.needs_prime = false;
-        }
-        let t0 = std::time::Instant::now();
-        for r in &mut self.ranks {
-            r.vv_start(self.dt);
-        }
-        for r in &mut self.ranks {
-            r.drop_ghosts();
-        }
-        // Ghost-free point: permute owned atoms into cell Z-order before
-        // migration rebuilds the halo against the new slot layout.
-        if self.resort_every != 0 && self.steps_done.is_multiple_of(self.resort_every) {
-            for r in &mut self.ranks {
-                r.resort_owned();
-            }
-        }
-        let t1 = std::time::Instant::now();
-        self.record_wall(Phase::Integrate, (t1 - t0).as_secs_f64());
-        self.migrate()?;
-        self.record_wall(Phase::Migrate, t1.elapsed().as_secs_f64());
-        self.exchange_and_compute()?;
-        let t2 = std::time::Instant::now();
-        for r in &mut self.ranks {
-            r.vv_finish(self.dt);
-        }
-        self.record_wall(Phase::Integrate, t2.elapsed().as_secs_f64());
+        let resort = self.resort_every != 0 && self.steps_done.is_multiple_of(self.resort_every);
+        let (prime, dt, overlap) = (self.needs_prime, self.dt, self.comm.overlap);
+        step::step(self, prime, dt, resort, overlap)?;
+        self.needs_prime = false;
         self.steps_done += 1;
-        self.feed_metrics();
+        if self.feed.registry().enabled() {
+            self.feed.step(self.comm_stats(), self.health.counters());
+        }
         if let Some((every, mut observer)) = self.observer.take() {
             if self.steps_done.is_multiple_of(every) {
                 observer.observe(&self.telemetry());
@@ -1146,41 +661,6 @@ impl DistributedSim {
             self.observer = Some((every, observer));
         }
         Ok(())
-    }
-
-    /// Records a wall-clock phase duration both in the cumulative local
-    /// breakdown and in the registry (if one is installed).
-    fn record_wall(&mut self, phase: Phase, secs: f64) {
-        self.timings.add(phase, secs);
-        self.registry.record_phase(phase, secs);
-        if self.exec_sink.enabled() {
-            let dur_ns = (secs * 1e9) as u64;
-            let now = self.exec_sink.now_ns();
-            self.exec_sink.phase(self.steps_done, phase, now.saturating_sub(dur_ns), dur_ns);
-        }
-    }
-
-    /// Feeds the step's communication deltas into the registry.
-    fn feed_metrics(&mut self) {
-        if !self.registry.enabled() {
-            return;
-        }
-        let now = self.comm_stats();
-        self.obs.steps.inc();
-        self.obs.messages.add(now.messages - self.last_totals.messages);
-        self.obs.bytes.add(now.bytes - self.last_totals.bytes);
-        self.obs.ghosts.add(now.ghosts_imported - self.last_totals.ghosts_imported);
-        self.obs.migrated.add(now.atoms_migrated - self.last_totals.atoms_migrated);
-        self.obs.retries.add(now.retries - self.last_totals.retries);
-        self.obs.faults.add(now.faults_detected - self.last_totals.faults_detected);
-        self.obs.step_bytes.observe((now.bytes - self.last_totals.bytes) as f64);
-        self.last_totals = now;
-        let h = self.health.counters();
-        self.obs.health_suspects.add(h.suspects - self.last_health.suspects);
-        self.obs.health_deaths.add(h.deaths - self.last_health.deaths);
-        self.obs.health_recoveries.add(h.recoveries - self.last_health.recoveries);
-        self.obs.health_breaker_trips.add(h.breaker_trips - self.last_health.breaker_trips);
-        self.last_health = h;
     }
 
     /// One velocity-Verlet step.
@@ -1203,15 +683,10 @@ impl DistributedSim {
     /// positions wrapped into the global box — directly comparable with a
     /// serial [`sc_md::Simulation`].
     pub fn gather(&self) -> AtomStore {
-        let mut atoms: Vec<crate::msg::AtomMsg> =
-            self.ranks.iter().flat_map(|r| r.owned_atoms()).collect();
-        atoms.sort_by_key(|a| a.id);
-        let masses = self.ranks[0].store().species_masses().to_vec();
-        let mut out = AtomStore::new(masses);
-        for a in &atoms {
-            out.push(a.id, a.species, a.position, a.velocity);
-        }
-        out
+        step::gather(
+            self.ranks.iter().flat_map(|r| r.owned_atoms()).collect(),
+            self.ranks[0].store().species_masses().to_vec(),
+        )
     }
 
     /// Re-decomposes a checkpoint onto an arbitrary `pdims` rank grid and
@@ -1226,35 +701,32 @@ impl DistributedSim {
     /// must fit in one sub-box and the global lattice must accommodate the
     /// largest tuple order.
     pub fn restore_onto(&mut self, cp: &Checkpoint, pdims: IVec3) -> Result<(), SetupError> {
-        let grid = RankGrid::try_new(pdims, cp.bbox())?;
-        let width = validate_decomposition(&self.ff, &grid)?;
-        let plan = GhostPlan::for_method(self.ff.method, width)?;
-        let store = cp.to_store();
-        let ranks: Vec<RankState> = (0..grid.len())
-            .map(|r| RankState::new_subdivided(r, grid.clone(), &store, &self.ff, self.subdivision))
-            .collect();
-        let total: usize = ranks.iter().map(|r| r.owned()).sum();
-        if total != store.len() {
-            return Err(SetupError::AtomsLost { expected: store.len(), claimed: total });
-        }
-        let nranks = ranks.len();
-        self.grid = grid;
-        self.plan = plan;
-        self.ranks = ranks;
+        self.install(cp, RankGrid::try_new(pdims, cp.bbox())?)?;
+        let nranks = self.ranks.len();
         self.results = vec![Default::default(); nranks];
-        self.tsinks = (0..nranks).map(|r| self.tracer.sink(r as u32, 0)).collect();
-        self.exec_sink = self.tracer.sink(nranks as u32, 0);
+        self.set_tracer(self.tracer.clone());
         // Rank indices mean something new now; per-rank health state from
         // the old grid is unusable (cumulative counters are kept).
         self.health.reset(nranks);
+        Ok(())
+    }
+
+    /// Re-decomposes `cp` over `grid` and rewinds the run to it: every
+    /// rank reclaims its atoms and forces are recomputed by the priming
+    /// exchange, so the trajectory continues from exactly the checkpointed
+    /// phase-space point (summation order inside a rank may differ from the
+    /// pre-fault run, so continuation is exact physics, not bitwise).
+    fn install(&mut self, cp: &Checkpoint, grid: RankGrid) -> Result<(), SetupError> {
+        (self.dec, self.ranks) = step::decompose(grid, &cp.to_store(), &self.ff, self.subdivision)?;
         self.dt = cp.dt;
         self.steps_done = cp.step;
         self.needs_prime = true;
         self.last_energy = EnergyBreakdown::default();
         self.last_tuples = TupleCounts::default();
-        self.last_totals = CommCounters::default();
+        // Rank stats were rebuilt from scratch; re-baseline the delta feed.
         self.carried = CommCounters::default();
-        self.last_loads = vec![0.0; nranks];
+        self.feed.last = CommCounters::default();
+        self.last_loads = vec![0.0; self.ranks.len()];
         Ok(())
     }
 
@@ -1299,40 +771,94 @@ impl DistributedSim {
     }
 }
 
-impl Recoverable for DistributedSim {
-    type Fault = RuntimeError;
-
-    fn try_step(&mut self) -> Result<(), RuntimeError> {
-        DistributedSim::try_step(self)
+impl Scheduler for DistributedSim {
+    fn decomposition(&self) -> Arc<Decomposition> {
+        Arc::clone(&self.dec)
     }
 
-    fn checkpoint(&self) -> Checkpoint {
-        let p = self.grid.pdims();
-        Checkpoint::from_store(self.steps_done, self.dt, self.grid.bbox(), &self.gather())
-            .with_layout(SnapshotLayout::Grid { pdims: [p.x, p.y, p.z] })
+    fn each_rank(&mut self, f: &dyn Fn(&mut RankState)) {
+        self.ranks.iter_mut().for_each(f);
     }
 
+    /// One merged phase in lockstep: every rank's sections are collected,
+    /// the whole phase is delivered, then every rank absorbs.
+    fn exchange(&mut self, x: Exchange<'_>) -> Result<(), RuntimeError> {
+        self.phase += 1;
+        let (phase, epoch, dec) = (self.phase, self.steps_done, &*self.dec);
+        let (sends, recvs): (Vec<_>, Vec<_>) =
+            self.ranks.iter_mut().map(|r| step::outgoing(r, dec, x, phase, epoch)).unzip();
+        let mut side = vec![CommCounters::default(); self.ranks.len()];
+        let mut wire = Wire {
+            aggregation: self.comm.aggregation,
+            fault: &mut self.fault_plan,
+            health: &mut self.health,
+            exec_sink: &self.exec_sink,
+            tsinks: &self.tsinks,
+        };
+        let delivered = wire.phase(phase, epoch, &mut side, sends, &recvs)?;
+        for ((rank, stats), (rx, payloads)) in
+            self.ranks.iter_mut().zip(&side).zip(recvs.iter().zip(delivered))
+        {
+            rank.stats.merge(stats);
+            step::absorb(rank, x, rx, payloads)?;
+        }
+        Ok(())
+    }
+
+    fn import_ghosts(&mut self, overlap: bool) -> Result<f64, RuntimeError> {
+        // Overlap needs at least one worker lane to hide the exchange
+        // behind; on a single-lane pool the split would serialize anyway
+        // and only pay the second lattice rebuild, so degrade to the fused
+        // single-pass cycle (bitwise-identical — see the comm_modes suite).
+        if overlap && self.pool.lanes() > 1 {
+            return self.import_ghosts_staged();
+        }
+        let t = std::time::Instant::now();
+        let dec = self.decomposition();
+        for hops in &dec.ghost_groups {
+            self.exchange(Exchange::Ghosts(hops))?;
+        }
+        self.book(Phase::Exchange, t.elapsed().as_secs_f64());
+        Ok(0.0)
+    }
+
+    /// The per-rank force-computation fan-out — the BSP phase structure
+    /// makes this embarrassingly parallel: each pool task owns exactly one
+    /// rank slot and one result slot.
+    fn compute(&mut self, interior_secs: f64) {
+        let t = std::time::Instant::now();
+        let start_ns = if self.tracer.enabled() { self.exec_sink.now_ns() } else { 0 };
+        let ff = &self.ff;
+        let ranks = LaneSlots::new(self.ranks.as_mut_ptr());
+        let out = LaneSlots::new(self.results.as_mut_ptr());
+        self.pool.run(self.ranks.len(), &move |r| {
+            // SAFETY: task index r is claimed exactly once per run, so
+            // each rank/result slot is touched by a single lane.
+            let rank = unsafe { &mut *ranks.get(r) };
+            let slot = unsafe { &mut *out.get(r) };
+            *slot = rank.compute_forces(ff);
+        });
+        (self.last_energy, self.last_tuples) =
+            step::sum_results(self.results.iter().map(|(e, t, _)| (e, t)));
+        self.book(Phase::Compute, interior_secs + t.elapsed().as_secs_f64());
+        for (sink, (_, _, phases)) in self.tsinks.iter().zip(&self.results) {
+            step::trace_compute(sink, self.steps_done, start_ns, phases);
+        }
+    }
+
+    /// Books a wall-clock phase in the cumulative local breakdown, the
+    /// registry, and the executor's timeline row.
+    fn book(&mut self, phase: Phase, secs: f64) {
+        self.timings.add(phase, secs);
+        self.feed.registry().record_phase(phase, secs);
+        step::trace_booked(&self.exec_sink, self.steps_done, phase, secs);
+    }
+}
+
+step::recoverable!(DistributedSim {
     fn restore(&mut self, cp: &Checkpoint) {
-        // Re-decompose from the gathered snapshot: every rank reclaims its
-        // atoms and forces are recomputed by the priming exchange, so the
-        // trajectory continues from exactly the checkpointed phase-space
-        // point (summation order inside a rank may differ from the
-        // pre-fault run, so continuation is exact physics, not bitwise).
-        let store = cp.to_store();
-        self.ranks = (0..self.grid.len())
-            .map(|r| {
-                RankState::new_subdivided(r, self.grid.clone(), &store, &self.ff, self.subdivision)
-            })
-            .collect();
-        self.dt = cp.dt;
-        self.steps_done = cp.step;
-        self.needs_prime = true;
-        self.last_energy = EnergyBreakdown::default();
-        self.last_tuples = TupleCounts::default();
-        // Rank stats were rebuilt from scratch; re-baseline the delta feed.
-        self.last_totals = CommCounters::default();
-        self.carried = CommCounters::default();
-        self.last_loads = vec![0.0; self.ranks.len()];
+        self.install(cp, self.dec.grid.clone())
+            .expect("restoring onto the grid the run already validated cannot fail");
     }
 
     fn atom_count(&self) -> usize {
@@ -1344,36 +870,10 @@ impl Recoverable for DistributedSim {
     }
 
     fn state_is_finite(&self) -> bool {
-        self.ranks.iter().all(|rank| {
-            let s = rank.store();
-            (0..rank.owned()).all(|i| {
-                s.positions()[i].is_finite()
-                    && s.velocities()[i].is_finite()
-                    && s.forces()[i].is_finite()
-            })
-        })
-    }
-
-    fn timestep(&self) -> f64 {
-        self.dt
-    }
-
-    fn set_timestep(&mut self, dt: f64) {
-        self.dt = dt;
-    }
-
-    fn steps_done(&self) -> u64 {
-        self.steps_done
-    }
-
-    fn dead_rank(fault: &RuntimeError) -> Option<usize> {
-        match fault {
-            RuntimeError::RankDead { rank, .. } => Some(*rank),
-            _ => None,
-        }
+        self.ranks.iter().all(|r| r.is_finite())
     }
 
     fn restore_excluding(&mut self, cp: &Checkpoint, exclude: &[usize]) -> Result<(), String> {
         DistributedSim::restore_excluding(self, cp, exclude).map_err(|e| e.to_string())
     }
-}
+});

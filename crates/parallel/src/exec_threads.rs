@@ -1,33 +1,29 @@
-//! Threaded executor: one OS thread per rank, crossbeam channels as the
-//! interconnect — true concurrent message passing with the same merged-phase
-//! transport schedule (and therefore bitwise-identical physics) as the BSP
-//! executor.
+//! Threaded scheduler of the rank-step protocol ([`crate::step`]): one OS
+//! thread per rank, crossbeam channels as the interconnect — true concurrent
+//! message passing with the same merged-phase schedule (and therefore
+//! bitwise-identical physics) as the BSP executor.
 //!
-//! The executor is persistent: worker threads live across steps and are
-//! driven by a per-rank command channel, so the executor can step, gather,
-//! checkpoint, and restore like [`crate::DistributedSim`] and both hide
-//! behind one `Executor` surface in `sc-spec`. Every wire unit is stamped
-//! (epoch, channel, checksum) and verified on receipt — per section for
-//! aggregated frames. Deterministic fault *injection* lives in the BSP
-//! executor only (scripted faults need a reproducible delivery order, which
-//! concurrent threads cannot provide), but validation here protects against
-//! the same protocol-confusion failure modes.
+//! What lives here is what makes it threaded: persistent worker threads
+//! driven by per-rank command channels, one reply per command, a mailbox
+//! that buffers out-of-phase messages, and poison/shutdown for a pool whose
+//! member unwound mid-protocol. Every wire unit is accepted exactly as the
+//! BSP executor accepts one ([`step::accept_unit`]). Deterministic fault
+//! *injection* lives in the BSP executor only (scripted faults need a
+//! reproducible delivery order, which concurrent threads cannot provide).
 
-use crate::comm::GhostPlan;
-use crate::error::{RunError, RuntimeError, SetupError};
+use crate::error::{RuntimeError, SetupError};
 use crate::grid::RankGrid;
-use crate::health::{HealthConfig, HealthTracker, RankHealth};
+use crate::health::{HealthConfig, HealthCounters, HealthTracker};
 use crate::msg::{AtomMsg, Channel, Message, Payload};
-use crate::rank::{validate_decomposition, ForceField, RankState, DEFAULT_RESORT_EVERY};
+use crate::rank::{ForceField, RankState, DEFAULT_RESORT_EVERY};
+use crate::step::{self, Decomposition, Exchange, Feed, Scheduler};
 use crate::transport::{self, CommConfig, Slot};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
-use sc_md::checkpoint::{Checkpoint, SnapshotLayout};
-use sc_md::supervisor::Recoverable;
+use sc_md::checkpoint::Checkpoint;
 use sc_md::{EnergyBreakdown, Telemetry, TupleCounts};
-use sc_obs::trace::EventKind;
-use sc_obs::{CommCounters, Phase, Registry, TraceSink, Tracer};
+use sc_obs::{CommCounters, Phase, PhaseBreakdown, Registry, TraceSink, Tracer};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -42,10 +38,11 @@ const POISON_PHASE: u64 = u64::MAX;
 /// commands strictly in order; every `Step` / `Energy` / `Gather` produces
 /// exactly one reply.
 enum Cmd {
-    /// Run one velocity-Verlet step (priming forces first if needed).
-    Step { dt: f64, resort: bool, comm: CommConfig },
+    /// Run one velocity-Verlet step of epoch `epoch` (priming forces first
+    /// if needed).
+    Step { epoch: u64, dt: f64, resort: bool, comm: CommConfig },
     /// Recompute forces without integrating and report fresh energies.
-    Energy { comm: CommConfig },
+    Energy { epoch: u64, comm: CommConfig },
     /// Report this rank's owned atoms for a global gather.
     Gather,
     /// Install a new trace sink (fire-and-forget, no reply).
@@ -54,7 +51,7 @@ enum Cmd {
     Stop,
 }
 
-/// A worker's per-step report back to the controller: everything the
+/// A worker's per-command report back to the controller: everything the
 /// executor needs to serve telemetry, supervision invariants, and energy
 /// queries without another round-trip.
 #[derive(Clone, Default)]
@@ -65,6 +62,7 @@ struct StepView {
     owned: usize,
     finite: bool,
     stats: CommCounters,
+    health: HealthCounters,
 }
 
 /// One reply per `Step` / `Energy` / `Gather` command, tagged with the
@@ -78,377 +76,209 @@ enum Reply {
 /// Buffers out-of-phase messages: a fast neighbour may send phase k+1
 /// traffic while this rank still waits on phase k from a slow one.
 struct Mailbox {
-    rank: usize,
     rx: Receiver<Wire>,
     pending: Vec<Wire>,
-    /// Per-peer health watchdog — protocol parity with the BSP executor:
-    /// a stamp failure marks the sender suspect, and the flap breaker can
-    /// declare a peer dead from the receive path alone.
-    health: HealthTracker,
-    tsink: TraceSink,
 }
 
 impl Mailbox {
     /// Pulls the next wire unit stamped with `phase`, from the pending
-    /// buffer or the channel. A poison sentinel or a closed channel means a
-    /// peer unwound mid-protocol and the slot can never fill.
-    fn next_unit(&mut self, phase: u64, epoch: u64, slot0: Channel) -> Result<Wire, RuntimeError> {
-        let missing = |rank| RuntimeError::MissingHop { rank, channel: slot0, epoch, attempts: 1 };
+    /// buffer or the channel. `None` when a poison sentinel arrived or the
+    /// channel closed: a peer unwound mid-protocol and the slot can never
+    /// fill.
+    fn next_unit(&mut self, phase: u64) -> Option<Wire> {
         if let Some(pos) =
             self.pending.iter().position(|(_, m)| m.phase == phase || m.phase == POISON_PHASE)
         {
-            let (from, m) = self.pending.swap_remove(pos);
-            if m.phase == POISON_PHASE {
-                return Err(missing(self.rank));
-            }
-            return Ok((from, m));
+            let unit = self.pending.swap_remove(pos);
+            return (unit.1.phase != POISON_PHASE).then_some(unit);
         }
         loop {
-            let Ok((from, m)) = self.rx.recv() else {
-                return Err(missing(self.rank));
-            };
-            if m.phase == POISON_PHASE {
-                return Err(missing(self.rank));
+            let unit = self.rx.recv().ok()?;
+            if unit.1.phase == POISON_PHASE {
+                return None;
             }
-            if m.phase == phase {
-                return Ok((from, m));
+            if unit.1.phase == phase {
+                return Some(unit);
             }
-            self.pending.push((from, m));
+            self.pending.push(unit);
         }
-    }
-
-    /// Verifies a wire unit's outer stamp against the expected channel —
-    /// and each section's stamp for aggregated frames — feeding the
-    /// sender's health watchdog with the outcome.
-    fn verify_unit(
-        &mut self,
-        m: &Message,
-        from: usize,
-        channel: Channel,
-        epoch: u64,
-    ) -> Result<(), RuntimeError> {
-        let res = m.verify(self.rank, epoch, channel).and_then(|()| {
-            if let Payload::Batch(secs) = &m.payload {
-                for s in secs {
-                    s.verify(self.rank, epoch, s.channel)?;
-                }
-            }
-            Ok(())
-        });
-        let outcome = match &res {
-            Ok(()) => self.health.record_success(from, channel.trace_class(), epoch),
-            Err(_) => self.health.record_failure(from, channel.trace_class(), epoch),
-        };
-        if let Some(s) = outcome {
-            self.tsink.instant(epoch, EventKind::Health { peer: from as u32, state: s.code() });
-            if s == RankHealth::Dead {
-                return Err(RuntimeError::RankDead { rank: from, step: epoch, epoch });
-            }
-        }
-        res
     }
 }
 
 /// The per-rank worker: rank state plus its end of the interconnect.
 struct Worker {
     state: RankState,
-    rank: usize,
-    grid: RankGrid,
-    plan: GhostPlan,
+    dec: Arc<Decomposition>,
     ff: Arc<ForceField>,
     txs: Vec<Sender<Wire>>,
     mailbox: Mailbox,
+    /// Per-peer health watchdog — protocol parity with the BSP executor: a
+    /// stamp failure marks the sender suspect, and the flap breaker can
+    /// declare a peer dead from the receive path alone.
+    health: HealthTracker,
     tsink: TraceSink,
     phase: u64,
-    steps_done: u64,
+    /// The step being run and its packing mode (set per command).
+    epoch: u64,
+    aggregation: bool,
     needs_prime: bool,
+    /// Results of the most recent force computation.
+    last: (EnergyBreakdown, TupleCounts),
 }
 
 impl Worker {
-    /// Frames this phase's stamped sections per destination and puts them
-    /// on the wire. Bytes and section counts are recorded once per wire
-    /// unit, mirroring the BSP executor's counter discipline. A send can
-    /// fail only when the peer already unwound with its own error; this
-    /// rank then errors on its next receive.
-    fn send_frames(&mut self, aggregation: bool, epoch: u64, secs: Vec<(usize, Message)>) {
-        for (to, unit) in transport::frame_sections(aggregation, self.phase, epoch, secs) {
-            let bytes = unit.payload.wire_bytes();
-            let nsec = unit.payload.section_count() as u16;
-            self.state.stats.record_send(to, bytes);
-            self.tsink.send(epoch, unit.channel.trace_class(), to as u32, bytes, nsec, epoch);
-            let _ = self.txs[to].send((self.rank, unit));
+    /// Puts this rank's sections for `x` on the wire, framed per
+    /// destination, and returns the receive slots the phase must fill. A
+    /// send can fail only when the peer already unwound with its own error;
+    /// this rank then errors on its next receive.
+    fn post(&mut self, x: Exchange<'_>) -> Vec<Slot> {
+        self.phase += 1;
+        let (sections, rx) = step::outgoing(&mut self.state, &self.dec, x, self.phase, self.epoch);
+        let stats = &mut self.state.stats;
+        let agg = self.aggregation;
+        for (to, unit) in step::frame(agg, self.phase, self.epoch, sections, stats, &self.tsink) {
+            let _ = self.txs[to].send((self.state.rank, unit));
         }
+        rx
     }
 
     /// Receives the phase's expected wire units (in whatever order they
-    /// arrive), verifies each against the canonical slot it must fill, and
-    /// returns the payloads in canonical slot order.
-    fn recv_phase(
-        &mut self,
-        aggregation: bool,
-        epoch: u64,
-        rx_slots: &[Slot],
-    ) -> Result<Vec<Payload>, RuntimeError> {
-        let expected = transport::expected_units(aggregation, rx_slots);
-        let mut units: Vec<Wire> = Vec::with_capacity(expected.len());
-        while units.len() < expected.len() {
-            let (from, m) = self.mailbox.next_unit(self.phase, epoch, rx_slots[0].channel)?;
-            // The k-th unit from `from` fills the k-th canonical expected
-            // unit from that source (k > 0 only without aggregation;
-            // per-sender channel order is FIFO, so arrival order per source
-            // equals send order).
-            let already = units.iter().filter(|(f, _)| *f == from).count();
-            let channel = expected
-                .iter()
-                .filter(|(p, _)| *p == from)
-                .nth(already)
-                .map(|(_, c)| *c)
-                .unwrap_or(m.channel);
-            self.mailbox.verify_unit(&m, from, channel, epoch)?;
-            self.tsink.recv(
+    /// arrive), accepts each against the canonical slot it must fill, and
+    /// absorbs the payloads in canonical slot order.
+    fn collect(&mut self, x: Exchange<'_>, rx: &[Slot]) -> Result<(), RuntimeError> {
+        let (rank, epoch) = (self.state.rank, self.epoch);
+        let expected = transport::expected_units(self.aggregation, rx).len();
+        let mut units: Vec<Wire> = Vec::with_capacity(expected);
+        while units.len() < expected {
+            let (from, m) = self.mailbox.next_unit(self.phase).ok_or(RuntimeError::MissingHop {
+                rank,
+                channel: rx[0].channel,
                 epoch,
-                channel.trace_class(),
-                from as u32,
-                m.payload.wire_bytes(),
-                m.payload.section_count() as u16,
-                epoch,
-            );
+                attempts: 1,
+            })?;
+            let channel = step::expected_channel(rx, &units, from, &m);
+            step::accept_unit(&mut self.health, &self.tsink, &m, from, rank, channel, epoch)?;
+            step::trace_recv(&self.tsink, epoch, from, &m);
             units.push((from, m));
         }
-        transport::match_sections(self.mailbox.rank, epoch, rx_slots, units)
-    }
-
-    /// One full ghost-exchange + force-computation + reduction cycle on
-    /// this rank — the same merged-phase schedule as the BSP executor, so
-    /// counters and physics agree bitwise. With overlap on, the interior
-    /// tuples are computed between putting the first (axis 0) ghost phase
-    /// on the wire and blocking on its arrivals, hiding peer latency.
-    fn exchange_and_compute(
-        &mut self,
-        comm: CommConfig,
-        epoch: u64,
-    ) -> Result<(EnergyBreakdown, TupleCounts), RuntimeError> {
-        let t_ex = std::time::Instant::now();
-        let ex0 = self.tsink.now_ns();
-        self.state.drop_ghosts();
-        let mut interior_secs = 0.0;
-        for (gi, hops) in transport::ghost_phase_groups(&self.plan).into_iter().enumerate() {
-            self.phase += 1;
-            let (slots, rx_slots) =
-                transport::ghost_phase(&self.grid, &self.plan, self.rank, &hops);
-            let mut secs = Vec::with_capacity(slots.len());
-            for (slot, &hop) in slots.iter().zip(&hops) {
-                let (axis, recv_dir) = self.plan.hops[hop];
-                let band = self.state.collect_ghost_band(&self.plan, axis, recv_dir);
-                secs.push((
-                    slot.peer,
-                    Message::stamped(self.phase, epoch, slot.channel, Payload::Ghosts(band)),
-                ));
-            }
-            self.send_frames(comm.aggregation, epoch, secs);
-            if gi == 0 && comm.overlap {
-                // The axis-0 bands left from the still-ghost-free store;
-                // compute interior tuples before blocking on the arrivals.
-                let t_int = std::time::Instant::now();
-                let mut task = self.state.begin_interior();
-                RankState::run_interior(&mut task, &self.state, &self.ff);
-                self.state.finish_interior(task);
-                interior_secs = t_int.elapsed().as_secs_f64();
-            }
-            let payloads = self.recv_phase(comm.aggregation, epoch, &rx_slots)?;
-            for ((slot, &hop), payload) in rx_slots.iter().zip(&hops).zip(payloads) {
-                let Payload::Ghosts(g) = payload else {
-                    return Err(RuntimeError::WrongPayload {
-                        rank: self.rank,
-                        channel: slot.channel,
-                    });
-                };
-                self.state.absorb_ghosts(hop, slot.peer, &g);
-            }
-        }
-        // The interior pass is compute, not communication, even though it
-        // ran inside the exchange window.
-        let exchange_secs = (t_ex.elapsed().as_secs_f64() - interior_secs).max(0.0);
-        self.state.stats.phases.add(Phase::Exchange, exchange_secs);
-        self.tsink.phase(epoch, Phase::Exchange, ex0, self.tsink.now_ns().saturating_sub(ex0));
-        let c0 = self.tsink.now_ns();
-        let (energy, tuples, phases) = self.state.compute_forces(&self.ff);
-        if self.tsink.enabled() {
-            // Fine-grained compute sub-phases, laid out cumulatively from
-            // the compute start on this rank's own timeline row.
-            let mut cursor = c0;
-            for (p, secs) in phases.iter() {
-                let dur_ns = (secs * 1e9) as u64;
-                if dur_ns > 0 {
-                    self.tsink.phase(epoch, p, cursor, dur_ns);
-                    cursor += dur_ns;
-                }
-            }
-        }
-        let t_red = std::time::Instant::now();
-        let r0 = self.tsink.now_ns();
-        for hops in transport::force_phase_groups(&self.plan) {
-            self.phase += 1;
-            let (slots, rx_slots) =
-                transport::force_phase(&self.grid, &self.plan, self.rank, &hops);
-            let mut secs = Vec::with_capacity(slots.len());
-            for (slot, &hop) in slots.iter().zip(&hops) {
-                let (forces, recorded) = self.state.collect_ghost_forces(hop);
-                debug_assert!(
-                    recorded.is_none_or(|t| t == slot.peer),
-                    "ghost origin disagrees with the routing schedule"
-                );
-                secs.push((
-                    slot.peer,
-                    Message::stamped(self.phase, epoch, slot.channel, Payload::Forces(forces)),
-                ));
-            }
-            self.send_frames(comm.aggregation, epoch, secs);
-            let payloads = self.recv_phase(comm.aggregation, epoch, &rx_slots)?;
-            for ((_slot, &hop), payload) in rx_slots.iter().zip(&hops).zip(payloads) {
-                let Payload::Forces(f) = payload else {
-                    return Err(RuntimeError::WrongPayload {
-                        rank: self.rank,
-                        channel: Channel::Forces { hop },
-                    });
-                };
-                self.state.absorb_ghost_forces(hop, &f)?;
-            }
-        }
-        // The reverse ghost-force reduction is communication too; fold it
-        // into the exchange slot of this rank's breakdown.
-        self.state.stats.phases.add(Phase::Exchange, t_red.elapsed().as_secs_f64());
-        self.tsink.phase(epoch, Phase::Reduce, r0, self.tsink.now_ns().saturating_sub(r0));
-        Ok((energy, tuples))
-    }
-
-    /// One velocity-Verlet step (priming forces first when needed).
-    fn step(
-        &mut self,
-        dt: f64,
-        resort: bool,
-        comm: CommConfig,
-    ) -> Result<Box<StepView>, RuntimeError> {
-        let epoch = self.steps_done;
-        if self.needs_prime {
-            self.exchange_and_compute(comm, epoch)?;
-            self.needs_prime = false;
-        }
-        let t0 = std::time::Instant::now();
-        let i0 = self.tsink.now_ns();
-        self.state.vv_start(dt);
-        self.state.drop_ghosts();
-        // Ghost-free point: same re-sort schedule as the BSP executor, so
-        // slot layouts (and hence accumulation order) stay identical.
-        if resort {
-            self.state.resort_owned();
-        }
-        self.state.stats.phases.add(Phase::Integrate, t0.elapsed().as_secs_f64());
-        self.tsink.phase(epoch, Phase::Integrate, i0, self.tsink.now_ns().saturating_sub(i0));
-        let t1 = std::time::Instant::now();
-        let m0 = self.tsink.now_ns();
-        for axis in 0..3 {
-            self.phase += 1;
-            let (slots, rx_slots) = transport::migrate_phase(&self.grid, self.rank, axis);
-            let (to_minus, to_plus) = self.state.collect_migrants(axis);
-            let secs = slots
-                .into_iter()
-                .zip([to_minus, to_plus])
-                .map(|(slot, atoms)| {
-                    let msg =
-                        Message::stamped(self.phase, epoch, slot.channel, Payload::Migrate(atoms));
-                    (slot.peer, msg)
-                })
-                .collect();
-            self.send_frames(comm.aggregation, epoch, secs);
-            let payloads = self.recv_phase(comm.aggregation, epoch, &rx_slots)?;
-            for (slot, payload) in rx_slots.iter().zip(payloads) {
-                let Payload::Migrate(a) = payload else {
-                    return Err(RuntimeError::WrongPayload {
-                        rank: self.rank,
-                        channel: slot.channel,
-                    });
-                };
-                self.state.absorb_migrants(&a);
-            }
-        }
-        self.state.stats.phases.add(Phase::Migrate, t1.elapsed().as_secs_f64());
-        self.tsink.phase(epoch, Phase::Migrate, m0, self.tsink.now_ns().saturating_sub(m0));
-        let (energy, tuples) = self.exchange_and_compute(comm, epoch)?;
-        let t2 = std::time::Instant::now();
-        let f0 = self.tsink.now_ns();
-        self.state.vv_finish(dt);
-        self.state.stats.phases.add(Phase::Integrate, t2.elapsed().as_secs_f64());
-        self.tsink.phase(epoch, Phase::Integrate, f0, self.tsink.now_ns().saturating_sub(f0));
-        self.steps_done += 1;
-        Ok(self.view(energy, tuples))
+        let payloads = transport::match_sections(rank, rx, units)?;
+        step::absorb(&mut self.state, x, rx, payloads)
     }
 
     /// The post-command report: fresh energies plus the supervision
     /// invariants (atom count, finiteness) so the controller never needs a
     /// second round-trip to answer them.
-    fn view(&self, energy: EnergyBreakdown, tuples: TupleCounts) -> Box<StepView> {
-        let s = self.state.store();
-        let finite = (0..self.state.owned()).all(|i| {
-            s.positions()[i].is_finite()
-                && s.velocities()[i].is_finite()
-                && s.forces()[i].is_finite()
-        });
+    fn view(&self) -> Box<StepView> {
         Box::new(StepView {
-            energy,
-            tuples,
+            energy: self.last.0,
+            tuples: self.last.1,
             kinetic: self.state.kinetic_energy(),
             owned: self.state.owned(),
-            finite,
+            finite: self.state.is_finite(),
             stats: self.state.stats.clone(),
+            health: self.health.counters(),
         })
     }
 }
 
-/// The worker thread body: drain commands until `Stop` or a failed step.
-/// A failed step replies `Failed` and exits, dropping this rank's channel
+impl Scheduler for Worker {
+    fn decomposition(&self) -> Arc<Decomposition> {
+        Arc::clone(&self.dec)
+    }
+
+    fn each_rank(&mut self, f: &dyn Fn(&mut RankState)) {
+        f(&mut self.state);
+    }
+
+    fn exchange(&mut self, x: Exchange<'_>) -> Result<(), RuntimeError> {
+        let rx = self.post(x);
+        self.collect(x, &rx)
+    }
+
+    /// With overlap on, the interior tuples are computed between putting
+    /// the first (axis 0) ghost phase on the wire — its bands left from the
+    /// still-ghost-free store — and blocking on its arrivals, hiding peer
+    /// latency.
+    fn import_ghosts(&mut self, overlap: bool) -> Result<f64, RuntimeError> {
+        let t = std::time::Instant::now();
+        let dec = self.decomposition();
+        let mut interior_secs = 0.0;
+        for (group, hops) in dec.ghost_groups.iter().enumerate() {
+            let x = Exchange::Ghosts(hops);
+            let rx = self.post(x);
+            if group == 0 && overlap {
+                let t_int = std::time::Instant::now();
+                self.state.compute_interior(&self.ff);
+                interior_secs = t_int.elapsed().as_secs_f64();
+            }
+            self.collect(x, &rx)?;
+        }
+        // The interior pass is compute, not communication, even though it
+        // ran inside the exchange window.
+        self.book(Phase::Exchange, (t.elapsed().as_secs_f64() - interior_secs).max(0.0));
+        Ok(interior_secs)
+    }
+
+    /// The rank splits compute into bin / enumerate / reduce itself
+    /// (`compute_forces` folds them into its stats), so no wall slot is
+    /// booked for it.
+    fn compute(&mut self, _interior_secs: f64) {
+        let start_ns = self.tsink.now_ns();
+        let (energy, tuples, phases) = self.state.compute_forces(&self.ff);
+        step::trace_compute(&self.tsink, self.epoch, start_ns, &phases);
+        self.last = (energy, tuples);
+    }
+
+    /// Books a communication or integration phase in this rank's own
+    /// breakdown and timeline row.
+    fn book(&mut self, phase: Phase, secs: f64) {
+        self.state.stats.phases.add(phase, secs);
+        step::trace_booked(&self.tsink, self.epoch, phase, secs);
+    }
+}
+
+/// The worker thread body: drain commands until `Stop` or a failed command.
+/// A failure replies `Failed` and exits, dropping this rank's channel
 /// endpoints; the controller then poisons the survivors so nobody blocks
 /// on a slot that can never fill.
 fn worker_main(mut w: Worker, cmd_rx: Receiver<Cmd>, reply_tx: Sender<(usize, Reply)>) {
     loop {
         let Ok(cmd) = cmd_rx.recv() else { return };
-        match cmd {
+        let done = match cmd {
             Cmd::Stop => return,
             Cmd::Sink(sink) => {
-                w.tsink = sink.clone();
-                w.mailbox.tsink = sink;
-            }
-            Cmd::Step { dt, resort, comm } => match w.step(dt, resort, comm) {
-                Ok(view) => {
-                    let _ = reply_tx.send((w.rank, Reply::Step(view)));
-                }
-                Err(e) => {
-                    let _ = reply_tx.send((w.rank, Reply::Failed(e)));
-                    return;
-                }
-            },
-            Cmd::Energy { comm } => {
-                // Fresh forces without integrating; deliberately does NOT
-                // clear the priming flag, matching the BSP executor's
-                // total_energy (so both executors run the same number of
-                // exchange cycles over a run).
-                match w.exchange_and_compute(comm, w.steps_done) {
-                    Ok((energy, tuples)) => {
-                        let view = w.view(energy, tuples);
-                        let _ = reply_tx.send((w.rank, Reply::Step(view)));
-                    }
-                    Err(e) => {
-                        let _ = reply_tx.send((w.rank, Reply::Failed(e)));
-                        return;
-                    }
-                }
+                w.tsink = sink;
+                continue;
             }
             Cmd::Gather => {
                 let reply = Reply::Gather {
                     atoms: w.state.owned_atoms(),
                     masses: w.state.store().species_masses().to_vec(),
                 };
-                let _ = reply_tx.send((w.rank, reply));
+                let _ = reply_tx.send((w.state.rank, reply));
+                continue;
+            }
+            Cmd::Step { epoch, dt, resort, comm } => {
+                (w.epoch, w.aggregation) = (epoch, comm.aggregation);
+                let prime = w.needs_prime;
+                step::step(&mut w, prime, dt, resort, comm.overlap).map(|()| w.needs_prime = false)
+            }
+            // Fresh forces without integrating; deliberately does NOT clear
+            // the priming flag, matching the BSP executor's total_energy
+            // (so both executors run the same number of exchange cycles
+            // over a run).
+            Cmd::Energy { epoch, comm } => {
+                (w.epoch, w.aggregation) = (epoch, comm.aggregation);
+                step::cycle(&mut w, comm.overlap)
+            }
+        };
+        match done {
+            Ok(()) => {
+                let _ = reply_tx.send((w.state.rank, Reply::Step(w.view())));
+            }
+            Err(e) => {
+                let _ = reply_tx.send((w.state.rank, Reply::Failed(e)));
+                return;
             }
         }
     }
@@ -459,9 +289,10 @@ fn worker_main(mut w: Worker, cmd_rx: Receiver<Cmd>, reply_tx: Sender<(usize, Re
 /// restore mirror [`crate::DistributedSim`]; physics is bitwise-identical
 /// between the two executors (and across all [`CommConfig`] packing modes).
 pub struct ThreadedSim {
-    grid: RankGrid,
+    dec: Arc<Decomposition>,
     ff: Arc<ForceField>,
     dt: f64,
+    subdivision: i32,
     resort_every: u64,
     comm: CommConfig,
     steps_done: u64,
@@ -476,10 +307,8 @@ pub struct ThreadedSim {
     cached: Vec<StepView>,
     /// Set when the worker pool died mid-step; only `restore` revives it.
     dead: Option<RuntimeError>,
-    registry: Registry,
+    feed: Feed,
     tracer: Tracer,
-    /// Aggregate counters at the last metrics feed (delta source).
-    last_totals: CommCounters,
 }
 
 impl ThreadedSim {
@@ -487,8 +316,7 @@ impl ThreadedSim {
     /// thread per rank.
     ///
     /// # Errors
-    /// The same feasibility checks as [`crate::DistributedSim::new`]
-    /// (shared helpers).
+    /// The same feasibility checks as [`crate::DistributedSim::new`].
     pub fn new(
         store: AtomStore,
         bbox: SimulationBox,
@@ -496,13 +324,26 @@ impl ThreadedSim {
         ff: ForceField,
         dt: f64,
     ) -> Result<Self, SetupError> {
-        let grid = RankGrid::try_new(pdims, bbox)?;
-        validate_decomposition(&ff, &grid)?;
+        Self::new_subdivided(store, bbox, pdims, ff, dt, 1)
+    }
+
+    /// Like [`ThreadedSim::new`] with `k`-fold subdivided cells and reach-k
+    /// patterns (paper §6) on every rank.
+    pub fn new_subdivided(
+        store: AtomStore,
+        bbox: SimulationBox,
+        pdims: IVec3,
+        ff: ForceField,
+        dt: f64,
+        k: i32,
+    ) -> Result<Self, SetupError> {
+        let (dec, states) = step::decompose(RankGrid::try_new(pdims, bbox)?, &store, &ff, k)?;
         let (reply_tx, reply_rx) = unbounded();
         let mut sim = ThreadedSim {
-            grid,
+            dec,
             ff: Arc::new(ff),
             dt,
+            subdivision: k,
             resort_every: DEFAULT_RESORT_EVERY,
             comm: CommConfig::default(),
             steps_done: 0,
@@ -513,65 +354,44 @@ impl ThreadedSim {
             handles: Vec::new(),
             cached: Vec::new(),
             dead: None,
-            registry: Registry::disabled(),
+            feed: Feed::new(Registry::disabled(), Default::default(), Default::default()),
             tracer: Tracer::disabled(),
-            last_totals: CommCounters::default(),
         };
-        sim.spawn_pool(&store, 0)?;
+        sim.spawn_pool(states);
         Ok(sim)
     }
 
-    /// (Re)builds the worker pool from a full store: rank states, channels,
-    /// threads. Any previous pool must already be shut down.
-    fn spawn_pool(&mut self, store: &AtomStore, start_step: u64) -> Result<(), SetupError> {
-        let width = validate_decomposition(&self.ff, &self.grid)?;
-        let plan = GhostPlan::for_method(self.ff.method, width)?;
-        let nranks = self.grid.len();
-        let states: Vec<RankState> =
-            (0..nranks).map(|r| RankState::new(r, self.grid.clone(), store, &self.ff)).collect();
-        let total: usize = states.iter().map(|r| r.owned()).sum();
-        if total != store.len() {
-            return Err(SetupError::AtomsLost { expected: store.len(), claimed: total });
-        }
-        let mut txs: Vec<Sender<Wire>> = Vec::with_capacity(nranks);
-        let mut rxs: Vec<Receiver<Wire>> = Vec::with_capacity(nranks);
-        for _ in 0..nranks {
-            let (tx, rx) = unbounded();
-            txs.push(tx);
-            rxs.push(rx);
-        }
+    /// (Re)builds the worker pool over freshly decomposed rank states:
+    /// channels, threads. Any previous pool must already be shut down.
+    fn spawn_pool(&mut self, states: Vec<RankState>) {
+        let nranks = states.len();
+        let (txs, rxs): (Vec<Sender<Wire>>, Vec<Receiver<Wire>>) =
+            (0..nranks).map(|_| unbounded()).unzip();
         self.data_txs = txs.clone();
         self.cmd_txs = Vec::with_capacity(nranks);
         self.handles = Vec::with_capacity(nranks);
         self.cached = vec![StepView::default(); nranks];
         self.dead = None;
-        for (rank, state) in states.into_iter().enumerate() {
+        for ((rank, state), rx) in states.into_iter().enumerate().zip(rxs) {
             let (cmd_tx, cmd_rx) = unbounded();
             self.cmd_txs.push(cmd_tx);
-            let tsink = self.tracer.sink(rank as u32, 0);
             let worker = Worker {
                 state,
-                rank,
-                grid: self.grid.clone(),
-                plan: plan.clone(),
+                dec: Arc::clone(&self.dec),
                 ff: Arc::clone(&self.ff),
                 txs: txs.clone(),
-                mailbox: Mailbox {
-                    rank,
-                    rx: rxs.remove(0),
-                    pending: Vec::new(),
-                    health: HealthTracker::new(nranks, HealthConfig::default()),
-                    tsink: tsink.clone(),
-                },
-                tsink,
+                mailbox: Mailbox { rx, pending: Vec::new() },
+                health: HealthTracker::new(nranks, HealthConfig::default()),
+                tsink: self.tracer.sink(rank as u32, 0),
                 phase: 0,
-                steps_done: start_step,
+                epoch: 0,
+                aggregation: self.comm.aggregation,
                 needs_prime: true,
+                last: Default::default(),
             };
             let reply_tx = self.reply_tx.clone();
             self.handles.push(std::thread::spawn(move || worker_main(worker, cmd_rx, reply_tx)));
         }
-        Ok(())
     }
 
     /// Stops and joins the worker pool (dead workers are already gone).
@@ -593,12 +413,8 @@ impl ThreadedSim {
     /// slot fail their receive instead of waiting forever.
     fn poison(&self) {
         for tx in &self.data_txs {
-            let msg = Message::stamped(
-                POISON_PHASE,
-                0,
-                Channel::Migrate { axis: 0, dir: -1 },
-                Payload::Migrate(Vec::new()),
-            );
+            let channel = Channel::Migrate { axis: 0, dir: -1 };
+            let msg = Message::stamped(POISON_PHASE, 0, channel, Payload::Batch(Vec::new()));
             let _ = tx.send((usize::MAX, msg));
         }
     }
@@ -655,15 +471,15 @@ impl ThreadedSim {
         self.resort_every = every;
     }
 
-    /// Routes the per-step communication deltas into `registry`.
+    /// Routes the per-step communication, health and phase deltas into
+    /// `registry` — the same series the BSP executor exports.
     pub fn set_metrics(&mut self, registry: Registry) {
-        self.registry = registry;
-        self.last_totals = self.comm_stats();
+        self.feed = Feed::new(registry, self.comm_stats(), self.health_counters());
     }
 
     /// The metrics registry in use.
     pub fn metrics(&self) -> &Registry {
-        &self.registry
+        self.feed.registry()
     }
 
     /// Routes event-level tracing through `tracer`: each worker writes its
@@ -683,7 +499,7 @@ impl ThreadedSim {
 
     /// The rank grid.
     pub fn grid(&self) -> &RankGrid {
-        &self.grid
+        &self.dec.grid
     }
 
     /// Steps completed since construction (or the restored checkpoint).
@@ -705,13 +521,15 @@ impl ThreadedSim {
     ///
     /// # Errors
     /// Any [`RuntimeError`] a worker hit. The pool is dead afterwards;
-    /// [`Recoverable::restore`] rebuilds it from a checkpoint.
+    /// restoring from a checkpoint rebuilds it.
     pub fn try_step(&mut self) -> Result<(), RuntimeError> {
         let resort = self.resort_every != 0 && self.steps_done.is_multiple_of(self.resort_every);
-        let (dt, comm) = (self.dt, self.comm);
-        self.command_round(|| Cmd::Step { dt, resort, comm })?;
+        let (epoch, dt, comm) = (self.steps_done, self.dt, self.comm);
+        self.command_round(|| Cmd::Step { epoch, dt, resort, comm })?;
         self.steps_done += 1;
-        self.feed_metrics();
+        if self.feed.registry().enabled() {
+            self.feed.step(self.comm_stats(), self.health_counters());
+        }
         Ok(())
     }
 
@@ -731,28 +549,6 @@ impl ThreadedSim {
         }
     }
 
-    /// Feeds the step's communication deltas into the registry.
-    fn feed_metrics(&mut self) {
-        if !self.registry.enabled() {
-            return;
-        }
-        let now = self.comm_stats();
-        self.registry.counter("dist.steps").inc();
-        self.registry.counter("comm.messages").add(now.messages - self.last_totals.messages);
-        self.registry.counter("comm.bytes").add(now.bytes - self.last_totals.bytes);
-        self.registry
-            .counter("comm.ghosts_imported")
-            .add(now.ghosts_imported - self.last_totals.ghosts_imported);
-        self.registry
-            .counter("comm.atoms_migrated")
-            .add(now.atoms_migrated - self.last_totals.atoms_migrated);
-        self.registry.counter("comm.retries").add(now.retries - self.last_totals.retries);
-        self.registry
-            .counter("comm.faults_detected")
-            .add(now.faults_detected - self.last_totals.faults_detected);
-        self.last_totals = now;
-    }
-
     /// Aggregated communication statistics since the pool was (re)built.
     pub fn comm_stats(&self) -> CommCounters {
         let mut total = CommCounters::default();
@@ -762,34 +558,34 @@ impl ThreadedSim {
         total
     }
 
+    /// Watchdog transitions summed over every worker's tracker.
+    fn health_counters(&self) -> HealthCounters {
+        let mut total = HealthCounters::default();
+        for h in self.cached.iter().map(|v| v.health) {
+            total.suspects += h.suspects;
+            total.deaths += h.deaths;
+            total.recoveries += h.recoveries;
+            total.breaker_trips += h.breaker_trips;
+        }
+        total
+    }
+
     /// The unified telemetry snapshot, served from the workers' most recent
     /// step reports. The threaded executor has no central wall clock, so
-    /// the phase breakdown is the merged per-rank one (the reverse force
-    /// reduction folds into the exchange slot).
+    /// the phase breakdown is the merged per-rank one.
     pub fn telemetry(&self) -> Telemetry {
-        let comm = self.comm_stats();
-        let mut energy = EnergyBreakdown::default();
-        let mut tuples = TupleCounts::default();
-        for v in &self.cached {
-            energy.pair += v.energy.pair;
-            energy.triplet += v.energy.triplet;
-            energy.quadruplet += v.energy.quadruplet;
-            tuples.pair.merge(v.tuples.pair);
-            tuples.triplet.merge(v.tuples.triplet);
-            tuples.quadruplet.merge(v.tuples.quadruplet);
-        }
-        Telemetry {
-            step: self.steps_done,
+        let (energy, tuples) =
+            step::sum_results(self.cached.iter().map(|v| (&v.energy, &v.tuples)));
+        step::telemetry(
+            self.steps_done,
             energy,
             tuples,
-            virial: 0.0,
-            phases: comm.phases,
-            total_phases: comm.phases,
-            per_rank: self.cached.iter().map(|v| v.stats.clone()).collect(),
-            comm,
-            alloc_events: self.registry.allocation_events(),
-            degraded: false,
-        }
+            self.cached.iter().map(|v| v.stats.clone()).collect(),
+            &CommCounters::default(),
+            &PhaseBreakdown::default(),
+            self.feed.registry().allocation_events(),
+            false,
+        )
     }
 
     /// Total energy; recomputes forces on every rank.
@@ -797,8 +593,8 @@ impl ThreadedSim {
     /// # Panics
     /// Panics on an unrecovered communication fault.
     pub fn total_energy(&mut self) -> f64 {
-        let comm = self.comm;
-        self.command_round(|| Cmd::Energy { comm }).unwrap_or_else(|e| panic!("{e}"));
+        let (epoch, comm) = (self.steps_done, self.comm);
+        self.command_round(|| Cmd::Energy { epoch, comm }).unwrap_or_else(|e| panic!("{e}"));
         self.cached.iter().map(|v| v.energy.total() + v.kinetic).sum()
     }
 
@@ -819,12 +615,7 @@ impl ThreadedSim {
                 }
             }
         }
-        atoms.sort_by_key(|a| a.id);
-        let mut out = AtomStore::new(masses);
-        for a in &atoms {
-            out.push(a.id, a.species, a.position, a.velocity);
-        }
-        out
+        step::gather(atoms, masses)
     }
 }
 
@@ -834,28 +625,19 @@ impl Drop for ThreadedSim {
     }
 }
 
-impl Recoverable for ThreadedSim {
-    type Fault = RuntimeError;
-
-    fn try_step(&mut self) -> Result<(), RuntimeError> {
-        ThreadedSim::try_step(self)
-    }
-
-    fn checkpoint(&self) -> Checkpoint {
-        let p = self.grid.pdims();
-        Checkpoint::from_store(self.steps_done, self.dt, self.grid.bbox(), &self.gather())
-            .with_layout(SnapshotLayout::Grid { pdims: [p.x, p.y, p.z] })
-    }
-
+step::recoverable!(ThreadedSim {
     fn restore(&mut self, cp: &Checkpoint) {
         // Rebuild the whole pool from the snapshot: the cheap, always-valid
         // recovery for an interconnect whose threads may have unwound.
         self.shutdown_pool();
         self.dt = cp.dt;
         self.steps_done = cp.step;
-        self.last_totals = CommCounters::default();
-        let store = cp.to_store();
-        self.spawn_pool(&store, cp.step).expect("restore onto the original grid cannot fail");
+        (self.feed.last, self.feed.last_health) = Default::default();
+        let grid = self.dec.grid.clone();
+        let (dec, states) = step::decompose(grid, &cp.to_store(), &self.ff, self.subdivision)
+            .expect("restoring onto the grid the run already validated cannot fail");
+        self.dec = dec;
+        self.spawn_pool(states);
     }
 
     fn atom_count(&self) -> usize {
@@ -863,113 +645,10 @@ impl Recoverable for ThreadedSim {
     }
 
     fn total_energy_estimate(&self) -> f64 {
-        let e: f64 = self.cached.iter().map(|v| v.energy.total() + v.kinetic).sum();
-        e
+        self.cached.iter().map(|v| v.energy.total() + v.kinetic).sum()
     }
 
     fn state_is_finite(&self) -> bool {
         self.cached.iter().all(|v| v.finite)
     }
-
-    fn timestep(&self) -> f64 {
-        self.dt
-    }
-
-    fn set_timestep(&mut self, dt: f64) {
-        self.dt = dt;
-    }
-
-    fn steps_done(&self) -> u64 {
-        self.steps_done
-    }
-
-    fn dead_rank(fault: &RuntimeError) -> Option<usize> {
-        match fault {
-            RuntimeError::RankDead { rank, .. } => Some(*rank),
-            _ => None,
-        }
-    }
-
-    fn restore_excluding(&mut self, _cp: &Checkpoint, _exclude: &[usize]) -> Result<(), String> {
-        Err("the threaded executor cannot re-decompose over survivors".to_string())
-    }
-}
-
-impl ThreadedSim {
-    /// One-shot convenience: builds the executor, runs `steps` steps, and
-    /// returns the gathered store (sorted by id), the final-step global
-    /// energy breakdown, and aggregated communication statistics.
-    ///
-    /// # Errors
-    /// [`RunError::Setup`] for rejected configurations; [`RunError::Runtime`]
-    /// when a rank's validated exchange failed mid-run.
-    pub fn run(
-        store: AtomStore,
-        bbox: SimulationBox,
-        pdims: IVec3,
-        ff: ForceField,
-        dt: f64,
-        steps: usize,
-    ) -> Result<(AtomStore, EnergyBreakdown, CommCounters), RunError> {
-        Self::run_observed(
-            store,
-            bbox,
-            pdims,
-            ff,
-            dt,
-            steps,
-            &Registry::disabled(),
-            &Tracer::disabled(),
-        )
-    }
-
-    /// Like [`ThreadedSim::run`], additionally reporting the aggregated
-    /// run totals into `registry`: the `comm.*` counter series (whole-run
-    /// totals) and the merged per-rank phase breakdown.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_metrics(
-        store: AtomStore,
-        bbox: SimulationBox,
-        pdims: IVec3,
-        ff: ForceField,
-        dt: f64,
-        steps: usize,
-        registry: &Registry,
-    ) -> Result<(AtomStore, EnergyBreakdown, CommCounters), RunError> {
-        Self::run_observed(store, bbox, pdims, ff, dt, steps, registry, &Tracer::disabled())
-    }
-
-    /// Like [`ThreadedSim::run_with_metrics`], additionally routing
-    /// event-level traces through `tracer`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_observed(
-        store: AtomStore,
-        bbox: SimulationBox,
-        pdims: IVec3,
-        ff: ForceField,
-        dt: f64,
-        steps: usize,
-        registry: &Registry,
-        tracer: &Tracer,
-    ) -> Result<(AtomStore, EnergyBreakdown, CommCounters), RunError> {
-        let mut sim = ThreadedSim::new(store, bbox, pdims, ff, dt)?;
-        sim.set_tracer(tracer.clone());
-        for _ in 0..steps {
-            sim.try_step()?;
-        }
-        let stats = sim.comm_stats();
-        let tel = sim.telemetry();
-        let out = sim.gather();
-        registry.counter("dist.steps").add(steps as u64);
-        registry.counter("comm.messages").add(stats.messages);
-        registry.counter("comm.bytes").add(stats.bytes);
-        registry.counter("comm.ghosts_imported").add(stats.ghosts_imported);
-        registry.counter("comm.atoms_migrated").add(stats.atoms_migrated);
-        registry.counter("comm.retries").add(stats.retries);
-        registry.counter("comm.faults_detected").add(stats.faults_detected);
-        for (phase, secs) in stats.phases.iter() {
-            registry.record_phase(phase, secs);
-        }
-        Ok((out, tel.energy, stats))
-    }
-}
+});

@@ -15,12 +15,33 @@
 //! * **atom migration** — after each drift, atoms that left their rank's
 //!   box are handed to the new owner in 3 axis-ordered exchanges.
 //!
-//! Two executors run the same [`rank::RankState`] logic:
+//! ## One rank-step protocol, two schedulers
 //!
-//! * [`DistributedSim`] — bulk-synchronous, main-thread, deterministic:
-//!   every message is delivered between phases. This is the reference
-//!   executor the correctness tests compare against serial `sc-md`.
-//! * [`ThreadedSim`] — each rank on its own OS thread with
+//! The paper's parallel step is one SPMD program per rank, and it is written
+//! here exactly once: the private `step` module holds the stage sequence
+//! (prime → half-kick/drift, ghost drop, Morton re-sort → 3 migrations →
+//! ghost import with the interior pass → compute → force return →
+//! half-kick), what a rank sends and absorbs in each exchange, how an
+//! arriving wire unit is matched to its slot, verified and fed to the health
+//! watchdog, and the decomposition / gather / checkpoint / telemetry /
+//! registry-feed helpers. The two executors only *schedule* that program —
+//! they differ in where ranks live and how a wire unit travels, never in
+//! what a rank does, so their physics, counters and exported series agree
+//! bitwise:
+//!
+//! | module | owns |
+//! |---|---|
+//! | `step` (private) | the rank-step protocol: stage sequence, per-exchange `outgoing`/`absorb`, unit acceptance (slot matching, stamp + per-section verification, health feed, `RankDead` escalation), send accounting, `decompose`, gather, checkpoint, telemetry assembly, the `comm.*` / `health.*` / `dist.steps` feed |
+//! | [`rank`] | one rank's state and its message-level algorithms (band collection, ghost absorption, force computation, force reduction) |
+//! | [`transport`], [`msg`] | the merged-phase schedule, per-neighbor framing, stamps and checksums |
+//! | `exec_bsp` ([`DistributedSim`]) | BSP delivery + faults: lockstep phases through the [`FaultPlan`] with bounded retry, the `ThreadPool` compute fan-out, the staged (overlapped) exchange as a pool task, rebalance, re-decomposition over survivors |
+//! | `exec_threads` ([`ThreadedSim`]) | threaded transport: worker threads, command/reply channels, out-of-phase mailbox buffering, poison/shutdown |
+//!
+//! * [`DistributedSim`] — bulk-synchronous, deterministic: every message is
+//!   delivered between a phase's send and absorb halves. This is the
+//!   reference executor the correctness tests compare against serial
+//!   `sc-md`, and the only one with scriptable fault injection.
+//! * [`ThreadedSim`] — each rank on its own persistent OS thread with
 //!   `crossbeam-channel` mailboxes, exercising true concurrent message
 //!   passing (as close to MPI as a single process gets).
 //!
@@ -30,13 +51,14 @@
 //! ## Fault tolerance
 //!
 //! Every payload travels as a stamped [`Message`] (step epoch, channel,
-//! FNV-1a checksum) and is verified on receipt; failures surface as typed
-//! [`RuntimeError`]s after a bounded per-delivery retry. The BSP executor
-//! additionally routes all deliveries through a scriptable, deterministic
-//! [`FaultPlan`] so tests can inject drops, delays, corruption, and rank
-//! stalls per `(step, rank, channel)`. Recovery (checkpoint/rollback) is
-//! orchestrated by the `Supervisor` in `sc-md`, for which
-//! [`DistributedSim`] implements the `Recoverable` trait.
+//! FNV-1a checksum) and is verified on receipt — per section for aggregated
+//! frames — by the same acceptance routine in both executors; failures
+//! surface as typed [`RuntimeError`]s. The BSP executor additionally routes
+//! all deliveries through a scriptable, deterministic [`FaultPlan`] with a
+//! bounded per-delivery retry, so tests can inject drops, delays,
+//! corruption, and rank stalls per `(step, rank, channel)`. Recovery
+//! (checkpoint/rollback) is orchestrated by the `Supervisor` in `sc-md`, for
+//! which both executors implement the `Recoverable` trait.
 //!
 //! Permanent rank death ([`fault::FaultKind::Crash`]) is detected by a
 //! per-rank [`health`] state machine (deadline watchdog + flap circuit
@@ -57,9 +79,10 @@ pub mod transport;
 
 mod exec_bsp;
 mod exec_threads;
+mod step;
 
 pub use comm::{CommCounters, GhostPlan};
-pub use error::{RunError, RuntimeError, SetupError};
+pub use error::{RuntimeError, SetupError};
 pub use exec_bsp::DistributedSim;
 pub use exec_threads::ThreadedSim;
 pub use fault::{Delivery, Fault, FaultEvent, FaultKind, FaultPlan};

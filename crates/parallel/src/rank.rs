@@ -94,6 +94,10 @@ struct GhostOrigin {
     from_rank: usize,
 }
 
+/// One received ghost band held outside the store by an overlapped
+/// exchange: `(hop, from_rank, ghosts)`.
+pub type StagedBand = (usize, usize, Vec<GhostMsg>);
+
 /// [`TupleSource`] over a rank-local ghost lattice: displacements are plain
 /// differences because ghosts are image-shifted into the local frame.
 struct LocalSource<'a> {
@@ -153,26 +157,17 @@ pub struct RankState {
     /// Banked interior-pass result awaiting the post-exchange frontier
     /// pass (`None` outside an overlap window).
     pending: Option<ComputePartial>,
-    /// Per-step communication statistics.
+    /// Communication statistics, cumulative since this rank state was
+    /// built.
     pub stats: CommCounters,
 }
 
 impl RankState {
     /// Creates the rank state, claiming from `all` the atoms whose wrapped
-    /// position this rank owns (subdivision 1 — the paper's main setting).
-    pub fn new(rank: usize, grid: RankGrid, all: &AtomStore, ff: &ForceField) -> Self {
-        Self::new_subdivided(rank, grid, all, ff, 1)
-    }
-
-    /// Creates the rank state with `k`-fold subdivided cells and reach-k
-    /// patterns (paper §6) for the cell-sweep methods.
-    pub fn new_subdivided(
-        rank: usize,
-        grid: RankGrid,
-        all: &AtomStore,
-        ff: &ForceField,
-        k: i32,
-    ) -> Self {
+    /// position this rank owns, with `k`-fold subdivided cells and reach-k
+    /// patterns (paper §6; `k = 1` is the paper's main setting) for the
+    /// cell-sweep methods.
+    pub fn new(rank: usize, grid: RankGrid, all: &AtomStore, ff: &ForceField, k: i32) -> Self {
         assert!((1..=3).contains(&k));
         let mut store = AtomStore::new(all.species_masses().to_vec());
         for i in 0..all.len() {
@@ -321,6 +316,17 @@ impl RankState {
             .sum()
     }
 
+    /// Whether every owned atom's position, velocity, and force is finite
+    /// (the supervisor's divergence guardrail).
+    pub fn is_finite(&self) -> bool {
+        let s = &self.store;
+        (0..self.owned).all(|i| {
+            s.positions()[i].is_finite()
+                && s.velocities()[i].is_finite()
+                && s.forces()[i].is_finite()
+        })
+    }
+
     /// Collects atoms that left the owned box along `axis`, as
     /// `(to_minus, to_plus)` message lists with positions shifted into the
     /// receivers' frames. The atoms are removed from this rank.
@@ -381,33 +387,39 @@ impl RankState {
     /// those that arrived on a *strictly earlier axis*. Forwarding a ghost
     /// back along the axis it arrived on would bounce it to its sender as a
     /// coincident duplicate of an owned atom.
+    ///
+    /// Received ghosts live in the store (the in-line exchange absorbs them
+    /// as they arrive) or in `staged` (an overlapped exchange keeps them in
+    /// a side inbox because the store is concurrently read by the interior
+    /// compute pass and must stay ghost-free): [`StagedBand`] entries in
+    /// canonical absorb order, positions already in this rank's frame. Both
+    /// sources pass the same earlier-axis rule and band predicate, so the
+    /// staged exchange ships exactly the bytes the in-line one does.
     pub fn collect_ghost_band(
         &self,
         plan: &GhostPlan,
         axis: usize,
         recv_dir: i32,
+        staged: &[StagedBand],
     ) -> Vec<GhostMsg> {
         let origin = self.grid.origin_of(self.rank);
         let sub = self.grid.rank_box_lengths_of(self.rank);
-        let send_dir = -recv_dir;
-        let shift = self.grid.send_shift(self.rank, axis, send_dir);
-        let mut out = Vec::new();
-        for i in 0..self.store.len() {
-            if i >= self.owned {
-                let arrived_axis = plan.hops[self.ghost_origin[i - self.owned].hop].0;
-                if arrived_axis >= axis {
-                    continue;
-                }
-            }
-            let x = self.store.positions()[i][axis];
-            let in_band = if recv_dir > 0 {
+        let shift = self.grid.send_shift(self.rank, axis, -recv_dir);
+        let in_band = |x: f64| {
+            if recv_dir > 0 {
                 // Receiver needs my low band (its upper ghost region).
                 x < origin[axis] + plan.hi_width
             } else {
                 // Receiver needs my high band (its lower ghost region).
                 x >= origin[axis] + sub[axis] - plan.lo_width
-            };
-            if in_band {
+            }
+        };
+        let mut out = Vec::new();
+        for i in 0..self.store.len() {
+            if i >= self.owned && plan.hops[self.ghost_origin[i - self.owned].hop].0 >= axis {
+                continue;
+            }
+            if in_band(self.store.positions()[i][axis]) {
                 out.push(GhostMsg {
                     id: self.store.ids()[i],
                     species: self.store.species()[i],
@@ -415,48 +427,12 @@ impl RankState {
                 });
             }
         }
-        out
-    }
-
-    /// [`RankState::collect_ghost_band`] for an overlapped exchange, where
-    /// received ghosts are *staged* in a side inbox instead of absorbed
-    /// into the store (the store is concurrently read by the interior
-    /// compute pass and must stay ghost-free). Owned atoms come from the
-    /// store; forwarded ghosts come from `staged` — `(hop, from, ghosts)`
-    /// entries in canonical absorb order, positions already in this rank's
-    /// frame — under the same strictly-earlier-axis rule and band
-    /// predicate, so the staged exchange ships exactly the bytes the
-    /// in-line one does.
-    pub fn collect_ghost_band_staged(
-        &self,
-        plan: &GhostPlan,
-        axis: usize,
-        recv_dir: i32,
-        staged: &[(usize, usize, Vec<GhostMsg>)],
-    ) -> Vec<GhostMsg> {
-        debug_assert_eq!(self.store.len(), self.owned, "staged collection runs ghost-free");
-        let origin = self.grid.origin_of(self.rank);
-        let sub = self.grid.rank_box_lengths_of(self.rank);
-        let shift = self.grid.send_shift(self.rank, axis, -recv_dir);
-        let mut out = self.collect_ghost_band(plan, axis, recv_dir);
         for (hop, _from, ghosts) in staged {
             if plan.hops[*hop].0 >= axis {
                 continue;
             }
-            for g in ghosts {
-                let x = g.position[axis];
-                let in_band = if recv_dir > 0 {
-                    x < origin[axis] + plan.hi_width
-                } else {
-                    x >= origin[axis] + sub[axis] - plan.lo_width
-                };
-                if in_band {
-                    out.push(GhostMsg {
-                        id: g.id,
-                        species: g.species,
-                        position: g.position + shift,
-                    });
-                }
+            for g in ghosts.iter().filter(|g| in_band(g.position[axis])) {
+                out.push(GhostMsg { position: g.position + shift, ..*g });
             }
         }
         out

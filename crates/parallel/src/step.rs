@@ -1,0 +1,602 @@
+//! The rank-step protocol: everything one rank does in a step, written once.
+//!
+//! The paper's parallel step is one SPMD program per rank (§3.1.3, §4.2):
+//! integrate, three axis-ordered migrations, the forwarded halo import,
+//! tuple search + force evaluation, the reverse force return, integrate.
+//! This module owns that program — the stage sequence ([`step`], [`cycle`]),
+//! what a rank puts on the wire and what it does with what arrives
+//! ([`outgoing`], [`absorb`]), how an arriving wire unit is accepted
+//! ([`expected_channel`], [`accept_unit`]), and how a run is decomposed,
+//! gathered, checkpointed and reported. The two executors are *schedulers* of
+//! it: they implement [`Scheduler`] to say where the ranks live and how a
+//! wire unit travels, and know nothing else about the protocol.
+
+use crate::comm::GhostPlan;
+use crate::error::{RuntimeError, SetupError};
+use crate::grid::RankGrid;
+use crate::health::{HealthCounters, HealthTracker};
+use crate::msg::{AtomMsg, Channel, Message, Payload};
+use crate::rank::{validate_decomposition, ForceField, RankState, StagedBand};
+use crate::transport::{self, Slot};
+use sc_cell::AtomStore;
+use sc_md::checkpoint::{Checkpoint, SnapshotLayout};
+use sc_md::{EnergyBreakdown, Telemetry, TupleCounts};
+use sc_obs::trace::EventKind;
+use sc_obs::{CommCounters, Counter, Histogram, Phase, PhaseBreakdown, Registry, TraceSink};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// One exchange of the step's fixed schedule.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Exchange<'a> {
+    /// Migration along the given axis, both directions.
+    Migrate(usize),
+    /// Ghost export for one merged hop group (ascending hops).
+    Ghosts(&'a [usize]),
+    /// Ghost-force return for one merged hop group (descending hops).
+    Forces(&'a [usize]),
+}
+
+/// A run's spatial decomposition and the merged exchange phases its ghost
+/// plan implies ([`transport::ghost_phase_groups`] and its reverse).
+pub(crate) struct Decomposition {
+    pub grid: RankGrid,
+    pub plan: GhostPlan,
+    pub ghost_groups: Vec<Vec<usize>>,
+    pub force_groups: Vec<Vec<usize>>,
+}
+
+/// Decomposes `store` over `grid` with `k`-fold subdivided rank-local
+/// cells: the one construction path behind both executors' constructors,
+/// restores, and the BSP rebalance.
+///
+/// # Errors
+/// Rejects configurations where the halo would be deeper than one rank
+/// sub-box, the global cell lattice is too small for the largest tuple
+/// order, `k` is unsupported, or the ranks fail to claim every atom.
+pub(crate) fn decompose(
+    grid: RankGrid,
+    store: &AtomStore,
+    ff: &ForceField,
+    k: i32,
+) -> Result<(Arc<Decomposition>, Vec<RankState>), SetupError> {
+    if !(1..=3).contains(&k) {
+        return Err(SetupError::UnsupportedSubdivision(k));
+    }
+    let width = validate_decomposition(ff, &grid)?;
+    let plan = GhostPlan::for_method(ff.method, width)?;
+    let ranks: Vec<RankState> =
+        (0..grid.len()).map(|r| RankState::new(r, grid.clone(), store, ff, k)).collect();
+    let claimed: usize = ranks.iter().map(|r| r.owned()).sum();
+    if claimed != store.len() {
+        return Err(SetupError::AtomsLost { expected: store.len(), claimed });
+    }
+    let ghost_groups = transport::ghost_phase_groups(&plan);
+    let force_groups = transport::force_phase_groups(&plan);
+    Ok((Arc::new(Decomposition { grid, plan, ghost_groups, force_groups }), ranks))
+}
+
+/// What a scheduler of the rank-step protocol provides: where the ranks it
+/// drives live, how one exchange is carried out across them, and where
+/// phase seconds are booked. [`step`] and [`cycle`] are written against
+/// this and nothing else, so the stage sequence exists once.
+pub(crate) trait Scheduler {
+    /// The decomposition in force.
+    fn decomposition(&self) -> Arc<Decomposition>;
+    /// Runs a rank-local stage on every rank this scheduler drives.
+    fn each_rank(&mut self, f: &dyn Fn(&mut RankState));
+    /// Carries out one exchange: every driven rank's [`outgoing`] sections
+    /// travel, and every driven rank [`absorb`]s what arrived for it.
+    fn exchange(&mut self, x: Exchange<'_>) -> Result<(), RuntimeError>;
+    /// Imports the halo over the (ghost-free) ranks, optionally computing
+    /// interior tuples while it is in flight; books [`Phase::Exchange`]
+    /// itself and returns the seconds spent in the interior pass.
+    fn import_ghosts(&mut self, overlap: bool) -> Result<f64, RuntimeError>;
+    /// Computes forces on every driven rank. `interior_secs` is what
+    /// [`Scheduler::import_ghosts`] already spent on the interior pass, for
+    /// schedulers that book compute as one wall-clock slot.
+    fn compute(&mut self, interior_secs: f64);
+    /// Books `secs` of wall time under `phase`.
+    fn book(&mut self, phase: Phase, secs: f64);
+}
+
+/// One ghost-import + force-computation + force-return cycle. Sweeps always
+/// run interior cells first, then frontier cells, and ghosts are absorbed
+/// in canonical order, so overlapped and sequential cycles are bitwise
+/// identical. The force-return phases are booked under [`Phase::Reduce`].
+pub(crate) fn cycle<S: Scheduler>(s: &mut S, overlap: bool) -> Result<(), RuntimeError> {
+    let dec = s.decomposition();
+    s.each_rank(&|r| r.drop_ghosts());
+    let interior_secs = s.import_ghosts(overlap)?;
+    s.compute(interior_secs);
+    let t = Instant::now();
+    for hops in &dec.force_groups {
+        s.exchange(Exchange::Forces(hops))?;
+    }
+    s.book(Phase::Reduce, t.elapsed().as_secs_f64());
+    Ok(())
+}
+
+/// One velocity-Verlet step: a priming [`cycle`] when forces are stale,
+/// half-kick + drift, the Morton re-sort at the ghost-free point (so
+/// migration rebuilds the halo against the new slot layout), three
+/// axis-ordered migrations, a [`cycle`], and the second half-kick.
+pub(crate) fn step<S: Scheduler>(
+    s: &mut S,
+    prime: bool,
+    dt: f64,
+    resort: bool,
+    overlap: bool,
+) -> Result<(), RuntimeError> {
+    if prime {
+        cycle(s, overlap)?;
+    }
+    let t = Instant::now();
+    s.each_rank(&|r| {
+        r.vv_start(dt);
+        r.drop_ghosts();
+        if resort {
+            r.resort_owned();
+        }
+    });
+    s.book(Phase::Integrate, t.elapsed().as_secs_f64());
+    let t = Instant::now();
+    for axis in 0..3 {
+        s.exchange(Exchange::Migrate(axis))?;
+    }
+    s.book(Phase::Migrate, t.elapsed().as_secs_f64());
+    cycle(s, overlap)?;
+    let t = Instant::now();
+    s.each_rank(&|r| r.vv_finish(dt));
+    s.book(Phase::Integrate, t.elapsed().as_secs_f64());
+    Ok(())
+}
+
+/// The stamped ghost sections of one hop group, one per send slot, plus the
+/// receive slots the group fills. Bands received earlier in the cycle are
+/// forwarded from the store (in-line exchange) or from `staged` (overlapped
+/// exchange; see [`RankState::collect_ghost_band`]).
+pub(crate) fn ghost_sections(
+    rank: &RankState,
+    dec: &Decomposition,
+    hops: &[usize],
+    staged: &[StagedBand],
+    phase: u64,
+    epoch: u64,
+) -> (Vec<(usize, Message)>, Vec<Slot>) {
+    let (tx, rx) = transport::ghost_phase(&dec.grid, &dec.plan, rank.rank, hops);
+    let secs = tx
+        .iter()
+        .zip(hops)
+        .map(|(slot, &hop)| {
+            let (axis, recv_dir) = dec.plan.hops[hop];
+            let band = rank.collect_ghost_band(&dec.plan, axis, recv_dir, staged);
+            (slot.peer, Message::stamped(phase, epoch, slot.channel, Payload::Ghosts(band)))
+        })
+        .collect();
+    (secs, rx)
+}
+
+/// What `rank` puts on the wire for exchange `x`: one stamped section per
+/// send slot in canonical order (empty payloads included, as MPI codes do,
+/// so message counts are fixed), plus the receive slots it must fill.
+pub(crate) fn outgoing(
+    rank: &mut RankState,
+    dec: &Decomposition,
+    x: Exchange<'_>,
+    phase: u64,
+    epoch: u64,
+) -> (Vec<(usize, Message)>, Vec<Slot>) {
+    let stamp =
+        |slot: &Slot, payload| (slot.peer, Message::stamped(phase, epoch, slot.channel, payload));
+    match x {
+        Exchange::Migrate(axis) => {
+            let (tx, rx) = transport::migrate_phase(&dec.grid, rank.rank, axis);
+            let (to_minus, to_plus) = rank.collect_migrants(axis);
+            let secs = tx.iter().zip([to_minus, to_plus]);
+            (secs.map(|(slot, atoms)| stamp(slot, Payload::Migrate(atoms))).collect(), rx)
+        }
+        Exchange::Ghosts(hops) => ghost_sections(rank, dec, hops, &[], phase, epoch),
+        Exchange::Forces(hops) => {
+            let (tx, rx) = transport::force_phase(&dec.grid, &dec.plan, rank.rank, hops);
+            let secs = tx.iter().zip(hops).map(|(slot, &hop)| {
+                let (forces, recorded) = rank.collect_ghost_forces(hop);
+                debug_assert!(
+                    recorded.is_none_or(|t| t == slot.peer),
+                    "ghost origin disagrees with the routing schedule"
+                );
+                stamp(slot, Payload::Forces(forces))
+            });
+            (secs.collect(), rx)
+        }
+    }
+}
+
+/// Unpacks a ghost group's payloads (canonical slot order) into bands.
+pub(crate) fn ghost_bands(
+    rank: usize,
+    hops: &[usize],
+    rx: &[Slot],
+    payloads: Vec<Payload>,
+) -> Result<Vec<StagedBand>, RuntimeError> {
+    let mut bands = Vec::with_capacity(hops.len());
+    for ((slot, &hop), payload) in rx.iter().zip(hops).zip(payloads) {
+        let Payload::Ghosts(ghosts) = payload else {
+            return Err(RuntimeError::WrongPayload { rank, channel: slot.channel });
+        };
+        bands.push((hop, slot.peer, ghosts));
+    }
+    Ok(bands)
+}
+
+/// Absorbs the payloads that arrived for exchange `x`, in canonical slot
+/// order — never arrival order — which is what keeps packing modes and
+/// executors bitwise-identical.
+pub(crate) fn absorb(
+    rank: &mut RankState,
+    x: Exchange<'_>,
+    rx: &[Slot],
+    payloads: Vec<Payload>,
+) -> Result<(), RuntimeError> {
+    let me = rank.rank;
+    let wrong = |slot: &Slot| RuntimeError::WrongPayload { rank: me, channel: slot.channel };
+    match x {
+        Exchange::Migrate(_) => {
+            for (slot, payload) in rx.iter().zip(payloads) {
+                let Payload::Migrate(atoms) = payload else { return Err(wrong(slot)) };
+                rank.absorb_migrants(&atoms);
+            }
+        }
+        Exchange::Ghosts(hops) => {
+            for (hop, from, ghosts) in ghost_bands(me, hops, rx, payloads)? {
+                rank.absorb_ghosts(hop, from, &ghosts);
+            }
+        }
+        Exchange::Forces(hops) => {
+            for ((slot, &hop), payload) in rx.iter().zip(hops).zip(payloads) {
+                let Payload::Forces(forces) = payload else { return Err(wrong(slot)) };
+                rank.absorb_ghost_forces(hop, &forces)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Frames a rank's sections per destination ([`transport::frame_sections`])
+/// and accounts for them. Counter discipline (bytes are counted once):
+/// `record_send` and the trace Send event fire **once per wire unit** with
+/// the frame's total payload bytes and its section count — never again per
+/// section — so `comm.messages`, `comm.bytes`, and the `comm.step_bytes`
+/// histogram see aggregated traffic exactly once.
+pub(crate) fn frame(
+    aggregation: bool,
+    phase: u64,
+    epoch: u64,
+    sections: Vec<(usize, Message)>,
+    stats: &mut CommCounters,
+    sink: &TraceSink,
+) -> Vec<(usize, Message)> {
+    let units = transport::frame_sections(aggregation, phase, epoch, sections);
+    for (to, unit) in &units {
+        let bytes = unit.payload.wire_bytes();
+        let nsec = unit.payload.section_count() as u16;
+        stats.record_send(*to, bytes);
+        sink.send(epoch, unit.channel.trace_class(), *to as u32, bytes, nsec, epoch);
+    }
+    units
+}
+
+/// Traces the receipt of one accepted wire unit on the receiver's row.
+pub(crate) fn trace_recv(sink: &TraceSink, epoch: u64, from: usize, unit: &Message) {
+    if !sink.enabled() {
+        return;
+    }
+    let bytes = unit.payload.wire_bytes();
+    let nsec = unit.payload.section_count() as u16;
+    sink.recv(epoch, unit.channel.trace_class(), from as u32, bytes, nsec, epoch);
+}
+
+/// The channel the next wire unit from `from` must carry: the k-th unit
+/// from a source fills the k-th canonical receive slot expected from that
+/// source (k > 0 only without aggregation; per-sender order is FIFO on
+/// every transport, so arrival order per source equals send order). A unit
+/// nobody expects keeps its own channel and fails slot matching later.
+pub(crate) fn expected_channel(
+    rx: &[Slot],
+    got: &[(usize, Message)],
+    from: usize,
+    unit: &Message,
+) -> Channel {
+    let already = got.iter().filter(|(f, _)| *f == from).count();
+    rx.iter().filter(|s| s.peer == from).nth(already).map_or(unit.channel, |s| s.channel)
+}
+
+/// Verifies a wire unit's outer stamp against the slot `to` is filling and
+/// every section of a batched frame against its own stamp, so in-frame
+/// corruption is detected — and retried at frame granularity — before the
+/// receiver unpacks anything.
+pub(crate) fn verify_unit(
+    unit: &Message,
+    to: usize,
+    epoch: u64,
+    channel: Channel,
+) -> Result<(), RuntimeError> {
+    unit.verify(to, epoch, channel)?;
+    if let Payload::Batch(sections) = &unit.payload {
+        for s in sections {
+            s.verify(to, epoch, s.channel)?;
+        }
+    }
+    Ok(())
+}
+
+/// Feeds one delivery attempt's outcome from `from` into the watchdog and
+/// traces any health transition it caused.
+pub(crate) fn note_delivery(
+    health: &mut HealthTracker,
+    sink: &TraceSink,
+    from: usize,
+    channel: Channel,
+    epoch: u64,
+    delivered: bool,
+) {
+    let class = channel.trace_class();
+    let moved = if delivered {
+        health.record_success(from, class, epoch)
+    } else {
+        health.record_failure(from, class, epoch)
+    };
+    if let Some(state) = moved {
+        sink.instant(epoch, EventKind::Health { peer: from as u32, state: state.code() });
+    }
+}
+
+/// Escalates to [`RuntimeError::RankDead`] when the watchdog has declared
+/// `from` dead — the signal for the supervisor to re-decompose rather than
+/// roll back. A flapping link can trip the circuit breaker on the very
+/// delivery that succeeded; death still wins.
+pub(crate) fn dead_or<T>(
+    health: &HealthTracker,
+    from: usize,
+    epoch: u64,
+    verdict: Result<T, RuntimeError>,
+) -> Result<T, RuntimeError> {
+    if health.is_dead(from) {
+        return Err(RuntimeError::RankDead { rank: from, step: epoch, epoch });
+    }
+    verdict
+}
+
+/// Accepts one wire unit on a link without retransmission: verify, feed
+/// the watchdog, escalate.
+pub(crate) fn accept_unit(
+    health: &mut HealthTracker,
+    sink: &TraceSink,
+    unit: &Message,
+    from: usize,
+    to: usize,
+    channel: Channel,
+    epoch: u64,
+) -> Result<(), RuntimeError> {
+    let verdict = verify_unit(unit, to, epoch, channel);
+    note_delivery(health, sink, from, channel, epoch, verdict.is_ok());
+    dead_or(health, from, epoch, verdict)
+}
+
+/// Traces a phase that just ended after running for `secs` on `sink`'s row.
+pub(crate) fn trace_booked(sink: &TraceSink, step: u64, phase: Phase, secs: f64) {
+    if sink.enabled() {
+        let dur_ns = (secs * 1e9) as u64;
+        sink.phase(step, phase, sink.now_ns().saturating_sub(dur_ns), dur_ns);
+    }
+}
+
+/// Emits a rank's fine-grained compute phases (bin / enumerate / eval /
+/// reduce), laid out cumulatively from `start_ns` on its own timeline row.
+pub(crate) fn trace_compute(sink: &TraceSink, step: u64, start_ns: u64, phases: &PhaseBreakdown) {
+    if !sink.enabled() {
+        return;
+    }
+    let mut cursor = start_ns;
+    for (phase, secs) in phases.iter() {
+        let dur_ns = (secs * 1e9) as u64;
+        if dur_ns > 0 {
+            sink.phase(step, phase, cursor, dur_ns);
+            cursor += dur_ns;
+        }
+    }
+}
+
+/// Sums per-rank compute results (in rank order, for determinism) into the
+/// global energy and tuple totals.
+pub(crate) fn sum_results<'a>(
+    results: impl Iterator<Item = (&'a EnergyBreakdown, &'a TupleCounts)>,
+) -> (EnergyBreakdown, TupleCounts) {
+    let mut energy = EnergyBreakdown::default();
+    let mut tuples = TupleCounts::default();
+    for (e, t) in results {
+        energy.pair += e.pair;
+        energy.triplet += e.triplet;
+        energy.quadruplet += e.quadruplet;
+        tuples.pair.merge(t.pair);
+        tuples.triplet.merge(t.triplet);
+        tuples.quadruplet.merge(t.quadruplet);
+    }
+    (energy, tuples)
+}
+
+/// Assembles the unified telemetry snapshot from the per-rank counters.
+/// `carried` holds the totals of rank sets retired by re-decomposition and
+/// `wall` the scheduler-level wall clock, which fills the exchange /
+/// migrate / integrate / compute slots when ranks do not time those
+/// themselves. The distributed executors do not compute a virial.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn telemetry(
+    step: u64,
+    energy: EnergyBreakdown,
+    tuples: TupleCounts,
+    per_rank: Vec<CommCounters>,
+    carried: &CommCounters,
+    wall: &PhaseBreakdown,
+    alloc_events: u64,
+    degraded: bool,
+) -> Telemetry {
+    let mut comm = carried.clone();
+    for r in &per_rank {
+        comm.merge(r);
+    }
+    let mut phases = comm.phases;
+    for ph in [Phase::Exchange, Phase::Migrate, Phase::Integrate, Phase::Compute] {
+        phases.add(ph, wall.get(ph));
+    }
+    Telemetry {
+        step,
+        energy,
+        tuples,
+        virial: 0.0,
+        phases,
+        total_phases: phases,
+        per_rank,
+        comm,
+        alloc_events,
+        degraded,
+    }
+}
+
+/// A counter series: its exported name and the field it reports.
+type Series<T> = (&'static str, fn(&T) -> u64);
+
+/// The `comm.*` counter series and the [`CommCounters`] fields behind them.
+const COMM_SERIES: [Series<CommCounters>; 6] = [
+    ("comm.messages", |c| c.messages),
+    ("comm.bytes", |c| c.bytes),
+    ("comm.ghosts_imported", |c| c.ghosts_imported),
+    ("comm.atoms_migrated", |c| c.atoms_migrated),
+    ("comm.retries", |c| c.retries),
+    ("comm.faults_detected", |c| c.faults_detected),
+];
+
+/// The `health.*` counter series and the [`HealthCounters`] fields behind
+/// them.
+const HEALTH_SERIES: [Series<HealthCounters>; 4] = [
+    ("health.suspects", |h| h.suspects),
+    ("health.deaths", |h| h.deaths),
+    ("health.recoveries", |h| h.recoveries),
+    ("health.breaker_trips", |h| h.breaker_trips),
+];
+
+/// The registry feed both executors report through: pre-registered series
+/// handles (inert when the registry is disabled) fed per-step deltas of the
+/// aggregate communication and health counters.
+pub(crate) struct Feed {
+    registry: Registry,
+    steps: Counter,
+    comm: [Counter; 6],
+    step_bytes: Histogram,
+    health: [Counter; 4],
+    /// Aggregate counters at the previous feed (the delta baseline).
+    /// Reset when the rank counters behind them are rebuilt from scratch.
+    pub last: CommCounters,
+    /// Watchdog counters at the previous feed. Reset with the trackers.
+    pub last_health: HealthCounters,
+}
+
+impl Feed {
+    /// Registers the series in `registry`; deltas count from the given
+    /// baselines.
+    pub fn new(registry: Registry, last: CommCounters, last_health: HealthCounters) -> Self {
+        Feed {
+            steps: registry.counter("dist.steps"),
+            comm: COMM_SERIES.map(|(name, _)| registry.counter(name)),
+            step_bytes: registry
+                .histogram("comm.step_bytes", &[1024.0, 16384.0, 262144.0, 4194304.0, 67108864.0]),
+            health: HEALTH_SERIES.map(|(name, _)| registry.counter(name)),
+            registry,
+            last,
+            last_health,
+        }
+    }
+
+    /// The registry the series live in.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Feeds one completed step: the deltas of the aggregate counters
+    /// (per-rank phase seconds included) since the previous feed.
+    pub fn step(&mut self, now: CommCounters, health: HealthCounters) {
+        self.steps.inc();
+        for (series, (_, field)) in self.comm.iter().zip(COMM_SERIES) {
+            series.add(field(&now) - field(&self.last));
+        }
+        self.step_bytes.observe((now.bytes - self.last.bytes) as f64);
+        for (phase, secs) in now.phases.iter() {
+            self.registry.record_phase(phase, secs - self.last.phases.get(phase));
+        }
+        for (series, (_, field)) in self.health.iter().zip(HEALTH_SERIES) {
+            series.add(field(&health) - field(&self.last_health));
+        }
+        (self.last, self.last_health) = (now, health);
+    }
+}
+
+/// Gathers owned atoms into one store, sorted by global id, positions
+/// wrapped into the global box — directly comparable with a serial
+/// [`sc_md::Simulation`].
+pub(crate) fn gather(mut atoms: Vec<AtomMsg>, masses: Vec<f64>) -> AtomStore {
+    atoms.sort_by_key(|a| a.id);
+    let mut out = AtomStore::new(masses);
+    for a in &atoms {
+        out.push(a.id, a.species, a.position, a.velocity);
+    }
+    out
+}
+
+/// Implements [`sc_md::supervisor::Recoverable`] for an executor with
+/// `steps_done` / `dt` / `dec` fields and inherent `try_step` / `gather`:
+/// the snapshot, timestep and dead-rank classification are the same for
+/// every scheduler; the scheduler-specific methods are passed in.
+macro_rules! recoverable {
+    ($engine:ty { $($specific:item)* }) => {
+        impl sc_md::supervisor::Recoverable for $engine {
+            type Fault = $crate::error::RuntimeError;
+
+            fn try_step(&mut self) -> Result<(), Self::Fault> {
+                <$engine>::try_step(self)
+            }
+
+            fn checkpoint(&self) -> sc_md::checkpoint::Checkpoint {
+                $crate::step::checkpoint(self.steps_done, self.dt, &self.dec.grid, &self.gather())
+            }
+
+            fn timestep(&self) -> f64 {
+                self.dt
+            }
+
+            fn set_timestep(&mut self, dt: f64) {
+                self.dt = dt;
+            }
+
+            fn steps_done(&self) -> u64 {
+                self.steps_done
+            }
+
+            fn dead_rank(fault: &Self::Fault) -> Option<usize> {
+                match fault {
+                    $crate::error::RuntimeError::RankDead { rank, .. } => Some(*rank),
+                    _ => None,
+                }
+            }
+
+            $($specific)*
+        }
+    };
+}
+pub(crate) use recoverable;
+
+/// Snapshots a gathered run, recording the grid it was decomposed over.
+pub(crate) fn checkpoint(step: u64, dt: f64, grid: &RankGrid, store: &AtomStore) -> Checkpoint {
+    let p = grid.pdims();
+    Checkpoint::from_store(step, dt, grid.bbox(), store)
+        .with_layout(SnapshotLayout::Grid { pdims: [p.x, p.y, p.z] })
+}

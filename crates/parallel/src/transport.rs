@@ -169,14 +169,6 @@ pub fn frame_sections(
         .collect()
 }
 
-/// The outer channel a receiver expects on the wire unit arriving from
-/// `source` in a phase with canonical receive slots `recvs`: the first slot
-/// from that source (frames carry their first section's channel as the
-/// outer stamp, and senders frame in the same canonical order).
-pub fn expected_outer_channel(recvs: &[Slot], source: usize) -> Option<Channel> {
-    recvs.iter().find(|s| s.peer == source).map(|s| s.channel)
-}
-
 /// The wire units a receiver expects in one phase: one frame per distinct
 /// source when aggregating, one message per slot otherwise. Returns
 /// `(source, expected outer channel)` in canonical order.
@@ -207,11 +199,9 @@ pub fn expected_units(aggregation: bool, recvs: &[Slot]) -> Vec<(usize, Channel)
 /// section.
 pub fn match_sections(
     rank: usize,
-    epoch: u64,
     recvs: &[Slot],
     units: Vec<(usize, Message)>,
 ) -> Result<Vec<Payload>, crate::RuntimeError> {
-    let _ = epoch;
     let mut sections: Vec<(usize, Message)> = Vec::new();
     for (from, unit) in units {
         match unit.payload {
@@ -288,8 +278,6 @@ mod tests {
         ];
         assert_eq!(expected_units(true, &recvs), vec![(1, Channel::Ghosts { hop: 0 })]);
         assert_eq!(expected_units(false, &recvs).len(), 2);
-        assert_eq!(expected_outer_channel(&recvs, 1), Some(Channel::Ghosts { hop: 0 }));
-        assert_eq!(expected_outer_channel(&recvs, 9), None);
     }
 
     #[test]
@@ -317,7 +305,7 @@ mod tests {
         // Arrival order reversed vs canonical; sections still come back in
         // slot order.
         let units = vec![(7usize, mk(1, 100)), (2usize, mk(0, 200))];
-        let payloads = match_sections(0, epoch, &recvs, units).unwrap();
+        let payloads = match_sections(0, &recvs, units).unwrap();
         let Payload::Ghosts(g0) = &payloads[0] else { panic!() };
         let Payload::Ghosts(g1) = &payloads[1] else { panic!() };
         assert_eq!(g0[0].id, 200);
@@ -325,7 +313,7 @@ mod tests {
         // A missing slot is a typed error.
         let units = vec![(7usize, mk(1, 100))];
         assert!(matches!(
-            match_sections(0, epoch, &recvs, units),
+            match_sections(0, &recvs, units),
             Err(crate::RuntimeError::WrongPayload { .. })
         ));
     }

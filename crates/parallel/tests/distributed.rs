@@ -45,6 +45,20 @@ fn assert_stores_match(bbox: &SimulationBox, a: &AtomStore, b: &AtomStore, tol: 
     }
 }
 
+/// Builds the persistent threaded executor and steps it `steps` times.
+fn threaded(
+    store: AtomStore,
+    bbox: SimulationBox,
+    pdims: IVec3,
+    ff: ForceField,
+    dt: f64,
+    steps: usize,
+) -> ThreadedSim {
+    let mut sim = ThreadedSim::new(store, bbox, pdims, ff, dt).unwrap();
+    sim.run_steps(steps);
+    sim
+}
+
 fn serial_snapshot(sim: &Simulation) -> AtomStore {
     // The serial engine re-sorts atoms into Morton order as it runs, so the
     // snapshot must be brought back to id order to line up with gather().
@@ -196,8 +210,8 @@ fn threaded_executor_handles_silica_full_shell() {
     let mut bsp =
         DistributedSim::new(store.clone(), bbox, IVec3::new(2, 2, 2), mk_ff(), 0.0005).unwrap();
     bsp.run(3);
-    let (gathered, energy, _) =
-        ThreadedSim::run(store, bbox, IVec3::new(2, 2, 2), mk_ff(), 0.0005, 3).unwrap();
+    let sim = threaded(store, bbox, IVec3::new(2, 2, 2), mk_ff(), 0.0005, 3);
+    let (gathered, energy) = (sim.gather(), sim.telemetry().energy);
     assert_stores_match(&bbox, &gathered, &bsp.gather(), 1e-9, "threaded silica FS");
     assert!(
         (energy.total() - bsp.energy_breakdown().total()).abs()
@@ -217,9 +231,8 @@ fn threaded_executor_matches_bsp() {
     )
     .unwrap();
     bsp.run(5);
-    let (gathered, energy, stats) =
-        ThreadedSim::run(store, bbox, IVec3::splat(2), lj_ff(Method::ShiftCollapse), 0.002, 5)
-            .unwrap();
+    let sim = threaded(store, bbox, IVec3::splat(2), lj_ff(Method::ShiftCollapse), 0.002, 5);
+    let (gathered, energy, stats) = (sim.gather(), sim.telemetry().energy, sim.comm_stats());
     assert_stores_match(&bbox, &gathered, &bsp.gather(), 1e-9, "threaded vs BSP");
     assert!(
         (energy.total() - bsp.energy_breakdown().total()).abs()
@@ -373,8 +386,8 @@ fn threaded_single_rank_matches_serial_silica() {
         quadruplet: None,
         method: Method::ShiftCollapse,
     };
-    let (gathered, energy, stats) =
-        ThreadedSim::run(store.clone(), bbox, IVec3::splat(1), ff, 0.0005, 3).unwrap();
+    let sim = threaded(store.clone(), bbox, IVec3::splat(1), ff, 0.0005, 3);
+    let (gathered, energy, stats) = (sim.gather(), sim.telemetry().energy, sim.comm_stats());
     let mut serial = Simulation::builder(store, bbox)
         .pair_potential(Box::new(v.pair.clone()))
         .triplet_potential(Box::new(v.triplet.clone()))
@@ -468,16 +481,12 @@ fn threaded_run_with_metrics_reports_totals() {
     use sc_obs::{Phase, Registry};
     let reg = Registry::new();
     let (store, bbox) = lj_system();
-    let (_, _, stats) = ThreadedSim::run_with_metrics(
-        store,
-        bbox,
-        IVec3::splat(2),
-        lj_ff(Method::ShiftCollapse),
-        0.002,
-        3,
-        &reg,
-    )
-    .unwrap();
+    let mut sim =
+        ThreadedSim::new(store, bbox, IVec3::splat(2), lj_ff(Method::ShiftCollapse), 0.002)
+            .unwrap();
+    sim.set_metrics(reg.clone());
+    sim.run_steps(3);
+    let stats = sim.comm_stats();
     assert_eq!(reg.counter("comm.messages").get(), stats.messages);
     assert_eq!(reg.counter("comm.bytes").get(), stats.bytes);
     assert!(reg.phase_s(Phase::Exchange) > 0.0, "threaded exchange wall time is reported");
@@ -577,17 +586,13 @@ fn threaded_run_observed_traces_every_rank() {
     let reg = Registry::new();
     let tracer = Tracer::new();
     let (store, bbox) = lj_system();
-    let (_, _, stats) = ThreadedSim::run_observed(
-        store,
-        bbox,
-        IVec3::splat(2),
-        lj_ff(Method::ShiftCollapse),
-        0.002,
-        2,
-        &reg,
-        &tracer,
-    )
-    .unwrap();
+    let mut sim =
+        ThreadedSim::new(store, bbox, IVec3::splat(2), lj_ff(Method::ShiftCollapse), 0.002)
+            .unwrap();
+    sim.set_metrics(reg.clone());
+    sim.set_tracer(tracer.clone());
+    sim.run_steps(2);
+    let stats = sim.comm_stats();
 
     let events = tracer.events();
     let send_bytes: u64 = events

@@ -16,7 +16,7 @@ use sc_md::{
 use sc_obs::json::Json;
 use sc_obs::{Registry, Tracer};
 use sc_parallel::rank::ForceField;
-use sc_parallel::{CommConfig, CommCounters, DistributedSim, FaultPlan, ThreadedSim};
+use sc_parallel::{CommConfig, DistributedSim, FaultPlan, ThreadedSim};
 use sc_potential::{LennardJones, Vashishta};
 
 /// The schema identifier of the observables document.
@@ -544,8 +544,15 @@ impl ScenarioSpec {
             }
             ExecutorSpec::Threaded { grid } => {
                 let pdims = IVec3::new(grid[0] as i32, grid[1] as i32, grid[2] as i32);
-                let mut sim = ThreadedSim::new(store, bbox, pdims, self.force_field(), self.dt)
-                    .map_err(|e| SpecError::Setup(e.to_string()))?;
+                let mut sim = ThreadedSim::new_subdivided(
+                    store,
+                    bbox,
+                    pdims,
+                    self.force_field(),
+                    self.dt,
+                    self.subdivision,
+                )
+                .map_err(|e| SpecError::Setup(e.to_string()))?;
                 sim.set_resort_every(self.resort_every);
                 sim.set_comm_config(self.comm_config());
                 sim.set_metrics(metrics);
@@ -553,40 +560,6 @@ impl ScenarioSpec {
                 Ok(RunHandle::new(sim))
             }
         }
-    }
-
-    /// Runs the scenario on the one-shot threaded convenience path for its
-    /// full `steps`, returning the final store, energy breakdown, and comm
-    /// totals. Thin wrapper over the same persistent executor
-    /// [`ScenarioSpec::instantiate`] builds.
-    ///
-    /// # Errors
-    /// [`SpecError::BadValue`] when the spec's executor is not `threaded`;
-    /// [`SpecError::Setup`] when the run is rejected or fails mid-flight.
-    pub fn run_threaded(
-        &self,
-    ) -> Result<(AtomStore, sc_md::EnergyBreakdown, CommCounters), SpecError> {
-        let ExecutorSpec::Threaded { grid } = &self.executor else {
-            return Err(SpecError::BadValue {
-                field: "executor.kind".into(),
-                detail: format!(
-                    "run_threaded needs a threaded executor, spec says {}",
-                    self.executor.kind()
-                ),
-            });
-        };
-        let (store, bbox) = self.build_workload();
-        let pdims = IVec3::new(grid[0] as i32, grid[1] as i32, grid[2] as i32);
-        let mut sim = ThreadedSim::new(store, bbox, pdims, self.force_field(), self.dt)
-            .map_err(|e| SpecError::Setup(e.to_string()))?;
-        sim.set_resort_every(self.resort_every);
-        sim.set_comm_config(self.comm_config());
-        for _ in 0..self.steps {
-            sim.try_step().map_err(|e| SpecError::Setup(e.to_string()))?;
-        }
-        let energy = sim.telemetry().energy;
-        let stats = sim.comm_stats();
-        Ok((sim.gather(), energy, stats))
     }
 }
 
@@ -680,11 +653,13 @@ mod tests {
         handle.try_step().unwrap();
         assert_eq!(handle.steps_done(), 1);
         assert_eq!(handle.gather().len(), 4 * 7usize.pow(3));
-        // The one-shot convenience wrapper still runs the full spec.
-        let (store, energy, stats) = spec.run_threaded().unwrap();
-        assert_eq!(store.len(), 4 * 7usize.pow(3));
-        assert!(energy.total().is_finite());
-        assert!(stats.messages > 0);
+        // The one handle runs the full spec.
+        handle.run(spec.steps as usize - 1);
+        assert_eq!(handle.steps_done(), spec.steps);
+        assert_eq!(handle.gather().len(), 4 * 7usize.pow(3));
+        let t = handle.telemetry();
+        assert!(t.energy.total().is_finite());
+        assert!(t.comm.messages > 0);
     }
 
     #[test]
