@@ -13,7 +13,10 @@
 use sc_bench::fixed_density_gas;
 use sc_cell::CellLattice;
 use sc_core::{generate_fs, shift_collapse, theory};
-use sc_md::engine::{visit_ntuples, visit_triplets, Dedup, PatternPlan};
+use sc_md::engine::{
+    visit_chains_in_cell_src, visit_pairs, visit_triplets, Dedup, PatternPlan, PeriodicSource,
+    VisitStats,
+};
 
 fn main() {
     if std::env::args().any(|a| a == "--orders") {
@@ -69,12 +72,20 @@ fn all_orders() {
     let (store, bbox) = fixed_density_gas(6, rcut, rho_cell, 100);
     let mut lat = CellLattice::new(bbox, rcut);
     lat.rebuild(&store);
+    let src = PeriodicSource::new(&lat, &store);
     println!("Fig. 7 extension — FS/SC force-set ratio by tuple order (6³ cells)");
     println!("{:>3} {:>14} {:>14} {:>8} {:>10}", "n", "FS tuples", "SC tuples", "FS/SC", "theory");
     for n in 2..=4usize {
         let count = |pat, dedup| {
             let plan = PatternPlan::new(&pat, dedup);
-            visit_ntuples(&lat, &store, &plan, rcut, |_| {}).accepted
+            let stats: VisitStats = match n {
+                2 => visit_pairs(&lat, &store, &plan, rcut, |_, _, _, _| {}),
+                _ => lat
+                    .cells()
+                    .map(|q| visit_chains_in_cell_src(&src, &plan, rcut, q, |_, _| {}))
+                    .sum(),
+            };
+            stats.accepted
         };
         // FS with only self-reflective guards = its raw (duplicated) force
         // set; SC's is duplicate-free.

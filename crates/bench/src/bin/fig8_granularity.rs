@@ -115,23 +115,18 @@ fn measured() {
     println!("regime of Fig. 8 — the search-cost side; import costs need the cluster).");
 
     // Step-phase breakdown: where a force computation actually spends its
-    // time per method. enumerate/eval are summed per-lane seconds; bin and
-    // reduce are wall seconds on the driving thread (exchange is zero in
-    // shared memory).
+    // time per method, from the timers the engines always run. enumerate is
+    // summed per-lane seconds (search + evaluation); bin and reduce are wall
+    // seconds on the driving thread.
     println!();
-    println!("Per-phase breakdown, silica 4³ cells (detailed timing, mean of 5 steps)");
-    println!(
-        "{:>10}  {:>11}  {:>11}  {:>11}  {:>11}  {:>11}",
-        "method", "bin", "exchange", "enumerate", "eval", "reduce"
-    );
+    println!("Per-phase breakdown, silica 4³ cells (mean of 5 steps)");
+    println!("{:>10}  {:>11}  {:>11}  {:>11}", "method", "bin", "enumerate", "reduce");
     for method in Method::ALL {
-        use sc_md::RuntimeConfig;
         let (store, bbox) = build_silica_like(4, 7.16, masses, 0.01, 7);
         let mut sim = Simulation::builder(store, bbox)
             .pair_potential(Box::new(v.pair.clone()))
             .triplet_potential(Box::new(v.triplet.clone()))
             .method(method)
-            .runtime(RuntimeConfig { detailed_timing: true, ..RuntimeConfig::default() })
             .build()
             .expect("valid simulation");
         sim.compute_forces(); // warm up (first call allocates the scratch pool)
@@ -142,12 +137,10 @@ fn measured() {
         }
         let r = f64::from(reps);
         println!(
-            "{:>10}  {}  {}  {}  {}  {}",
+            "{:>10}  {}  {}  {}",
             method.name(),
             fmt_time(phases.bin_s() / r),
-            fmt_time(phases.exchange_s() / r),
             fmt_time(phases.enumerate_s() / r),
-            fmt_time(phases.eval_s() / r),
             fmt_time(phases.reduce_s() / r),
         );
     }

@@ -2,7 +2,10 @@
 //! use: radial distribution function, mean-squared displacement, and the
 //! pair-virial pressure.
 
-use crate::engine::{visit_pairs, visit_triplets, Dedup, PatternPlan};
+use crate::engine::{
+    visit_chains_in_cell_src, visit_pairs, visit_pairs_in_cell_src, visit_triplets, Dedup,
+    PatternPlan, PeriodicSource, VisitStats,
+};
 use sc_cell::{AtomStore, CellLattice, Species};
 use sc_core::shift_collapse;
 use sc_geom::{SimulationBox, Vec3};
@@ -247,24 +250,29 @@ pub fn coordination_histogram(
     counts
 }
 
-/// Counts the chain-cutoff n-tuples of every order 2..=`n_max` in a
-/// configuration, using the SC pattern of each order — the size of the
-/// dynamic workload an n-body force field of that order would face
-/// (ReaxFF-style fields reach n = 6, §1). `n_max ≤ 5`.
+/// Searches the chain-cutoff n-tuples of every order 2..=`n_max` in a
+/// configuration, using the SC pattern of each order, and returns each
+/// order's search statistics: `accepted` is the size of the dynamic workload
+/// an n-body force field of that order would face (ReaxFF-style fields reach
+/// n = 6, §1), `candidates` the space searched for it. `n_max ≤ 5`.
 pub fn chain_statistics(
     store: &AtomStore,
     bbox: &SimulationBox,
     rcut: f64,
     n_max: usize,
-) -> Vec<(usize, u64)> {
+) -> Vec<(usize, VisitStats)> {
     assert!((2..=5).contains(&n_max));
     let mut lat = CellLattice::new(*bbox, rcut);
     lat.rebuild(store);
+    let src = PeriodicSource::new(&lat, store);
     (2..=n_max)
         .map(|n| {
             let plan = PatternPlan::new(&shift_collapse(n), Dedup::Collapsed);
-            let stats = crate::engine::visit_ntuples(&lat, store, &plan, rcut, |_| {});
-            (n, stats.accepted)
+            let stats = lat.cells().map(|q| match n {
+                2 => visit_pairs_in_cell_src(&src, &plan, rcut, q, |_, _, _, _| {}),
+                _ => visit_chains_in_cell_src(&src, &plan, rcut, q, |_, _| {}),
+            });
+            (n, stats.sum())
         })
         .collect()
 }
@@ -485,11 +493,29 @@ mod tests {
         // Pairs < triplets < quadruplets < quintuplets at this density
         // (each extra link multiplies by ≈ the neighbour count).
         for w in stats.windows(2) {
-            assert!(w[1].1 > w[0].1, "chain counts must grow: {stats:?}");
+            assert!(w[1].1.accepted > w[0].1.accepted, "chain counts must grow: {stats:?}");
         }
         // Pair count agrees with the brute-force reference.
         let pairs = crate::reference::all_pairs(&store, &bbox, 1.0);
-        assert_eq!(stats[0].1, pairs.len() as u64);
+        assert_eq!(stats[0].1.accepted, pairs.len() as u64);
+    }
+
+    #[test]
+    fn chain_statistics_search_what_an_sc_simulation_searches() {
+        // The diagnostic and the force engine run the same visitor with the
+        // same SC(3) plan on the same lattice: identical counters.
+        let sw = sc_potential::StillingerWeber::silicon();
+        let rcut = sc_potential::TripletPotential::cutoff(&sw);
+        let (store, bbox) = random_gas(300, 4.0 * rcut, 9);
+        let stats = chain_statistics(&store, &bbox, rcut, 3);
+        let mut sim = Simulation::builder(store, bbox)
+            .triplet_potential(Box::new(sw))
+            .method(Method::ShiftCollapse)
+            .build()
+            .unwrap();
+        let searched = sim.compute_forces().tuples.triplet;
+        assert!(searched.accepted > 0);
+        assert_eq!(stats[1], (3, searched));
     }
 
     #[test]

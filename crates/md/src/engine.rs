@@ -25,10 +25,19 @@
 //! on a periodic [`CellLattice`] (minimum-image displacements), the
 //! distributed runtime on a rank-local ghost lattice (plain differences,
 //! since ghosts are image-shifted into the local frame).
+//!
+//! There are two visitors. [`visit_pairs_in_cell_src`] carries the batched
+//! lane leaf, the only one the measured traffic reaches (DESIGN.md §5d);
+//! [`visit_chains_in_cell_src`] serves every n ≥ 3 by walking the pattern's
+//! prefix trie with a scalar leaf. Both charge `candidates` with the full
+//! product `Σ_paths Π_k |c(q + v_k)|` — the searched space `S_cell` of
+//! Eq. 12, a function of the cell populations alone.
 
 use sc_cell::{AtomStore, CellLattice};
-use sc_core::{Path, Pattern};
+use sc_core::Pattern;
 use sc_geom::{IVec3, Vec3};
+use std::collections::HashMap;
+use std::ops::Range;
 
 /// How reflective tuple duplicates are suppressed during enumeration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,55 +49,95 @@ pub enum Dedup {
     Guarded,
 }
 
-/// Triplet paths sharing one `(v0, v1)` prefix: the first leg's cell
-/// lookups and `d01` cutoff check run once per group instead of once per
-/// path. SC(3) collapses 378 paths into 63 groups, FS(3) 729 into 27 — the
-/// dominant per-cell enumeration cost in triplet-heavy workloads (silica).
+/// One node of a compiled pattern's prefix trie: the cell offset the atom at
+/// this chain position is drawn from. Paths sharing a prefix share its
+/// nodes, so the prefix's cell lookups and cutoff checks run once for all of
+/// them — SC(3) folds 378 paths under 63 first links, FS(3) 729 under 27.
 #[derive(Debug, Clone)]
-struct PrefixGroup {
-    prefix: [IVec3; 2],
-    /// `(v2, guard)` per member path, in path order.
-    suffixes: Vec<(IVec3, bool)>,
+struct TrieNode {
+    offset: IVec3,
+    /// Index of `offset` in [`PatternPlan::coverage`].
+    cell: usize,
+    /// The path's reflective-duplicate guard; meaningful on leaves.
+    guard: bool,
+    /// Next chain position's nodes (siblings are contiguous); empty on
+    /// leaves.
+    children: Range<usize>,
 }
 
-/// A pattern compiled for enumeration: per-path offsets plus the
-/// reflective-duplicate guard flag.
+/// A pattern compiled for enumeration: the prefix trie of its paths, each
+/// leaf carrying its path's reflective-duplicate guard flag.
 #[derive(Debug, Clone)]
 pub struct PatternPlan {
     n: usize,
-    paths: Vec<(Vec<IVec3>, bool)>,
-    /// Populated for n = 3 only; empty otherwise.
-    triplet_groups: Vec<PrefixGroup>,
+    len: usize,
+    /// `nodes[..roots]` are the depth-0 nodes, one per distinct first link.
+    roots: usize,
+    nodes: Vec<TrieNode>,
+    /// The distinct cell offsets the paths touch — the pattern's cell
+    /// coverage `Π(Ψ)`.
+    coverage: Vec<IVec3>,
+}
+
+/// The offsets of a path from some chain position on, and the path's guard.
+type Suffix<'p> = (&'p [IVec3], bool);
+
+/// Appends the trie level holding `paths`' first offsets to `nodes` and
+/// recurses into each node's remaining suffixes. Siblings keep first-seen
+/// order and members path order, so the trie is a pure regrouping of the
+/// path list and enumeration stays deterministic.
+///
+/// Depth-0 nodes are keyed on the first *link* `(v0, v1)`, not on `v0`
+/// alone: merging on `v0` would hoist the `i0` loop above the `v1` loop and
+/// change the visit order that force sums are pinned to bitwise. Each
+/// therefore has exactly one child. Leaves are never merged.
+fn compile(nodes: &mut Vec<TrieNode>, paths: &[Suffix], depth: usize) -> Range<usize> {
+    let first = nodes.len();
+    // Per sibling pushed at this level: its member paths' suffixes below it.
+    let mut members: Vec<Vec<Suffix>> = Vec::new();
+    let mut sibling_of: HashMap<(IVec3, IVec3), usize> = HashMap::new();
+    for &(offsets, guard) in paths {
+        let key = (offsets[0], offsets[if depth == 0 { 1 } else { 0 }]);
+        let fresh = members.len();
+        let k = if offsets.len() == 1 { fresh } else { *sibling_of.entry(key).or_insert(fresh) };
+        if k == fresh {
+            nodes.push(TrieNode { offset: offsets[0], cell: 0, guard, children: 0..0 });
+            members.push(Vec::new());
+        }
+        members[k].push((&offsets[1..], guard));
+    }
+    for (k, below) in members.iter().enumerate() {
+        if !below[0].0.is_empty() {
+            nodes[first + k].children = compile(nodes, below, depth + 1);
+        }
+    }
+    first..first + members.len()
 }
 
 impl PatternPlan {
     /// Compiles `pattern` for the given dedup mode.
     pub fn new(pattern: &Pattern, dedup: Dedup) -> Self {
-        let paths: Vec<(Vec<IVec3>, bool)> = pattern
+        let paths: Vec<Suffix> = pattern
             .iter()
-            .map(|p: &Path| {
+            .map(|p| {
                 let guard = match dedup {
                     Dedup::Guarded => true,
                     Dedup::Collapsed => p.is_self_reflective(),
                 };
-                (p.offsets().to_vec(), guard)
+                (p.offsets(), guard)
             })
             .collect();
-        let mut triplet_groups: Vec<PrefixGroup> = Vec::new();
-        if pattern.n() == 3 {
-            // First-seen prefix order, suffixes in path order: the grouping
-            // is a pure reordering of the path list, so enumeration stays
-            // deterministic.
-            for (offsets, guard) in &paths {
-                let prefix = [offsets[0], offsets[1]];
-                match triplet_groups.iter_mut().find(|g| g.prefix == prefix) {
-                    Some(g) => g.suffixes.push((offsets[2], *guard)),
-                    None => triplet_groups
-                        .push(PrefixGroup { prefix, suffixes: vec![(offsets[2], *guard)] }),
-                }
-            }
+        let mut nodes = Vec::new();
+        let roots = compile(&mut nodes, &paths, 0).len();
+        let mut coverage: Vec<IVec3> = Vec::new();
+        let mut cell_of: HashMap<IVec3, usize> = HashMap::new();
+        for node in &mut nodes {
+            node.cell = *cell_of.entry(node.offset).or_insert_with(|| {
+                coverage.push(node.offset);
+                coverage.len() - 1
+            });
         }
-        PatternPlan { n: pattern.n(), paths, triplet_groups }
+        PatternPlan { n: pattern.n(), len: paths.len(), roots, nodes, coverage }
     }
 
     /// The tuple order n.
@@ -98,12 +147,12 @@ impl PatternPlan {
 
     /// Number of paths.
     pub fn len(&self) -> usize {
-        self.paths.len()
+        self.len
     }
 
     /// Whether the plan has no paths.
     pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
+        self.len == 0
     }
 }
 
@@ -126,6 +175,15 @@ impl VisitStats {
     }
 }
 
+impl std::iter::Sum for VisitStats {
+    fn sum<I: Iterator<Item = VisitStats>>(iter: I) -> Self {
+        iter.fold(VisitStats::default(), |mut total, s| {
+            total.merge(s);
+            total
+        })
+    }
+}
+
 /// What tuple enumeration needs from the world: cell bins, positions,
 /// global ids, and a displacement rule.
 pub trait TupleSource {
@@ -141,8 +199,8 @@ pub trait TupleSource {
     fn disp(&self, i: u32, j: u32) -> Vec3;
     /// Box edge lengths if displacements are minimum-image, `None` if they
     /// are plain differences (rank-local frames with image-shifted ghosts).
-    /// The batched kernels use this to apply the same displacement rule as
-    /// [`TupleSource::disp`] across a whole lane block at once.
+    /// The batched pair kernel uses this to apply the same displacement rule
+    /// as [`TupleSource::disp`] across a whole lane block at once.
     fn pbc_lengths(&self) -> Option<Vec3> {
         None
     }
@@ -203,10 +261,9 @@ impl TupleSource for PeriodicSource<'_> {
 /// 5–20 for the paper's benchmark systems) in a single block.
 const BATCH: usize = 32;
 
-/// Below this many candidates in the gathered cell, the visitors take the
-/// plain scalar inner loop: filling lanes for a near-empty cell (common in
-/// triplet/quadruplet lattices, whose cells shrink to the shorter cutoffs)
-/// costs more than it saves. Both paths produce bitwise-identical calls in
+/// Below this many candidates in the gathered cell, the pair visitor takes
+/// the plain scalar inner loop: filling lanes for a near-empty cell costs
+/// more than it saves. Both paths produce bitwise-identical calls in
 /// identical order — a cell below `BATCH` is a single chunk, so the batched
 /// loop degenerates to the same iteration order the scalar loop uses.
 const BATCH_MIN: usize = 16;
@@ -322,9 +379,12 @@ pub fn visit_pairs_in_cell_src(
     let mut stats = VisitStats::default();
     let mut g = Gather::new();
     let mut lanes = Lanes::new();
-    for (offsets, guard) in &plan.paths {
-        let cell_i = src.atoms_in(q + offsets[0]);
-        let cell_j = src.atoms_in(q + offsets[1]);
+    // Every pair path is its own first link: a root and its one leaf.
+    for first in &plan.nodes[..plan.roots] {
+        let second = &plan.nodes[first.children.start];
+        let cell_i = src.atoms_in(q + first.offset);
+        let cell_j = src.atoms_in(q + second.offset);
+        let guard = second.guard;
         if cell_i.is_empty() {
             continue;
         }
@@ -333,7 +393,7 @@ pub fn visit_pairs_in_cell_src(
                 let gi = src.gid(i);
                 stats.candidates += cell_j.len() as u64;
                 for &j in cell_j {
-                    if i == j || (*guard && gi > src.gid(j)) {
+                    if i == j || (guard && gi > src.gid(j)) {
                         continue;
                     }
                     let d = src.disp(i, j);
@@ -355,7 +415,7 @@ pub fn visit_pairs_in_cell_src(
                 stats.candidates += m as u64;
                 lanes.compute(pi, &g, m, rule);
                 for (k, &j) in chunk.iter().enumerate() {
-                    if i == j || (*guard && gi > g.gid[k]) {
+                    if i == j || (guard && gi > g.gid[k]) {
                         continue;
                     }
                     let r2 = lanes.r2[k];
@@ -370,347 +430,111 @@ pub fn visit_pairs_in_cell_src(
     stats
 }
 
-/// Visits every undirected chain triplet `(i0, i1, i2)` generated by `plan`
-/// at base cell `q`, with both legs shorter than `rcut`.
+/// Largest tuple order the chain visitor walks (`GENERATE-FS` stops at 7).
+const MAX_ORDER: usize = 8;
+
+/// The chain visitor's state for one base cell.
+struct ChainWalk<'a, S, F> {
+    src: &'a S,
+    plan: &'a PatternPlan,
+    rc2: f64,
+    /// The atoms of `c(q + v)` per coverage offset `v`: each cell is looked
+    /// up once per base cell, however many trie nodes draw from it.
+    cells: Vec<&'a [u32]>,
+    ids: [u32; MAX_ORDER],
+    links: [Vec3; MAX_ORDER],
+    accepted: u64,
+    f: F,
+}
+
+impl<S: TupleSource, F: FnMut(&[u32], &[Vec3])> ChainWalk<'_, S, F> {
+    /// The full-product candidate count `Σ_paths Π_k |c(q + v_k)|` of the
+    /// sibling nodes `level`, over the chain positions from theirs down.
+    fn candidates(&self, level: Range<usize>) -> u64 {
+        let mut product_sum = 0;
+        for node in &self.plan.nodes[level] {
+            let here = self.cells[node.cell].len() as u64;
+            product_sum += if here == 0 || node.children.is_empty() {
+                here
+            } else {
+                here * self.candidates(node.children.clone())
+            };
+        }
+        product_sum
+    }
+
+    /// Extends the accepted chain prefix `ids[..depth]` through the sibling
+    /// nodes `level`, reporting the chains that complete.
+    fn extend(&mut self, level: Range<usize>, depth: usize) {
+        let plan = self.plan;
+        let last = depth + 1 == plan.n;
+        let prev = self.ids[depth - 1];
+        let g0 = self.src.gid(self.ids[0]);
+        for node in &plan.nodes[level] {
+            for &i in self.cells[node.cell] {
+                if self.ids[..depth].contains(&i) || (last && node.guard && g0 > self.src.gid(i)) {
+                    continue;
+                }
+                let d = self.src.disp(prev, i);
+                if d.norm_sq() >= self.rc2 {
+                    continue;
+                }
+                self.ids[depth] = i;
+                self.links[depth - 1] = d;
+                if last {
+                    self.accepted += 1;
+                    (self.f)(&self.ids[..=depth], &self.links[..depth]);
+                } else {
+                    self.extend(node.children.clone(), depth + 1);
+                }
+            }
+        }
+    }
+}
+
+/// Visits every undirected chain n-tuple (n ≥ 3) generated by `plan` at base
+/// cell `q`, with every link shorter than `rcut` — the paper's UCP search
+/// for arbitrary n (ReaxFF-style force fields reach n = 6 through
+/// chain-rule terms, §1).
 ///
-/// The callback receives `(i0, i1, i2, d01, d12)` where `d01 = r1 − r0` and
-/// `d12 = r2 − r1` are link displacement vectors.
-pub fn visit_triplets_in_cell_src(
+/// The callback receives the chain's atom slots `(i0 … i_{n-1})` and its
+/// n − 1 link displacements `d_k = r_{k+1} − r_k`.
+pub fn visit_chains_in_cell_src(
     src: &impl TupleSource,
     plan: &PatternPlan,
     rcut: f64,
     q: IVec3,
-    mut f: impl FnMut(u32, u32, u32, Vec3, Vec3),
+    f: impl FnMut(&[u32], &[Vec3]),
 ) -> VisitStats {
-    debug_assert_eq!(plan.n, 3);
-    let rc2 = rcut * rcut;
-    let rule = DispRule::of(src);
-    let mut stats = VisitStats::default();
-    let mut g = Gather::new();
-    let mut lanes = Lanes::new();
-    // Suffix cells resolved once per (group, base cell); reused across
-    // every (i0, i1) pair of the group.
-    let mut cells_2: Vec<(&[u32], bool)> = Vec::new();
-    for group in &plan.triplet_groups {
-        let cell_0 = src.atoms_in(q + group.prefix[0]);
-        if cell_0.is_empty() {
+    assert!((3..=MAX_ORDER).contains(&plan.n), "chain visitor serves 3 ≤ n ≤ {MAX_ORDER}");
+    let mut walk = ChainWalk {
+        src,
+        plan,
+        rc2: rcut * rcut,
+        cells: plan.coverage.iter().map(|&v| src.atoms_in(q + v)).collect(),
+        ids: [0; MAX_ORDER],
+        links: [Vec3::ZERO; MAX_ORDER],
+        accepted: 0,
+        f,
+    };
+    let mut candidates = 0;
+    for root in &plan.nodes[..plan.roots] {
+        let cell_0 = walk.cells[root.cell];
+        let below = if cell_0.is_empty() { 0 } else { walk.candidates(root.children.clone()) };
+        if below == 0 {
             continue;
         }
-        let cell_1 = src.atoms_in(q + group.prefix[1]);
-        if cell_1.is_empty() {
-            continue;
-        }
-        // `total` counts every suffix slot — including empty cells — so the
-        // per-(i0,i1) candidate accounting stays exactly what the per-path
-        // loop charged: Σ_paths |cell_2(path)|.
-        cells_2.clear();
-        let mut total: u64 = 0;
-        for &(v2, guard) in &group.suffixes {
-            let c = src.atoms_in(q + v2);
-            total += c.len() as u64;
-            if !c.is_empty() {
-                cells_2.push((c, guard));
-            }
-        }
-        if total == 0 {
-            continue;
-        }
+        candidates += cell_0.len() as u64 * below;
         for &i0 in cell_0 {
-            let g0 = src.gid(i0);
-            for &i1 in cell_1 {
-                stats.candidates += total;
-                if i1 == i0 {
-                    continue;
-                }
-                let d01 = src.disp(i0, i1);
-                if d01.norm_sq() >= rc2 {
-                    continue;
-                }
-                let p1 = src.pos(i1);
-                for &(cell_2, guard) in &cells_2 {
-                    if cell_2.len() < BATCH_MIN {
-                        for &i2 in cell_2 {
-                            if i2 == i1 || i2 == i0 || (guard && g0 > src.gid(i2)) {
-                                continue;
-                            }
-                            let d12 = src.disp(i1, i2);
-                            if d12.norm_sq() < rc2 {
-                                stats.accepted += 1;
-                                f(i0, i1, i2, d01, d12);
-                            }
-                        }
-                        continue;
-                    }
-                    for chunk in cell_2.chunks(BATCH) {
-                        let m = chunk.len();
-                        g.load(src, chunk);
-                        lanes.compute(p1, &g, m, rule);
-                        for (k, &i2) in chunk.iter().enumerate() {
-                            if i2 == i1 || i2 == i0 || (guard && g0 > g.gid[k]) {
-                                continue;
-                            }
-                            if lanes.r2[k] < rc2 {
-                                stats.accepted += 1;
-                                f(i0, i1, i2, d01, lanes.disp(k));
-                            }
-                        }
-                    }
-                }
-            }
+            walk.ids[0] = i0;
+            walk.extend(root.children.clone(), 1);
         }
     }
-    stats
+    VisitStats { candidates, accepted: walk.accepted }
 }
 
-/// Visits every undirected chain quadruplet generated by `plan` at base cell
-/// `q`, with all three links shorter than `rcut`.
-///
-/// The callback receives `(ids, d01, d12, d23)`.
-pub fn visit_quadruplets_in_cell_src(
-    src: &impl TupleSource,
-    plan: &PatternPlan,
-    rcut: f64,
-    q: IVec3,
-    mut f: impl FnMut([u32; 4], Vec3, Vec3, Vec3),
-) -> VisitStats {
-    debug_assert_eq!(plan.n, 4);
-    let rc2 = rcut * rcut;
-    let rule = DispRule::of(src);
-    let mut stats = VisitStats::default();
-    let mut g = Gather::new();
-    let mut lanes = Lanes::new();
-    for (offsets, guard) in &plan.paths {
-        let cell_0 = src.atoms_in(q + offsets[0]);
-        let cell_1 = src.atoms_in(q + offsets[1]);
-        let cell_2 = src.atoms_in(q + offsets[2]);
-        let cell_3 = src.atoms_in(q + offsets[3]);
-        if cell_0.is_empty() || cell_1.is_empty() || cell_2.is_empty() {
-            continue;
-        }
-        if cell_3.len() < BATCH_MIN {
-            for &i0 in cell_0 {
-                let g0 = src.gid(i0);
-                for &i1 in cell_1 {
-                    if i1 == i0 {
-                        stats.candidates += cell_2.len() as u64 * cell_3.len() as u64;
-                        continue;
-                    }
-                    let d01 = src.disp(i0, i1);
-                    if d01.norm_sq() >= rc2 {
-                        stats.candidates += cell_2.len() as u64 * cell_3.len() as u64;
-                        continue;
-                    }
-                    for &i2 in cell_2 {
-                        stats.candidates += cell_3.len() as u64;
-                        if i2 == i1 || i2 == i0 {
-                            continue;
-                        }
-                        let d12 = src.disp(i1, i2);
-                        if d12.norm_sq() >= rc2 {
-                            continue;
-                        }
-                        for &i3 in cell_3 {
-                            if i3 == i2 || i3 == i1 || i3 == i0 || (*guard && g0 > src.gid(i3)) {
-                                continue;
-                            }
-                            let d23 = src.disp(i2, i3);
-                            if d23.norm_sq() < rc2 {
-                                stats.accepted += 1;
-                                f([i0, i1, i2, i3], d01, d12, d23);
-                            }
-                        }
-                    }
-                }
-            }
-            continue;
-        }
-        for chunk in cell_3.chunks(BATCH) {
-            let m = chunk.len() as u64;
-            g.load(src, chunk);
-            for &i0 in cell_0 {
-                let g0 = src.gid(i0);
-                for &i1 in cell_1 {
-                    if i1 == i0 {
-                        stats.candidates += cell_2.len() as u64 * m;
-                        continue;
-                    }
-                    let d01 = src.disp(i0, i1);
-                    if d01.norm_sq() >= rc2 {
-                        stats.candidates += cell_2.len() as u64 * m;
-                        continue;
-                    }
-                    for &i2 in cell_2 {
-                        if i2 == i1 || i2 == i0 {
-                            stats.candidates += m;
-                            continue;
-                        }
-                        let d12 = src.disp(i1, i2);
-                        if d12.norm_sq() >= rc2 {
-                            stats.candidates += m;
-                            continue;
-                        }
-                        stats.candidates += m;
-                        lanes.compute(src.pos(i2), &g, chunk.len(), rule);
-                        for (k, &i3) in chunk.iter().enumerate() {
-                            if i3 == i2 || i3 == i1 || i3 == i0 || (*guard && g0 > g.gid[k]) {
-                                continue;
-                            }
-                            if lanes.r2[k] < rc2 {
-                                stats.accepted += 1;
-                                f([i0, i1, i2, i3], d01, d12, lanes.disp(k));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    stats
-}
-
-/// Visits every undirected chain n-tuple for **arbitrary n** at base cell
-/// `q` — the fully general form of the paper's UCP search (ReaxFF-style
-/// force fields reach n = 6 through chain-rule terms, §1). The callback
-/// receives the atom slots of each accepted chain.
-///
-/// The specialized n = 2..4 visitors above are what the force loops use;
-/// this recursive form serves statistics and enumeration at higher n.
-pub fn visit_ntuples_in_cell_src(
-    src: &impl TupleSource,
-    plan: &PatternPlan,
-    rcut: f64,
-    q: IVec3,
-    mut f: impl FnMut(&[u32]),
-) -> VisitStats {
-    let n = plan.n;
-    let rc2 = rcut * rcut;
-    let rule = DispRule::of(src);
-    let mut stats = VisitStats::default();
-    let mut chain: Vec<u32> = Vec::with_capacity(n);
-    let mut g = Gather::new();
-    let mut lanes = Lanes::new();
-
-    #[allow(clippy::too_many_arguments)]
-    fn descend(
-        src: &impl TupleSource,
-        cells: &[IVec3],
-        guard: bool,
-        rc2: f64,
-        rule: DispRule,
-        chain: &mut Vec<u32>,
-        g: &mut Gather,
-        lanes: &mut Lanes,
-        stats: &mut VisitStats,
-        f: &mut impl FnMut(&[u32]),
-    ) {
-        let depth = chain.len();
-        let n = cells.len();
-        if depth == n - 1 {
-            // Leaf level: batched distance checks against the last chain
-            // atom. Candidates are counted per lane block — the same "count
-            // leaves" accounting as the scalar form.
-            let prev = chain.last().copied();
-            for chunk in src.atoms_in(cells[depth]).chunks(BATCH) {
-                let m = chunk.len();
-                stats.candidates += m as u64;
-                g.load(src, chunk);
-                if let Some(prev) = prev {
-                    lanes.compute(src.pos(prev), g, m, rule);
-                }
-                for (k, &i) in chunk.iter().enumerate() {
-                    if chain.contains(&i) {
-                        continue;
-                    }
-                    if prev.is_some() && lanes.r2[k] >= rc2 {
-                        continue;
-                    }
-                    if guard && src.gid(chain[0]) > g.gid[k] {
-                        continue;
-                    }
-                    stats.accepted += 1;
-                    chain.push(i);
-                    f(chain);
-                    chain.pop();
-                }
-            }
-            return;
-        }
-        let last = chain.last().copied();
-        for &i in src.atoms_in(cells[depth]) {
-            if chain.contains(&i) {
-                continue;
-            }
-            if let Some(prev) = last {
-                if src.disp(prev, i).norm_sq() >= rc2 {
-                    continue;
-                }
-            }
-            chain.push(i);
-            descend(src, cells, guard, rc2, rule, chain, g, lanes, stats, f);
-            chain.pop();
-        }
-    }
-
-    for (offsets, guard) in &plan.paths {
-        let cells: Vec<IVec3> = offsets.iter().map(|&v| q + v).collect();
-        descend(src, &cells, *guard, rc2, rule, &mut chain, &mut g, &mut lanes, &mut stats, &mut f);
-    }
-    stats
-}
-
-/// Runs the arbitrary-n visitor over every cell of the lattice (serial).
-pub fn visit_ntuples(
-    lat: &CellLattice,
-    store: &AtomStore,
-    plan: &PatternPlan,
-    rcut: f64,
-    mut f: impl FnMut(&[u32]),
-) -> VisitStats {
-    let src = PeriodicSource::new(lat, store);
-    let mut stats = VisitStats::default();
-    for q in lat.cells() {
-        stats.merge(visit_ntuples_in_cell_src(&src, plan, rcut, q, &mut f));
-    }
-    stats
-}
-
-/// Per-cell pair visitor over the global periodic lattice.
-pub fn visit_pairs_in_cell(
-    lat: &CellLattice,
-    store: &AtomStore,
-    plan: &PatternPlan,
-    rcut: f64,
-    q: IVec3,
-    f: impl FnMut(u32, u32, Vec3, f64),
-) -> VisitStats {
-    visit_pairs_in_cell_src(&PeriodicSource::new(lat, store), plan, rcut, q, f)
-}
-
-/// Per-cell triplet visitor over the global periodic lattice.
-pub fn visit_triplets_in_cell(
-    lat: &CellLattice,
-    store: &AtomStore,
-    plan: &PatternPlan,
-    rcut: f64,
-    q: IVec3,
-    f: impl FnMut(u32, u32, u32, Vec3, Vec3),
-) -> VisitStats {
-    visit_triplets_in_cell_src(&PeriodicSource::new(lat, store), plan, rcut, q, f)
-}
-
-/// Per-cell quadruplet visitor over the global periodic lattice.
-pub fn visit_quadruplets_in_cell(
-    lat: &CellLattice,
-    store: &AtomStore,
-    plan: &PatternPlan,
-    rcut: f64,
-    q: IVec3,
-    f: impl FnMut([u32; 4], Vec3, Vec3, Vec3),
-) -> VisitStats {
-    visit_quadruplets_in_cell_src(&PeriodicSource::new(lat, store), plan, rcut, q, f)
-}
-
-/// Runs a pair visitor over every cell of the lattice (serial).
+/// Runs the pair visitor over every cell of the global periodic lattice
+/// (serial).
 pub fn visit_pairs(
     lat: &CellLattice,
     store: &AtomStore,
@@ -718,14 +542,13 @@ pub fn visit_pairs(
     rcut: f64,
     mut f: impl FnMut(u32, u32, Vec3, f64),
 ) -> VisitStats {
-    let mut stats = VisitStats::default();
-    for q in lat.cells() {
-        stats.merge(visit_pairs_in_cell(lat, store, plan, rcut, q, &mut f));
-    }
-    stats
+    let src = PeriodicSource::new(lat, store);
+    lat.cells().map(|q| visit_pairs_in_cell_src(&src, plan, rcut, q, &mut f)).sum()
 }
 
-/// Runs a triplet visitor over every cell of the lattice (serial).
+/// Runs the chain visitor with a triplet plan over every cell of the global
+/// periodic lattice (serial). The callback receives
+/// `(i0, i1, i2, d01, d12)` where `d01 = r1 − r0` and `d12 = r2 − r1`.
 pub fn visit_triplets(
     lat: &CellLattice,
     store: &AtomStore,
@@ -733,33 +556,20 @@ pub fn visit_triplets(
     rcut: f64,
     mut f: impl FnMut(u32, u32, u32, Vec3, Vec3),
 ) -> VisitStats {
-    let mut stats = VisitStats::default();
-    for q in lat.cells() {
-        stats.merge(visit_triplets_in_cell(lat, store, plan, rcut, q, &mut f));
-    }
-    stats
-}
-
-/// Runs a quadruplet visitor over every cell of the lattice (serial).
-pub fn visit_quadruplets(
-    lat: &CellLattice,
-    store: &AtomStore,
-    plan: &PatternPlan,
-    rcut: f64,
-    mut f: impl FnMut([u32; 4], Vec3, Vec3, Vec3),
-) -> VisitStats {
-    let mut stats = VisitStats::default();
-    for q in lat.cells() {
-        stats.merge(visit_quadruplets_in_cell(lat, store, plan, rcut, q, &mut f));
-    }
-    stats
+    debug_assert_eq!(plan.n, 3);
+    let src = PeriodicSource::new(lat, store);
+    let mut each = |ids: &[u32], d: &[Vec3]| f(ids[0], ids[1], ids[2], d[0], d[1]);
+    lat.cells().map(|q| visit_chains_in_cell_src(&src, plan, rcut, q, &mut each)).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use crate::workload::random_gas;
+    use sc_cell::GhostLattice;
     use sc_core::{generate_fs, shift_collapse};
+    use sc_geom::SimulationBox;
     use std::collections::HashSet;
 
     fn setup(n_atoms: usize, box_l: f64, rcut: f64) -> (CellLattice, AtomStore) {
@@ -814,24 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn fs_and_sc_visit_identical_quadruplet_sets() {
-        let rcut = 1.0;
-        let (lat, store) = setup(40, 4.0, rcut);
-        let collect = |plan: &PatternPlan| {
-            let mut out = HashSet::new();
-            visit_quadruplets(&lat, &store, plan, rcut, |ids, _, _, _| {
-                let key = if ids[0] < ids[3] { ids } else { [ids[3], ids[2], ids[1], ids[0]] };
-                assert!(out.insert(key), "quad {key:?} visited twice");
-            });
-            out
-        };
-        let a = collect(&PatternPlan::new(&generate_fs(4), Dedup::Guarded));
-        let b = collect(&PatternPlan::new(&shift_collapse(4), Dedup::Collapsed));
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
     fn fs_examines_about_twice_the_candidates_of_sc() {
         // The search-cost halving of Eq. 29, observed on real data (Fig. 7).
         let rcut = 1.0;
@@ -865,79 +657,198 @@ mod tests {
         });
     }
 
-    #[test]
-    fn generic_visitor_agrees_with_specialized_ones() {
-        let rcut = 1.0;
-        let (lat, store) = setup(60, 4.0, rcut);
-        for n in [2usize, 3, 4] {
-            let plan = PatternPlan::new(&shift_collapse(n), Dedup::Collapsed);
-            let mut generic: Vec<Vec<u32>> = vec![];
-            visit_ntuples(&lat, &store, &plan, rcut, |chain| {
-                let mut c = chain.to_vec();
-                let mut r = c.clone();
-                r.reverse();
-                if r < c {
-                    c = r;
-                }
-                generic.push(c);
-            });
-            generic.sort();
-            let mut specialized: Vec<Vec<u32>> = vec![];
-            match n {
-                2 => {
-                    visit_pairs(&lat, &store, &plan, rcut, |i, j, _, _| {
-                        specialized.push(vec![i.min(j), i.max(j)]);
-                    });
-                }
-                3 => {
-                    visit_triplets(&lat, &store, &plan, rcut, |i, j, k, _, _| {
-                        specialized.push(vec![i.min(k), j, i.max(k)]);
-                    });
-                }
-                4 => {
-                    visit_quadruplets(&lat, &store, &plan, rcut, |ids, _, _, _| {
-                        let mut c = ids.to_vec();
-                        let mut r = c.clone();
-                        r.reverse();
-                        if r < c {
-                            c = r;
-                        }
-                        specialized.push(c);
-                    });
-                }
-                _ => unreachable!(),
-            }
-            specialized.sort();
-            assert_eq!(generic, specialized, "n = {n}");
+    /// A bounded, non-periodic source — the shape of a rank-local frame:
+    /// plain-difference displacements, nothing outside the ghost margins.
+    struct Plain<'a> {
+        lat: &'a GhostLattice,
+        store: &'a AtomStore,
+    }
+    impl TupleSource for Plain<'_> {
+        fn atoms_in(&self, q: IVec3) -> &[u32] {
+            self.lat.cell_atoms_or_empty(q)
+        }
+        fn pos(&self, i: u32) -> Vec3 {
+            self.store.positions()[i as usize]
+        }
+        fn gid(&self, i: u32) -> u64 {
+            self.store.ids()[i as usize]
+        }
+        fn disp(&self, i: u32, j: u32) -> Vec3 {
+            self.pos(j) - self.pos(i)
+        }
+    }
+
+    /// The chains the visitor reports from `cells`, each stored in its
+    /// lexicographically smaller direction and asserted to be visited once,
+    /// plus the summed statistics.
+    fn chain_set(
+        src: &impl TupleSource,
+        plan: &PatternPlan,
+        rcut: f64,
+        cells: impl Iterator<Item = IVec3>,
+    ) -> (HashSet<Vec<u32>>, VisitStats) {
+        let mut out = HashSet::new();
+        let stats = cells
+            .map(|q| {
+                visit_chains_in_cell_src(src, plan, rcut, q, |ids, links| {
+                    assert_eq!(links.len() + 1, ids.len());
+                    for (k, d) in links.iter().enumerate() {
+                        let expect = src.disp(ids[k], ids[k + 1]);
+                        assert_eq!(*d, expect, "link {k} of {ids:?}");
+                        assert!(d.norm() < rcut);
+                    }
+                    let rev: Vec<u32> = ids.iter().rev().copied().collect();
+                    let key = ids.to_vec().min(rev);
+                    assert!(out.insert(key), "chain {ids:?} visited twice");
+                })
+            })
+            .sum();
+        (out, stats)
+    }
+
+    /// `Σ_q Σ_paths Π_k |c(q + v_k)|` straight from the pattern's path list.
+    fn full_product(
+        src: &impl TupleSource,
+        pattern: &Pattern,
+        cells: impl Iterator<Item = IVec3>,
+    ) -> u64 {
+        cells
+            .map(|q| {
+                let per_path = pattern.iter().map(|p| {
+                    p.offsets().iter().map(|&v| src.atoms_in(q + v).len() as u64).product::<u64>()
+                });
+                per_path.sum::<u64>()
+            })
+            .sum()
+    }
+
+    /// `Γ*(n)` from the brute-force reference, in `chain_set`'s key form.
+    fn reference_chains(
+        store: &AtomStore,
+        bbox: &SimulationBox,
+        rcut: f64,
+        n: usize,
+    ) -> HashSet<Vec<u32>> {
+        match n {
+            3 => reference::all_triplets(store, bbox, rcut)
+                .into_iter()
+                .map(|(i, j, k)| vec![i, j, k])
+                .collect(),
+            4 => reference::all_quadruplets(store, bbox, rcut).into_iter().map(Vec::from).collect(),
+            n => unreachable!("no reference for n = {n}"),
         }
     }
 
     #[test]
-    fn generic_visitor_reaches_n5() {
+    fn chain_visitor_finds_the_reference_set_once_with_full_product_candidates() {
+        let rcut = 1.0;
+        // (n, subdivision k, atoms, cloud edge in cutoffs). The reach-2
+        // quadruplet patterns run to 10⁶ paths, so that case is a dense
+        // one-cutoff cloud on the bounded source only (8 base cells).
+        for (n, k, atoms, cloud) in [(3, 1, 60, 4), (3, 2, 60, 4), (4, 1, 40, 4), (4, 2, 9, 1)] {
+            let edge = rcut / k as f64;
+            let patterns = [
+                (sc_core::shift_collapse_reach(n, k), Dedup::Collapsed),
+                (sc_core::generate_fs_reach(n, k), Dedup::Guarded),
+            ];
+            let (store, bbox) = random_gas(atoms, cloud as f64, 7);
+            // Plain differences: the cloud moved to the middle of a box so
+            // wide that no minimum image wraps, binned into a bounded
+            // lattice with full margins on every side.
+            let wide = SimulationBox::cubic(16.0);
+            let mut moved = store.clone();
+            for r in moved.positions_mut() {
+                *r += Vec3::splat(6.0);
+            }
+            let (ext, margin) = (IVec3::splat(cloud * k), IVec3::splat(k * (n as i32 - 1)));
+            let mut local =
+                GhostLattice::new(Vec3::splat(6.0), Vec3::splat(edge), ext, margin, margin);
+            local.rebuild(&moved, moved.len());
+            let plain = Plain { lat: &local, store: &moved };
+            let expect_plain = reference_chains(&moved, &wide, rcut, n);
+            assert!(!expect_plain.is_empty(), "n = {n}, k = {k}: empty reference set");
+            let owned = || sc_geom::CellRegion::new(IVec3::ZERO, ext).iter();
+            for (pattern, dedup) in &patterns {
+                let plan = PatternPlan::new(pattern, *dedup);
+                assert_eq!(plan.len(), pattern.len());
+                let (found, stats) = chain_set(&plain, &plan, rcut, owned());
+                assert_eq!(found, expect_plain, "plain n = {n}, k = {k}, {dedup:?}");
+                assert_eq!(stats.accepted, expect_plain.len() as u64);
+                assert_eq!(stats.candidates, full_product(&plain, pattern, owned()));
+                if cloud < 4 {
+                    continue;
+                }
+                // Periodic: a 4-cutoff box holds every reach-k, n ≤ 4
+                // offset span without aliasing.
+                let mut lat = CellLattice::new(bbox, edge);
+                lat.rebuild(&store);
+                let periodic = PeriodicSource::new(&lat, &store);
+                let expect = reference_chains(&store, &bbox, rcut, n);
+                let (found, stats) = chain_set(&periodic, &plan, rcut, lat.cells());
+                assert_eq!(found, expect, "periodic n = {n}, k = {k}, {dedup:?}");
+                assert_eq!(stats.accepted, expect.len() as u64);
+                assert_eq!(stats.candidates, full_product(&periodic, pattern, lat.cells()));
+            }
+        }
+    }
+
+    #[test]
+    fn chain_visitor_reaches_n5() {
         // n = 5 chains (ReaxFF-regime statistics): SC(5) and FS(5) must
         // find the same undirected chain set.
         let rcut = 1.0;
         let (store, bbox) = random_gas(14, 5.0, 3);
         let mut lat = CellLattice::new(bbox, rcut);
         lat.rebuild(&store);
-        let collect = |plan: &PatternPlan| {
-            let mut out: Vec<Vec<u32>> = vec![];
-            visit_ntuples(&lat, &store, plan, rcut, |chain| {
-                let mut c = chain.to_vec();
-                let mut r = c.clone();
-                r.reverse();
-                if r < c {
-                    c = r;
+        let src = PeriodicSource::new(&lat, &store);
+        let sc = PatternPlan::new(&shift_collapse(5), Dedup::Collapsed);
+        let fs = PatternPlan::new(&generate_fs(5), Dedup::Guarded);
+        let (sc_set, _) = chain_set(&src, &sc, rcut, lat.cells());
+        let (fs_set, _) = chain_set(&src, &fs, rcut, lat.cells());
+        assert_eq!(sc_set, fs_set);
+    }
+
+    #[test]
+    fn triplet_trie_keeps_the_first_link_grouping_and_path_order() {
+        // The trie is a pure regrouping of the path list: flattening it in
+        // walk order gives every path back, first links in first-seen order
+        // and the paths under one first link in path order — the order the
+        // n = 3 force sums are pinned to.
+        for (pattern, dedup) in [
+            (shift_collapse(3), Dedup::Collapsed),
+            (generate_fs(3), Dedup::Guarded),
+            (sc_core::shift_collapse_reach(3, 2), Dedup::Collapsed),
+        ] {
+            let plan = PatternPlan::new(&pattern, dedup);
+            let mut first_links: Vec<[IVec3; 2]> = Vec::new();
+            for p in pattern.iter() {
+                let link = [p.offset(0), p.offset(1)];
+                if !first_links.contains(&link) {
+                    first_links.push(link);
                 }
-                out.push(c);
-            });
-            out.sort();
-            out.dedup();
-            out
-        };
-        let sc = collect(&PatternPlan::new(&shift_collapse(5), Dedup::Collapsed));
-        let fs = collect(&PatternPlan::new(&generate_fs(5), Dedup::Guarded));
-        assert_eq!(sc, fs);
+            }
+            let mut expect: Vec<(Vec<IVec3>, bool)> = Vec::new();
+            for link in &first_links {
+                for p in pattern.iter().filter(|p| [p.offset(0), p.offset(1)] == *link) {
+                    let guard = dedup == Dedup::Guarded || p.is_self_reflective();
+                    expect.push((p.offsets().to_vec(), guard));
+                }
+            }
+            let mut walked: Vec<(Vec<IVec3>, bool)> = Vec::new();
+            for root in &plan.nodes[..plan.roots] {
+                for second in &plan.nodes[root.children.clone()] {
+                    for leaf in &plan.nodes[second.children.clone()] {
+                        assert!(leaf.children.is_empty());
+                        walked.push((vec![root.offset, second.offset, leaf.offset], leaf.guard));
+                    }
+                }
+            }
+            assert_eq!(plan.roots, first_links.len());
+            assert_eq!(walked, expect);
+            for node in &plan.nodes {
+                assert_eq!(plan.coverage[node.cell], node.offset);
+            }
+        }
     }
 
     #[test]
@@ -971,20 +882,22 @@ mod tests {
     /// bitwise-identical displacements are the contract.
     fn scalar_pairs(
         src: &impl TupleSource,
-        plan: &PatternPlan,
+        pattern: &Pattern,
+        dedup: Dedup,
         rcut: f64,
         q: IVec3,
         f: &mut impl FnMut(u32, u32, Vec3, f64),
     ) -> VisitStats {
         let rc2 = rcut * rcut;
         let mut stats = VisitStats::default();
-        for (offsets, guard) in &plan.paths {
-            let cell_i = src.atoms_in(q + offsets[0]);
-            let cell_j = src.atoms_in(q + offsets[1]);
+        for path in pattern.iter() {
+            let guard = dedup == Dedup::Guarded || path.is_self_reflective();
+            let cell_i = src.atoms_in(q + path.offset(0));
+            let cell_j = src.atoms_in(q + path.offset(1));
             for &i in cell_i {
                 for &j in cell_j {
                     stats.candidates += 1;
-                    if i == j || (*guard && src.gid(i) > src.gid(j)) {
+                    if i == j || (guard && src.gid(i) > src.gid(j)) {
                         continue;
                     }
                     let d = src.disp(i, j);
@@ -1004,10 +917,10 @@ mod tests {
         let rcut = 1.1;
         let (lat, store) = setup(300, 4.0, rcut); // ρ_cell high enough to span chunks
         let src = PeriodicSource::new(&lat, &store);
-        for plan in [
-            PatternPlan::new(&shift_collapse(2), Dedup::Collapsed),
-            PatternPlan::new(&generate_fs(2), Dedup::Guarded),
-        ] {
+        for (pattern, dedup) in
+            [(shift_collapse(2), Dedup::Collapsed), (generate_fs(2), Dedup::Guarded)]
+        {
+            let plan = PatternPlan::new(&pattern, dedup);
             let mut batched: Vec<(u32, u32, [u64; 3], u64)> = vec![];
             let mut scalar: Vec<(u32, u32, [u64; 3], u64)> = vec![];
             let mut total_b = VisitStats::default();
@@ -1021,7 +934,7 @@ mod tests {
                         r.to_bits(),
                     ));
                 }));
-                total_s.merge(scalar_pairs(&src, &plan, rcut, q, &mut |i, j, d, r| {
+                total_s.merge(scalar_pairs(&src, &pattern, dedup, rcut, q, &mut |i, j, d, r| {
                     scalar.push((i, j, [d.x.to_bits(), d.y.to_bits(), d.z.to_bits()], r.to_bits()));
                 }));
             }
@@ -1039,30 +952,20 @@ mod tests {
         // A plain-difference (no-PBC) source exercises the dead-correction
         // encoding of the displacement rule: l = 0, half = ∞ must be a
         // bitwise no-op, never NaN.
-        struct Plain<'a> {
-            lat: &'a CellLattice,
-            store: &'a AtomStore,
-        }
-        impl TupleSource for Plain<'_> {
-            fn atoms_in(&self, q: IVec3) -> &[u32] {
-                self.lat.cell_atoms(q)
-            }
-            fn pos(&self, i: u32) -> Vec3 {
-                self.store.positions()[i as usize]
-            }
-            fn gid(&self, i: u32) -> u64 {
-                self.store.ids()[i as usize]
-            }
-            fn disp(&self, i: u32, j: u32) -> Vec3 {
-                self.pos(j) - self.pos(i)
-            }
-        }
         let rcut = 1.0;
-        let (lat, store) = setup(120, 4.0, rcut);
+        let (store, _) = random_gas(1200, 4.0, 7); // ≥ BATCH_MIN atoms per cell
+        let mut lat = GhostLattice::new(
+            Vec3::ZERO,
+            Vec3::splat(1.0),
+            IVec3::splat(4),
+            IVec3::ZERO,
+            IVec3::ZERO,
+        );
+        lat.rebuild(&store, store.len());
         let src = Plain { lat: &lat, store: &store };
         let plan = PatternPlan::new(&shift_collapse(2), Dedup::Collapsed);
         let mut seen = 0u64;
-        for q in lat.cells() {
+        for q in sc_geom::CellRegion::new(IVec3::ZERO, IVec3::splat(4)).iter() {
             visit_pairs_in_cell_src(&src, &plan, rcut, q, |i, j, d, r| {
                 seen += 1;
                 let expect = src.disp(i, j);

@@ -17,10 +17,13 @@
 //!
 //! The engine layers:
 //!
-//! * [`engine`] — per-cell tuple visitors for n = 2, 3, 4 with chain-cutoff
-//!   filtering and per-path reflective-duplicate guards.
-//! * [`methods`] — the method drivers mapping [`Method`] to patterns, dedup
-//!   modes, and neighbour-list strategies.
+//! * [`engine`] — *search*: the per-cell pair visitor and the one chain
+//!   visitor for every n ≥ 3, with chain-cutoff filtering and per-path
+//!   reflective-duplicate guards.
+//! * [`methods`] — [`Method`] → compiled patterns, and the Verlet
+//!   [`methods::NeighborList`] whose walkers are the Hybrid-MD search.
+//! * [`apply`] — from a found tuple to energy, virial and forces, once per
+//!   tuple order; [`ForceField`] and its [`Term`]s join search and apply.
 //! * [`Simulation`] — the user-facing facade: velocity-Verlet NVE (plus an
 //!   optional Berendsen thermostat), per-step force computation, energy and
 //!   tuple-count accounting.
@@ -37,6 +40,7 @@
 
 #![warn(missing_docs)]
 
+pub mod apply;
 pub mod checkpoint;
 pub mod diagnostics;
 pub mod engine;
@@ -53,6 +57,7 @@ mod stats;
 mod telemetry;
 mod workload;
 
+pub use apply::{ForceField, Term};
 pub use checkpoint::{Checkpoint, CheckpointError, SnapshotLayout};
 pub use diagnostics::{
     chain_statistics, coordination_histogram, pair_virial_pressure, pair_virial_tensor,

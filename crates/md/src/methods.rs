@@ -2,7 +2,6 @@
 
 use crate::engine::{self, Dedup, PatternPlan, VisitStats};
 use sc_cell::{AtomStore, CellLattice};
-use sc_core::PatternKind;
 use sc_geom::{SimulationBox, Vec3};
 use serde::{Deserialize, Serialize};
 
@@ -33,35 +32,50 @@ impl Method {
         }
     }
 
-    /// The cell pattern and dedup mode used for tuple order `n` — Hybrid
-    /// uses the cell structure only for pairs (n = 2).
+    /// The cell pattern, compiled with this method's dedup mode, for tuple
+    /// order `n` — Hybrid uses the cell structure only for pairs (n = 2).
     pub fn plan_for(self, n: usize) -> PatternPlan {
+        self.plan_for_reach(n, 1)
+    }
+
+    /// [`Method::plan_for`] with the reach-`k` pattern that `k`-fold
+    /// subdivided cells need (paper §6); `k = 1` is the paper's main
+    /// setting.
+    pub fn plan_for_reach(self, n: usize, k: i32) -> PatternPlan {
         match self {
             Method::FullShell | Method::Hybrid => {
-                PatternPlan::new(&PatternKind::FullShell.build(n), Dedup::Guarded)
+                PatternPlan::new(&sc_core::generate_fs_reach(n, k), Dedup::Guarded)
             }
             Method::ShiftCollapse => {
-                PatternPlan::new(&PatternKind::ShiftCollapse.build(n), Dedup::Collapsed)
+                PatternPlan::new(&sc_core::shift_collapse_reach(n, k), Dedup::Collapsed)
             }
         }
     }
 }
 
 /// A Verlet pair neighbour list: for every atom, the neighbours within the
-/// pair cutoff, stored in CSR form. Hybrid-MD rebuilds this every step from
-/// the full-shell pair search and prunes all n ≥ 3 tuples from it.
+/// list cutoff, stored in CSR form, each with the displacement to it.
+/// Hybrid-MD builds it from the full-shell pair search and prunes every
+/// term's tuples from it with the `visit_*` walkers — the one Hybrid search,
+/// shared by the serial engine and the distributed ranks.
+///
+/// The walkers visit the leading rows named at build time. A rank's list
+/// covers owned atoms and ghosts but walks only the owned rows: a triplet is
+/// computed by the rank owning its vertex, a pair or quadruplet by the rank
+/// its `owns_bond` predicate assigns the (centre) bond to.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborList {
     starts: Vec<u32>,
-    /// Neighbour atom index and the minimum-image displacement to it.
+    /// Neighbour atom index and the displacement to it.
     entries: Vec<(u32, Vec3)>,
+    rows: u32,
 }
 
 impl NeighborList {
     /// Builds the symmetric neighbour list (each pair appears in both rows)
-    /// from a cell-based pair sweep over the global periodic lattice. The
-    /// returned statistics account Hybrid's pair-search cost like the other
-    /// methods'.
+    /// from a cell-based pair sweep over the global periodic lattice; every
+    /// row is walked. The returned statistics account Hybrid's pair-search
+    /// cost like the other methods'.
     pub fn build(
         lat: &CellLattice,
         store: &AtomStore,
@@ -69,22 +83,19 @@ impl NeighborList {
         rcut: f64,
     ) -> (NeighborList, VisitStats) {
         let cells: Vec<sc_geom::IVec3> = lat.cells().collect();
-        NeighborList::build_from_cells(
-            &engine::PeriodicSource::new(lat, store),
-            &cells,
-            store.len(),
-            plan,
-            rcut,
-        )
+        let src = engine::PeriodicSource::new(lat, store);
+        NeighborList::build_from_cells(&src, &cells, store.len(), store.len(), plan, rcut)
     }
 
-    /// Builds the list from an arbitrary [`engine::TupleSource`] sweeping
-    /// the given base cells — used by the distributed runtime, whose pair
-    /// sweep runs over a rank-local ghost lattice.
+    /// Builds the list over `n` atoms from an arbitrary
+    /// [`engine::TupleSource`] sweeping the given base cells, to be walked
+    /// over its first `rows` rows — used by the distributed runtime, whose
+    /// pair sweep runs over a rank-local ghost lattice.
     pub fn build_from_cells(
         src: &impl engine::TupleSource,
         cells: &[sc_geom::IVec3],
         n: usize,
+        rows: usize,
         plan: &PatternPlan,
         rcut: f64,
     ) -> (NeighborList, VisitStats) {
@@ -111,11 +122,22 @@ impl NeighborList {
             entries[cursor[j as usize] as usize] = (i, -d);
             cursor[j as usize] += 1;
         }
-        (NeighborList { starts: counts, entries }, stats)
+        (NeighborList { starts: counts, entries, rows: rows as u32 }, stats)
     }
 
-    /// Neighbours of atom `i`: `(j, d_ij)` with `d_ij = r_j − r_i`
-    /// (minimum image).
+    /// Recomputes every entry's displacement as `disp(i, j)` — the per-step
+    /// refresh of a list reused across steps (Verlet skin), whose build-time
+    /// displacements have gone stale.
+    pub fn refresh(&mut self, disp: impl Fn(u32, u32) -> Vec3) {
+        for i in 0..self.len() {
+            let row = self.starts[i] as usize..self.starts[i + 1] as usize;
+            for (j, d) in &mut self.entries[row] {
+                *d = disp(i as u32, *j);
+            }
+        }
+    }
+
+    /// Neighbours of atom `i`: `(j, d_ij)` with `d_ij = r_j − r_i`.
     #[inline]
     pub fn neighbors(&self, i: u32) -> &[(u32, Vec3)] {
         &self.entries[self.starts[i as usize] as usize..self.starts[i as usize + 1] as usize]
@@ -136,11 +158,40 @@ impl NeighborList {
         self.entries.len()
     }
 
-    /// Visits every undirected triplet `(i, j, k)` (vertex `j`) whose two
-    /// legs are shorter than `rcut3`, pruned from the pair list — the
-    /// Hybrid-MD triplet search. The callback receives
-    /// `(i, j, k, d_ji, d_jk)` converted to the engine's chain convention
-    /// `(i0, i1, i2, d01, d12)` by the caller.
+    /// Visits every pair shorter than `rcut` once: of a pair's two directed
+    /// entries, the one `(i, j)` in a walked row `i` with `owns_bond(i, j)`.
+    /// The serial engine passes `j > i`; a rank passes the global-id rule
+    /// that also names one owner for a pair straddling two ranks. The
+    /// callback receives `(i, j, d_ij, r)`.
+    pub fn visit_pairs(
+        &self,
+        rcut: f64,
+        owns_bond: impl Fn(u32, u32) -> bool,
+        mut f: impl FnMut(u32, u32, Vec3, f64),
+    ) -> VisitStats {
+        let rc2 = rcut * rcut;
+        let mut stats = VisitStats::default();
+        for i in 0..self.rows {
+            for &(j, d) in self.neighbors(i) {
+                stats.candidates += 1;
+                if !owns_bond(i, j) {
+                    continue;
+                }
+                // A list built with a skin holds pairs beyond the cutoff.
+                let r2 = d.norm_sq();
+                if r2 < rc2 {
+                    stats.accepted += 1;
+                    f(i, j, d, r2.sqrt());
+                }
+            }
+        }
+        stats
+    }
+
+    /// Visits every undirected triplet `(i, j, k)` with vertex `j` in a
+    /// walked row and both legs shorter than `rcut3` — the Hybrid-MD triplet
+    /// search. The callback receives the engine's chain convention
+    /// `(i0, i1, i2, d01, d12)`.
     pub fn visit_triplets(
         &self,
         rcut3: f64,
@@ -148,7 +199,7 @@ impl NeighborList {
     ) -> VisitStats {
         let rc2 = rcut3 * rcut3;
         let mut stats = VisitStats::default();
-        for j in 0..self.len() as u32 {
+        for j in 0..self.rows {
             let nbrs = self.neighbors(j);
             for (a, &(i, d_ji)) in nbrs.iter().enumerate() {
                 if d_ji.norm_sq() >= rc2 {
@@ -169,20 +220,21 @@ impl NeighborList {
     }
 
     /// Visits every undirected bonded chain `(i, j, k, l)` with all three
-    /// links shorter than `rcut4`, pruned from the pair list — the
-    /// Hybrid-MD quadruplet search. Callback receives
-    /// `(ids, d01, d12, d23)` in chain convention.
+    /// links shorter than `rcut4` — the Hybrid-MD quadruplet search. Each
+    /// centre bond `j–k` is expanded once, from the directed entry that
+    /// `owns_bond(j, k)` selects (see [`NeighborList::visit_pairs`]). The
+    /// callback receives `(ids, d01, d12, d23)` in chain convention.
     pub fn visit_quadruplets(
         &self,
         rcut4: f64,
+        owns_bond: impl Fn(u32, u32) -> bool,
         mut f: impl FnMut([u32; 4], Vec3, Vec3, Vec3),
     ) -> VisitStats {
         let rc2 = rcut4 * rcut4;
         let mut stats = VisitStats::default();
-        for j in 0..self.len() as u32 {
+        for j in 0..self.rows {
             for &(k, d_jk) in self.neighbors(j) {
-                // Each undirected centre bond once.
-                if k <= j || d_jk.norm_sq() >= rc2 {
+                if !owns_bond(j, k) || d_jk.norm_sq() >= rc2 {
                     continue;
                 }
                 for &(i, d_ji) in self.neighbors(j) {
@@ -310,31 +362,69 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_quadruplets_match_cell_quadruplets() {
+    fn hybrid_quadruplets_match_reference() {
         let rcut2 = 1.2;
         let rcut4 = 0.9;
         let (lat, store) = setup(60, 4.0, rcut2);
         let (nl, _) = NeighborList::build(&lat, &store, &Method::Hybrid.plan_for(2), rcut2);
-        let canon = |ids: [u32; 4]| {
-            if ids[0] < ids[3] || (ids[0] == ids[3] && ids[1] <= ids[2]) {
-                ids
-            } else {
-                [ids[3], ids[2], ids[1], ids[0]]
-            }
-        };
         let mut hybrid = HashSet::new();
-        nl.visit_quadruplets(rcut4, |ids, _, _, _| {
-            assert!(hybrid.insert(canon(ids)), "duplicate hybrid quad {ids:?}");
-        });
-        let mut lat4 = CellLattice::new(*lat.bbox(), rcut4);
-        lat4.rebuild(&store);
-        let plan4 = Method::ShiftCollapse.plan_for(4);
-        let mut sc = HashSet::new();
-        engine::visit_quadruplets(&lat4, &store, &plan4, rcut4, |ids, _, _, _| {
-            assert!(sc.insert(canon(ids)), "duplicate SC quad {ids:?}");
-        });
-        assert_eq!(hybrid, sc);
-        assert!(!sc.is_empty());
+        nl.visit_quadruplets(
+            rcut4,
+            |j, k| k > j,
+            |ids, _, _, _| {
+                let rev = [ids[3], ids[2], ids[1], ids[0]];
+                assert!(hybrid.insert(ids.min(rev)), "duplicate hybrid quad {ids:?}");
+            },
+        );
+        let expect = crate::reference::all_quadruplets(&store, lat.bbox(), rcut4);
+        assert_eq!(hybrid, expect);
+        assert!(!expect.is_empty());
+    }
+
+    #[test]
+    fn pair_walk_visits_each_list_pair_once_and_refresh_tracks_motion() {
+        let rcut = 1.2;
+        let (lat, mut store) = setup(100, 4.0, rcut);
+        let (mut nl, stats) = NeighborList::build(&lat, &store, &Method::Hybrid.plan_for(2), rcut);
+        let mut pairs = HashSet::new();
+        let walked = nl.visit_pairs(
+            rcut,
+            |i, j| j > i,
+            |i, j, d, r| {
+                assert!(pairs.insert((i, j)), "pair ({i}, {j}) visited twice");
+                assert_eq!(
+                    d,
+                    lat.bbox()
+                        .min_image(store.positions()[i as usize], store.positions()[j as usize])
+                );
+                assert_eq!(r, d.norm());
+            },
+        );
+        assert_eq!(pairs, crate::reference::all_pairs(&store, lat.bbox(), rcut));
+        assert_eq!(walked.accepted, stats.accepted);
+        // A shorter cutoff prunes the same list (the Verlet-skin case).
+        let mut short = 0;
+        nl.visit_pairs(
+            0.8,
+            |i, j| j > i,
+            |_, _, _, r| {
+                assert!(r < 0.8);
+                short += 1;
+            },
+        );
+        assert_eq!(short, crate::reference::all_pairs(&store, lat.bbox(), 0.8).len());
+        // Move an atom: the stored displacements go stale until refreshed.
+        let moved = nl.neighbors(0)[0].0;
+        store.positions_mut()[0] += Vec3::new(0.01, -0.02, 0.03);
+        let pos = store.positions();
+        let current = |i: u32, j: u32| lat.bbox().min_image(pos[i as usize], pos[j as usize]);
+        assert_ne!(nl.neighbors(0)[0].1, current(0, moved));
+        nl.refresh(current);
+        for i in 0..store.len() as u32 {
+            for &(j, d) in nl.neighbors(i) {
+                assert_eq!(d, current(i, j));
+            }
+        }
     }
 
     #[test]

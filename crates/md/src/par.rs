@@ -209,9 +209,6 @@ pub struct ForceAccumulator {
     pub energy: f64,
     /// Accumulated virial for this lane.
     pub virial: f64,
-    /// Seconds spent inside potential evaluations (only filled when the
-    /// caller times evaluations; summed per-lane CPU time, not wall time).
-    pub eval_s: f64,
     /// Total seconds this lane spent in its task (enumeration + evaluation).
     pub lane_s: f64,
     /// Tuple-search statistics for this lane.
@@ -235,7 +232,6 @@ impl ForceAccumulator {
             epoch: 1,
             energy: 0.0,
             virial: 0.0,
-            eval_s: 0.0,
             lane_s: 0.0,
             stats: VisitStats::default(),
         }
@@ -285,7 +281,6 @@ impl ForceAccumulator {
         self.dirty.clear();
         self.energy = 0.0;
         self.virial = 0.0;
-        self.eval_s = 0.0;
         self.lane_s = 0.0;
         self.stats = VisitStats::default();
     }

@@ -1,10 +1,11 @@
 //! The user-facing simulation driver.
 
+use crate::apply::{hybrid_forces, ForceField, Term};
 use crate::checkpoint::Checkpoint;
-use crate::engine::{self, PatternPlan, VisitStats};
+use crate::engine::{PatternPlan, PeriodicSource, VisitStats};
 use crate::error::BuildError;
 use crate::integrate::{berendsen_rescale, velocity_verlet_finish, velocity_verlet_start};
-use crate::methods::{Method, NeighborList};
+use crate::methods::{lattice_for_cutoff_subdivided, Method, NeighborList};
 use crate::par::{AccumulatorPool, ForceAccumulator, LaneSlots, ThreadPool};
 use crate::stats::{EnergyBreakdown, TupleCounts};
 use crate::telemetry::{Observer, Telemetry};
@@ -18,19 +19,13 @@ use std::time::Instant;
 /// Runtime/observability configuration of a [`Simulation`], passed to
 /// [`SimulationBuilder::build`] via [`SimulationBuilder::runtime`].
 ///
-/// Collapses the former scattered builder knobs (`threads`,
-/// `detailed_timing`, `verlet_skin`) and adds the metrics [`Registry`] the
-/// engine reports into. Scalar fields are validated by `build()`; a
-/// rejected value comes back as [`BuildError::Config`] naming the field.
+/// Scalar fields are validated by `build()`; a rejected value comes back as
+/// [`BuildError::Config`] naming the field.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Parallel force-evaluation lanes. `0` (default) sizes the pool to the
     /// host's available parallelism; `1` runs inline with no workers.
     pub threads: usize,
-    /// Per-evaluation timers, splitting the `eval` phase out of
-    /// `enumerate`. Costs two clock reads per accepted tuple; off by
-    /// default.
-    pub detailed_timing: bool,
     /// Verlet-list skin for Hybrid-MD (ignored by the cell-sweep methods):
     /// the pair list is built with cutoff `r_cut2 + skin` and reused until
     /// an atom moves more than `skin/2`. Zero (default) rebuilds every
@@ -59,7 +54,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             threads: 0,
-            detailed_timing: false,
             verlet_skin: 0.0,
             resort_every: 8,
             metrics: Registry::disabled(),
@@ -72,11 +66,8 @@ impl Default for RuntimeConfig {
 pub struct SimulationBuilder {
     store: AtomStore,
     bbox: SimulationBox,
-    method: Method,
+    ff: ForceField,
     dt: f64,
-    pair: Option<Box<dyn PairPotential>>,
-    triplet: Option<Box<dyn TripletPotential>>,
-    quadruplet: Option<Box<dyn QuadrupletPotential>>,
     thermostat: Option<(f64, f64)>,
     barostat: Option<(f64, f64)>,
     subdivision: i32,
@@ -86,26 +77,26 @@ pub struct SimulationBuilder {
 impl SimulationBuilder {
     /// Sets the pair (n = 2) potential term.
     pub fn pair_potential(mut self, p: Box<dyn PairPotential>) -> Self {
-        self.pair = Some(p);
+        self.ff.pair = Some(p);
         self
     }
 
     /// Sets the triplet (n = 3) potential term.
     pub fn triplet_potential(mut self, p: Box<dyn TripletPotential>) -> Self {
-        self.triplet = Some(p);
+        self.ff.triplet = Some(p);
         self
     }
 
     /// Sets the quadruplet (n = 4) potential term.
     pub fn quadruplet_potential(mut self, p: Box<dyn QuadrupletPotential>) -> Self {
-        self.quadruplet = Some(p);
+        self.ff.quadruplet = Some(p);
         self
     }
 
     /// Selects the n-tuple computation method (default:
     /// [`Method::ShiftCollapse`]).
     pub fn method(mut self, m: Method) -> Self {
-        self.method = m;
+        self.ff.method = m;
         self
     }
 
@@ -135,34 +126,11 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the full runtime/observability configuration in one call —
-    /// the preferred way to configure threads, timing detail, the Verlet
-    /// skin, and the metrics registry. Scalars are validated by
-    /// [`SimulationBuilder::build`].
+    /// Sets the runtime/observability configuration: threads, the Verlet
+    /// skin, the re-sort cadence, the metrics registry and the tracer.
+    /// Scalars are validated by [`SimulationBuilder::build`].
     pub fn runtime(mut self, runtime: RuntimeConfig) -> Self {
         self.runtime = runtime;
-        self
-    }
-
-    /// Legacy shim for [`RuntimeConfig::verlet_skin`] — prefer
-    /// [`SimulationBuilder::runtime`]. Validation happens in `build()`
-    /// ([`BuildError::Config`] with `field = "verlet_skin"`).
-    pub fn verlet_skin(mut self, skin: f64) -> Self {
-        self.runtime.verlet_skin = skin;
-        self
-    }
-
-    /// Legacy shim for [`RuntimeConfig::threads`] — prefer
-    /// [`SimulationBuilder::runtime`].
-    pub fn threads(mut self, n: usize) -> Self {
-        self.runtime.threads = n;
-        self
-    }
-
-    /// Legacy shim for [`RuntimeConfig::detailed_timing`] — prefer
-    /// [`SimulationBuilder::runtime`].
-    pub fn detailed_timing(mut self, on: bool) -> Self {
-        self.runtime.detailed_timing = on;
         self
     }
 
@@ -185,160 +153,105 @@ impl SimulationBuilder {
     /// degenerate scalar configuration value ([`BuildError::Config`] names
     /// the field), or non-finite initial positions/velocities.
     pub fn build(self) -> Result<Simulation, BuildError> {
-        if self.pair.is_none() && self.triplet.is_none() && self.quadruplet.is_none() {
+        let SimulationBuilder {
+            store,
+            bbox,
+            ff,
+            dt,
+            thermostat,
+            barostat,
+            subdivision: k,
+            runtime,
+        } = self;
+        let terms = ff.terms();
+        if terms.is_empty() {
             return Err(BuildError::NoTerms);
         }
-        if !(self.dt > 0.0 && self.dt.is_finite()) {
-            return Err(BuildError::Config { field: "timestep", value: self.dt });
+        if !(dt > 0.0 && dt.is_finite()) {
+            return Err(BuildError::Config { field: "timestep", value: dt });
         }
-        if !(self.runtime.verlet_skin >= 0.0 && self.runtime.verlet_skin.is_finite()) {
-            return Err(BuildError::Config {
-                field: "verlet_skin",
-                value: self.runtime.verlet_skin,
-            });
+        let skin = runtime.verlet_skin;
+        if !(skin >= 0.0 && skin.is_finite()) {
+            return Err(BuildError::Config { field: "verlet_skin", value: skin });
         }
-        for i in 0..self.store.len() {
-            if !self.store.positions()[i].is_finite() {
+        for i in 0..store.len() {
+            if !store.positions()[i].is_finite() {
                 return Err(BuildError::NonFiniteAtom { index: i, what: "position" });
             }
-            if !self.store.velocities()[i].is_finite() {
+            if !store.velocities()[i].is_finite() {
                 return Err(BuildError::NonFiniteAtom { index: i, what: "velocity" });
             }
         }
-        if self.method == Method::Hybrid {
-            let rc2 = self.pair.as_ref().ok_or(BuildError::HybridNeedsPair)?.cutoff();
-            if let Some(t) = &self.triplet {
-                if t.cutoff() > rc2 {
-                    return Err(BuildError::CutoffOrder { n: 3, rcut_n: t.cutoff(), rcut2: rc2 });
-                }
-            }
-            if let Some(q) = &self.quadruplet {
-                if q.cutoff() > rc2 {
-                    return Err(BuildError::CutoffOrder { n: 4, rcut_n: q.cutoff(), rcut2: rc2 });
-                }
+        let hybrid = ff.method == Method::Hybrid;
+        if hybrid {
+            let rcut2 = ff.pair.as_ref().ok_or(BuildError::HybridNeedsPair)?.cutoff();
+            if let Some(&(n, rcut_n)) = terms.iter().find(|&&(_, rcut_n)| rcut_n > rcut2) {
+                return Err(BuildError::CutoffOrder { n, rcut_n, rcut2 });
             }
         }
+        // The radius a term's search resolves images at: its cutoff, plus
+        // the skin for the pair search that feeds Hybrid's Verlet list (its
+        // cells must hold the skin shell too, or the 27-cell sweep would
+        // miss it).
+        let reach = |n: usize, rcut: f64| if hybrid && n == 2 { rcut + skin } else { rcut };
         // A cutoff beyond half the shortest box edge makes the minimum-image
         // convention ambiguous: atom j and its periodic image can both fall
         // inside the cutoff, and a single-image sweep double-counts (or picks
         // the wrong copy of) such pairs. The k = 1 lattices reject this
         // implicitly (they need 3 cells of edge ≥ r_cut per axis), but
         // subdivided lattices (cell edge r_cut/k) would let it through.
-        let min_edge = {
-            let l = self.bbox.lengths();
-            l.x.min(l.y).min(l.z)
-        };
-        let half_box_check = |field: &'static str, rcut_eff: f64| -> Result<(), BuildError> {
-            if rcut_eff > 0.5 * min_edge {
-                return Err(BuildError::Config { field, value: rcut_eff });
-            }
-            Ok(())
-        };
-        if let Some(p) = &self.pair {
-            // Hybrid's list cutoff includes the skin — that is the radius the
-            // neighbour search actually resolves images at.
-            let eff = if self.method == Method::Hybrid {
-                p.cutoff() + self.runtime.verlet_skin
-            } else {
-                p.cutoff()
-            };
-            half_box_check("pair_cutoff", eff)?;
-        }
-        if let Some(t) = &self.triplet {
-            half_box_check("triplet_cutoff", t.cutoff())?;
-        }
-        if let Some(q) = &self.quadruplet {
-            half_box_check("quadruplet_cutoff", q.cutoff())?;
-        }
-        let k = self.subdivision;
-        let build_lat = |rcut: f64, n: usize| -> Result<CellLattice, BuildError> {
-            std::panic::catch_unwind(|| {
-                crate::methods::lattice_for_cutoff_subdivided(&self.bbox, rcut, n, k)
-            })
-            .map_err(|_| BuildError::BoxTooSmall { n, rcut, subdivision: k })
-        };
-        let mut pair_lat = None;
-        let mut triplet_lat = None;
-        let mut quad_lat = None;
-        if let Some(p) = &self.pair {
-            // Hybrid's list cutoff includes the skin; its cells must too,
-            // or the 27-cell sweep would miss skin-shell pairs.
-            let pair_cut = if self.method == Method::Hybrid {
-                p.cutoff() + self.runtime.verlet_skin
-            } else {
-                p.cutoff()
-            };
-            pair_lat = Some(build_lat(pair_cut, 2)?);
-        }
-        match self.method {
-            Method::Hybrid => {
-                // Hybrid prunes n ≥ 3 tuples from the pair list: no extra
-                // lattices, but a pair lattice must exist (validated above).
-            }
-            Method::FullShell | Method::ShiftCollapse => {
-                if let Some(t) = &self.triplet {
-                    triplet_lat = Some(build_lat(t.cutoff(), 3)?);
-                }
-                if let Some(q) = &self.quadruplet {
-                    quad_lat = Some(build_lat(q.cutoff(), 4)?);
-                }
+        let l = bbox.lengths();
+        let min_edge = l.x.min(l.y).min(l.z);
+        for &(n, rcut) in &terms {
+            if reach(n, rcut) > 0.5 * min_edge {
+                let field = ["pair_cutoff", "triplet_cutoff", "quadruplet_cutoff"][n - 2];
+                return Err(BuildError::Config { field, value: reach(n, rcut) });
             }
         }
-        let has_pair = self.pair.is_some();
-        let has_triplet = self.triplet.is_some();
-        let has_quad = self.quadruplet.is_some();
-        let method = self.method;
+        let mut searches = Vec::new();
+        for &(n, rcut) in &terms {
+            if hybrid && n > 2 {
+                // Hybrid prunes n ≥ 3 tuples from the pair list: no lattice.
+                continue;
+            }
+            let reach = reach(n, rcut);
+            let lat =
+                std::panic::catch_unwind(|| lattice_for_cutoff_subdivided(&bbox, reach, n, k))
+                    .map_err(|_| BuildError::BoxTooSmall { n, rcut: reach, subdivision: k })?;
+            // Plans are built only for the terms actually present — a
+            // reach-k quadruplet pattern can run to millions of paths.
+            searches.push(TermSearch { n, reach, plan: ff.method.plan_for_reach(n, k), lat });
+        }
         // Canonical Morton sort lattice: largest *raw* term cutoff, no skin,
         // no subdivision — deliberately independent of method/runtime knobs,
         // so every method applied to the same system re-sorts identically
         // (cross-method trajectory comparisons stay elementwise valid). The
         // max-cutoff term's own lattice already required ≥ 3 cells per axis
         // at this edge, so this construction cannot fail.
-        let sort_cutoff = [
-            self.pair.as_ref().map(|p| p.cutoff()),
-            self.triplet.as_ref().map(|t| t.cutoff()),
-            self.quadruplet.as_ref().map(|q| q.cutoff()),
-        ]
-        .into_iter()
-        .flatten()
-        .fold(f64::NEG_INFINITY, f64::max);
-        let sort_lat = CellLattice::new(self.bbox, sort_cutoff);
+        let sort_cutoff = terms.iter().map(|&(_, rcut)| rcut).fold(f64::NEG_INFINITY, f64::max);
+        let sort_lat = CellLattice::new(bbox, sort_cutoff);
         Ok(Simulation {
-            store: self.store,
-            bbox: self.bbox,
-            method,
-            dt: self.dt,
-            pair: self.pair,
-            triplet: self.triplet,
-            quadruplet: self.quadruplet,
-            // Plans are built only for the terms actually present — a
-            // reach-k quadruplet pattern can run to millions of paths.
-            pair_plan: has_pair
-                .then(|| PatternPlan::new(&method.plan_pattern_reach(2, k), method.dedup())),
-            triplet_plan: has_triplet
-                .then(|| PatternPlan::new(&method.plan_pattern_reach(3, k), method.dedup())),
-            quad_plan: has_quad
-                .then(|| PatternPlan::new(&method.plan_pattern_reach(4, k), method.dedup())),
-            pair_lat,
-            triplet_lat,
-            quad_lat,
-            thermostat: self.thermostat,
-            barostat: self.barostat,
-            skin: self.runtime.verlet_skin,
+            store,
+            bbox,
+            ff,
+            dt,
+            searches,
+            thermostat,
+            barostat,
+            skin,
             subdivision: k,
-            resort_every: self.runtime.resort_every,
+            resort_every: runtime.resort_every,
             sort_cutoff,
             sort_lat,
             last_sort_step: None,
             id_cache: None,
             hybrid_cache: None,
             hybrid_builds: 0,
-            par: ParEngine::new(self.runtime.threads),
-            detailed_timing: self.runtime.detailed_timing,
-            obs: SimMetrics::register(&self.runtime.metrics),
-            metrics: self.runtime.metrics,
-            tsink: self.runtime.tracer.sink(0, 0),
-            tracer: self.runtime.tracer,
+            par: ParEngine::new(runtime.threads),
+            obs: SimMetrics::register(&runtime.metrics),
+            metrics: runtime.metrics,
+            tsink: runtime.tracer.sink(0, 0),
+            tracer: runtime.tracer,
             total_phases: PhaseBreakdown::new(),
             observer: None,
             last_stats: LastComputation::default(),
@@ -392,17 +305,12 @@ impl SimMetrics {
 pub struct Simulation {
     store: AtomStore,
     bbox: SimulationBox,
-    method: Method,
+    ff: ForceField,
     dt: f64,
-    pair: Option<Box<dyn PairPotential>>,
-    triplet: Option<Box<dyn TripletPotential>>,
-    quadruplet: Option<Box<dyn QuadrupletPotential>>,
-    pair_plan: Option<PatternPlan>,
-    triplet_plan: Option<PatternPlan>,
-    quad_plan: Option<PatternPlan>,
-    pair_lat: Option<CellLattice>,
-    triplet_lat: Option<CellLattice>,
-    quad_lat: Option<CellLattice>,
+    /// The cell searches the method runs, in ascending n: one per term for
+    /// SC-MD / FS-MD, the pair search alone (feeding the Verlet list) for
+    /// Hybrid-MD.
+    searches: Vec<TermSearch>,
     thermostat: Option<(f64, f64)>,
     barostat: Option<(f64, f64)>,
     skin: f64,
@@ -425,7 +333,6 @@ pub struct Simulation {
     /// that cache invalidations (re-sort, geometry change) don't reset it.
     hybrid_builds: u64,
     par: ParEngine,
-    detailed_timing: bool,
     obs: SimMetrics,
     metrics: Registry,
     tracer: Tracer,
@@ -436,6 +343,15 @@ pub struct Simulation {
     observer: Option<(u64, Box<dyn Observer>)>,
     last_stats: LastComputation,
     steps_done: u64,
+}
+
+/// One term's cell search: the compiled pattern and the lattice it sweeps.
+struct TermSearch {
+    n: usize,
+    /// The radius the lattice's cells are sized to resolve.
+    reach: f64,
+    plan: PatternPlan,
+    lat: CellLattice,
 }
 
 /// The physics of the most recent force computation, surfaced through
@@ -473,24 +389,10 @@ struct HybridCache {
     list: NeighborList,
     ref_positions: Vec<Vec3>,
     build_stats: VisitStats,
-}
-
-impl Method {
-    /// Reach-k pattern for subdivided cells (paper §6); k = 1 is the
-    /// paper's main setting.
-    pub(crate) fn plan_pattern_reach(self, n: usize, k: i32) -> sc_core::Pattern {
-        match self {
-            Method::FullShell | Method::Hybrid => sc_core::generate_fs_reach(n, k),
-            Method::ShiftCollapse => sc_core::shift_collapse_reach(n, k),
-        }
-    }
-
-    pub(crate) fn dedup(self) -> engine::Dedup {
-        match self {
-            Method::FullShell | Method::Hybrid => engine::Dedup::Guarded,
-            Method::ShiftCollapse => engine::Dedup::Collapsed,
-        }
-    }
+    /// The [`AtomStore::generation`] the list was built against: the list is
+    /// slot-indexed, so any structural change (re-sort, push, removal)
+    /// retires it.
+    generation: u64,
 }
 
 impl Simulation {
@@ -499,11 +401,13 @@ impl Simulation {
         SimulationBuilder {
             store,
             bbox,
-            method: Method::ShiftCollapse,
+            ff: ForceField {
+                pair: None,
+                triplet: None,
+                quadruplet: None,
+                method: Method::ShiftCollapse,
+            },
             dt: 0.001,
-            pair: None,
-            triplet: None,
-            quadruplet: None,
             thermostat: None,
             barostat: None,
             subdivision: 1,
@@ -528,7 +432,7 @@ impl Simulation {
 
     /// The configured method.
     pub fn method(&self) -> Method {
-        self.method
+        self.ff.method
     }
 
     /// The unified telemetry snapshot: physics of the most recent force
@@ -594,78 +498,27 @@ impl Simulation {
         }
         self.store.zero_forces();
         let mut virial = 0.0;
-        let detailed = self.detailed_timing;
-        match self.method {
-            Method::FullShell | Method::ShiftCollapse => {
-                if let Some(p) = &self.pair {
-                    let lat = self.pair_lat.as_mut().expect("pair lattice");
-                    let t_bin = Instant::now();
-                    lat.rebuild(&self.store);
-                    phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
-                    let plan = self.pair_plan.as_ref().expect("pair plan");
-                    let work0 = phases.enumerate_s() + phases.eval_s();
-                    let (e, w, s) = par_term_forces(
-                        &mut self.par,
-                        lat,
-                        &mut self.store,
-                        plan,
-                        TermPotential::Pair(p.as_ref()),
-                        detailed,
-                        &mut phases,
-                    );
-                    let work = phases.enumerate_s() + phases.eval_s() - work0;
-                    self.obs.work_ns[0].add((work * 1e9) as u64);
-                    energy.pair = e;
-                    virial += w;
-                    tuples.pair = s;
-                }
-                if let Some(t) = &self.triplet {
-                    let lat = self.triplet_lat.as_mut().expect("triplet lattice");
-                    let t_bin = Instant::now();
-                    lat.rebuild(&self.store);
-                    phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
-                    let plan = self.triplet_plan.as_ref().expect("triplet plan");
-                    let work0 = phases.enumerate_s() + phases.eval_s();
-                    let (e, w, s) = par_term_forces(
-                        &mut self.par,
-                        lat,
-                        &mut self.store,
-                        plan,
-                        TermPotential::Triplet(t.as_ref()),
-                        detailed,
-                        &mut phases,
-                    );
-                    let work = phases.enumerate_s() + phases.eval_s() - work0;
-                    self.obs.work_ns[1].add((work * 1e9) as u64);
-                    energy.triplet = e;
-                    virial += w;
-                    tuples.triplet = s;
-                }
-                if let Some(q) = &self.quadruplet {
-                    let lat = self.quad_lat.as_mut().expect("quadruplet lattice");
-                    let t_bin = Instant::now();
-                    lat.rebuild(&self.store);
-                    phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
-                    let plan = self.quad_plan.as_ref().expect("quadruplet plan");
-                    let work0 = phases.enumerate_s() + phases.eval_s();
-                    let (e, w, s) = par_term_forces(
-                        &mut self.par,
-                        lat,
-                        &mut self.store,
-                        plan,
-                        TermPotential::Quadruplet(q.as_ref()),
-                        detailed,
-                        &mut phases,
-                    );
-                    let work = phases.enumerate_s() + phases.eval_s() - work0;
-                    self.obs.work_ns[2].add((work * 1e9) as u64);
-                    energy.quadruplet = e;
-                    virial += w;
-                    tuples.quadruplet = s;
-                }
-            }
-            Method::Hybrid => {
-                virial = self.compute_hybrid(&mut energy, &mut tuples, &mut phases);
+        if self.ff.method == Method::Hybrid {
+            virial = self.compute_hybrid(&mut energy, &mut tuples, &mut phases);
+        } else {
+            for search in &mut self.searches {
+                let term = self.ff.term(search.n).expect("one search per active term");
+                let t_bin = Instant::now();
+                search.lat.rebuild(&self.store);
+                phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
+                let work0 = phases.enumerate_s();
+                let (e, w, s) = par_term_forces(
+                    &mut self.par,
+                    &search.lat,
+                    &mut self.store,
+                    &search.plan,
+                    term,
+                    &mut phases,
+                );
+                self.obs.work_ns[search.n - 2].add(((phases.enumerate_s() - work0) * 1e9) as u64);
+                *energy.term_mut(search.n) = e;
+                virial += w;
+                *tuples.term_mut(search.n) = s;
             }
         }
         self.last_stats = LastComputation { energy, tuples, virial, phases };
@@ -717,8 +570,9 @@ impl Simulation {
     /// `steps_done` so the decision is a pure function of replayable state
     /// (checkpoint restore replays it bitwise). Returns whether a permutation
     /// was applied. Slot-indexed caches (the Hybrid Verlet list, the id map)
-    /// are invalidated; re-binning of the term lattices happens immediately
-    /// after in `compute_forces`, so no stale slot index survives.
+    /// are keyed on the store generation the permutation bumps; re-binning
+    /// of the term lattices happens immediately after in `compute_forces`,
+    /// so no stale slot index survives.
     fn maybe_resort(&mut self) -> bool {
         if self.resort_every == 0
             || !self.steps_done.is_multiple_of(self.resort_every)
@@ -728,9 +582,6 @@ impl Simulation {
         }
         self.last_sort_step = Some(self.steps_done);
         self.store.sort_by_cell(&self.sort_lat);
-        // The Verlet list and its reference positions are slot-indexed.
-        self.hybrid_cache = None;
-        self.id_cache = None;
         true
     }
 
@@ -771,182 +622,66 @@ impl Simulation {
     /// Hybrid-MD force computation. With `verlet_skin > 0` the pair list is
     /// built with cutoff `r_cut2 + skin` and reused across steps until some
     /// atom has moved more than `skin/2` since the build (the classical
-    /// Verlet-list reuse criterion); displacements are always recomputed
-    /// from the current positions, so reuse changes cost, never physics.
+    /// Verlet-list reuse criterion) or the store's slot layout changes; a
+    /// reused list has its displacements refreshed from the current
+    /// positions, so reuse changes cost, never physics.
     fn compute_hybrid(
         &mut self,
         energy: &mut EnergyBreakdown,
         tuples: &mut TupleCounts,
         phases: &mut PhaseBreakdown,
     ) -> f64 {
-        let p = self.pair.as_ref().expect("hybrid has a pair term");
-        let rcut2 = p.cutoff();
-        let list_cut = rcut2 + self.skin;
-        let rebuild = match &self.hybrid_cache {
-            None => true,
-            Some(cache) if self.skin == 0.0 => {
-                let _ = cache;
-                true
-            }
-            Some(cache) => {
-                let half_skin_sq = 0.25 * self.skin * self.skin;
-                cache
-                    .ref_positions
-                    .iter()
-                    .zip(self.store.positions())
-                    .any(|(r0, r1)| self.bbox.dist_sq(*r0, *r1) > half_skin_sq)
-            }
-        };
-        if rebuild {
+        let (positions, bbox) = (self.store.positions(), self.bbox);
+        let generation = self.store.generation();
+        let half_skin_sq = 0.25 * self.skin * self.skin;
+        let reusable = self.skin > 0.0
+            && self.hybrid_cache.as_ref().is_some_and(|cache| {
+                cache.generation == generation
+                    && cache
+                        .ref_positions
+                        .iter()
+                        .zip(positions)
+                        .all(|(r0, r1)| bbox.dist_sq(*r0, *r1) <= half_skin_sq)
+            });
+        if !reusable {
             // Binning under Hybrid covers both the cell rebuild and the
             // Verlet-list construction it feeds.
             let t_bin = Instant::now();
-            let lat = self.pair_lat.as_mut().expect("pair lattice");
-            lat.rebuild(&self.store);
-            let (nl, pair_stats) = NeighborList::build(
-                lat,
-                &self.store,
-                self.pair_plan.as_ref().expect("pair plan"),
-                list_cut,
-            );
+            let search = &mut self.searches[0];
+            search.lat.rebuild(&self.store);
+            let (list, build_stats) =
+                NeighborList::build(&search.lat, &self.store, &search.plan, search.reach);
             self.hybrid_cache = Some(HybridCache {
-                list: nl,
-                ref_positions: self.store.positions().to_vec(),
-                build_stats: pair_stats,
+                list,
+                ref_positions: positions.to_vec(),
+                build_stats,
+                generation,
             });
             self.hybrid_builds += 1;
             phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
         }
         let t_enum = Instant::now();
-        let cache = self.hybrid_cache.as_ref().expect("hybrid cache");
-        let nl = &cache.list;
+        let cache = self.hybrid_cache.as_mut().expect("hybrid cache");
+        if reusable {
+            cache.list.refresh(|i, j| bbox.min_image(positions[i as usize], positions[j as usize]));
+        }
         tuples.pair = cache.build_stats;
-        let positions = self.store.positions().to_vec();
-        let species = self.store.species().to_vec();
-        let bbox = self.bbox;
-        let rc2sq = rcut2 * rcut2;
-        // Pair forces from the list (each undirected pair once), with
-        // displacements recomputed from the *current* positions.
-        let mut virial = 0.0;
-        let mut e_pair = 0.0;
-        for i in 0..self.store.len() as u32 {
-            let si = species[i as usize];
-            for &(j, _) in nl.neighbors(i) {
-                if j <= i {
-                    continue;
-                }
-                let d = bbox.min_image(positions[i as usize], positions[j as usize]);
-                if d.norm_sq() >= rc2sq {
-                    continue; // in the skin shell, outside the true cutoff
-                }
-                let sj = species[j as usize];
-                if !p.applies(si, sj) {
-                    continue;
-                }
-                let r = d.norm();
-                let (u, du) = p.eval(si, sj, r);
-                e_pair += u;
-                let fj = d * (-(du / r));
-                virial += d.dot(fj);
-                self.store.forces_mut()[j as usize] += fj;
-                self.store.forces_mut()[i as usize] -= fj;
-            }
-        }
-        energy.pair = e_pair;
-
-        if let Some(t) = &self.triplet {
-            let rc3sq = t.cutoff() * t.cutoff();
-            let mut e3 = 0.0;
-            let mut stats = VisitStats::default();
-            let forces = self.store.forces_mut();
-            for j in 0..positions.len() as u32 {
-                let nbrs = nl.neighbors(j);
-                for (a, &(i, _)) in nbrs.iter().enumerate() {
-                    let d_ji = bbox.min_image(positions[j as usize], positions[i as usize]);
-                    if d_ji.norm_sq() >= rc3sq {
-                        continue;
-                    }
-                    for &(k, _) in &nbrs[a + 1..] {
-                        stats.candidates += 1;
-                        let d_jk = bbox.min_image(positions[j as usize], positions[k as usize]);
-                        if d_jk.norm_sq() >= rc3sq {
-                            continue;
-                        }
-                        stats.accepted += 1;
-                        let (s0, s1, s2) =
-                            (species[i as usize], species[j as usize], species[k as usize]);
-                        if !t.applies(s0, s1, s2) {
-                            continue;
-                        }
-                        let (u, f0, f1, f2) = t.eval(s0, s1, s2, d_ji, d_jk);
-                        e3 += u;
-                        virial += f0.dot(d_ji) + f2.dot(d_jk);
-                        forces[i as usize] += f0;
-                        forces[j as usize] += f1;
-                        forces[k as usize] += f2;
-                    }
-                }
-            }
-            energy.triplet = e3;
-            tuples.triplet = stats;
-        }
-
-        if let Some(qp) = &self.quadruplet {
-            let rc4sq = qp.cutoff() * qp.cutoff();
-            let mut e4 = 0.0;
-            let mut stats = VisitStats::default();
-            let forces = self.store.forces_mut();
-            for j in 0..positions.len() as u32 {
-                for &(k, _) in nl.neighbors(j) {
-                    if k <= j {
-                        continue;
-                    }
-                    let d_jk = bbox.min_image(positions[j as usize], positions[k as usize]);
-                    if d_jk.norm_sq() >= rc4sq {
-                        continue;
-                    }
-                    for &(i, _) in nl.neighbors(j) {
-                        if i == k {
-                            continue;
-                        }
-                        let d_ji = bbox.min_image(positions[j as usize], positions[i as usize]);
-                        if d_ji.norm_sq() >= rc4sq {
-                            continue;
-                        }
-                        for &(l, _) in nl.neighbors(k) {
-                            stats.candidates += 1;
-                            if l == j || l == i {
-                                continue;
-                            }
-                            let d_kl = bbox.min_image(positions[k as usize], positions[l as usize]);
-                            if d_kl.norm_sq() >= rc4sq {
-                                continue;
-                            }
-                            stats.accepted += 1;
-                            let sp = [
-                                species[i as usize],
-                                species[j as usize],
-                                species[k as usize],
-                                species[l as usize],
-                            ];
-                            if !qp.applies(sp) {
-                                continue;
-                            }
-                            let (u, f) = qp.eval(sp, -d_ji, d_jk, d_kl);
-                            e4 += u;
-                            // Virial about j: r_i−r_j = d_ji, r_k−r_j = d_jk,
-                            // r_l−r_j = d_jk + d_kl.
-                            virial += f[0].dot(d_ji) + f[2].dot(d_jk) + f[3].dot(d_jk + d_kl);
-                            for (slot, force) in [i, j, k, l].iter().zip(f) {
-                                forces[*slot as usize] += force;
-                            }
-                        }
-                    }
-                }
-            }
-            energy.quadruplet = e4;
-            tuples.quadruplet = stats;
-        }
+        let mut acc = self.par.accs.acquire(self.store.len());
+        // One rank owns every atom: each undirected pair / centre bond is
+        // taken from its lower-slot row.
+        let owns_bond = |i: u32, j: u32| j > i;
+        hybrid_forces(
+            &self.ff,
+            &cache.list,
+            owns_bond,
+            self.store.species(),
+            &mut acc,
+            energy,
+            tuples,
+        );
+        acc.merge_into(self.store.forces_mut());
+        let virial = acc.virial;
+        self.par.accs.release(acc);
         phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
         virial
     }
@@ -1011,30 +746,9 @@ impl Simulation {
     /// cached Verlet list. Used after any geometry change (barostat rescale,
     /// checkpoint restore).
     fn rebuild_lattices(&mut self) {
-        let k = self.subdivision;
-        if let Some(p) = &self.pair {
-            let cut =
-                if self.method == Method::Hybrid { p.cutoff() + self.skin } else { p.cutoff() };
-            self.pair_lat =
-                Some(crate::methods::lattice_for_cutoff_subdivided(&self.bbox, cut, 2, k));
-        }
-        if self.method != Method::Hybrid {
-            if let Some(t) = &self.triplet {
-                self.triplet_lat = Some(crate::methods::lattice_for_cutoff_subdivided(
-                    &self.bbox,
-                    t.cutoff(),
-                    3,
-                    k,
-                ));
-            }
-            if let Some(q) = &self.quadruplet {
-                self.quad_lat = Some(crate::methods::lattice_for_cutoff_subdivided(
-                    &self.bbox,
-                    q.cutoff(),
-                    4,
-                    k,
-                ));
-            }
+        for search in &mut self.searches {
+            search.lat =
+                lattice_for_cutoff_subdivided(&self.bbox, search.reach, search.n, self.subdivision);
         }
         // The canonical sort lattice tracks the box geometry too.
         self.sort_lat = CellLattice::new(self.bbox, self.sort_cutoff);
@@ -1140,25 +854,6 @@ impl crate::supervisor::Recoverable for Simulation {
     }
 }
 
-/// One n-body potential term, erased to a shared reference so the unified
-/// kernel can be monomorphised once and dispatch per term.
-#[derive(Clone, Copy)]
-enum TermPotential<'a> {
-    Pair(&'a dyn PairPotential),
-    Triplet(&'a dyn TripletPotential),
-    Quadruplet(&'a dyn QuadrupletPotential),
-}
-
-impl TermPotential<'_> {
-    fn cutoff(&self) -> f64 {
-        match self {
-            TermPotential::Pair(p) => p.cutoff(),
-            TermPotential::Triplet(t) => t.cutoff(),
-            TermPotential::Quadruplet(q) => q.cutoff(),
-        }
-    }
-}
-
 /// Decodes a flat cell index into lattice coordinates (x fastest).
 #[inline]
 fn decode_cell(dims: IVec3, c: usize) -> IVec3 {
@@ -1167,151 +862,43 @@ fn decode_cell(dims: IVec3, c: usize) -> IVec3 {
     IVec3::new((c % dx) as i32, ((c / dx) % dy) as i32, (c / (dx * dy)) as i32)
 }
 
-/// The unified parallel n-tuple force kernel (replaces the former
-/// per-order `par_pair_forces` / `par_triplet_forces` / `par_quad_forces`
-/// rayon folds).
+/// The parallel n-tuple force kernel for one term.
 ///
 /// The cell range is split into one contiguous span per pool lane; each lane
 /// draws a [`ForceAccumulator`] from the simulation's pool and sweeps its
-/// span with the per-cell UCP visitors. Afterwards the driving thread merges
-/// the dirty slots of every accumulator into the store's force array in lane
-/// order, so results are deterministic for a fixed lane count. Steady-state
+/// span with [`Term::sweep`]. Afterwards the driving thread merges the dirty
+/// slots of every accumulator into the store's force array in lane order, so
+/// results are deterministic for a fixed lane count. Steady-state
 /// invocations perform no heap allocation: the accumulators, the staging
 /// vector, and the pool's dispatch are all reused (see
-/// [`Simulation::scratch_allocation_events`]).
+/// [`Simulation::scratch_allocation_events`]). Returns the term's
+/// `(energy, virial, search statistics)`.
 fn par_term_forces(
     eng: &mut ParEngine,
     lat: &CellLattice,
     store: &mut AtomStore,
     plan: &PatternPlan,
-    term: TermPotential<'_>,
-    detailed: bool,
+    term: Term<'_>,
     phases: &mut PhaseBreakdown,
 ) -> (f64, f64, VisitStats) {
     let n = store.len();
     let dims = lat.dims();
     let ncells = (dims.x as usize) * (dims.y as usize) * (dims.z as usize);
     let lanes = eng.pool.lanes().min(ncells.max(1));
-    let rcut = term.cutoff();
     debug_assert!(eng.staging.is_empty());
     for _ in 0..lanes {
         eng.staging.push(eng.accs.acquire(n));
     }
     {
-        let store_ref: &AtomStore = store;
-        let species = store_ref.species();
+        let src = PeriodicSource::new(lat, store);
+        let species = store.species();
         let slots = LaneSlots::new(eng.staging.as_mut_ptr());
         let job = move |t: usize| {
             // SAFETY: lane `t` is the sole accessor of staging slot `t`.
             let acc = unsafe { &mut *slots.get(t) };
             let t_lane = Instant::now();
-            let lo = t * ncells / lanes;
-            let hi = (t + 1) * ncells / lanes;
-            match term {
-                TermPotential::Pair(pot) => {
-                    for c in lo..hi {
-                        let q = decode_cell(dims, c);
-                        let s = engine::visit_pairs_in_cell(
-                            lat,
-                            store_ref,
-                            plan,
-                            rcut,
-                            q,
-                            |i, j, d, r| {
-                                let (si, sj) = (species[i as usize], species[j as usize]);
-                                if !pot.applies(si, sj) {
-                                    return;
-                                }
-                                let t_eval = detailed.then(Instant::now);
-                                let (u, du) = pot.eval(si, sj, r);
-                                acc.energy += u;
-                                let fj = d * (-(du / r));
-                                // Pair virial: d · f_j = −du·r.
-                                acc.virial += d.dot(fj);
-                                acc.add(j, fj);
-                                acc.sub(i, fj);
-                                if let Some(t0) = t_eval {
-                                    acc.eval_s += t0.elapsed().as_secs_f64();
-                                }
-                            },
-                        );
-                        acc.stats.merge(s);
-                    }
-                }
-                TermPotential::Triplet(pot) => {
-                    for c in lo..hi {
-                        let q = decode_cell(dims, c);
-                        let s = engine::visit_triplets_in_cell(
-                            lat,
-                            store_ref,
-                            plan,
-                            rcut,
-                            q,
-                            |i0, i1, i2, d01, d12| {
-                                let (s0, s1, s2) = (
-                                    species[i0 as usize],
-                                    species[i1 as usize],
-                                    species[i2 as usize],
-                                );
-                                if !pot.applies(s0, s1, s2) {
-                                    return;
-                                }
-                                let t_eval = detailed.then(Instant::now);
-                                let (u, f0, f1, f2) = pot.eval(s0, s1, s2, -d01, d12);
-                                acc.energy += u;
-                                // Tuple virial about the vertex:
-                                // Σ_k f_k·(r_k − r1).
-                                acc.virial += f0.dot(-d01) + f2.dot(d12);
-                                acc.add(i0, f0);
-                                acc.add(i1, f1);
-                                acc.add(i2, f2);
-                                if let Some(t0) = t_eval {
-                                    acc.eval_s += t0.elapsed().as_secs_f64();
-                                }
-                            },
-                        );
-                        acc.stats.merge(s);
-                    }
-                }
-                TermPotential::Quadruplet(pot) => {
-                    for c in lo..hi {
-                        let q = decode_cell(dims, c);
-                        let s = engine::visit_quadruplets_in_cell(
-                            lat,
-                            store_ref,
-                            plan,
-                            rcut,
-                            q,
-                            |ids, d01, d12, d23| {
-                                let sp = [
-                                    species[ids[0] as usize],
-                                    species[ids[1] as usize],
-                                    species[ids[2] as usize],
-                                    species[ids[3] as usize],
-                                ];
-                                if !pot.applies(sp) {
-                                    return;
-                                }
-                                let t_eval = detailed.then(Instant::now);
-                                let (u, forces4) = pot.eval(sp, d01, d12, d23);
-                                acc.energy += u;
-                                // Virial about atom 1: r0−r1 = −d01,
-                                // r2−r1 = d12, r3−r1 = d12 + d23.
-                                acc.virial += forces4[0].dot(-d01)
-                                    + forces4[2].dot(d12)
-                                    + forces4[3].dot(d12 + d23);
-                                for (&slot, force) in ids.iter().zip(forces4) {
-                                    acc.add(slot, force);
-                                }
-                                if let Some(t0) = t_eval {
-                                    acc.eval_s += t0.elapsed().as_secs_f64();
-                                }
-                            },
-                        );
-                        acc.stats.merge(s);
-                    }
-                }
-            }
+            let span = t * ncells / lanes..(t + 1) * ncells / lanes;
+            term.sweep(&src, plan, span.map(|c| decode_cell(dims, c)), species, acc);
             acc.lane_s += t_lane.elapsed().as_secs_f64();
         };
         eng.pool.run(lanes, &job);
@@ -1326,8 +913,7 @@ fn par_term_forces(
         energy += acc.energy;
         virial += acc.virial;
         stats.merge(acc.stats);
-        phases.add(Phase::Eval, acc.eval_s);
-        phases.add(Phase::Enumerate, acc.lane_s - acc.eval_s);
+        phases.add(Phase::Enumerate, acc.lane_s);
         eng.accs.release(acc);
     }
     phases.add(Phase::Reduce, t_reduce.elapsed().as_secs_f64());
@@ -1697,7 +1283,7 @@ mod tests {
                 .pair_potential(Box::new(v.pair.clone()))
                 .triplet_potential(Box::new(v.triplet.clone()))
                 .method(Method::Hybrid)
-                .verlet_skin(skin)
+                .runtime(RuntimeConfig { verlet_skin: skin, ..RuntimeConfig::default() })
                 .timestep(0.0005)
                 .build()
                 .unwrap()
@@ -1935,19 +1521,7 @@ mod tests {
         assert!(stats.phases.enumerate_s() > 0.0, "enumeration was timed");
         assert!(stats.phases.reduce_s() > 0.0, "reduction was timed");
         assert_eq!(stats.phases.exchange_s(), 0.0, "no ghost exchange in shared memory");
-        assert_eq!(stats.phases.eval_s(), 0.0, "eval split requires detailed timing");
-
-        let v = Vashishta::silica();
-        let masses = v.params().masses;
-        let (store, bbox) = crate::workload::build_silica_like(3, 7.16, masses, 0.01, 7);
-        let mut detailed = Simulation::builder(store, bbox)
-            .pair_potential(Box::new(v.pair.clone()))
-            .triplet_potential(Box::new(v.triplet.clone()))
-            .runtime(RuntimeConfig { detailed_timing: true, ..RuntimeConfig::default() })
-            .build()
-            .unwrap();
-        let stats = detailed.compute_forces();
-        assert!(stats.phases.eval_s() > 0.0, "detailed timing splits out eval");
+        assert_eq!(stats.phases.eval_s(), 0.0, "evaluation is timed inside enumerate");
         assert!(stats.phases.total_s() > 0.0);
     }
 
@@ -1958,7 +1532,7 @@ mod tests {
             Simulation::builder(store, bbox)
                 .pair_potential(Box::new(LennardJones::reduced(2.5)))
                 .timestep(dt)
-                .verlet_skin(skin)
+                .runtime(RuntimeConfig { verlet_skin: skin, ..RuntimeConfig::default() })
                 .build()
         };
         match build(-0.5, 0.0).map(|_| ()) {
@@ -2026,6 +1600,48 @@ mod tests {
         for i in 0..sim.store().len() {
             let id = sim.store().ids()[i];
             assert_eq!(sim.slot_of_id(id), Some(i as u32));
+        }
+    }
+
+    #[test]
+    fn skinned_hybrid_list_is_retired_by_a_removal() {
+        // The cached Verlet list is slot-indexed: removing the last slot
+        // leaves entries naming a slot that no longer exists, removing a
+        // middle one re-homes the last atom under a stale row. Either way
+        // the store's generation moves and the next step must rebuild.
+        for middle in [false, true] {
+            let (store, bbox) = build_fcc_lattice(&LatticeSpec::cubic(6, 1.5599), 0.1, 42);
+            let mut sim = Simulation::builder(store, bbox)
+                .pair_potential(Box::new(LennardJones::reduced(2.5)))
+                .method(Method::Hybrid)
+                .runtime(RuntimeConfig { verlet_skin: 0.3, ..RuntimeConfig::default() })
+                .timestep(0.002)
+                .build()
+                .unwrap();
+            sim.run(2);
+            assert_eq!(sim.hybrid_list_builds(), 1, "the skin keeps the first list alive");
+            let last = sim.store().len() as u32 - 1;
+            sim.store_mut().swap_remove(if middle { 3 } else { last });
+            sim.step();
+            assert_eq!(sim.hybrid_list_builds(), 2, "middle = {middle}: removal forces a rebuild");
+            assert!(crate::supervisor::Recoverable::state_is_finite(&sim));
+            assert!(
+                sim.store().net_force().norm() < 1e-7,
+                "net force {:?}",
+                sim.store().net_force()
+            );
+            // The rebuilt list gives the forces a fresh build would.
+            let forces = sim.store().forces().to_vec();
+            let mut fresh = Simulation::builder(sim.store().clone(), *sim.bbox())
+                .pair_potential(Box::new(LennardJones::reduced(2.5)))
+                .method(Method::Hybrid)
+                .runtime(RuntimeConfig { resort_every: 0, ..RuntimeConfig::default() })
+                .build()
+                .unwrap();
+            fresh.compute_forces();
+            for (a, b) in forces.iter().zip(fresh.store().forces()) {
+                assert!((*a - *b).norm() < 1e-9, "middle = {middle}: {a:?} vs {b:?}");
+            }
         }
     }
 

@@ -21,6 +21,16 @@ impl EnergyBreakdown {
     pub fn total(&self) -> f64 {
         self.pair + self.triplet + self.quadruplet
     }
+
+    /// The order-`n` term's energy (n = 2, 3, 4).
+    pub fn term_mut(&mut self, n: usize) -> &mut f64 {
+        match n {
+            2 => &mut self.pair,
+            3 => &mut self.triplet,
+            4 => &mut self.quadruplet,
+            n => panic!("no n = {n} energy term"),
+        }
+    }
 }
 
 /// Search statistics per tuple order — the measurable form of the paper's
@@ -45,6 +55,16 @@ impl TupleCounts {
     /// Total accepted tuples across all orders.
     pub fn total_accepted(&self) -> u64 {
         self.pair.accepted + self.triplet.accepted + self.quadruplet.accepted
+    }
+
+    /// The order-`n` search statistics (n = 2, 3, 4).
+    pub fn term_mut(&mut self, n: usize) -> &mut VisitStats {
+        match n {
+            2 => &mut self.pair,
+            3 => &mut self.triplet,
+            4 => &mut self.quadruplet,
+            n => panic!("no n = {n} tuple order"),
+        }
     }
 }
 

@@ -5,13 +5,13 @@ use crate::comm::{CommCounters, GhostPlan};
 use crate::error::RuntimeError;
 use crate::grid::RankGrid;
 use crate::msg::{AtomMsg, ForceMsg, GhostMsg};
-use sc_cell::{AtomStore, GhostLattice, Species};
-use sc_geom::{IVec3, Vec3};
-use sc_md::engine::{self, Dedup, PatternPlan, TupleSource, VisitStats};
+use sc_cell::{AtomStore, GhostLattice};
+use sc_geom::{CellRegion, IVec3, Vec3};
+use sc_md::apply::hybrid_forces;
+use sc_md::engine::{PatternPlan, TupleSource};
 use sc_md::methods::NeighborList;
 use sc_md::{EnergyBreakdown, ForceAccumulator, Method, TupleCounts};
 use sc_obs::{Phase, PhaseBreakdown};
-use sc_potential::{PairPotential, QuadrupletPotential, TripletPotential};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -22,43 +22,21 @@ use std::time::Instant;
 pub const DEFAULT_RESORT_EVERY: u64 = 8;
 
 /// The shared, immutable force-field configuration every rank evaluates.
-pub struct ForceField {
-    /// Pair term.
-    pub pair: Option<Box<dyn PairPotential>>,
-    /// Triplet term.
-    pub triplet: Option<Box<dyn TripletPotential>>,
-    /// Quadruplet term.
-    pub quadruplet: Option<Box<dyn QuadrupletPotential>>,
-    /// n-tuple search method.
-    pub method: Method,
-}
+pub use sc_md::ForceField;
 
-impl ForceField {
-    /// Active `(n, cutoff)` pairs.
-    pub fn terms(&self) -> Vec<(usize, f64)> {
-        let mut t = vec![];
-        if let Some(p) = &self.pair {
-            t.push((2, p.cutoff()));
-        }
-        if let Some(p) = &self.triplet {
-            t.push((3, p.cutoff()));
-        }
-        if let Some(p) = &self.quadruplet {
-            t.push((4, p.cutoff()));
-        }
-        t
-    }
-}
-
-/// One term's rank-local search structure, with its owned cells split into
+/// One term's rank-local search structure, with its base cells split into
 /// an *interior* set (tuple enumeration provably touches only owned atoms —
 /// computable before any ghost arrives) and the complementary *frontier*
 /// set. Sweeps always visit interior cells first, then frontier cells, so
 /// the overlapped two-pass computation is bitwise-identical to the
 /// single-pass one.
+///
+/// SC-MD and FS-MD hold one per term and sweep the owned cells. Hybrid-MD
+/// holds the pair term's alone, feeding its Verlet list: all frontier, over
+/// the whole extended region, so ghost-ghost pairs near the boundary are in
+/// the list too (chain ends of n ≥ 3 tuples need them).
 struct TermLattice {
     n: usize,
-    rcut: f64,
     plan: PatternPlan,
     lat: GhostLattice,
     /// Owned cells whose pattern sweep stays inside the owned region.
@@ -150,7 +128,6 @@ pub struct RankState {
     owned: usize,
     ghost_origin: Vec<GhostOrigin>,
     terms: Vec<TermLattice>,
-    hybrid_pair_lat: Option<GhostLattice>,
     /// Persistent force scratch, reused (and grown, never shrunk) across
     /// steps so the steady state allocates no per-step force buffer.
     scratch: ForceAccumulator,
@@ -179,9 +156,12 @@ impl RankState {
         let owned = store.len();
         let origin = grid.origin_of(rank);
         let sub = grid.rank_box_lengths_of(rank);
+        let hybrid = ff.method == Method::Hybrid;
         let mut terms = Vec::new();
-        let mut hybrid_pair_lat = None;
         for (n, rcut) in ff.terms() {
+            if hybrid && n > 2 {
+                continue;
+            }
             // Local cells: the largest grid with edge ≥ rcut/k.
             let edge = rcut / k as f64;
             let ext = IVec3::new(
@@ -190,13 +170,11 @@ impl RankState {
                 ((sub.z / edge).floor() as i32).max(1),
             );
             let cell = Vec3::new(sub.x / ext.x as f64, sub.y / ext.y as f64, sub.z / ext.z as f64);
-            let m = k * ((n as i32) - 1);
+            let m = IVec3::splat(k * ((n as i32) - 1));
             let (lo, hi) = match ff.method {
-                Method::ShiftCollapse => (IVec3::ZERO, IVec3::splat(m)),
-                Method::FullShell | Method::Hybrid => (IVec3::splat(m), IVec3::splat(m)),
-            };
-            if ff.method == Method::Hybrid {
-                if n == 2 {
+                Method::ShiftCollapse => (IVec3::ZERO, m),
+                Method::FullShell => (m, m),
+                Method::Hybrid => {
                     // Hybrid bins everything into the pair lattice; margins
                     // must hold the full halo width.
                     let width = halo_width_for(ff, &grid);
@@ -205,37 +183,24 @@ impl RankState {
                         (width / cell.y).ceil() as i32,
                         (width / cell.z).ceil() as i32,
                     );
-                    hybrid_pair_lat = Some(GhostLattice::new(origin, cell, ext, mc, mc));
+                    (mc, mc)
                 }
-                continue;
-            }
-            let pattern = match ff.method {
-                Method::ShiftCollapse => sc_core::shift_collapse_reach(n, k),
-                _ => sc_core::generate_fs_reach(n, k),
             };
-            let dedup = match ff.method {
-                Method::ShiftCollapse => Dedup::Collapsed,
-                _ => Dedup::Guarded,
-            };
+            let lat = GhostLattice::new(origin, cell, ext, lo, hi);
             // Interior cells: the pattern sweep from cell `q` reads cells
             // within the ghost margins, so `q` is interior exactly when it
             // sits at least the margin away from every ghosted side (SC
             // ghosts only the high sides; FS both). Interior-first sweep
             // order is the contract the overlap path relies on.
-            let (mut interior, mut frontier) = (Vec::new(), Vec::new());
-            for q in sc_geom::CellRegion::new(IVec3::ZERO, ext).iter() {
-                let inside = (0..3).all(|a| q[a] >= lo[a] && q[a] < ext[a] - hi[a]);
-                if inside {
-                    interior.push(q);
-                } else {
-                    frontier.push(q);
-                }
-            }
+            let base =
+                if hybrid { lat.extended_region() } else { CellRegion::new(IVec3::ZERO, ext) };
+            let (interior, frontier) = base
+                .iter()
+                .partition(|q| !hybrid && (0..3).all(|a| q[a] >= lo[a] && q[a] < ext[a] - hi[a]));
             terms.push(TermLattice {
                 n,
-                rcut,
-                plan: PatternPlan::new(&pattern, dedup),
-                lat: GhostLattice::new(origin, cell, ext, lo, hi),
+                plan: ff.method.plan_for_reach(n, k),
+                lat,
                 interior,
                 frontier,
             });
@@ -247,7 +212,6 @@ impl RankState {
             owned,
             ghost_origin: Vec::new(),
             terms,
-            hybrid_pair_lat,
             scratch: ForceAccumulator::default(),
             pending: None,
             stats: CommCounters::default(),
@@ -293,7 +257,7 @@ impl RankState {
     }
 
     /// Permutes this rank's owned atoms into the Morton order of its first
-    /// term lattice (Hybrid: the pair lattice), so that atoms binned into
+    /// term lattice, so that atoms binned into
     /// neighbouring cells sit in neighbouring slots for the batched distance
     /// kernels. Must be called while the store is ghost-free — ghost
     /// provenance ([`GhostOrigin`]) is slot-indexed — i.e. after
@@ -302,9 +266,8 @@ impl RankState {
     /// index survives the permutation.
     pub fn resort_owned(&mut self) {
         debug_assert_eq!(self.store.len(), self.owned, "re-sort with ghosts present");
-        let lat = self.terms.first().map(|t| &t.lat).or(self.hybrid_pair_lat.as_ref());
-        if let Some(lat) = lat {
-            let perm = lat.morton_permutation(&self.store, self.owned);
+        if let Some(term) = self.terms.first() {
+            let perm = term.lat.morton_permutation(&self.store, self.owned);
             self.store.apply_permutation(&perm);
         }
     }
@@ -525,30 +488,17 @@ impl RankState {
 
     /// Runs the interior-cell sweeps of `task` against `rank`'s owned
     /// atoms. Reads `rank` immutably — concurrent boundary-band collection
-    /// on the same `rank` is safe. Hybrid has no cell sweep, so its
-    /// interior pass is empty (`task.terms` is empty) and the whole
-    /// computation happens post-exchange.
+    /// on the same `rank` is safe. A term without interior cells (a thin
+    /// rank; Hybrid, whose whole computation happens post-exchange) is left
+    /// for [`RankState::compute_forces`] to bin.
     pub fn run_interior(task: &mut InteriorTask, rank: &RankState, ff: &ForceField) {
-        let species = rank.store.species().to_vec();
         let p = &mut task.partial;
-        for term in &mut task.terms {
+        for term in task.terms.iter_mut().filter(|t| !t.interior.is_empty()) {
             let t_bin = Instant::now();
             term.lat.rebuild(&rank.store, rank.owned);
             p.phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
-            let src = LocalSource::new(&term.lat, &rank.store);
             let t_enum = Instant::now();
-            sweep_cells(
-                ff,
-                term.n,
-                &term.plan,
-                term.rcut,
-                &src,
-                &species,
-                &term.interior,
-                &mut task.scratch,
-                &mut p.energy,
-                &mut p.tuples,
-            );
+            sweep_cells(ff, term, &rank.store, &term.interior, &mut task.scratch, p);
             p.phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
         }
     }
@@ -581,252 +531,75 @@ impl RankState {
         &mut self,
         ff: &ForceField,
     ) -> (EnergyBreakdown, TupleCounts, PhaseBreakdown) {
-        let pending = self.pending.take();
-        let fresh = pending.is_none();
+        let fresh = self.pending.is_none();
+        let mut p = self.pending.take().unwrap_or_default();
         // With a banked interior pass the forces were zeroed at
         // `begin_interior` and ghosts arrive force-free, so this is a
         // no-op re-zero; without one it clears the previous step.
         self.store.zero_forces();
-        let (mut energy, mut tuples, mut phases) = match pending {
-            Some(p) => (p.energy, p.tuples, p.phases),
-            None => Default::default(),
-        };
         let mut acc = std::mem::take(&mut self.scratch);
         if fresh {
             acc.reset();
         }
         acc.ensure_len(self.store.len());
+        let RankState { terms, store, owned, .. } = self;
+        for term in terms.iter_mut() {
+            let t_bin = Instant::now();
+            term.lat.rebuild(store, *owned);
+            p.phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
+        }
         if ff.method == Method::Hybrid {
-            self.compute_forces_hybrid(ff, &mut acc, &mut energy, &mut tuples, &mut phases);
+            let pair = &terms[0];
+            let t_bin = Instant::now();
+            let src = LocalSource::new(&pair.lat, store);
+            let rcut = ff.pair.as_ref().expect("hybrid has a pair term").cutoff();
+            let (list, pair_stats) = NeighborList::build_from_cells(
+                &src,
+                &pair.frontier,
+                store.len(),
+                *owned,
+                &pair.plan,
+                rcut,
+            );
+            p.phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
+            p.tuples.pair.merge(pair_stats);
+            let t_enum = Instant::now();
+            // Every global tuple is computed by exactly one rank: a triplet
+            // by its vertex's owner (the walked rows are the owned ones), a
+            // pair or a quadruplet's centre bond by the owner of its
+            // smaller-gid atom, from that atom's row. (A ghost with the same
+            // gid is a periodic self-image; both ends own that bond.)
+            let (ids, owned) = (store.ids(), *owned as u32);
+            let owns_bond = |i: u32, j: u32| {
+                let (gid_i, gid_j) = (ids[i as usize], ids[j as usize]);
+                gid_j > gid_i || (gid_j == gid_i && j >= owned)
+            };
+            let species = store.species();
+            hybrid_forces(ff, &list, owns_bond, species, &mut acc, &mut p.energy, &mut p.tuples);
+            p.phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
         } else {
-            self.compute_forces_cells(ff, &mut acc, &mut energy, &mut tuples, &mut phases, fresh);
+            // Sweep *all* interiors before *any* frontier. The banked
+            // overlap path runs the interior sweeps of every term up front,
+            // so the fresh path must accumulate in the same term order or
+            // multi-term force sums (pair + triplet on the same atom) drift
+            // by an ulp.
+            let t_enum = Instant::now();
+            if fresh {
+                for term in terms.iter() {
+                    sweep_cells(ff, term, store, &term.interior, &mut acc, &mut p);
+                }
+            }
+            for term in terms.iter() {
+                sweep_cells(ff, term, store, &term.frontier, &mut acc, &mut p);
+            }
+            p.phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
         }
         let t_reduce = Instant::now();
         acc.merge_into(self.store.forces_mut());
-        phases.add(Phase::Reduce, t_reduce.elapsed().as_secs_f64());
+        p.phases.add(Phase::Reduce, t_reduce.elapsed().as_secs_f64());
         self.scratch = acc;
-        self.stats.phases.accumulate(&phases);
-        (energy, tuples, phases)
-    }
-
-    /// Cell-sweep (SC / FS) force computation into the scratch accumulator:
-    /// interior cells when `with_interior` (skipped if a banked interior
-    /// pass already covered them), then frontier cells.
-    fn compute_forces_cells(
-        &mut self,
-        ff: &ForceField,
-        acc: &mut ForceAccumulator,
-        energy: &mut EnergyBreakdown,
-        tuples: &mut TupleCounts,
-        phases: &mut PhaseBreakdown,
-        with_interior: bool,
-    ) {
-        let species = self.store.species().to_vec();
-        // Rebuild every term lattice first (split borrow: take the lattice
-        // out, rebuild against the store, put it back), then sweep *all*
-        // interiors before *any* frontier. The banked overlap path runs the
-        // interior sweeps of every term up front, so the fresh path must
-        // accumulate in the same term order or multi-term force sums (pair +
-        // triplet on the same atom) drift by an ulp.
-        for ti in 0..self.terms.len() {
-            let mut lat = std::mem::replace(
-                &mut self.terms[ti].lat,
-                GhostLattice::new(
-                    Vec3::ZERO,
-                    Vec3::splat(1.0),
-                    IVec3::splat(1),
-                    IVec3::ZERO,
-                    IVec3::ZERO,
-                ),
-            );
-            let t_bin = Instant::now();
-            lat.rebuild(&self.store, self.owned);
-            phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
-            self.terms[ti].lat = lat;
-        }
-        let t_enum = Instant::now();
-        if with_interior {
-            for term in &self.terms {
-                let src = LocalSource::new(&term.lat, &self.store);
-                sweep_cells(
-                    ff,
-                    term.n,
-                    &term.plan,
-                    term.rcut,
-                    &src,
-                    &species,
-                    &term.interior,
-                    acc,
-                    energy,
-                    tuples,
-                );
-            }
-        }
-        for term in &self.terms {
-            let src = LocalSource::new(&term.lat, &self.store);
-            sweep_cells(
-                ff,
-                term.n,
-                &term.plan,
-                term.rcut,
-                &src,
-                &species,
-                &term.frontier,
-                acc,
-                energy,
-                tuples,
-            );
-        }
-        phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
-    }
-
-    /// Hybrid-MD force computation: local Verlet list, then vertex- and
-    /// bond-owner rules keep every global tuple computed by exactly one
-    /// rank.
-    fn compute_forces_hybrid(
-        &mut self,
-        ff: &ForceField,
-        acc: &mut ForceAccumulator,
-        energy: &mut EnergyBreakdown,
-        tuples: &mut TupleCounts,
-        phases: &mut PhaseBreakdown,
-    ) {
-        let pot = ff.pair.as_deref().expect("hybrid has a pair term");
-        let mut lat = self.hybrid_pair_lat.take().expect("hybrid pair lattice");
-        let t_bin = Instant::now();
-        lat.rebuild(&self.store, self.owned);
-        let plan = PatternPlan::new(&sc_core::generate_fs(2), Dedup::Guarded);
-        let src = LocalSource::new(&lat, &self.store);
-        // Sweep *all* local cells so ghost-ghost pairs near the boundary are
-        // in the list too (needed for chain ends of n ≥ 3 tuples).
-        let all_cells: Vec<IVec3> = lat.extended_region().iter().collect();
-        let (nl, pair_stats) =
-            NeighborList::build_from_cells(&src, &all_cells, self.store.len(), &plan, pot.cutoff());
-        phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
-        tuples.pair.merge(pair_stats);
-        let species = self.store.species().to_vec();
-        let ids = self.store.ids().to_vec();
-        let owned = self.owned as u32;
-        let t_enum = Instant::now();
-
-        // Pair forces: owned rows, gid guard (cross-rank unique).
-        let mut e2 = 0.0;
-        for i in 0..owned {
-            let si = species[i as usize];
-            for &(j, d) in nl.neighbors(i) {
-                let owned_j = j < owned;
-                if owned_j && ids[j as usize] <= ids[i as usize] {
-                    continue; // counted from the other owned row
-                }
-                if !owned_j && ids[j as usize] < ids[i as usize] {
-                    continue; // the ghost's owner computes it
-                }
-                let sj = species[j as usize];
-                if !pot.applies(si, sj) {
-                    continue;
-                }
-                let r = d.norm();
-                let (u, du) = pot.eval(si, sj, r);
-                e2 += u;
-                let fj = d * (-(du / r));
-                acc.add(j, fj);
-                acc.sub(i, fj);
-            }
-        }
-        energy.pair += e2;
-
-        // Triplets: owned-vertex rule.
-        if let Some(t) = &ff.triplet {
-            let rc2 = t.cutoff() * t.cutoff();
-            let mut e3 = 0.0;
-            let mut stats = VisitStats::default();
-            for j in 0..owned {
-                let nbrs = nl.neighbors(j);
-                for (a, &(i, d_ji)) in nbrs.iter().enumerate() {
-                    if d_ji.norm_sq() >= rc2 {
-                        continue;
-                    }
-                    for &(k, d_jk) in &nbrs[a + 1..] {
-                        stats.candidates += 1;
-                        if d_jk.norm_sq() >= rc2 {
-                            continue;
-                        }
-                        stats.accepted += 1;
-                        let (s0, s1, s2) =
-                            (species[i as usize], species[j as usize], species[k as usize]);
-                        if !t.applies(s0, s1, s2) {
-                            continue;
-                        }
-                        let (u, f0, f1, f2) = t.eval(s0, s1, s2, d_ji, d_jk);
-                        e3 += u;
-                        acc.add(i, f0);
-                        acc.add(j, f1);
-                        acc.add(k, f2);
-                    }
-                }
-            }
-            energy.triplet += e3;
-            tuples.triplet.merge(stats);
-        }
-
-        // Quadruplets: owned centre-bond rule (owner of the smaller-gid
-        // bond atom computes the chain).
-        if let Some(qp) = &ff.quadruplet {
-            let rc2 = qp.cutoff() * qp.cutoff();
-            let mut e4 = 0.0;
-            let mut stats = VisitStats::default();
-            for j in 0..owned {
-                for &(k, d_jk) in nl.neighbors(j) {
-                    if d_jk.norm_sq() >= rc2 {
-                        continue;
-                    }
-                    let gid_j = ids[j as usize];
-                    let gid_k = ids[k as usize];
-                    let k_owned = k < owned;
-                    // Unique owner of the centre bond: the rank owning the
-                    // smaller-gid endpoint. Both-owned bonds use the gid
-                    // order to avoid double counting within this rank.
-                    if k_owned && gid_k <= gid_j {
-                        continue;
-                    }
-                    if !k_owned && gid_k < gid_j {
-                        continue;
-                    }
-                    for &(i, d_ji) in nl.neighbors(j) {
-                        if i == k || d_ji.norm_sq() >= rc2 {
-                            continue;
-                        }
-                        for &(l, d_kl) in nl.neighbors(k) {
-                            stats.candidates += 1;
-                            if l == j || l == i || d_kl.norm_sq() >= rc2 {
-                                continue;
-                            }
-                            stats.accepted += 1;
-                            let sp = [
-                                species[i as usize],
-                                species[j as usize],
-                                species[k as usize],
-                                species[l as usize],
-                            ];
-                            if !qp.applies(sp) {
-                                continue;
-                            }
-                            let (u, f4) = qp.eval(sp, -d_ji, d_jk, d_kl);
-                            e4 += u;
-                            acc.add(i, f4[0]);
-                            acc.add(j, f4[1]);
-                            acc.add(k, f4[2]);
-                            acc.add(l, f4[3]);
-                        }
-                    }
-                }
-            }
-            energy.quadruplet += e4;
-            tuples.quadruplet.merge(stats);
-        }
-
-        phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
-        self.hybrid_pair_lat = Some(lat);
+        self.stats.phases.accumulate(&p.phases);
+        (p.energy, p.tuples, p.phases)
     }
 
     /// Gathers this rank's owned atoms (positions wrapped into the global
@@ -845,101 +618,22 @@ impl RankState {
 
 /// One cell-list sweep of one term: enumerates every n-tuple with a base
 /// atom in `cells` and accumulates forces into `acc` and energies/counts
-/// into `energy`/`tuples`. Each call folds its own energy partial sum in
-/// one shot, so splitting a sweep into interior + frontier calls is
+/// into `partial`. Each call folds its own energy partial sum in one shot,
+/// so splitting a sweep into interior + frontier calls is
 /// bitwise-identical to any other split with the same cell order.
-#[allow(clippy::too_many_arguments)]
 fn sweep_cells(
     ff: &ForceField,
-    n: usize,
-    plan: &PatternPlan,
-    rcut: f64,
-    src: &LocalSource<'_>,
-    species: &[Species],
+    term: &TermLattice,
+    store: &AtomStore,
     cells: &[IVec3],
     acc: &mut ForceAccumulator,
-    energy: &mut EnergyBreakdown,
-    tuples: &mut TupleCounts,
+    partial: &mut ComputePartial,
 ) {
-    let mut stats = VisitStats::default();
-    match n {
-        2 => {
-            let pot = ff.pair.as_deref().expect("pair term");
-            let mut e = 0.0;
-            for q in cells {
-                stats.merge(engine::visit_pairs_in_cell_src(src, plan, rcut, *q, |i, j, d, r| {
-                    let (si, sj) = (species[i as usize], species[j as usize]);
-                    if !pot.applies(si, sj) {
-                        return;
-                    }
-                    let (u, du) = pot.eval(si, sj, r);
-                    e += u;
-                    let fj = d * (-(du / r));
-                    acc.add(j, fj);
-                    acc.sub(i, fj);
-                }));
-            }
-            energy.pair += e;
-            tuples.pair.merge(stats);
-        }
-        3 => {
-            let pot = ff.triplet.as_deref().expect("triplet term");
-            let mut e = 0.0;
-            for q in cells {
-                stats.merge(engine::visit_triplets_in_cell_src(
-                    src,
-                    plan,
-                    rcut,
-                    *q,
-                    |i0, i1, i2, d01, d12| {
-                        let (s0, s1, s2) =
-                            (species[i0 as usize], species[i1 as usize], species[i2 as usize]);
-                        if !pot.applies(s0, s1, s2) {
-                            return;
-                        }
-                        let (u, f0, f1, f2) = pot.eval(s0, s1, s2, -d01, d12);
-                        e += u;
-                        acc.add(i0, f0);
-                        acc.add(i1, f1);
-                        acc.add(i2, f2);
-                    },
-                ));
-            }
-            energy.triplet += e;
-            tuples.triplet.merge(stats);
-        }
-        4 => {
-            let pot = ff.quadruplet.as_deref().expect("quadruplet term");
-            let mut e = 0.0;
-            for q in cells {
-                stats.merge(engine::visit_quadruplets_in_cell_src(
-                    src,
-                    plan,
-                    rcut,
-                    *q,
-                    |ids, d01, d12, d23| {
-                        let sp = [
-                            species[ids[0] as usize],
-                            species[ids[1] as usize],
-                            species[ids[2] as usize],
-                            species[ids[3] as usize],
-                        ];
-                        if !pot.applies(sp) {
-                            return;
-                        }
-                        let (u, f4) = pot.eval(sp, d01, d12, d23);
-                        e += u;
-                        for (slot, force) in ids.iter().zip(f4) {
-                            acc.add(*slot, force);
-                        }
-                    },
-                ));
-            }
-            energy.quadruplet += e;
-            tuples.quadruplet.merge(stats);
-        }
-        n => unreachable!("unsupported tuple order {n}"),
-    }
+    let src = LocalSource::new(&term.lat, store);
+    let potential = ff.term(term.n).expect("a lattice per active term");
+    potential.sweep(&src, &term.plan, cells.iter().copied(), store.species(), acc);
+    *partial.energy.term_mut(term.n) += std::mem::take(&mut acc.energy);
+    partial.tuples.term_mut(term.n).merge(std::mem::take(&mut acc.stats));
 }
 
 /// The real-space halo depth a force field needs: `max_n (n−1)·cell_edge_n`

@@ -624,3 +624,70 @@ fn threaded_run_observed_traces_every_rank() {
     sorted.sort();
     assert_eq!(keys, sorted);
 }
+
+/// Serial Hybrid-MD and a 1×1×1 BSP Hybrid-MD rank drive the same list
+/// walkers (`NeighborList::visit_*` through `sc_md::apply`), one over the
+/// periodic lattice and one over a ghost halo: they accept the same n ≥ 3
+/// tuples and every term's energy agrees. (The rank's list also holds the
+/// halo's ghost–ghost pairs, and the triplet walk's candidate count depends
+/// on the order of a row's entries, so those counters differ.)
+fn assert_single_rank_hybrid_matches_serial(
+    what: &str,
+    (store, bbox): (AtomStore, SimulationBox),
+    k: i32,
+    hybrid_ff: fn() -> ForceField,
+) {
+    let mut dist =
+        DistributedSim::new_subdivided(store.clone(), bbox, IVec3::splat(1), hybrid_ff(), 0.001, k)
+            .unwrap();
+    let ff = hybrid_ff();
+    let mut builder = Simulation::builder(store, bbox)
+        .pair_potential(ff.pair.expect("hybrid has a pair term"))
+        .method(ff.method)
+        .cell_subdivision(k)
+        .timestep(0.001);
+    if let Some(t) = ff.triplet {
+        builder = builder.triplet_potential(t);
+    }
+    if let Some(q) = ff.quadruplet {
+        builder = builder.quadruplet_potential(q);
+    }
+    let serial = builder.build().unwrap().compute_forces();
+    dist.total_energy();
+    let rank = dist.telemetry();
+    let accepted = |t: &sc_md::TupleCounts| (t.triplet.accepted, t.quadruplet.accepted);
+    assert_eq!(accepted(&rank.tuples), accepted(&serial.tuples), "{what}: accepted tuples");
+    for (term, a, b) in [
+        ("pair", rank.energy.pair, serial.energy.pair),
+        ("triplet", rank.energy.triplet, serial.energy.triplet),
+        ("quadruplet", rank.energy.quadruplet, serial.energy.quadruplet),
+    ] {
+        assert!(b != 0.0 || a == 0.0, "{what}: {term} energy {a} vs {b}");
+        assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{what}: {term} energy {a} vs {b}");
+    }
+}
+
+#[test]
+fn single_rank_hybrid_matches_serial_hybrid_term_by_term() {
+    let silica_ff = || {
+        let v = Vashishta::silica();
+        ForceField {
+            pair: Some(Box::new(v.pair)),
+            triplet: Some(Box::new(v.triplet)),
+            quadruplet: None,
+            method: Method::Hybrid,
+        }
+    };
+    let silica = || build_silica_like(4, 7.16, Vashishta::silica().params().masses, 0.01, 7);
+    assert_single_rank_hybrid_matches_serial("lj", lj_system(), 1, || lj_ff(Method::Hybrid));
+    assert_single_rank_hybrid_matches_serial("silica", silica(), 1, silica_ff);
+    // Subdivided cells need the reach-2 pair pattern under the list build.
+    assert_single_rank_hybrid_matches_serial("silica k = 2", silica(), 2, silica_ff);
+    let fcc = build_fcc_lattice(&LatticeSpec::cubic(6, 1.2), 0.02, 13);
+    assert_single_rank_hybrid_matches_serial("torsion", fcc, 1, || ForceField {
+        pair: Some(Box::new(LennardJones::reduced(1.2))),
+        triplet: None,
+        quadruplet: Some(Box::new(TorsionToy::new(0.05, 1.0, 0.3))),
+        method: Method::Hybrid,
+    });
+}

@@ -492,7 +492,6 @@ impl ScenarioSpec {
                     resort_every: self.resort_every,
                     metrics,
                     tracer,
-                    ..RuntimeConfig::default()
                 };
                 let mut b = Simulation::builder(store, bbox)
                     .method(self.method)
