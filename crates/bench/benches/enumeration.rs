@@ -7,8 +7,9 @@ use sc_bench::fixed_density_gas;
 use sc_cell::CellLattice;
 use sc_core::{generate_fs, shift_collapse};
 use sc_md::engine::{visit_triplets, Dedup, PatternPlan};
-use sc_md::methods::NeighborList;
-use sc_md::Method;
+use sc_md::methods::{lattice_for_cutoff, NeighborList};
+use sc_md::{build_silica_like, Method};
+use sc_potential::{TripletPotential, Vashishta};
 use std::hint::black_box;
 
 fn bench_enumeration(c: &mut Criterion) {
@@ -30,6 +31,22 @@ fn bench_enumeration(c: &mut Criterion) {
         b.iter(|| {
             let mut count = 0u64;
             visit_triplets(&lat3, &store, &sc_plan, rcut3, |_, _, _, _, _| count += 1);
+            black_box(count)
+        })
+    });
+    g.bench_function("sc_cell_sweep_silica", |b| {
+        // The traffic the silica workloads send through the chain visitor,
+        // which the uniform gas above does not resemble: 6³ β-cristobalite
+        // cells (5184 atoms), 4-coordinated Si and 2-coordinated O inside
+        // r_cut3 = 2.6 Å, 1.27 atoms per cell with three cells in ten empty.
+        let v = Vashishta::silica();
+        let rcut3 = v.triplet.cutoff();
+        let (silica, silica_box) = build_silica_like(6, 7.16, v.params().masses, 0.01, 7);
+        let mut lat = lattice_for_cutoff(&silica_box, rcut3, 3);
+        lat.rebuild(&silica);
+        b.iter(|| {
+            let mut count = 0u64;
+            visit_triplets(&lat, &silica, &sc_plan, rcut3, |_, _, _, _, _| count += 1);
             black_box(count)
         })
     });

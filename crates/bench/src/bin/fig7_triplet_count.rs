@@ -14,7 +14,7 @@ use sc_bench::fixed_density_gas;
 use sc_cell::CellLattice;
 use sc_core::{generate_fs, shift_collapse, theory};
 use sc_md::engine::{
-    visit_chains_in_cell_src, visit_pairs, visit_triplets, Dedup, PatternPlan, PeriodicSource,
+    visit_pairs, visit_triplets, ChainSweep, Dedup, LinkRows, PatternPlan, PeriodicSource,
     VisitStats,
 };
 
@@ -80,10 +80,11 @@ fn all_orders() {
             let plan = PatternPlan::new(&pat, dedup);
             let stats: VisitStats = match n {
                 2 => visit_pairs(&lat, &store, &plan, rcut, |_, _, _, _| {}),
-                _ => lat
-                    .cells()
-                    .map(|q| visit_chains_in_cell_src(&src, &plan, rcut, q, |_, _| {}))
-                    .sum(),
+                _ => {
+                    let mut rows = LinkRows::default();
+                    let mut sweep = ChainSweep::new(&src, &plan, rcut, &mut rows);
+                    lat.cells().map(|q| sweep.visit_cell(q, |_, _| {})).sum()
+                }
             };
             stats.accepted
         };

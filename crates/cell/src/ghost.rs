@@ -27,11 +27,19 @@ pub struct GhostLattice {
     hi_margin: IVec3,
     starts: Vec<u32>,
     order: Vec<u32>,
+    /// Rebuild scratch, kept so steady-state rebuilds allocate nothing: each
+    /// atom's cell ([`UNBINNED`] outside the extended region), and the
+    /// counting sort's per-cell write cursor.
+    atom_cell: Vec<u32>,
+    cursor: Vec<u32>,
     owned_atoms: usize,
     /// `(store.generation(), store.len())` at the last rebuild (see
     /// [`crate::CellLattice::is_current`]).
     built: Option<(u64, usize)>,
 }
+
+/// [`GhostLattice::atom_cell`] entry of an atom outside the extended region.
+const UNBINNED: u32 = u32::MAX;
 
 impl GhostLattice {
     /// Creates a local lattice.
@@ -52,6 +60,7 @@ impl GhostLattice {
         assert!(cell.x > 0.0 && cell.y > 0.0 && cell.z > 0.0);
         let total = owned_extent + lo_margin + hi_margin;
         let ncell = total.product() as usize;
+        assert!(ncell < UNBINNED as usize, "local lattice {total} has more cells than u32 indexes");
         GhostLattice {
             origin,
             cell,
@@ -61,6 +70,8 @@ impl GhostLattice {
             hi_margin,
             starts: vec![0; ncell + 1],
             order: Vec::new(),
+            atom_cell: Vec::new(),
+            cursor: Vec::new(),
             owned_atoms: 0,
             built: None,
         }
@@ -143,30 +154,34 @@ impl GhostLattice {
         self.starts.clear();
         self.starts.resize(ncell + 1, 0);
         let region = self.extended_region();
-        let cells: Vec<Option<u32>> = store
-            .positions()
-            .iter()
-            .map(|&r| {
-                let q = self.local_cell_of(r);
-                region.contains(q).then(|| self.cell_index(q) as u32)
-            })
-            .collect();
-        for c in cells.iter().flatten() {
-            self.starts[*c as usize + 1] += 1;
+        let mut atom_cell = std::mem::take(&mut self.atom_cell);
+        atom_cell.clear();
+        atom_cell.extend(store.positions().iter().map(|&r| {
+            let q = self.local_cell_of(r);
+            if region.contains(q) {
+                self.cell_index(q) as u32
+            } else {
+                UNBINNED
+            }
+        }));
+        for &c in atom_cell.iter().filter(|&&c| c != UNBINNED) {
+            self.starts[c as usize + 1] += 1;
         }
         for i in 0..ncell {
             self.starts[i + 1] += self.starts[i];
         }
         self.order.clear();
-        self.order.resize(cells.iter().flatten().count(), 0);
-        let mut cursor = self.starts.clone();
-        for (i, c) in cells.iter().enumerate() {
-            if let Some(c) = c {
-                let slot = cursor[*c as usize];
-                self.order[slot as usize] = i as u32;
-                cursor[*c as usize] += 1;
+        self.order.resize(self.starts[ncell] as usize, 0);
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.starts[..ncell]);
+        for (i, &c) in atom_cell.iter().enumerate() {
+            if c != UNBINNED {
+                let slot = &mut self.cursor[c as usize];
+                self.order[*slot as usize] = i as u32;
+                *slot += 1;
             }
         }
+        self.atom_cell = atom_cell;
         self.built = Some((store.generation(), store.len()));
     }
 

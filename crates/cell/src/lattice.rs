@@ -19,10 +19,20 @@ pub struct CellLattice {
     bbox: SimulationBox,
     dims: IVec3,
     inv_cell: Vec3,
+    /// Per axis, the wrapped value of every cell coordinate in
+    /// `[-dims, 2·dims)`: entry `q + dims` holds `q mod dims`. Pattern sweeps
+    /// step at most one lattice width off either side, so their lookups are
+    /// three loads instead of three divisions; anything further out falls
+    /// back to `rem_euclid`.
+    wrap: [Vec<i32>; 3],
     /// CSR offsets, length `num_cells + 1`.
     starts: Vec<u32>,
     /// Atom slot indices ordered by cell, length N.
     order: Vec<u32>,
+    /// Rebuild scratch, kept so steady-state rebuilds allocate nothing: each
+    /// atom's cell, and the counting sort's per-cell write cursor.
+    atom_cell: Vec<u32>,
+    cursor: Vec<u32>,
     /// `(store.generation(), store.len())` at the last rebuild, or `None` if
     /// never built. Slot indices in `order` are only meaningful against that
     /// exact store state.
@@ -51,13 +61,30 @@ impl CellLattice {
         let cell = Vec3::new(l.x / dims.x as f64, l.y / dims.y as f64, l.z / dims.z as f64);
         let inv_cell = Vec3::new(1.0 / cell.x, 1.0 / cell.y, 1.0 / cell.z);
         let ncell = dims.product() as usize;
+        assert!(u32::try_from(ncell).is_ok(), "lattice {dims} has more cells than u32 indexes");
+        let wrap =
+            [0, 1, 2].map(|a| (-dims[a]..2 * dims[a]).map(|q| q.rem_euclid(dims[a])).collect());
         CellLattice {
             bbox,
             dims,
             inv_cell,
+            wrap,
             starts: vec![0; ncell + 1],
             order: Vec::new(),
+            atom_cell: Vec::new(),
+            cursor: Vec::new(),
             built: None,
+        }
+    }
+
+    /// Cell coordinate `q` along axis `a`, wrapped into `[0, dims)`.
+    #[inline]
+    fn wrap_axis(&self, a: usize, q: i32) -> i32 {
+        let d = self.dims[a];
+        // A coordinate below `-d` casts to a huge index and misses the table.
+        match self.wrap[a].get(q.wrapping_add(d) as usize) {
+            Some(&w) => w,
+            None => q.rem_euclid(d),
         }
     }
 
@@ -103,8 +130,8 @@ impl CellLattice {
     /// the periodic cell-offset operation `q' = q % L`.
     #[inline]
     pub fn cell_index(&self, q: IVec3) -> usize {
-        let q = q.rem_euclid(self.dims);
-        ((q.x * self.dims.y + q.y) * self.dims.z + q.z) as usize
+        let (x, y, z) = (self.wrap_axis(0, q.x), self.wrap_axis(1, q.y), self.wrap_axis(2, q.z));
+        ((x * self.dims.y + y) * self.dims.z + z) as usize
     }
 
     /// Rebuilds the bins from the store's current positions (counting sort,
@@ -114,9 +141,11 @@ impl CellLattice {
         let ncell = self.num_cells();
         self.starts.clear();
         self.starts.resize(ncell + 1, 0);
-        let cells: Vec<u32> =
-            store.positions().iter().map(|&r| self.cell_index(self.cell_of(r)) as u32).collect();
-        for &c in &cells {
+        let mut atom_cell = std::mem::take(&mut self.atom_cell);
+        atom_cell.clear();
+        atom_cell
+            .extend(store.positions().iter().map(|&r| self.cell_index(self.cell_of(r)) as u32));
+        for &c in &atom_cell {
             self.starts[c as usize + 1] += 1;
         }
         for i in 0..ncell {
@@ -124,12 +153,14 @@ impl CellLattice {
         }
         self.order.clear();
         self.order.resize(n, 0);
-        let mut cursor = self.starts.clone();
-        for (i, &c) in cells.iter().enumerate() {
-            let slot = cursor[c as usize];
-            self.order[slot as usize] = i as u32;
-            cursor[c as usize] += 1;
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.starts[..ncell]);
+        for (i, &c) in atom_cell.iter().enumerate() {
+            let slot = &mut self.cursor[c as usize];
+            self.order[*slot as usize] = i as u32;
+            *slot += 1;
         }
+        self.atom_cell = atom_cell;
         self.built = Some((store.generation(), n));
     }
 
@@ -220,6 +251,14 @@ mod tests {
         let lat = CellLattice::new(SimulationBox::cubic(12.0), 3.0);
         assert_eq!(lat.cell_index(IVec3::new(-1, 0, 0)), lat.cell_index(IVec3::new(3, 0, 0)));
         assert_eq!(lat.cell_index(IVec3::new(4, 4, 4)), lat.cell_index(IVec3::ZERO));
+        // Inside the wrap tables, at their edges, and far beyond them.
+        let dims = lat.dims();
+        for q in [-9, -5, -4, -1, 0, 3, 4, 7, 8, 13, 400, i32::MIN, i32::MAX] {
+            let w = q.rem_euclid(4);
+            assert_eq!(lat.cell_index(IVec3::new(q, 0, 0)), (w * dims.y * dims.z) as usize);
+            assert_eq!(lat.cell_index(IVec3::new(0, q, 0)), (w * dims.z) as usize);
+            assert_eq!(lat.cell_index(IVec3::new(0, 0, q)), w as usize);
+        }
     }
 
     #[test]

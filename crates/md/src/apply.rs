@@ -9,7 +9,7 @@
 //! finds. The serial [`Simulation`](crate::Simulation) and the distributed
 //! ranks of `sc-parallel` both drive their force computation through these.
 
-use crate::engine::{self, PatternPlan, TupleSource, VisitStats};
+use crate::engine::{self, ChainSweep, PatternPlan, TupleSource, VisitStats};
 use crate::methods::{Method, NeighborList};
 use crate::par::ForceAccumulator;
 use crate::stats::{EnergyBreakdown, TupleCounts};
@@ -95,26 +95,23 @@ impl Term<'_> {
         acc: &mut ForceAccumulator,
     ) {
         let rcut = self.cutoff();
-        for q in cells {
-            let stats = match self {
-                Term::Pair(pot) => {
-                    engine::visit_pairs_in_cell_src(src, plan, rcut, q, |i, j, d, r| {
-                        apply_pair(pot, species, acc, i, j, d, r)
-                    })
+        match self {
+            Term::Pair(pot) => {
+                for q in cells {
+                    let stats =
+                        engine::visit_pairs_in_cell_src(src, plan, rcut, q, |i, j, d, r| {
+                            apply_pair(pot, species, acc, i, j, d, r)
+                        });
+                    acc.stats.merge(stats);
                 }
-                Term::Triplet(pot) => {
-                    engine::visit_chains_in_cell_src(src, plan, rcut, q, |ids, d| {
-                        apply_triplet(pot, species, acc, [ids[0], ids[1], ids[2]], d[0], d[1])
-                    })
-                }
-                Term::Quadruplet(pot) => {
-                    engine::visit_chains_in_cell_src(src, plan, rcut, q, |ids, d| {
-                        let ids = [ids[0], ids[1], ids[2], ids[3]];
-                        apply_quadruplet(pot, species, acc, ids, d[0], d[1], d[2])
-                    })
-                }
-            };
-            acc.stats.merge(stats);
+            }
+            Term::Triplet(pot) => sweep_chains(src, plan, rcut, cells, acc, |acc, ids, d| {
+                apply_triplet(pot, species, acc, [ids[0], ids[1], ids[2]], d[0], d[1])
+            }),
+            Term::Quadruplet(pot) => sweep_chains(src, plan, rcut, cells, acc, |acc, ids, d| {
+                let ids = [ids[0], ids[1], ids[2], ids[3]];
+                apply_quadruplet(pot, species, acc, ids, d[0], d[1], d[2])
+            }),
         }
     }
 
@@ -144,6 +141,25 @@ impl Term<'_> {
             }
         }
     }
+}
+
+/// One [`ChainSweep`] over `cells`, its link rows borrowed from `acc` — the
+/// accumulator the chains are applied to — for the length of the call.
+fn sweep_chains(
+    src: &impl TupleSource,
+    plan: &PatternPlan,
+    rcut: f64,
+    cells: impl IntoIterator<Item = IVec3>,
+    acc: &mut ForceAccumulator,
+    mut apply: impl FnMut(&mut ForceAccumulator, &[u32], &[Vec3]),
+) {
+    let mut rows = std::mem::take(&mut acc.links);
+    let mut sweep = ChainSweep::new(src, plan, rcut, &mut rows);
+    for q in cells {
+        let stats = sweep.visit_cell(q, |ids, d| apply(acc, ids, d));
+        acc.stats.merge(stats);
+    }
+    acc.links = rows;
 }
 
 /// Applies one pair `(i, j)` with displacement `d = r_j − r_i`, `r = |d|`.

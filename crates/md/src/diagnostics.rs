@@ -3,8 +3,8 @@
 //! pair-virial pressure.
 
 use crate::engine::{
-    visit_chains_in_cell_src, visit_pairs, visit_pairs_in_cell_src, visit_triplets, Dedup,
-    PatternPlan, PeriodicSource, VisitStats,
+    visit_pairs, visit_pairs_in_cell_src, visit_triplets, ChainSweep, Dedup, LinkRows, PatternPlan,
+    PeriodicSource, VisitStats,
 };
 use sc_cell::{AtomStore, CellLattice, Species};
 use sc_core::shift_collapse;
@@ -268,11 +268,16 @@ pub fn chain_statistics(
     (2..=n_max)
         .map(|n| {
             let plan = PatternPlan::new(&shift_collapse(n), Dedup::Collapsed);
-            let stats = lat.cells().map(|q| match n {
-                2 => visit_pairs_in_cell_src(&src, &plan, rcut, q, |_, _, _, _| {}),
-                _ => visit_chains_in_cell_src(&src, &plan, rcut, q, |_, _| {}),
-            });
-            (n, stats.sum())
+            let stats = if n == 2 {
+                lat.cells()
+                    .map(|q| visit_pairs_in_cell_src(&src, &plan, rcut, q, |_, _, _, _| {}))
+                    .sum()
+            } else {
+                let mut rows = LinkRows::default();
+                let mut sweep = ChainSweep::new(&src, &plan, rcut, &mut rows);
+                lat.cells().map(|q| sweep.visit_cell(q, |_, _| {})).sum()
+            };
+            (n, stats)
         })
         .collect()
 }

@@ -28,8 +28,10 @@
 //!
 //! There are two visitors. [`visit_pairs_in_cell_src`] carries the batched
 //! lane leaf, the only one the measured traffic reaches (DESIGN.md §5d);
-//! [`visit_chains_in_cell_src`] serves every n ≥ 3 by walking the pattern's
-//! prefix trie with a scalar leaf. Both charge `candidates` with the full
+//! [`ChainSweep`] serves every n ≥ 3 by walking the pattern's prefix trie
+//! over per-atom [`LinkRows`]: the chain cutoff depends only on the two atoms
+//! of a link, so each atom's links are found once per sweep and every path
+//! through the atom reads them back. Both charge `candidates` with the full
 //! product `Σ_paths Π_k |c(q + v_k)|` — the searched space `S_cell` of
 //! Eq. 12, a function of the cell populations alone.
 
@@ -58,6 +60,9 @@ struct TrieNode {
     offset: IVec3,
     /// Index of `offset` in [`PatternPlan::coverage`].
     cell: usize,
+    /// The [`LinkRows`] bucket of the cell step `offset − parent.offset`
+    /// (see [`bucket_of`]); unused on depth-0 nodes.
+    step: usize,
     /// The path's reflective-duplicate guard; meaningful on leaves.
     guard: bool,
     /// Next chain position's nodes (siblings are contiguous); empty on
@@ -77,6 +82,18 @@ pub struct PatternPlan {
     /// The distinct cell offsets the paths touch — the pattern's cell
     /// coverage `Π(Ψ)`.
     coverage: Vec<IVec3>,
+    /// The longest cell step between consecutive chain positions, per axis
+    /// (1 for the paper's patterns, k for k-fold subdivided cells).
+    reach: i32,
+}
+
+/// Index of cell step `step` among the `(2·reach + 1)³` steps of a link row,
+/// z fastest — the order [`IVec3::box_iter`] walks them in.
+#[inline]
+fn bucket_of(step: IVec3, reach: i32) -> usize {
+    let w = 2 * reach + 1;
+    let s = step + IVec3::splat(reach);
+    ((s.x * w + s.y) * w + s.z) as usize
 }
 
 /// The offsets of a path from some chain position on, and the path's guard.
@@ -101,7 +118,7 @@ fn compile(nodes: &mut Vec<TrieNode>, paths: &[Suffix], depth: usize) -> Range<u
         let fresh = members.len();
         let k = if offsets.len() == 1 { fresh } else { *sibling_of.entry(key).or_insert(fresh) };
         if k == fresh {
-            nodes.push(TrieNode { offset: offsets[0], cell: 0, guard, children: 0..0 });
+            nodes.push(TrieNode { offset: offsets[0], cell: 0, step: 0, guard, children: 0..0 });
             members.push(Vec::new());
         }
         members[k].push((&offsets[1..], guard));
@@ -137,7 +154,15 @@ impl PatternPlan {
                 coverage.len() - 1
             });
         }
-        PatternPlan { n: pattern.n(), len: paths.len(), roots, nodes, coverage }
+        let steps: Vec<(usize, IVec3)> = nodes
+            .iter()
+            .flat_map(|node| node.children.clone().map(|c| (c, nodes[c].offset - node.offset)))
+            .collect();
+        let reach = steps.iter().map(|(_, step)| step.linf_norm()).max().unwrap_or(0);
+        for (child, step) in steps {
+            nodes[child].step = bucket_of(step, reach);
+        }
+        PatternPlan { n: pattern.n(), len: paths.len(), roots, nodes, coverage, reach }
     }
 
     /// The tuple order n.
@@ -187,6 +212,9 @@ impl std::iter::Sum for VisitStats {
 /// What tuple enumeration needs from the world: cell bins, positions,
 /// global ids, and a displacement rule.
 pub trait TupleSource {
+    /// Number of atom slots the source addresses (every binned slot is
+    /// below it).
+    fn slots(&self) -> usize;
     /// Atom slots binned into cell `q` (indexing convention is the
     /// implementor's — periodic for the global lattice, bounded-local for
     /// ghost lattices).
@@ -232,6 +260,10 @@ impl<'a> PeriodicSource<'a> {
 }
 
 impl TupleSource for PeriodicSource<'_> {
+    #[inline]
+    fn slots(&self) -> usize {
+        self.store.len()
+    }
     #[inline]
     fn atoms_in(&self, q: IVec3) -> &[u32] {
         self.lat.cell_atoms(q)
@@ -433,14 +465,166 @@ pub fn visit_pairs_in_cell_src(
 /// Largest tuple order the chain visitor walks (`GENERATE-FS` stops at 7).
 const MAX_ORDER: usize = 8;
 
+/// The chain visitor's per-sweep memo: for every atom a sweep has drawn as a
+/// non-final chain member, its *link row* — every atom within `r_cut-n` in
+/// the `(2·reach + 1)³` cells around its own, bucketed by cell step, each
+/// bucket in cell order with the displacement [`TupleSource::disp`] gives.
+///
+/// The chain cutoff `r_{k,k+1} < r_cut-n` (Eq. 6) depends only on the two
+/// atoms of a link, not on the path or base cell that proposed them, so a
+/// row is filled the first time the sweep reaches its atom and read by
+/// every trie node below that atom afterwards: level k of the walk is
+/// `for (i, d) in bucket(prev, node.step)`. The cell steps keep the pattern,
+/// not the row, in charge of which base cell computes which tuple.
+///
+/// Rows are valid for one [`ChainSweep`] only. That is what lets a rank's
+/// interior pass run before its ghosts arrive: the rows it fills see owned
+/// atoms alone, are complete for every bucket an interior cell reads, and
+/// are gone when the frontier pass starts a sweep of its own over the
+/// ghosted store. The buffers are kept, so a steady-state sweep allocates
+/// nothing (see [`LinkRows::settle`]).
+#[derive(Debug, Default)]
+pub struct LinkRows {
+    /// Per atom slot, where its row is.
+    of_atom: Vec<RowRef>,
+    epoch: u32,
+    /// `links[bounds[r + b]..bounds[r + b + 1]]` is bucket `b` of the row at
+    /// `r`. Rows are filled back to back, so each one's last bound is the
+    /// next one's first.
+    bounds: Vec<u32>,
+    links: Vec<(u32, Vec3)>,
+    /// Populations of the current base cell's coverage cells.
+    pops: Vec<u32>,
+    /// Buffer capacity [`LinkRows::settle`] last saw.
+    settled: usize,
+}
+
+/// An atom's entry in [`LinkRows`], meaningful while `stamp` is the sweep's
+/// epoch.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowRef {
+    stamp: u32,
+    /// Index into `bounds` of the row's first bucket.
+    start: u32,
+}
+
+impl LinkRows {
+    /// Forgets every row and sizes the per-atom table for `slots` atoms.
+    fn begin(&mut self, slots: usize) {
+        if self.epoch == u32::MAX {
+            self.of_atom.fill(RowRef::default());
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        if self.of_atom.len() < slots {
+            self.of_atom.resize(slots, RowRef::default());
+        }
+        self.bounds.clear();
+        self.bounds.push(0);
+        self.links.clear();
+    }
+
+    /// Fills atom `i`'s row from the cells around `cell`, the one it is
+    /// binned in.
+    fn fill(&mut self, src: &impl TupleSource, reach: i32, rc2: f64, i: u32, cell: IVec3) {
+        const OUTGROWN: &str = "link rows outgrew their u32 offsets";
+        let start = u32::try_from(self.bounds.len() - 1).expect(OUTGROWN);
+        // One bucket per cell step, in `bucket_of` order.
+        for step in IVec3::box_iter(IVec3::splat(-reach), IVec3::splat(reach)) {
+            for &j in src.atoms_in(cell + step) {
+                if j == i {
+                    continue;
+                }
+                let d = src.disp(i, j);
+                if d.norm_sq() < rc2 {
+                    self.links.push((j, d));
+                }
+            }
+            self.bounds.push(u32::try_from(self.links.len()).expect(OUTGROWN));
+        }
+        self.of_atom[i as usize] = RowRef { stamp: self.epoch, start };
+    }
+
+    /// Whether the buffers have grown since the last call — the allocation
+    /// observable [`AccumulatorPool`](crate::AccumulatorPool) counts.
+    pub(crate) fn settle(&mut self) -> bool {
+        let capacity = self.of_atom.capacity()
+            + self.bounds.capacity()
+            + self.links.capacity()
+            + self.pops.capacity();
+        let grew = capacity > self.settled;
+        self.settled = capacity;
+        grew
+    }
+}
+
+/// One sweep of the chain visitor (n ≥ 3) over any set of base cells of one
+/// source: the paper's UCP search for arbitrary n (ReaxFF-style force fields
+/// reach n = 6 through chain-rule terms, §1). Holds the sweep's
+/// [`LinkRows`], which it resets on construction, so the source's atoms and
+/// bins must not change while it lives (the borrow of `src` sees to that).
+pub struct ChainSweep<'a, S> {
+    src: &'a S,
+    plan: &'a PatternPlan,
+    rc2: f64,
+    rows: &'a mut LinkRows,
+}
+
+impl<'a, S: TupleSource> ChainSweep<'a, S> {
+    /// Starts a sweep with `plan` and chain cutoff `rcut`, reusing `rows`'
+    /// buffers.
+    pub fn new(src: &'a S, plan: &'a PatternPlan, rcut: f64, rows: &'a mut LinkRows) -> Self {
+        assert!((3..=MAX_ORDER).contains(&plan.n), "chain visitor serves 3 ≤ n ≤ {MAX_ORDER}");
+        rows.begin(src.slots());
+        ChainSweep { src, plan, rc2: rcut * rcut, rows }
+    }
+
+    /// Visits every undirected chain n-tuple generated by the plan at base
+    /// cell `q` with every link shorter than the cutoff.
+    ///
+    /// The callback receives the chain's atom slots `(i0 … i_{n-1})` and its
+    /// n − 1 link displacements `d_k = r_{k+1} − r_k`.
+    pub fn visit_cell(&mut self, q: IVec3, f: impl FnMut(&[u32], &[Vec3])) -> VisitStats {
+        let (src, plan) = (self.src, self.plan);
+        // Each coverage cell is looked up once per base cell, however many
+        // trie nodes draw from it.
+        self.rows.pops.clear();
+        self.rows.pops.extend(plan.coverage.iter().map(|&v| src.atoms_in(q + v).len() as u32));
+        let mut walk = ChainWalk {
+            src,
+            plan,
+            rc2: self.rc2,
+            rows: &mut *self.rows,
+            q,
+            ids: [0; MAX_ORDER],
+            links: [Vec3::ZERO; MAX_ORDER],
+            accepted: 0,
+            f,
+        };
+        let mut candidates = 0;
+        for root in &plan.nodes[..plan.roots] {
+            let here = walk.rows.pops[root.cell] as u64;
+            let below = if here == 0 { 0 } else { walk.candidates(root.children.clone()) };
+            if below == 0 {
+                continue;
+            }
+            candidates += here * below;
+            for &i0 in src.atoms_in(q + root.offset) {
+                walk.ids[0] = i0;
+                walk.extend(root, 1);
+            }
+        }
+        VisitStats { candidates, accepted: walk.accepted }
+    }
+}
+
 /// The chain visitor's state for one base cell.
 struct ChainWalk<'a, S, F> {
     src: &'a S,
     plan: &'a PatternPlan,
     rc2: f64,
-    /// The atoms of `c(q + v)` per coverage offset `v`: each cell is looked
-    /// up once per base cell, however many trie nodes draw from it.
-    cells: Vec<&'a [u32]>,
+    rows: &'a mut LinkRows,
+    q: IVec3,
     ids: [u32; MAX_ORDER],
     links: [Vec3; MAX_ORDER],
     accepted: u64,
@@ -451,32 +635,50 @@ impl<S: TupleSource, F: FnMut(&[u32], &[Vec3])> ChainWalk<'_, S, F> {
     /// The full-product candidate count `Σ_paths Π_k |c(q + v_k)|` of the
     /// sibling nodes `level`, over the chain positions from theirs down.
     fn candidates(&self, level: Range<usize>) -> u64 {
+        let (plan, pops) = (self.plan, &self.rows.pops);
         let mut product_sum = 0;
-        for node in &self.plan.nodes[level] {
-            let here = self.cells[node.cell].len() as u64;
-            product_sum += if here == 0 || node.children.is_empty() {
-                here
-            } else {
-                here * self.candidates(node.children.clone())
-            };
+        for node in &plan.nodes[level] {
+            let here = pops[node.cell] as u64;
+            if here == 0 {
+                continue;
+            }
+            let below = &plan.nodes[node.children.clone()];
+            product_sum += here
+                * match below.first() {
+                    None => 1,
+                    // Siblings share a chain position: leaves together.
+                    Some(leaf) if leaf.children.is_empty() => {
+                        below.iter().map(|leaf| pops[leaf.cell] as u64).sum()
+                    }
+                    Some(_) => self.candidates(node.children.clone()),
+                };
         }
         product_sum
     }
 
-    /// Extends the accepted chain prefix `ids[..depth]` through the sibling
-    /// nodes `level`, reporting the chains that complete.
-    fn extend(&mut self, level: Range<usize>, depth: usize) {
+    /// Extends the accepted chain prefix `ids[..depth]`, whose last atom was
+    /// drawn at trie node `parent`, through `parent`'s children, reporting
+    /// the chains that complete.
+    fn extend(&mut self, parent: &TrieNode, depth: usize) {
         let plan = self.plan;
         let last = depth + 1 == plan.n;
         let prev = self.ids[depth - 1];
-        let g0 = self.src.gid(self.ids[0]);
-        for node in &plan.nodes[level] {
-            for &i in self.cells[node.cell] {
-                if self.ids[..depth].contains(&i) || (last && node.guard && g0 > self.src.gid(i)) {
-                    continue;
-                }
-                let d = self.src.disp(prev, i);
-                if d.norm_sq() >= self.rc2 {
+        let g0 = if last { self.src.gid(self.ids[0]) } else { 0 };
+        if self.rows.of_atom[prev as usize].stamp != self.rows.epoch {
+            self.rows.fill(self.src, plan.reach, self.rc2, prev, self.q + parent.offset);
+        }
+        let start = self.rows.of_atom[prev as usize].start as usize;
+        for node in &plan.nodes[parent.children.clone()] {
+            let at = start + node.step;
+            let bucket = self.rows.bounds[at]..self.rows.bounds[at + 1];
+            // By index: rows filled further down the chain grow `links`.
+            for e in bucket {
+                let (i, d) = self.rows.links[e as usize];
+                // `prev` is not in its own row, so only the atoms before it
+                // can repeat.
+                if self.ids[..depth - 1].contains(&i)
+                    || (last && node.guard && g0 > self.src.gid(i))
+                {
                     continue;
                 }
                 self.ids[depth] = i;
@@ -485,52 +687,11 @@ impl<S: TupleSource, F: FnMut(&[u32], &[Vec3])> ChainWalk<'_, S, F> {
                     self.accepted += 1;
                     (self.f)(&self.ids[..=depth], &self.links[..depth]);
                 } else {
-                    self.extend(node.children.clone(), depth + 1);
+                    self.extend(node, depth + 1);
                 }
             }
         }
     }
-}
-
-/// Visits every undirected chain n-tuple (n ≥ 3) generated by `plan` at base
-/// cell `q`, with every link shorter than `rcut` — the paper's UCP search
-/// for arbitrary n (ReaxFF-style force fields reach n = 6 through
-/// chain-rule terms, §1).
-///
-/// The callback receives the chain's atom slots `(i0 … i_{n-1})` and its
-/// n − 1 link displacements `d_k = r_{k+1} − r_k`.
-pub fn visit_chains_in_cell_src(
-    src: &impl TupleSource,
-    plan: &PatternPlan,
-    rcut: f64,
-    q: IVec3,
-    f: impl FnMut(&[u32], &[Vec3]),
-) -> VisitStats {
-    assert!((3..=MAX_ORDER).contains(&plan.n), "chain visitor serves 3 ≤ n ≤ {MAX_ORDER}");
-    let mut walk = ChainWalk {
-        src,
-        plan,
-        rc2: rcut * rcut,
-        cells: plan.coverage.iter().map(|&v| src.atoms_in(q + v)).collect(),
-        ids: [0; MAX_ORDER],
-        links: [Vec3::ZERO; MAX_ORDER],
-        accepted: 0,
-        f,
-    };
-    let mut candidates = 0;
-    for root in &plan.nodes[..plan.roots] {
-        let cell_0 = walk.cells[root.cell];
-        let below = if cell_0.is_empty() { 0 } else { walk.candidates(root.children.clone()) };
-        if below == 0 {
-            continue;
-        }
-        candidates += cell_0.len() as u64 * below;
-        for &i0 in cell_0 {
-            walk.ids[0] = i0;
-            walk.extend(root.children.clone(), 1);
-        }
-    }
-    VisitStats { candidates, accepted: walk.accepted }
 }
 
 /// Runs the pair visitor over every cell of the global periodic lattice
@@ -558,8 +719,10 @@ pub fn visit_triplets(
 ) -> VisitStats {
     debug_assert_eq!(plan.n, 3);
     let src = PeriodicSource::new(lat, store);
+    let mut rows = LinkRows::default();
+    let mut sweep = ChainSweep::new(&src, plan, rcut, &mut rows);
     let mut each = |ids: &[u32], d: &[Vec3]| f(ids[0], ids[1], ids[2], d[0], d[1]);
-    lat.cells().map(|q| visit_chains_in_cell_src(&src, plan, rcut, q, &mut each)).sum()
+    lat.cells().map(|q| sweep.visit_cell(q, &mut each)).sum()
 }
 
 #[cfg(test)]
@@ -664,6 +827,9 @@ mod tests {
         store: &'a AtomStore,
     }
     impl TupleSource for Plain<'_> {
+        fn slots(&self) -> usize {
+            self.store.len()
+        }
         fn atoms_in(&self, q: IVec3) -> &[u32] {
             self.lat.cell_atoms_or_empty(q)
         }
@@ -678,6 +844,117 @@ mod tests {
         }
     }
 
+    /// The distance-testing chain walker the link rows replaced, kept as the
+    /// semantic reference: it tests `disp(prev, i)` against the cutoff for
+    /// every atom of every trie node's cell. The memoised walker must report
+    /// the same chains in the same order with the same displacement bits,
+    /// and the same statistics.
+    struct DistanceWalk<'a, S, F> {
+        src: &'a S,
+        plan: &'a PatternPlan,
+        rc2: f64,
+        q: IVec3,
+        ids: Vec<u32>,
+        links: Vec<Vec3>,
+        accepted: u64,
+        f: F,
+    }
+
+    impl<S: TupleSource, F: FnMut(&[u32], &[Vec3])> DistanceWalk<'_, S, F> {
+        fn candidates(&self, level: Range<usize>) -> u64 {
+            let per_node = self.plan.nodes[level].iter().map(|node| {
+                let here = self.src.atoms_in(self.q + node.offset).len() as u64;
+                let leaf = here == 0 || node.children.is_empty();
+                here * if leaf { 1 } else { self.candidates(node.children.clone()) }
+            });
+            per_node.sum()
+        }
+
+        fn extend(&mut self, level: Range<usize>) {
+            let plan = self.plan;
+            let last = self.ids.len() + 1 == plan.n;
+            let prev = *self.ids.last().unwrap();
+            for node in &plan.nodes[level] {
+                for &i in self.src.atoms_in(self.q + node.offset) {
+                    let guarded = last && node.guard && self.src.gid(self.ids[0]) > self.src.gid(i);
+                    let d = self.src.disp(prev, i);
+                    if self.ids.contains(&i) || guarded || d.norm_sq() >= self.rc2 {
+                        continue;
+                    }
+                    self.ids.push(i);
+                    self.links.push(d);
+                    if last {
+                        self.accepted += 1;
+                        (self.f)(&self.ids, &self.links);
+                    } else {
+                        self.extend(node.children.clone());
+                    }
+                    self.ids.pop();
+                    self.links.pop();
+                }
+            }
+        }
+    }
+
+    fn distance_walk(
+        src: &impl TupleSource,
+        plan: &PatternPlan,
+        rcut: f64,
+        q: IVec3,
+        f: impl FnMut(&[u32], &[Vec3]),
+    ) -> VisitStats {
+        let (ids, links) = (Vec::new(), Vec::new());
+        let mut walk = DistanceWalk { src, plan, rc2: rcut * rcut, q, ids, links, accepted: 0, f };
+        let mut candidates = 0;
+        for root in &plan.nodes[..plan.roots] {
+            let cell_0 = src.atoms_in(q + root.offset);
+            let below = if cell_0.is_empty() { 0 } else { walk.candidates(root.children.clone()) };
+            if below == 0 {
+                continue;
+            }
+            candidates += cell_0.len() as u64 * below;
+            for &i0 in cell_0 {
+                walk.ids.push(i0);
+                walk.extend(root.children.clone());
+                walk.ids.pop();
+            }
+        }
+        VisitStats { candidates, accepted: walk.accepted }
+    }
+
+    /// One visited chain, exactly: slots and link displacement bits.
+    type Visit = (Vec<u32>, Vec<[u64; 3]>);
+
+    fn visit_of(ids: &[u32], links: &[Vec3]) -> Visit {
+        (ids.to_vec(), links.iter().map(|d| [d.x, d.y, d.z].map(f64::to_bits)).collect())
+    }
+
+    /// The chains one sweep of the visitor reports from `cells`, in order,
+    /// plus each cell's statistics — every cell checked against
+    /// [`distance_walk`].
+    fn sweep_sequence(
+        src: &impl TupleSource,
+        plan: &PatternPlan,
+        rcut: f64,
+        cells: impl Iterator<Item = IVec3>,
+        rows: &mut LinkRows,
+    ) -> (Vec<Visit>, VisitStats) {
+        let mut sweep = ChainSweep::new(src, plan, rcut, rows);
+        let mut seq = Vec::new();
+        let mut total = VisitStats::default();
+        for q in cells {
+            let from = seq.len();
+            let stats = sweep.visit_cell(q, |ids, links| seq.push(visit_of(ids, links)));
+            let mut expect = Vec::new();
+            let expect_stats =
+                distance_walk(src, plan, rcut, q, |ids, links| expect.push(visit_of(ids, links)));
+            assert_eq!(seq[from..], expect[..], "visit sequence at base cell {q}");
+            assert_eq!(stats, expect_stats, "statistics at base cell {q}");
+            total.merge(stats);
+        }
+        (seq, total)
+    }
+
     /// The chains the visitor reports from `cells`, each stored in its
     /// lexicographically smaller direction and asserted to be visited once,
     /// plus the summed statistics.
@@ -687,22 +964,19 @@ mod tests {
         rcut: f64,
         cells: impl Iterator<Item = IVec3>,
     ) -> (HashSet<Vec<u32>>, VisitStats) {
+        let (seq, stats) = sweep_sequence(src, plan, rcut, cells, &mut LinkRows::default());
         let mut out = HashSet::new();
-        let stats = cells
-            .map(|q| {
-                visit_chains_in_cell_src(src, plan, rcut, q, |ids, links| {
-                    assert_eq!(links.len() + 1, ids.len());
-                    for (k, d) in links.iter().enumerate() {
-                        let expect = src.disp(ids[k], ids[k + 1]);
-                        assert_eq!(*d, expect, "link {k} of {ids:?}");
-                        assert!(d.norm() < rcut);
-                    }
-                    let rev: Vec<u32> = ids.iter().rev().copied().collect();
-                    let key = ids.to_vec().min(rev);
-                    assert!(out.insert(key), "chain {ids:?} visited twice");
-                })
-            })
-            .sum();
+        for (ids, links) in seq {
+            assert_eq!(links.len() + 1, ids.len());
+            for (k, d) in links.iter().enumerate() {
+                let expect = src.disp(ids[k], ids[k + 1]);
+                assert_eq!(*d, [expect.x, expect.y, expect.z].map(f64::to_bits), "link {k}");
+                assert!(expect.norm() < rcut);
+            }
+            let rev: Vec<u32> = ids.iter().rev().copied().collect();
+            let key = ids.clone().min(rev);
+            assert!(out.insert(key), "chain {ids:?} visited twice");
+        }
         (out, stats)
     }
 
@@ -806,6 +1080,132 @@ mod tests {
         let (sc_set, _) = chain_set(&src, &sc, rcut, lat.cells());
         let (fs_set, _) = chain_set(&src, &fs, rcut, lat.cells());
         assert_eq!(sc_set, fs_set);
+    }
+
+    #[test]
+    fn three_cell_lattice_where_two_steps_name_one_cell() {
+        // Three cells per axis: offsets +1 and −2 (FS) and the wrap of +2
+        // (SC) land on the same cell, and every row's 27 buckets cover the
+        // whole lattice.
+        let rcut = 1.0;
+        let (lat, store) = setup(45, 3.0, rcut);
+        assert_eq!(lat.dims(), IVec3::splat(3));
+        let src = PeriodicSource::new(&lat, &store);
+        let expect = reference_chains(&store, lat.bbox(), rcut, 3);
+        assert!(!expect.is_empty());
+        for (pattern, dedup) in
+            [(shift_collapse(3), Dedup::Collapsed), (generate_fs(3), Dedup::Guarded)]
+        {
+            let plan = PatternPlan::new(&pattern, dedup);
+            let (found, stats) = chain_set(&src, &plan, rcut, lat.cells());
+            assert_eq!(found, expect, "{dedup:?}");
+            assert_eq!(stats.candidates, full_product(&src, &pattern, lat.cells()));
+        }
+    }
+
+    #[test]
+    fn split_sweeps_and_ghost_arrival_equal_one_whole_sweep() {
+        let rcut = 1.0;
+        // A rank-shaped frame: 4³ owned cells, SC margins of two ghost cells
+        // on the high sides; owned atoms first, ghosts appended behind them.
+        let (ext, margin) = (IVec3::splat(4), IVec3::splat(2));
+        let (gas, _) = random_gas(330, 6.0, 11);
+        let is_owned = |r: &Vec3| r.x < 4.0 && r.y < 4.0 && r.z < 4.0;
+        let mut owned = AtomStore::single_species();
+        let by_ownership = gas
+            .positions()
+            .iter()
+            .filter(|r| is_owned(r))
+            .chain(gas.positions().iter().filter(|r| !is_owned(r)));
+        let mut all = AtomStore::single_species();
+        for (id, &r) in by_ownership.enumerate() {
+            if is_owned(&r) {
+                owned.push(id as u64, sc_cell::Species::DEFAULT, r, Vec3::ZERO);
+            }
+            all.push(id as u64, sc_cell::Species::DEFAULT, r, Vec3::ZERO);
+        }
+        assert!(owned.len() > 50 && all.len() > owned.len() + 50);
+        let mut lat = GhostLattice::new(Vec3::ZERO, Vec3::splat(1.0), ext, IVec3::ZERO, margin);
+        let cells: Vec<IVec3> = sc_geom::CellRegion::new(IVec3::ZERO, ext).iter().collect();
+        let (interior, frontier): (Vec<IVec3>, Vec<IVec3>) =
+            cells.iter().partition(|q| (0..3).all(|a| q[a] < ext[a] - margin[a]));
+        let plan = PatternPlan::new(&shift_collapse(3), Dedup::Collapsed);
+
+        lat.rebuild(&all, owned.len());
+        let whole_src = Plain { lat: &lat, store: &all };
+        let order = interior.iter().chain(&frontier).copied();
+        let (whole, whole_stats) =
+            sweep_sequence(&whole_src, &plan, rcut, order, &mut LinkRows::default());
+        assert!(whole_stats.accepted > 100);
+
+        // Arbitrary subsets, each its own sweep over the same buffers.
+        let mut rows = LinkRows::default();
+        let order: Vec<IVec3> = interior.iter().chain(&frontier).copied().collect();
+        let mut pieces = Vec::new();
+        let mut pieces_stats = VisitStats::default();
+        for chunk in [&order[..1], &order[1..9], &order[9..10], &order[10..40], &order[40..]] {
+            let (seq, stats) =
+                sweep_sequence(&whole_src, &plan, rcut, chunk.iter().copied(), &mut rows);
+            pieces.extend(seq);
+            pieces_stats.merge(stats);
+        }
+        assert_eq!(pieces, whole);
+        assert_eq!(pieces_stats, whole_stats);
+
+        // Interior cells swept over the owned atoms alone, then the ghosts
+        // arrive behind them and the frontier cells are swept — same buffers.
+        lat.rebuild(&owned, owned.len());
+        let early = Plain { lat: &lat, store: &owned };
+        let (mut overlapped, mut overlapped_stats) =
+            sweep_sequence(&early, &plan, rcut, interior.iter().copied(), &mut rows);
+        lat.rebuild(&all, owned.len());
+        let late = Plain { lat: &lat, store: &all };
+        let (seq, stats) = sweep_sequence(&late, &plan, rcut, frontier.iter().copied(), &mut rows);
+        overlapped.extend(seq);
+        overlapped_stats.merge(stats);
+        assert_eq!(overlapped, whole);
+        assert_eq!(overlapped_stats, whole_stats);
+    }
+
+    #[test]
+    fn rows_and_buckets_longer_than_a_byte_do_not_wrap() {
+        // 260 atoms within a tenth of a cutoff of each other, in one cell:
+        // every row holds 259 links, all in the zero-step bucket. Offsets
+        // narrower than the row would wrap; the count is closed-form.
+        let rcut = 1.0;
+        let bbox = SimulationBox::cubic(4.0);
+        let mut store = AtomStore::single_species();
+        let (cloud, _) = random_gas(260, 0.05, 5);
+        for (id, &r) in cloud.positions().iter().enumerate() {
+            store.push(id as u64, sc_cell::Species::DEFAULT, r + Vec3::splat(1.5), Vec3::ZERO);
+        }
+        let mut lat = CellLattice::new(bbox, rcut);
+        lat.rebuild(&store);
+        assert_eq!(lat.cell_atoms(IVec3::splat(1)).len(), 260);
+        let plan = PatternPlan::new(&shift_collapse(3), Dedup::Collapsed);
+        let src = PeriodicSource::new(&lat, &store);
+        // Order-sensitive digest of the visit sequence, for both walkers.
+        let digest = |h: &mut u64, ids: &[u32], links: &[Vec3]| {
+            for word in ids.iter().map(|&i| i as u64).chain(links.iter().map(|d| d.x.to_bits())) {
+                *h = (*h ^ word).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        let (mut seen, mut expect) = (0u64, 0u64);
+        let mut rows = LinkRows::default();
+        let mut sweep = ChainSweep::new(&src, &plan, rcut, &mut rows);
+        let mut stats = VisitStats::default();
+        let mut expect_stats = VisitStats::default();
+        for q in lat.cells() {
+            stats.merge(sweep.visit_cell(q, |ids, links| digest(&mut seen, ids, links)));
+            expect_stats.merge(distance_walk(&src, &plan, rcut, q, |ids, links| {
+                digest(&mut expect, ids, links)
+            }));
+        }
+        assert_eq!(stats.accepted, 260 * 259 * 258 / 2);
+        assert_eq!(stats, expect_stats);
+        assert_eq!(seen, expect);
+        let at = rows.of_atom[0].start as usize + bucket_of(IVec3::ZERO, 1);
+        assert_eq!(rows.bounds[at + 1] - rows.bounds[at], 259);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   every allocation or growth event, which lets tests assert that steady-
 //!   state steps allocate nothing.
 
-use crate::engine::VisitStats;
+use crate::engine::{LinkRows, VisitStats};
 use sc_geom::Vec3;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -213,6 +213,9 @@ pub struct ForceAccumulator {
     pub lane_s: f64,
     /// Tuple-search statistics for this lane.
     pub stats: VisitStats,
+    /// The chain visitor's link-row buffers, kept with the accumulator the
+    /// chains are applied to so they are reused wherever it is.
+    pub(crate) links: LinkRows,
 }
 
 impl Default for ForceAccumulator {
@@ -234,6 +237,7 @@ impl ForceAccumulator {
             virial: 0.0,
             lane_s: 0.0,
             stats: VisitStats::default(),
+            links: LinkRows::default(),
         }
     }
 
@@ -330,8 +334,12 @@ impl AccumulatorPool {
         }
     }
 
-    /// Resets `acc` and returns it to the pool.
+    /// Resets `acc` and returns it to the pool. Link-row buffers that grew
+    /// while it was out count as an allocation event.
     pub fn release(&self, mut acc: ForceAccumulator) {
+        if acc.links.settle() {
+            self.alloc_events.fetch_add(1, Ordering::Relaxed);
+        }
         acc.reset();
         self.free.lock().unwrap().push(acc);
     }

@@ -100,6 +100,10 @@ impl<'a> LocalSource<'a> {
 
 impl TupleSource for LocalSource<'_> {
     #[inline]
+    fn slots(&self) -> usize {
+        self.store.len()
+    }
+    #[inline]
     fn atoms_in(&self, q: IVec3) -> &[u32] {
         self.lat.cell_atoms_or_empty(q)
     }
