@@ -58,23 +58,13 @@ fn bench_enumeration(c: &mut Criterion) {
         })
     });
     g.bench_function("hybrid_list_prune", |b| {
-        // List build + prune, the full Hybrid triplet path.
+        // List build + prune, the full Hybrid triplet path. The build
+        // reads the plan's reach only — the rows hold both directions of
+        // every pair whatever the paths — so there is no "built by another
+        // pattern" variant to compare.
         let pair_plan = Method::Hybrid.plan_for(2);
         b.iter(|| {
             let (nl, _) = NeighborList::build(&lat2, &store, &pair_plan, rcut2);
-            let mut count = 0u64;
-            nl.visit_triplets(rcut3, |_, _, _, _, _| count += 1);
-            black_box(count)
-        })
-    });
-    g.bench_function("hybrid_list_prune_sc_sweep", |b| {
-        // The same Hybrid pipeline but with the list BUILT by the SC pair
-        // pattern (14 paths, no reflective filtering) instead of the
-        // paper's FS sweep — the framework's own improvement to the
-        // production baseline.
-        let sc_pair = PatternPlan::new(&shift_collapse(2), Dedup::Collapsed);
-        b.iter(|| {
-            let (nl, _) = NeighborList::build(&lat2, &store, &sc_pair, rcut2);
             let mut count = 0u64;
             nl.visit_triplets(rcut3, |_, _, _, _, _| count += 1);
             black_box(count)

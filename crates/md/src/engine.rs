@@ -26,14 +26,15 @@
 //! distributed runtime on a rank-local ghost lattice (plain differences,
 //! since ghosts are image-shifted into the local frame).
 //!
-//! There are two visitors. [`visit_pairs_in_cell_src`] carries the batched
-//! lane leaf, the only one the measured traffic reaches (DESIGN.md §5d);
-//! [`ChainSweep`] serves every n ≥ 3 by walking the pattern's prefix trie
-//! over per-atom [`LinkRows`]: the chain cutoff depends only on the two atoms
-//! of a link, so each atom's links are found once per sweep and every path
-//! through the atom reads them back. Both charge `candidates` with the full
-//! product `Σ_paths Π_k |c(q + v_k)|` — the searched space `S_cell` of
-//! Eq. 12, a function of the cell populations alone.
+//! There are two visitors. [`visit_pairs_in_cell_src`] carries a batched
+//! lane leaf (DESIGN.md §5d); [`ChainSweep`] serves every n ≥ 3 by walking
+//! the pattern's prefix trie over per-atom [`LinkRows`]: the chain cutoff
+//! depends only on the two atoms of a link, so each atom's links are found
+//! once per sweep and every path through the atom reads them back. Both
+//! charge `candidates` with the full product `Σ_paths Π_k |c(q + v_k)|` —
+//! the searched space `S_cell` of Eq. 12, a function of the cell populations
+//! alone. [`LinkRows`] is also the Hybrid-MD Verlet list: the same row fill,
+//! run eagerly over a cell set at the pair cutoff.
 
 use sc_cell::{AtomStore, CellLattice};
 use sc_core::Pattern;
@@ -286,11 +287,10 @@ impl TupleSource for PeriodicSource<'_> {
     }
 }
 
-/// Lane width of the batched distance kernels: gathered coordinates are
-/// processed in fixed-size blocks so the per-lane loops compile to packed
-/// f64 vector code (f64x4 on AVX2, f64x8 on AVX-512) without any explicit
-/// SIMD dependency. 32 lanes cover a typical cell's population (ρ_cell ≈
-/// 5–20 for the paper's benchmark systems) in a single block.
+/// Block size of the pair visitor's gathered cell: coordinates are processed
+/// in fixed-size blocks held on the stack. 32 atoms cover a typical cell's
+/// population (ρ_cell ≈ 5–20 for the paper's benchmark systems) in a single
+/// block.
 const BATCH: usize = 32;
 
 /// Below this many candidates in the gathered cell, the pair visitor takes
@@ -360,10 +360,50 @@ fn min_image1(mut d: f64, l: f64, half: f64) -> f64 {
     d
 }
 
-/// Displacements and squared distances from `origin` to the first `m` lanes
-/// of a [`Gather`]. The `k` loops are branch-free straight-line f64
-/// arithmetic — exactly the shape LLVM's loop vectorizer turns into packed
-/// lanes with select-based masking.
+/// Granularity of the lane kernel: it works on whole blocks of this many
+/// lanes — four 128-bit vectors of f64, two 256-bit, one 512-bit — so no
+/// vector width needs a remainder loop. Callers pad their buffers up to a
+/// block.
+const LANE_BLOCK: usize = 8;
+
+/// The lane kernel: displacements `(dx, dy, dz)` and squared distances `r²`
+/// from `origin` to every atom of the SoA coordinates `at = [x, y, z]`,
+/// written to `out = [dx, dy, dz, r²]`. All seven slices have the same
+/// length, a multiple of [`LANE_BLOCK`]; lanes past the caller's last atom
+/// hold whatever finite coordinates its padding left there.
+///
+/// The block loop is branch-free straight-line f64 arithmetic with a
+/// constant trip count — exactly the shape LLVM turns into packed lanes
+/// with select-based masking. Always inlined: a plain-difference source's
+/// rule is a constant (`l = 0`, `half = ∞`), which folds both corrections
+/// away in that source's copy of the loop.
+#[inline(always)]
+fn lane_loop(origin: Vec3, rule: DispRule, at: [&[f64]; 3], out: [&mut [f64]; 4]) {
+    let [x, y, z] = at.map(|lane| lane.as_chunks::<LANE_BLOCK>().0);
+    let [dx, dy, dz, r2] = out.map(|lane| lane.as_chunks_mut::<LANE_BLOCK>().0);
+    let n = x.len();
+    let (y, z) = (&y[..n], &z[..n]);
+    let (dx, dy, dz, r2) = (&mut dx[..n], &mut dy[..n], &mut dz[..n], &mut r2[..n]);
+    for b in 0..n {
+        // One block through locals, so the compiler sees seven arrays that
+        // cannot alias and keeps each in vector registers.
+        let (xb, yb, zb) = (x[b], y[b], z[b]);
+        let mut block = [[0.0; LANE_BLOCK]; 4];
+        for k in 0..LANE_BLOCK {
+            let dxk = min_image1(xb[k] - origin.x, rule.l.x, rule.half.x);
+            let dyk = min_image1(yb[k] - origin.y, rule.l.y, rule.half.y);
+            let dzk = min_image1(zb[k] - origin.z, rule.l.z, rule.half.z);
+            block[0][k] = dxk;
+            block[1][k] = dyk;
+            block[2][k] = dzk;
+            block[3][k] = dxk * dxk + dyk * dyk + dzk * dzk;
+        }
+        [dx[b], dy[b], dz[b], r2[b]] = block;
+    }
+}
+
+/// Displacements and squared distances from an origin to the first `m` lanes
+/// of a [`Gather`].
 struct Lanes {
     dx: [f64; BATCH],
     dy: [f64; BATCH],
@@ -379,13 +419,15 @@ impl Lanes {
 
     #[inline]
     fn compute(&mut self, origin: Vec3, g: &Gather, m: usize, rule: DispRule) {
-        for k in 0..m {
-            self.dx[k] = min_image1(g.x[k] - origin.x, rule.l.x, rule.half.x);
-            self.dy[k] = min_image1(g.y[k] - origin.y, rule.l.y, rule.half.y);
-            self.dz[k] = min_image1(g.z[k] - origin.z, rule.l.z, rule.half.z);
-            self.r2[k] =
-                self.dx[k] * self.dx[k] + self.dy[k] * self.dy[k] + self.dz[k] * self.dz[k];
-        }
+        // Whole blocks: the lanes past `m` hold an earlier chunk's atoms
+        // (or the initial zeros) and are never read back.
+        let m = m.next_multiple_of(LANE_BLOCK);
+        lane_loop(
+            origin,
+            rule,
+            [&g.x[..m], &g.y[..m], &g.z[..m]],
+            [&mut self.dx[..m], &mut self.dy[..m], &mut self.dz[..m], &mut self.r2[..m]],
+        );
     }
 
     #[inline]
@@ -465,29 +507,40 @@ pub fn visit_pairs_in_cell_src(
 /// Largest tuple order the chain visitor walks (`GENERATE-FS` stops at 7).
 const MAX_ORDER: usize = 8;
 
-/// The chain visitor's per-sweep memo: for every atom a sweep has drawn as a
-/// non-final chain member, its *link row* — every atom within `r_cut-n` in
-/// the `(2·reach + 1)³` cells around its own, bucketed by cell step, each
-/// bucket in cell order with the displacement [`TupleSource::disp`] gives.
+/// The range-limited adjacency: for every atom of the cells filled so far,
+/// its *link row* — every atom within the cutoff in the `(2·reach + 1)³`
+/// cells around its own, bucketed by cell step, each bucket in cell order
+/// with the displacement [`TupleSource::disp`] gives. Rows are filled a cell
+/// at a time by [`LinkRows::fill`], the one range search behind both n ≥ 3
+/// paths:
 ///
-/// The chain cutoff `r_{k,k+1} < r_cut-n` (Eq. 6) depends only on the two
-/// atoms of a link, not on the path or base cell that proposed them, so a
-/// row is filled the first time the sweep reaches its atom and read by
-/// every trie node below that atom afterwards: level k of the walk is
-/// `for (i, d) in bucket(prev, node.step)`. The cell steps keep the pattern,
-/// not the row, in charge of which base cell computes which tuple.
+/// * **Lazily, per chain sweep.** The chain cutoff `r_{k,k+1} < r_cut-n`
+///   (Eq. 6) depends only on the two atoms of a link, not on the path or
+///   base cell that proposed them, so a cell's rows are filled the first
+///   time a [`ChainSweep`] draws one of its atoms as a non-final chain
+///   member and read by every trie node below such an atom afterwards:
+///   level k of the walk is `for (i, d) in bucket(prev, node.step)`. The
+///   cell steps keep the pattern, not the row, in charge of which base cell
+///   computes which tuple.
+/// * **Eagerly, as the Hybrid-MD Verlet list.** [`LinkRows::build`] fills
+///   every cell of a cell set at the pair cutoff; an atom's whole row, all
+///   buckets together, is its neighbour list
+///   ([`NeighborList`](crate::methods::NeighborList) is that view).
 ///
-/// Rows are valid for one [`ChainSweep`] only. That is what lets a rank's
-/// interior pass run before its ghosts arrive: the rows it fills see owned
-/// atoms alone, are complete for every bucket an interior cell reads, and
-/// are gone when the frontier pass starts a sweep of its own over the
-/// ghosted store. The buffers are kept, so a steady-state sweep allocates
-/// nothing (see [`LinkRows::settle`]).
+/// Rows are valid until the next [`LinkRows::begin`] — for a chain sweep,
+/// the sweep itself. That is what lets a rank's interior pass run before
+/// its ghosts arrive: the rows it fills see owned atoms alone, are complete
+/// for every bucket an interior cell reads, and are gone when the frontier
+/// pass starts a sweep of its own over the ghosted store. The buffers are
+/// kept, so a steady-state sweep or build allocates nothing (see
+/// [`LinkRows::settle`]).
 #[derive(Debug, Default)]
 pub struct LinkRows {
     /// Per atom slot, where its row is.
     of_atom: Vec<RowRef>,
     epoch: u32,
+    /// The cell steps a row spans per axis: `(2·reach + 1)³` buckets a row.
+    reach: i32,
     /// `links[bounds[r + b]..bounds[r + b + 1]]` is bucket `b` of the row at
     /// `r`. Rows are filled back to back, so each one's last bound is the
     /// next one's first.
@@ -495,11 +548,12 @@ pub struct LinkRows {
     links: Vec<(u32, Vec3)>,
     /// Populations of the current base cell's coverage cells.
     pops: Vec<u32>,
+    near: Neighbourhood,
     /// Buffer capacity [`LinkRows::settle`] last saw.
     settled: usize,
 }
 
-/// An atom's entry in [`LinkRows`], meaningful while `stamp` is the sweep's
+/// An atom's entry in [`LinkRows`], meaningful while `stamp` is the table's
 /// epoch.
 #[derive(Debug, Clone, Copy, Default)]
 struct RowRef {
@@ -508,9 +562,52 @@ struct RowRef {
     start: u32,
 }
 
+/// The atoms of the `(2·reach + 1)³` cells around the cell being filled,
+/// gathered once per cell into SoA lanes, and the lane kernel's output for
+/// the atom whose row is being written.
+#[derive(Debug, Default)]
+struct Neighbourhood {
+    slot: Vec<u32>,
+    /// Per cell step, in [`bucket_of`] order, where its atoms end in `slot`.
+    ends: Vec<u32>,
+    at: [Vec<f64>; 3],
+    out: [Vec<f64>; 4],
+    /// Positions in `slot` of the current atom's links (sized for all).
+    hits: Vec<u32>,
+}
+
+impl Neighbourhood {
+    /// Gathers the cells around `cell`, one bucket per cell step.
+    fn gather(&mut self, src: &impl TupleSource, reach: i32, cell: IVec3) {
+        self.slot.clear();
+        self.ends.clear();
+        self.at.iter_mut().for_each(Vec::clear);
+        for step in IVec3::box_iter(IVec3::splat(-reach), IVec3::splat(reach)) {
+            for &j in src.atoms_in(cell + step) {
+                let p = src.pos(j);
+                self.slot.push(j);
+                self.at[0].push(p.x);
+                self.at[1].push(p.y);
+                self.at[2].push(p.z);
+            }
+            self.ends.push(self.slot.len() as u32);
+        }
+        // Whole lane blocks; the padding lanes are computed and never read.
+        let padded = self.slot.len().next_multiple_of(LANE_BLOCK);
+        self.at.iter_mut().chain(&mut self.out).for_each(|lane| lane.resize(padded, 0.0));
+        self.hits.resize(padded, 0);
+    }
+
+    fn capacity(&self) -> usize {
+        let lanes = self.at.iter().chain(&self.out).map(Vec::capacity).sum::<usize>();
+        self.slot.capacity() + self.ends.capacity() + self.hits.capacity() + lanes
+    }
+}
+
 impl LinkRows {
-    /// Forgets every row and sizes the per-atom table for `slots` atoms.
-    fn begin(&mut self, slots: usize) {
+    /// Forgets every row and sizes the table for `slots` atoms and rows
+    /// spanning `reach` cell steps per axis.
+    fn begin(&mut self, slots: usize, reach: i32) {
         if self.epoch == u32::MAX {
             self.of_atom.fill(RowRef::default());
             self.epoch = 0;
@@ -519,30 +616,102 @@ impl LinkRows {
         if self.of_atom.len() < slots {
             self.of_atom.resize(slots, RowRef::default());
         }
+        self.reach = reach;
         self.bounds.clear();
         self.bounds.push(0);
         self.links.clear();
     }
 
-    /// Fills atom `i`'s row from the cells around `cell`, the one it is
-    /// binned in.
-    fn fill(&mut self, src: &impl TupleSource, reach: i32, rc2: f64, i: u32, cell: IVec3) {
+    /// Fills the row of every atom binned in `cell`, in cell order: the
+    /// cell's neighbourhood is gathered once, the lane kernel runs once per
+    /// atom over all of it, and the links under `rc2` are appended bucket by
+    /// bucket. Returns the number of ordered pairs examined,
+    /// `|c(cell)| · Σ_v |c(cell + v)|`.
+    fn fill(&mut self, src: &impl TupleSource, rc2: f64, cell: IVec3) -> u64 {
         const OUTGROWN: &str = "link rows outgrew their u32 offsets";
-        let start = u32::try_from(self.bounds.len() - 1).expect(OUTGROWN);
-        // One bucket per cell step, in `bucket_of` order.
-        for step in IVec3::box_iter(IVec3::splat(-reach), IVec3::splat(reach)) {
-            for &j in src.atoms_in(cell + step) {
-                if j == i {
-                    continue;
-                }
-                let d = src.disp(i, j);
-                if d.norm_sq() < rc2 {
-                    self.links.push((j, d));
-                }
-            }
-            self.bounds.push(u32::try_from(self.links.len()).expect(OUTGROWN));
+        let atoms = src.atoms_in(cell);
+        if atoms.is_empty() {
+            return 0;
         }
-        self.of_atom[i as usize] = RowRef { stamp: self.epoch, start };
+        let reach = self.reach;
+        let LinkRows { of_atom, epoch, bounds, links, near, .. } = self;
+        near.gather(src, reach, cell);
+        let rule = DispRule::of(src);
+        for &i in atoms {
+            let start = u32::try_from(bounds.len() - 1).expect(OUTGROWN);
+            let (at, out) = (near.at.each_ref(), near.out.each_mut());
+            lane_loop(src.pos(i), rule, at.map(Vec::as_slice), out.map(Vec::as_mut_slice));
+            let [dx, dy, dz, r2] = &near.out;
+            // Branch-free compaction: every lane writes its index, a hit
+            // keeps it. One link in eight is a hit, at no predictable place.
+            let first = links.len();
+            let (mut k, mut n) = (0, 0);
+            for &end in &near.ends {
+                while k < end as usize {
+                    near.hits[n] = k as u32;
+                    n += usize::from((r2[k] < rc2) & (near.slot[k] != i));
+                    k += 1;
+                }
+                bounds.push(u32::try_from(first + n).expect(OUTGROWN));
+            }
+            let hits = near.hits[..n].iter().map(|&k| k as usize);
+            links.extend(hits.map(|k| (near.slot[k], Vec3::new(dx[k], dy[k], dz[k]))));
+            of_atom[i as usize] = RowRef { stamp: *epoch, start };
+        }
+        atoms.len() as u64 * near.slot.len() as u64
+    }
+
+    /// Forgets every row, then fills the rows of every atom of `cells` at
+    /// cutoff `rcut`, spanning `plan`'s reach — the eager build behind the
+    /// Hybrid-MD Verlet list. Only the reach is read from the plan: a row
+    /// holds both directions of every pair whatever the plan's paths are.
+    /// The statistics account the build like a full-shell pair search:
+    /// `candidates = Σ_q Σ_v |c(q)|·|c(q + v)|`, `accepted` the undirected
+    /// pairs found.
+    pub(crate) fn build(
+        &mut self,
+        src: &impl TupleSource,
+        plan: &PatternPlan,
+        rcut: f64,
+        cells: impl IntoIterator<Item = IVec3>,
+    ) -> VisitStats {
+        self.begin(src.slots(), plan.reach);
+        let rc2 = rcut * rcut;
+        let candidates = cells.into_iter().map(|q| self.fill(src, rc2, q)).sum();
+        VisitStats { candidates, accepted: self.links.len() as u64 / 2 }
+    }
+
+    /// Atom `i`'s whole row — every bucket, in bucket order; empty if its
+    /// cell has not been filled.
+    #[inline]
+    pub(crate) fn row(&self, i: u32) -> &[(u32, Vec3)] {
+        &self.links[self.row_range(i)]
+    }
+
+    #[inline]
+    fn row_range(&self, i: u32) -> Range<usize> {
+        let row = self.of_atom[i as usize];
+        if row.stamp != self.epoch {
+            return 0..0;
+        }
+        let (start, buckets) = (row.start as usize, (2 * self.reach as usize + 1).pow(3));
+        self.bounds[start] as usize..self.bounds[start + buckets] as usize
+    }
+
+    /// Recomputes every link's displacement as `disp(i, j)`, for rows kept
+    /// while their atoms moved.
+    pub(crate) fn refresh(&mut self, disp: impl Fn(u32, u32) -> Vec3) {
+        for i in 0..self.of_atom.len() as u32 {
+            let row = self.row_range(i);
+            for (j, d) in &mut self.links[row] {
+                *d = disp(i, *j);
+            }
+        }
+    }
+
+    /// Total number of links in the filled rows.
+    pub(crate) fn link_count(&self) -> usize {
+        self.links.len()
     }
 
     /// Whether the buffers have grown since the last call — the allocation
@@ -551,7 +720,8 @@ impl LinkRows {
         let capacity = self.of_atom.capacity()
             + self.bounds.capacity()
             + self.links.capacity()
-            + self.pops.capacity();
+            + self.pops.capacity()
+            + self.near.capacity();
         let grew = capacity > self.settled;
         self.settled = capacity;
         grew
@@ -575,7 +745,7 @@ impl<'a, S: TupleSource> ChainSweep<'a, S> {
     /// buffers.
     pub fn new(src: &'a S, plan: &'a PatternPlan, rcut: f64, rows: &'a mut LinkRows) -> Self {
         assert!((3..=MAX_ORDER).contains(&plan.n), "chain visitor serves 3 ≤ n ≤ {MAX_ORDER}");
-        rows.begin(src.slots());
+        rows.begin(src.slots(), plan.reach);
         ChainSweep { src, plan, rc2: rcut * rcut, rows }
     }
 
@@ -665,7 +835,7 @@ impl<S: TupleSource, F: FnMut(&[u32], &[Vec3])> ChainWalk<'_, S, F> {
         let prev = self.ids[depth - 1];
         let g0 = if last { self.src.gid(self.ids[0]) } else { 0 };
         if self.rows.of_atom[prev as usize].stamp != self.rows.epoch {
-            self.rows.fill(self.src, plan.reach, self.rc2, prev, self.q + parent.offset);
+            self.rows.fill(self.src, self.rc2, self.q + parent.offset);
         }
         let start = self.rows.of_atom[prev as usize].start as usize;
         for node in &plan.nodes[parent.children.clone()] {
@@ -1344,6 +1514,169 @@ mod tests {
             batched.sort_unstable();
             scalar.sort_unstable();
             assert_eq!(batched, scalar);
+        }
+    }
+
+    /// Runs the lane kernel over `at` (any length; padded here the way the
+    /// kernel's callers pad) and returns `[dx, dy, dz, r²]` per atom as bits.
+    fn kernel_bits(origin: Vec3, rule: DispRule, at: &[Vec3]) -> Vec<[u64; 4]> {
+        let padded = at.len().next_multiple_of(LANE_BLOCK);
+        let lane = |axis: usize| {
+            let mut lane: Vec<f64> = at.iter().map(|p| p[axis]).collect();
+            lane.resize(padded, 0.0);
+            lane
+        };
+        let (x, y, z) = (lane(0), lane(1), lane(2));
+        let mut out = [(); 4].map(|()| vec![f64::NAN; padded]);
+        let [dx, dy, dz, r2] = &mut out;
+        lane_loop(origin, rule, [&x, &y, &z], [dx, dy, dz, r2]);
+        (0..at.len()).map(|k| [dx[k], dy[k], dz[k], r2[k]].map(f64::to_bits)).collect()
+    }
+
+    #[test]
+    fn lane_kernel_matches_scalar_min_image_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        let bbox = SimulationBox::new(Vec3::new(4.0, 5.5, 7.25));
+        let l = bbox.lengths();
+        let periodic = DispRule { l, half: l * 0.5 };
+        let plain = DispRule { l: Vec3::ZERO, half: Vec3::splat(f64::INFINITY) };
+        let origin = Vec3::new(1.0, 0.0, 3.5);
+        // The edges: d = ±L/2 exactly (kept), one ulp beyond (wrapped), the
+        // origin itself, and a −0.0 coordinate against the origin's +0.0.
+        let edges = [
+            origin + Vec3::new(2.0, 2.75, 3.625),
+            origin - Vec3::new(2.0, 2.75, 3.625),
+            origin + Vec3::new(2.0000000000000004, 2.7500000000000004, 3.6250000000000004),
+            origin - Vec3::new(2.0000000000000004, 2.7500000000000004, 3.6250000000000004),
+            origin,
+            Vec3::new(1.0, -0.0, 3.5),
+        ];
+        // One atom, one short of / exactly / one past four blocks, and many.
+        for m in [1, 31, 32, 33, 200] {
+            let mut at: Vec<Vec3> = (0..m)
+                .map(|_| {
+                    Vec3::new(
+                        rng.gen_range(0.0..l.x),
+                        rng.gen_range(0.0..l.y),
+                        rng.gen_range(0.0..l.z),
+                    )
+                })
+                .collect();
+            for (slot, &edge) in at.iter_mut().rev().zip(&edges) {
+                *slot = edge;
+            }
+            let scalar = |d: Vec3| [d.x, d.y, d.z, d.norm_sq()].map(f64::to_bits);
+            let wrapped: Vec<_> = at.iter().map(|&p| scalar(bbox.min_image(origin, p))).collect();
+            assert_eq!(kernel_bits(origin, periodic, &at), wrapped, "min-image, {m} lanes");
+            let differences: Vec<_> = at.iter().map(|&p| scalar(p - origin)).collect();
+            assert_eq!(kernel_bits(origin, plain, &at), differences, "plain, {m} lanes");
+        }
+        // The −0.0 edge did produce a −0.0 displacement under the plain rule.
+        assert_eq!(kernel_bits(origin, plain, &edges)[5][1], (-0.0f64).to_bits());
+    }
+
+    /// Builds the Verlet list over `cells` of `src` and checks it against
+    /// `pairs`, the brute-force pair set: every row exactly the atoms in
+    /// range of its atom — buckets in [`bucket_of`] order, each in cell
+    /// order, [`TupleSource::disp`]'s bits — so every directed pair is there
+    /// once, with its reverse's displacement negated; the rows of a cell
+    /// back to back in cell order, cells in fill order; and the build
+    /// statistics those of a full-shell pair search.
+    fn check_row_table(
+        src: &impl TupleSource,
+        plan: &PatternPlan,
+        rcut: f64,
+        cells: &[IVec3],
+        pairs: &HashSet<(u32, u32)>,
+    ) {
+        use crate::methods::NeighborList;
+        let mut list = NeighborList::default();
+        let stats = list.build_from_cells(src, cells.iter().copied(), src.slots(), plan, rcut);
+        let steps = || IVec3::box_iter(IVec3::splat(-plan.reach), IVec3::splat(plan.reach));
+        let mut directed = HashSet::new();
+        let mut candidates = 0;
+        let mut filled_to = None;
+        for &q in cells {
+            let around: usize = steps().map(|v| src.atoms_in(q + v).len()).sum();
+            candidates += (src.atoms_in(q).len() * around) as u64;
+            for &i in src.atoms_in(q) {
+                let expect: Vec<(u32, Vec3)> = steps()
+                    .flat_map(|v| src.atoms_in(q + v))
+                    .filter(|&&j| j != i && src.disp(i, j).norm_sq() < rcut * rcut)
+                    .map(|&j| (j, src.disp(i, j)))
+                    .collect();
+                let row = list.neighbors(i);
+                assert_eq!(row.len(), expect.len(), "row of atom {i} in cell {q}");
+                for (&(j, d), &(want_j, want_d)) in row.iter().zip(&expect) {
+                    assert_eq!(j, want_j, "row order of atom {i} in cell {q}");
+                    assert_eq!(visit_of(&[], &[d]), visit_of(&[], &[want_d]));
+                    assert!(directed.insert((i, j)), "entry ({i}, {j}) twice");
+                    let back = list.neighbors(j).iter().find(|&&(k, _)| k == i);
+                    let back = back.unwrap_or_else(|| panic!("no entry ({j}, {i})")).1;
+                    assert_eq!(visit_of(&[], &[back]), visit_of(&[], &[-d]), "d_ji = −d_ij");
+                }
+                let at = row.as_ptr_range();
+                assert_eq!(filled_to.unwrap_or(at.start), at.start, "row of atom {i} is next");
+                filled_to = Some(at.end);
+            }
+        }
+        let both_ways: HashSet<(u32, u32)> =
+            pairs.iter().flat_map(|&(i, j)| [(i, j), (j, i)]).collect();
+        assert_eq!(directed, both_ways);
+        assert_eq!(list.entry_count(), both_ways.len());
+        assert_eq!(stats, VisitStats { candidates, accepted: pairs.len() as u64 });
+    }
+
+    #[test]
+    fn row_table_list_is_the_reference_pair_set_in_cell_order() {
+        let rcut = 1.0;
+        // A 3-cutoff box: three cells per axis at subdivision 1, so every
+        // row's 27 buckets cover the whole lattice. One cell is emptied and
+        // one holds more atoms than a lane block (and than a pair batch).
+        let bbox = SimulationBox::cubic(3.0);
+        let (gas, _) = random_gas(120, 3.0, 9);
+        let (crowd, _) = random_gas(BATCH + 5, 0.9, 5);
+        let in_emptied = |r: &Vec3| r.x >= 2.0 && r.y >= 2.0 && r.z < 1.0;
+        let in_crowded = |r: &Vec3| r.x < 1.0 && r.y < 1.0 && r.z < 1.0;
+        let kept = gas.positions().iter().filter(|r| !in_emptied(r) && !in_crowded(r));
+        let mut store = AtomStore::single_species();
+        for (id, &r) in kept.chain(crowd.positions()).enumerate() {
+            store.push(id as u64, sc_cell::Species::DEFAULT, r, Vec3::ZERO);
+        }
+        let pairs = reference::all_pairs(&store, &bbox, rcut);
+        assert!(pairs.len() > 100);
+        // The same cloud under plain differences: moved to the middle of a
+        // box so wide that no minimum image wraps.
+        let mut moved = store.clone();
+        for r in moved.positions_mut() {
+            *r += Vec3::splat(6.0);
+        }
+        let plain_pairs = reference::all_pairs(&moved, &SimulationBox::cubic(16.0), rcut);
+        for k in [1, 2] {
+            let plan = PatternPlan::new(&sc_core::generate_fs_reach(2, k), Dedup::Guarded);
+            let mut lat = CellLattice::new(bbox, rcut / k as f64);
+            lat.rebuild(&store);
+            assert_eq!(lat.dims(), IVec3::splat(3 * k));
+            assert!(lat.cells().any(|q| lat.cell_atoms(q).is_empty()));
+            assert!(k > 1 || lat.cells().any(|q| lat.cell_atoms(q).len() > BATCH));
+            let cells: Vec<IVec3> = lat.cells().collect();
+            check_row_table(&PeriodicSource::new(&lat, &store), &plan, rcut, &cells, &pairs);
+
+            // A bounded lattice with margins on every side, all of it swept
+            // — a rank's list covers its ghost cells too.
+            let (ext, margin) = (IVec3::splat(3 * k), IVec3::splat(k));
+            let edge = Vec3::splat(rcut / k as f64);
+            let mut local = GhostLattice::new(Vec3::splat(6.0), edge, ext, margin, margin);
+            local.rebuild(&moved, moved.len());
+            let cells: Vec<IVec3> = local.extended_region().iter().collect();
+            check_row_table(
+                &Plain { lat: &local, store: &moved },
+                &plan,
+                rcut,
+                &cells,
+                &plain_pairs,
+            );
         }
     }
 

@@ -19,9 +19,11 @@
 //!
 //! * [`engine`] — *search*: the per-cell pair visitor and the one chain
 //!   visitor for every n ≥ 3, with chain-cutoff filtering and per-path
-//!   reflective-duplicate guards.
+//!   reflective-duplicate guards, both over [`engine::LinkRows`], the
+//!   range-limited adjacency one batched row fill builds.
 //! * [`methods`] — [`Method`] → compiled patterns, and the Verlet
-//!   [`methods::NeighborList`] whose walkers are the Hybrid-MD search.
+//!   [`methods::NeighborList`] — a view of eagerly filled link rows — whose
+//!   walkers are the Hybrid-MD search.
 //! * [`apply`] — from a found tuple to energy, virial and forces, once per
 //!   tuple order; [`ForceField`] and its [`Term`]s join search and apply.
 //! * [`Simulation`] — the user-facing facade: velocity-Verlet NVE (plus an

@@ -1,8 +1,8 @@
 //! The three n-tuple computation methods the paper benchmarks (§5).
 
-use crate::engine::{self, Dedup, PatternPlan, VisitStats};
+use crate::engine::{self, Dedup, LinkRows, PatternPlan, VisitStats};
 use sc_cell::{AtomStore, CellLattice};
-use sc_geom::{SimulationBox, Vec3};
+use sc_geom::{IVec3, SimulationBox, Vec3};
 use serde::{Deserialize, Serialize};
 
 /// Which n-tuple search strategy a simulation uses.
@@ -54,108 +54,79 @@ impl Method {
 }
 
 /// A Verlet pair neighbour list: for every atom, the neighbours within the
-/// list cutoff, stored in CSR form, each with the displacement to it.
-/// Hybrid-MD builds it from the full-shell pair search and prunes every
-/// term's tuples from it with the `visit_*` walkers — the one Hybrid search,
-/// shared by the serial engine and the distributed ranks.
+/// list cutoff, each with the displacement to it. It is a view of
+/// [`engine::LinkRows`] filled eagerly at the pair cutoff — an atom's
+/// neighbours are its whole link row, so the list owns no search of its own.
+/// Hybrid-MD prunes every term's tuples from it with the `visit_*` walkers —
+/// the one Hybrid search, shared by the serial engine and the distributed
+/// ranks.
 ///
 /// The walkers visit the leading rows named at build time. A rank's list
 /// covers owned atoms and ghosts but walks only the owned rows: a triplet is
 /// computed by the rank owning its vertex, a pair or quadruplet by the rank
 /// its `owns_bond` predicate assigns the (centre) bond to.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct NeighborList {
-    starts: Vec<u32>,
-    /// Neighbour atom index and the displacement to it.
-    entries: Vec<(u32, Vec3)>,
-    rows: u32,
+    rows: LinkRows,
+    walked: u32,
 }
 
 impl NeighborList {
     /// Builds the symmetric neighbour list (each pair appears in both rows)
-    /// from a cell-based pair sweep over the global periodic lattice; every
-    /// row is walked. The returned statistics account Hybrid's pair-search
-    /// cost like the other methods'.
+    /// over the global periodic lattice; every row is walked. Of `plan`,
+    /// the build reads the reach alone. The returned statistics account
+    /// Hybrid's pair-search cost like the other methods'.
     pub fn build(
         lat: &CellLattice,
         store: &AtomStore,
         plan: &PatternPlan,
         rcut: f64,
     ) -> (NeighborList, VisitStats) {
-        let cells: Vec<sc_geom::IVec3> = lat.cells().collect();
+        let mut list = NeighborList::default();
         let src = engine::PeriodicSource::new(lat, store);
-        NeighborList::build_from_cells(&src, &cells, store.len(), store.len(), plan, rcut)
+        let stats = list.build_from_cells(&src, lat.cells(), store.len(), plan, rcut);
+        (list, stats)
     }
 
-    /// Builds the list over `n` atoms from an arbitrary
-    /// [`engine::TupleSource`] sweeping the given base cells, to be walked
-    /// over its first `rows` rows — used by the distributed runtime, whose
-    /// pair sweep runs over a rank-local ghost lattice.
+    /// Rebuilds the list in place, reusing its buffers, from an arbitrary
+    /// [`engine::TupleSource`]: the rows of every atom of `cells`, to be
+    /// walked over the first `walked` atoms — the distributed runtime's
+    /// list covers a rank-local ghost lattice and walks the owned atoms.
     pub fn build_from_cells(
+        &mut self,
         src: &impl engine::TupleSource,
-        cells: &[sc_geom::IVec3],
-        n: usize,
-        rows: usize,
+        cells: impl IntoIterator<Item = IVec3>,
+        walked: usize,
         plan: &PatternPlan,
         rcut: f64,
-    ) -> (NeighborList, VisitStats) {
-        let mut pairs: Vec<(u32, u32, Vec3)> = Vec::new();
-        let mut stats = VisitStats::default();
-        for &q in cells {
-            stats.merge(engine::visit_pairs_in_cell_src(src, plan, rcut, q, |i, j, d, _| {
-                pairs.push((i, j, d));
-            }));
-        }
-        let mut counts = vec![0u32; n + 1];
-        for &(i, j, _) in &pairs {
-            counts[i as usize + 1] += 1;
-            counts[j as usize + 1] += 1;
-        }
-        for k in 0..n {
-            counts[k + 1] += counts[k];
-        }
-        let mut entries = vec![(0u32, Vec3::ZERO); pairs.len() * 2];
-        let mut cursor = counts.clone();
-        for &(i, j, d) in &pairs {
-            entries[cursor[i as usize] as usize] = (j, d);
-            cursor[i as usize] += 1;
-            entries[cursor[j as usize] as usize] = (i, -d);
-            cursor[j as usize] += 1;
-        }
-        (NeighborList { starts: counts, entries, rows: rows as u32 }, stats)
+    ) -> VisitStats {
+        self.walked = walked as u32;
+        self.rows.build(src, plan, rcut, cells)
     }
 
     /// Recomputes every entry's displacement as `disp(i, j)` — the per-step
     /// refresh of a list reused across steps (Verlet skin), whose build-time
     /// displacements have gone stale.
     pub fn refresh(&mut self, disp: impl Fn(u32, u32) -> Vec3) {
-        for i in 0..self.len() {
-            let row = self.starts[i] as usize..self.starts[i + 1] as usize;
-            for (j, d) in &mut self.entries[row] {
-                *d = disp(i as u32, *j);
-            }
-        }
+        self.rows.refresh(disp);
     }
 
     /// Neighbours of atom `i`: `(j, d_ij)` with `d_ij = r_j − r_i`.
     #[inline]
     pub fn neighbors(&self, i: u32) -> &[(u32, Vec3)] {
-        &self.entries[self.starts[i as usize] as usize..self.starts[i as usize + 1] as usize]
-    }
-
-    /// Number of atoms the list covers.
-    pub fn len(&self) -> usize {
-        self.starts.len().saturating_sub(1)
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.rows.row(i)
     }
 
     /// Total number of directed neighbour entries (2× the pair count).
     pub fn entry_count(&self) -> usize {
-        self.entries.len()
+        self.rows.link_count()
+    }
+
+    /// Whether the buffers have grown since the last call — what
+    /// [`Simulation::scratch_allocation_events`](crate::Simulation::scratch_allocation_events)
+    /// counts for Hybrid-MD.
+    pub(crate) fn settle(&mut self) -> bool {
+        self.rows.settle()
     }
 
     /// Visits every pair shorter than `rcut` once: of a pair's two directed
@@ -171,7 +142,7 @@ impl NeighborList {
     ) -> VisitStats {
         let rc2 = rcut * rcut;
         let mut stats = VisitStats::default();
-        for i in 0..self.rows {
+        for i in 0..self.walked {
             for &(j, d) in self.neighbors(i) {
                 stats.candidates += 1;
                 if !owns_bond(i, j) {
@@ -192,6 +163,11 @@ impl NeighborList {
     /// walked row and both legs shorter than `rcut3` — the Hybrid-MD triplet
     /// search. The callback receives the engine's chain convention
     /// `(i0, i1, i2, d01, d12)`.
+    ///
+    /// `r_cut-3` keeps a tenth of a pair row (≈ 5 of 52 legs in silica), so
+    /// each row's short legs are collected once and paired among themselves;
+    /// `candidates` still counts every `(short leg, later entry)` the plain
+    /// double loop would test.
     pub fn visit_triplets(
         &self,
         rcut3: f64,
@@ -199,17 +175,13 @@ impl NeighborList {
     ) -> VisitStats {
         let rc2 = rcut3 * rcut3;
         let mut stats = VisitStats::default();
-        for j in 0..self.rows {
+        let mut short = Vec::new();
+        for j in 0..self.walked {
             let nbrs = self.neighbors(j);
-            for (a, &(i, d_ji)) in nbrs.iter().enumerate() {
-                if d_ji.norm_sq() >= rc2 {
-                    continue;
-                }
-                for &(k, d_jk) in &nbrs[a + 1..] {
-                    stats.candidates += 1;
-                    if d_jk.norm_sq() >= rc2 {
-                        continue;
-                    }
+            short_legs(nbrs, rc2, &mut short);
+            for (s, &(a, i, d_ji)) in short.iter().enumerate() {
+                stats.candidates += (nbrs.len() - a - 1) as u64;
+                for &(_, k, d_jk) in &short[s + 1..] {
                     stats.accepted += 1;
                     // Chain convention: (i, j, k) with d01 = r_j − r_i = −d_ji.
                     f(i, j, k, -d_ji, d_jk);
@@ -224,6 +196,10 @@ impl NeighborList {
     /// centre bond `j–k` is expanded once, from the directed entry that
     /// `owns_bond(j, k)` selects (see [`NeighborList::visit_pairs`]). The
     /// callback receives `(ids, d01, d12, d23)` in chain convention.
+    ///
+    /// Short legs are collected once per row end, as in
+    /// [`NeighborList::visit_triplets`]; `candidates` counts every entry of
+    /// `k`'s row per `(i, j, k)`.
     pub fn visit_quadruplets(
         &self,
         rcut4: f64,
@@ -232,20 +208,15 @@ impl NeighborList {
     ) -> VisitStats {
         let rc2 = rcut4 * rcut4;
         let mut stats = VisitStats::default();
-        for j in 0..self.rows {
-            for &(k, d_jk) in self.neighbors(j) {
-                if !owns_bond(j, k) || d_jk.norm_sq() >= rc2 {
-                    continue;
-                }
-                for &(i, d_ji) in self.neighbors(j) {
-                    if i == k || d_ji.norm_sq() >= rc2 {
-                        continue;
-                    }
-                    for &(l, d_kl) in self.neighbors(k) {
-                        stats.candidates += 1;
-                        if l == j || l == i || d_kl.norm_sq() >= rc2 {
-                            continue;
-                        }
+        let (mut legs_j, mut legs_k) = (Vec::new(), Vec::new());
+        for j in 0..self.walked {
+            short_legs(self.neighbors(j), rc2, &mut legs_j);
+            for &(_, k, d_jk) in legs_j.iter().filter(|&&(_, k, _)| owns_bond(j, k)) {
+                let row_k = self.neighbors(k);
+                short_legs(row_k, rc2, &mut legs_k);
+                for &(_, i, d_ji) in legs_j.iter().filter(|&&(_, i, _)| i != k) {
+                    stats.candidates += row_k.len() as u64;
+                    for &(_, l, d_kl) in legs_k.iter().filter(|&&(_, l, _)| l != j && l != i) {
                         stats.accepted += 1;
                         f([i, j, k, l], -d_ji, d_jk, d_kl);
                     }
@@ -254,6 +225,14 @@ impl NeighborList {
         }
         stats
     }
+}
+
+/// Collects into `short` the entries of `row` shorter than the cutoff, in
+/// row order, each with its position in the row.
+fn short_legs(row: &[(u32, Vec3)], rc2: f64, short: &mut Vec<(usize, u32, Vec3)>) {
+    short.clear();
+    let legs = row.iter().enumerate().filter(|(_, (_, d))| d.norm_sq() < rc2);
+    short.extend(legs.map(|(a, &(j, d))| (a, j, d)));
 }
 
 /// Builds a cell lattice for one n-body term: cell edge = the term's cutoff
@@ -314,25 +293,91 @@ mod tests {
         (lat, store)
     }
 
-    #[test]
-    fn neighbor_list_is_symmetric_and_complete() {
-        let rcut = 1.2;
-        let (lat, store) = setup(100, 4.0, rcut);
-        let plan = Method::Hybrid.plan_for(2);
-        let (nl, stats) = NeighborList::build(&lat, &store, &plan, rcut);
-        assert!(stats.accepted > 0);
-        assert_eq!(nl.entry_count() as u64, stats.accepted * 2);
-        // Symmetry: j in N(i) ⇔ i in N(j), with opposite displacements.
-        for i in 0..store.len() as u32 {
-            for &(j, d) in nl.neighbors(i) {
-                let back = nl
-                    .neighbors(j)
-                    .iter()
-                    .find(|&&(k, _)| k == i)
-                    .expect("asymmetric neighbour list");
-                assert!((back.1 + d).norm() < 1e-12);
+    /// The plain double loop [`NeighborList::visit_triplets`] replaced,
+    /// kept as the semantic reference: every later entry re-tested per
+    /// short leg, one candidate each.
+    fn plain_triplets(
+        list: &NeighborList,
+        rcut3: f64,
+        mut f: impl FnMut(u32, u32, u32, Vec3, Vec3),
+    ) -> VisitStats {
+        let rc2 = rcut3 * rcut3;
+        let mut stats = VisitStats::default();
+        for j in 0..list.walked {
+            let nbrs = list.neighbors(j);
+            for (a, &(i, d_ji)) in nbrs.iter().enumerate() {
+                if d_ji.norm_sq() >= rc2 {
+                    continue;
+                }
+                for &(k, d_jk) in &nbrs[a + 1..] {
+                    stats.candidates += 1;
+                    if d_jk.norm_sq() >= rc2 {
+                        continue;
+                    }
+                    stats.accepted += 1;
+                    f(i, j, k, -d_ji, d_jk);
+                }
             }
         }
+        stats
+    }
+
+    /// Likewise for [`NeighborList::visit_quadruplets`].
+    fn plain_quadruplets(
+        list: &NeighborList,
+        rcut4: f64,
+        owns_bond: impl Fn(u32, u32) -> bool,
+        mut f: impl FnMut([u32; 4], Vec3, Vec3, Vec3),
+    ) -> VisitStats {
+        let rc2 = rcut4 * rcut4;
+        let mut stats = VisitStats::default();
+        for j in 0..list.walked {
+            for &(k, d_jk) in list.neighbors(j) {
+                if !owns_bond(j, k) || d_jk.norm_sq() >= rc2 {
+                    continue;
+                }
+                for &(i, d_ji) in list.neighbors(j) {
+                    if i == k || d_ji.norm_sq() >= rc2 {
+                        continue;
+                    }
+                    for &(l, d_kl) in list.neighbors(k) {
+                        stats.candidates += 1;
+                        if l == j || l == i || d_kl.norm_sq() >= rc2 {
+                            continue;
+                        }
+                        stats.accepted += 1;
+                        f([i, j, k, l], -d_ji, d_jk, d_kl);
+                    }
+                }
+            }
+        }
+        stats
+    }
+
+    #[test]
+    fn short_leg_walks_report_what_the_plain_loops_do_in_the_same_order() {
+        let (rcut2, rcut3, rcut4) = (1.2, 0.6, 0.9);
+        let (lat, store) = setup(150, 4.0, rcut2);
+        let (nl, _) = NeighborList::build(&lat, &store, &Method::Hybrid.plan_for(2), rcut2);
+        let bits = |d: &[Vec3]| d.iter().flat_map(|d| d.to_array().map(f64::to_bits)).collect();
+        type Seq = Vec<(Vec<u32>, Vec<u64>)>;
+        let (mut seen, mut expect): (Seq, Seq) = (vec![], vec![]);
+        let stats =
+            nl.visit_triplets(rcut3, |i, j, k, a, b| seen.push((vec![i, j, k], bits(&[a, b]))));
+        let plain =
+            plain_triplets(&nl, rcut3, |i, j, k, a, b| expect.push((vec![i, j, k], bits(&[a, b]))));
+        assert!(stats.accepted > 50 && stats.candidates > stats.accepted);
+        assert_eq!((stats, &seen), (plain, &expect), "triplets");
+        let (mut seen, mut expect): (Seq, Seq) = (vec![], vec![]);
+        let owns = |j: u32, k: u32| k > j;
+        let stats = nl.visit_quadruplets(rcut4, owns, |ids, a, b, c| {
+            seen.push((ids.to_vec(), bits(&[a, b, c])))
+        });
+        let plain = plain_quadruplets(&nl, rcut4, owns, |ids, a, b, c| {
+            expect.push((ids.to_vec(), bits(&[a, b, c])))
+        });
+        assert!(stats.accepted > 50 && stats.candidates > stats.accepted);
+        assert_eq!((stats, &seen), (plain, &expect), "quadruplets");
     }
 
     #[test]

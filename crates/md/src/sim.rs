@@ -245,7 +245,7 @@ impl SimulationBuilder {
             sort_lat,
             last_sort_step: None,
             id_cache: None,
-            hybrid_cache: None,
+            hybrid: HybridCache::default(),
             hybrid_builds: 0,
             par: ParEngine::new(runtime.threads),
             obs: SimMetrics::register(&runtime.metrics),
@@ -328,7 +328,7 @@ pub struct Simulation {
     /// Lazily rebuilt `id → slot` map, keyed by the store generation it was
     /// built against (re-sorts and removals invalidate it).
     id_cache: Option<(u64, HashMap<u64, u32>)>,
-    hybrid_cache: Option<HybridCache>,
+    hybrid: HybridCache,
     /// Monotonic count of Verlet-list builds — lives outside the cache so
     /// that cache invalidations (re-sort, geometry change) don't reset it.
     hybrid_builds: u64,
@@ -384,15 +384,22 @@ impl ParEngine {
     }
 }
 
-/// Cached Verlet list for Hybrid-MD with a skin.
+/// The Hybrid-MD Verlet list, rebuilt in place so its buffers are reused,
+/// and what deciding whether a skinned list is still good needs.
+#[derive(Default)]
 struct HybridCache {
     list: NeighborList,
+    /// Positions at the last build; kept only with a skin.
     ref_positions: Vec<Vec3>,
     build_stats: VisitStats,
-    /// The [`AtomStore::generation`] the list was built against: the list is
+    /// The [`AtomStore::generation`] the list was built against, `None`
+    /// while there is no list for the current geometry: the list is
     /// slot-indexed, so any structural change (re-sort, push, removal)
     /// retires it.
-    generation: u64,
+    generation: Option<u64>,
+    /// Builds that grew a buffer — the list's share of
+    /// [`Simulation::scratch_allocation_events`].
+    alloc_events: u64,
 }
 
 impl Simulation {
@@ -449,7 +456,7 @@ impl Simulation {
             total_phases: self.total_phases,
             comm: CommCounters::default(),
             per_rank: Vec::new(),
-            alloc_events: self.par.accs.allocation_events() + self.metrics.allocation_events(),
+            alloc_events: self.scratch_allocation_events() + self.metrics.allocation_events(),
             degraded: false,
         }
     }
@@ -603,7 +610,7 @@ impl Simulation {
     /// force-scratch pool since construction. Flat across steps once warm —
     /// the observable behind the zero-allocation steady-state guarantee.
     pub fn scratch_allocation_events(&self) -> u64 {
-        self.par.accs.allocation_events()
+        self.par.accs.allocation_events() + self.hybrid.alloc_events
     }
 
     /// Number of parallel force-evaluation lanes in use.
@@ -634,34 +641,40 @@ impl Simulation {
         let (positions, bbox) = (self.store.positions(), self.bbox);
         let generation = self.store.generation();
         let half_skin_sq = 0.25 * self.skin * self.skin;
+        let cache = &mut self.hybrid;
         let reusable = self.skin > 0.0
-            && self.hybrid_cache.as_ref().is_some_and(|cache| {
-                cache.generation == generation
-                    && cache
-                        .ref_positions
-                        .iter()
-                        .zip(positions)
-                        .all(|(r0, r1)| bbox.dist_sq(*r0, *r1) <= half_skin_sq)
-            });
+            && cache.generation == Some(generation)
+            && cache
+                .ref_positions
+                .iter()
+                .zip(positions)
+                .all(|(r0, r1)| bbox.dist_sq(*r0, *r1) <= half_skin_sq);
         if !reusable {
             // Binning under Hybrid covers both the cell rebuild and the
             // Verlet-list construction it feeds.
             let t_bin = Instant::now();
             let search = &mut self.searches[0];
             search.lat.rebuild(&self.store);
-            let (list, build_stats) =
-                NeighborList::build(&search.lat, &self.store, &search.plan, search.reach);
-            self.hybrid_cache = Some(HybridCache {
-                list,
-                ref_positions: positions.to_vec(),
-                build_stats,
-                generation,
-            });
+            let src = PeriodicSource::new(&search.lat, &self.store);
+            cache.build_stats = cache.list.build_from_cells(
+                &src,
+                search.lat.cells(),
+                self.store.len(),
+                &search.plan,
+                search.reach,
+            );
+            let held = cache.ref_positions.capacity();
+            if self.skin > 0.0 {
+                cache.ref_positions.clear();
+                cache.ref_positions.extend_from_slice(positions);
+            }
+            cache.generation = Some(generation);
+            let grew = cache.list.settle() | (cache.ref_positions.capacity() > held);
+            cache.alloc_events += u64::from(grew);
             self.hybrid_builds += 1;
             phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
         }
         let t_enum = Instant::now();
-        let cache = self.hybrid_cache.as_mut().expect("hybrid cache");
         if reusable {
             cache.list.refresh(|i, j| bbox.min_image(positions[i as usize], positions[j as usize]));
         }
@@ -753,7 +766,7 @@ impl Simulation {
         // The canonical sort lattice tracks the box geometry too.
         self.sort_lat = CellLattice::new(self.bbox, self.sort_cutoff);
         // A geometry change invalidates any cached Verlet list.
-        self.hybrid_cache = None;
+        self.hybrid.generation = None;
     }
 
     /// Runs `n` steps, returning the last step's telemetry.
@@ -1068,6 +1081,29 @@ mod tests {
     }
 
     #[test]
+    fn hybrid_silica_terms_match_the_brute_force_reference() {
+        // The list's row order is the force-summation order, so this pins
+        // Hybrid-MD term by term: energies to rounding, tuple counts exactly.
+        let v = Vashishta::silica();
+        let mut sim = silica_sim(Method::Hybrid);
+        let stats = sim.compute_forces();
+        let (mut store, bbox) = (sim.store().clone(), *sim.bbox());
+        store.zero_forces();
+        let e2 = reference::pair_forces(&mut store, &bbox, &v.pair);
+        let e3 = reference::triplet_forces(&mut store, &bbox, &v.triplet);
+        assert!((stats.energy.pair - e2).abs() <= 1e-12 * e2.abs(), "pair {e2}");
+        assert!((stats.energy.triplet - e3).abs() <= 1e-12 * e3.abs(), "triplet {e3}");
+        let pairs = reference::all_pairs(&store, &bbox, v.pair.cutoff()).len() as u64;
+        let triplets = reference::all_triplets(&store, &bbox, v.triplet.cutoff()).len() as u64;
+        assert!(pairs > 0 && triplets > 0);
+        assert_eq!(stats.tuples.pair.accepted, pairs);
+        assert_eq!(stats.tuples.triplet.accepted, triplets);
+        for (a, b) in store.forces().iter().zip(sim.store().forces()) {
+            assert!((*a - *b).norm() < 1e-10, "forces differ: {a:?} vs {b:?}");
+        }
+    }
+
+    #[test]
     fn sc_searches_fewer_candidates_than_fs() {
         let mut sc = silica_sim(Method::ShiftCollapse);
         let mut fs = silica_sim(Method::FullShell);
@@ -1290,11 +1326,13 @@ mod tests {
         };
         let mut fresh = build(0.0);
         let mut skinned = build(0.5);
-        for _ in 0..10 {
+        for _ in 0..100 {
             fresh.step();
             skinned.step();
         }
-        // Identical trajectories (reuse changes cost, not physics).
+        // Identical trajectories (reuse changes cost, not physics). Not
+        // bitwise: the skinned list is built over wider cells, so its rows
+        // sum the same forces in another order.
         for (a, b) in fresh.store().positions().iter().zip(skinned.store().positions()) {
             assert!((*a - *b).norm() < 1e-9);
         }
@@ -1393,6 +1431,33 @@ mod tests {
         let a = forces(0);
         let b = forces(1);
         assert_eq!(a, b, "fixed lane count must be bitwise deterministic");
+    }
+
+    #[test]
+    fn steady_state_hybrid_steps_do_not_allocate_scratch() {
+        // The Verlet list is rebuilt in place: its rows, the fill's gather
+        // buffers and (with a skin) the reference positions are all counted,
+        // and none grows once the first builds have sized them.
+        for skin in [0.0, 0.5] {
+            let runtime = RuntimeConfig { verlet_skin: skin, threads: 1, ..Default::default() };
+            let v = Vashishta::silica();
+            let (store, bbox) =
+                crate::workload::build_silica_like(3, 7.16, v.params().masses, 0.05, 7);
+            let mut sim = Simulation::builder(store, bbox)
+                .pair_potential(Box::new(v.pair.clone()))
+                .triplet_potential(Box::new(v.triplet.clone()))
+                .method(Method::Hybrid)
+                .runtime(runtime)
+                .timestep(0.0005)
+                .build()
+                .unwrap();
+            sim.run(2);
+            let warm = sim.scratch_allocation_events();
+            assert!(warm >= 2, "skin {skin}: the accumulator and the list were sized");
+            sim.run(14);
+            assert_eq!(sim.scratch_allocation_events(), warm, "skin {skin}");
+            assert!(sim.hybrid_list_builds() >= if skin > 0.0 { 1 } else { 16 });
+        }
     }
 
     #[test]

@@ -135,6 +135,8 @@ pub struct RankState {
     /// Persistent force scratch, reused (and grown, never shrunk) across
     /// steps so the steady state allocates no per-step force buffer.
     scratch: ForceAccumulator,
+    /// Hybrid-MD's Verlet list, rebuilt in place every step.
+    list: NeighborList,
     /// Banked interior-pass result awaiting the post-exchange frontier
     /// pass (`None` outside an overlap window).
     pending: Option<ComputePartial>,
@@ -217,6 +219,7 @@ impl RankState {
             ghost_origin: Vec::new(),
             terms,
             scratch: ForceAccumulator::default(),
+            list: NeighborList::default(),
             pending: None,
             stats: CommCounters::default(),
         }
@@ -546,7 +549,7 @@ impl RankState {
             acc.reset();
         }
         acc.ensure_len(self.store.len());
-        let RankState { terms, store, owned, .. } = self;
+        let RankState { terms, store, owned, list, .. } = self;
         for term in terms.iter_mut() {
             let t_bin = Instant::now();
             term.lat.rebuild(store, *owned);
@@ -557,14 +560,8 @@ impl RankState {
             let t_bin = Instant::now();
             let src = LocalSource::new(&pair.lat, store);
             let rcut = ff.pair.as_ref().expect("hybrid has a pair term").cutoff();
-            let (list, pair_stats) = NeighborList::build_from_cells(
-                &src,
-                &pair.frontier,
-                store.len(),
-                *owned,
-                &pair.plan,
-                rcut,
-            );
+            let cells = pair.frontier.iter().copied();
+            let pair_stats = list.build_from_cells(&src, cells, *owned, &pair.plan, rcut);
             p.phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
             p.tuples.pair.merge(pair_stats);
             let t_enum = Instant::now();
@@ -579,7 +576,7 @@ impl RankState {
                 gid_j > gid_i || (gid_j == gid_i && j >= owned)
             };
             let species = store.species();
-            hybrid_forces(ff, &list, owns_bond, species, &mut acc, &mut p.energy, &mut p.tuples);
+            hybrid_forces(ff, list, owns_bond, species, &mut acc, &mut p.energy, &mut p.tuples);
             p.phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
         } else {
             // Sweep *all* interiors before *any* frontier. The banked

@@ -625,21 +625,22 @@ fn threaded_run_observed_traces_every_rank() {
     assert_eq!(keys, sorted);
 }
 
-/// Serial Hybrid-MD and a 1×1×1 BSP Hybrid-MD rank drive the same list
-/// walkers (`NeighborList::visit_*` through `sc_md::apply`), one over the
-/// periodic lattice and one over a ghost halo: they accept the same n ≥ 3
-/// tuples and every term's energy agrees. (The rank's list also holds the
-/// halo's ghost–ghost pairs, and the triplet walk's candidate count depends
-/// on the order of a row's entries, so those counters differ.)
-fn assert_single_rank_hybrid_matches_serial(
+/// Serial Hybrid-MD and the BSP Hybrid-MD ranks of `grid` drive the same
+/// list walkers (`NeighborList::visit_*` through `sc_md::apply`), one over
+/// the periodic lattice and the others over ghost halos: together the ranks
+/// accept the same n ≥ 3 tuples and every term's energy agrees. (A rank's
+/// list also holds the halo's ghost–ghost pairs, and the triplet walk's
+/// candidate count depends on the order of a row's entries, so those
+/// counters differ.)
+fn assert_rank_hybrid_matches_serial(
     what: &str,
     (store, bbox): (AtomStore, SimulationBox),
+    grid: IVec3,
     k: i32,
     hybrid_ff: fn() -> ForceField,
 ) {
     let mut dist =
-        DistributedSim::new_subdivided(store.clone(), bbox, IVec3::splat(1), hybrid_ff(), 0.001, k)
-            .unwrap();
+        DistributedSim::new_subdivided(store.clone(), bbox, grid, hybrid_ff(), 0.001, k).unwrap();
     let ff = hybrid_ff();
     let mut builder = Simulation::builder(store, bbox)
         .pair_potential(ff.pair.expect("hybrid has a pair term"))
@@ -668,7 +669,7 @@ fn assert_single_rank_hybrid_matches_serial(
 }
 
 #[test]
-fn single_rank_hybrid_matches_serial_hybrid_term_by_term() {
+fn rank_hybrid_matches_serial_hybrid_term_by_term() {
     let silica_ff = || {
         let v = Vashishta::silica();
         ForceField {
@@ -679,12 +680,16 @@ fn single_rank_hybrid_matches_serial_hybrid_term_by_term() {
         }
     };
     let silica = || build_silica_like(4, 7.16, Vashishta::silica().params().masses, 0.01, 7);
-    assert_single_rank_hybrid_matches_serial("lj", lj_system(), 1, || lj_ff(Method::Hybrid));
-    assert_single_rank_hybrid_matches_serial("silica", silica(), 1, silica_ff);
-    // Subdivided cells need the reach-2 pair pattern under the list build.
-    assert_single_rank_hybrid_matches_serial("silica k = 2", silica(), 2, silica_ff);
+    let one = IVec3::splat(1);
+    assert_rank_hybrid_matches_serial("lj", lj_system(), one, 1, || lj_ff(Method::Hybrid));
+    assert_rank_hybrid_matches_serial("silica", silica(), one, 1, silica_ff);
+    // Two ranks: each triplet is computed by its vertex's owner, each pair
+    // by one end's, out of lists that overlap in the halo.
+    assert_rank_hybrid_matches_serial("silica 2×1×1", silica(), IVec3::new(2, 1, 1), 1, silica_ff);
+    // Subdivided cells need reach-2 rows under the list build.
+    assert_rank_hybrid_matches_serial("silica k = 2", silica(), one, 2, silica_ff);
     let fcc = build_fcc_lattice(&LatticeSpec::cubic(6, 1.2), 0.02, 13);
-    assert_single_rank_hybrid_matches_serial("torsion", fcc, 1, || ForceField {
+    assert_rank_hybrid_matches_serial("torsion", fcc, one, 1, || ForceField {
         pair: Some(Box::new(LennardJones::reduced(1.2))),
         triplet: None,
         quadruplet: Some(Box::new(TorsionToy::new(0.05, 1.0, 0.3))),

@@ -93,17 +93,19 @@ pub fn git_sha() -> String {
 /// file's `name` field matches `BENCH_baseline.json` case-for-case —
 /// editing a spec file changes what `scmd bench` measures, and the
 /// baseline comparator catches any counter drift that causes.
-const MATRIX_SPECS: [&str; 12] = [
+const MATRIX_SPECS: [&str; 14] = [
     include_str!("../scenarios/bench/serial-sc-md-lj.json"),
     include_str!("../scenarios/bench/serial-fs-md-lj.json"),
     include_str!("../scenarios/bench/serial-hybrid-md-lj.json"),
     include_str!("../scenarios/bench/serial-sc-md-silica.json"),
     include_str!("../scenarios/bench/serial-fs-md-silica.json"),
+    include_str!("../scenarios/bench/serial-hybrid-md-silica.json"),
     include_str!("../scenarios/bench/bsp-sc-md-lj.json"),
     include_str!("../scenarios/bench/bsp-fs-md-lj.json"),
     include_str!("../scenarios/bench/threaded-sc-md-lj.json"),
     include_str!("../scenarios/bench/bsp-sc-md-silica.json"),
     include_str!("../scenarios/bench/threaded-sc-md-silica.json"),
+    include_str!("../scenarios/bench/bsp-hybrid-md-silica.json"),
     include_str!("../scenarios/bench/bsp-sc-md-clustered.json"),
     include_str!("../scenarios/bench/bsp-sc-md-clustered-legacy.json"),
 ];
@@ -414,11 +416,13 @@ mod tests {
                 "serial-Hybrid-MD-lj",
                 "serial-SC-MD-silica",
                 "serial-FS-MD-silica",
+                "serial-Hybrid-MD-silica",
                 "bsp-SC-MD-lj",
                 "bsp-FS-MD-lj",
                 "threaded-SC-MD-lj",
                 "bsp-SC-MD-silica",
                 "threaded-SC-MD-silica",
+                "bsp-Hybrid-MD-silica",
                 "bsp-SC-MD-clustered",
                 "bsp-SC-MD-clustered-legacy",
             ]
