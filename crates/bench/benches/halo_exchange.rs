@@ -31,7 +31,7 @@ fn bench_halo_exchange(c: &mut Criterion) {
         g.bench_function(method.name(), |b| {
             b.iter(|| {
                 sim.step();
-                black_box(sim.potential_energy())
+                black_box(sim.telemetry().energy.total())
             })
         });
     }

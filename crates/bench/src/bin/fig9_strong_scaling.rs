@@ -97,7 +97,7 @@ fn measured(n_faults: usize, trace_dir: Option<&str>) {
     use sc_md::build_silica_like;
     use sc_obs::{chrome_trace, Registry, Tracer};
     use sc_parallel::rank::ForceField;
-    use sc_parallel::DistributedSim;
+    use sc_parallel::{DistributedSim, EngineConfig};
     use sc_potential::Vashishta;
 
     if let Some(dir) = trace_dir {
@@ -108,6 +108,7 @@ fn measured(n_faults: usize, trace_dir: Option<&str>) {
     let masses = v.params().masses;
     let steps = 3;
     println!("Measured distributed phase breakdown, silica 4³ cells, 2×2×2 ranks, {steps} steps");
+    println!("(executor wall clock; reduce = the ranks' summed scratch merge)");
     println!(
         "{:>6} {:>8}  {:>11}  {:>11}  {:>11}  {:>11}  {:>11}  {:>6}",
         "method", "atoms", "migrate", "exchange", "compute", "reduce", "integrate", "comm%"
@@ -124,11 +125,11 @@ fn measured(n_faults: usize, trace_dir: Option<&str>) {
             quadruplet: None,
             method,
         };
-        let mut d = DistributedSim::new(store, bbox, IVec3::splat(2), ff, 0.001)
-            .expect("valid distributed setup");
-        d.set_metrics(Registry::new());
         let tracer = if trace_dir.is_some() { Tracer::new() } else { Tracer::disabled() };
-        d.set_tracer(tracer.clone());
+        let cfg =
+            EngineConfig { metrics: Registry::new(), tracer: tracer.clone(), ..Default::default() };
+        let mut d = DistributedSim::build(store, bbox, IVec3::splat(2), ff, 0.001, cfg)
+            .expect("valid distributed setup");
         d.run(steps);
         if let Some(dir) = trace_dir {
             let events = tracer.events();
@@ -147,7 +148,8 @@ fn measured(n_faults: usize, trace_dir: Option<&str>) {
                 .expect("trace file is writable");
             println!("# traces for {} written under {dir}/", method.name());
         }
-        let t = d.timings();
+        let telemetry = d.telemetry();
+        let t = telemetry.total_phases;
         println!(
             "{:>6} {:>8}  {}  {}  {}  {}  {}  {:>5.1}%",
             method.name(),
@@ -159,10 +161,9 @@ fn measured(n_faults: usize, trace_dir: Option<&str>) {
             fmt_time(t.integrate_s()),
             t.comm_fraction() * 100.0
         );
-        breakdowns.push((method, d.phase_breakdown()));
-        let t = d.telemetry();
-        telemetry_lines.push(t.to_json());
-        if let Some(report) = t.imbalance() {
+        breakdowns.push((method, t));
+        telemetry_lines.push(telemetry.to_json());
+        if let Some(report) = telemetry.imbalance() {
             imbalance_tables.push((method, report));
         }
     }
@@ -203,10 +204,13 @@ fn measured(n_faults: usize, trace_dir: Option<&str>) {
         quadruplet: None,
         method: Method::ShiftCollapse,
     };
-    let mut d = DistributedSim::new(store, bbox, IVec3::splat(2), ff, 0.001)
+    let cfg = EngineConfig {
+        metrics: Registry::new(),
+        faults: FaultPlan::random(42, n_faults, steps as u64, 8),
+        ..Default::default()
+    };
+    let mut d = DistributedSim::build(store, bbox, IVec3::splat(2), ff, 0.001, cfg)
         .expect("valid distributed setup");
-    d.set_metrics(Registry::new());
-    d.set_fault_plan(FaultPlan::random(42, n_faults, steps as u64, 8));
     let t0 = std::time::Instant::now();
     for _ in 0..steps {
         d.try_step().expect("single transport faults are absorbed by retry");

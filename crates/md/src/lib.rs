@@ -73,7 +73,9 @@ pub use methods::Method;
 pub use par::{AccumulatorPool, ForceAccumulator, LaneSlots, ThreadPool};
 pub use sim::{RuntimeConfig, Simulation, SimulationBuilder};
 pub use stats::{EnergyBreakdown, TupleCounts};
-pub use supervisor::{Recoverable, RecoveryStats, Supervisor, SupervisorConfig, SupervisorError};
+pub use supervisor::{
+    Recoverable, RecoveryStats, StepFault, Supervisor, SupervisorConfig, SupervisorError,
+};
 pub use telemetry::{Observer, Telemetry};
 pub use workload::{
     build_clustered_gas, build_fcc_lattice, build_silica_like, random_gas, thermalize, LatticeSpec,

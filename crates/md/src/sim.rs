@@ -93,6 +93,12 @@ impl SimulationBuilder {
         self
     }
 
+    /// Sets every potential term and the method at once.
+    pub fn force_field(mut self, ff: ForceField) -> Self {
+        self.ff = ff;
+        self
+    }
+
     /// Selects the n-tuple computation method (default:
     /// [`Method::ShiftCollapse`]).
     pub fn method(mut self, m: Method) -> Self {
@@ -799,12 +805,10 @@ impl Simulation {
 }
 
 impl crate::supervisor::Recoverable for Simulation {
-    /// Serial stepping has no communication layer, so it cannot fail with a
-    /// recoverable fault — only physics-invariant violations (caught by the
+    /// Serial stepping has no communication layer, so it never returns a
+    /// fault — only physics-invariant violations (caught by the
     /// supervisor's own checks) can trigger rollback.
-    type Fault = std::convert::Infallible;
-
-    fn try_step(&mut self) -> Result<(), Self::Fault> {
+    fn try_step(&mut self) -> Result<(), crate::supervisor::StepFault> {
         self.step();
         Ok(())
     }

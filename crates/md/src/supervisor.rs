@@ -17,7 +17,7 @@
 //!    ([`SupervisorConfig::dt_backoff`]), restored after
 //!    [`SupervisorConfig::recovery_intervals`] clean intervals;
 //! 3. **re-decomposition** — a fault naming a permanently dead rank
-//!    ([`Recoverable::dead_rank`]) skips the rollback loop entirely and
+//!    ([`StepFault::dead_rank`]) skips the rollback loop entirely and
 //!    restores the last checkpoint onto the surviving ranks
 //!    ([`Recoverable::restore_excluding`]), budgeted by
 //!    [`SupervisorConfig::max_redecompositions`];
@@ -30,16 +30,35 @@ use sc_obs::{Registry, TraceSink, Tracer};
 use std::fmt;
 use std::path::PathBuf;
 
-/// An engine the [`Supervisor`] can drive, roll back, and degrade.
-pub trait Recoverable {
-    /// The engine's unrecovered-fault type ([`std::convert::Infallible`]
-    /// for engines that cannot fail mid-step).
-    type Fault: std::error::Error;
+/// An unrecovered fault surfaced by [`Recoverable::try_step`]: what the
+/// supervisor's recovery ladder needs to know about it, whatever engine
+/// raised it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StepFault {
+    /// The engine's own description of the fault.
+    pub message: String,
+    /// When the fault means a rank is permanently dead (rollback cannot
+    /// help — replaying delivers into the same silence), that rank's
+    /// index. `None` routes the fault down the rollback path.
+    pub dead_rank: Option<usize>,
+}
 
+impl fmt::Display for StepFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+impl std::error::Error for StepFault {}
+
+/// An engine the [`Supervisor`] can drive, roll back, and degrade.
+/// Object-safe: the spec layer drives every engine as one boxed trait
+/// object.
+pub trait Recoverable {
     /// Advances one step, surfacing unrecovered faults. After an `Err` the
     /// engine state is unspecified; [`restore`](Recoverable::restore) must
     /// run before the next step.
-    fn try_step(&mut self) -> Result<(), Self::Fault>;
+    fn try_step(&mut self) -> Result<(), StepFault>;
 
     /// Snapshots the full phase-space state.
     fn checkpoint(&self) -> Checkpoint;
@@ -64,14 +83,6 @@ pub trait Recoverable {
 
     /// Steps completed.
     fn steps_done(&self) -> u64;
-
-    /// When `fault` means a rank is permanently dead (rollback cannot
-    /// help — replaying delivers into the same silence), the dead rank's
-    /// index. The default — engines with no notion of rank death — is
-    /// `None`, which routes every fault down the rollback path.
-    fn dead_rank(_fault: &Self::Fault) -> Option<usize> {
-        None
-    }
 
     /// Restores `cp` onto a decomposition that excludes `exclude`,
     /// re-partitioning the snapshot over the survivors. Engines that cannot
@@ -410,10 +421,12 @@ impl Supervisor {
                         self.save_checkpoint(sim)?;
                     }
                 }
-                Err(e) => match S::dead_rank(&e) {
-                    Some(rank) => self.handle_dead_rank(sim, rank, e.to_string())?,
-                    None => self.rollback(sim, false, e.to_string())?,
-                },
+                Err(StepFault { message, dead_rank: Some(rank) }) => {
+                    self.handle_dead_rank(sim, rank, message)?;
+                }
+                Err(StepFault { message, dead_rank: None }) => {
+                    self.rollback(sim, false, message)?;
+                }
             }
         }
         Ok(())
@@ -425,20 +438,13 @@ mod tests {
     use super::*;
     use sc_geom::Vec3;
 
-    #[derive(Debug)]
-    enum MockFault {
-        Comm(&'static str),
-        Dead(usize),
+    fn comm_fault(message: &str) -> StepFault {
+        StepFault { message: message.to_string(), dead_rank: None }
     }
-    impl fmt::Display for MockFault {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                MockFault::Comm(s) => write!(f, "{s}"),
-                MockFault::Dead(r) => write!(f, "rank {r} dead"),
-            }
-        }
+
+    fn dead(rank: usize) -> StepFault {
+        StepFault { message: format!("rank {rank} dead"), dead_rank: Some(rank) }
     }
-    impl std::error::Error for MockFault {}
 
     /// A scriptable engine: a step counter with injectable comm faults and
     /// one-shot invariant violations.
@@ -486,20 +492,19 @@ mod tests {
     }
 
     impl Recoverable for MockSim {
-        type Fault = MockFault;
-        fn try_step(&mut self) -> Result<(), MockFault> {
+        fn try_step(&mut self) -> Result<(), StepFault> {
             if self.always_fail {
-                return Err(MockFault::Comm("persistent fault"));
+                return Err(comm_fault("persistent fault"));
             }
             if let Some(r) = self.always_dead {
-                return Err(MockFault::Dead(r));
+                return Err(dead(r));
             }
             if let Some(&(_, r)) = self.dead_at.iter().find(|&&(s, _)| s == self.step) {
-                return Err(MockFault::Dead(r));
+                return Err(dead(r));
             }
             if let Some(i) = self.comm_fail_at.iter().position(|&s| s == self.step) {
                 self.comm_fail_at.swap_remove(i);
-                return Err(MockFault::Comm("scripted comm fault"));
+                return Err(comm_fault("scripted comm fault"));
             }
             self.step += 1;
             if let Some(i) = self.blowup_at.iter().position(|&s| s == self.step) {
@@ -546,12 +551,6 @@ mod tests {
         }
         fn steps_done(&self) -> u64 {
             self.step
-        }
-        fn dead_rank(fault: &MockFault) -> Option<usize> {
-            match fault {
-                MockFault::Dead(r) => Some(*r),
-                MockFault::Comm(_) => None,
-            }
         }
         fn restore_excluding(&mut self, cp: &Checkpoint, exclude: &[usize]) -> Result<(), String> {
             if !self.can_redecompose {

@@ -28,7 +28,7 @@ pub struct Telemetry {
     /// distributed executor the reverse ghost-force return is booked under
     /// [`sc_obs::Phase::Reduce`] (with the lane/scratch merge), never under
     /// `Exchange`: the BSP executor books it on its wall clock (registry,
-    /// `timings()`, executor trace row), the threaded executor per rank
+    /// executor trace row), the threaded executor per rank
     /// (these phases and the rank trace rows).
     pub phases: PhaseBreakdown,
     /// Phase breakdown accumulated since construction.

@@ -1,0 +1,55 @@
+//! The one run configuration of a distributed engine: everything that is
+//! not the system, the force field or the timestep, passed once to
+//! [`crate::DistributedSim::build`] / [`crate::ThreadedSim::build`].
+
+use crate::fault::FaultPlan;
+use crate::rank::DEFAULT_RESORT_EVERY;
+use crate::transport::CommConfig;
+use sc_obs::{Registry, Tracer};
+
+/// How a distributed engine runs. There is no way to change any of this
+/// on a built engine, so a scheduler cannot step with half a
+/// configuration. An engine handed a field it cannot honour refuses to
+/// build ([`crate::SetupError::Unsupported`]).
+#[derive(Debug, Clone)]
+pub struct EngineConfig {
+    /// `k`-fold subdivided rank-local cells with reach-k patterns (paper
+    /// §6), 1–3.
+    pub subdivision: i32,
+    /// Morton re-sort cadence: every `resort_every`-th step each rank
+    /// permutes its owned atoms into cell Z-order at the ghost-free point
+    /// of the step. `0` disables re-sorting. Default 8, matching the serial
+    /// engine.
+    pub resort_every: u64,
+    /// Per-neighbor aggregation, compute/communication overlap and the
+    /// rebalance cadence (BSP only). All bitwise-neutral: they change
+    /// message packing and scheduling, never physics.
+    pub comm: CommConfig,
+    /// The scripted fault plan every delivery routes through (BSP only:
+    /// scripted faults need a reproducible delivery order). Default inert.
+    pub faults: FaultPlan,
+    /// Where the per-step deltas of the communication, health and phase
+    /// counters are exported (`comm.messages`, `comm.bytes`,
+    /// `comm.retries`, …, the `health.*` transitions, a `comm.step_bytes`
+    /// histogram and the phase slots). Default disabled.
+    pub metrics: Registry,
+    /// Event-level tracing: one sink per rank carries that rank's comm
+    /// send/recv events and compute-phase intervals; the BSP executor adds
+    /// a sink tagged with the synthetic rank `nranks` for its synchronous
+    /// wall-clock phases. Rings are allocated at build; emitting during
+    /// stepping never allocates. Default disabled.
+    pub tracer: Tracer,
+}
+
+impl Default for EngineConfig {
+    fn default() -> Self {
+        EngineConfig {
+            subdivision: 1,
+            resort_every: DEFAULT_RESORT_EVERY,
+            comm: CommConfig::default(),
+            faults: FaultPlan::none(),
+            metrics: Registry::disabled(),
+            tracer: Tracer::disabled(),
+        }
+    }
+}

@@ -64,6 +64,14 @@ pub enum SetupError {
         /// Atoms claimed across all ranks.
         claimed: usize,
     },
+    /// The [`crate::EngineConfig`] asks for something this executor cannot
+    /// honour; it is refused rather than silently ignored.
+    Unsupported {
+        /// The executor that refused (`threaded`).
+        executor: &'static str,
+        /// The configuration field it cannot honour.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for SetupError {
@@ -95,6 +103,9 @@ impl fmt::Display for SetupError {
             }
             SetupError::AtomsLost { expected, claimed } => {
                 write!(f, "decomposition claimed {claimed} of {expected} atoms")
+            }
+            SetupError::Unsupported { executor, field } => {
+                write!(f, "the {executor} executor does not support `{field}`")
             }
         }
     }
@@ -219,6 +230,18 @@ impl From<SetupError> for sc_md::Error {
     }
 }
 
+/// What the supervisor needs of a runtime fault: its text, and the dead
+/// rank when (only) [`RuntimeError::RankDead`] names one.
+impl From<RuntimeError> for sc_md::StepFault {
+    fn from(e: RuntimeError) -> Self {
+        let dead_rank = match e {
+            RuntimeError::RankDead { rank, .. } => Some(rank),
+            _ => None,
+        };
+        sc_md::StepFault { message: e.to_string(), dead_rank }
+    }
+}
+
 impl From<RuntimeError> for sc_md::Error {
     fn from(e: RuntimeError) -> Self {
         sc_md::Error::Runtime(Box::new(e))
@@ -241,6 +264,8 @@ mod tests {
         assert!(SetupError::NonPositiveHalo { width: -1.0 }.to_string().contains("positive"));
         assert!(SetupError::BadRankGrid { pdims: [0, 1, 1] }.to_string().contains("≥ 1"));
         assert!(SetupError::AtomsLost { expected: 10, claimed: 9 }.to_string().contains("10"));
+        let e = SetupError::Unsupported { executor: "threaded", field: "faults" };
+        assert!(e.to_string().contains("threaded") && e.to_string().contains("faults"));
     }
 
     #[test]
@@ -264,6 +289,26 @@ mod tests {
             attempts: 3,
         };
         assert!(e.to_string().contains("attempts"));
+    }
+
+    #[test]
+    fn only_rank_death_names_a_dead_rank_to_the_supervisor() {
+        let channel = Channel::Ghosts { hop: 0 };
+        let dead: sc_md::StepFault = RuntimeError::RankDead { rank: 5, step: 9, epoch: 9 }.into();
+        assert_eq!(dead.dead_rank, Some(5));
+        assert!(dead.message.contains("rank 5"), "{dead}");
+        for e in [
+            RuntimeError::EpochMismatch { rank: 5, expected: 2, got: 3 },
+            RuntimeError::ChecksumMismatch { rank: 5, channel, epoch: 7 },
+            RuntimeError::MissingHop { rank: 5, channel, epoch: 1, attempts: 3 },
+            RuntimeError::RankStalled { rank: 5, epoch: 4, attempts: 3 },
+            RuntimeError::WrongPayload { rank: 5, channel },
+            RuntimeError::UnknownForceTarget { rank: 5, id: 11 },
+        ] {
+            let fault: sc_md::StepFault = e.clone().into();
+            assert_eq!(fault.dead_rank, None, "{e}");
+            assert_eq!(fault.message, e.to_string());
+        }
     }
 
     #[test]

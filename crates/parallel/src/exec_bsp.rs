@@ -5,7 +5,7 @@
 //! staged (overlapped) exchange as a pool task, adaptive rebalancing of the
 //! rank grid, and re-decomposition over the survivors of a rank death.
 
-use crate::comm::GhostPlan;
+use crate::config::EngineConfig;
 use crate::error::{RuntimeError, SetupError};
 use crate::fault::{Delivery, FaultPlan};
 use crate::grid::RankGrid;
@@ -13,14 +13,14 @@ use crate::health::{HealthConfig, HealthTracker};
 use crate::msg::{Channel, Message, Payload};
 use crate::rank::{
     best_grid_for, halo_width_for, validate_decomposition, ForceField, InteriorTask, RankState,
-    StagedBand, DEFAULT_RESORT_EVERY,
+    StagedBand,
 };
 use crate::step::{self, Decomposition, Exchange, Feed, Scheduler};
 use crate::transport::{self, CommConfig, Slot};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
 use sc_md::checkpoint::Checkpoint;
-use sc_md::{EnergyBreakdown, LaneSlots, Observer, Telemetry, ThreadPool, TupleCounts};
+use sc_md::{EnergyBreakdown, LaneSlots, Telemetry, ThreadPool, TupleCounts};
 use sc_obs::trace::EventKind;
 use sc_obs::{CommCounters, ImbalanceReport, Phase, PhaseBreakdown, Registry, TraceSink, Tracer};
 use std::sync::{Arc, Mutex};
@@ -175,6 +175,13 @@ fn staged_exchange(
     Ok(StagedGhosts { inbox, stats, elapsed: t0.elapsed().as_secs_f64() })
 }
 
+/// One event sink per rank (comm events and compute-phase intervals) plus
+/// the executor's own, tagged with the synthetic rank `nranks` so the
+/// synchronous wall-clock phases get their own timeline row.
+fn trace_sinks(tracer: &Tracer, nranks: usize) -> (Vec<TraceSink>, TraceSink) {
+    ((0..nranks).map(|r| tracer.sink(r as u32, 0)).collect(), tracer.sink(nranks as u32, 0))
+}
+
 /// A distributed MD simulation executed bulk-synchronously: all ranks run
 /// each phase of the rank-step protocol ([`crate::step`]) in lockstep, with
 /// messages delivered between a phase's send and absorb halves. Message
@@ -190,6 +197,10 @@ fn staged_exchange(
 /// flight (when [`CommConfig::overlap`] is on); both flags are
 /// bitwise-neutral — they change message packing and scheduling, never
 /// results.
+///
+/// How a run is scheduled, packed, faulted and observed is fixed at
+/// [`DistributedSim::build`] by one [`EngineConfig`]; only the timestep can
+/// change afterwards (the supervisor's dt back-off).
 ///
 /// Every delivery goes through the [`FaultPlan`] (a no-op by default) and is
 /// verified against its stamp on arrival; [`DistributedSim::try_step`]
@@ -210,6 +221,9 @@ pub struct DistributedSim {
     phase: u64,
     last_energy: EnergyBreakdown,
     last_tuples: TupleCounts,
+    /// Accumulated wall-clock phases. Under compute/communication overlap
+    /// the exchange and compute slots cover concurrent intervals, so their
+    /// sum may exceed step wall time.
     timings: PhaseBreakdown,
     pool: ThreadPool,
     // Per-rank (energy, tuples, phases) slots reused every compute call so
@@ -229,7 +243,6 @@ pub struct DistributedSim {
     /// Per-rank compute-seconds baseline at the last rebalance, so each
     /// rebalance window measures fresh load deltas.
     last_loads: Vec<f64>,
-    observer: Option<(u64, Box<dyn Observer>)>,
     /// The per-rank deadline watchdog / circuit breaker.
     health: HealthTracker,
     /// Set by [`DistributedSim::restore_excluding`]: the runtime lost at
@@ -238,13 +251,11 @@ pub struct DistributedSim {
 }
 
 impl DistributedSim {
-    /// Decomposes `store` over a `pdims` rank grid.
+    /// Decomposes `store` over a `pdims` rank grid with the default
+    /// [`EngineConfig`].
     ///
     /// # Errors
-    /// Rejects configurations where the halo would be deeper than one rank
-    /// sub-box (forwarded routing delivers only nearest-neighbour data) or
-    /// where the global cell lattice is too small for the largest tuple
-    /// order.
+    /// See [`DistributedSim::build`].
     pub fn new(
         store: AtomStore,
         bbox: SimulationBox,
@@ -252,68 +263,57 @@ impl DistributedSim {
         ff: ForceField,
         dt: f64,
     ) -> Result<Self, SetupError> {
-        Self::new_subdivided(store, bbox, pdims, ff, dt, 1)
+        Self::build(store, bbox, pdims, ff, dt, EngineConfig::default())
     }
 
-    /// Like [`DistributedSim::new`] with `k`-fold subdivided cells and
-    /// reach-k patterns (paper §6) on every rank.
-    pub fn new_subdivided(
+    /// Decomposes `store` over a `pdims` rank grid and configures the run.
+    /// The metrics feed counts from the freshly decomposed ranks' (zero)
+    /// counters.
+    ///
+    /// # Errors
+    /// Rejects configurations where the halo would be deeper than one rank
+    /// sub-box (forwarded routing delivers only nearest-neighbour data),
+    /// where the global cell lattice is too small for the largest tuple
+    /// order, or whose `subdivision` is outside 1–3.
+    pub fn build(
         store: AtomStore,
         bbox: SimulationBox,
         pdims: IVec3,
         ff: ForceField,
         dt: f64,
-        k: i32,
+        cfg: EngineConfig,
     ) -> Result<Self, SetupError> {
-        let (dec, ranks) = step::decompose(RankGrid::try_new(pdims, bbox)?, &store, &ff, k)?;
+        let EngineConfig { subdivision, resort_every, comm, faults, metrics, tracer } = cfg;
+        let (dec, ranks) =
+            step::decompose(RankGrid::try_new(pdims, bbox)?, &store, &ff, subdivision)?;
         let nranks = ranks.len();
+        let (tsinks, exec_sink) = trace_sinks(&tracer, nranks);
         Ok(DistributedSim {
             dec,
             ranks,
             ff,
             dt,
-            subdivision: k,
-            resort_every: DEFAULT_RESORT_EVERY,
+            subdivision,
+            resort_every,
             steps_done: 0,
             needs_prime: true,
-            fault_plan: FaultPlan::none(),
-            comm: CommConfig::default(),
+            fault_plan: faults,
+            comm,
             phase: 0,
             last_energy: EnergyBreakdown::default(),
             last_tuples: TupleCounts::default(),
             timings: PhaseBreakdown::default(),
             pool: ThreadPool::auto(),
             results: vec![Default::default(); nranks],
-            feed: Feed::new(Registry::disabled(), Default::default(), Default::default()),
-            tracer: Tracer::disabled(),
-            tsinks: vec![TraceSink::disabled(); nranks],
-            exec_sink: TraceSink::disabled(),
+            feed: Feed::new(metrics, Default::default(), Default::default()),
+            tracer,
+            tsinks,
+            exec_sink,
             carried: CommCounters::default(),
             last_loads: vec![0.0; nranks],
-            observer: None,
             health: HealthTracker::new(nranks, HealthConfig::default()),
             degraded: false,
         })
-    }
-
-    /// Replaces the communication configuration (per-neighbor aggregation,
-    /// compute/communication overlap, rebalance cadence). All settings are
-    /// bitwise-neutral: they change message packing and scheduling, never
-    /// physics.
-    pub fn set_comm_config(&mut self, comm: CommConfig) {
-        self.comm = comm;
-    }
-
-    /// The communication configuration in force.
-    pub fn comm_config(&self) -> CommConfig {
-        self.comm
-    }
-
-    /// Replaces the health watchdog's thresholds (all ranks reset to
-    /// healthy; cumulative transition counters restart).
-    pub fn set_health_config(&mut self, config: HealthConfig) {
-        self.health = HealthTracker::new(self.ranks.len(), config);
-        self.feed.last_health = Default::default();
     }
 
     /// The per-rank health watchdog (state and cumulative transitions).
@@ -326,47 +326,16 @@ impl DistributedSim {
         self.degraded
     }
 
-    /// Routes this executor's counters and phase timings into `registry`
-    /// (per-step deltas: `comm.messages`, `comm.bytes`, `comm.retries`, …,
-    /// the `health.*` transitions, a `comm.step_bytes` histogram and the
-    /// phase slots).
-    pub fn set_metrics(&mut self, registry: Registry) {
-        self.feed = Feed::new(registry, self.comm_stats(), self.health.counters());
-    }
-
-    /// The metrics registry in use (disabled unless
-    /// [`DistributedSim::set_metrics`] installed a live one).
+    /// The metrics registry the run reports into (disabled unless the
+    /// [`EngineConfig`] carried a live one).
     pub fn metrics(&self) -> &Registry {
         self.feed.registry()
     }
 
-    /// Routes event-level tracing through `tracer`: one sink per rank
-    /// carries that rank's comm send/recv events and its compute-phase
-    /// intervals, and an extra sink tagged with the synthetic rank
-    /// `nranks` carries the executor's synchronous wall-clock phases on
-    /// its own timeline row. Rings are allocated once here; emitting
-    /// during stepping never allocates.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        let nranks = self.ranks.len();
-        self.tsinks = (0..nranks).map(|r| tracer.sink(r as u32, 0)).collect();
-        self.exec_sink = tracer.sink(nranks as u32, 0);
-        self.tracer = tracer;
-    }
-
-    /// The tracer in use (disabled unless [`DistributedSim::set_tracer`]
-    /// installed a live one).
+    /// The tracer in use (disabled unless the [`EngineConfig`] carried a
+    /// live one).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Registers a telemetry observer invoked with a fresh
-    /// [`Telemetry`] snapshot after every `every` completed steps.
-    ///
-    /// # Panics
-    /// Panics when `every` is 0.
-    pub fn observe_every(&mut self, every: u64, observer: Box<dyn Observer>) {
-        assert!(every > 0, "observe_every needs a positive interval");
-        self.observer = Some((every, observer));
     }
 
     /// The unified telemetry snapshot: global energies and tuple counts,
@@ -408,24 +377,6 @@ impl DistributedSim {
         &self.dec.grid
     }
 
-    /// The ghost plan in force.
-    pub fn plan(&self) -> &GhostPlan {
-        &self.dec.plan
-    }
-
-    /// Installs a fault plan; subsequent deliveries route through it.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = plan;
-    }
-
-    /// Sets the Morton re-sort cadence: every `every`-th step each rank
-    /// permutes its owned atoms into cell Z-order at the ghost-free point of
-    /// the step (see [`RankState::resort_owned`]). `0` disables re-sorting.
-    /// Default 8, matching the serial engine.
-    pub fn set_resort_every(&mut self, every: u64) {
-        self.resort_every = every;
-    }
-
     /// The active fault plan (to inspect fired [`crate::FaultEvent`]s).
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.fault_plan
@@ -448,21 +399,6 @@ impl DistributedSim {
         self.dt = dt;
     }
 
-    /// Potential energy of the last force computation.
-    pub fn potential_energy(&self) -> f64 {
-        self.last_energy.total()
-    }
-
-    /// Energy breakdown of the last force computation.
-    pub fn energy_breakdown(&self) -> EnergyBreakdown {
-        self.last_energy
-    }
-
-    /// Tuple statistics of the last force computation (global sums).
-    pub fn tuple_counts(&self) -> TupleCounts {
-        self.last_tuples
-    }
-
     /// Kinetic energy (global).
     pub fn kinetic_energy(&self) -> f64 {
         self.ranks.iter().map(|r| r.kinetic_energy()).sum()
@@ -478,34 +414,7 @@ impl DistributedSim {
     pub fn total_energy(&mut self) -> f64 {
         let overlap = self.comm.overlap;
         step::cycle(self, overlap).unwrap_or_else(|e| panic!("{e}"));
-        self.potential_energy() + self.kinetic_energy()
-    }
-
-    /// Accumulated wall-clock phase breakdown since construction. Under
-    /// compute/communication overlap the exchange and compute slots cover
-    /// concurrent intervals, so their sum may exceed step wall time.
-    pub fn timings(&self) -> PhaseBreakdown {
-        self.timings
-    }
-
-    /// Aggregated per-rank step-phase breakdown (binning / enumeration /
-    /// scratch reduction) since construction — summed per-rank seconds, the
-    /// fine-grained view inside the wall-clock compute slot.
-    pub fn phase_breakdown(&self) -> PhaseBreakdown {
-        self.comm_stats().phases
-    }
-
-    /// Load imbalance: `max(owned) / mean(owned)` across ranks — 1.0 is a
-    /// perfect partition.
-    pub fn load_imbalance(&self) -> f64 {
-        let counts: Vec<usize> = self.ranks.iter().map(|r| r.owned()).collect();
-        let max = *counts.iter().max().unwrap_or(&0) as f64;
-        let mean = counts.iter().sum::<usize>() as f64 / counts.len().max(1) as f64;
-        if mean > 0.0 {
-            max / mean
-        } else {
-            1.0
-        }
+        self.last_energy.total() + self.kinetic_energy()
     }
 
     /// Aggregated communication statistics since start: the live ranks'
@@ -517,12 +426,6 @@ impl DistributedSim {
             total.merge(&r.stats);
         }
         total
-    }
-
-    /// Per-rank communication statistics (since the last re-decomposition,
-    /// if adaptive rebalancing replaced the rank set).
-    pub fn rank_stats(&self) -> Vec<&CommCounters> {
-        self.ranks.iter().map(|r| &r.stats).collect()
     }
 
     /// The overlapped halo import: one pool task runs the staged boundary
@@ -654,12 +557,6 @@ impl DistributedSim {
         if self.feed.registry().enabled() {
             self.feed.step(self.comm_stats(), self.health.counters());
         }
-        if let Some((every, mut observer)) = self.observer.take() {
-            if self.steps_done.is_multiple_of(every) {
-                observer.observe(&self.telemetry());
-            }
-            self.observer = Some((every, observer));
-        }
         Ok(())
     }
 
@@ -704,7 +601,7 @@ impl DistributedSim {
         self.install(cp, RankGrid::try_new(pdims, cp.bbox())?)?;
         let nranks = self.ranks.len();
         self.results = vec![Default::default(); nranks];
-        self.set_tracer(self.tracer.clone());
+        (self.tsinks, self.exec_sink) = trace_sinks(&self.tracer, nranks);
         // Rank indices mean something new now; per-rank health state from
         // the old grid is unusable (cumulative counters are kept).
         self.health.reset(nranks);

@@ -9,13 +9,15 @@
 //! member unwound mid-protocol. Every wire unit is accepted exactly as the
 //! BSP executor accepts one ([`step::accept_unit`]). Deterministic fault
 //! *injection* lives in the BSP executor only (scripted faults need a
-//! reproducible delivery order, which concurrent threads cannot provide).
+//! reproducible delivery order, which concurrent threads cannot provide),
+//! as does adaptive rebalancing; [`ThreadedSim::build`] refuses both.
 
+use crate::config::EngineConfig;
 use crate::error::{RuntimeError, SetupError};
 use crate::grid::RankGrid;
 use crate::health::{HealthConfig, HealthCounters, HealthTracker};
 use crate::msg::{AtomMsg, Channel, Message, Payload};
-use crate::rank::{ForceField, RankState, DEFAULT_RESORT_EVERY};
+use crate::rank::{ForceField, RankState};
 use crate::step::{self, Decomposition, Exchange, Feed, Scheduler};
 use crate::transport::{self, CommConfig, Slot};
 use crossbeam_channel::{unbounded, Receiver, Sender};
@@ -45,8 +47,6 @@ enum Cmd {
     Energy { epoch: u64, comm: CommConfig },
     /// Report this rank's owned atoms for a global gather.
     Gather,
-    /// Install a new trace sink (fire-and-forget, no reply).
-    Sink(TraceSink),
     /// Exit the worker loop.
     Stop,
 }
@@ -246,10 +246,6 @@ fn worker_main(mut w: Worker, cmd_rx: Receiver<Cmd>, reply_tx: Sender<(usize, Re
         let Ok(cmd) = cmd_rx.recv() else { return };
         let done = match cmd {
             Cmd::Stop => return,
-            Cmd::Sink(sink) => {
-                w.tsink = sink;
-                continue;
-            }
             Cmd::Gather => {
                 let reply = Reply::Gather {
                     atoms: w.state.owned_atoms(),
@@ -312,11 +308,11 @@ pub struct ThreadedSim {
 }
 
 impl ThreadedSim {
-    /// Decomposes `store` over a `pdims` rank grid and spawns one worker
-    /// thread per rank.
+    /// Decomposes `store` over a `pdims` rank grid with the default
+    /// [`EngineConfig`] and spawns one worker thread per rank.
     ///
     /// # Errors
-    /// The same feasibility checks as [`crate::DistributedSim::new`].
+    /// See [`ThreadedSim::build`].
     pub fn new(
         store: AtomStore,
         bbox: SimulationBox,
@@ -324,28 +320,45 @@ impl ThreadedSim {
         ff: ForceField,
         dt: f64,
     ) -> Result<Self, SetupError> {
-        Self::new_subdivided(store, bbox, pdims, ff, dt, 1)
+        Self::build(store, bbox, pdims, ff, dt, EngineConfig::default())
     }
 
-    /// Like [`ThreadedSim::new`] with `k`-fold subdivided cells and reach-k
-    /// patterns (paper §6) on every rank.
-    pub fn new_subdivided(
+    /// Decomposes `store` over a `pdims` rank grid, configures the run and
+    /// spawns one worker thread per rank, each writing its phase intervals
+    /// and comm events into its own sink of `cfg.tracer`, so the merged
+    /// timeline shows the true concurrent schedule.
+    ///
+    /// # Errors
+    /// The same feasibility checks as [`crate::DistributedSim::build`],
+    /// plus [`SetupError::Unsupported`] for a non-inert `cfg.faults` or a
+    /// non-zero `cfg.comm.rebalance_every`: scripted faults and adaptive
+    /// re-decomposition live in the BSP executor only.
+    pub fn build(
         store: AtomStore,
         bbox: SimulationBox,
         pdims: IVec3,
         ff: ForceField,
         dt: f64,
-        k: i32,
+        cfg: EngineConfig,
     ) -> Result<Self, SetupError> {
-        let (dec, states) = step::decompose(RankGrid::try_new(pdims, bbox)?, &store, &ff, k)?;
+        let EngineConfig { subdivision, resort_every, comm, faults, metrics, tracer } = cfg;
+        if !faults.is_inert() {
+            return Err(SetupError::Unsupported { executor: "threaded", field: "faults" });
+        }
+        if comm.rebalance_every != 0 {
+            let field = "comm.rebalance_every";
+            return Err(SetupError::Unsupported { executor: "threaded", field });
+        }
+        let (dec, states) =
+            step::decompose(RankGrid::try_new(pdims, bbox)?, &store, &ff, subdivision)?;
         let (reply_tx, reply_rx) = unbounded();
         let mut sim = ThreadedSim {
             dec,
             ff: Arc::new(ff),
             dt,
-            subdivision: k,
-            resort_every: DEFAULT_RESORT_EVERY,
-            comm: CommConfig::default(),
+            subdivision,
+            resort_every,
+            comm,
             steps_done: 0,
             cmd_txs: Vec::new(),
             reply_rx,
@@ -354,8 +367,8 @@ impl ThreadedSim {
             handles: Vec::new(),
             cached: Vec::new(),
             dead: None,
-            feed: Feed::new(Registry::disabled(), Default::default(), Default::default()),
-            tracer: Tracer::disabled(),
+            feed: Feed::new(metrics, Default::default(), Default::default()),
+            tracer,
         };
         sim.spawn_pool(states);
         Ok(sim)
@@ -452,44 +465,9 @@ impl ThreadedSim {
         Ok(())
     }
 
-    /// Replaces the communication configuration (per-neighbor aggregation,
-    /// compute/communication overlap). The rebalance cadence is ignored —
-    /// adaptive re-decomposition lives in the BSP executor. All settings
-    /// are bitwise-neutral.
-    pub fn set_comm_config(&mut self, comm: CommConfig) {
-        self.comm = comm;
-    }
-
-    /// The communication configuration in force.
-    pub fn comm_config(&self) -> CommConfig {
-        self.comm
-    }
-
-    /// Sets the Morton re-sort cadence (0 disables; default 8, matching the
-    /// BSP executor).
-    pub fn set_resort_every(&mut self, every: u64) {
-        self.resort_every = every;
-    }
-
-    /// Routes the per-step communication, health and phase deltas into
-    /// `registry` — the same series the BSP executor exports.
-    pub fn set_metrics(&mut self, registry: Registry) {
-        self.feed = Feed::new(registry, self.comm_stats(), self.health_counters());
-    }
-
     /// The metrics registry in use.
     pub fn metrics(&self) -> &Registry {
         self.feed.registry()
-    }
-
-    /// Routes event-level tracing through `tracer`: each worker writes its
-    /// phase intervals and comm events into its own per-rank sink, so the
-    /// merged timeline shows the true concurrent schedule.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        for (rank, tx) in self.cmd_txs.iter().enumerate() {
-            let _ = tx.send(Cmd::Sink(tracer.sink(rank as u32, 0)));
-        }
-        self.tracer = tracer;
     }
 
     /// The tracer in use.
@@ -543,7 +521,7 @@ impl ThreadedSim {
     }
 
     /// Runs `n` steps. Panics like [`ThreadedSim::step`] on faults.
-    pub fn run_steps(&mut self, n: usize) {
+    pub fn run(&mut self, n: usize) {
         for _ in 0..n {
             self.step();
         }

@@ -48,6 +48,17 @@
 //! Both count every message and byte ([`CommCounters`]), which is what the
 //! `sc-netmodel` crate calibrates the paper's communication model against.
 //!
+//! ## One run configuration
+//!
+//! Everything about a run that is not the system, the force field or the
+//! timestep is one [`EngineConfig`] (cell subdivision, re-sort cadence,
+//! [`CommConfig`], [`FaultPlan`], metrics registry, tracer), taken once by
+//! `DistributedSim::build` / `ThreadedSim::build`. Neither engine has a
+//! post-construction setter besides `set_timestep` (the supervisor's dt
+//! back-off), and an engine refuses at build a field it cannot honour
+//! ([`SetupError::Unsupported`]) rather than ignoring it — so a third
+//! scheduler costs a constructor, not a setter surface.
+//!
 //! ## Fault tolerance
 //!
 //! Every payload travels as a stamped [`Message`] (step epoch, channel,
@@ -58,7 +69,9 @@
 //! bounded per-delivery retry, so tests can inject drops, delays,
 //! corruption, and rank stalls per `(step, rank, channel)`. Recovery
 //! (checkpoint/rollback) is orchestrated by the `Supervisor` in `sc-md`, for
-//! which both executors implement the `Recoverable` trait.
+//! which both executors implement the `Recoverable` trait (a
+//! [`RuntimeError`] reaches it as an `sc_md::StepFault`, which names the
+//! dead rank for [`RuntimeError::RankDead`] and nothing else).
 //!
 //! Permanent rank death ([`fault::FaultKind::Crash`]) is detected by a
 //! per-rank [`health`] state machine (deadline watchdog + flap circuit
@@ -69,6 +82,7 @@
 #![warn(missing_docs)]
 
 pub mod comm;
+pub mod config;
 pub mod error;
 pub mod fault;
 pub mod grid;
@@ -82,6 +96,7 @@ mod exec_threads;
 mod step;
 
 pub use comm::{CommCounters, GhostPlan};
+pub use config::EngineConfig;
 pub use error::{RuntimeError, SetupError};
 pub use exec_bsp::DistributedSim;
 pub use exec_threads::ThreadedSim;

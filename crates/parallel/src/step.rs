@@ -554,15 +554,13 @@ pub(crate) fn gather(mut atoms: Vec<AtomMsg>, masses: Vec<f64>) -> AtomStore {
 
 /// Implements [`sc_md::supervisor::Recoverable`] for an executor with
 /// `steps_done` / `dt` / `dec` fields and inherent `try_step` / `gather`:
-/// the snapshot, timestep and dead-rank classification are the same for
-/// every scheduler; the scheduler-specific methods are passed in.
+/// the snapshot, timestep and fault classification are the same for every
+/// scheduler; the scheduler-specific methods are passed in.
 macro_rules! recoverable {
     ($engine:ty { $($specific:item)* }) => {
         impl sc_md::supervisor::Recoverable for $engine {
-            type Fault = $crate::error::RuntimeError;
-
-            fn try_step(&mut self) -> Result<(), Self::Fault> {
-                <$engine>::try_step(self)
+            fn try_step(&mut self) -> Result<(), sc_md::StepFault> {
+                <$engine>::try_step(self).map_err(Into::into)
             }
 
             fn checkpoint(&self) -> sc_md::checkpoint::Checkpoint {
@@ -579,13 +577,6 @@ macro_rules! recoverable {
 
             fn steps_done(&self) -> u64 {
                 self.steps_done
-            }
-
-            fn dead_rank(fault: &Self::Fault) -> Option<usize> {
-                match fault {
-                    $crate::error::RuntimeError::RankDead { rank, .. } => Some(*rank),
-                    _ => None,
-                }
             }
 
             $($specific)*

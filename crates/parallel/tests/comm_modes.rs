@@ -11,7 +11,7 @@ use sc_md::{build_clustered_gas, build_fcc_lattice, build_silica_like, LatticeSp
 use sc_obs::trace::EventKind;
 use sc_obs::{v_omega, CommCounters, Tracer};
 use sc_parallel::rank::ForceField;
-use sc_parallel::{CommConfig, DistributedSim, ThreadedSim};
+use sc_parallel::{CommConfig, DistributedSim, EngineConfig, ThreadedSim};
 use sc_potential::{LennardJones, Vashishta};
 
 fn lj_system() -> (AtomStore, SimulationBox) {
@@ -59,8 +59,8 @@ fn run_bsp(
     comm: CommConfig,
 ) -> (AtomStore, CommCounters) {
     let (store, bbox) = system;
-    let mut d = DistributedSim::new(store.clone(), *bbox, pdims, ff, dt).unwrap();
-    d.set_comm_config(comm);
+    let cfg = EngineConfig { comm, ..Default::default() };
+    let mut d = DistributedSim::build(store.clone(), *bbox, pdims, ff, dt, cfg).unwrap();
     d.run(steps);
     (d.gather(), d.comm_stats())
 }
@@ -185,16 +185,16 @@ fn threaded_executor_matches_bsp_across_modes() {
             3,
             comm,
         );
-        let mut t = ThreadedSim::new(
+        let mut t = ThreadedSim::build(
             store.clone(),
             bbox,
             IVec3::new(2, 1, 1),
             lj_ff(Method::ShiftCollapse),
             0.002,
+            EngineConfig { comm, ..Default::default() },
         )
         .unwrap();
-        t.set_comm_config(comm);
-        t.run_steps(3);
+        t.run(3);
         let stats = t.comm_stats();
         assert_bitwise_eq(&reference, &t.gather(), &format!("threaded {comm:?}"));
         // Same schedule ⇒ same counters, not just same physics.
@@ -208,17 +208,20 @@ fn threaded_executor_matches_bsp_across_modes() {
 fn rebalance_refits_the_grid_on_clustered_load() {
     let system = build_clustered_gas(3000, 24.0, 2, 2.0, 9);
     let (store, bbox) = &system;
-    let mut d = DistributedSim::new(
+    let tracer = Tracer::new();
+    let mut d = DistributedSim::build(
         store.clone(),
         *bbox,
         IVec3::new(2, 2, 2),
         lj_ff(Method::ShiftCollapse),
         0.002,
+        EngineConfig {
+            tracer: tracer.clone(),
+            comm: CommConfig { rebalance_every: 2, ..CommConfig::default() },
+            ..Default::default()
+        },
     )
     .unwrap();
-    let tracer = Tracer::new();
-    d.set_tracer(tracer.clone());
-    d.set_comm_config(CommConfig { rebalance_every: 2, ..CommConfig::default() });
     d.run(6);
     assert_eq!(d.gather().len(), store.len(), "rebalance must conserve atoms");
     let redecompositions = tracer

@@ -12,7 +12,7 @@ use sc_geom::{IVec3, SimulationBox, Vec3};
 use sc_md::supervisor::{Recoverable, Supervisor, SupervisorConfig};
 use sc_md::{build_fcc_lattice, thermalize, LatticeSpec, Method, SnapshotLayout};
 use sc_parallel::rank::ForceField;
-use sc_parallel::{DistributedSim, Fault, FaultKind, FaultPlan};
+use sc_parallel::{DistributedSim, EngineConfig, Fault, FaultKind, FaultPlan};
 use sc_potential::{LennardJones, Vashishta};
 
 fn lj_ff() -> ForceField {
@@ -30,9 +30,10 @@ fn lj_system() -> (AtomStore, SimulationBox) {
 
 /// An 8-rank (2×2×2) LJ sim — big enough that losing one rank still
 /// leaves a feasible survivor grid.
-fn lj_sim8() -> DistributedSim {
+fn lj_sim8(faults: FaultPlan) -> DistributedSim {
     let (store, bbox) = lj_system();
-    DistributedSim::new(store, bbox, IVec3::splat(2), lj_ff(), 0.002).unwrap()
+    let cfg = EngineConfig { faults, ..Default::default() };
+    DistributedSim::build(store, bbox, IVec3::splat(2), lj_ff(), 0.002, cfg).unwrap()
 }
 
 fn silica_ff() -> ForceField {
@@ -54,9 +55,10 @@ fn silica_system() -> (AtomStore, SimulationBox) {
 
 /// An 8-rank (2×2×2) silica sim (box 28.64 per axis, sub-box 14.32 vs the
 /// 5.5 cutoff — survivor grids down to 6 ranks stay feasible).
-fn silica_sim8() -> DistributedSim {
+fn silica_sim8(faults: FaultPlan) -> DistributedSim {
     let (store, bbox) = silica_system();
-    DistributedSim::new(store, bbox, IVec3::splat(2), silica_ff(), 0.0005).unwrap()
+    let cfg = EngineConfig { faults, ..Default::default() };
+    DistributedSim::build(store, bbox, IVec3::splat(2), silica_ff(), 0.0005, cfg).unwrap()
 }
 
 fn total_momentum(store: &AtomStore) -> Vec3 {
@@ -117,13 +119,12 @@ fn supervise(sim: &mut DistributedSim, steps: u64) -> sc_md::supervisor::Recover
 /// fault-free reference within the drift guardrail.
 #[test]
 fn silica_crash_is_detected_and_recovered_by_redecomposition() {
-    let mut clean = silica_sim8();
+    let mut clean = silica_sim8(FaultPlan::none());
     clean.run(8);
     let reference = clean.gather();
     let (_, bbox) = silica_system();
 
-    let mut sim = silica_sim8();
-    sim.set_fault_plan(FaultPlan::none().with(Fault {
+    let mut sim = silica_sim8(FaultPlan::none().with(Fault {
         step: 3,
         rank: 2,
         channel: None,
@@ -153,13 +154,17 @@ fn crash_recovers_onto_single_rank_grid() {
     let reference = clean.gather();
 
     let (store, bbox) = lj_system();
-    let mut sim = DistributedSim::new(store, bbox, IVec3::new(2, 1, 1), lj_ff(), 0.002).unwrap();
-    sim.set_fault_plan(FaultPlan::none().with(Fault {
-        step: 2,
-        rank: 1,
-        channel: None,
-        kind: FaultKind::Crash,
-    }));
+    let cfg = EngineConfig {
+        faults: FaultPlan::none().with(Fault {
+            step: 2,
+            rank: 1,
+            channel: None,
+            kind: FaultKind::Crash,
+        }),
+        ..Default::default()
+    };
+    let mut sim =
+        DistributedSim::build(store, bbox, IVec3::new(2, 1, 1), lj_ff(), 0.002, cfg).unwrap();
     supervise(&mut sim, 6);
     assert_eq!(sim.steps_done(), 6);
     assert!(sim.degraded());
@@ -175,7 +180,7 @@ fn crash_recovers_onto_single_rank_grid() {
 #[test]
 fn checkpoint_restores_across_topologies_bitwise() {
     let (_, bbox) = lj_system();
-    let mut sim = lj_sim8();
+    let mut sim = lj_sim8(FaultPlan::none());
     sim.run(3);
     let cp = Recoverable::checkpoint(&sim);
     assert_eq!(cp.layout, SnapshotLayout::Grid { pdims: [2, 2, 2] });
@@ -200,8 +205,8 @@ fn checkpoint_restores_across_topologies_bitwise() {
 
     // The same checkpoint stepped once on two different grids accepts
     // exactly the same tuples.
-    let mut a = lj_sim8();
-    let mut b = lj_sim8();
+    let mut a = lj_sim8(FaultPlan::none());
+    let mut b = lj_sim8(FaultPlan::none());
     a.restore_onto(&cp, IVec3::new(1, 1, 1)).unwrap();
     b.restore_onto(&cp, IVec3::new(2, 2, 1)).unwrap();
     a.run(1);
@@ -220,8 +225,7 @@ fn checkpoint_restores_across_topologies_bitwise() {
 /// `RankLost` immediately.
 #[test]
 fn exhausted_redecomposition_budget_aborts_with_diagnostics() {
-    let mut sim = lj_sim8();
-    sim.set_fault_plan(FaultPlan::none().with(Fault {
+    let mut sim = lj_sim8(FaultPlan::none().with(Fault {
         step: 2,
         rank: 5,
         channel: None,
@@ -247,12 +251,11 @@ proptest! {
     /// matching the fault-free reference.
     #[test]
     fn random_crash_step_and_rank_recovers(step in 1u64..6, rank in 0usize..8) {
-        let mut clean = lj_sim8();
+        let mut clean = lj_sim8(FaultPlan::none());
         clean.run(8);
         let reference = clean.gather();
 
-        let mut sim = lj_sim8();
-        sim.set_fault_plan(FaultPlan::none().with(Fault {
+        let mut sim = lj_sim8(FaultPlan::none().with(Fault {
             step,
             rank,
             channel: None,

@@ -6,7 +6,7 @@ use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox, Vec3};
 use sc_md::{build_fcc_lattice, build_silica_like, LatticeSpec, Method, Simulation};
 use sc_parallel::rank::ForceField;
-use sc_parallel::{DistributedSim, ThreadedSim};
+use sc_parallel::{DistributedSim, EngineConfig, ThreadedSim};
 use sc_potential::{LennardJones, TorsionToy, Vashishta};
 
 fn lj_system() -> (AtomStore, SimulationBox) {
@@ -55,7 +55,7 @@ fn threaded(
     steps: usize,
 ) -> ThreadedSim {
     let mut sim = ThreadedSim::new(store, bbox, pdims, ff, dt).unwrap();
-    sim.run_steps(steps);
+    sim.run(steps);
     sim
 }
 
@@ -143,7 +143,7 @@ fn silica_distributed_matches_serial() {
             method.name()
         );
         // Triplet work is real.
-        assert!(dist.tuple_counts().triplet.accepted > 0);
+        assert!(dist.telemetry().tuples.triplet.accepted > 0);
         dist.run(3);
         serial.run(3);
         assert_stores_match(
@@ -184,9 +184,9 @@ fn quadruplet_distributed_matches_serial() {
             "{}: quad energy {e_d} vs serial {e_s}",
             method.name()
         );
-        assert!(dist.tuple_counts().quadruplet.accepted > 0, "{}", method.name());
+        assert!(dist.telemetry().tuples.quadruplet.accepted > 0, "{}", method.name());
         assert_eq!(
-            dist.tuple_counts().quadruplet.accepted,
+            dist.telemetry().tuples.quadruplet.accepted,
             serial_stats.tuples.quadruplet.accepted,
             "{}: distributed and serial find different quad counts",
             method.name()
@@ -214,7 +214,7 @@ fn threaded_executor_handles_silica_full_shell() {
     let (gathered, energy) = (sim.gather(), sim.telemetry().energy);
     assert_stores_match(&bbox, &gathered, &bsp.gather(), 1e-9, "threaded silica FS");
     assert!(
-        (energy.total() - bsp.energy_breakdown().total()).abs()
+        (energy.total() - bsp.telemetry().energy.total()).abs()
             < 1e-9 * energy.total().abs().max(1.0)
     );
 }
@@ -235,7 +235,7 @@ fn threaded_executor_matches_bsp() {
     let (gathered, energy, stats) = (sim.gather(), sim.telemetry().energy, sim.comm_stats());
     assert_stores_match(&bbox, &gathered, &bsp.gather(), 1e-9, "threaded vs BSP");
     assert!(
-        (energy.total() - bsp.energy_breakdown().total()).abs()
+        (energy.total() - bsp.telemetry().energy.total()).abs()
             < 1e-9 * energy.total().abs().max(1.0)
     );
     assert!(stats.messages > 0 && stats.bytes > 0);
@@ -275,7 +275,7 @@ fn sc_rank_talks_only_to_face_neighbors() {
     d.run(2);
     // Forwarded routing: every rank's direct partners are face neighbours
     // only (≤ 6 distinct ranks), even though 7 neighbours' data arrives.
-    for (r, stats) in d.rank_stats().iter().enumerate() {
+    for (r, stats) in d.telemetry().per_rank.iter().enumerate() {
         assert!(stats.partners.len() <= 6, "rank {r} has {} direct partners", stats.partners.len());
     }
 }
@@ -327,9 +327,9 @@ fn subdivided_distributed_matches_serial() {
         quadruplet: None,
         method: Method::ShiftCollapse,
     };
+    let cfg = EngineConfig { subdivision: 2, ..Default::default() };
     let mut dist =
-        DistributedSim::new_subdivided(store.clone(), bbox, IVec3::splat(2), ff, 0.0005, 2)
-            .unwrap();
+        DistributedSim::build(store.clone(), bbox, IVec3::splat(2), ff, 0.0005, cfg).unwrap();
     let mut serial = Simulation::builder(store, bbox)
         .pair_potential(Box::new(v.pair.clone()))
         .triplet_potential(Box::new(v.triplet.clone()))
@@ -355,12 +355,17 @@ fn timings_and_load_are_reported() {
         DistributedSim::new(store, bbox, IVec3::splat(2), lj_ff(Method::ShiftCollapse), 0.002)
             .unwrap();
     d.run(3);
-    let t = d.timings();
+    let t = d.telemetry().total_phases;
     assert!(t.total_s() > 0.0);
     assert!(t.compute_s() > 0.0, "compute must dominate in-process: {t:?}");
     assert!((0.0..=1.0).contains(&t.comm_fraction()));
-    // A uniform FCC crystal decomposes almost perfectly.
-    let imb = d.load_imbalance();
+    // A uniform FCC crystal decomposes almost perfectly: max(owned) /
+    // mean(owned) across ranks stays near 1.
+    let mut owned = [0usize; 8];
+    for &r in d.gather().positions() {
+        owned[d.grid().owner_of(r)] += 1;
+    }
+    let imb = *owned.iter().max().unwrap() as f64 / (owned.iter().sum::<usize>() as f64 / 8.0);
     assert!((1.0..1.2).contains(&imb), "imbalance {imb}");
 }
 
@@ -417,13 +422,13 @@ fn bsp_phase_breakdown_is_recorded() {
         DistributedSim::new(store, bbox, IVec3::splat(2), lj_ff(Method::ShiftCollapse), 0.002)
             .unwrap();
     d.run(2);
-    let p = d.phase_breakdown();
+    let p = d.telemetry().comm.phases;
     assert!(p.bin_s() > 0.0, "ranks timed their binning: {p:?}");
     assert!(p.enumerate_s() > 0.0, "ranks timed their enumeration: {p:?}");
     assert!(p.reduce_s() > 0.0, "ranks timed their scratch merge: {p:?}");
     assert_eq!(p.exchange_s(), 0.0, "BSP exchange time is counted centrally in PhaseTimings");
     // The fine-grained rank view nests inside the coarse compute wall time.
-    assert!(d.timings().compute_s() > 0.0);
+    assert!(d.telemetry().total_phases.compute_s() > 0.0);
     assert_eq!(p, d.comm_stats().phases);
 }
 
@@ -434,16 +439,18 @@ fn telemetry_snapshot_carries_every_section() {
 
     let reg = Registry::new();
     let (store, bbox) = lj_system();
-    let mut d =
-        DistributedSim::new(store, bbox, IVec3::splat(2), lj_ff(Method::ShiftCollapse), 0.002)
-            .unwrap();
-    d.set_metrics(reg.clone());
-    d.set_fault_plan(FaultPlan::none().with(Fault {
-        step: 1,
-        rank: 1,
-        channel: None,
-        kind: FaultKind::Drop,
-    }));
+    let cfg = EngineConfig {
+        metrics: reg.clone(),
+        faults: FaultPlan::none().with(Fault {
+            step: 1,
+            rank: 1,
+            channel: None,
+            kind: FaultKind::Drop,
+        }),
+        ..Default::default()
+    };
+    let ff = lj_ff(Method::ShiftCollapse);
+    let mut d = DistributedSim::build(store, bbox, IVec3::splat(2), ff, 0.002, cfg).unwrap();
     for _ in 0..3 {
         d.try_step().unwrap();
     }
@@ -481,11 +488,10 @@ fn threaded_run_with_metrics_reports_totals() {
     use sc_obs::{Phase, Registry};
     let reg = Registry::new();
     let (store, bbox) = lj_system();
-    let mut sim =
-        ThreadedSim::new(store, bbox, IVec3::splat(2), lj_ff(Method::ShiftCollapse), 0.002)
-            .unwrap();
-    sim.set_metrics(reg.clone());
-    sim.run_steps(3);
+    let cfg = EngineConfig { metrics: reg.clone(), ..Default::default() };
+    let ff = lj_ff(Method::ShiftCollapse);
+    let mut sim = ThreadedSim::build(store, bbox, IVec3::splat(2), ff, 0.002, cfg).unwrap();
+    sim.run(3);
     let stats = sim.comm_stats();
     assert_eq!(reg.counter("comm.messages").get(), stats.messages);
     assert_eq!(reg.counter("comm.bytes").get(), stats.bytes);
@@ -498,11 +504,10 @@ fn bsp_trace_events_agree_with_comm_counters() {
     use sc_obs::{EventKind, Tracer};
 
     let (store, bbox) = lj_system();
-    let mut d =
-        DistributedSim::new(store, bbox, IVec3::splat(2), lj_ff(Method::ShiftCollapse), 0.002)
-            .unwrap();
     let tracer = Tracer::new();
-    d.set_tracer(tracer.clone());
+    let cfg = EngineConfig { tracer: tracer.clone(), ..Default::default() };
+    let ff = lj_ff(Method::ShiftCollapse);
+    let mut d = DistributedSim::build(store, bbox, IVec3::splat(2), ff, 0.002, cfg).unwrap();
     d.run(2);
     assert_eq!(tracer.dropped(), 0, "the default ring holds a short run without wrapping");
 
@@ -510,7 +515,7 @@ fn bsp_trace_events_agree_with_comm_counters() {
     let nranks = 8u32;
     // Every send the stats counted is on the timeline, rank by rank, with
     // matching byte totals — and every send has a matching receive.
-    for (r, stats) in d.rank_stats().iter().enumerate() {
+    for (r, stats) in d.telemetry().per_rank.iter().enumerate() {
         let sends: Vec<_> = events
             .iter()
             .filter(|e| e.rank == r as u32 && matches!(e.kind, EventKind::Send { .. }))
@@ -586,12 +591,10 @@ fn threaded_run_observed_traces_every_rank() {
     let reg = Registry::new();
     let tracer = Tracer::new();
     let (store, bbox) = lj_system();
-    let mut sim =
-        ThreadedSim::new(store, bbox, IVec3::splat(2), lj_ff(Method::ShiftCollapse), 0.002)
-            .unwrap();
-    sim.set_metrics(reg.clone());
-    sim.set_tracer(tracer.clone());
-    sim.run_steps(2);
+    let cfg = EngineConfig { metrics: reg.clone(), tracer: tracer.clone(), ..Default::default() };
+    let ff = lj_ff(Method::ShiftCollapse);
+    let mut sim = ThreadedSim::build(store, bbox, IVec3::splat(2), ff, 0.002, cfg).unwrap();
+    sim.run(2);
     let stats = sim.comm_stats();
 
     let events = tracer.events();
@@ -639,8 +642,9 @@ fn assert_rank_hybrid_matches_serial(
     k: i32,
     hybrid_ff: fn() -> ForceField,
 ) {
+    let cfg = EngineConfig { subdivision: k, ..Default::default() };
     let mut dist =
-        DistributedSim::new_subdivided(store.clone(), bbox, grid, hybrid_ff(), 0.001, k).unwrap();
+        DistributedSim::build(store.clone(), bbox, grid, hybrid_ff(), 0.001, cfg).unwrap();
     let ff = hybrid_ff();
     let mut builder = Simulation::builder(store, bbox)
         .pair_potential(ff.pair.expect("hybrid has a pair term"))
@@ -695,4 +699,31 @@ fn rank_hybrid_matches_serial_hybrid_term_by_term() {
         quadruplet: Some(Box::new(TorsionToy::new(0.05, 1.0, 0.3))),
         method: Method::Hybrid,
     });
+}
+
+/// The threaded executor has no scripted faults and no adaptive
+/// rebalancing; handed either, it refuses to build instead of running
+/// without them.
+#[test]
+fn threaded_build_refuses_what_it_cannot_honour() {
+    use sc_parallel::{CommConfig, Fault, FaultKind, FaultPlan, SetupError};
+
+    let build = |cfg: EngineConfig| {
+        let (store, bbox) = lj_system();
+        let ff = lj_ff(Method::ShiftCollapse);
+        ThreadedSim::build(store, bbox, IVec3::new(2, 1, 1), ff, 0.002, cfg).map(|_| ())
+    };
+    let fault = Fault { step: 1, rank: 1, channel: None, kind: FaultKind::Drop };
+    assert_eq!(
+        build(EngineConfig { faults: FaultPlan::none().with(fault), ..Default::default() }),
+        Err(SetupError::Unsupported { executor: "threaded", field: "faults" })
+    );
+    let comm = CommConfig { rebalance_every: 2, ..CommConfig::default() };
+    assert_eq!(
+        build(EngineConfig { comm, ..Default::default() }),
+        Err(SetupError::Unsupported { executor: "threaded", field: "comm.rebalance_every" })
+    );
+    // Everything else in the configuration is honoured.
+    let comm = CommConfig { aggregation: false, overlap: false, rebalance_every: 0 };
+    assert_eq!(build(EngineConfig { comm, subdivision: 2, ..Default::default() }), Ok(()));
 }

@@ -9,7 +9,7 @@ use sc_geom::{IVec3, SimulationBox, Vec3};
 use sc_md::supervisor::{Recoverable, Supervisor, SupervisorConfig};
 use sc_md::{build_fcc_lattice, LatticeSpec, Method};
 use sc_parallel::rank::ForceField;
-use sc_parallel::{CommConfig, DistributedSim, Fault, FaultKind, FaultPlan};
+use sc_parallel::{CommConfig, DistributedSim, EngineConfig, Fault, FaultKind, FaultPlan};
 use sc_potential::LennardJones;
 
 fn lj_system() -> (AtomStore, SimulationBox) {
@@ -25,9 +25,17 @@ fn lj_ff() -> ForceField {
     }
 }
 
-fn mk_sim() -> DistributedSim {
+fn mk_sim_with(cfg: EngineConfig) -> DistributedSim {
     let (store, bbox) = lj_system();
-    DistributedSim::new(store, bbox, IVec3::splat(2), lj_ff(), 0.002).unwrap()
+    DistributedSim::build(store, bbox, IVec3::splat(2), lj_ff(), 0.002, cfg).unwrap()
+}
+
+fn mk_sim() -> DistributedSim {
+    mk_sim_with(EngineConfig::default())
+}
+
+fn faulted(faults: FaultPlan) -> DistributedSim {
+    mk_sim_with(EngineConfig { faults, ..Default::default() })
 }
 
 fn total_momentum(store: &AtomStore) -> Vec3 {
@@ -72,8 +80,7 @@ fn assert_close(bbox: &SimulationBox, a: &AtomStore, b: &AtomStore, tol: f64, wh
 #[test]
 fn empty_fault_plan_is_bitwise_transparent() {
     let mut clean = mk_sim();
-    let mut instrumented = mk_sim();
-    instrumented.set_fault_plan(FaultPlan::none());
+    let mut instrumented = faulted(FaultPlan::none());
     clean.run(6);
     instrumented.run(6);
     assert_bitwise_eq(&clean.gather(), &instrumented.gather(), "FaultPlan::none()");
@@ -98,8 +105,8 @@ fn single_faults_recover_in_step_bitwise() {
         FaultKind::Stall { attempts: 2 },
     ];
     for kind in kinds {
-        let mut sim = mk_sim();
-        sim.set_fault_plan(FaultPlan::none().with(Fault { step: 2, rank: 1, channel: None, kind }));
+        let mut sim =
+            faulted(FaultPlan::none().with(Fault { step: 2, rank: 1, channel: None, kind }));
         for _ in 0..6 {
             sim.try_step().unwrap_or_else(|e| panic!("{kind:?}: unrecovered fault {e}"));
         }
@@ -123,8 +130,7 @@ fn escalated_stall_rolls_back_and_converges() {
     clean.run(6);
     let (_, bbox) = lj_system();
 
-    let mut sim = mk_sim();
-    sim.set_fault_plan(FaultPlan::none().with(Fault {
+    let mut sim = faulted(FaultPlan::none().with(Fault {
         step: 3,
         rank: 2,
         channel: None,
@@ -176,8 +182,7 @@ proptest! {
         clean.run(6);
         let reference = clean.gather();
 
-        let mut sim = mk_sim();
-        sim.set_fault_plan(FaultPlan::random(seed, 1, 6, 8));
+        let mut sim = faulted(FaultPlan::random(seed, 1, 6, 8));
         let mut sup = Supervisor::new(SupervisorConfig {
             checkpoint_every: 2,
             max_rollbacks: 16,
@@ -204,8 +209,7 @@ proptest! {
         nfaults in 1usize..=3,
     ) {
         let comm = CommConfig { aggregation: true, overlap: seed % 2 == 1, rebalance_every: 0 };
-        let mut clean = mk_sim();
-        clean.set_comm_config(comm);
+        let mut clean = mk_sim_with(EngineConfig { comm, ..Default::default() });
         clean.run(6);
 
         let kinds = [
@@ -232,9 +236,7 @@ proptest! {
                 kind: kinds[(next() % kinds.len() as u64) as usize],
             });
         }
-        let mut sim = mk_sim();
-        sim.set_comm_config(comm);
-        sim.set_fault_plan(plan);
+        let mut sim = mk_sim_with(EngineConfig { comm, faults: plan, ..Default::default() });
         for step in 0..6 {
             let r = sim.try_step();
             prop_assert!(r.is_ok(), "seed {}: unrecovered fault at step {}: {:?}", seed, step, r);

@@ -3,12 +3,10 @@
 //! compared on.
 
 use crate::error::SpecError;
-use crate::model::{
-    ExecutorSpec, ObservabilitySpec, PotentialSpec, ScenarioSpec, SystemSpec, ThermostatSpec,
-};
+use crate::model::{ExecutorSpec, ObservabilitySpec, PotentialSpec, ScenarioSpec, SystemSpec};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
-use sc_md::supervisor::Recoverable;
+use sc_md::supervisor::{Recoverable, StepFault};
 use sc_md::{
     build_clustered_gas, build_fcc_lattice, build_silica_like, random_gas, thermalize, Checkpoint,
     LatticeSpec, RuntimeConfig, Simulation, Telemetry,
@@ -16,40 +14,19 @@ use sc_md::{
 use sc_obs::json::Json;
 use sc_obs::{Registry, Tracer};
 use sc_parallel::rank::ForceField;
-use sc_parallel::{CommConfig, DistributedSim, FaultPlan, ThreadedSim};
+use sc_parallel::{CommConfig, DistributedSim, EngineConfig, FaultPlan, ThreadedSim};
 use sc_potential::{LennardJones, Vashishta};
 
 /// The schema identifier of the observables document.
 pub const OBSERVABLES_SCHEMA_ID: &str = "sc-observables/1";
 
-/// An executor fault surfaced through [`RunHandle`]'s [`Recoverable`]
-/// impl, preserving the dead-rank classification the supervisor's
-/// recovery ladder keys on.
-#[derive(Debug)]
-pub struct RunFault {
-    message: String,
-    dead_rank: Option<usize>,
-}
-
-impl std::fmt::Display for RunFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for RunFault {}
-
-/// The one executor surface every engine implements — the serial
-/// in-process engine, the BSP distributed executor, and the persistent
-/// threaded executor all instantiate to a `Box<dyn Executor>` inside
-/// [`RunHandle`], so the spec layer, the CLI, the bench harness, and the
-/// job service drive them through identical calls instead of
-/// enum-matching per engine.
-pub trait Executor: Send {
-    /// Advances one step, surfacing unrecovered faults.
-    fn try_step(&mut self) -> Result<(), RunFault>;
-    /// Steps completed so far.
-    fn steps_done(&self) -> u64;
+/// What a run offers beyond supervision ([`Recoverable`]: step, checkpoint,
+/// restore, invariants, timestep). The serial in-process engine, the BSP
+/// distributed executor and the persistent threaded executor all
+/// instantiate to a `Box<dyn Executor>` inside [`RunHandle`], so the spec
+/// layer, the CLI, the bench harness and the job service drive them
+/// through identical calls instead of enum-matching per engine.
+pub trait Executor: Recoverable + Send {
     /// The unified telemetry snapshot.
     fn telemetry(&self) -> Telemetry;
     /// Total (kinetic + potential) energy from fresh forces.
@@ -57,121 +34,19 @@ pub trait Executor: Send {
     /// The full phase-space state, gathered into one store (owned atoms
     /// only, deterministic order for a fixed executor configuration).
     fn gather(&self) -> AtomStore;
-    /// Snapshots the full dynamic state (bitwise-lossless).
-    fn checkpoint(&self) -> Checkpoint;
-    /// Rewinds to a snapshot; restored trajectories replay bitwise.
-    fn restore(&mut self, cp: &Checkpoint);
-    /// Restores while excluding dead ranks (engines that cannot
-    /// re-decompose return `Err`).
-    fn restore_excluding(&mut self, cp: &Checkpoint, exclude: &[usize]) -> Result<(), String>;
     /// The metrics registry the run reports into.
     fn metrics(&self) -> &Registry;
     /// The event tracer.
     fn tracer(&self) -> &Tracer;
     /// Executor short name (`serial` / `bsp` / `threaded`).
     fn kind(&self) -> &'static str;
-    /// Owned atoms across all ranks (supervision invariant).
-    fn atom_count(&self) -> usize;
-    /// Cached total-energy estimate (no force recomputation).
-    fn total_energy_estimate(&self) -> f64;
-    /// Whether all positions/velocities/forces are finite.
-    fn state_is_finite(&self) -> bool;
-    /// The integration timestep.
-    fn timestep(&self) -> f64;
-    /// Changes the integration timestep.
-    fn set_timestep(&mut self, dt: f64);
-    /// Unwraps to the concrete engine (used by harnesses that need
-    /// engine-specific hooks, e.g. the chaos storm driver's fault plans).
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
 }
 
-impl Executor for Simulation {
-    fn try_step(&mut self) -> Result<(), RunFault> {
-        Recoverable::try_step(self).map_err(|e| match e {})
-    }
-
-    fn steps_done(&self) -> u64 {
-        Simulation::steps_done(self)
-    }
-
-    fn telemetry(&self) -> Telemetry {
-        Simulation::telemetry(self)
-    }
-
-    fn total_energy(&mut self) -> f64 {
-        Simulation::total_energy(self)
-    }
-
-    fn gather(&self) -> AtomStore {
-        self.store().clone()
-    }
-
-    fn checkpoint(&self) -> Checkpoint {
-        Recoverable::checkpoint(self)
-    }
-
-    fn restore(&mut self, cp: &Checkpoint) {
-        Recoverable::restore(self, cp);
-    }
-
-    fn restore_excluding(&mut self, cp: &Checkpoint, exclude: &[usize]) -> Result<(), String> {
-        Recoverable::restore_excluding(self, cp, exclude)
-    }
-
-    fn metrics(&self) -> &Registry {
-        Simulation::metrics(self)
-    }
-
-    fn tracer(&self) -> &Tracer {
-        Simulation::tracer(self)
-    }
-
-    fn kind(&self) -> &'static str {
-        "serial"
-    }
-
-    fn atom_count(&self) -> usize {
-        Recoverable::atom_count(self)
-    }
-
-    fn total_energy_estimate(&self) -> f64 {
-        Recoverable::total_energy_estimate(self)
-    }
-
-    fn state_is_finite(&self) -> bool {
-        Recoverable::state_is_finite(self)
-    }
-
-    fn timestep(&self) -> f64 {
-        Recoverable::timestep(self)
-    }
-
-    fn set_timestep(&mut self, dt: f64) {
-        Recoverable::set_timestep(self, dt);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-}
-
-/// Implements [`Executor`] for a distributed engine whose [`Recoverable`]
-/// fault is [`sc_parallel::RuntimeError`] — the BSP and threaded
-/// executors share every delegation except their inherent accessors.
-macro_rules! distributed_executor {
-    ($engine:ty, $kind:literal) => {
+/// Implements [`Executor`] by delegating to the engine's inherent methods
+/// of the same names; only `gather` and the short name differ per engine.
+macro_rules! executor {
+    ($engine:ty, $kind:literal, $gather:expr) => {
         impl Executor for $engine {
-            fn try_step(&mut self) -> Result<(), RunFault> {
-                <$engine>::try_step(self).map_err(|e| RunFault {
-                    dead_rank: <$engine as Recoverable>::dead_rank(&e),
-                    message: e.to_string(),
-                })
-            }
-
-            fn steps_done(&self) -> u64 {
-                <$engine>::steps_done(self)
-            }
-
             fn telemetry(&self) -> Telemetry {
                 <$engine>::telemetry(self)
             }
@@ -181,23 +56,7 @@ macro_rules! distributed_executor {
             }
 
             fn gather(&self) -> AtomStore {
-                <$engine>::gather(self)
-            }
-
-            fn checkpoint(&self) -> Checkpoint {
-                Recoverable::checkpoint(self)
-            }
-
-            fn restore(&mut self, cp: &Checkpoint) {
-                Recoverable::restore(self, cp);
-            }
-
-            fn restore_excluding(
-                &mut self,
-                cp: &Checkpoint,
-                exclude: &[usize],
-            ) -> Result<(), String> {
-                Recoverable::restore_excluding(self, cp, exclude)
+                ($gather)(self)
             }
 
             fn metrics(&self) -> &Registry {
@@ -211,36 +70,13 @@ macro_rules! distributed_executor {
             fn kind(&self) -> &'static str {
                 $kind
             }
-
-            fn atom_count(&self) -> usize {
-                Recoverable::atom_count(self)
-            }
-
-            fn total_energy_estimate(&self) -> f64 {
-                Recoverable::total_energy_estimate(self)
-            }
-
-            fn state_is_finite(&self) -> bool {
-                Recoverable::state_is_finite(self)
-            }
-
-            fn timestep(&self) -> f64 {
-                Recoverable::timestep(self)
-            }
-
-            fn set_timestep(&mut self, dt: f64) {
-                Recoverable::set_timestep(self, dt);
-            }
-
-            fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-                self
-            }
         }
     };
 }
 
-distributed_executor!(DistributedSim, "bsp");
-distributed_executor!(ThreadedSim, "threaded");
+executor!(Simulation, "serial", |sim: &Simulation| sim.store().clone());
+executor!(DistributedSim, "bsp", DistributedSim::gather);
+executor!(ThreadedSim, "threaded", ThreadedSim::gather);
 
 /// A scenario instantiated on an executor: a thin owner of the one
 /// [`Executor`] object every engine hides behind.
@@ -257,7 +93,7 @@ impl RunHandle {
 
     /// Advances one step, surfacing unrecovered distributed faults as text.
     pub fn try_step(&mut self) -> Result<(), String> {
-        self.exec.try_step().map_err(|e| e.to_string())
+        self.exec.try_step().map_err(|e| e.message)
     }
 
     /// Runs `n` steps (panicking on faults; use [`RunHandle::try_step`]
@@ -315,21 +151,13 @@ impl RunHandle {
     pub fn executor_kind(&self) -> &'static str {
         self.exec.kind()
     }
-
-    /// Unwraps the BSP engine (None for other executors) — for harnesses
-    /// that need BSP-only hooks like scripted fault plans.
-    pub fn into_bsp(self) -> Option<Box<DistributedSim>> {
-        self.exec.into_any().downcast::<DistributedSim>().ok()
-    }
 }
 
 /// Delegates supervision hooks to the engines' own [`Recoverable`] impls,
 /// so a [`sc_md::Supervisor`] can drive any spec-instantiated run — the
 /// job service leans on this for per-job rollback recovery.
 impl Recoverable for RunHandle {
-    type Fault = RunFault;
-
-    fn try_step(&mut self) -> Result<(), RunFault> {
+    fn try_step(&mut self) -> Result<(), StepFault> {
         self.exec.try_step()
     }
 
@@ -367,10 +195,6 @@ impl Recoverable for RunHandle {
 
     fn steps_done(&self) -> u64 {
         self.exec.steps_done()
-    }
-
-    fn dead_rank(fault: &RunFault) -> Option<usize> {
-        fault.dead_rank
     }
 }
 
@@ -447,12 +271,31 @@ impl ScenarioSpec {
         (registry, tracer)
     }
 
-    /// The communication schedule the spec's `comm` block describes.
-    pub fn comm_config(&self) -> CommConfig {
-        CommConfig {
-            aggregation: self.comm.aggregation,
-            overlap: self.comm.overlap,
-            rebalance_every: self.comm.rebalance_every,
+    /// The one mapping from a spec to a distributed engine's run
+    /// configuration: every spec key an engine can honour travels through
+    /// here, and [`ScenarioSpec::validate`] refuses the rest per executor.
+    /// `label` and `flight_ring` are the runner's, as in
+    /// [`ScenarioSpec::instantiate_flight`].
+    pub fn engine_config(&self, label: Option<&str>, flight_ring: Option<usize>) -> EngineConfig {
+        let (metrics, tracer) = self.registries(label, flight_ring);
+        let ranks = match &self.executor {
+            ExecutorSpec::Serial { .. } => 1,
+            ExecutorSpec::Bsp { grid } | ExecutorSpec::Threaded { grid } => grid.iter().product(),
+        };
+        EngineConfig {
+            subdivision: self.subdivision,
+            resort_every: self.resort_every,
+            comm: CommConfig {
+                aggregation: self.comm.aggregation,
+                overlap: self.comm.overlap,
+                rebalance_every: self.comm.rebalance_every,
+            },
+            faults: self.fault_plan.as_ref().map_or_else(FaultPlan::none, |fp| {
+                let (count, crashes) = (fp.count as usize, fp.max_crashes as usize);
+                FaultPlan::storm(fp.seed, count, self.steps, ranks as usize, crashes)
+            }),
+            metrics,
+            tracer,
         }
     }
 
@@ -462,20 +305,15 @@ impl ScenarioSpec {
     /// [`SpecError::Build`] / [`SpecError::Setup`] when the engine rejects
     /// the configuration.
     pub fn instantiate(&self) -> Result<RunHandle, SpecError> {
-        self.instantiate_labeled(None)
+        self.instantiate_flight(None, None)
     }
 
-    /// Like [`ScenarioSpec::instantiate`], stamping `label` (a job id)
-    /// onto the metrics registry so multiplexed jobs stay distinguishable.
-    pub fn instantiate_labeled(&self, label: Option<&str>) -> Result<RunHandle, SpecError> {
-        self.instantiate_flight(label, None)
-    }
-
-    /// Like [`ScenarioSpec::instantiate_labeled`], additionally arming a
-    /// flight-recorder trace ring of `flight_ring` events per sink when
-    /// the spec itself leaves tracing unset — the job service keeps every
-    /// job's ring continuously armed this way so `Dump` can snapshot a
-    /// running job's recent past. A spec-level `observability.ring`
+    /// Like [`ScenarioSpec::instantiate`], stamping `label` (a job id) onto
+    /// the metrics registry so multiplexed jobs stay distinguishable, and
+    /// arming a flight-recorder trace ring of `flight_ring` events per sink
+    /// when the spec itself leaves tracing unset — the job service keeps
+    /// every job's ring continuously armed this way so `Dump` can snapshot
+    /// a running job's recent past. A spec-level `observability.ring`
     /// (including an explicit `0`) overrides the runner's choice.
     pub fn instantiate_flight(
         &self,
@@ -483,82 +321,36 @@ impl ScenarioSpec {
         flight_ring: Option<usize>,
     ) -> Result<RunHandle, SpecError> {
         let (store, bbox) = self.build_workload();
-        let (metrics, tracer) = self.registries(label, flight_ring);
-        match &self.executor {
+        let (ff, dt) = (self.force_field(), self.dt);
+        let cfg = self.engine_config(label, flight_ring);
+        let pdims = |g: &[u64; 3]| IVec3::new(g[0] as i32, g[1] as i32, g[2] as i32);
+        let setup = |e: sc_parallel::SetupError| SpecError::Setup(e.to_string());
+        Ok(match &self.executor {
             ExecutorSpec::Serial { threads } => {
                 let runtime = RuntimeConfig {
                     threads: *threads as usize,
                     verlet_skin: self.verlet_skin,
-                    resort_every: self.resort_every,
-                    metrics,
-                    tracer,
+                    resort_every: cfg.resort_every,
+                    metrics: cfg.metrics,
+                    tracer: cfg.tracer,
                 };
                 let mut b = Simulation::builder(store, bbox)
-                    .method(self.method)
-                    .timestep(self.dt)
-                    .cell_subdivision(self.subdivision)
+                    .force_field(ff)
+                    .timestep(dt)
+                    .cell_subdivision(cfg.subdivision)
                     .runtime(runtime);
-                match &self.potential {
-                    PotentialSpec::Lj { cutoff } => {
-                        b = b.pair_potential(Box::new(LennardJones::reduced(*cutoff)));
-                    }
-                    PotentialSpec::Vashishta => {
-                        let v = Vashishta::silica();
-                        b = b
-                            .pair_potential(Box::new(v.pair.clone()))
-                            .triplet_potential(Box::new(v.triplet.clone()));
-                    }
+                if let Some(t) = &self.thermostat {
+                    b = b.thermostat(t.target, t.dt_over_tau);
                 }
-                if let Some(ThermostatSpec { target, dt_over_tau }) = &self.thermostat {
-                    b = b.thermostat(*target, *dt_over_tau);
-                }
-                Ok(RunHandle::new(b.build()?))
+                RunHandle::new(b.build()?)
             }
-            ExecutorSpec::Bsp { grid } => {
-                let pdims = IVec3::new(grid[0] as i32, grid[1] as i32, grid[2] as i32);
-                let mut sim = DistributedSim::new_subdivided(
-                    store,
-                    bbox,
-                    pdims,
-                    self.force_field(),
-                    self.dt,
-                    self.subdivision,
-                )
-                .map_err(|e| SpecError::Setup(e.to_string()))?;
-                sim.set_resort_every(self.resort_every);
-                sim.set_comm_config(self.comm_config());
-                if let Some(fp) = &self.fault_plan {
-                    let ranks = grid.iter().product::<u64>() as usize;
-                    sim.set_fault_plan(FaultPlan::storm(
-                        fp.seed,
-                        fp.count as usize,
-                        self.steps,
-                        ranks,
-                        fp.max_crashes as usize,
-                    ));
-                }
-                sim.set_metrics(metrics);
-                sim.set_tracer(tracer);
-                Ok(RunHandle::new(sim))
-            }
-            ExecutorSpec::Threaded { grid } => {
-                let pdims = IVec3::new(grid[0] as i32, grid[1] as i32, grid[2] as i32);
-                let mut sim = ThreadedSim::new_subdivided(
-                    store,
-                    bbox,
-                    pdims,
-                    self.force_field(),
-                    self.dt,
-                    self.subdivision,
-                )
-                .map_err(|e| SpecError::Setup(e.to_string()))?;
-                sim.set_resort_every(self.resort_every);
-                sim.set_comm_config(self.comm_config());
-                sim.set_metrics(metrics);
-                sim.set_tracer(tracer);
-                Ok(RunHandle::new(sim))
-            }
-        }
+            ExecutorSpec::Bsp { grid } => RunHandle::new(
+                DistributedSim::build(store, bbox, pdims(grid), ff, dt, cfg).map_err(setup)?,
+            ),
+            ExecutorSpec::Threaded { grid } => RunHandle::new(
+                ThreadedSim::build(store, bbox, pdims(grid), ff, dt, cfg).map_err(setup)?,
+            ),
+        })
     }
 }
 
@@ -718,7 +510,7 @@ mod tests {
     fn labeled_instantiation_labels_the_registry() {
         let mut spec = spec(r#"{"kind": "serial"}"#);
         spec.observability.metrics = true;
-        let sim = spec.instantiate_labeled(Some("job-9")).unwrap();
+        let sim = spec.instantiate_flight(Some("job-9"), None).unwrap();
         assert_eq!(sim.metrics().label(), Some("job-9"));
         // Unlabeled: metrics on, no label.
         let sim = spec.instantiate().unwrap();

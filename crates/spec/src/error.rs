@@ -16,10 +16,8 @@ pub enum SpecError {
         /// The underlying I/O error text.
         detail: String,
     },
-    /// The document is not syntactically valid TOML/JSON.
+    /// The document is not syntactically valid JSON.
     Parse {
-        /// `"json"` or `"toml"`.
-        format: &'static str,
         /// Parser diagnostic (includes position).
         detail: String,
     },
@@ -70,7 +68,7 @@ impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpecError::Io { path, detail } => write!(f, "reading {path}: {detail}"),
-            SpecError::Parse { format, detail } => write!(f, "invalid {format}: {detail}"),
+            SpecError::Parse { detail } => write!(f, "invalid json: {detail}"),
             SpecError::MissingField { field } => write!(f, "missing required field '{field}'"),
             SpecError::BadType { field, expected } => {
                 write!(f, "field '{field}' must be a {expected}")

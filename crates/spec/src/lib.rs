@@ -1,6 +1,6 @@
 //! # sc-spec — declarative scenario specifications
 //!
-//! A scenario spec is a small TOML or JSON document that pins down an
+//! A scenario spec is a small JSON document that pins down an
 //! entire simulation campaign: the physical system, the potential, the
 //! n-tuple method Ψ (shift-collapse / full-shell / hybrid), the executor
 //! and rank grid, integration parameters, optional thermostat, fault
@@ -8,25 +8,24 @@
 //! `scenarios/` zoo and the bench matrix are expressed as specs, and the
 //! job service (`scmd serve`) accepts them as its submission unit.
 //!
-//! The crate deliberately has **no** external dependencies: TOML is read
-//! by a vendored subset parser ([`toml`]), JSON via
-//! [`sc_obs::json::Json`], and decoding is strict — unknown fields,
-//! wrong types, and out-of-range values all fail with a [`SpecError`]
-//! naming the offending field's dotted path.
+//! The crate deliberately has **no** external dependencies: documents are
+//! read by [`sc_obs::json::Json`], and decoding is strict — unknown
+//! fields, wrong types, out-of-range values and keys the chosen executor
+//! cannot honour all fail with a [`SpecError`] naming the offending
+//! field's dotted path.
 //!
 //! ```text
 //! file/str ── parse ──► Json ── decode+validate ──► ScenarioSpec
-//!                                                      │ instantiate()
+//!                                                      │ engine_config() + instantiate()
 //!                                                      ▼
-//!                                  RunHandle (Simulation | DistributedSim)
+//!                       RunHandle (Simulation | DistributedSim | ThreadedSim)
 //! ```
 
 pub mod build;
 pub mod error;
 pub mod model;
-pub mod toml;
 
-pub use build::{observables_doc, Executor, RunFault, RunHandle, OBSERVABLES_SCHEMA_ID};
+pub use build::{observables_doc, Executor, RunHandle, OBSERVABLES_SCHEMA_ID};
 pub use error::SpecError;
 pub use model::{
     method_name, CheckpointSpec, CommSpec, ExecutorSpec, FaultPlanSpec, ObservabilitySpec,

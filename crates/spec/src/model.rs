@@ -1,4 +1,4 @@
-//! The scenario data model: strict decode from JSON/TOML, cross-field
+//! The scenario data model: strict decode from JSON, cross-field
 //! validation, and canonical re-serialization.
 //!
 //! A scenario is the declarative unit of work for `scmd run/bench/chaos`
@@ -40,7 +40,8 @@ pub struct ScenarioSpec {
     pub steps: u64,
     /// Cell subdivision `k` (paper §6), 1–3.
     pub subdivision: i32,
-    /// Hybrid-MD Verlet skin (0 = rebuild every step).
+    /// Hybrid-MD Verlet skin (0 = rebuild every step; serial executor
+    /// only).
     pub verlet_skin: f64,
     /// Morton re-sort cadence (0 = never).
     pub resort_every: u64,
@@ -361,29 +362,19 @@ fn bad(field: impl Into<String>, detail: impl Into<String>) -> SpecError {
 }
 
 impl ScenarioSpec {
-    /// Loads a spec from a file, dispatching on extension: `.toml` parses
-    /// as TOML, anything else as JSON.
+    /// Loads a JSON spec from a file.
     pub fn from_path(path: &std::path::Path) -> Result<Self, SpecError> {
         let text = std::fs::read_to_string(path).map_err(|e| SpecError::Io {
             path: path.display().to_string(),
             detail: e.to_string(),
         })?;
-        if path.extension().is_some_and(|e| e == "toml") {
-            Self::from_toml_str(&text)
-        } else {
-            Self::from_json_str(&text)
-        }
+        Self::from_json_str(&text)
     }
 
     /// Parses and validates a JSON scenario document.
     pub fn from_json_str(text: &str) -> Result<Self, SpecError> {
-        let v = Json::parse(text).map_err(|detail| SpecError::Parse { format: "json", detail })?;
+        let v = Json::parse(text).map_err(|detail| SpecError::Parse { detail })?;
         Self::from_json(&v)
-    }
-
-    /// Parses and validates a TOML scenario document.
-    pub fn from_toml_str(text: &str) -> Result<Self, SpecError> {
-        Self::from_json(&crate::toml::parse(text)?)
     }
 
     /// Decodes and validates a scenario from a parsed JSON value.
@@ -536,16 +527,25 @@ impl ScenarioSpec {
                 }
             }
         }
-        if self.comm.rebalance_every != 0 && !matches!(self.executor, ExecutorSpec::Bsp { .. }) {
-            return Err(bad(
-                "comm.rebalance_every",
-                "only the bsp executor supports adaptive re-decomposition",
-            ));
-        }
-        if let Some(t) = &self.thermostat {
-            if !matches!(self.executor, ExecutorSpec::Serial { .. }) {
-                return Err(bad("thermostat", "only the serial executor supports a thermostat"));
+        // The refusal rule: a key the chosen executor cannot honour is an
+        // error naming the key, never a silently different run. (A rank
+        // builds its Hybrid list at the bare cutoff, so a skin there would
+        // run another baseline than the one asked for.)
+        let serial = matches!(self.executor, ExecutorSpec::Serial { .. });
+        let bsp = matches!(self.executor, ExecutorSpec::Bsp { .. });
+        let only = |field: &str, set: bool, honoured: bool, who: &str| {
+            if set && !honoured {
+                return Err(bad(field, format!("only the {who} executor honours this key")));
             }
+            Ok(())
+        };
+        only("verlet_skin", self.verlet_skin != 0.0, serial, "serial")?;
+        only("thermostat", self.thermostat.is_some(), serial, "serial")?;
+        only("comm.aggregation", !self.comm.aggregation, !serial, "bsp or threaded")?;
+        only("comm.overlap", !self.comm.overlap, !serial, "bsp or threaded")?;
+        only("comm.rebalance_every", self.comm.rebalance_every != 0, bsp, "bsp")?;
+        only("fault_plan", self.fault_plan.is_some(), bsp, "bsp")?;
+        if let Some(t) = &self.thermostat {
             if !(t.target >= 0.0 && t.target.is_finite()) {
                 return Err(bad("thermostat.target", "must be finite and ≥ 0"));
             }
@@ -554,12 +554,8 @@ impl ScenarioSpec {
             }
         }
         if let Some(fp) = &self.fault_plan {
-            let ranks = match &self.executor {
-                ExecutorSpec::Bsp { grid } => grid.iter().product::<u64>(),
-                _ => {
-                    return Err(bad("fault_plan", "only the bsp executor supports fault plans"));
-                }
-            };
+            let ExecutorSpec::Bsp { grid } = &self.executor else { unreachable!("refused above") };
+            let ranks = grid.iter().product::<u64>();
             if fp.count == 0 {
                 return Err(bad("fault_plan.count", "must be at least 1"));
             }
@@ -907,28 +903,11 @@ mod tests {
     }
 
     #[test]
-    fn toml_and_json_decode_identically() {
-        let toml = r#"
-            schema = "sc-scenario/1"
-            name = "lj-melt"
-            method = "sc"
-            dt = 0.002
-            steps = 100
-            [system]
-            kind = "lj"
-            cells = 6
-            temp = 1.0
-            seed = 42
-            [potential]
-            kind = "lj"
-            cutoff = 2.5
-            [executor]
-            kind = "serial"
-        "#;
-        assert_eq!(
-            ScenarioSpec::from_toml_str(toml).unwrap(),
-            ScenarioSpec::from_json_str(&lj_spec_json()).unwrap()
-        );
+    fn a_document_that_is_not_json_is_a_typed_parse_error() {
+        // What a `.toml` file handed to `--spec` now gets.
+        let e = ScenarioSpec::from_json_str("schema = \"sc-scenario/1\"\n").unwrap_err();
+        assert!(matches!(e, SpecError::Parse { .. }), "{e:?}");
+        assert!(e.to_string().starts_with("invalid json:"), "{e}");
     }
 
     #[test]

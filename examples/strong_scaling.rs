@@ -28,7 +28,7 @@ fn main() {
         println!(
             "{:<10} E_pot = {:>10.3} | {:>6} messages, {:>9} bytes, {:>6} ghosts/step-cycle",
             method.name(),
-            sim.potential_energy(),
+            sim.telemetry().energy.total(),
             stats.messages,
             stats.bytes,
             stats.ghosts_imported / 21, // 2 exchange cycles per step + priming

@@ -17,7 +17,8 @@ scmd=${SCMD:-$root/target/release/scmd}
 results=$(mktemp)
 trap 'rm -f "$results"' EXIT
 cd "$root"
-for spec in scenarios/bench/*.json scenarios/silica-triplet.json scenarios/hybrid-lj.json; do
+for spec in scenarios/bench/*.json scenarios/silica-triplet.json scenarios/hybrid-lj.json \
+    scenarios/lj-bsp.json; do
     "$scmd" run --spec "$spec" --results "$results" >/dev/null
     printf '%s %s\n' "$spec" "$(sha256sum <"$results" | cut -d' ' -f1)"
 done

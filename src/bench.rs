@@ -93,7 +93,7 @@ pub fn git_sha() -> String {
 /// file's `name` field matches `BENCH_baseline.json` case-for-case —
 /// editing a spec file changes what `scmd bench` measures, and the
 /// baseline comparator catches any counter drift that causes.
-const MATRIX_SPECS: [&str; 14] = [
+const MATRIX_SPECS: [&str; 16] = [
     include_str!("../scenarios/bench/serial-sc-md-lj.json"),
     include_str!("../scenarios/bench/serial-fs-md-lj.json"),
     include_str!("../scenarios/bench/serial-hybrid-md-lj.json"),
@@ -106,6 +106,8 @@ const MATRIX_SPECS: [&str; 14] = [
     include_str!("../scenarios/bench/bsp-sc-md-silica.json"),
     include_str!("../scenarios/bench/threaded-sc-md-silica.json"),
     include_str!("../scenarios/bench/bsp-hybrid-md-silica.json"),
+    include_str!("../scenarios/bench/threaded-hybrid-md-silica.json"),
+    include_str!("../scenarios/bench/bsp-hybrid-md-silica-k2.json"),
     include_str!("../scenarios/bench/bsp-sc-md-clustered.json"),
     include_str!("../scenarios/bench/bsp-sc-md-clustered-legacy.json"),
 ];
@@ -423,14 +425,16 @@ mod tests {
                 "bsp-SC-MD-silica",
                 "threaded-SC-MD-silica",
                 "bsp-Hybrid-MD-silica",
+                "threaded-Hybrid-MD-silica",
+                "bsp-Hybrid-MD-silica-k2",
                 "bsp-SC-MD-clustered",
                 "bsp-SC-MD-clustered-legacy",
             ]
         );
         // Every name leads with its own executor/method/system triple, so a
         // mislabeled spec file cannot masquerade as another case; a suffix
-        // (e.g. `-legacy` for the pinned per-channel comm variant) is
-        // allowed after the triple.
+        // (`-legacy` for the pinned per-channel comm variant, `-k2` for
+        // `subdivision: 2`) is allowed after the triple.
         for s in &specs {
             let triple = format!("{}-{}-{}", s.executor.kind(), s.method.name(), s.system.kind());
             assert!(

@@ -1,8 +1,7 @@
 //! `scmd` — command-line driver for the shift-collapse MD library.
 //!
 //! ```text
-//! scmd run      [--spec PATH] | [--system lj|silica --cells N --steps N --method sc|fs|hybrid
-//!               --dt X --temp T --subdivision K --skin S]
+//! scmd run      --spec PATH [--steps N]
 //!               [--xyz PATH] [--metrics-json PATH] [--trace PATH] [--results PATH]
 //! scmd bench    [--spec PATH] [--out PATH] [--quick true] [--baseline PATH]
 //!               [--wall-tol PCT] [--summary PATH]
@@ -24,10 +23,10 @@
 //! ```
 //!
 //! Every workload-running verb is spec-driven: `--spec PATH` loads an
-//! `sc-scenario/1` document (JSON or TOML, see `scenarios/`), and the
-//! legacy `--system/--cells/...` flags on `run` are a shim that builds
-//! the equivalent spec — both paths instantiate through `sc-spec`, so a
-//! flag-driven run and its spec twin are bitwise-identical.
+//! `sc-scenario/1` JSON document (see `scenarios/`), which is the only way
+//! to describe a run — `scmd run` takes no scenario-defining flag besides
+//! it (`--steps` shortens or lengthens the spec's run; the output flags
+//! switch on the sinks they need).
 //!
 //! `--metrics-json PATH` streams one `Telemetry` JSON line per report block
 //! (plus a final snapshot) to PATH; the layout is pinned by
@@ -63,10 +62,7 @@ use shift_collapse_md::obs::json::Json;
 use shift_collapse_md::pattern::{generate_fs, import_volume_cubic, shift_collapse, theory};
 use shift_collapse_md::prelude::*;
 use shift_collapse_md::serve::{Daemon, DaemonConfig, Request, Response, SchedulerConfig};
-use shift_collapse_md::spec::{
-    observables_doc, ExecutorSpec, ObservabilitySpec, PotentialSpec, ScenarioSpec, SpecError,
-    SystemSpec,
-};
+use shift_collapse_md::spec::{observables_doc, ScenarioSpec, SpecError};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -128,10 +124,8 @@ fn dispatch(args: &mut impl Iterator<Item = String>) -> Result<(), Error> {
 fn print_usage() {
     println!(
         "scmd — shift-collapse molecular dynamics\n\n\
-         USAGE:\n  scmd run      [--spec PATH] [--system lj|silica] [--cells N] [--steps N]\n\
-         \x20               [--method sc|fs|hybrid] [--dt X] [--temp T] [--subdivision K]\n\
-         \x20               [--skin S] [--xyz PATH] [--metrics-json PATH] [--trace PATH]\n\
-         \x20               [--results PATH]\n\
+         USAGE:\n  scmd run      --spec PATH [--steps N] [--xyz PATH] [--metrics-json PATH]\n\
+         \x20               [--trace PATH] [--results PATH]\n\
          \x20 scmd bench    [--spec PATH] [--out PATH] [--quick true] [--baseline PATH]\n\
          \x20               [--wall-tol PCT] [--summary PATH]\n\
          \x20 scmd bench    --compare OLD --with NEW [--wall-tol PCT] [--summary PATH]\n\
@@ -195,20 +189,6 @@ fn required<'a>(flags: &'a Flags, key: &str) -> Result<&'a String, Error> {
     flags.get(key).ok_or_else(|| CliError::MissingFlag(key.to_string()).into())
 }
 
-fn method_of(flags: &Flags) -> Result<Method, Error> {
-    match flags.get("method").map(String::as_str) {
-        None | Some("sc") => Ok(Method::ShiftCollapse),
-        Some("fs") => Ok(Method::FullShell),
-        Some("hybrid") => Ok(Method::Hybrid),
-        Some(m) => Err(CliError::UnknownValue {
-            flag: "method".into(),
-            value: m.into(),
-            allowed: "sc|fs|hybrid",
-        }
-        .into()),
-    }
-}
-
 /// Spec-layer failures ride the unified error as setup failures.
 fn spec_err(e: SpecError) -> Error {
     Error::Setup(Box::new(e))
@@ -218,98 +198,23 @@ fn spec_err(e: SpecError) -> Error {
 // scmd run
 // ---------------------------------------------------------------------------
 
-/// The scenario a `run` invocation describes: `--spec PATH` verbatim, or
-/// the legacy flag set assembled into the equivalent spec. Both paths
-/// instantiate through `sc-spec`, so they are bitwise-identical.
+/// The scenario a `run` invocation describes: the `--spec PATH` document,
+/// with `--steps` overriding its step count and the output flags enabling
+/// the sinks they need.
 fn run_scenario(flags: &Flags) -> Result<ScenarioSpec, Error> {
-    let observability = ObservabilitySpec {
-        metrics: flags.contains_key("metrics-json"),
-        trace: flags.contains_key("trace"),
-        ..ObservabilitySpec::default()
-    };
-    if let Some(path) = flags.get("spec") {
-        let mut spec = ScenarioSpec::from_path(Path::new(path)).map_err(spec_err)?;
-        if flags.contains_key("steps") {
-            spec.steps = get(flags, "steps", spec.steps, "a positive integer")?;
-        }
-        // Output flags enable the matching sinks even if the spec left
-        // them off — asking for a file implies wanting its contents.
-        spec.observability.metrics |= observability.metrics;
-        spec.observability.trace |= observability.trace;
-        spec.validate().map_err(spec_err)?;
-        return Ok(spec);
-    }
-    let system = flags.get("system").map(String::as_str).unwrap_or("lj");
-    let (system_spec, potential, dt_default) = match system {
-        "lj" => (
-            SystemSpec::Lj {
-                cells: get(flags, "cells", 6, "a positive integer")?,
-                a: 1.5599,
-                temp: get(flags, "temp", 1.0, "a number")?,
-                seed: 42,
-            },
-            PotentialSpec::Lj { cutoff: 2.5 },
-            0.002,
-        ),
-        "silica" => (
-            SystemSpec::Silica {
-                cells: get(flags, "cells", 3, "a positive integer")?,
-                a: 7.16,
-                temp: get(flags, "temp", 0.05, "a number")?,
-                seed: 42,
-            },
-            PotentialSpec::Vashishta,
-            0.0005,
-        ),
-        other => {
-            return Err(CliError::UnknownValue {
-                flag: "system".into(),
-                value: other.into(),
-                allowed: "lj|silica",
-            }
-            .into());
-        }
-    };
-    let spec = ScenarioSpec {
-        name: format!("cli-{system}"),
-        system: system_spec,
-        potential,
-        method: method_of(flags)?,
-        executor: ExecutorSpec::Serial { threads: 0 },
-        dt: get(flags, "dt", dt_default, "a number")?,
-        steps: get(flags, "steps", 100, "a positive integer")?,
-        subdivision: get(flags, "subdivision", 1, "an integer in 1..=3")?,
-        verlet_skin: get(flags, "skin", 0.0, "a number")?,
-        resort_every: 8,
-        comm: Default::default(),
-        thermostat: None,
-        fault_plan: None,
-        observability,
-        checkpoint: None,
-    };
+    let mut spec =
+        ScenarioSpec::from_path(Path::new(required(flags, "spec")?)).map_err(spec_err)?;
+    spec.steps = get(flags, "steps", spec.steps, "a positive integer")?;
+    // Output flags enable the matching sinks even if the spec left them
+    // off — asking for a file implies wanting its contents.
+    spec.observability.metrics |= flags.contains_key("metrics-json");
+    spec.observability.trace |= flags.contains_key("trace");
     spec.validate().map_err(spec_err)?;
     Ok(spec)
 }
 
 fn run(flags: &Flags) -> Result<(), Error> {
-    check_flags(
-        flags,
-        &[
-            "spec",
-            "system",
-            "cells",
-            "steps",
-            "method",
-            "dt",
-            "temp",
-            "subdivision",
-            "skin",
-            "xyz",
-            "metrics-json",
-            "trace",
-            "results",
-        ],
-    )?;
+    check_flags(flags, &["spec", "steps", "xyz", "metrics-json", "trace", "results"])?;
     let spec = run_scenario(flags)?;
     let mut handle = spec.instantiate().map_err(spec_err)?;
     let steps = spec.steps as usize;
@@ -587,8 +492,8 @@ fn submit(flags: &Flags) -> Result<(), Error> {
     check_flags(flags, &["spec", "socket"])?;
     let path = required(flags, "spec")?;
     // Parse client-side first: a bad spec fails here with the full typed
-    // error instead of a wire round trip, and TOML specs reach the daemon
-    // in canonical JSON.
+    // error instead of a wire round trip, and the daemon receives the
+    // canonical form.
     let spec = ScenarioSpec::from_path(Path::new(path)).map_err(spec_err)?;
     match call(flags, &Request::Submit { spec: spec.to_json() })? {
         Response::Submitted { id } => {

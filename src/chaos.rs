@@ -13,18 +13,16 @@
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, Vec3};
 use sc_md::supervisor::{Supervisor, SupervisorConfig};
-use sc_md::{build_fcc_lattice, build_silica_like, thermalize, LatticeSpec, Method};
 use sc_obs::json::Json;
 use sc_obs::{chrome_trace, Tracer};
-use sc_parallel::rank::ForceField;
-use sc_parallel::{DistributedSim, FaultPlan};
-use sc_potential::{LennardJones, Vashishta};
+use sc_parallel::{DistributedSim, EngineConfig, FaultPlan};
 use sc_spec::{ExecutorSpec, ScenarioSpec};
 use std::path::PathBuf;
 
 /// Soak-run parameters (one storm = one seeded fault schedule).
 pub struct ChaosConfig {
-    /// Built-in workload cases to storm (`lj`, `silica`).
+    /// Built-in workload cases to storm, by the `name` of a checked-in
+    /// `scenarios/chaos/*.json` document (`lj`, `silica`).
     pub cases: Vec<String>,
     /// Spec-defined cases stormed alongside the built-in ones; each must
     /// use the BSP executor (`scmd chaos --spec PATH`).
@@ -55,43 +53,51 @@ impl Default for ChaosConfig {
     }
 }
 
-/// A stormable case: a built-in name or a scenario spec.
-enum CaseDef<'a> {
-    Named(&'a str),
-    Spec(&'a ScenarioSpec),
+/// The built-in cases, embedded at compile time from `scenarios/chaos/`
+/// the way `src/bench.rs` embeds its matrix: pinned 8-rank (2×2×2)
+/// workloads whose boxes are large enough that every survivor grid down to
+/// 6 ranks stays feasible.
+const NAMED_CASES: [&str; 2] =
+    [include_str!("../scenarios/chaos/lj.json"), include_str!("../scenarios/chaos/silica.json")];
+
+/// The built-in case whose document is named `name`.
+fn named_case(name: &str) -> Result<ScenarioSpec, String> {
+    NAMED_CASES
+        .iter()
+        .map(|src| ScenarioSpec::from_json_str(src).expect("checked-in chaos spec is valid"))
+        .find(|spec| spec.name == name)
+        .ok_or_else(|| format!("unknown chaos case {name:?} (expected lj|silica)"))
 }
 
-impl CaseDef<'_> {
-    fn name(&self) -> &str {
-        match self {
-            CaseDef::Named(name) => name,
-            CaseDef::Spec(spec) => &spec.name,
+/// The rank grid of a chaos case, which must run on the BSP executor (the
+/// only one with scripted faults).
+fn bsp_grid(spec: &ScenarioSpec) -> Result<IVec3, String> {
+    match &spec.executor {
+        ExecutorSpec::Bsp { grid } => {
+            Ok(IVec3::new(grid[0] as i32, grid[1] as i32, grid[2] as i32))
         }
-    }
-
-    fn build(&self) -> Result<DistributedSim, String> {
-        match self {
-            CaseDef::Named(name) => build_case(name),
-            CaseDef::Spec(spec) => build_spec_case(spec),
-        }
-    }
-}
-
-/// Instantiates a spec-defined chaos case. The storm harness owns the
-/// fault schedule — a fault plan in the spec would fire during the
-/// fault-free reference run too, so it is stripped here.
-fn build_spec_case(spec: &ScenarioSpec) -> Result<DistributedSim, String> {
-    if !matches!(spec.executor, ExecutorSpec::Bsp { .. }) {
-        return Err(format!(
+        other => Err(format!(
             "chaos spec {:?} must use the bsp executor, got {}",
             spec.name,
-            spec.executor.kind()
-        ));
+            other.kind()
+        )),
     }
-    let mut clean = spec.clone();
-    clean.fault_plan = None;
-    let handle = clean.instantiate().map_err(|e| e.to_string())?;
-    Ok(*handle.into_bsp().expect("bsp executor instantiates as the BSP engine"))
+}
+
+/// Builds a fresh engine for `spec` with the harness's fault plan and
+/// tracer in its configuration. The storm harness owns the fault schedule
+/// — a fault plan in the spec would fire during the fault-free reference
+/// run too, so it is replaced here.
+fn build_engine(
+    spec: &ScenarioSpec,
+    faults: FaultPlan,
+    tracer: Tracer,
+) -> Result<DistributedSim, String> {
+    let pdims = bsp_grid(spec)?;
+    let (store, bbox) = spec.build_workload();
+    let cfg = EngineConfig { faults, tracer, ..spec.engine_config(None, None) };
+    DistributedSim::build(store, bbox, pdims, spec.force_field(), spec.dt, cfg)
+        .map_err(|e| format!("{} case must build: {e}", spec.name))
 }
 
 /// One storm's verdict.
@@ -117,46 +123,6 @@ struct Reference {
     momentum: Vec3,
 }
 
-fn lj_ff() -> ForceField {
-    ForceField {
-        pair: Some(Box::new(LennardJones::reduced(2.5))),
-        triplet: None,
-        quadruplet: None,
-        method: Method::ShiftCollapse,
-    }
-}
-
-fn silica_ff() -> ForceField {
-    let v = Vashishta::silica();
-    ForceField {
-        pair: Some(Box::new(v.pair.clone())),
-        triplet: Some(Box::new(v.triplet.clone())),
-        quadruplet: None,
-        method: Method::ShiftCollapse,
-    }
-}
-
-/// Builds the pinned 8-rank (2×2×2) workload for `case` — boxes are large
-/// enough that every survivor grid down to 6 ranks stays feasible.
-fn build_case(case: &str) -> Result<DistributedSim, String> {
-    match case {
-        "lj" => {
-            let (mut store, bbox) = build_fcc_lattice(&LatticeSpec::cubic(7, 1.5599), 0.0, 42);
-            thermalize(&mut store, 1.0, 42);
-            DistributedSim::new(store, bbox, IVec3::splat(2), lj_ff(), 0.002)
-                .map_err(|e| format!("lj case must build: {e}"))
-        }
-        "silica" => {
-            let v = Vashishta::silica();
-            let (mut store, bbox) = build_silica_like(4, 7.16, v.params().masses, 0.0, 42);
-            thermalize(&mut store, 0.05, 42);
-            DistributedSim::new(store, bbox, IVec3::splat(2), silica_ff(), 0.0005)
-                .map_err(|e| format!("silica case must build: {e}"))
-        }
-        other => Err(format!("unknown chaos case {other:?} (expected lj|silica)")),
-    }
-}
-
 fn total_momentum(store: &AtomStore) -> Vec3 {
     let masses = store.species_masses().to_vec();
     let mut p = Vec3::ZERO;
@@ -166,8 +132,8 @@ fn total_momentum(store: &AtomStore) -> Vec3 {
     p
 }
 
-fn reference_for(case: &CaseDef, steps: u64) -> Result<Reference, String> {
-    let mut sim = case.build()?;
+fn reference_for(case: &ScenarioSpec, steps: u64) -> Result<Reference, String> {
+    let mut sim = build_engine(case, FaultPlan::none(), Tracer::disabled())?;
     sim.run(steps as usize);
     let t = sim.telemetry();
     let out = sim.gather();
@@ -258,20 +224,19 @@ fn write_bundle(
 /// against `reference`. Failing storms leave a reproducer bundle under
 /// `config.out_dir`.
 fn run_storm(
-    case: &CaseDef,
+    case: &ScenarioSpec,
     seed: u64,
     config: &ChaosConfig,
     reference: &Reference,
 ) -> Result<StormOutcome, String> {
-    let mut sim = case.build()?;
-    let nranks = sim.telemetry().per_rank.len();
+    let grid = bsp_grid(case)?;
+    let nranks = (grid.x * grid.y * grid.z) as usize;
     // Small spec-defined grids can't afford the built-in matrix's crash
     // budget of 2 — always leave at least one survivor.
     let crash_cap = 2.min(nranks.saturating_sub(1));
     let plan = FaultPlan::storm(seed, config.faults, config.steps, nranks, crash_cap);
     let script = faults_json(plan.pending());
-    sim.set_fault_plan(plan);
-    sim.set_tracer(Tracer::new());
+    let mut sim = build_engine(case, plan, Tracer::new())?;
     let mut sup = Supervisor::new(SupervisorConfig {
         checkpoint_every: 2,
         max_rollbacks: 64,
@@ -284,14 +249,14 @@ fn run_storm(
     let bundle = match &failure {
         None => None,
         Some(why) => {
-            let dir = config.out_dir.join(format!("chaos-{}-{seed}", case.name()));
-            if let Err(e) = write_bundle(&dir, case.name(), seed, config, &script, &sim, why) {
+            let dir = config.out_dir.join(format!("chaos-{}-{seed}", case.name));
+            if let Err(e) = write_bundle(&dir, &case.name, seed, config, &script, &sim, why) {
                 eprintln!("warning: reproducer bundle incomplete: {e}");
             }
             Some(dir)
         }
     };
-    Ok(StormOutcome { case: case.name().to_string(), seed, failure, bundle })
+    Ok(StormOutcome { case: case.name.clone(), seed, failure, bundle })
 }
 
 /// Runs the whole soak matrix; outcomes come back in deterministic
@@ -301,14 +266,10 @@ fn run_storm(
 /// Only configuration errors (unknown case, unbuildable workload) abort
 /// the soak; guardrail violations are reported per storm instead.
 pub fn run_soak(config: &ChaosConfig) -> Result<Vec<StormOutcome>, String> {
-    let defs: Vec<CaseDef> = config
-        .cases
-        .iter()
-        .map(|name| CaseDef::Named(name))
-        .chain(config.specs.iter().map(CaseDef::Spec))
-        .collect();
+    let mut cases = config.cases.iter().map(|n| named_case(n)).collect::<Result<Vec<_>, _>>()?;
+    cases.extend(config.specs.iter().cloned());
     let mut outcomes = Vec::new();
-    for case in &defs {
+    for case in &cases {
         let reference = reference_for(case, config.steps)?;
         for storm in 0..config.storms {
             outcomes.push(run_storm(case, config.seed + storm, config, &reference)?);
@@ -320,6 +281,26 @@ pub fn run_soak(config: &ChaosConfig) -> Result<Vec<StormOutcome>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The embedded `lj` and `silica` documents are the workloads this
+    /// harness used to construct by hand: after 4 fault-free steps each
+    /// yields the observables document recorded from that construction
+    /// (`build_case` at commit b62bdc3, same host libm).
+    #[test]
+    fn chaos_named_cases_are_the_checked_in_specs() {
+        for (name, energy_bits, phase_hash) in [
+            ("lj", "0xc0bfe4baeeb98482", "0x1ea45841b39f4e6a"),
+            ("silica", "0x409fca6f457306cd", "0x0d6a16da123d3ecc"),
+        ] {
+            let spec = named_case(name).unwrap();
+            let mut sim = build_engine(&spec, FaultPlan::none(), Tracer::disabled()).unwrap();
+            sim.run(4);
+            let energy = sim.total_energy();
+            let doc = sc_spec::observables_doc(name, sim.steps_done(), &sim.gather(), energy);
+            assert_eq!(doc.get("energy_bits").unwrap().as_str(), Some(energy_bits), "{name}");
+            assert_eq!(doc.get("phase_hash").unwrap().as_str(), Some(phase_hash), "{name}");
+        }
+    }
 
     /// A tiny pinned soak passes end-to-end (the CI job runs the full
     /// matrix; this keeps the harness itself under unit test).
@@ -406,11 +387,9 @@ mod tests {
     fn reproducer_bundle_round_trips() {
         let dir = std::env::temp_dir().join(format!("sc-chaos-bundle-{}", std::process::id()));
         let config = ChaosConfig::default();
-        let mut sim = build_case("lj").unwrap();
         let plan = FaultPlan::storm(3, 2, 6, 8, 1);
         let script = faults_json(plan.pending());
-        sim.set_fault_plan(plan);
-        sim.set_tracer(Tracer::new());
+        let mut sim = build_engine(&named_case("lj").unwrap(), plan, Tracer::new()).unwrap();
         // Unsupervised: an escalated fault is fine, the bundle is what is
         // under test here.
         for _ in 0..6 {

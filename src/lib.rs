@@ -26,8 +26,9 @@
 //!   unified `Telemetry` snapshot.
 //! * [`netmodel`] — calibrated machine profiles used to regenerate the
 //!   paper's granularity and strong-scaling figures.
-//! * [`spec`] — declarative `sc-scenario/1` documents (JSON/TOML) and the
-//!   validating builder that instantiates them on any executor.
+//! * [`spec`] — declarative `sc-scenario/1` JSON documents, the one
+//!   mapping from a spec to an engine configuration, and the `RunHandle`
+//!   every executor instantiates to.
 //! * [`serve`] — the multi-tenant job service behind `scmd serve`:
 //!   fair-share scheduling, backpressure, and restartable jobs.
 //!

@@ -19,15 +19,13 @@ fn scmd_metrics_json_matches_the_checked_in_schema() {
     std::fs::create_dir_all(&dir).unwrap();
     let out_path = dir.join("metrics.jsonl");
 
-    // Tiny workload: 5³ LJ cells (the smallest box spanning 3 pair
-    // cutoffs), 10 steps — fast enough for every CI run.
+    // Small workload: the 6³-cell LJ melt cut to 10 steps — fast enough
+    // for every CI run.
     let output = Command::new(env!("CARGO_BIN_EXE_scmd"))
         .args([
             "run",
-            "--system",
-            "lj",
-            "--cells",
-            "5",
+            "--spec",
+            concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/lj-melt.json"),
             "--steps",
             "10",
             "--metrics-json",

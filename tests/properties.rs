@@ -180,7 +180,7 @@ proptest! {
         let e_d = dist.total_energy();
         prop_assert!((e_d - s_serial.energy.total()).abs()
             < 1e-9 * s_serial.energy.total().abs().max(1e-12));
-        prop_assert_eq!(dist.tuple_counts().pair.accepted, s_serial.tuples.pair.accepted);
+        prop_assert_eq!(dist.telemetry().tuples.pair.accepted, s_serial.tuples.pair.accepted);
     }
 
     /// Newton's third law holds for cell-enumerated LJ forces on arbitrary

@@ -1,6 +1,7 @@
 //! CI contract test over the checked-in scenario zoo: every document in
 //! `scenarios/` (including the pinned bench matrix under
-//! `scenarios/bench/`) must validate against
+//! `scenarios/bench/` and the chaos cases under `scenarios/chaos/`) must
+//! validate against
 //! `schema/scenario.schema.json`, decode through `sc-spec`, and
 //! round-trip its canonical JSON form losslessly.
 
@@ -15,12 +16,11 @@ fn repo_path(rel: &str) -> PathBuf {
 
 fn zoo_files() -> Vec<PathBuf> {
     let mut files = Vec::new();
-    for dir in [repo_path("scenarios"), repo_path("scenarios/bench")] {
+    for dir in ["scenarios", "scenarios/bench", "scenarios/chaos"].map(repo_path) {
         for entry in std::fs::read_dir(&dir).expect("scenarios directory is checked in") {
             let path = entry.unwrap().path();
-            match path.extension().and_then(|e| e.to_str()) {
-                Some("json") | Some("toml") => files.push(path),
-                _ => {}
+            if path.extension().is_some_and(|e| e == "json") {
+                files.push(path);
             }
         }
     }
@@ -35,16 +35,10 @@ fn every_zoo_scenario_validates_against_the_schema() {
         Json::parse(&std::fs::read_to_string(repo_path("schema/scenario.schema.json")).unwrap())
             .expect("scenario schema is valid JSON");
     for path in zoo_files() {
-        // TOML documents are checked in their canonical JSON form — the
-        // schema pins one logical layout, not one surface syntax.
-        let spec = ScenarioSpec::from_path(&path)
+        ScenarioSpec::from_path(&path)
             .unwrap_or_else(|e| panic!("{} does not decode: {e}", path.display()));
-        let doc = if path.extension().is_some_and(|e| e == "toml") {
-            spec.to_json()
-        } else {
-            Json::parse(&std::fs::read_to_string(&path).unwrap())
-                .unwrap_or_else(|e| panic!("{} is not JSON: {e}", path.display()))
-        };
+        let doc = Json::parse(&std::fs::read_to_string(&path).unwrap())
+            .unwrap_or_else(|e| panic!("{} is not JSON: {e}", path.display()));
         schema::validate(&doc, &schema)
             .unwrap_or_else(|e| panic!("{} violates the scenario schema: {e}", path.display()));
     }

@@ -22,10 +22,8 @@ fn scmd_run_trace_round_trips_with_every_phase() {
     let output = Command::new(env!("CARGO_BIN_EXE_scmd"))
         .args([
             "run",
-            "--system",
-            "lj",
-            "--cells",
-            "5",
+            "--spec",
+            concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/lj-melt.json"),
             "--steps",
             "5",
             "--trace",
