@@ -1,5 +1,5 @@
 //! Shared helpers for the sc-bench harness: workload builders and table
-//! formatting used by the per-figure binaries and the Criterion benches.
+//! formatting used by the per-figure binaries.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

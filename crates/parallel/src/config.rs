@@ -4,7 +4,6 @@
 
 use crate::fault::FaultPlan;
 use crate::rank::DEFAULT_RESORT_EVERY;
-use crate::transport::CommConfig;
 use sc_obs::{Registry, Tracer};
 
 /// How a distributed engine runs. There is no way to change any of this
@@ -21,10 +20,10 @@ pub struct EngineConfig {
     /// of the step. `0` disables re-sorting. Default 8, matching the serial
     /// engine.
     pub resort_every: u64,
-    /// Per-neighbor aggregation, compute/communication overlap and the
-    /// rebalance cadence (BSP only). All bitwise-neutral: they change
-    /// message packing and scheduling, never physics.
-    pub comm: CommConfig,
+    /// Adaptive load balance (BSP only): re-fit the rank grid to measured
+    /// per-rank compute seconds every this many steps. `0` (the default)
+    /// never re-decomposes.
+    pub rebalance_every: u64,
     /// The scripted fault plan every delivery routes through (BSP only:
     /// scripted faults need a reproducible delivery order). Default inert.
     pub faults: FaultPlan,
@@ -46,7 +45,7 @@ impl Default for EngineConfig {
         EngineConfig {
             subdivision: 1,
             resort_every: DEFAULT_RESORT_EVERY,
-            comm: CommConfig::default(),
+            rebalance_every: 0,
             faults: FaultPlan::none(),
             metrics: Registry::disabled(),
             tracer: Tracer::disabled(),

@@ -2,8 +2,9 @@
 //! the deterministic reference executor. What lives here is what makes it
 //! BSP — lockstep delivery of each phase through the scriptable
 //! [`FaultPlan`] with bounded retry, the `ThreadPool` compute fan-out, the
-//! staged (overlapped) exchange as a pool task, adaptive rebalancing of the
-//! rank grid, and re-decomposition over the survivors of a rank death.
+//! staged exchange as a pool task beside the interior pass, adaptive
+//! rebalancing of the rank grid, and re-decomposition over the survivors of
+//! a rank death.
 
 use crate::config::EngineConfig;
 use crate::error::{RuntimeError, SetupError};
@@ -16,7 +17,7 @@ use crate::rank::{
     StagedBand,
 };
 use crate::step::{self, Decomposition, Exchange, Feed, Scheduler};
-use crate::transport::{self, CommConfig, Slot};
+use crate::transport::{self, Slot};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
 use sc_md::checkpoint::Checkpoint;
@@ -34,7 +35,6 @@ const MAX_RETRIES: u32 = 2;
 /// The lockstep interconnect: every wire unit of a phase is handed across
 /// between the ranks' send and absorb halves, through the fault plan.
 struct Wire<'a> {
-    aggregation: bool,
     fault: &'a mut FaultPlan,
     health: &'a mut HealthTracker,
     /// Where health transitions are traced (the executor row).
@@ -44,7 +44,7 @@ struct Wire<'a> {
 }
 
 impl Wire<'_> {
-    /// Delivers one wire unit (a bare message or an aggregated frame) from
+    /// Delivers one wire unit (a per-neighbor frame) from
     /// `from` to `to` through the fault plan, verifying it on arrival
     /// ([`step::verify_unit`]) and retrying (the sender re-sends its
     /// buffered copy) up to [`MAX_RETRIES`] times. Detected faults and
@@ -110,16 +110,9 @@ impl Wire<'_> {
     ) -> Result<Vec<Vec<Payload>>, RuntimeError> {
         let mut units: Vec<Vec<(usize, Message)>> = vec![Vec::new(); recvs.len()];
         for (from, sections) in sends.into_iter().enumerate() {
-            let framed = step::frame(
-                self.aggregation,
-                phase,
-                epoch,
-                sections,
-                &mut stats[from],
-                &self.tsinks[from],
-            );
+            let framed = step::frame(phase, epoch, sections, &mut stats[from], &self.tsinks[from]);
             for (to, unit) in framed {
-                let channel = step::expected_channel(&recvs[to], &units[to], from, &unit);
+                let channel = step::expected_channel(&recvs[to], from, &unit);
                 let got = self.deliver(&mut stats[from], epoch, from, to, channel, unit)?;
                 step::trace_recv(&self.tsinks[to], epoch, from, &got);
                 units[to].push((from, got));
@@ -130,7 +123,7 @@ impl Wire<'_> {
     }
 }
 
-/// The result of a staged (overlapped) ghost exchange: everything the
+/// The result of a staged ghost exchange: everything the
 /// executor needs to absorb once the interior compute pass joins.
 struct StagedGhosts {
     /// Per destination rank: the received bands in canonical absorb order
@@ -192,11 +185,10 @@ fn trace_sinks(tracer: &Tracer, nranks: usize) -> (Vec<TraceSink>, TraceSink) {
 /// The exchange schedule is the merged one from [`crate::transport`]: three
 /// migration phases, three ghost phases, and three force-return phases per
 /// step, with all per-channel payloads bound for the same neighbor packed
-/// into one framed message per phase (when [`CommConfig::aggregation`] is
-/// on). Interior-cell tuples are computed while the boundary exchange is in
-/// flight (when [`CommConfig::overlap`] is on); both flags are
-/// bitwise-neutral — they change message packing and scheduling, never
-/// results.
+/// into one framed message per phase. Interior-cell tuples are computed
+/// while the boundary exchange is in flight whenever the pool has a second
+/// lane to run it on; which of the two import paths runs never changes a
+/// bit of the result.
 ///
 /// How a run is scheduled, packed, faulted and observed is fixed at
 /// [`DistributedSim::build`] by one [`EngineConfig`]; only the timestep can
@@ -217,13 +209,13 @@ pub struct DistributedSim {
     steps_done: u64,
     needs_prime: bool,
     fault_plan: FaultPlan,
-    comm: CommConfig,
+    rebalance_every: u64,
     phase: u64,
     last_energy: EnergyBreakdown,
     last_tuples: TupleCounts,
-    /// Accumulated wall-clock phases. Under compute/communication overlap
-    /// the exchange and compute slots cover concurrent intervals, so their
-    /// sum may exceed step wall time.
+    /// Accumulated wall-clock phases. The staged exchange and the interior
+    /// pass cover concurrent intervals, so the exchange and compute slots
+    /// may sum to more than step wall time.
     timings: PhaseBreakdown,
     pool: ThreadPool,
     // Per-rank (energy, tuples, phases) slots reused every compute call so
@@ -283,7 +275,8 @@ impl DistributedSim {
         dt: f64,
         cfg: EngineConfig,
     ) -> Result<Self, SetupError> {
-        let EngineConfig { subdivision, resort_every, comm, faults, metrics, tracer } = cfg;
+        let EngineConfig { subdivision, resort_every, rebalance_every, faults, metrics, tracer } =
+            cfg;
         let (dec, ranks) =
             step::decompose(RankGrid::try_new(pdims, bbox)?, &store, &ff, subdivision)?;
         let nranks = ranks.len();
@@ -298,7 +291,7 @@ impl DistributedSim {
             steps_done: 0,
             needs_prime: true,
             fault_plan: faults,
-            comm,
+            rebalance_every,
             phase: 0,
             last_energy: EnergyBreakdown::default(),
             last_tuples: TupleCounts::default(),
@@ -412,8 +405,7 @@ impl DistributedSim {
     /// Panics on an unrecovered communication fault; fault-injected runs
     /// should step through [`DistributedSim::try_step`] instead.
     pub fn total_energy(&mut self) -> f64 {
-        let overlap = self.comm.overlap;
-        step::cycle(self, overlap).unwrap_or_else(|e| panic!("{e}"));
+        step::cycle(self).unwrap_or_else(|e| panic!("{e}"));
         self.last_energy.total() + self.kinetic_energy()
     }
 
@@ -449,7 +441,6 @@ impl DistributedSim {
         // Its mutable state rides in a Mutex claimed exactly once by
         // whichever lane draws task 0.
         let wire = Mutex::new(Some(Wire {
-            aggregation: self.comm.aggregation,
             fault: &mut self.fault_plan,
             health: &mut self.health,
             exec_sink: &self.exec_sink,
@@ -543,15 +534,15 @@ impl DistributedSim {
     pub fn try_step(&mut self) -> Result<(), RuntimeError> {
         // Rebalance before the priming check: re-decomposition drops the
         // force state, and the priming exchange rebuilds it.
-        if self.comm.rebalance_every != 0
+        if self.rebalance_every != 0
             && self.steps_done > 0
-            && self.steps_done.is_multiple_of(self.comm.rebalance_every)
+            && self.steps_done.is_multiple_of(self.rebalance_every)
         {
             self.rebalance();
         }
         let resort = self.resort_every != 0 && self.steps_done.is_multiple_of(self.resort_every);
-        let (prime, dt, overlap) = (self.needs_prime, self.dt, self.comm.overlap);
-        step::step(self, prime, dt, resort, overlap)?;
+        let (prime, dt) = (self.needs_prime, self.dt);
+        step::step(self, prime, dt, resort)?;
         self.needs_prime = false;
         self.steps_done += 1;
         if self.feed.registry().enabled() {
@@ -686,7 +677,6 @@ impl Scheduler for DistributedSim {
             self.ranks.iter_mut().map(|r| step::outgoing(r, dec, x, phase, epoch)).unzip();
         let mut side = vec![CommCounters::default(); self.ranks.len()];
         let mut wire = Wire {
-            aggregation: self.comm.aggregation,
             fault: &mut self.fault_plan,
             health: &mut self.health,
             exec_sink: &self.exec_sink,
@@ -702,12 +692,13 @@ impl Scheduler for DistributedSim {
         Ok(())
     }
 
-    fn import_ghosts(&mut self, overlap: bool) -> Result<f64, RuntimeError> {
-        // Overlap needs at least one worker lane to hide the exchange
-        // behind; on a single-lane pool the split would serialize anyway
-        // and only pay the second lattice rebuild, so degrade to the fused
-        // single-pass cycle (bitwise-identical — see the comm_modes suite).
-        if overlap && self.pool.lanes() > 1 {
+    fn import_ghosts(&mut self) -> Result<f64, RuntimeError> {
+        // The staged exchange needs a second lane to hide behind the
+        // interior pass; on a single-lane pool the split would serialize
+        // anyway and only pay the second lattice rebuild, so the exchange
+        // runs in line and compute does one fused pass (bitwise-identical —
+        // see this module's tests).
+        if self.pool.lanes() > 1 {
             return self.import_ghosts_staged();
         }
         let t = std::time::Instant::now();
@@ -774,3 +765,71 @@ step::recoverable!(DistributedSim {
         DistributedSim::restore_excluding(self, cp, exclude).map_err(|e| e.to_string())
     }
 });
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sc_geom::Vec3;
+    use sc_md::{build_fcc_lattice, build_silica_like, LatticeSpec, Method};
+    use sc_potential::{LennardJones, Vashishta};
+
+    /// Gathered phase-space words of a `steps`-step run on a pool of `lanes`.
+    fn run_on(
+        lanes: usize,
+        system: &(AtomStore, SimulationBox),
+        pdims: IVec3,
+        ff: ForceField,
+        dt: f64,
+        subdivision: i32,
+        steps: usize,
+    ) -> (Vec<u64>, Vec<[u64; 3]>) {
+        let cfg = EngineConfig { subdivision, ..Default::default() };
+        let mut d = DistributedSim::build(system.0.clone(), system.1, pdims, ff, dt, cfg).unwrap();
+        d.pool = ThreadPool::new(lanes);
+        d.run(steps);
+        let s = d.gather();
+        let words = |v: &Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        (s.ids().to_vec(), s.positions().iter().chain(s.velocities()).map(words).collect())
+    }
+
+    /// The lane count picks the import path — staged exchange beside the
+    /// interior pass on two lanes, in-line exchange and one fused compute
+    /// pass on one — and nothing else: same ids, same position and velocity
+    /// words. Setting the pool on both engines keeps the pair different on a
+    /// one-core host too.
+    #[test]
+    fn staged_and_inline_imports_are_bitwise_identical() {
+        let silica_ff = |method| {
+            let v = Vashishta::silica();
+            ForceField {
+                pair: Some(Box::new(v.pair)),
+                triplet: Some(Box::new(v.triplet)),
+                quadruplet: None,
+                method,
+            }
+        };
+        let lj = build_fcc_lattice(&LatticeSpec::cubic(7, 1.5599), 0.1, 42);
+        let silica = build_silica_like(4, 7.16, Vashishta::silica().params().masses, 0.01, 7);
+        for method in Method::ALL {
+            let ff = || ForceField {
+                pair: Some(Box::new(LennardJones::reduced(2.5))),
+                triplet: None,
+                quadruplet: None,
+                method,
+            };
+            let run = |lanes| run_on(lanes, &lj, IVec3::splat(2), ff(), 0.002, 1, 4);
+            assert!(run(1) == run(2), "lj {}", method.name());
+        }
+        // Triplet forces exercise the force-return path with non-trivial
+        // ghost-force payloads; FS the two-sided halo; Hybrid with
+        // subdivided cells the reach-2 rows under the rank's list build.
+        for (method, pdims, k) in [
+            (Method::ShiftCollapse, IVec3::new(2, 2, 1), 1),
+            (Method::FullShell, IVec3::new(2, 2, 1), 1),
+            (Method::Hybrid, IVec3::new(2, 1, 1), 2),
+        ] {
+            let run = |lanes| run_on(lanes, &silica, pdims, silica_ff(method), 0.0005, k, 3);
+            assert!(run(1) == run(2), "silica {} k = {k}", method.name());
+        }
+    }
+}

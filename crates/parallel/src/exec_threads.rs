@@ -19,7 +19,7 @@ use crate::health::{HealthConfig, HealthCounters, HealthTracker};
 use crate::msg::{AtomMsg, Channel, Message, Payload};
 use crate::rank::{ForceField, RankState};
 use crate::step::{self, Decomposition, Exchange, Feed, Scheduler};
-use crate::transport::{self, CommConfig, Slot};
+use crate::transport::{self, Slot};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
@@ -42,9 +42,9 @@ const POISON_PHASE: u64 = u64::MAX;
 enum Cmd {
     /// Run one velocity-Verlet step of epoch `epoch` (priming forces first
     /// if needed).
-    Step { epoch: u64, dt: f64, resort: bool, comm: CommConfig },
+    Step { epoch: u64, dt: f64, resort: bool },
     /// Recompute forces without integrating and report fresh energies.
-    Energy { epoch: u64, comm: CommConfig },
+    Energy { epoch: u64 },
     /// Report this rank's owned atoms for a global gather.
     Gather,
     /// Exit the worker loop.
@@ -118,9 +118,8 @@ struct Worker {
     health: HealthTracker,
     tsink: TraceSink,
     phase: u64,
-    /// The step being run and its packing mode (set per command).
+    /// The step being run (set per command).
     epoch: u64,
-    aggregation: bool,
     needs_prime: bool,
     /// Results of the most recent force computation.
     last: (EnergyBreakdown, TupleCounts),
@@ -135,8 +134,7 @@ impl Worker {
         self.phase += 1;
         let (sections, rx) = step::outgoing(&mut self.state, &self.dec, x, self.phase, self.epoch);
         let stats = &mut self.state.stats;
-        let agg = self.aggregation;
-        for (to, unit) in step::frame(agg, self.phase, self.epoch, sections, stats, &self.tsink) {
+        for (to, unit) in step::frame(self.phase, self.epoch, sections, stats, &self.tsink) {
             let _ = self.txs[to].send((self.state.rank, unit));
         }
         rx
@@ -147,7 +145,7 @@ impl Worker {
     /// absorbs the payloads in canonical slot order.
     fn collect(&mut self, x: Exchange<'_>, rx: &[Slot]) -> Result<(), RuntimeError> {
         let (rank, epoch) = (self.state.rank, self.epoch);
-        let expected = transport::expected_units(self.aggregation, rx).len();
+        let expected = transport::expected_units(rx).len();
         let mut units: Vec<Wire> = Vec::with_capacity(expected);
         while units.len() < expected {
             let (from, m) = self.mailbox.next_unit(self.phase).ok_or(RuntimeError::MissingHop {
@@ -156,7 +154,7 @@ impl Worker {
                 epoch,
                 attempts: 1,
             })?;
-            let channel = step::expected_channel(rx, &units, from, &m);
+            let channel = step::expected_channel(rx, from, &m);
             step::accept_unit(&mut self.health, &self.tsink, &m, from, rank, channel, epoch)?;
             step::trace_recv(&self.tsink, epoch, from, &m);
             units.push((from, m));
@@ -195,18 +193,17 @@ impl Scheduler for Worker {
         self.collect(x, &rx)
     }
 
-    /// With overlap on, the interior tuples are computed between putting
-    /// the first (axis 0) ghost phase on the wire — its bands left from the
-    /// still-ghost-free store — and blocking on its arrivals, hiding peer
-    /// latency.
-    fn import_ghosts(&mut self, overlap: bool) -> Result<f64, RuntimeError> {
+    /// The interior tuples are computed between putting the first (axis 0)
+    /// ghost phase on the wire — its bands left from the still-ghost-free
+    /// store — and blocking on its arrivals, hiding peer latency.
+    fn import_ghosts(&mut self) -> Result<f64, RuntimeError> {
         let t = std::time::Instant::now();
         let dec = self.decomposition();
         let mut interior_secs = 0.0;
         for (group, hops) in dec.ghost_groups.iter().enumerate() {
             let x = Exchange::Ghosts(hops);
             let rx = self.post(x);
-            if group == 0 && overlap {
+            if group == 0 {
                 let t_int = std::time::Instant::now();
                 self.state.compute_interior(&self.ff);
                 interior_secs = t_int.elapsed().as_secs_f64();
@@ -254,18 +251,18 @@ fn worker_main(mut w: Worker, cmd_rx: Receiver<Cmd>, reply_tx: Sender<(usize, Re
                 let _ = reply_tx.send((w.state.rank, reply));
                 continue;
             }
-            Cmd::Step { epoch, dt, resort, comm } => {
-                (w.epoch, w.aggregation) = (epoch, comm.aggregation);
+            Cmd::Step { epoch, dt, resort } => {
+                w.epoch = epoch;
                 let prime = w.needs_prime;
-                step::step(&mut w, prime, dt, resort, comm.overlap).map(|()| w.needs_prime = false)
+                step::step(&mut w, prime, dt, resort).map(|()| w.needs_prime = false)
             }
             // Fresh forces without integrating; deliberately does NOT clear
             // the priming flag, matching the BSP executor's total_energy
             // (so both executors run the same number of exchange cycles
             // over a run).
-            Cmd::Energy { epoch, comm } => {
-                (w.epoch, w.aggregation) = (epoch, comm.aggregation);
-                step::cycle(&mut w, comm.overlap)
+            Cmd::Energy { epoch } => {
+                w.epoch = epoch;
+                step::cycle(&mut w)
             }
         };
         match done {
@@ -283,14 +280,13 @@ fn worker_main(mut w: Worker, cmd_rx: Receiver<Cmd>, reply_tx: Sender<(usize, Re
 /// A distributed MD simulation with one persistent OS thread per rank and
 /// channels as the interconnect. Steps, telemetry, gather, checkpoint, and
 /// restore mirror [`crate::DistributedSim`]; physics is bitwise-identical
-/// between the two executors (and across all [`CommConfig`] packing modes).
+/// between the two executors.
 pub struct ThreadedSim {
     dec: Arc<Decomposition>,
     ff: Arc<ForceField>,
     dt: f64,
     subdivision: i32,
     resort_every: u64,
-    comm: CommConfig,
     steps_done: u64,
     cmd_txs: Vec<Sender<Cmd>>,
     reply_rx: Receiver<(usize, Reply)>,
@@ -331,7 +327,7 @@ impl ThreadedSim {
     /// # Errors
     /// The same feasibility checks as [`crate::DistributedSim::build`],
     /// plus [`SetupError::Unsupported`] for a non-inert `cfg.faults` or a
-    /// non-zero `cfg.comm.rebalance_every`: scripted faults and adaptive
+    /// non-zero `cfg.rebalance_every`: scripted faults and adaptive
     /// re-decomposition live in the BSP executor only.
     pub fn build(
         store: AtomStore,
@@ -341,12 +337,13 @@ impl ThreadedSim {
         dt: f64,
         cfg: EngineConfig,
     ) -> Result<Self, SetupError> {
-        let EngineConfig { subdivision, resort_every, comm, faults, metrics, tracer } = cfg;
+        let EngineConfig { subdivision, resort_every, rebalance_every, faults, metrics, tracer } =
+            cfg;
         if !faults.is_inert() {
             return Err(SetupError::Unsupported { executor: "threaded", field: "faults" });
         }
-        if comm.rebalance_every != 0 {
-            let field = "comm.rebalance_every";
+        if rebalance_every != 0 {
+            let field = "rebalance_every";
             return Err(SetupError::Unsupported { executor: "threaded", field });
         }
         let (dec, states) =
@@ -358,7 +355,6 @@ impl ThreadedSim {
             dt,
             subdivision,
             resort_every,
-            comm,
             steps_done: 0,
             cmd_txs: Vec::new(),
             reply_rx,
@@ -398,7 +394,6 @@ impl ThreadedSim {
                 tsink: self.tracer.sink(rank as u32, 0),
                 phase: 0,
                 epoch: 0,
-                aggregation: self.comm.aggregation,
                 needs_prime: true,
                 last: Default::default(),
             };
@@ -502,8 +497,8 @@ impl ThreadedSim {
     /// restoring from a checkpoint rebuilds it.
     pub fn try_step(&mut self) -> Result<(), RuntimeError> {
         let resort = self.resort_every != 0 && self.steps_done.is_multiple_of(self.resort_every);
-        let (epoch, dt, comm) = (self.steps_done, self.dt, self.comm);
-        self.command_round(|| Cmd::Step { epoch, dt, resort, comm })?;
+        let (epoch, dt) = (self.steps_done, self.dt);
+        self.command_round(|| Cmd::Step { epoch, dt, resort })?;
         self.steps_done += 1;
         if self.feed.registry().enabled() {
             self.feed.step(self.comm_stats(), self.health_counters());
@@ -571,8 +566,8 @@ impl ThreadedSim {
     /// # Panics
     /// Panics on an unrecovered communication fault.
     pub fn total_energy(&mut self) -> f64 {
-        let (epoch, comm) = (self.steps_done, self.comm);
-        self.command_round(|| Cmd::Energy { epoch, comm }).unwrap_or_else(|e| panic!("{e}"));
+        let epoch = self.steps_done;
+        self.command_round(|| Cmd::Energy { epoch }).unwrap_or_else(|e| panic!("{e}"));
         self.cached.iter().map(|v| v.energy.total() + v.kinetic).sum()
     }
 

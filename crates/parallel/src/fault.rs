@@ -70,8 +70,7 @@ pub struct Fault {
 impl Fault {
     /// Whether the fault fires on this transmission. A batched frame matches
     /// when *any* of its sections fills the scripted channel, so channel-
-    /// targeted faults keep firing when the executor aggregates per-neighbor
-    /// messages.
+    /// targeted faults fire on the per-neighbor frames the executors send.
     fn matches(&self, step: u64, rank: usize, msg: &Message) -> bool {
         if step < self.step || rank != self.rank {
             return false;

@@ -34,7 +34,7 @@
 //! | `step` (private) | the rank-step protocol: stage sequence, per-exchange `outgoing`/`absorb`, unit acceptance (slot matching, stamp + per-section verification, health feed, `RankDead` escalation), send accounting, `decompose`, gather, checkpoint, telemetry assembly, the `comm.*` / `health.*` / `dist.steps` feed |
 //! | [`rank`] | one rank's state and its message-level algorithms (band collection, ghost absorption, force computation, force reduction) |
 //! | [`transport`], [`msg`] | the merged-phase schedule, per-neighbor framing, stamps and checksums |
-//! | `exec_bsp` ([`DistributedSim`]) | BSP delivery + faults: lockstep phases through the [`FaultPlan`] with bounded retry, the `ThreadPool` compute fan-out, the staged (overlapped) exchange as a pool task, rebalance, re-decomposition over survivors |
+//! | `exec_bsp` ([`DistributedSim`]) | BSP delivery + faults: lockstep phases through the [`FaultPlan`] with bounded retry, the `ThreadPool` compute fan-out, the staged exchange as a pool task beside the interior pass, rebalance, re-decomposition over survivors |
 //! | `exec_threads` ([`ThreadedSim`]) | threaded transport: worker threads, command/reply channels, out-of-phase mailbox buffering, poison/shutdown |
 //!
 //! * [`DistributedSim`] — bulk-synchronous, deterministic: every message is
@@ -52,7 +52,7 @@
 //!
 //! Everything about a run that is not the system, the force field or the
 //! timestep is one [`EngineConfig`] (cell subdivision, re-sort cadence,
-//! [`CommConfig`], [`FaultPlan`], metrics registry, tracer), taken once by
+//! rebalance cadence, [`FaultPlan`], metrics registry, tracer), taken once by
 //! `DistributedSim::build` / `ThreadedSim::build`. Neither engine has a
 //! post-construction setter besides `set_timestep` (the supervisor's dt
 //! back-off), and an engine refuses at build a field it cannot honour
@@ -104,4 +104,3 @@ pub use fault::{Delivery, Fault, FaultEvent, FaultKind, FaultPlan};
 pub use grid::RankGrid;
 pub use health::{HealthConfig, HealthCounters, HealthTracker, RankHealth};
 pub use msg::{AtomMsg, Channel, GhostMsg, Message, Payload};
-pub use transport::CommConfig;

@@ -156,8 +156,7 @@ pub enum Payload {
 impl Payload {
     /// Wire size in bytes for bandwidth accounting. A batch counts only the
     /// payload bytes of its sections — framing is bookkeeping, not traffic —
-    /// so aggregated and per-channel exchanges report identical byte totals
-    /// and differ only in message count.
+    /// so a frame reports exactly the bytes of the sections it carries.
     pub fn wire_bytes(&self) -> u64 {
         match self {
             Payload::Migrate(v) => v.len() as u64 * AtomMsg::WIRE_BYTES,

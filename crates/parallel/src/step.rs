@@ -88,10 +88,11 @@ pub(crate) trait Scheduler {
     /// Carries out one exchange: every driven rank's [`outgoing`] sections
     /// travel, and every driven rank [`absorb`]s what arrived for it.
     fn exchange(&mut self, x: Exchange<'_>) -> Result<(), RuntimeError>;
-    /// Imports the halo over the (ghost-free) ranks, optionally computing
-    /// interior tuples while it is in flight; books [`Phase::Exchange`]
-    /// itself and returns the seconds spent in the interior pass.
-    fn import_ghosts(&mut self, overlap: bool) -> Result<f64, RuntimeError>;
+    /// Imports the halo over the (ghost-free) ranks, computing interior
+    /// tuples while it is in flight where the scheduler has something to
+    /// hide it behind; books [`Phase::Exchange`] itself and returns the
+    /// seconds spent in the interior pass.
+    fn import_ghosts(&mut self) -> Result<f64, RuntimeError>;
     /// Computes forces on every driven rank. `interior_secs` is what
     /// [`Scheduler::import_ghosts`] already spent on the interior pass, for
     /// schedulers that book compute as one wall-clock slot.
@@ -102,12 +103,13 @@ pub(crate) trait Scheduler {
 
 /// One ghost-import + force-computation + force-return cycle. Sweeps always
 /// run interior cells first, then frontier cells, and ghosts are absorbed
-/// in canonical order, so overlapped and sequential cycles are bitwise
-/// identical. The force-return phases are booked under [`Phase::Reduce`].
-pub(crate) fn cycle<S: Scheduler>(s: &mut S, overlap: bool) -> Result<(), RuntimeError> {
+/// in canonical order, so a cycle computes the same bits whether or not its
+/// scheduler ran the interior pass inside the exchange window. The
+/// force-return phases are booked under [`Phase::Reduce`].
+pub(crate) fn cycle<S: Scheduler>(s: &mut S) -> Result<(), RuntimeError> {
     let dec = s.decomposition();
     s.each_rank(&|r| r.drop_ghosts());
-    let interior_secs = s.import_ghosts(overlap)?;
+    let interior_secs = s.import_ghosts()?;
     s.compute(interior_secs);
     let t = Instant::now();
     for hops in &dec.force_groups {
@@ -126,10 +128,9 @@ pub(crate) fn step<S: Scheduler>(
     prime: bool,
     dt: f64,
     resort: bool,
-    overlap: bool,
 ) -> Result<(), RuntimeError> {
     if prime {
-        cycle(s, overlap)?;
+        cycle(s)?;
     }
     let t = Instant::now();
     s.each_rank(&|r| {
@@ -145,7 +146,7 @@ pub(crate) fn step<S: Scheduler>(
         s.exchange(Exchange::Migrate(axis))?;
     }
     s.book(Phase::Migrate, t.elapsed().as_secs_f64());
-    cycle(s, overlap)?;
+    cycle(s)?;
     let t = Instant::now();
     s.each_rank(&|r| r.vv_finish(dt));
     s.book(Phase::Integrate, t.elapsed().as_secs_f64());
@@ -230,8 +231,8 @@ pub(crate) fn ghost_bands(
 }
 
 /// Absorbs the payloads that arrived for exchange `x`, in canonical slot
-/// order — never arrival order — which is what keeps packing modes and
-/// executors bitwise-identical.
+/// order — never arrival order — which is what keeps the executors
+/// bitwise-identical.
 pub(crate) fn absorb(
     rank: &mut RankState,
     x: Exchange<'_>,
@@ -267,16 +268,15 @@ pub(crate) fn absorb(
 /// `record_send` and the trace Send event fire **once per wire unit** with
 /// the frame's total payload bytes and its section count — never again per
 /// section — so `comm.messages`, `comm.bytes`, and the `comm.step_bytes`
-/// histogram see aggregated traffic exactly once.
+/// histogram see a frame's traffic exactly once.
 pub(crate) fn frame(
-    aggregation: bool,
     phase: u64,
     epoch: u64,
     sections: Vec<(usize, Message)>,
     stats: &mut CommCounters,
     sink: &TraceSink,
 ) -> Vec<(usize, Message)> {
-    let units = transport::frame_sections(aggregation, phase, epoch, sections);
+    let units = transport::frame_sections(true, phase, epoch, sections);
     for (to, unit) in &units {
         let bytes = unit.payload.wire_bytes();
         let nsec = unit.payload.section_count() as u16;
@@ -296,19 +296,12 @@ pub(crate) fn trace_recv(sink: &TraceSink, epoch: u64, from: usize, unit: &Messa
     sink.recv(epoch, unit.channel.trace_class(), from as u32, bytes, nsec, epoch);
 }
 
-/// The channel the next wire unit from `from` must carry: the k-th unit
-/// from a source fills the k-th canonical receive slot expected from that
-/// source (k > 0 only without aggregation; per-sender order is FIFO on
-/// every transport, so arrival order per source equals send order). A unit
-/// nobody expects keeps its own channel and fails slot matching later.
-pub(crate) fn expected_channel(
-    rx: &[Slot],
-    got: &[(usize, Message)],
-    from: usize,
-    unit: &Message,
-) -> Channel {
-    let already = got.iter().filter(|(f, _)| *f == from).count();
-    rx.iter().filter(|s| s.peer == from).nth(already).map_or(unit.channel, |s| s.channel)
+/// The channel the wire unit from `from` must carry: a source sends one
+/// frame per phase, stamped with the channel of the first canonical receive
+/// slot it fills. A unit nobody expects keeps its own channel and fails slot
+/// matching later.
+pub(crate) fn expected_channel(rx: &[Slot], from: usize, unit: &Message) -> Channel {
+    rx.iter().find(|s| s.peer == from).map_or(unit.channel, |s| s.channel)
 }
 
 /// Verifies a wire unit's outer stamp against the slot `to` is filling and

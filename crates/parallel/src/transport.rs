@@ -1,9 +1,10 @@
 //! The communication-optimal exchange schedule shared by both executors.
 //!
-//! The legacy schedule sent one message per channel per step: 3 migrate
-//! phases × 2 directions, plus one ghost message and one force message per
-//! routing hop — 12 (SC) or 18 (FS) messages per rank per step. This module
-//! restructures that into *merged phases* with *per-neighbor framing*:
+//! One message per channel would cost 3 migrate phases × 2 directions, plus
+//! one ghost message and one force message per routing hop — 12 (SC) or 18
+//! (FS) messages per rank per step. The schedule here is *merged phases*
+//! with *per-neighbor framing*, 9 wire units per rank per step for every
+//! method:
 //!
 //! * Same-axis hop pairs of the FS/Hybrid plan are provably independent
 //!   (forwarded routing only re-exports ghosts that arrived on a strictly
@@ -15,35 +16,12 @@
 //!   (`c_lat · n_msg`) pays once per neighbor instead of once per channel.
 //! * Receivers absorb sections in *canonical slot order* (migration by
 //!   direction, ghosts by ascending hop, forces by descending hop) — never
-//!   in arrival order — which makes the aggregated and per-channel wire
-//!   modes bitwise-identical and keeps the BSP and threaded executors in
-//!   exact agreement.
+//!   in arrival order — which keeps the BSP and threaded executors in exact
+//!   agreement.
 
 use crate::comm::GhostPlan;
 use crate::grid::RankGrid;
 use crate::msg::{Channel, Message, Payload};
-
-/// Runtime communication configuration, settable per scenario via the
-/// `comm` spec block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommConfig {
-    /// Aggregate all per-channel payloads bound for the same neighbor into
-    /// one framed message per phase (default on).
-    pub aggregation: bool,
-    /// Compute interior-cell tuples while the boundary exchange is in
-    /// flight (default on). Off and on are bitwise-identical; the flag only
-    /// moves when the interior pass runs.
-    pub overlap: bool,
-    /// Re-evaluate the rank decomposition against measured per-rank compute
-    /// seconds every this many steps (0 disables adaptive load balance).
-    pub rebalance_every: u64,
-}
-
-impl Default for CommConfig {
-    fn default() -> Self {
-        CommConfig { aggregation: true, overlap: true, rebalance_every: 0 }
-    }
-}
 
 /// One send or receive slot within an exchange phase: the channel it fills
 /// and the peer rank on the other end.
@@ -140,10 +118,14 @@ pub fn force_phase(
 }
 
 /// Packs the phase's stamped sections (one per send slot, in canonical slot
-/// order) into wire messages: with aggregation, one framed [`Payload::Batch`]
-/// per destination (sections keep their canonical order inside the frame);
-/// without, the sections travel unchanged. Returns `(destination, message)`
-/// pairs in first-seen destination order.
+/// order) into wire messages: one framed [`Payload::Batch`] per destination
+/// (sections keep their canonical order inside the frame). Returns
+/// `(destination, message)` pairs in first-seen destination order.
+///
+/// Every caller in this workspace passes `aggregation = true`; `false`
+/// returns the sections unframed. The parameter is what is left of the
+/// per-channel schedule and stays until a change may edit `benchmark/`,
+/// whose frame probe calls this signature.
 pub fn frame_sections(
     aggregation: bool,
     phase: u64,
@@ -170,12 +152,8 @@ pub fn frame_sections(
 }
 
 /// The wire units a receiver expects in one phase: one frame per distinct
-/// source when aggregating, one message per slot otherwise. Returns
-/// `(source, expected outer channel)` in canonical order.
-pub fn expected_units(aggregation: bool, recvs: &[Slot]) -> Vec<(usize, Channel)> {
-    if !aggregation {
-        return recvs.iter().map(|s| (s.peer, s.channel)).collect();
-    }
+/// source. Returns `(source, expected outer channel)` in canonical order.
+pub fn expected_units(recvs: &[Slot]) -> Vec<(usize, Channel)> {
     let mut units: Vec<(usize, Channel)> = Vec::new();
     for s in recvs {
         if !units.iter().any(|(p, _)| *p == s.peer) {
@@ -276,8 +254,7 @@ mod tests {
             Slot { channel: Channel::Ghosts { hop: 0 }, peer: 1 },
             Slot { channel: Channel::Ghosts { hop: 1 }, peer: 1 },
         ];
-        assert_eq!(expected_units(true, &recvs), vec![(1, Channel::Ghosts { hop: 0 })]);
-        assert_eq!(expected_units(false, &recvs).len(), 2);
+        assert_eq!(expected_units(&recvs), vec![(1, Channel::Ghosts { hop: 0 })]);
     }
 
     #[test]

@@ -706,7 +706,7 @@ fn rank_hybrid_matches_serial_hybrid_term_by_term() {
 /// without them.
 #[test]
 fn threaded_build_refuses_what_it_cannot_honour() {
-    use sc_parallel::{CommConfig, Fault, FaultKind, FaultPlan, SetupError};
+    use sc_parallel::{Fault, FaultKind, FaultPlan, SetupError};
 
     let build = |cfg: EngineConfig| {
         let (store, bbox) = lj_system();
@@ -718,12 +718,13 @@ fn threaded_build_refuses_what_it_cannot_honour() {
         build(EngineConfig { faults: FaultPlan::none().with(fault), ..Default::default() }),
         Err(SetupError::Unsupported { executor: "threaded", field: "faults" })
     );
-    let comm = CommConfig { rebalance_every: 2, ..CommConfig::default() };
     assert_eq!(
-        build(EngineConfig { comm, ..Default::default() }),
-        Err(SetupError::Unsupported { executor: "threaded", field: "comm.rebalance_every" })
+        build(EngineConfig { rebalance_every: 2, ..Default::default() }),
+        Err(SetupError::Unsupported { executor: "threaded", field: "rebalance_every" })
     );
     // Everything else in the configuration is honoured.
-    let comm = CommConfig { aggregation: false, overlap: false, rebalance_every: 0 };
-    assert_eq!(build(EngineConfig { comm, subdivision: 2, ..Default::default() }), Ok(()));
+    assert_eq!(
+        build(EngineConfig { subdivision: 2, resort_every: 0, ..Default::default() }),
+        Ok(())
+    );
 }

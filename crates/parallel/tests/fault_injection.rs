@@ -9,7 +9,7 @@ use sc_geom::{IVec3, SimulationBox, Vec3};
 use sc_md::supervisor::{Recoverable, Supervisor, SupervisorConfig};
 use sc_md::{build_fcc_lattice, LatticeSpec, Method};
 use sc_parallel::rank::ForceField;
-use sc_parallel::{CommConfig, DistributedSim, EngineConfig, Fault, FaultKind, FaultPlan};
+use sc_parallel::{DistributedSim, EngineConfig, Fault, FaultKind, FaultPlan};
 use sc_potential::LennardJones;
 
 fn lj_system() -> (AtomStore, SimulationBox) {
@@ -25,17 +25,14 @@ fn lj_ff() -> ForceField {
     }
 }
 
-fn mk_sim_with(cfg: EngineConfig) -> DistributedSim {
+fn faulted(faults: FaultPlan) -> DistributedSim {
     let (store, bbox) = lj_system();
+    let cfg = EngineConfig { faults, ..Default::default() };
     DistributedSim::build(store, bbox, IVec3::splat(2), lj_ff(), 0.002, cfg).unwrap()
 }
 
 fn mk_sim() -> DistributedSim {
-    mk_sim_with(EngineConfig::default())
-}
-
-fn faulted(faults: FaultPlan) -> DistributedSim {
-    mk_sim_with(EngineConfig { faults, ..Default::default() })
+    faulted(FaultPlan::none())
 }
 
 fn total_momentum(store: &AtomStore) -> Vec3 {
@@ -195,11 +192,10 @@ proptest! {
         prop_assert!(dp < 1e-9, "momentum drifted by {} under seed {}", dp, seed);
     }
 
-    /// Random fault scripts against *batched* frames: with per-neighbor
-    /// aggregation (and any overlap setting) every in-budget fault script
-    /// must be absorbed by the per-delivery retry path — per-section
-    /// checksums localize corruption inside a batch — leaving the final
-    /// state bitwise identical to a fault-free run of the same mode.
+    /// Random fault scripts against *batched* frames: every in-budget
+    /// fault script must be absorbed by the per-delivery retry path —
+    /// per-section checksums localize corruption inside a batch — leaving
+    /// the final state bitwise identical to a fault-free run.
     /// Faults land on distinct steps so no single delivery sees more than
     /// one fault (stacked stalls can legitimately exceed the retry budget
     /// and escalate; that path is the supervisor tests' job).
@@ -208,8 +204,7 @@ proptest! {
         seed in 0u64..10_000,
         nfaults in 1usize..=3,
     ) {
-        let comm = CommConfig { aggregation: true, overlap: seed % 2 == 1, rebalance_every: 0 };
-        let mut clean = mk_sim_with(EngineConfig { comm, ..Default::default() });
+        let mut clean = mk_sim();
         clean.run(6);
 
         let kinds = [
@@ -236,7 +231,7 @@ proptest! {
                 kind: kinds[(next() % kinds.len() as u64) as usize],
             });
         }
-        let mut sim = mk_sim_with(EngineConfig { comm, faults: plan, ..Default::default() });
+        let mut sim = faulted(plan);
         for step in 0..6 {
             let r = sim.try_step();
             prop_assert!(r.is_ok(), "seed {}: unrecovered fault at step {}: {:?}", seed, step, r);

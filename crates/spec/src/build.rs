@@ -14,7 +14,7 @@ use sc_md::{
 use sc_obs::json::Json;
 use sc_obs::{Registry, Tracer};
 use sc_parallel::rank::ForceField;
-use sc_parallel::{CommConfig, DistributedSim, EngineConfig, FaultPlan, ThreadedSim};
+use sc_parallel::{DistributedSim, EngineConfig, FaultPlan, ThreadedSim};
 use sc_potential::{LennardJones, Vashishta};
 
 /// The schema identifier of the observables document.
@@ -285,11 +285,7 @@ impl ScenarioSpec {
         EngineConfig {
             subdivision: self.subdivision,
             resort_every: self.resort_every,
-            comm: CommConfig {
-                aggregation: self.comm.aggregation,
-                overlap: self.comm.overlap,
-                rebalance_every: self.comm.rebalance_every,
-            },
+            rebalance_every: self.comm.rebalance_every,
             faults: self.fault_plan.as_ref().map_or_else(FaultPlan::none, |fp| {
                 let (count, crashes) = (fp.count as usize, fp.max_crashes as usize);
                 FaultPlan::storm(fp.seed, count, self.steps, ranks as usize, crashes)

@@ -45,7 +45,7 @@ pub struct ScenarioSpec {
     pub verlet_skin: f64,
     /// Morton re-sort cadence (0 = never).
     pub resort_every: u64,
-    /// Communication schedule knobs (distributed executors).
+    /// The `comm` block: the rebalance cadence (BSP executor).
     pub comm: CommSpec,
     /// Optional Berendsen thermostat (serial executor only).
     pub thermostat: Option<ThermostatSpec>,
@@ -169,27 +169,14 @@ impl ExecutorSpec {
     }
 }
 
-/// Communication schedule knobs for the distributed executors. All of
-/// them are bitwise-neutral: they change when traffic moves and how it is
-/// framed, never the trajectory.
-#[derive(Debug, Clone, PartialEq)]
+/// The `comm` block. The exchange schedule itself (merged phases, one frame
+/// per neighbor, interior pass inside the exchange window) is not
+/// configurable; what is left is the load-balance cadence.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommSpec {
-    /// Pack all same-phase payloads per neighbor into one framed batch
-    /// message (one message per neighbor per phase instead of one per
-    /// channel).
-    pub aggregation: bool,
-    /// Compute interior tuples while the first boundary exchange is in
-    /// flight.
-    pub overlap: bool,
     /// Re-fit the rank grid to measured per-rank compute seconds every
     /// this many steps (0 = never; BSP executor only).
     pub rebalance_every: u64,
-}
-
-impl Default for CommSpec {
-    fn default() -> Self {
-        CommSpec { aggregation: true, overlap: true, rebalance_every: 0 }
-    }
 }
 
 /// Berendsen thermostat parameters.
@@ -541,8 +528,6 @@ impl ScenarioSpec {
         };
         only("verlet_skin", self.verlet_skin != 0.0, serial, "serial")?;
         only("thermostat", self.thermostat.is_some(), serial, "serial")?;
-        only("comm.aggregation", !self.comm.aggregation, !serial, "bsp or threaded")?;
-        only("comm.overlap", !self.comm.overlap, !serial, "bsp or threaded")?;
         only("comm.rebalance_every", self.comm.rebalance_every != 0, bsp, "bsp")?;
         only("fault_plan", self.fault_plan.is_some(), bsp, "bsp")?;
         if let Some(t) = &self.thermostat {
@@ -592,11 +577,10 @@ impl ScenarioSpec {
             ("resort_every".to_string(), Json::num(self.resort_every as f64)),
             (
                 "comm".to_string(),
-                Json::Obj(vec![
-                    ("aggregation".to_string(), Json::Bool(self.comm.aggregation)),
-                    ("overlap".to_string(), Json::Bool(self.comm.overlap)),
-                    ("rebalance_every".to_string(), Json::num(self.comm.rebalance_every as f64)),
-                ]),
+                Json::Obj(vec![(
+                    "rebalance_every".to_string(),
+                    Json::num(self.comm.rebalance_every as f64),
+                )]),
             ),
         ];
         if let Some(t) = &self.thermostat {
@@ -816,12 +800,8 @@ fn executor_json(e: &ExecutorSpec) -> Json {
 }
 
 fn decode_comm(f: &Fields) -> Result<CommSpec, SpecError> {
-    f.deny_unknown(&["aggregation", "overlap", "rebalance_every"])?;
-    Ok(CommSpec {
-        aggregation: f.bool_or("aggregation", true)?,
-        overlap: f.bool_or("overlap", true)?,
-        rebalance_every: f.u64_or("rebalance_every", 0)?,
-    })
+    f.deny_unknown(&["rebalance_every"])?;
+    Ok(CommSpec { rebalance_every: f.u64_or("rebalance_every", 0)? })
 }
 
 fn decode_thermostat(f: &Fields) -> Result<ThermostatSpec, SpecError> {

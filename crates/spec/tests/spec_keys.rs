@@ -39,12 +39,11 @@ enum Expect {
     Refused(&'static str),
     /// The built run differs observably from the run without the key.
     Effect(fn(&RunHandle, &RunHandle) -> bool),
-    /// Bitwise-neutral by design and invisible outside wall time, so the
-    /// check is the engine configuration the spec maps to (an engine has
-    /// no other source for it: there is no setter).
-    Config(fn(&sc_parallel::EngineConfig) -> bool),
+    /// Not a key at all: the decoder refuses it by this dotted name as an
+    /// unknown field.
+    Unknown(&'static str),
 }
-use Expect::{Config, Effect, Refused};
+use Expect::{Effect, Refused, Unknown};
 
 fn candidates_moved(base: &RunHandle, run: &RunHandle) -> bool {
     base.telemetry().tuples.total_candidates() != run.telemetry().tuples.total_candidates()
@@ -71,14 +70,10 @@ fn every_spec_key_reaches_the_engine_or_is_refused() {
             r#""verlet_skin": 0.5"#,
             [Effect(candidates_moved), Refused("verlet_skin"), Refused("verlet_skin")],
         ),
-        (
-            r#""comm": {"overlap": false}"#,
-            [Refused("comm.overlap"), Config(|c| !c.comm.overlap), Config(|c| !c.comm.overlap)],
-        ),
-        (
-            r#""comm": {"aggregation": false}"#,
-            [Refused("comm.aggregation"), Effect(more_messages), Effect(more_messages)],
-        ),
+        // The exchange schedule has no knobs: the keys that once selected a
+        // packing mode or an import schedule are unknown everywhere.
+        (r#""comm": {"overlap": false}"#, [Unknown("comm.overlap"); 3]),
+        (r#""comm": {"aggregation": false}"#, [Unknown("comm.aggregation"); 3]),
         // A re-decomposition re-primes: one more exchange cycle.
         (
             r#""comm": {"rebalance_every": 2}"#,
@@ -129,11 +124,12 @@ fn every_spec_key_reaches_the_engine_or_is_refused() {
                     let spec = decoded.unwrap_or_else(|e| panic!("{what}: {e}"));
                     assert!(differs(&base, &run(&spec)), "{what}: accepted but without effect");
                 }
-                Config(holds) => {
-                    let spec = decoded.unwrap_or_else(|e| panic!("{what}: {e}"));
-                    assert!(holds(&spec.engine_config(None, None)), "{what}: lost in the mapping");
-                    run(&spec);
-                }
+                Unknown(field) => match decoded {
+                    Err(SpecError::UnknownField { field: got }) => {
+                        assert_eq!(&got, field, "{what}")
+                    }
+                    other => panic!("{what}: expected an unknown key {field}, got {other:?}"),
+                },
             }
         }
     }

@@ -1,23 +1,23 @@
-//! The benchmark-regression harness behind `scmd bench`.
+//! The counter/energy gate behind `scmd bench`.
 //!
 //! Runs a pinned, deterministic workload matrix — the serial engine, the
-//! threaded executor, and the BSP executor, each over the method set — and
-//! writes one `BENCH_<gitsha>.json` document whose layout is pinned by
+//! threaded executor, and the BSP executor, each over the method set — once
+//! per row and writes one bench document whose layout is pinned by
 //! `schema/bench.schema.json`. A companion comparator diffs two bench
-//! documents: the deterministic work counters (tuple candidates/accepted,
-//! comm messages/bytes, energies) must match exactly, and wall times may
-//! regress at most by a configurable percentage. CI runs the matrix against
-//! the checked-in `BENCH_baseline.json` so behavioural regressions (more
-//! work, more traffic, different physics) fail loudly even on machines
-//! whose absolute speed differs from the baseline host's.
+//! documents exactly: the deterministic work counters (tuple
+//! candidates/accepted, comm messages/bytes) must be equal and the energies
+//! must agree to 1e-6 relative. CI runs the matrix against the checked-in
+//! `BENCH_baseline.json` so behavioural regressions (more work, more
+//! traffic, different physics) fail loudly on any machine. Nothing here
+//! reads a clock: `benchmark/` and `scripts/ab.sh` are the timing authority.
 
 use sc_obs::json::Json;
-use sc_spec::{ExecutorSpec, ScenarioSpec, SystemSpec};
+use sc_spec::ScenarioSpec;
 
 /// The schema identifier stamped into every bench document.
-pub const SCHEMA_ID: &str = "sc-bench/1";
+pub const SCHEMA_ID: &str = "sc-bench/2";
 
-/// One measured benchmark case.
+/// One benchmark case: what ran and the deterministic work it did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchCase {
     /// Unique case name (`executor-method-system`).
@@ -32,10 +32,6 @@ pub struct BenchCase {
     pub atoms: u64,
     /// Steps integrated.
     pub steps: u64,
-    /// Total wall seconds for the run.
-    pub wall_s: f64,
-    /// Milliseconds per step.
-    pub ms_per_step: f64,
     /// Tuple candidates visited in the final step (0 where the executor
     /// does not report tuple statistics).
     pub tuples_candidates: u64,
@@ -47,10 +43,9 @@ pub struct BenchCase {
     pub comm_messages: u64,
     /// Bytes sent over the whole run (0 for the serial engine).
     pub comm_bytes: u64,
-    /// Messages per integration step (`comm_messages / steps`). With
-    /// per-neighbor aggregation this is one framed batch per neighbor per
-    /// exchange phase; the comparator gates on it exactly so a schedule
-    /// regression back to per-channel sends fails loudly.
+    /// Messages per integration step (`comm_messages / steps`): one frame
+    /// per neighbor per exchange phase. The comparator gates on it exactly,
+    /// so a schedule that sends more wire units fails loudly.
     pub messages_per_step: f64,
 }
 
@@ -63,8 +58,6 @@ impl BenchCase {
             ("system".into(), Json::str(&self.system)),
             ("atoms".into(), Json::num(self.atoms as f64)),
             ("steps".into(), Json::num(self.steps as f64)),
-            ("wall_s".into(), Json::num(self.wall_s)),
-            ("ms_per_step".into(), Json::num(self.ms_per_step)),
             ("tuples_candidates".into(), Json::num(self.tuples_candidates as f64)),
             ("tuples_accepted".into(), Json::num(self.tuples_accepted as f64)),
             ("energy_total".into(), Json::num(self.energy_total)),
@@ -77,7 +70,7 @@ impl BenchCase {
 
 /// The short git revision of the working tree, or `"unknown"` outside a
 /// repository (the bench file is still valid — the sha is provenance only).
-pub fn git_sha() -> String {
+fn git_sha() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()
@@ -93,7 +86,7 @@ pub fn git_sha() -> String {
 /// file's `name` field matches `BENCH_baseline.json` case-for-case —
 /// editing a spec file changes what `scmd bench` measures, and the
 /// baseline comparator catches any counter drift that causes.
-const MATRIX_SPECS: [&str; 16] = [
+const MATRIX_SPECS: [&str; 15] = [
     include_str!("../scenarios/bench/serial-sc-md-lj.json"),
     include_str!("../scenarios/bench/serial-fs-md-lj.json"),
     include_str!("../scenarios/bench/serial-hybrid-md-lj.json"),
@@ -109,7 +102,6 @@ const MATRIX_SPECS: [&str; 16] = [
     include_str!("../scenarios/bench/threaded-hybrid-md-silica.json"),
     include_str!("../scenarios/bench/bsp-hybrid-md-silica-k2.json"),
     include_str!("../scenarios/bench/bsp-sc-md-clustered.json"),
-    include_str!("../scenarios/bench/bsp-sc-md-clustered-legacy.json"),
 ];
 
 /// Decodes the embedded benchmark matrix.
@@ -120,38 +112,18 @@ pub fn matrix_specs() -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// The matrix step count for a case: the `steps` field in the checked-in
-/// specs holds the full-mode value; `quick` (used by tests) shrinks it.
-fn mode_steps(spec: &ScenarioSpec, quick: bool) -> u64 {
-    let (lj_steps, silica_steps, dist_steps, clustered_steps) =
-        if quick { (4, 2, 2, 2) } else { (10, 4, 5, 200) };
-    match &spec.executor {
-        ExecutorSpec::Serial { .. } => match &spec.system {
-            SystemSpec::Silica { .. } => silica_steps,
-            _ => lj_steps,
-        },
-        // The clustered pair exists to A/B the comm schedule (default vs
-        // pinned legacy per-channel); the schedule delta is a few percent
-        // in-process, so the pair runs long enough for it to rise above
-        // scheduler noise.
-        _ => match &spec.system {
-            SystemSpec::Clustered { .. } => clustered_steps,
-            _ => dist_steps,
-        },
-    }
-}
+/// The step count `quick` mode (used by tests) runs every case for instead
+/// of its checked-in `steps`.
+const QUICK_STEPS: u64 = 2;
 
-/// Runs one scenario as a measured bench case. Every executor — serial,
-/// threaded, BSP — goes through the same [`sc_spec::RunHandle`]
-/// instantiation the job service uses, so the bench doubles as a no-drift
-/// check on the spec layer.
+/// Runs one scenario as a bench case. Every executor — serial, threaded,
+/// BSP — goes through the same [`sc_spec::RunHandle`] instantiation the job
+/// service uses, so the bench doubles as a no-drift check on the spec layer.
 pub fn run_spec_case(spec: &ScenarioSpec) -> Result<BenchCase, String> {
     let steps = spec.steps;
     let mut handle = spec.instantiate().map_err(|e| e.to_string())?;
     let atoms = handle.gather().len() as u64;
-    let t0 = std::time::Instant::now();
     handle.run(steps as usize);
-    let wall = t0.elapsed().as_secs_f64();
     let t = handle.telemetry();
     Ok(BenchCase {
         name: spec.name.clone(),
@@ -160,8 +132,6 @@ pub fn run_spec_case(spec: &ScenarioSpec) -> Result<BenchCase, String> {
         system: spec.system.kind().into(),
         atoms,
         steps,
-        wall_s: wall,
-        ms_per_step: wall / steps as f64 * 1e3,
         tuples_candidates: t.tuples.total_candidates(),
         tuples_accepted: t.tuples.total_accepted(),
         energy_total: t.energy.total(),
@@ -174,39 +144,17 @@ pub fn run_spec_case(spec: &ScenarioSpec) -> Result<BenchCase, String> {
 }
 
 /// Runs the pinned workload matrix from the embedded `scenarios/bench/`
-/// specs. `quick` shrinks the step counts (used by tests; CI and
-/// interactive runs use the full matrix, which still completes in
-/// seconds).
+/// specs, each row once, for the `steps` its file carries; `quick` shrinks
+/// the step counts (used by tests; the full matrix completes in seconds).
 pub fn run_matrix(quick: bool) -> Vec<BenchCase> {
     let mut specs = matrix_specs();
-    for spec in &mut specs {
-        spec.steps = mode_steps(spec, quick);
+    if quick {
+        specs.iter_mut().for_each(|spec| spec.steps = QUICK_STEPS);
     }
-    // The clustered A/B pair (default vs `-legacy` comm schedule) reports
-    // interleaved min-of-3 wall time: the schedule delta it exists to
-    // measure is a few percent, below the slow machine-load drift between
-    // two back-to-back single-shot windows. Alternating A,B,A,B,A,B and
-    // keeping each case's fastest repeat cancels that drift; counters are
-    // deterministic across repeats, so only the wall estimate tightens.
-    let rounds = if quick { 1 } else { 3 };
-    let mut best: Vec<Option<BenchCase>> = specs.iter().map(|_| None).collect();
-    for round in 0..rounds {
-        for (i, spec) in specs.iter().enumerate() {
-            let repeated = matches!(spec.system, SystemSpec::Clustered { .. });
-            if round > 0 && !repeated {
-                continue;
-            }
-            let case = run_spec_case(spec).expect("checked-in bench spec runs");
-            best[i] = match best[i].take() {
-                Some(b) if b.wall_s <= case.wall_s => Some(b),
-                _ => Some(case),
-            };
-        }
-    }
-    best.into_iter().map(|b| b.expect("every spec ran in round 0")).collect()
+    specs.iter().map(|spec| run_spec_case(spec).expect("checked-in bench spec runs")).collect()
 }
 
-/// Renders a bench document (the `BENCH_<gitsha>.json` layout pinned by
+/// Renders a bench document (the layout pinned by
 /// `schema/bench.schema.json`).
 pub fn to_document(cases: &[BenchCase]) -> Json {
     Json::Obj(vec![
@@ -220,28 +168,32 @@ fn num(case: &Json, key: &str) -> f64 {
     case.get(key).and_then(|v| v.as_f64()).unwrap_or(f64::NAN)
 }
 
-/// Diffs `current` against `baseline`. Returns `(report, failures)`:
-/// one report line per compared case, and one failure line per violated
-/// invariant. Deterministic counters (tuple candidates/accepted, comm
-/// messages/bytes) must match exactly and energies must agree to 1e-6
-/// relative; wall time may grow at most `wall_tol_pct` percent over the
-/// baseline (pass `f64::INFINITY` to skip the wall check entirely, e.g.
-/// when the baseline was recorded on different hardware).
-pub fn compare(baseline: &Json, current: &Json, wall_tol_pct: f64) -> (Vec<String>, Vec<String>) {
+fn cases_of(doc: &Json) -> &[Json] {
+    doc.get("cases").and_then(|c| c.as_array()).unwrap_or(&[])
+}
+
+fn name_of(case: &Json) -> &str {
+    case.get("name").and_then(|n| n.as_str()).unwrap_or("?")
+}
+
+/// Diffs `current` against `baseline`. Returns `(report, failures)`: one
+/// report line per case both documents hold, and one failure line per
+/// violated invariant. Deterministic counters (tuple candidates/accepted,
+/// comm messages/bytes) must match exactly and energies must agree to 1e-6
+/// relative; a case only one document holds is a failure either way — a new
+/// row is gated from the moment the baseline is re-recorded with it, never
+/// silently before.
+pub fn compare(baseline: &Json, current: &Json) -> (Vec<String>, Vec<String>) {
     let mut report = Vec::new();
     let mut failures = Vec::new();
-    let empty = Vec::new();
-    let base_cases = baseline.get("cases").and_then(|c| c.as_array()).unwrap_or(&empty);
-    let cur_cases = current.get("cases").and_then(|c| c.as_array()).unwrap_or(&empty);
+    let (base_cases, cur_cases) = (cases_of(baseline), cases_of(current));
     for base in base_cases {
-        let name = base.get("name").and_then(|n| n.as_str()).unwrap_or("?").to_string();
-        let Some(cur) = cur_cases
-            .iter()
-            .find(|c| c.get("name").and_then(|n| n.as_str()) == Some(name.as_str()))
-        else {
+        let name = name_of(base);
+        let Some(cur) = cur_cases.iter().find(|c| name_of(c) == name) else {
             failures.push(format!("{name}: case missing from current run"));
             continue;
         };
+        let before = failures.len();
         for key in [
             "atoms",
             "steps",
@@ -260,150 +212,77 @@ pub fn compare(baseline: &Json, current: &Json, wall_tol_pct: f64) -> (Vec<Strin
         if (be - ce).abs() > 1e-6 * be.abs().max(1.0) {
             failures.push(format!("{name}: energy_total drifted {be} -> {ce}"));
         }
-        let (bw, cw) = (num(base, "wall_s"), num(cur, "wall_s"));
-        let growth_pct = if bw > 0.0 { (cw / bw - 1.0) * 100.0 } else { 0.0 };
-        if growth_pct > wall_tol_pct {
-            failures.push(format!(
-                "{name}: wall time regressed {:.1}% ({:.4}s -> {:.4}s, tolerance {wall_tol_pct}%)",
-                growth_pct, bw, cw
-            ));
-        }
-        report.push(format!("{name:<28} wall {:.4}s -> {:.4}s ({:+.1}%)", bw, cw, growth_pct));
+        let verdict =
+            if failures.len() == before { "counters and energy match" } else { "DIFFERS" };
+        report.push(format!("{name:<28} {verdict}"));
     }
-    (report, failures)
-}
-
-/// Renders the per-case wall-time delta between two bench documents as a
-/// GitHub-flavoured markdown table — written into the CI job summary by
-/// `scmd bench --summary`. Cases present only in `current` (newly added
-/// benchmarks) are listed with an em-dash baseline instead of being
-/// silently dropped.
-pub fn markdown_delta_table(baseline: &Json, current: &Json) -> String {
-    let empty = Vec::new();
-    let base_cases = baseline.get("cases").and_then(|c| c.as_array()).unwrap_or(&empty);
-    let cur_cases = current.get("cases").and_then(|c| c.as_array()).unwrap_or(&empty);
-    let name_of = |c: &Json| c.get("name").and_then(|n| n.as_str()).unwrap_or("?").to_string();
-    let mut out = String::from(
-        "### Bench wall-time deltas\n\n\
-         | case | baseline ms/step | current ms/step | Δ wall |\n\
-         |---|---:|---:|---:|\n",
-    );
     for cur in cur_cases {
         let name = name_of(cur);
-        let cm = num(cur, "ms_per_step");
-        match base_cases.iter().find(|b| name_of(b) == name) {
-            Some(base) => {
-                let bm = num(base, "ms_per_step");
-                let (bw, cw) = (num(base, "wall_s"), num(cur, "wall_s"));
-                let pct = if bw > 0.0 { (cw / bw - 1.0) * 100.0 } else { 0.0 };
-                out.push_str(&format!("| {name} | {bm:.3} | {cm:.3} | {pct:+.1}% |\n"));
-            }
-            None => out.push_str(&format!("| {name} | — | {cm:.3} | new case |\n")),
+        if !base_cases.iter().any(|b| name_of(b) == name) {
+            failures.push(format!("{name}: case missing from baseline — re-record it"));
         }
     }
-    for base in base_cases {
-        let name = name_of(base);
-        if !cur_cases.iter().any(|c| name_of(c) == name) {
-            out.push_str(&format!("| {name} | {:.3} | — | missing |\n", num(base, "ms_per_step")));
-        }
-    }
-    out
+    (report, failures)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn doc(wall: f64, candidates: u64) -> Json {
-        let case = BenchCase {
-            name: "serial-sc-lj".into(),
+    fn case(name: &str, candidates: u64) -> BenchCase {
+        BenchCase {
+            name: name.into(),
             executor: "serial".into(),
             method: "sc".into(),
             system: "lj".into(),
             atoms: 256,
             steps: 4,
-            wall_s: wall,
-            ms_per_step: wall / 4.0 * 1e3,
             tuples_candidates: candidates,
             tuples_accepted: candidates / 2,
             energy_total: -100.0,
             comm_messages: 0,
             comm_bytes: 0,
             messages_per_step: 0.0,
-        };
-        to_document(&[case])
+        }
+    }
+
+    fn doc(candidates: u64) -> Json {
+        to_document(&[case("serial-sc-lj", candidates)])
     }
 
     #[test]
     fn identical_documents_compare_clean() {
-        let a = doc(1.0, 1000);
-        let (report, failures) = compare(&a, &a, 20.0);
+        let a = doc(1000);
+        let (report, failures) = compare(&a, &a);
         assert_eq!(failures, Vec::<String>::new());
         assert_eq!(report.len(), 1);
     }
 
     #[test]
-    fn wall_regression_beyond_tolerance_fails() {
-        let (_, failures) = compare(&doc(1.0, 1000), &doc(1.5, 1000), 20.0);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("wall time regressed"), "{failures:?}");
-        // Infinite tolerance skips the wall check.
-        let (_, failures) = compare(&doc(1.0, 1000), &doc(100.0, 1000), f64::INFINITY);
-        assert!(failures.is_empty());
-    }
-
-    #[test]
-    fn counter_drift_fails_regardless_of_wall_tolerance() {
-        let (_, failures) = compare(&doc(1.0, 1000), &doc(1.0, 1001), f64::INFINITY);
+    fn counter_drift_fails() {
+        let (_, failures) = compare(&doc(1000), &doc(1001));
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("tuples_candidates"), "{failures:?}");
     }
 
     #[test]
-    fn markdown_table_covers_new_and_missing_cases() {
-        let base = doc(1.0, 1000);
-        let mut extra = doc(0.5, 1000);
-        if let Json::Obj(fields) = &mut extra {
-            if let Some((_, Json::Arr(cases))) = fields.iter_mut().find(|(k, _)| k == "cases") {
-                let added = BenchCase {
-                    name: "bsp-SC-MD-silica".into(),
-                    executor: "bsp".into(),
-                    method: "SC-MD".into(),
-                    system: "silica".into(),
-                    atoms: 1536,
-                    steps: 5,
-                    wall_s: 0.2,
-                    ms_per_step: 40.0,
-                    tuples_candidates: 1,
-                    tuples_accepted: 1,
-                    energy_total: -1.0,
-                    comm_messages: 1,
-                    comm_bytes: 8,
-                    messages_per_step: 0.2,
-                };
-                cases.push(added.to_json());
-            }
-        }
-        let table = markdown_delta_table(&base, &extra);
-        assert!(table.contains("| serial-sc-lj |"), "{table}");
-        assert!(table.contains("-50.0%"), "{table}");
-        assert!(table.contains("| bsp-SC-MD-silica | — | 40.000 | new case |"), "{table}");
-        // The reverse direction reports the dropped case.
-        let table = markdown_delta_table(&extra, &base);
-        assert!(table.contains("missing"), "{table}");
+    fn missing_case_fails() {
+        let (_, failures) = compare(&doc(1000), &to_document(&[]));
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("missing from current run"), "{failures:?}");
     }
 
     #[test]
-    fn missing_case_fails() {
-        let base = doc(1.0, 1000);
-        let empty = Json::Obj(vec![
-            ("schema".into(), Json::str(SCHEMA_ID)),
-            ("git_sha".into(), Json::str("x")),
-            ("cases".into(), Json::Arr(vec![])),
-        ]);
-        let (_, failures) = compare(&base, &empty, 20.0);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("missing"));
+    fn case_missing_from_baseline_fails() {
+        // A row added to the matrix is not gated by a baseline that lacks
+        // it; passing silently would hide that.
+        let grown = to_document(&[case("serial-sc-lj", 1000), case("bsp-SC-MD-silica", 7)]);
+        let (report, failures) = compare(&doc(1000), &grown);
+        assert_eq!(report.len(), 1);
+        assert_eq!(
+            failures,
+            ["bsp-SC-MD-silica: case missing from baseline — re-record it".to_string()]
+        );
     }
 
     #[test]
@@ -428,13 +307,11 @@ mod tests {
                 "threaded-Hybrid-MD-silica",
                 "bsp-Hybrid-MD-silica-k2",
                 "bsp-SC-MD-clustered",
-                "bsp-SC-MD-clustered-legacy",
             ]
         );
         // Every name leads with its own executor/method/system triple, so a
         // mislabeled spec file cannot masquerade as another case; a suffix
-        // (`-legacy` for the pinned per-channel comm variant, `-k2` for
-        // `subdivision: 2`) is allowed after the triple.
+        // (`-k2` for `subdivision: 2`) is allowed after the triple.
         for s in &specs {
             let triple = format!("{}-{}-{}", s.executor.kind(), s.method.name(), s.system.kind());
             assert!(
@@ -443,6 +320,10 @@ mod tests {
                 s.name
             );
         }
+        // The checked-in baseline gates exactly these rows.
+        let baseline = Json::parse(include_str!("../BENCH_baseline.json")).unwrap();
+        let gated: Vec<&str> = cases_of(&baseline).iter().map(name_of).collect();
+        assert_eq!(gated, names);
     }
 
     #[test]
@@ -460,7 +341,7 @@ mod tests {
             assert_eq!(x.comm_bytes, y.comm_bytes, "{}", x.name);
             assert!((x.energy_total - y.energy_total).abs() < 1e-9, "{}", x.name);
         }
-        let (report, failures) = compare(&to_document(&a), &to_document(&b), f64::INFINITY);
+        let (report, failures) = compare(&to_document(&a), &to_document(&b));
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(report.len(), a.len());
     }

@@ -4,8 +4,7 @@
 //! scmd run      --spec PATH [--steps N]
 //!               [--xyz PATH] [--metrics-json PATH] [--trace PATH] [--results PATH]
 //! scmd bench    [--spec PATH] [--out PATH] [--quick true] [--baseline PATH]
-//!               [--wall-tol PCT] [--summary PATH]
-//! scmd bench    --compare OLD --with NEW [--wall-tol PCT] [--summary PATH]
+//! scmd bench    --compare OLD --with NEW
 //! scmd chaos    [--cases lj,silica] [--spec PATH] [--storms N] [--seed S] [--steps N]
 //!               [--faults N] [--out DIR]
 //! scmd serve    [--socket PATH] [--lanes N] [--queue N] [--slice N] [--state DIR]
@@ -127,8 +126,7 @@ fn print_usage() {
          USAGE:\n  scmd run      --spec PATH [--steps N] [--xyz PATH] [--metrics-json PATH]\n\
          \x20               [--trace PATH] [--results PATH]\n\
          \x20 scmd bench    [--spec PATH] [--out PATH] [--quick true] [--baseline PATH]\n\
-         \x20               [--wall-tol PCT] [--summary PATH]\n\
-         \x20 scmd bench    --compare OLD --with NEW [--wall-tol PCT] [--summary PATH]\n\
+         \x20 scmd bench    --compare OLD --with NEW\n\
          \x20 scmd chaos    [--cases lj,silica] [--spec PATH] [--storms N] [--seed S]\n\
          \x20               [--steps N] [--faults N] [--out DIR]\n\
          \x20 scmd serve    [--socket PATH] [--lanes N] [--queue N] [--slice N]\n\
@@ -302,35 +300,21 @@ fn write_results(
 // ---------------------------------------------------------------------------
 
 fn bench(flags: &Flags) -> Result<(), Error> {
-    use shift_collapse_md::bench::{
-        compare, git_sha, markdown_delta_table, run_matrix, run_spec_case, to_document,
-    };
+    use shift_collapse_md::bench::{compare, run_matrix, run_spec_case, to_document};
 
-    check_flags(
-        flags,
-        &["spec", "out", "quick", "baseline", "wall-tol", "summary", "compare", "with"],
-    )?;
-    let wall_tol: f64 = get(flags, "wall-tol", 200.0, "a percentage")?;
+    check_flags(flags, &["spec", "out", "quick", "baseline", "compare", "with"])?;
     let load = |path: &str| -> Result<Json, Error> {
         let text = std::fs::read_to_string(path)?;
         Json::parse(&text)
             .map_err(|e| Error::Setup(format!("{path} is not a bench JSON document: {e}").into()))
     };
     let diff = |baseline: &Json, current: &Json| -> Result<(), Error> {
-        let (report, failures) = compare(baseline, current, wall_tol);
+        let (report, failures) = compare(baseline, current);
         for line in &report {
             println!("{line}");
         }
-        // --summary PATH appends the per-case wall delta table as markdown
-        // (pointed at $GITHUB_STEP_SUMMARY by the CI bench-regression job).
-        if let Some(path) = flags.get("summary") {
-            let table = markdown_delta_table(baseline, current);
-            let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-            f.write_all(table.as_bytes())?;
-            println!("# wall delta table appended to {path}");
-        }
         if failures.is_empty() {
-            println!("# no regressions (wall tolerance {wall_tol}%)");
+            println!("# no regressions");
             Ok(())
         } else {
             for f in &failures {
@@ -357,12 +341,12 @@ fn bench(flags: &Flags) -> Result<(), Error> {
     let doc = to_document(&cases);
     for c in &cases {
         println!(
-            "{:<28} {:>6} atoms  {:>3} steps  {:>9.3} ms/step  {:>10} tuples",
-            c.name, c.atoms, c.steps, c.ms_per_step, c.tuples_accepted
+            "{:<28} {:>6} atoms  {:>3} steps  {:>10} tuples  {:>6} messages",
+            c.name, c.atoms, c.steps, c.tuples_accepted, c.comm_messages
         );
     }
-    let out = flags.get("out").cloned().unwrap_or_else(|| format!("BENCH_{}.json", git_sha()));
-    std::fs::write(&out, doc.to_string())?;
+    let out = flags.get("out").map_or("BENCH_current.json", |s| s.as_str());
+    std::fs::write(out, doc.to_string())?;
     println!("# bench document written to {out}");
     match flags.get("baseline") {
         Some(path) => diff(&load(path)?, &doc),
