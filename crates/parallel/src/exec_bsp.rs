@@ -11,13 +11,11 @@ use crate::error::{RuntimeError, SetupError};
 use crate::fault::{Delivery, FaultPlan};
 use crate::grid::RankGrid;
 use crate::health::{HealthConfig, HealthTracker};
-use crate::msg::{Channel, Message, Payload};
+use crate::msg::{Channel, Message};
 use crate::rank::{
     best_grid_for, halo_width_for, validate_decomposition, ForceField, InteriorTask, RankState,
-    StagedBand,
 };
-use crate::step::{self, Decomposition, Exchange, Feed, Scheduler};
-use crate::transport::{self, Slot};
+use crate::step::{self, Buffers, Decomposition, Exchange, Feed, Scheduler};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
 use sc_md::checkpoint::Checkpoint;
@@ -95,45 +93,29 @@ impl Wire<'_> {
         }
     }
 
-    /// Runs one merged exchange phase on the wire: frames every rank's
-    /// stamped sections per destination, delivers each frame with
-    /// validation and retry against the canonical slot it must fill, and
-    /// hands every receiver its payloads in canonical slot order
-    /// ([`transport::match_sections`]).
-    fn phase(
+    /// Puts rank `from`'s part of one merged exchange phase on the wire:
+    /// packs its staged sections into the planned per-destination frames,
+    /// delivers each with validation and retry against the canonical slot it
+    /// must fill, and unpacks it into the receiver's inbox
+    /// ([`step::receive`]). `stats` are the sender's counters.
+    fn send(
         &mut self,
+        x: &Exchange,
+        from: usize,
         phase: u64,
         epoch: u64,
-        stats: &mut [CommCounters],
-        sends: Vec<Vec<(usize, Message)>>,
-        recvs: &[Vec<Slot>],
-    ) -> Result<Vec<Vec<Payload>>, RuntimeError> {
-        let mut units: Vec<Vec<(usize, Message)>> = vec![Vec::new(); recvs.len()];
-        for (from, sections) in sends.into_iter().enumerate() {
-            let framed = step::frame(phase, epoch, sections, &mut stats[from], &self.tsinks[from]);
-            for (to, unit) in framed {
-                let channel = step::expected_channel(&recvs[to], from, &unit);
-                let got = self.deliver(&mut stats[from], epoch, from, to, channel, unit)?;
-                step::trace_recv(&self.tsinks[to], epoch, from, &got);
-                units[to].push((from, got));
-            }
+        stats: &mut CommCounters,
+        bufs: &mut [Buffers],
+    ) -> Result<(), RuntimeError> {
+        for f in &x.ranks[from].frames {
+            let unit = step::frame(f, phase, epoch, &mut bufs[from], stats, &self.tsinks[from]);
+            let plan = &x.ranks[f.to];
+            let expected = step::expected(plan, f.to, from, &unit)?;
+            let got = self.deliver(stats, epoch, from, f.to, expected.channel, unit)?;
+            step::receive(&self.tsinks[f.to], epoch, f.to, plan, expected, got, &mut bufs[f.to])?;
         }
-        let matched = units.into_iter().enumerate();
-        matched.map(|(to, u)| transport::match_sections(to, &recvs[to], u)).collect()
+        Ok(())
     }
-}
-
-/// The result of a staged ghost exchange: everything the
-/// executor needs to absorb once the interior compute pass joins.
-struct StagedGhosts {
-    /// Per destination rank: the received bands in canonical absorb order
-    /// (phase order, then ascending hop within a phase).
-    inbox: Vec<Vec<StagedBand>>,
-    /// Side communication counters per source rank, merged into the rank
-    /// stats after the join.
-    stats: Vec<CommCounters>,
-    /// The exchange task's own wall-clock seconds.
-    elapsed: f64,
 }
 
 /// The full forwarded-routing ghost exchange run on a pool lane while the
@@ -142,30 +124,27 @@ struct StagedGhosts {
 /// bands are *staged* instead of absorbed (the rank stores are concurrently
 /// read by the interior pass). Forwarding across axes reads earlier-phase
 /// bands from the staging inbox, so the staged exchange ships exactly the
-/// bytes the in-line one does.
+/// bytes the in-line one does. `stats` are the ranks' counters, lent for
+/// the window. Returns the task's own wall-clock seconds.
 fn staged_exchange(
     dec: &Decomposition,
     ranks: &[RankState],
-    mut wire: Wire<'_>,
+    (mut wire, bufs, stats): (Wire<'_>, &mut [Buffers], &mut [CommCounters]),
     epoch: u64,
     mut phase: u64,
-) -> Result<StagedGhosts, RuntimeError> {
+) -> Result<f64, RuntimeError> {
     let t0 = std::time::Instant::now();
-    let mut inbox: Vec<Vec<StagedBand>> = vec![Vec::new(); ranks.len()];
-    let mut stats = vec![CommCounters::default(); ranks.len()];
-    for hops in &dec.ghost_groups {
+    for x in &dec.ghosts {
         phase += 1;
-        let (sends, recvs): (Vec<_>, Vec<_>) = ranks
-            .iter()
-            .zip(&inbox)
-            .map(|(rank, staged)| step::ghost_sections(rank, dec, hops, staged, phase, epoch))
-            .unzip();
-        let delivered = wire.phase(phase, epoch, &mut stats, sends, &recvs)?;
-        for (to, (rx, payloads)) in recvs.iter().zip(delivered).enumerate() {
-            inbox[to].extend(step::ghost_bands(to, hops, rx, payloads)?);
+        for (from, rank) in ranks.iter().enumerate() {
+            step::ghost_sections(rank, dec, x, &mut bufs[from], phase, epoch);
+            wire.send(x, from, phase, epoch, &mut stats[from], bufs)?;
+        }
+        for (to, inbox) in bufs.iter_mut().enumerate() {
+            step::stage_ghosts(to, x, inbox)?;
         }
     }
-    Ok(StagedGhosts { inbox, stats, elapsed: t0.elapsed().as_secs_f64() })
+    Ok(t0.elapsed().as_secs_f64())
 }
 
 /// One event sink per rank (comm events and compute-phase intervals) plus
@@ -202,6 +181,8 @@ fn trace_sinks(tracer: &Tracer, nranks: usize) -> (Vec<TraceSink>, TraceSink) {
 pub struct DistributedSim {
     dec: Arc<Decomposition>,
     ranks: Vec<RankState>,
+    /// Each rank's exchange scratch (index = rank).
+    bufs: Vec<Buffers>,
     ff: ForceField,
     dt: f64,
     subdivision: i32,
@@ -277,13 +258,14 @@ impl DistributedSim {
     ) -> Result<Self, SetupError> {
         let EngineConfig { subdivision, resort_every, rebalance_every, faults, metrics, tracer } =
             cfg;
-        let (dec, ranks) =
+        let (dec, ranks, bufs) =
             step::decompose(RankGrid::try_new(pdims, bbox)?, &store, &ff, subdivision)?;
         let nranks = ranks.len();
         let (tsinks, exec_sink) = trace_sinks(&tracer, nranks);
         Ok(DistributedSim {
             dec,
             ranks,
+            bufs,
             ff,
             dt,
             subdivision,
@@ -431,30 +413,34 @@ impl DistributedSim {
             self.ranks.iter_mut().map(|r| r.begin_interior()).collect();
         let nranks = self.ranks.len();
         let (epoch, start_phase) = (self.steps_done, self.phase);
-        // Disjoint field borrows: the exchange task takes the fault plan
-        // and health watchdog mutably plus shared reads of the rank states;
-        // the interior fan-out reads the same rank states and mutates only
-        // the extracted tasks.
+        // Disjoint field borrows: the exchange task takes the fault plan,
+        // the health watchdog and the exchange scratch mutably plus shared
+        // reads of the rank states; the interior fan-out reads the same rank
+        // states and mutates only the extracted tasks. Neither touches the
+        // ranks' counters, so the exchange borrows them for the window.
+        let mut stats: Vec<CommCounters> =
+            self.ranks.iter_mut().map(|r| std::mem::take(&mut r.stats)).collect();
         let (ranks, dec, ff) = (&self.ranks, &*self.dec, &self.ff);
         // The exchange runs as one extra pool task alongside the per-rank
         // interior tasks — no OS thread is spawned (and joined) per step.
         // Its mutable state rides in a Mutex claimed exactly once by
         // whichever lane draws task 0.
-        let wire = Mutex::new(Some(Wire {
+        let wire = Wire {
             fault: &mut self.fault_plan,
             health: &mut self.health,
             exec_sink: &self.exec_sink,
             tsinks: &self.tsinks,
-        }));
-        let staged_out: Mutex<Option<Result<StagedGhosts, RuntimeError>>> = Mutex::new(None);
+        };
+        let exchange = Mutex::new(Some((wire, &mut self.bufs[..], &mut stats[..])));
+        let staged_out: Mutex<Option<Result<f64, RuntimeError>>> = Mutex::new(None);
         let t_int = std::time::Instant::now();
         {
             let slots = LaneSlots::new(tasks.as_mut_ptr());
-            let (wire, staged_out) = (&wire, &staged_out);
+            let (exchange, staged_out) = (&exchange, &staged_out);
             self.pool.run(nranks + 1, &move |t| {
                 if t == 0 {
-                    let wire = wire.lock().unwrap().take().expect("exchange task runs once");
-                    let r = staged_exchange(dec, ranks, wire, epoch, start_phase);
+                    let state = exchange.lock().unwrap().take().expect("exchange task runs once");
+                    let r = staged_exchange(dec, ranks, state, epoch, start_phase);
                     *staged_out.lock().unwrap() = Some(r);
                 } else {
                     // SAFETY: task index t is claimed exactly once per run,
@@ -467,22 +453,21 @@ impl DistributedSim {
         }
         let interior_secs = t_int.elapsed().as_secs_f64();
         let staged = staged_out.into_inner().expect("no lane panicked").expect("task 0 ran");
-        // Bank the interior passes (on failure too: a checkpoint restore
-        // must find the rank states structurally whole).
-        for (rank, task) in self.ranks.iter_mut().zip(tasks) {
+        // Hand the counters back and bank the interior passes (on failure
+        // too: a checkpoint restore must find the rank states structurally
+        // whole).
+        for ((rank, task), stats) in self.ranks.iter_mut().zip(tasks).zip(stats) {
+            rank.stats = stats;
             rank.finish_interior(task);
         }
-        let staged = staged?;
+        let elapsed = staged?;
         // Absorb the staged ghosts in the same canonical order the in-line
         // exchange uses.
-        for ((rank, inbox), stats) in self.ranks.iter_mut().zip(&staged.inbox).zip(&staged.stats) {
-            for (hop, from, ghosts) in inbox {
-                rank.absorb_ghosts(*hop, *from, ghosts);
-            }
-            rank.stats.merge(stats);
+        for (rank, bufs) in self.ranks.iter_mut().zip(&mut self.bufs) {
+            step::absorb_staged(rank, bufs);
         }
-        self.phase += self.dec.ghost_groups.len() as u64;
-        self.book(Phase::Exchange, staged.elapsed);
+        self.phase += self.dec.ghosts.len() as u64;
+        self.book(Phase::Exchange, elapsed);
         Ok(interior_secs)
     }
 
@@ -507,7 +492,8 @@ impl DistributedSim {
         let Ok(grid) = RankGrid::with_splits(grid.pdims(), *grid.bbox(), cuts) else { return };
         // A proposal that fails validation (or whose split would lose
         // atoms) is skipped: keep the old grid.
-        let Ok((dec, ranks)) = step::decompose(grid, &self.gather(), &self.ff, self.subdivision)
+        let Ok((dec, ranks, bufs)) =
+            step::decompose(grid, &self.gather(), &self.ff, self.subdivision)
         else {
             return;
         };
@@ -518,8 +504,7 @@ impl DistributedSim {
             self.steps_done,
             EventKind::Redecompose { rank: self.ranks.len() as u32, lost: false },
         );
-        self.dec = dec;
-        self.ranks = ranks;
+        (self.dec, self.ranks, self.bufs) = (dec, ranks, bufs);
         self.last_loads = vec![0.0; self.ranks.len()];
         self.health.reset(self.ranks.len());
         self.needs_prime = true;
@@ -605,7 +590,8 @@ impl DistributedSim {
     /// phase-space point (summation order inside a rank may differ from the
     /// pre-fault run, so continuation is exact physics, not bitwise).
     fn install(&mut self, cp: &Checkpoint, grid: RankGrid) -> Result<(), SetupError> {
-        (self.dec, self.ranks) = step::decompose(grid, &cp.to_store(), &self.ff, self.subdivision)?;
+        (self.dec, self.ranks, self.bufs) =
+            step::decompose(grid, &cp.to_store(), &self.ff, self.subdivision)?;
         self.dt = cp.dt;
         self.steps_done = cp.step;
         self.needs_prime = true;
@@ -668,26 +654,23 @@ impl Scheduler for DistributedSim {
         self.ranks.iter_mut().for_each(f);
     }
 
-    /// One merged phase in lockstep: every rank's sections are collected,
-    /// the whole phase is delivered, then every rank absorbs.
-    fn exchange(&mut self, x: Exchange<'_>) -> Result<(), RuntimeError> {
+    /// One merged phase in lockstep: rank by rank the sections are staged
+    /// and delivered into the receivers' inboxes, then every rank absorbs.
+    fn exchange(&mut self, x: &Exchange) -> Result<(), RuntimeError> {
         self.phase += 1;
         let (phase, epoch, dec) = (self.phase, self.steps_done, &*self.dec);
-        let (sends, recvs): (Vec<_>, Vec<_>) =
-            self.ranks.iter_mut().map(|r| step::outgoing(r, dec, x, phase, epoch)).unzip();
-        let mut side = vec![CommCounters::default(); self.ranks.len()];
         let mut wire = Wire {
             fault: &mut self.fault_plan,
             health: &mut self.health,
             exec_sink: &self.exec_sink,
             tsinks: &self.tsinks,
         };
-        let delivered = wire.phase(phase, epoch, &mut side, sends, &recvs)?;
-        for ((rank, stats), (rx, payloads)) in
-            self.ranks.iter_mut().zip(&side).zip(recvs.iter().zip(delivered))
-        {
-            rank.stats.merge(stats);
-            step::absorb(rank, x, rx, payloads)?;
+        for (from, rank) in self.ranks.iter_mut().enumerate() {
+            step::outgoing(rank, dec, x, &mut self.bufs[from], phase, epoch);
+            wire.send(x, from, phase, epoch, &mut rank.stats, &mut self.bufs)?;
+        }
+        for (rank, bufs) in self.ranks.iter_mut().zip(&mut self.bufs) {
+            step::absorb(rank, x, bufs)?;
         }
         Ok(())
     }
@@ -703,8 +686,8 @@ impl Scheduler for DistributedSim {
         }
         let t = std::time::Instant::now();
         let dec = self.decomposition();
-        for hops in &dec.ghost_groups {
-            self.exchange(Exchange::Ghosts(hops))?;
+        for x in &dec.ghosts {
+            self.exchange(x)?;
         }
         self.book(Phase::Exchange, t.elapsed().as_secs_f64());
         Ok(0.0)
@@ -817,8 +800,12 @@ mod tests {
                 quadruplet: None,
                 method,
             };
-            let run = |lanes| run_on(lanes, &lj, IVec3::splat(2), ff(), 0.002, 1, 4);
-            assert!(run(1) == run(2), "lj {}", method.name());
+            // 1×1×2: two axes where every band — and under FS / Hybrid
+            // both images of an atom — comes from the rank itself.
+            for pdims in [IVec3::splat(2), IVec3::new(1, 1, 2)] {
+                let run = |lanes| run_on(lanes, &lj, pdims, ff(), 0.002, 1, 4);
+                assert!(run(1) == run(2), "lj {} on {pdims:?}", method.name());
+            }
         }
         // Triplet forces exercise the force-return path with non-trivial
         // ghost-force payloads; FS the two-sided halo; Hybrid with
@@ -827,9 +814,56 @@ mod tests {
             (Method::ShiftCollapse, IVec3::new(2, 2, 1), 1),
             (Method::FullShell, IVec3::new(2, 2, 1), 1),
             (Method::Hybrid, IVec3::new(2, 1, 1), 2),
+            (Method::ShiftCollapse, IVec3::new(1, 1, 2), 1),
+            (Method::FullShell, IVec3::new(1, 1, 2), 1),
+            (Method::Hybrid, IVec3::new(1, 1, 2), 2),
         ] {
             let run = |lanes| run_on(lanes, &silica, pdims, silica_ff(method), 0.0005, k, 3);
             assert!(run(1) == run(2), "silica {} k = {k}", method.name());
+        }
+    }
+
+    /// Newton's third law survives the force return: over all owned atoms
+    /// the forces sum to zero, so none was lost, doubled, or returned to the
+    /// wrong image on the grids where a rank holds several images of an
+    /// atom.
+    #[test]
+    fn returned_forces_sum_to_zero_on_self_neighbour_grids() {
+        let v = Vashishta::silica();
+        let mut silica = build_silica_like(4, 7.16, v.params().masses, 0.01, 7);
+        // Off the perfect lattice, where every force is zero by symmetry.
+        for (i, r) in silica.0.positions_mut().iter_mut().enumerate() {
+            let t = i as f64;
+            *r += Vec3::new((1.3 * t).sin(), (2.1 * t + 1.0).sin(), (0.7 * t + 2.0).sin()) * 0.08;
+        }
+        for pdims in [IVec3::new(1, 1, 2), IVec3::new(2, 1, 1), IVec3::new(2, 2, 1)] {
+            for (method, subdivision) in [
+                (Method::ShiftCollapse, 1),
+                (Method::FullShell, 1),
+                (Method::Hybrid, 1),
+                (Method::Hybrid, 2),
+            ] {
+                let v = Vashishta::silica();
+                let ff = ForceField {
+                    pair: Some(Box::new(v.pair)),
+                    triplet: Some(Box::new(v.triplet)),
+                    quadruplet: None,
+                    method,
+                };
+                let cfg = EngineConfig { subdivision, ..Default::default() };
+                let (store, bbox) = silica.clone();
+                let mut d = DistributedSim::build(store, bbox, pdims, ff, 0.0005, cfg).unwrap();
+                d.total_energy();
+                let owned = d.ranks.iter().flat_map(|r| &r.store().forces()[..r.owned()]);
+                let (net, largest) = owned.fold((Vec3::ZERO, 0.0f64), |(net, largest), f| {
+                    (net + *f, largest.max(f.norm()))
+                });
+                assert!(
+                    net.norm() <= 1e-10 * largest,
+                    "{} k = {subdivision} on {pdims:?}: net force {net:?}, largest {largest}",
+                    method.name()
+                );
+            }
         }
     }
 }

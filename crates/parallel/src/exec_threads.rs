@@ -18,8 +18,7 @@ use crate::grid::RankGrid;
 use crate::health::{HealthConfig, HealthCounters, HealthTracker};
 use crate::msg::{AtomMsg, Channel, Message, Payload};
 use crate::rank::{ForceField, RankState};
-use crate::step::{self, Decomposition, Exchange, Feed, Scheduler};
-use crate::transport::{self, Slot};
+use crate::step::{self, Buffers, Decomposition, Exchange, Feed, Scheduler};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
@@ -108,6 +107,7 @@ impl Mailbox {
 /// The per-rank worker: rank state plus its end of the interconnect.
 struct Worker {
     state: RankState,
+    bufs: Buffers,
     dec: Arc<Decomposition>,
     ff: Arc<ForceField>,
     txs: Vec<Sender<Wire>>,
@@ -127,40 +127,39 @@ struct Worker {
 
 impl Worker {
     /// Puts this rank's sections for `x` on the wire, framed per
-    /// destination, and returns the receive slots the phase must fill. A
-    /// send can fail only when the peer already unwound with its own error;
-    /// this rank then errors on its next receive.
-    fn post(&mut self, x: Exchange<'_>) -> Vec<Slot> {
+    /// destination as planned. A send can fail only when the peer already
+    /// unwound with its own error; this rank then errors on its next
+    /// receive.
+    fn post(&mut self, x: &Exchange) {
         self.phase += 1;
-        let (sections, rx) = step::outgoing(&mut self.state, &self.dec, x, self.phase, self.epoch);
-        let stats = &mut self.state.stats;
-        for (to, unit) in step::frame(self.phase, self.epoch, sections, stats, &self.tsink) {
-            let _ = self.txs[to].send((self.state.rank, unit));
+        let (rank, phase, epoch) = (self.state.rank, self.phase, self.epoch);
+        step::outgoing(&mut self.state, &self.dec, x, &mut self.bufs, phase, epoch);
+        for f in &x.ranks[rank].frames {
+            let stats = &mut self.state.stats;
+            let unit = step::frame(f, phase, epoch, &mut self.bufs, stats, &self.tsink);
+            let _ = self.txs[f.to].send((rank, unit));
         }
-        rx
     }
 
     /// Receives the phase's expected wire units (in whatever order they
     /// arrive), accepts each against the canonical slot it must fill, and
     /// absorbs the payloads in canonical slot order.
-    fn collect(&mut self, x: Exchange<'_>, rx: &[Slot]) -> Result<(), RuntimeError> {
+    fn collect(&mut self, x: &Exchange) -> Result<(), RuntimeError> {
         let (rank, epoch) = (self.state.rank, self.epoch);
-        let expected = transport::expected_units(rx).len();
-        let mut units: Vec<Wire> = Vec::with_capacity(expected);
-        while units.len() < expected {
+        let plan = &x.ranks[rank];
+        for _ in 0..plan.units.len() {
             let (from, m) = self.mailbox.next_unit(self.phase).ok_or(RuntimeError::MissingHop {
                 rank,
-                channel: rx[0].channel,
+                channel: plan.recvs[0].channel,
                 epoch,
                 attempts: 1,
             })?;
-            let channel = step::expected_channel(rx, from, &m);
+            let expected = step::expected(plan, rank, from, &m)?;
+            let channel = expected.channel;
             step::accept_unit(&mut self.health, &self.tsink, &m, from, rank, channel, epoch)?;
-            step::trace_recv(&self.tsink, epoch, from, &m);
-            units.push((from, m));
+            step::receive(&self.tsink, epoch, rank, plan, expected, m, &mut self.bufs)?;
         }
-        let payloads = transport::match_sections(rank, rx, units)?;
-        step::absorb(&mut self.state, x, rx, payloads)
+        step::absorb(&mut self.state, x, &mut self.bufs)
     }
 
     /// The post-command report: fresh energies plus the supervision
@@ -188,9 +187,9 @@ impl Scheduler for Worker {
         f(&mut self.state);
     }
 
-    fn exchange(&mut self, x: Exchange<'_>) -> Result<(), RuntimeError> {
-        let rx = self.post(x);
-        self.collect(x, &rx)
+    fn exchange(&mut self, x: &Exchange) -> Result<(), RuntimeError> {
+        self.post(x);
+        self.collect(x)
     }
 
     /// The interior tuples are computed between putting the first (axis 0)
@@ -200,15 +199,14 @@ impl Scheduler for Worker {
         let t = std::time::Instant::now();
         let dec = self.decomposition();
         let mut interior_secs = 0.0;
-        for (group, hops) in dec.ghost_groups.iter().enumerate() {
-            let x = Exchange::Ghosts(hops);
-            let rx = self.post(x);
+        for (group, x) in dec.ghosts.iter().enumerate() {
+            self.post(x);
             if group == 0 {
                 let t_int = std::time::Instant::now();
                 self.state.compute_interior(&self.ff);
                 interior_secs = t_int.elapsed().as_secs_f64();
             }
-            self.collect(x, &rx)?;
+            self.collect(x)?;
         }
         // The interior pass is compute, not communication, even though it
         // ran inside the exchange window.
@@ -346,7 +344,7 @@ impl ThreadedSim {
             let field = "rebalance_every";
             return Err(SetupError::Unsupported { executor: "threaded", field });
         }
-        let (dec, states) =
+        let (dec, states, bufs) =
             step::decompose(RankGrid::try_new(pdims, bbox)?, &store, &ff, subdivision)?;
         let (reply_tx, reply_rx) = unbounded();
         let mut sim = ThreadedSim {
@@ -366,13 +364,13 @@ impl ThreadedSim {
             feed: Feed::new(metrics, Default::default(), Default::default()),
             tracer,
         };
-        sim.spawn_pool(states);
+        sim.spawn_pool(states, bufs);
         Ok(sim)
     }
 
     /// (Re)builds the worker pool over freshly decomposed rank states:
     /// channels, threads. Any previous pool must already be shut down.
-    fn spawn_pool(&mut self, states: Vec<RankState>) {
+    fn spawn_pool(&mut self, states: Vec<RankState>, bufs: Vec<Buffers>) {
         let nranks = states.len();
         let (txs, rxs): (Vec<Sender<Wire>>, Vec<Receiver<Wire>>) =
             (0..nranks).map(|_| unbounded()).unzip();
@@ -381,11 +379,12 @@ impl ThreadedSim {
         self.handles = Vec::with_capacity(nranks);
         self.cached = vec![StepView::default(); nranks];
         self.dead = None;
-        for ((rank, state), rx) in states.into_iter().enumerate().zip(rxs) {
+        for (((rank, state), bufs), rx) in states.into_iter().enumerate().zip(bufs).zip(rxs) {
             let (cmd_tx, cmd_rx) = unbounded();
             self.cmd_txs.push(cmd_tx);
             let worker = Worker {
                 state,
+                bufs,
                 dec: Arc::clone(&self.dec),
                 ff: Arc::clone(&self.ff),
                 txs: txs.clone(),
@@ -607,10 +606,10 @@ step::recoverable!(ThreadedSim {
         self.steps_done = cp.step;
         (self.feed.last, self.feed.last_health) = Default::default();
         let grid = self.dec.grid.clone();
-        let (dec, states) = step::decompose(grid, &cp.to_store(), &self.ff, self.subdivision)
+        let (dec, states, bufs) = step::decompose(grid, &cp.to_store(), &self.ff, self.subdivision)
             .expect("restoring onto the grid the run already validated cannot fail");
         self.dec = dec;
-        self.spawn_pool(states);
+        self.spawn_pool(states, bufs);
     }
 
     fn atom_count(&self) -> usize {

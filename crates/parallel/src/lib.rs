@@ -31,9 +31,9 @@
 //!
 //! | module | owns |
 //! |---|---|
-//! | `step` (private) | the rank-step protocol: stage sequence, per-exchange `outgoing`/`absorb`, unit acceptance (slot matching, stamp + per-section verification, health feed, `RankDead` escalation), send accounting, `decompose`, gather, checkpoint, telemetry assembly, the `comm.*` / `health.*` / `dist.steps` feed |
-//! | [`rank`] | one rank's state and its message-level algorithms (band collection, ghost absorption, force computation, force reduction) |
-//! | [`transport`], [`msg`] | the merged-phase schedule, per-neighbor framing, stamps and checksums |
+//! | `step` (private) | the rank-step protocol: stage sequence, the exchange schedule planned once at `decompose` (every rank's slots, frames and expected units for the 3 migrate + 3 ghost + 3 force phases), per-exchange `outgoing`/`absorb` through per-rank recycled buffers, unit acceptance (stamp + per-section verification, health feed, `RankDead` escalation), send accounting, gather, checkpoint, telemetry assembly, the `comm.*` / `health.*` / `dist.steps` feed |
+//! | [`rank`] | one rank's state and its message-level algorithms (band collection with the slots each entry was read from, ghost absorption, force computation, positional force return) |
+//! | [`transport`], [`msg`] | the merged-phase schedule and its per-rank plan, per-neighbor framing, stamps and word-wise checksums |
 //! | `exec_bsp` ([`DistributedSim`]) | BSP delivery + faults: lockstep phases through the [`FaultPlan`] with bounded retry, the `ThreadPool` compute fan-out, the staged exchange as a pool task beside the interior pass, rebalance, re-decomposition over survivors |
 //! | `exec_threads` ([`ThreadedSim`]) | threaded transport: worker threads, command/reply channels, out-of-phase mailbox buffering, poison/shutdown |
 //!
@@ -62,7 +62,7 @@
 //! ## Fault tolerance
 //!
 //! Every payload travels as a stamped [`Message`] (step epoch, channel,
-//! FNV-1a checksum) and is verified on receipt — per section for aggregated
+//! word-wise checksum) and is verified on receipt — per section for aggregated
 //! frames — by the same acceptance routine in both executors; failures
 //! surface as typed [`RuntimeError`]s. The BSP executor additionally routes
 //! all deliveries through a scriptable, deterministic [`FaultPlan`] with a

@@ -92,14 +92,14 @@ impl Channel {
         }
     }
 
-    /// Folds the channel identity into a checksum accumulator.
-    fn hash_into(self, h: &mut u64) {
+    /// The channel identity as one checksum word: a two-bit kind tag below
+    /// the direction or hop, below the axis — injective over every channel a
+    /// schedule can name.
+    fn word(self) -> u64 {
         match self {
-            Channel::Migrate { axis, dir } => {
-                fnv1a(h, &[0u8, axis as u8, dir as u8]);
-            }
-            Channel::Ghosts { hop } => fnv1a(h, &[1u8, hop as u8]),
-            Channel::Forces { hop } => fnv1a(h, &[2u8, hop as u8]),
+            Channel::Migrate { axis, dir } => (axis as u64) << 34 | (dir as u32 as u64) << 2,
+            Channel::Ghosts { hop } => (hop as u64) << 2 | 1,
+            Channel::Forces { hop } => (hop as u64) << 2 | 2,
         }
     }
 
@@ -114,25 +114,30 @@ impl Channel {
     }
 }
 
-/// FNV-1a 64-bit accumulation step.
+/// The checksum accumulator's initial value (the FNV-1a offset basis).
+const CHECKSUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One accumulator step of the word-wise checksum: xor a 64-bit word in,
+/// multiply by an odd constant, fold the high half onto the low half. Each
+/// of the three is a bijection of the accumulator (and, for a fixed
+/// accumulator, of the word), so two inputs that differ in exactly one word
+/// never collide. The fold is what a plain word-wise FNV lacks: a multiply
+/// moves differences only upward, so a sign-bit flip would leave the
+/// accumulator differing in bit 63 alone and the same flip in the next word
+/// (the neighbouring coordinate) would cancel it. With the fold and this
+/// multiplier a one-bit flip changes at least two accumulator bits, which no
+/// one-bit flip in the next word undoes.
 #[inline]
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
+fn mix(h: &mut u64, word: u64) {
+    *h = (*h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    *h ^= *h >> 32;
 }
 
 #[inline]
-fn hash_u64(h: &mut u64, v: u64) {
-    fnv1a(h, &v.to_le_bytes());
-}
-
-#[inline]
-fn hash_vec3(h: &mut u64, v: Vec3) {
-    hash_u64(h, v.x.to_bits());
-    hash_u64(h, v.y.to_bits());
-    hash_u64(h, v.z.to_bits());
+fn mix_vec3(h: &mut u64, v: Vec3) {
+    mix(h, v.x.to_bits());
+    mix(h, v.y.to_bits());
+    mix(h, v.z.to_bits());
 }
 
 /// The bulk payloads a rank can send in one hop.
@@ -175,44 +180,47 @@ impl Payload {
         }
     }
 
-    /// FNV-1a checksum over the payload's wire content (exact f64 bit
-    /// patterns), domain-separated by payload kind.
+    /// Word-wise checksum ([`mix`]) over the payload's wire content: the
+    /// kind tag (domain separation), then one word per field — ids, exact
+    /// `f64` bit patterns, the species. It detects every corruption confined
+    /// to one word and, short of a 2⁻⁶⁴ coincidence, anything wider; it is
+    /// not cryptographic and does not try to be.
     pub fn checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = CHECKSUM_SEED;
         match self {
             Payload::Migrate(v) => {
-                fnv1a(&mut h, &[0u8]);
+                mix(&mut h, 0);
                 for a in v {
-                    hash_u64(&mut h, a.id);
-                    fnv1a(&mut h, &[a.species.0]);
-                    hash_vec3(&mut h, a.position);
-                    hash_vec3(&mut h, a.velocity);
+                    mix(&mut h, a.id);
+                    mix(&mut h, a.species.0 as u64);
+                    mix_vec3(&mut h, a.position);
+                    mix_vec3(&mut h, a.velocity);
                 }
             }
             Payload::Ghosts(v) => {
-                fnv1a(&mut h, &[1u8]);
+                mix(&mut h, 1);
                 for g in v {
-                    hash_u64(&mut h, g.id);
-                    fnv1a(&mut h, &[g.species.0]);
-                    hash_vec3(&mut h, g.position);
+                    mix(&mut h, g.id);
+                    mix(&mut h, g.species.0 as u64);
+                    mix_vec3(&mut h, g.position);
                 }
             }
             Payload::Forces(v) => {
-                fnv1a(&mut h, &[2u8]);
+                mix(&mut h, 2);
                 for f in v {
-                    hash_u64(&mut h, f.id);
-                    hash_vec3(&mut h, f.force);
+                    mix(&mut h, f.id);
+                    mix_vec3(&mut h, f.force);
                 }
             }
             Payload::Batch(v) => {
                 // Fold each section's stamp (not its content): the sections
                 // carry their own content checksums, so the frame checksum
                 // only needs to pin the headers and their order.
-                fnv1a(&mut h, &[3u8]);
+                mix(&mut h, 3);
                 for m in v {
-                    hash_u64(&mut h, m.epoch);
-                    m.channel.hash_into(&mut h);
-                    hash_u64(&mut h, m.checksum);
+                    mix(&mut h, m.epoch);
+                    mix(&mut h, m.channel.word());
+                    mix(&mut h, m.checksum);
                 }
             }
         }
@@ -236,7 +244,7 @@ pub struct Message {
     pub epoch: u64,
     /// The communication slot this payload fills.
     pub channel: Channel,
-    /// FNV-1a checksum of `(epoch, channel, payload)` at send time.
+    /// Checksum of `(epoch, channel, payload)` at send time.
     pub checksum: u64,
     /// The payload.
     pub payload: Payload,
@@ -254,8 +262,8 @@ impl Message {
     /// when the payload survives intact.
     fn expected_checksum(epoch: u64, channel: Channel, payload: &Payload) -> u64 {
         let mut h = payload.checksum();
-        hash_u64(&mut h, epoch);
-        channel.hash_into(&mut h);
+        mix(&mut h, epoch);
+        mix(&mut h, channel.word());
         h
     }
 
@@ -283,6 +291,8 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn wire_sizes() {
@@ -412,6 +422,217 @@ mod tests {
             swapped.verify(0, 7, Channel::Ghosts { hop: 0 }),
             Err(RuntimeError::ChecksumMismatch { .. })
         ));
+    }
+
+    /// Builds a channel from an arbitrary word.
+    fn channel_of(w: u64) -> Channel {
+        let n = (w >> 2) as usize;
+        match w % 3 {
+            0 => Channel::Migrate { axis: n % 3, dir: if w & 4 == 0 { -1 } else { 1 } },
+            1 => Channel::Ghosts { hop: n % 6 },
+            _ => Channel::Forces { hop: n % 6 },
+        }
+    }
+
+    /// Fields per entry of each payload kind, in checksum order (a batch
+    /// entry's corruptible fields are its section's epoch and checksum).
+    const FIELDS: [usize; 4] = [8, 5, 4, 2];
+
+    /// Builds a payload of `kind` from arbitrary words, `f64`s from raw bit
+    /// patterns, one entry per `FIELDS[kind]`-word (batch: 5-word) chunk.
+    fn payload_of(kind: usize, words: &[u64]) -> Payload {
+        let v3 =
+            |w: &[u64]| Vec3::new(f64::from_bits(w[0]), f64::from_bits(w[1]), f64::from_bits(w[2]));
+        let ghost =
+            |w: &[u64]| GhostMsg { id: w[0], species: Species(w[1] as u8), position: v3(&w[2..5]) };
+        match kind {
+            0 => {
+                let atom = |w: &[u64]| AtomMsg {
+                    id: w[0],
+                    species: Species(w[1] as u8),
+                    position: v3(&w[2..5]),
+                    velocity: v3(&w[5..8]),
+                };
+                Payload::Migrate(words.chunks_exact(8).map(atom).collect())
+            }
+            1 => Payload::Ghosts(words.chunks_exact(5).map(ghost).collect()),
+            2 => {
+                let force = |w: &[u64]| ForceMsg { id: w[0], force: v3(&w[1..4]) };
+                Payload::Forces(words.chunks_exact(4).map(force).collect())
+            }
+            _ => {
+                let section = |w: &[u64]| {
+                    let body = Payload::Ghosts(vec![ghost(w)]);
+                    Message::stamped(0, w[0] % 64, channel_of(w[1]), body)
+                };
+                Payload::Batch(words.chunks_exact(5).map(section).collect())
+            }
+        }
+    }
+
+    fn kind_of(p: &Payload) -> usize {
+        match p {
+            Payload::Migrate(_) => 0,
+            Payload::Ghosts(_) => 1,
+            Payload::Forces(_) => 2,
+            Payload::Batch(_) => 3,
+        }
+    }
+
+    fn entries(p: &Payload) -> usize {
+        match p {
+            Payload::Migrate(v) => v.len(),
+            Payload::Ghosts(v) => v.len(),
+            Payload::Forces(v) => v.len(),
+            Payload::Batch(v) => v.len(),
+        }
+    }
+
+    /// Bits in field `field` of a payload (the species is a byte).
+    fn width(p: &Payload, field: usize) -> u32 {
+        let species = kind_of(p) < 2 && field % FIELDS[kind_of(p)] == 1;
+        if species {
+            8
+        } else {
+            64
+        }
+    }
+
+    /// Flips one bit of field `field` (entries laid end to end).
+    fn flip(p: &mut Payload, field: usize, bit: u32) {
+        let bit = bit % width(p, field);
+        let (entry, f) = (field / FIELDS[kind_of(p)], field % FIELDS[kind_of(p)]);
+        let coord = |v: &mut Vec3, c: usize| {
+            let x = [&mut v.x, &mut v.y, &mut v.z].into_iter().nth(c).unwrap();
+            *x = f64::from_bits(x.to_bits() ^ 1 << bit);
+        };
+        match p {
+            Payload::Migrate(v) => match f {
+                0 => v[entry].id ^= 1 << bit,
+                1 => v[entry].species.0 ^= 1 << bit,
+                2..=4 => coord(&mut v[entry].position, f - 2),
+                _ => coord(&mut v[entry].velocity, f - 5),
+            },
+            Payload::Ghosts(v) => match f {
+                0 => v[entry].id ^= 1 << bit,
+                1 => v[entry].species.0 ^= 1 << bit,
+                _ => coord(&mut v[entry].position, f - 2),
+            },
+            Payload::Forces(v) => match f {
+                0 => v[entry].id ^= 1 << bit,
+                _ => coord(&mut v[entry].force, f - 1),
+            },
+            Payload::Batch(v) => match f {
+                0 => v[entry].epoch ^= 1 << bit,
+                _ => v[entry].checksum ^= 1 << bit,
+            },
+        }
+    }
+
+    /// Empty payloads differ by kind alone, bare and under a stamp.
+    #[test]
+    fn empty_payloads_of_different_kinds_differ() {
+        let empties: Vec<Payload> = (0..4).map(|kind| payload_of(kind, &[])).collect();
+        let ch = Channel::Ghosts { hop: 0 };
+        for (a, pa) in empties.iter().enumerate() {
+            for pb in &empties[a + 1..] {
+                assert_ne!(pa.checksum(), pb.checksum());
+                assert_ne!(
+                    Message::expected_checksum(3, ch, pa),
+                    Message::expected_checksum(3, ch, pb)
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// What [`mix`]'s comment claims: a one-bit flip of the word changes
+        /// at least two accumulator bits.
+        #[test]
+        fn one_flipped_bit_moves_at_least_two_accumulator_bits(
+            h in 0u64..=u64::MAX,
+            word in 0u64..=u64::MAX,
+            bit in 0u32..64,
+        ) {
+            let (mut a, mut b) = (h, h);
+            mix(&mut a, word);
+            mix(&mut b, word ^ 1 << bit);
+            prop_assert!((a ^ b).count_ones() >= 2, "h {h:#x} word {word:#x} bit {bit}");
+        }
+
+        /// The corruption classes the checksum is relied on for, over random
+        /// payloads of every kind and random headers: any one flipped bit in
+        /// any field; any two flipped bits in the same or adjacent words,
+        /// the sign bits of neighbouring coordinates included; a relabelled
+        /// epoch or channel.
+        #[test]
+        fn corruption_always_changes_the_stamp(
+            (kind, words) in (0usize..4, vec(0u64..=u64::MAX, 8..48)),
+            (epoch, ch) in (0u64..1 << 40, 0u64..=u64::MAX),
+            (field, bit, next, bit2) in (0usize..1 << 16, 0u32..64, 0usize..2, 0u32..64),
+            (epoch2, ch2) in (0u64..1 << 40, 0u64..=u64::MAX),
+        ) {
+            let clean = payload_of(kind, &words);
+            let channel = channel_of(ch);
+            let stamp = |p: &Payload| Message::expected_checksum(epoch, channel, p);
+            let fields = FIELDS[kind] * entries(&clean);
+            let first = field % fields;
+
+            let mut one = clean.clone();
+            flip(&mut one, first, bit);
+            prop_assert_ne!(one.checksum(), clean.checksum());
+            prop_assert_ne!(stamp(&one), stamp(&clean));
+
+            let second = (first + next).min(fields - 1);
+            let undoes = second == first && bit % width(&clean, first) == bit2 % width(&clean, first);
+            if !undoes {
+                let mut two = one.clone();
+                flip(&mut two, second, bit2);
+                prop_assert_ne!(two.checksum(), clean.checksum());
+                prop_assert_ne!(stamp(&two), stamp(&clean));
+            }
+
+            // Sign bits of two neighbouring 64-bit fields (for the atom
+            // kinds: neighbouring coordinates, or a last coordinate and the
+            // next entry's id).
+            if second != first && width(&clean, first) == 64 && width(&clean, second) == 64 {
+                let mut signs = clean.clone();
+                flip(&mut signs, first, 63);
+                flip(&mut signs, second, 63);
+                prop_assert_ne!(signs.checksum(), clean.checksum());
+                prop_assert_ne!(stamp(&signs), stamp(&clean));
+            }
+
+            if epoch2 != epoch {
+                prop_assert_ne!(Message::expected_checksum(epoch2, channel, &clean), stamp(&clean));
+            }
+            if channel_of(ch2) != channel {
+                let relabelled = Message::expected_checksum(epoch, channel_of(ch2), &clean);
+                prop_assert_ne!(relabelled, stamp(&clean));
+            }
+        }
+
+        /// Swapping two sections with different stamps inside a batch
+        /// changes the frame's stamp.
+        #[test]
+        fn a_section_swap_changes_the_frame_stamp(
+            words in vec(0u64..=u64::MAX, 10..48),
+            (i, j) in (0usize..16, 0usize..16),
+            (epoch, ch) in (0u64..1 << 40, 0u64..=u64::MAX),
+        ) {
+            let Payload::Batch(sections) = payload_of(3, &words) else { unreachable!() };
+            let (i, j) = (i % sections.len(), j % sections.len());
+            let stamped = |m: &Message| (m.epoch, m.channel, m.checksum);
+            prop_assume!(stamped(&sections[i]) != stamped(&sections[j]));
+            let mut swapped = sections.clone();
+            swapped.swap(i, j);
+            let stamp = |s: Vec<Message>| {
+                Message::expected_checksum(epoch, channel_of(ch), &Payload::Batch(s))
+            };
+            prop_assert_ne!(stamp(swapped), stamp(sections));
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use sc_md::engine::{PatternPlan, TupleSource};
 use sc_md::methods::NeighborList;
 use sc_md::{EnergyBreakdown, ForceAccumulator, Method, TupleCounts};
 use sc_obs::{Phase, PhaseBreakdown};
-use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Default Morton re-sort cadence (steps between owned-atom re-sorts).
@@ -64,17 +64,9 @@ pub struct InteriorTask {
     partial: ComputePartial,
 }
 
-/// Where a ghost came from, for the reverse force reduction: the routing
-/// hop index it arrived in and the rank that sent it.
-#[derive(Debug, Clone, Copy)]
-struct GhostOrigin {
-    hop: usize,
-    from_rank: usize,
-}
-
 /// One received ghost band held outside the store by an overlapped
-/// exchange: `(hop, from_rank, ghosts)`.
-pub type StagedBand = (usize, usize, Vec<GhostMsg>);
+/// exchange: `(hop, ghosts)`.
+pub type StagedBand = (usize, Vec<GhostMsg>);
 
 /// [`TupleSource`] over a rank-local ghost lattice: displacements are plain
 /// differences because ghosts are image-shifted into the local frame.
@@ -130,7 +122,13 @@ pub struct RankState {
     grid: RankGrid,
     store: AtomStore,
     owned: usize,
-    ghost_origin: Vec<GhostOrigin>,
+    /// The store span each absorbed band occupies, `(hop, slots)` in absorb
+    /// order (ascending hop).
+    ghost_spans: Vec<(usize, Range<usize>)>,
+    /// Per routing hop, the store slot each entry of the band this rank
+    /// exported was read from, in band order: the route a returned force
+    /// retraces.
+    band_slots: Vec<Vec<u32>>,
     terms: Vec<TermLattice>,
     /// Persistent force scratch, reused (and grown, never shrunk) across
     /// steps so the steady state allocates no per-step force buffer.
@@ -216,7 +214,8 @@ impl RankState {
             grid,
             store,
             owned,
-            ghost_origin: Vec::new(),
+            ghost_spans: Vec::new(),
+            band_slots: Vec::new(),
             terms,
             scratch: ForceAccumulator::default(),
             list: NeighborList::default(),
@@ -235,10 +234,12 @@ impl RankState {
         &self.store
     }
 
-    /// Drops all ghosts (start of a new exchange cycle).
+    /// Drops all ghosts and the recorded band routes with them (start of a
+    /// new exchange cycle).
     pub fn drop_ghosts(&mut self) {
         self.store.truncate(self.owned);
-        self.ghost_origin.clear();
+        self.ghost_spans.clear();
+        self.band_slots.iter_mut().for_each(Vec::clear);
     }
 
     /// First velocity-Verlet half-step (half-kick + drift) on owned atoms.
@@ -266,8 +267,8 @@ impl RankState {
     /// Permutes this rank's owned atoms into the Morton order of its first
     /// term lattice, so that atoms binned into
     /// neighbouring cells sit in neighbouring slots for the batched distance
-    /// kernels. Must be called while the store is ghost-free — ghost
-    /// provenance ([`GhostOrigin`]) is slot-indexed — i.e. after
+    /// kernels. Must be called while the store is ghost-free — ghost spans
+    /// and band routes are slot-indexed — i.e. after
     /// [`RankState::drop_ghosts`] and before migration/exchange. All term
     /// lattices are rebuilt on the next force computation, so no binned slot
     /// index survives the permutation.
@@ -297,8 +298,8 @@ impl RankState {
         })
     }
 
-    /// Collects atoms that left the owned box along `axis`, as
-    /// `(to_minus, to_plus)` message lists with positions shifted into the
+    /// Collects atoms that left the owned box along `axis` into the (emptied)
+    /// `to_minus` / `to_plus` message lists, positions shifted into the
     /// receivers' frames. The atoms are removed from this rank.
     ///
     /// Each removal is an [`AtomStore::swap_remove`], which moves the last
@@ -307,14 +308,19 @@ impl RankState {
     /// slot). The store's generation counter records this: all term lattices
     /// report `!is_current` until their rebuild at the next force
     /// computation, and the [`LocalSource`] constructor asserts on it.
-    pub fn collect_migrants(&mut self, axis: usize) -> (Vec<AtomMsg>, Vec<AtomMsg>) {
+    pub fn collect_migrants(
+        &mut self,
+        axis: usize,
+        to_minus: &mut Vec<AtomMsg>,
+        to_plus: &mut Vec<AtomMsg>,
+    ) {
         debug_assert_eq!(self.store.len(), self.owned, "migrate with ghosts present");
+        to_minus.clear();
+        to_plus.clear();
         let origin = self.grid.origin_of(self.rank);
         let sub = self.grid.rank_box_lengths_of(self.rank);
         let lo = origin[axis];
         let hi = origin[axis] + sub[axis];
-        let mut to_minus = Vec::new();
-        let mut to_plus = Vec::new();
         let mut i = 0;
         while i < self.store.len() {
             let x = self.store.positions()[i][axis];
@@ -337,7 +343,6 @@ impl RankState {
             self.stats.atoms_migrated += 1;
         }
         self.owned = self.store.len();
-        (to_minus, to_plus)
     }
 
     /// Absorbs migrated atoms as owned.
@@ -349,9 +354,11 @@ impl RankState {
         self.owned = self.store.len();
     }
 
-    /// Collects the boundary band for one routing hop `(axis, recv_dir)`:
-    /// the atoms this rank must send to its `-recv_dir` neighbour, positions
-    /// shifted into that neighbour's frame.
+    /// Collects the boundary band for routing hop `hop` into the (emptied)
+    /// `band`: the atoms this rank must send to its `-recv_dir` neighbour,
+    /// positions shifted into that neighbour's frame. `slots` receives, in
+    /// band order, the store slot each entry was read from — what
+    /// [`RankState::record_band`] keeps for the force return.
     ///
     /// Forwarded routing includes previously received ghosts — but only
     /// those that arrived on a *strictly earlier axis*. Forwarding a ghost
@@ -362,16 +369,19 @@ impl RankState {
     /// as they arrive) or in `staged` (an overlapped exchange keeps them in
     /// a side inbox because the store is concurrently read by the interior
     /// compute pass and must stay ghost-free): [`StagedBand`] entries in
-    /// canonical absorb order, positions already in this rank's frame. Both
+    /// canonical absorb order, positions already in this rank's frame. A
+    /// staged ghost's slot is the one that absorb order will give it. Both
     /// sources pass the same earlier-axis rule and band predicate, so the
     /// staged exchange ships exactly the bytes the in-line one does.
     pub fn collect_ghost_band(
         &self,
         plan: &GhostPlan,
-        axis: usize,
-        recv_dir: i32,
+        hop: usize,
         staged: &[StagedBand],
-    ) -> Vec<GhostMsg> {
+        band: &mut Vec<GhostMsg>,
+        slots: &mut Vec<u32>,
+    ) {
+        let (axis, recv_dir) = plan.hops[hop];
         let origin = self.grid.origin_of(self.rank);
         let sub = self.grid.rank_box_lengths_of(self.rank);
         let shift = self.grid.send_shift(self.rank, axis, -recv_dir);
@@ -384,93 +394,97 @@ impl RankState {
                 x >= origin[axis] + sub[axis] - plan.lo_width
             }
         };
-        let mut out = Vec::new();
-        for i in 0..self.store.len() {
-            if i >= self.owned && plan.hops[self.ghost_origin[i - self.owned].hop].0 >= axis {
-                continue;
-            }
+        band.clear();
+        slots.clear();
+        let earlier = |h: usize| plan.hops[h].0 < axis;
+        let mut take = |i: usize| {
             if in_band(self.store.positions()[i][axis]) {
-                out.push(GhostMsg {
+                band.push(GhostMsg {
                     id: self.store.ids()[i],
                     species: self.store.species()[i],
                     position: self.store.positions()[i] + shift,
                 });
+                slots.push(i as u32);
+            }
+        };
+        (0..self.owned).for_each(&mut take);
+        for (h, span) in &self.ghost_spans {
+            if earlier(*h) {
+                span.clone().for_each(&mut take);
             }
         }
-        for (hop, _from, ghosts) in staged {
-            if plan.hops[*hop].0 >= axis {
-                continue;
+        let mut first = self.store.len();
+        for (h, ghosts) in staged {
+            if earlier(*h) {
+                for (j, g) in ghosts.iter().enumerate().filter(|(_, g)| in_band(g.position[axis])) {
+                    band.push(GhostMsg { position: g.position + shift, ..*g });
+                    slots.push((first + j) as u32);
+                }
             }
-            for g in ghosts.iter().filter(|g| in_band(g.position[axis])) {
-                out.push(GhostMsg { position: g.position + shift, ..*g });
-            }
+            first += ghosts.len();
         }
-        out
     }
 
-    /// Absorbs ghosts received in routing hop `hop` from `from_rank`.
-    pub fn absorb_ghosts(&mut self, hop: usize, from_rank: usize, ghosts: &[GhostMsg]) {
+    /// Keeps the slots of the band exported in `hop` (swapping them out of
+    /// `slots`, which gets the previous cycle's vector back to refill).
+    pub fn record_band(&mut self, hop: usize, slots: &mut Vec<u32>) {
+        if self.band_slots.len() <= hop {
+            self.band_slots.resize_with(hop + 1, Vec::new);
+        }
+        std::mem::swap(&mut self.band_slots[hop], slots);
+    }
+
+    /// Absorbs ghosts received in routing hop `hop`.
+    pub fn absorb_ghosts(&mut self, hop: usize, ghosts: &[GhostMsg]) {
+        let first = self.store.len();
         for g in ghosts {
             self.store.push(g.id, g.species, g.position, Vec3::ZERO);
-            self.ghost_origin.push(GhostOrigin { hop, from_rank });
-            self.stats.ghosts_imported += 1;
         }
+        self.ghost_spans.push((hop, first..self.store.len()));
+        self.stats.ghosts_imported += ghosts.len() as u64;
     }
 
-    /// Collects the accumulated forces of all ghosts that arrived in `hop`,
-    /// as messages for the rank they came from, and returns that rank.
-    /// Returns `None` when no ghosts arrived in that hop (an empty message
-    /// must still be sent to keep the executors' message counts fixed —
-    /// callers use the hop's neighbour in that case).
-    pub fn collect_ghost_forces(&self, hop: usize) -> (Vec<ForceMsg>, Option<usize>) {
-        let mut out = Vec::new();
-        let mut to = None;
-        for (k, origin) in self.ghost_origin.iter().enumerate() {
-            if origin.hop != hop {
-                continue;
-            }
-            let slot = self.owned + k;
-            to = Some(origin.from_rank);
+    /// Collects into the (emptied) `out` the accumulated forces of the
+    /// ghosts that arrived in `hop`, in the order they arrived — the band
+    /// order of the rank they came from. No ghosts is an empty section,
+    /// which is still sent so message counts stay fixed.
+    pub fn collect_ghost_forces(&self, hop: usize, out: &mut Vec<ForceMsg>) {
+        out.clear();
+        let spans = self.ghost_spans.iter().filter(|(h, _)| *h == hop);
+        for slot in spans.flat_map(|(_, span)| span.clone()) {
             out.push(ForceMsg { id: self.store.ids()[slot], force: self.store.forces()[slot] });
         }
-        (out, to)
     }
 
-    /// Accumulates reduced ghost forces: each force lands on the owned atom
-    /// with that id, or — if this rank only holds the atom as an
-    /// earlier-hop ghost (multi-hop forwarding) — on that ghost slot, whose
-    /// own reduction hop will forward it onward.
+    /// Accumulates the forces returned for the band this rank exported in
+    /// `hop`: `forces[k]` lands on the slot band entry `k` was read from —
+    /// an owned atom, or an earlier-hop ghost whose own reduction hop (hops
+    /// reduce in reverse order) forwards it onward. The exact reverse of the
+    /// forwarded route, whatever other images of the atom this rank holds.
     ///
     /// # Errors
-    /// [`RuntimeError::UnknownForceTarget`] when a force arrives for an atom
-    /// this rank neither owns nor holds as an earlier-hop ghost — the
-    /// exchange delivered inconsistent routing data.
+    /// [`RuntimeError::UnknownForceTarget`] when the section is not the
+    /// recorded band entry for entry — a different length, or an id that is
+    /// not the one at the recorded slot: the exchange delivered inconsistent
+    /// routing data. Nothing is accumulated then.
     pub fn absorb_ghost_forces(
         &mut self,
-        current_hop: usize,
+        hop: usize,
         forces: &[ForceMsg],
     ) -> Result<(), RuntimeError> {
-        if forces.is_empty() {
-            return Ok(());
+        let slots = self.band_slots.get(hop).map_or(&[][..], Vec::as_slice);
+        let ids = self.store.ids();
+        let swapped = forces.iter().zip(slots).find(|(f, &s)| ids[s as usize] != f.id);
+        let stray = swapped
+            .map(|(f, _)| f.id)
+            .or_else(|| forces.get(slots.len()).map(|f| f.id))
+            .or_else(|| slots.get(forces.len()).map(|&s| ids[s as usize]));
+        if let Some(id) = stray {
+            return Err(RuntimeError::UnknownForceTarget { rank: self.rank, id });
         }
-        // Owned atoms win; otherwise the earliest-hop ghost gets it (its
-        // reduction hop is still ahead of us because hops reduce in reverse
-        // order).
-        let mut slot_of: HashMap<u64, usize> = HashMap::new();
-        for i in 0..self.owned {
-            slot_of.insert(self.store.ids()[i], i);
-        }
-        for (k, origin) in self.ghost_origin.iter().enumerate() {
-            if origin.hop < current_hop {
-                let id = self.store.ids()[self.owned + k];
-                slot_of.entry(id).or_insert(self.owned + k);
-            }
-        }
-        for f in forces {
-            let slot = *slot_of
-                .get(&f.id)
-                .ok_or(RuntimeError::UnknownForceTarget { rank: self.rank, id: f.id })?;
-            self.store.forces_mut()[slot] += f.force;
+        let out = self.store.forces_mut();
+        for (f, &slot) in forces.iter().zip(slots) {
+            out[slot as usize] += f.force;
         }
         Ok(())
     }
@@ -731,4 +745,69 @@ pub fn best_grid_for(
         }
     }
     best.map(|(_, _, dims)| dims)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sc_md::{build_fcc_lattice, LatticeSpec};
+    use sc_potential::LennardJones;
+
+    /// Rank 0 of a 2×1×1 SC decomposition after it collected and recorded
+    /// the band of hop 0, with that band.
+    fn rank_with_recorded_band() -> (RankState, Vec<GhostMsg>) {
+        let (store, bbox) = build_fcc_lattice(&LatticeSpec::cubic(7, 1.5599), 0.1, 42);
+        let ff = ForceField {
+            pair: Some(Box::new(LennardJones::reduced(2.5))),
+            triplet: None,
+            quadruplet: None,
+            method: Method::ShiftCollapse,
+        };
+        let grid = RankGrid::new(IVec3::new(2, 1, 1), bbox);
+        let plan = GhostPlan::for_method(ff.method, halo_width_for(&ff, &grid)).unwrap();
+        let mut rank = RankState::new(0, grid, &store, &ff, 1);
+        let (mut band, mut slots) = (Vec::new(), Vec::new());
+        rank.collect_ghost_band(&plan, 0, &[], &mut band, &mut slots);
+        rank.record_band(0, &mut slots);
+        (rank, band)
+    }
+
+    /// A returned force section must be the recorded band entry for entry:
+    /// one entry short, one entry long, or an id out of place is the typed
+    /// error naming this rank and the offending id, and adds nothing.
+    #[test]
+    fn a_force_section_that_is_not_the_recorded_band_is_refused_untouched() {
+        let (mut rank, band) = rank_with_recorded_band();
+        assert!(band.len() > 2, "the band has entries to tamper with");
+        let push = Vec3::new(1.0, -2.0, 0.5);
+        let forces: Vec<ForceMsg> =
+            band.iter().map(|g| ForceMsg { id: g.id, force: push }).collect();
+        let before = rank.store().forces().to_vec();
+        let refused = |rank: &mut RankState, hop: usize, section: &[ForceMsg], id: u64| {
+            let verdict = rank.absorb_ghost_forces(hop, section);
+            assert_eq!(verdict, Err(RuntimeError::UnknownForceTarget { rank: 0, id }));
+            assert_eq!(rank.store().forces(), &before[..]);
+        };
+        // Short: names the band entry left without a force.
+        refused(&mut rank, 0, &forces[..forces.len() - 1], band[band.len() - 1].id);
+        // Long: names the entry past the band's end.
+        let stray = ForceMsg { id: 999_999, force: push };
+        refused(&mut rank, 0, &[&forces[..], &[stray]].concat(), stray.id);
+        // Swapped: names the first id that is not the one at its slot.
+        let mut swapped = forces.clone();
+        swapped.swap(0, 1);
+        refused(&mut rank, 0, &swapped, band[1].id);
+        // A hop this rank exported nothing for takes only the empty section.
+        refused(&mut rank, 1, &forces[..1], band[0].id);
+        assert_eq!(rank.absorb_ghost_forces(1, &[]), Ok(()));
+
+        // The band itself lands entry for entry on the recorded slots.
+        assert_eq!(rank.absorb_ghost_forces(0, &forces), Ok(()));
+        let slots = rank.band_slots[0].clone();
+        assert_eq!(slots.len(), band.len());
+        for (i, (now, was)) in rank.store().forces().iter().zip(&before).enumerate() {
+            let hit = slots.contains(&(i as u32));
+            assert_eq!(*now, if hit { *was + push } else { *was }, "slot {i}");
+        }
+    }
 }

@@ -4,10 +4,11 @@
 //! integrate, three axis-ordered migrations, the forwarded halo import,
 //! tuple search + force evaluation, the reverse force return, integrate.
 //! This module owns that program — the stage sequence ([`step`], [`cycle`]),
-//! what a rank puts on the wire and what it does with what arrives
-//! ([`outgoing`], [`absorb`]), how an arriving wire unit is accepted
-//! ([`expected_channel`], [`accept_unit`]), and how a run is decomposed,
-//! gathered, checkpointed and reported. The two executors are *schedulers* of
+//! the exchange schedule planned once per decomposition ([`Exchange`]), what
+//! a rank puts on the wire and what it does with what arrives ([`outgoing`],
+//! [`frame`], [`receive`], [`absorb`]), how an arriving wire unit is accepted
+//! ([`accept_unit`]), and how a run is decomposed, gathered, checkpointed and
+//! reported. The two executors are *schedulers* of
 //! it: they implement [`Scheduler`] to say where the ranks live and how a
 //! wire unit travels, and know nothing else about the protocol.
 
@@ -15,9 +16,9 @@ use crate::comm::GhostPlan;
 use crate::error::{RuntimeError, SetupError};
 use crate::grid::RankGrid;
 use crate::health::{HealthCounters, HealthTracker};
-use crate::msg::{AtomMsg, Channel, Message, Payload};
+use crate::msg::{AtomMsg, Channel, ForceMsg, GhostMsg, Message, Payload};
 use crate::rank::{validate_decomposition, ForceField, RankState, StagedBand};
-use crate::transport::{self, Slot};
+use crate::transport::{self, Frame, PhasePlan, Slot, Unit};
 use sc_cell::AtomStore;
 use sc_md::checkpoint::{Checkpoint, SnapshotLayout};
 use sc_md::{EnergyBreakdown, Telemetry, TupleCounts};
@@ -26,25 +27,66 @@ use sc_obs::{CommCounters, Counter, Histogram, Phase, PhaseBreakdown, Registry, 
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One exchange of the step's fixed schedule.
+/// What an exchange of the step's fixed schedule carries.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Exchange<'a> {
+pub(crate) enum Kind {
     /// Migration along the given axis, both directions.
     Migrate(usize),
     /// Ghost export for one merged hop group (ascending hops).
-    Ghosts(&'a [usize]),
+    Ghosts,
     /// Ghost-force return for one merged hop group (descending hops).
-    Forces(&'a [usize]),
+    Forces,
 }
 
-/// A run's spatial decomposition and the merged exchange phases its ghost
-/// plan implies ([`transport::ghost_phase_groups`] and its reverse).
+/// One exchange of the step's fixed schedule, planned for every rank.
+pub(crate) struct Exchange {
+    pub kind: Kind,
+    /// The routing hops of a ghost or force group, one per slot of every
+    /// rank's plan (empty for a migration).
+    pub hops: Vec<usize>,
+    /// Each rank's slots, frames and expected units (index = rank).
+    pub ranks: Vec<PhasePlan>,
+}
+
+/// A run's spatial decomposition and the exchange schedule it implies: three
+/// migrations, the merged ghost groups of the plan
+/// ([`transport::ghost_phase_groups`]) and their reverse for the force
+/// return. Everything a step needs to know about who sends what to whom is
+/// computed here, once.
 pub(crate) struct Decomposition {
     pub grid: RankGrid,
     pub plan: GhostPlan,
-    pub ghost_groups: Vec<Vec<usize>>,
-    pub force_groups: Vec<Vec<usize>>,
+    pub migrate: Vec<Exchange>,
+    pub ghosts: Vec<Exchange>,
+    pub forces: Vec<Exchange>,
 }
+
+/// One rank's exchange scratch: free lists that turn a received payload
+/// vector into the rank's next send buffer of the same kind, and the fixed
+/// positions a phase's sections and payloads move through. Kept beside the
+/// [`RankState`], not in it, because an overlapped exchange fills it while
+/// the rank state is shared with the interior pass. Nothing in it outlives
+/// a re-decomposition.
+#[derive(Default)]
+pub(crate) struct Buffers {
+    atoms: Vec<Vec<AtomMsg>>,
+    ghosts: Vec<Vec<GhostMsg>>,
+    forces: Vec<Vec<ForceMsg>>,
+    batches: Vec<Vec<Message>>,
+    /// The phase's stamped sections, one per send slot, until framed.
+    sections: Vec<Option<Message>>,
+    /// The phase's arrived payloads, one per receive slot, until absorbed.
+    inbox: Vec<Option<Payload>>,
+    /// Per hop, the slots of the band collected for it this cycle, until the
+    /// rank records them.
+    bands: Vec<Vec<u32>>,
+    /// Bands an overlapped exchange received, in canonical absorb order.
+    staged: Vec<StagedBand>,
+}
+
+/// A decomposed run: the shared schedule, the rank states, and each rank's
+/// exchange scratch (index = rank).
+pub(crate) type Decomposed = (Arc<Decomposition>, Vec<RankState>, Vec<Buffers>);
 
 /// Decomposes `store` over `grid` with `k`-fold subdivided rank-local
 /// cells: the one construction path behind both executors' constructors,
@@ -59,7 +101,7 @@ pub(crate) fn decompose(
     store: &AtomStore,
     ff: &ForceField,
     k: i32,
-) -> Result<(Arc<Decomposition>, Vec<RankState>), SetupError> {
+) -> Result<Decomposed, SetupError> {
     if !(1..=3).contains(&k) {
         return Err(SetupError::UnsupportedSubdivision(k));
     }
@@ -71,9 +113,25 @@ pub(crate) fn decompose(
     if claimed != store.len() {
         return Err(SetupError::AtomsLost { expected: store.len(), claimed });
     }
-    let ghost_groups = transport::ghost_phase_groups(&plan);
-    let force_groups = transport::force_phase_groups(&plan);
-    Ok((Arc::new(Decomposition { grid, plan, ghost_groups, force_groups }), ranks))
+    let exchange = |kind, hops: Vec<usize>| {
+        let slots = |r| match kind {
+            Kind::Migrate(axis) => transport::migrate_phase(&grid, r, axis),
+            Kind::Ghosts => transport::ghost_phase(&grid, &plan, r, &hops),
+            Kind::Forces => transport::force_phase(&grid, &plan, r, &hops),
+        };
+        let ranks = transport::plan_phase((0..grid.len()).map(slots).collect());
+        Exchange { kind, hops, ranks }
+    };
+    let migrate = (0..3).map(|axis| exchange(Kind::Migrate(axis), Vec::new())).collect();
+    let groups = transport::ghost_phase_groups(&plan).into_iter();
+    let ghosts = groups.map(|hops| exchange(Kind::Ghosts, hops)).collect();
+    let groups = transport::force_phase_groups(&plan).into_iter();
+    let forces = groups.map(|hops| exchange(Kind::Forces, hops)).collect();
+    let bufs = ranks
+        .iter()
+        .map(|_| Buffers { bands: vec![Vec::new(); plan.hop_count()], ..Buffers::default() })
+        .collect();
+    Ok((Arc::new(Decomposition { grid, plan, migrate, ghosts, forces }), ranks, bufs))
 }
 
 /// What a scheduler of the rank-step protocol provides: where the ranks it
@@ -87,7 +145,7 @@ pub(crate) trait Scheduler {
     fn each_rank(&mut self, f: &dyn Fn(&mut RankState));
     /// Carries out one exchange: every driven rank's [`outgoing`] sections
     /// travel, and every driven rank [`absorb`]s what arrived for it.
-    fn exchange(&mut self, x: Exchange<'_>) -> Result<(), RuntimeError>;
+    fn exchange(&mut self, x: &Exchange) -> Result<(), RuntimeError>;
     /// Imports the halo over the (ghost-free) ranks, computing interior
     /// tuples while it is in flight where the scheduler has something to
     /// hide it behind; books [`Phase::Exchange`] itself and returns the
@@ -112,8 +170,8 @@ pub(crate) fn cycle<S: Scheduler>(s: &mut S) -> Result<(), RuntimeError> {
     let interior_secs = s.import_ghosts()?;
     s.compute(interior_secs);
     let t = Instant::now();
-    for hops in &dec.force_groups {
-        s.exchange(Exchange::Forces(hops))?;
+    for x in &dec.forces {
+        s.exchange(x)?;
     }
     s.book(Phase::Reduce, t.elapsed().as_secs_f64());
     Ok(())
@@ -142,8 +200,9 @@ pub(crate) fn step<S: Scheduler>(
     });
     s.book(Phase::Integrate, t.elapsed().as_secs_f64());
     let t = Instant::now();
-    for axis in 0..3 {
-        s.exchange(Exchange::Migrate(axis))?;
+    let dec = s.decomposition();
+    for x in &dec.migrate {
+        s.exchange(x)?;
     }
     s.book(Phase::Migrate, t.elapsed().as_secs_f64());
     cycle(s)?;
@@ -153,155 +212,198 @@ pub(crate) fn step<S: Scheduler>(
     Ok(())
 }
 
-/// The stamped ghost sections of one hop group, one per send slot, plus the
-/// receive slots the group fills. Bands received earlier in the cycle are
-/// forwarded from the store (in-line exchange) or from `staged` (overlapped
-/// exchange; see [`RankState::collect_ghost_band`]).
+/// A vector from the free list, or a fresh one while the list warms up.
+fn spare<T>(pool: &mut Vec<Vec<T>>) -> Vec<T> {
+    pool.pop().unwrap_or_default()
+}
+
+/// Stamps `payload` as the phase's next staged section.
+fn stage(
+    sections: &mut Vec<Option<Message>>,
+    slot: &Slot,
+    phase: u64,
+    epoch: u64,
+    payload: Payload,
+) {
+    sections.push(Some(Message::stamped(phase, epoch, slot.channel, payload)));
+}
+
+/// Stages the stamped ghost sections of one hop group, one per send slot,
+/// and leaves each band's slots in `bufs` for the rank to record. Bands
+/// received earlier in the cycle are forwarded from the store (in-line
+/// exchange) or from the staged inbox (overlapped exchange; see
+/// [`RankState::collect_ghost_band`]).
 pub(crate) fn ghost_sections(
     rank: &RankState,
     dec: &Decomposition,
-    hops: &[usize],
-    staged: &[StagedBand],
+    x: &Exchange,
+    bufs: &mut Buffers,
     phase: u64,
     epoch: u64,
-) -> (Vec<(usize, Message)>, Vec<Slot>) {
-    let (tx, rx) = transport::ghost_phase(&dec.grid, &dec.plan, rank.rank, hops);
-    let secs = tx
-        .iter()
-        .zip(hops)
-        .map(|(slot, &hop)| {
-            let (axis, recv_dir) = dec.plan.hops[hop];
-            let band = rank.collect_ghost_band(&dec.plan, axis, recv_dir, staged);
-            (slot.peer, Message::stamped(phase, epoch, slot.channel, Payload::Ghosts(band)))
-        })
-        .collect();
-    (secs, rx)
+) {
+    bufs.sections.clear();
+    for (slot, &hop) in x.ranks[rank.rank].sends.iter().zip(&x.hops) {
+        let mut band = spare(&mut bufs.ghosts);
+        rank.collect_ghost_band(&dec.plan, hop, &bufs.staged, &mut band, &mut bufs.bands[hop]);
+        stage(&mut bufs.sections, slot, phase, epoch, Payload::Ghosts(band));
+    }
 }
 
-/// What `rank` puts on the wire for exchange `x`: one stamped section per
-/// send slot in canonical order (empty payloads included, as MPI codes do,
-/// so message counts are fixed), plus the receive slots it must fill.
+/// Stages what `rank` puts on the wire for exchange `x`: one stamped section
+/// per send slot in canonical order (empty payloads included, as MPI codes
+/// do, so message counts are fixed).
 pub(crate) fn outgoing(
     rank: &mut RankState,
     dec: &Decomposition,
-    x: Exchange<'_>,
+    x: &Exchange,
+    bufs: &mut Buffers,
     phase: u64,
     epoch: u64,
-) -> (Vec<(usize, Message)>, Vec<Slot>) {
-    let stamp =
-        |slot: &Slot, payload| (slot.peer, Message::stamped(phase, epoch, slot.channel, payload));
-    match x {
-        Exchange::Migrate(axis) => {
-            let (tx, rx) = transport::migrate_phase(&dec.grid, rank.rank, axis);
-            let (to_minus, to_plus) = rank.collect_migrants(axis);
-            let secs = tx.iter().zip([to_minus, to_plus]);
-            (secs.map(|(slot, atoms)| stamp(slot, Payload::Migrate(atoms))).collect(), rx)
+) {
+    let sends = &x.ranks[rank.rank].sends;
+    match x.kind {
+        Kind::Migrate(axis) => {
+            let (mut to_minus, mut to_plus) = (spare(&mut bufs.atoms), spare(&mut bufs.atoms));
+            rank.collect_migrants(axis, &mut to_minus, &mut to_plus);
+            bufs.sections.clear();
+            for (slot, atoms) in sends.iter().zip([to_minus, to_plus]) {
+                stage(&mut bufs.sections, slot, phase, epoch, Payload::Migrate(atoms));
+            }
         }
-        Exchange::Ghosts(hops) => ghost_sections(rank, dec, hops, &[], phase, epoch),
-        Exchange::Forces(hops) => {
-            let (tx, rx) = transport::force_phase(&dec.grid, &dec.plan, rank.rank, hops);
-            let secs = tx.iter().zip(hops).map(|(slot, &hop)| {
-                let (forces, recorded) = rank.collect_ghost_forces(hop);
-                debug_assert!(
-                    recorded.is_none_or(|t| t == slot.peer),
-                    "ghost origin disagrees with the routing schedule"
-                );
-                stamp(slot, Payload::Forces(forces))
-            });
-            (secs.collect(), rx)
+        Kind::Ghosts => {
+            ghost_sections(rank, dec, x, bufs, phase, epoch);
+            for &hop in &x.hops {
+                rank.record_band(hop, &mut bufs.bands[hop]);
+            }
+        }
+        Kind::Forces => {
+            bufs.sections.clear();
+            for (slot, &hop) in sends.iter().zip(&x.hops) {
+                let mut forces = spare(&mut bufs.forces);
+                rank.collect_ghost_forces(hop, &mut forces);
+                stage(&mut bufs.sections, slot, phase, epoch, Payload::Forces(forces));
+            }
         }
     }
 }
 
-/// Unpacks a ghost group's payloads (canonical slot order) into bands.
-pub(crate) fn ghost_bands(
-    rank: usize,
-    hops: &[usize],
-    rx: &[Slot],
-    payloads: Vec<Payload>,
-) -> Result<Vec<StagedBand>, RuntimeError> {
-    let mut bands = Vec::with_capacity(hops.len());
-    for ((slot, &hop), payload) in rx.iter().zip(hops).zip(payloads) {
-        let Payload::Ghosts(ghosts) = payload else {
-            return Err(RuntimeError::WrongPayload { rank, channel: slot.channel });
-        };
-        bands.push((hop, slot.peer, ghosts));
-    }
-    Ok(bands)
+/// The payload that arrived for receive slot `k`.
+fn arrived(bufs: &mut Buffers, me: usize, slot: &Slot, k: usize) -> Result<Payload, RuntimeError> {
+    let payload = bufs.inbox.get_mut(k).and_then(Option::take);
+    payload.ok_or(RuntimeError::WrongPayload { rank: me, channel: slot.channel })
 }
 
 /// Absorbs the payloads that arrived for exchange `x`, in canonical slot
 /// order — never arrival order — which is what keeps the executors
-/// bitwise-identical.
+/// bitwise-identical. The emptied payload vectors join the free lists.
 pub(crate) fn absorb(
     rank: &mut RankState,
-    x: Exchange<'_>,
-    rx: &[Slot],
-    payloads: Vec<Payload>,
+    x: &Exchange,
+    bufs: &mut Buffers,
 ) -> Result<(), RuntimeError> {
     let me = rank.rank;
-    let wrong = |slot: &Slot| RuntimeError::WrongPayload { rank: me, channel: slot.channel };
-    match x {
-        Exchange::Migrate(_) => {
-            for (slot, payload) in rx.iter().zip(payloads) {
-                let Payload::Migrate(atoms) = payload else { return Err(wrong(slot)) };
+    for (k, slot) in x.ranks[me].recvs.iter().enumerate() {
+        match (x.kind, arrived(bufs, me, slot, k)?) {
+            (Kind::Migrate(_), Payload::Migrate(atoms)) => {
                 rank.absorb_migrants(&atoms);
+                bufs.atoms.push(atoms);
             }
-        }
-        Exchange::Ghosts(hops) => {
-            for (hop, from, ghosts) in ghost_bands(me, hops, rx, payloads)? {
-                rank.absorb_ghosts(hop, from, &ghosts);
+            (Kind::Ghosts, Payload::Ghosts(ghosts)) => {
+                rank.absorb_ghosts(x.hops[k], &ghosts);
+                bufs.ghosts.push(ghosts);
             }
-        }
-        Exchange::Forces(hops) => {
-            for ((slot, &hop), payload) in rx.iter().zip(hops).zip(payloads) {
-                let Payload::Forces(forces) = payload else { return Err(wrong(slot)) };
-                rank.absorb_ghost_forces(hop, &forces)?;
+            (Kind::Forces, Payload::Forces(forces)) => {
+                rank.absorb_ghost_forces(x.hops[k], &forces)?;
+                bufs.forces.push(forces);
             }
+            _ => return Err(RuntimeError::WrongPayload { rank: me, channel: slot.channel }),
         }
     }
     Ok(())
 }
 
-/// Frames a rank's sections per destination ([`transport::frame_sections`])
-/// and accounts for them. Counter discipline (bytes are counted once):
-/// `record_send` and the trace Send event fire **once per wire unit** with
-/// the frame's total payload bytes and its section count — never again per
-/// section — so `comm.messages`, `comm.bytes`, and the `comm.step_bytes`
-/// histogram see a frame's traffic exactly once.
+/// The overlapped exchange's stand-in for [`absorb`] on a ghost group: rank
+/// `me`'s store is being read by the interior pass, so the arrived bands
+/// wait in the staged inbox, in canonical order.
+pub(crate) fn stage_ghosts(
+    me: usize,
+    x: &Exchange,
+    bufs: &mut Buffers,
+) -> Result<(), RuntimeError> {
+    for (k, slot) in x.ranks[me].recvs.iter().enumerate() {
+        let Payload::Ghosts(ghosts) = arrived(bufs, me, slot, k)? else {
+            return Err(RuntimeError::WrongPayload { rank: me, channel: slot.channel });
+        };
+        bufs.staged.push((x.hops[k], ghosts));
+    }
+    Ok(())
+}
+
+/// Ends an overlapped exchange once the rank state is exclusive again:
+/// absorbs the staged bands in the order the in-line exchange would have,
+/// and records the routes of the bands the rank exported meanwhile.
+pub(crate) fn absorb_staged(rank: &mut RankState, bufs: &mut Buffers) {
+    for (hop, ghosts) in bufs.staged.drain(..) {
+        rank.absorb_ghosts(hop, &ghosts);
+        bufs.ghosts.push(ghosts);
+    }
+    for (hop, slots) in bufs.bands.iter_mut().enumerate() {
+        rank.record_band(hop, slots);
+    }
+}
+
+/// Packs one planned frame of a rank's staged sections
+/// ([`transport::pack_frame`]) and accounts for it. Counter discipline
+/// (bytes are counted once): `record_send` and the trace Send event fire
+/// **once per wire unit** with the frame's total payload bytes and its
+/// section count — never again per section — so `comm.messages`,
+/// `comm.bytes`, and the `comm.step_bytes` histogram see a frame's traffic
+/// exactly once.
 pub(crate) fn frame(
+    f: &Frame,
     phase: u64,
     epoch: u64,
-    sections: Vec<(usize, Message)>,
+    bufs: &mut Buffers,
     stats: &mut CommCounters,
     sink: &TraceSink,
-) -> Vec<(usize, Message)> {
-    let units = transport::frame_sections(true, phase, epoch, sections);
-    for (to, unit) in &units {
-        let bytes = unit.payload.wire_bytes();
-        let nsec = unit.payload.section_count() as u16;
-        stats.record_send(*to, bytes);
-        sink.send(epoch, unit.channel.trace_class(), *to as u32, bytes, nsec, epoch);
-    }
-    units
-}
-
-/// Traces the receipt of one accepted wire unit on the receiver's row.
-pub(crate) fn trace_recv(sink: &TraceSink, epoch: u64, from: usize, unit: &Message) {
-    if !sink.enabled() {
-        return;
-    }
+) -> Message {
+    let unit = transport::pack_frame(f, phase, epoch, &mut bufs.sections, &mut bufs.batches);
     let bytes = unit.payload.wire_bytes();
     let nsec = unit.payload.section_count() as u16;
-    sink.recv(epoch, unit.channel.trace_class(), from as u32, bytes, nsec, epoch);
+    stats.record_send(f.to, bytes);
+    sink.send(epoch, unit.channel.trace_class(), f.to as u32, bytes, nsec, epoch);
+    unit
 }
 
-/// The channel the wire unit from `from` must carry: a source sends one
-/// frame per phase, stamped with the channel of the first canonical receive
-/// slot it fills. A unit nobody expects keeps its own channel and fails slot
-/// matching later.
-pub(crate) fn expected_channel(rx: &[Slot], from: usize, unit: &Message) -> Channel {
-    rx.iter().find(|s| s.peer == from).map_or(unit.channel, |s| s.channel)
+/// The frame rank `to` expects from `from` in this phase. A unit from a
+/// rank the phase does not hear from is refused under its own channel.
+pub(crate) fn expected<'a>(
+    plan: &'a PhasePlan,
+    to: usize,
+    from: usize,
+    unit: &Message,
+) -> Result<&'a Unit, RuntimeError> {
+    plan.unit_from(from).ok_or(RuntimeError::WrongPayload { rank: to, channel: unit.channel })
+}
+
+/// Takes in one accepted wire unit: traces the receipt on the receiver's
+/// row and unpacks the sections into the receive slots they fill
+/// ([`transport::match_sections`]).
+pub(crate) fn receive(
+    sink: &TraceSink,
+    epoch: u64,
+    to: usize,
+    plan: &PhasePlan,
+    expected: &Unit,
+    unit: Message,
+    bufs: &mut Buffers,
+) -> Result<(), RuntimeError> {
+    if sink.enabled() {
+        let bytes = unit.payload.wire_bytes();
+        let nsec = unit.payload.section_count() as u16;
+        sink.recv(epoch, unit.channel.trace_class(), expected.from as u32, bytes, nsec, epoch);
+    }
+    transport::match_sections(to, &plan.recvs, expected, unit, &mut bufs.inbox, &mut bufs.batches)
 }
 
 /// Verifies a wire unit's outer stamp against the slot `to` is filling and
@@ -421,8 +523,9 @@ pub(crate) fn sum_results<'a>(
 /// Assembles the unified telemetry snapshot from the per-rank counters.
 /// `carried` holds the totals of rank sets retired by re-decomposition and
 /// `wall` the scheduler-level wall clock, which fills the exchange /
-/// migrate / integrate / compute slots when ranks do not time those
-/// themselves. The distributed executors do not compute a virial.
+/// migrate / integrate / compute slots — and adds the force return to
+/// reduce, beside the ranks' own scratch merges — when ranks do not time
+/// those themselves. The distributed executors do not compute a virial.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn telemetry(
     step: u64,
@@ -439,7 +542,7 @@ pub(crate) fn telemetry(
         comm.merge(r);
     }
     let mut phases = comm.phases;
-    for ph in [Phase::Exchange, Phase::Migrate, Phase::Integrate, Phase::Compute] {
+    for ph in [Phase::Exchange, Phase::Migrate, Phase::Integrate, Phase::Compute, Phase::Reduce] {
         phases.add(ph, wall.get(ph));
     }
     Telemetry {

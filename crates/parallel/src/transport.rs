@@ -18,6 +18,13 @@
 //!   direction, ghosts by ascending hop, forces by descending hop) — never
 //!   in arrival order — which keeps the BSP and threaded executors in exact
 //!   agreement.
+//!
+//! The schedule is static for a decomposition, so it is *planned*: the slot
+//! builders below run once, and [`plan_phase`] turns their output into one
+//! [`PhasePlan`] per rank and phase — send slots, receive slots, which send
+//! slots share a frame, and which receive slot each section of an arriving
+//! frame fills. A step reads the plan ([`pack_frame`], [`match_sections`]);
+//! it derives nothing.
 
 use crate::comm::GhostPlan;
 use crate::grid::RankGrid;
@@ -117,10 +124,134 @@ pub fn force_phase(
     (sends, recvs)
 }
 
-/// Packs the phase's stamped sections (one per send slot, in canonical slot
-/// order) into wire messages: one framed [`Payload::Batch`] per destination
-/// (sections keep their canonical order inside the frame). Returns
-/// `(destination, message)` pairs in first-seen destination order.
+/// One frame a rank sends in a phase.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame {
+    /// Destination rank.
+    pub to: usize,
+    /// The send slots whose sections ride in it, in canonical order.
+    pub sections: Vec<usize>,
+}
+
+/// One frame a rank receives in a phase.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Unit {
+    /// Source rank.
+    pub from: usize,
+    /// The channel its outer stamp must carry: that of the first canonical
+    /// receive slot the source fills.
+    pub channel: Channel,
+    /// For each section, in frame order, the receive slot it fills.
+    pub slots: Vec<usize>,
+}
+
+/// One rank's part in one exchange phase.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PhasePlan {
+    /// Send slots in canonical order.
+    pub sends: Vec<Slot>,
+    /// Receive slots in canonical order — the order payloads are absorbed
+    /// in, regardless of arrival order.
+    pub recvs: Vec<Slot>,
+    /// One frame per distinct destination, in first-seen order.
+    pub frames: Vec<Frame>,
+    /// One expected frame per distinct source, in canonical order.
+    pub units: Vec<Unit>,
+}
+
+impl PhasePlan {
+    /// The frame expected from `from`, if this phase hears from it at all.
+    pub fn unit_from(&self, from: usize) -> Option<&Unit> {
+        self.units.iter().find(|u| u.from == from)
+    }
+}
+
+/// Groups section destinations (one per send slot, canonical order) into
+/// frames: one per distinct destination, in first-seen order, sections
+/// keeping their canonical order inside.
+fn frames_by_destination(dests: impl Iterator<Item = usize>) -> Vec<Frame> {
+    let mut frames: Vec<Frame> = Vec::new();
+    for (k, to) in dests.enumerate() {
+        match frames.iter_mut().find(|f| f.to == to) {
+            Some(f) => f.sections.push(k),
+            None => frames.push(Frame { to, sections: vec![k] }),
+        }
+    }
+    frames
+}
+
+/// Plans one exchange phase for every rank from the ranks' `(sends, recvs)`
+/// slots (index = rank): groups each rank's sends into per-destination
+/// frames and matches every section of every frame to the receive slot it
+/// fills — the first free slot that hears its channel from that source.
+///
+/// # Panics
+/// When the slots are not a symmetric schedule (a sent section nobody
+/// receives, or a receive slot nobody fills): a bug in the slot builders.
+pub fn plan_phase(slots: Vec<(Vec<Slot>, Vec<Slot>)>) -> Vec<PhasePlan> {
+    let mut plans: Vec<PhasePlan> = slots
+        .into_iter()
+        .map(|(sends, recvs)| {
+            let frames = frames_by_destination(sends.iter().map(|s| s.peer));
+            PhasePlan { sends, recvs, frames, units: Vec::new() }
+        })
+        .collect();
+    for to in 0..plans.len() {
+        let recvs = &plans[to].recvs;
+        let mut filled = vec![false; recvs.len()];
+        let mut units: Vec<Unit> = Vec::new();
+        for first in recvs {
+            if units.iter().any(|u| u.from == first.peer) {
+                continue;
+            }
+            let source = &plans[first.peer];
+            let frame = source.frames.iter().find(|f| f.to == to);
+            let fill = |&k: &usize| {
+                let sent = source.sends[k].channel;
+                let hears = |(i, r): (usize, &Slot)| {
+                    !filled[i] && r.peer == first.peer && r.channel.matches(sent)
+                };
+                let slot = recvs.iter().enumerate().position(hears);
+                let slot = slot.expect("every sent section has a receive slot");
+                filled[slot] = true;
+                slot
+            };
+            let slots = frame.map_or_else(Vec::new, |f| f.sections.iter().map(fill).collect());
+            units.push(Unit { from: first.peer, channel: first.channel, slots });
+        }
+        assert!(filled.iter().all(|&f| f), "rank {to}: a receive slot nobody fills");
+        plans[to].units = units;
+    }
+    plans
+}
+
+/// Packs one planned frame: takes the staged sections (one per send slot)
+/// the frame carries and stamps them as one [`Payload::Batch`] under the
+/// first section's channel. The batch vector comes from `spare` when it has
+/// one.
+///
+/// # Panics
+/// When a section the frame names was not staged (or was already packed).
+pub fn pack_frame(
+    frame: &Frame,
+    phase: u64,
+    epoch: u64,
+    sections: &mut [Option<Message>],
+    spare: &mut Vec<Vec<Message>>,
+) -> Message {
+    let mut batch = spare.pop().unwrap_or_default();
+    let staged = frame.sections.iter().map(|&k| sections[k].take().expect("section staged once"));
+    batch.extend(staged);
+    let channel = batch[0].channel;
+    Message::stamped(phase, epoch, channel, Payload::Batch(batch))
+}
+
+/// Packs stamped sections (one per send slot, in canonical slot order,
+/// tagged with their destination) into wire messages: one framed
+/// [`Payload::Batch`] per destination (sections keep their canonical order
+/// inside the frame). Returns `(destination, message)` pairs in first-seen
+/// destination order. This is the unplanned entry to [`pack_frame`]: it
+/// derives the grouping a [`PhasePlan`] holds and packs the same way.
 ///
 /// Every caller in this workspace passes `aggregation = true`; `false`
 /// returns the sections unframed. The parameter is what is left of the
@@ -135,77 +266,50 @@ pub fn frame_sections(
     if !aggregation {
         return sections;
     }
-    let mut frames: Vec<(usize, Vec<Message>)> = Vec::new();
-    for (to, msg) in sections {
-        match frames.iter_mut().find(|(d, _)| *d == to) {
-            Some((_, secs)) => secs.push(msg),
-            None => frames.push((to, vec![msg])),
-        }
-    }
-    frames
-        .into_iter()
-        .map(|(to, secs)| {
-            let channel = secs[0].channel;
-            (to, Message::stamped(phase, epoch, channel, Payload::Batch(secs)))
-        })
-        .collect()
+    let frames = frames_by_destination(sections.iter().map(|(to, _)| *to));
+    let mut staged: Vec<Option<Message>> = sections.into_iter().map(|(_, m)| Some(m)).collect();
+    let pack = |f: &Frame| (f.to, pack_frame(f, phase, epoch, &mut staged, &mut Vec::new()));
+    frames.iter().map(pack).collect()
 }
 
-/// The wire units a receiver expects in one phase: one frame per distinct
-/// source. Returns `(source, expected outer channel)` in canonical order.
-pub fn expected_units(recvs: &[Slot]) -> Vec<(usize, Channel)> {
-    let mut units: Vec<(usize, Channel)> = Vec::new();
-    for s in recvs {
-        if !units.iter().any(|(p, _)| *p == s.peer) {
-            units.push((s.peer, s.channel));
-        }
-    }
-    units
-}
-
-/// Matches the phase's received sections against the canonical receive
-/// slots. `units` holds the delivery-verified wire units tagged with their
-/// source rank — both executors verify the outer stamp *and* every batch
-/// section's own stamp at delivery (that is what localizes in-frame
-/// corruption and retries at frame granularity), so this function only
-/// unpacks and orders; it never re-hashes content. Returns the payloads in
-/// canonical slot order — the order receivers absorb in, regardless of
-/// arrival order.
+/// Unpacks one delivery-verified frame into the canonical receive slots its
+/// sections fill: `inbox[k]` gets the payload for `recvs[k]`, so a phase's
+/// payloads end up in absorb order whatever order its frames arrived in.
+/// `expected` is the plan's entry for the frame's source. Both executors
+/// verify the outer stamp *and* every section's own stamp at delivery (that
+/// is what localizes in-frame corruption and retries at frame granularity),
+/// so this only unpacks; it never re-hashes content. The emptied batch
+/// vector goes to `spare`.
 ///
 /// # Errors
-/// [`crate::RuntimeError::WrongPayload`] when a slot has no matching
-/// section.
+/// [`crate::RuntimeError::WrongPayload`] when the unit is not a frame of
+/// the planned sections on the planned channels.
 pub fn match_sections(
     rank: usize,
     recvs: &[Slot],
-    units: Vec<(usize, Message)>,
-) -> Result<Vec<Payload>, crate::RuntimeError> {
-    let mut sections: Vec<(usize, Message)> = Vec::new();
-    for (from, unit) in units {
-        match unit.payload {
-            Payload::Batch(secs) => sections.extend(secs.into_iter().map(|s| (from, s))),
-            _ => sections.push((from, unit)),
-        }
+    expected: &Unit,
+    unit: Message,
+    inbox: &mut Vec<Option<Payload>>,
+    spare: &mut Vec<Vec<Message>>,
+) -> Result<(), crate::RuntimeError> {
+    let wrong = |channel| crate::RuntimeError::WrongPayload { rank, channel };
+    let Payload::Batch(mut sections) = unit.payload else {
+        return Err(wrong(expected.channel));
+    };
+    if sections.len() != expected.slots.len() {
+        return Err(wrong(expected.channel));
     }
-    let mut out = Vec::with_capacity(recvs.len());
-    let mut used = vec![false; sections.len()];
-    for slot in recvs {
-        let mut picked = None;
-        for (i, (from, s)) in sections.iter().enumerate() {
-            if !used[i] && *from == slot.peer && slot.channel.matches(s.channel) {
-                picked = Some(i);
-                break;
-            }
-        }
-        let Some(i) = picked else {
-            return Err(crate::RuntimeError::WrongPayload { rank, channel: slot.channel });
-        };
-        used[i] = true;
-        out.push(i);
+    if inbox.len() < recvs.len() {
+        inbox.resize_with(recvs.len(), || None);
     }
-    // Extract in canonical order without cloning payloads.
-    let mut taken: Vec<Option<Message>> = sections.into_iter().map(|(_, s)| Some(s)).collect();
-    Ok(out.into_iter().map(|i| taken[i].take().expect("slot used once").payload).collect())
+    for (section, &slot) in sections.drain(..).zip(&expected.slots) {
+        if !recvs[slot].channel.matches(section.channel) {
+            return Err(wrong(recvs[slot].channel));
+        }
+        inbox[slot] = Some(section.payload);
+    }
+    spare.push(sections);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -250,49 +354,65 @@ mod tests {
 
     #[test]
     fn expected_units_collapse_per_source_when_aggregating() {
-        let recvs = vec![
-            Slot { channel: Channel::Ghosts { hop: 0 }, peer: 1 },
-            Slot { channel: Channel::Ghosts { hop: 1 }, peer: 1 },
-        ];
-        assert_eq!(expected_units(&recvs), vec![(1, Channel::Ghosts { hop: 0 })]);
+        // FS on a 2×1×1 grid: both x hops of a rank reach the same neighbour,
+        // so each rank sends one two-section frame and expects one back.
+        let grid = RankGrid::new(IVec3::new(2, 1, 1), SimulationBox::new(Vec3::splat(8.0)));
+        let plan = GhostPlan::for_method(Method::FullShell, 2.0).unwrap();
+        let slots = (0..2).map(|r| ghost_phase(&grid, &plan, r, &[0, 1])).collect();
+        let plans = plan_phase(slots);
+        assert_eq!(plans[0].frames, vec![Frame { to: 1, sections: vec![0, 1] }]);
+        let unit = Unit { from: 1, channel: Channel::Ghosts { hop: 0 }, slots: vec![0, 1] };
+        assert_eq!(plans[0].units, vec![unit]);
+        assert_eq!(plans[0].unit_from(1), plans[0].units.first());
+        assert_eq!(plans[0].unit_from(0), None);
+    }
+
+    #[test]
+    fn planned_migration_on_a_self_neighbour_axis_keeps_direction_order() {
+        // One rank wide: both directions leave for, and arrive from, the
+        // rank itself; the frame's sections fill the receive slots in order.
+        let grid = RankGrid::new(IVec3::new(1, 1, 2), SimulationBox::new(Vec3::splat(8.0)));
+        let plans = plan_phase((0..2).map(|r| migrate_phase(&grid, r, 0)).collect());
+        for (r, p) in plans.iter().enumerate() {
+            assert_eq!(p.frames, vec![Frame { to: r, sections: vec![0, 1] }]);
+            assert_eq!(p.units.len(), 1);
+            assert_eq!((p.units[0].from, &p.units[0].slots), (r, &vec![0, 1]));
+        }
     }
 
     #[test]
     fn match_sections_orders_canonically_regardless_of_arrival() {
         let epoch = 4;
         let mk = |hop, n| {
-            Message::stamped(
-                1,
-                epoch,
-                Channel::Ghosts { hop },
-                Payload::Ghosts(vec![
-                    crate::msg::GhostMsg {
-                        id: n,
-                        species: sc_cell::Species(0),
-                        position: Vec3::ZERO,
-                    };
-                    1
-                ]),
-            )
+            let ghost =
+                crate::msg::GhostMsg { id: n, species: sc_cell::Species(0), position: Vec3::ZERO };
+            let section =
+                Message::stamped(1, epoch, Channel::Ghosts { hop }, Payload::Ghosts(vec![ghost]));
+            Message::stamped(1, epoch, Channel::Ghosts { hop }, Payload::Batch(vec![section]))
         };
         let recvs = vec![
             Slot { channel: Channel::Ghosts { hop: 0 }, peer: 2 },
             Slot { channel: Channel::Ghosts { hop: 1 }, peer: 7 },
         ];
-        // Arrival order reversed vs canonical; sections still come back in
-        // slot order.
-        let units = vec![(7usize, mk(1, 100)), (2usize, mk(0, 200))];
-        let payloads = match_sections(0, &recvs, units).unwrap();
-        let Payload::Ghosts(g0) = &payloads[0] else { panic!() };
-        let Payload::Ghosts(g1) = &payloads[1] else { panic!() };
+        let from2 = Unit { from: 2, channel: recvs[0].channel, slots: vec![0] };
+        let from7 = Unit { from: 7, channel: recvs[1].channel, slots: vec![1] };
+        // Arrival order reversed vs canonical; payloads still land in slot
+        // order, and the emptied batch vectors are kept for reuse.
+        let (mut inbox, mut spare) = (Vec::new(), Vec::new());
+        match_sections(0, &recvs, &from7, mk(1, 100), &mut inbox, &mut spare).unwrap();
+        match_sections(0, &recvs, &from2, mk(0, 200), &mut inbox, &mut spare).unwrap();
+        let Some(Payload::Ghosts(g0)) = &inbox[0] else { panic!() };
+        let Some(Payload::Ghosts(g1)) = &inbox[1] else { panic!() };
         assert_eq!(g0[0].id, 200);
         assert_eq!(g1[0].id, 100);
-        // A missing slot is a typed error.
-        let units = vec![(7usize, mk(1, 100))];
-        assert!(matches!(
-            match_sections(0, &recvs, units),
-            Err(crate::RuntimeError::WrongPayload { .. })
-        ));
+        assert_eq!(spare.len(), 2);
+        // A frame carrying another channel's section, or the wrong number of
+        // sections, is a typed error.
+        let wrong = match_sections(0, &recvs, &from2, mk(1, 100), &mut inbox, &mut spare);
+        assert!(matches!(wrong, Err(crate::RuntimeError::WrongPayload { .. })));
+        let empty = Message::stamped(1, epoch, recvs[0].channel, Payload::Batch(vec![]));
+        let short = match_sections(0, &recvs, &from2, empty, &mut inbox, &mut spare);
+        assert!(matches!(short, Err(crate::RuntimeError::WrongPayload { .. })));
     }
 
     #[test]

@@ -430,6 +430,10 @@ fn bsp_phase_breakdown_is_recorded() {
     // The fine-grained rank view nests inside the coarse compute wall time.
     assert!(d.telemetry().total_phases.compute_s() > 0.0);
     assert_eq!(p, d.comm_stats().phases);
+    // Reduce is the ranks' scratch merges *plus* the executor's wall clock
+    // around the rank-to-rank force return.
+    let reduce = d.telemetry().total_phases.reduce_s();
+    assert!(reduce > p.reduce_s(), "force return missing from reduce: {reduce} vs {p:?}");
 }
 
 #[test]
@@ -699,6 +703,83 @@ fn rank_hybrid_matches_serial_hybrid_term_by_term() {
         quadruplet: Some(Box::new(TorsionToy::new(0.05, 1.0, 0.3))),
         method: Method::Hybrid,
     });
+}
+
+/// The grids where a rank is its own neighbour along an axis (one rank
+/// wide: both bands of an axis, and under FS / Hybrid both images of an
+/// atom, come from the rank itself) or meets the same neighbour on both
+/// sides (two wide). A force must return through the slot its ghost was
+/// forwarded from, whichever other images of the atom the rank holds: every
+/// term's energy equals the brute-force reference, and the two executors
+/// stay bitwise-identical.
+#[test]
+fn self_neighbour_grids_match_the_reference_and_each_other() {
+    use sc_md::reference::{pair_forces, triplet_forces};
+
+    // Off the perfect lattices, where every force is zero by symmetry.
+    let shaken = |(mut store, bbox): (AtomStore, SimulationBox), by: f64| {
+        for (i, r) in store.positions_mut().iter_mut().enumerate() {
+            let t = i as f64;
+            *r += Vec3::new((1.3 * t).sin(), (2.1 * t + 1.0).sin(), (0.7 * t + 2.0).sin()) * by;
+        }
+        (store, bbox)
+    };
+    let v = Vashishta::silica();
+    let lj = shaken(lj_system(), 0.05);
+    let silica = shaken(build_silica_like(4, 7.16, v.params().masses, 0.01, 7), 0.08);
+    let lj_pair = pair_forces(&mut lj.0.clone(), &lj.1, &LennardJones::reduced(2.5));
+    let mut scratch = silica.0.clone();
+    let silica_pair = pair_forces(&mut scratch, &silica.1, &v.pair);
+    let silica_triplet = triplet_forces(&mut scratch, &silica.1, &v.triplet);
+    let silica_ff = |method| {
+        let v = Vashishta::silica();
+        ForceField {
+            pair: Some(Box::new(v.pair)),
+            triplet: Some(Box::new(v.triplet)),
+            quadruplet: None,
+            method,
+        }
+    };
+    let words = |s: &AtomStore| -> Vec<[u64; 3]> {
+        let bits = |v: &Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        s.positions().iter().chain(s.velocities()).map(bits).collect()
+    };
+    let check = |what: &str,
+                 (store, bbox): &(AtomStore, SimulationBox),
+                 ff: &dyn Fn() -> ForceField,
+                 dt: f64,
+                 pdims: IVec3,
+                 k: i32,
+                 terms: [f64; 2]| {
+        let cfg = || EngineConfig { subdivision: k, ..Default::default() };
+        let mut bsp = DistributedSim::build(store.clone(), *bbox, pdims, ff(), dt, cfg()).unwrap();
+        bsp.total_energy();
+        let e = bsp.telemetry().energy;
+        for (term, got, want) in [("pair", e.pair, terms[0]), ("triplet", e.triplet, terms[1])] {
+            let tol = 1e-12 * want.abs();
+            assert!((got - want).abs() <= tol, "{what}: {term} energy {got} vs reference {want}");
+        }
+        bsp.run(2);
+        let mut threaded =
+            ThreadedSim::build(store.clone(), *bbox, pdims, ff(), dt, cfg()).unwrap();
+        threaded.run(2);
+        let (a, b) = (bsp.gather(), threaded.gather());
+        assert!(a.ids() == b.ids() && words(&a) == words(&b), "{what}: BSP vs threaded bits");
+    };
+    for pdims in [IVec3::new(1, 1, 2), IVec3::new(2, 1, 1), IVec3::new(2, 2, 1)] {
+        for (method, k) in [
+            (Method::ShiftCollapse, 1),
+            (Method::FullShell, 1),
+            (Method::Hybrid, 1),
+            (Method::ShiftCollapse, 2),
+            (Method::Hybrid, 2),
+        ] {
+            let what = |system| format!("{system} {} k = {k} on {pdims:?}", method.name());
+            check(&what("lj"), &lj, &|| lj_ff(method), 0.002, pdims, k, [lj_pair, 0.0]);
+            let terms = [silica_pair, silica_triplet];
+            check(&what("silica"), &silica, &|| silica_ff(method), 0.0005, pdims, k, terms);
+        }
+    }
 }
 
 /// The threaded executor has no scripted faults and no adaptive
