@@ -528,11 +528,10 @@ const MAX_ORDER: usize = 8;
 ///   ([`NeighborList`](crate::methods::NeighborList) is that view).
 ///
 /// Rows are valid until the next [`LinkRows::begin`] — for a chain sweep,
-/// the sweep itself. That is what lets a rank's interior pass run before
-/// its ghosts arrive: the rows it fills see owned atoms alone, are complete
-/// for every bucket an interior cell reads, and are gone when the frontier
-/// pass starts a sweep of its own over the ghosted store. The buffers are
-/// kept, so a steady-state sweep or build allocates nothing (see
+/// the sweep itself, which borrows its source, so atoms and bins cannot
+/// move under a row. A sweep cut into cell subsets (a pool lane's span)
+/// visits what the whole sweep visits. The buffers are kept, so a
+/// steady-state sweep or build allocates nothing (see
 /// [`LinkRows::settle`]).
 #[derive(Debug, Default)]
 pub struct LinkRows {
@@ -1274,14 +1273,13 @@ mod tests {
     }
 
     #[test]
-    fn split_sweeps_and_ghost_arrival_equal_one_whole_sweep() {
+    fn split_sweeps_equal_one_whole_sweep() {
         let rcut = 1.0;
         // A rank-shaped frame: 4³ owned cells, SC margins of two ghost cells
         // on the high sides; owned atoms first, ghosts appended behind them.
         let (ext, margin) = (IVec3::splat(4), IVec3::splat(2));
         let (gas, _) = random_gas(330, 6.0, 11);
         let is_owned = |r: &Vec3| r.x < 4.0 && r.y < 4.0 && r.z < 4.0;
-        let mut owned = AtomStore::single_species();
         let by_ownership = gas
             .positions()
             .iter()
@@ -1289,52 +1287,32 @@ mod tests {
             .chain(gas.positions().iter().filter(|r| !is_owned(r)));
         let mut all = AtomStore::single_species();
         for (id, &r) in by_ownership.enumerate() {
-            if is_owned(&r) {
-                owned.push(id as u64, sc_cell::Species::DEFAULT, r, Vec3::ZERO);
-            }
             all.push(id as u64, sc_cell::Species::DEFAULT, r, Vec3::ZERO);
         }
-        assert!(owned.len() > 50 && all.len() > owned.len() + 50);
+        let owned = gas.positions().iter().filter(|r| is_owned(r)).count();
+        assert!(owned > 50 && all.len() > owned + 50);
         let mut lat = GhostLattice::new(Vec3::ZERO, Vec3::splat(1.0), ext, IVec3::ZERO, margin);
-        let cells: Vec<IVec3> = sc_geom::CellRegion::new(IVec3::ZERO, ext).iter().collect();
-        let (interior, frontier): (Vec<IVec3>, Vec<IVec3>) =
-            cells.iter().partition(|q| (0..3).all(|a| q[a] < ext[a] - margin[a]));
+        let order: Vec<IVec3> = sc_geom::CellRegion::new(IVec3::ZERO, ext).iter().collect();
         let plan = PatternPlan::new(&shift_collapse(3), Dedup::Collapsed);
 
-        lat.rebuild(&all, owned.len());
-        let whole_src = Plain { lat: &lat, store: &all };
-        let order = interior.iter().chain(&frontier).copied();
+        lat.rebuild(&all, owned);
+        let src = Plain { lat: &lat, store: &all };
         let (whole, whole_stats) =
-            sweep_sequence(&whole_src, &plan, rcut, order, &mut LinkRows::default());
+            sweep_sequence(&src, &plan, rcut, order.iter().copied(), &mut LinkRows::default());
         assert!(whole_stats.accepted > 100);
 
-        // Arbitrary subsets, each its own sweep over the same buffers.
+        // Arbitrary subsets — what a pool lane sweeps — each its own sweep
+        // over the same buffers.
         let mut rows = LinkRows::default();
-        let order: Vec<IVec3> = interior.iter().chain(&frontier).copied().collect();
         let mut pieces = Vec::new();
         let mut pieces_stats = VisitStats::default();
         for chunk in [&order[..1], &order[1..9], &order[9..10], &order[10..40], &order[40..]] {
-            let (seq, stats) =
-                sweep_sequence(&whole_src, &plan, rcut, chunk.iter().copied(), &mut rows);
+            let (seq, stats) = sweep_sequence(&src, &plan, rcut, chunk.iter().copied(), &mut rows);
             pieces.extend(seq);
             pieces_stats.merge(stats);
         }
         assert_eq!(pieces, whole);
         assert_eq!(pieces_stats, whole_stats);
-
-        // Interior cells swept over the owned atoms alone, then the ghosts
-        // arrive behind them and the frontier cells are swept — same buffers.
-        lat.rebuild(&owned, owned.len());
-        let early = Plain { lat: &lat, store: &owned };
-        let (mut overlapped, mut overlapped_stats) =
-            sweep_sequence(&early, &plan, rcut, interior.iter().copied(), &mut rows);
-        lat.rebuild(&all, owned.len());
-        let late = Plain { lat: &lat, store: &all };
-        let (seq, stats) = sweep_sequence(&late, &plan, rcut, frontier.iter().copied(), &mut rows);
-        overlapped.extend(seq);
-        overlapped_stats.merge(stats);
-        assert_eq!(overlapped, whole);
-        assert_eq!(overlapped_stats, whole_stats);
     }
 
     #[test]

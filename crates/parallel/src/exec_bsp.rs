@@ -1,10 +1,9 @@
 //! Bulk-synchronous scheduler of the rank-step protocol ([`crate::step`]):
 //! the deterministic reference executor. What lives here is what makes it
 //! BSP — lockstep delivery of each phase through the scriptable
-//! [`FaultPlan`] with bounded retry, the `ThreadPool` compute fan-out, the
-//! staged exchange as a pool task beside the interior pass, adaptive
-//! rebalancing of the rank grid, and re-decomposition over the survivors of
-//! a rank death.
+//! [`FaultPlan`] with bounded retry, the `ThreadPool` compute fan-out,
+//! adaptive rebalancing of the rank grid, and re-decomposition over the
+//! survivors of a rank death.
 
 use crate::config::EngineConfig;
 use crate::error::{RuntimeError, SetupError};
@@ -12,9 +11,7 @@ use crate::fault::{Delivery, FaultPlan};
 use crate::grid::RankGrid;
 use crate::health::{HealthConfig, HealthTracker};
 use crate::msg::{Channel, Message};
-use crate::rank::{
-    best_grid_for, halo_width_for, validate_decomposition, ForceField, InteriorTask, RankState,
-};
+use crate::rank::{best_grid_for, halo_width_for, validate_decomposition, ForceField, RankState};
 use crate::step::{self, Buffers, Decomposition, Exchange, Feed, Scheduler};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
@@ -22,7 +19,7 @@ use sc_md::checkpoint::Checkpoint;
 use sc_md::{EnergyBreakdown, LaneSlots, Telemetry, ThreadPool, TupleCounts};
 use sc_obs::trace::EventKind;
 use sc_obs::{CommCounters, ImbalanceReport, Phase, PhaseBreakdown, Registry, TraceSink, Tracer};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Retries after a failed delivery before escalating (so each hop gets
 /// `1 + MAX_RETRIES` attempts). Two retries cover every single-fault
@@ -118,35 +115,6 @@ impl Wire<'_> {
     }
 }
 
-/// The full forwarded-routing ghost exchange run on a pool lane while the
-/// other lanes compute interior tuples: identical wire schedule, framing,
-/// validation, and fault handling to the in-line exchange, but received
-/// bands are *staged* instead of absorbed (the rank stores are concurrently
-/// read by the interior pass). Forwarding across axes reads earlier-phase
-/// bands from the staging inbox, so the staged exchange ships exactly the
-/// bytes the in-line one does. `stats` are the ranks' counters, lent for
-/// the window. Returns the task's own wall-clock seconds.
-fn staged_exchange(
-    dec: &Decomposition,
-    ranks: &[RankState],
-    (mut wire, bufs, stats): (Wire<'_>, &mut [Buffers], &mut [CommCounters]),
-    epoch: u64,
-    mut phase: u64,
-) -> Result<f64, RuntimeError> {
-    let t0 = std::time::Instant::now();
-    for x in &dec.ghosts {
-        phase += 1;
-        for (from, rank) in ranks.iter().enumerate() {
-            step::ghost_sections(rank, dec, x, &mut bufs[from], phase, epoch);
-            wire.send(x, from, phase, epoch, &mut stats[from], bufs)?;
-        }
-        for (to, inbox) in bufs.iter_mut().enumerate() {
-            step::stage_ghosts(to, x, inbox)?;
-        }
-    }
-    Ok(t0.elapsed().as_secs_f64())
-}
-
 /// One event sink per rank (comm events and compute-phase intervals) plus
 /// the executor's own, tagged with the synthetic rank `nranks` so the
 /// synchronous wall-clock phases get their own timeline row.
@@ -164,10 +132,9 @@ fn trace_sinks(tracer: &Tracer, nranks: usize) -> (Vec<TraceSink>, TraceSink) {
 /// The exchange schedule is the merged one from [`crate::transport`]: three
 /// migration phases, three ghost phases, and three force-return phases per
 /// step, with all per-channel payloads bound for the same neighbor packed
-/// into one framed message per phase. Interior-cell tuples are computed
-/// while the boundary exchange is in flight whenever the pool has a second
-/// lane to run it on; which of the two import paths runs never changes a
-/// bit of the result.
+/// into one framed message per phase. The whole halo is imported before the
+/// ranks compute, and the pool's lane count never changes a bit of the
+/// result.
 ///
 /// How a run is scheduled, packed, faulted and observed is fixed at
 /// [`DistributedSim::build`] by one [`EngineConfig`]; only the timestep can
@@ -194,9 +161,7 @@ pub struct DistributedSim {
     phase: u64,
     last_energy: EnergyBreakdown,
     last_tuples: TupleCounts,
-    /// Accumulated wall-clock phases. The staged exchange and the interior
-    /// pass cover concurrent intervals, so the exchange and compute slots
-    /// may sum to more than step wall time.
+    /// Accumulated wall-clock phases.
     timings: PhaseBreakdown,
     pool: ThreadPool,
     // Per-rank (energy, tuples, phases) slots reused every compute call so
@@ -400,75 +365,6 @@ impl DistributedSim {
             total.merge(&r.stats);
         }
         total
-    }
-
-    /// The overlapped halo import: one pool task runs the staged boundary
-    /// exchange (band collection reads the rank states immutably) while the
-    /// other lanes compute every rank's interior cells on lattices
-    /// extracted via [`RankState::begin_interior`]. After the join the
-    /// staged ghosts are absorbed in canonical order; the frontier pass
-    /// then completes the forces. Returns the interior pass's seconds.
-    fn import_ghosts_staged(&mut self) -> Result<f64, RuntimeError> {
-        let mut tasks: Vec<InteriorTask> =
-            self.ranks.iter_mut().map(|r| r.begin_interior()).collect();
-        let nranks = self.ranks.len();
-        let (epoch, start_phase) = (self.steps_done, self.phase);
-        // Disjoint field borrows: the exchange task takes the fault plan,
-        // the health watchdog and the exchange scratch mutably plus shared
-        // reads of the rank states; the interior fan-out reads the same rank
-        // states and mutates only the extracted tasks. Neither touches the
-        // ranks' counters, so the exchange borrows them for the window.
-        let mut stats: Vec<CommCounters> =
-            self.ranks.iter_mut().map(|r| std::mem::take(&mut r.stats)).collect();
-        let (ranks, dec, ff) = (&self.ranks, &*self.dec, &self.ff);
-        // The exchange runs as one extra pool task alongside the per-rank
-        // interior tasks — no OS thread is spawned (and joined) per step.
-        // Its mutable state rides in a Mutex claimed exactly once by
-        // whichever lane draws task 0.
-        let wire = Wire {
-            fault: &mut self.fault_plan,
-            health: &mut self.health,
-            exec_sink: &self.exec_sink,
-            tsinks: &self.tsinks,
-        };
-        let exchange = Mutex::new(Some((wire, &mut self.bufs[..], &mut stats[..])));
-        let staged_out: Mutex<Option<Result<f64, RuntimeError>>> = Mutex::new(None);
-        let t_int = std::time::Instant::now();
-        {
-            let slots = LaneSlots::new(tasks.as_mut_ptr());
-            let (exchange, staged_out) = (&exchange, &staged_out);
-            self.pool.run(nranks + 1, &move |t| {
-                if t == 0 {
-                    let state = exchange.lock().unwrap().take().expect("exchange task runs once");
-                    let r = staged_exchange(dec, ranks, state, epoch, start_phase);
-                    *staged_out.lock().unwrap() = Some(r);
-                } else {
-                    // SAFETY: task index t is claimed exactly once per run,
-                    // so each task slot is touched by a single lane; the
-                    // rank states are only read.
-                    let task = unsafe { &mut *slots.get(t - 1) };
-                    RankState::run_interior(task, &ranks[t - 1], ff);
-                }
-            });
-        }
-        let interior_secs = t_int.elapsed().as_secs_f64();
-        let staged = staged_out.into_inner().expect("no lane panicked").expect("task 0 ran");
-        // Hand the counters back and bank the interior passes (on failure
-        // too: a checkpoint restore must find the rank states structurally
-        // whole).
-        for ((rank, task), stats) in self.ranks.iter_mut().zip(tasks).zip(stats) {
-            rank.stats = stats;
-            rank.finish_interior(task);
-        }
-        let elapsed = staged?;
-        // Absorb the staged ghosts in the same canonical order the in-line
-        // exchange uses.
-        for (rank, bufs) in self.ranks.iter_mut().zip(&mut self.bufs) {
-            step::absorb_staged(rank, bufs);
-        }
-        self.phase += self.dec.ghosts.len() as u64;
-        self.book(Phase::Exchange, elapsed);
-        Ok(interior_secs)
     }
 
     /// Closes the adaptive load-balance loop: converts the last window's
@@ -675,28 +571,10 @@ impl Scheduler for DistributedSim {
         Ok(())
     }
 
-    fn import_ghosts(&mut self) -> Result<f64, RuntimeError> {
-        // The staged exchange needs a second lane to hide behind the
-        // interior pass; on a single-lane pool the split would serialize
-        // anyway and only pay the second lattice rebuild, so the exchange
-        // runs in line and compute does one fused pass (bitwise-identical —
-        // see this module's tests).
-        if self.pool.lanes() > 1 {
-            return self.import_ghosts_staged();
-        }
-        let t = std::time::Instant::now();
-        let dec = self.decomposition();
-        for x in &dec.ghosts {
-            self.exchange(x)?;
-        }
-        self.book(Phase::Exchange, t.elapsed().as_secs_f64());
-        Ok(0.0)
-    }
-
     /// The per-rank force-computation fan-out — the BSP phase structure
     /// makes this embarrassingly parallel: each pool task owns exactly one
     /// rank slot and one result slot.
-    fn compute(&mut self, interior_secs: f64) {
+    fn compute(&mut self) {
         let t = std::time::Instant::now();
         let start_ns = if self.tracer.enabled() { self.exec_sink.now_ns() } else { 0 };
         let ff = &self.ff;
@@ -711,7 +589,7 @@ impl Scheduler for DistributedSim {
         });
         (self.last_energy, self.last_tuples) =
             step::sum_results(self.results.iter().map(|(e, t, _)| (e, t)));
-        self.book(Phase::Compute, interior_secs + t.elapsed().as_secs_f64());
+        self.book(Phase::Compute, t.elapsed().as_secs_f64());
         for (sink, (_, _, phases)) in self.tsinks.iter().zip(&self.results) {
             step::trace_compute(sink, self.steps_done, start_ns, phases);
         }
@@ -756,9 +634,10 @@ mod tests {
     use sc_md::{build_fcc_lattice, build_silica_like, LatticeSpec, Method};
     use sc_potential::{LennardJones, Vashishta};
 
-    /// Gathered phase-space words of a `steps`-step run on a pool of `lanes`.
+    /// Gathered ids and phase-space words of a `steps`-step run: on the BSP
+    /// executor with a pool of `lanes`, or on the threaded executor (`None`).
     fn run_on(
-        lanes: usize,
+        lanes: Option<usize>,
         system: &(AtomStore, SimulationBox),
         pdims: IVec3,
         ff: ForceField,
@@ -767,21 +646,31 @@ mod tests {
         steps: usize,
     ) -> (Vec<u64>, Vec<[u64; 3]>) {
         let cfg = EngineConfig { subdivision, ..Default::default() };
-        let mut d = DistributedSim::build(system.0.clone(), system.1, pdims, ff, dt, cfg).unwrap();
-        d.pool = ThreadPool::new(lanes);
-        d.run(steps);
-        let s = d.gather();
+        let (store, bbox) = system.clone();
+        let s = match lanes {
+            Some(lanes) => {
+                let mut d = DistributedSim::build(store, bbox, pdims, ff, dt, cfg).unwrap();
+                d.pool = ThreadPool::new(lanes);
+                d.run(steps);
+                d.gather()
+            }
+            None => {
+                let mut t = crate::ThreadedSim::build(store, bbox, pdims, ff, dt, cfg).unwrap();
+                t.run(steps);
+                t.gather()
+            }
+        };
         let words = |v: &Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
         (s.ids().to_vec(), s.positions().iter().chain(s.velocities()).map(words).collect())
     }
 
-    /// The lane count picks the import path — staged exchange beside the
-    /// interior pass on two lanes, in-line exchange and one fused compute
-    /// pass on one — and nothing else: same ids, same position and velocity
-    /// words. Setting the pool on both engines keeps the pair different on a
+    /// The pool's lane count changes no bit — same ids, same position and
+    /// velocity words on one lane and on two — and the threaded executor
+    /// computes the same words, including on the grids where a rank is its
+    /// own neighbour. Setting the pool keeps the pair different on a
     /// one-core host too.
     #[test]
-    fn staged_and_inline_imports_are_bitwise_identical() {
+    fn pool_lane_count_changes_no_bit() {
         let silica_ff = |method| {
             let v = Vashishta::silica();
             ForceField {
@@ -804,7 +693,9 @@ mod tests {
             // both images of an atom — comes from the rank itself.
             for pdims in [IVec3::splat(2), IVec3::new(1, 1, 2)] {
                 let run = |lanes| run_on(lanes, &lj, pdims, ff(), 0.002, 1, 4);
-                assert!(run(1) == run(2), "lj {} on {pdims:?}", method.name());
+                let one = run(Some(1));
+                assert!(one == run(Some(2)), "lj {} on {pdims:?}", method.name());
+                assert!(one == run(None), "lj {} on {pdims:?}, threaded", method.name());
             }
         }
         // Triplet forces exercise the force-return path with non-trivial
@@ -819,8 +710,39 @@ mod tests {
             (Method::Hybrid, IVec3::new(1, 1, 2), 2),
         ] {
             let run = |lanes| run_on(lanes, &silica, pdims, silica_ff(method), 0.0005, k, 3);
-            assert!(run(1) == run(2), "silica {} k = {k}", method.name());
+            let one = run(Some(1));
+            assert!(one == run(Some(2)), "silica {} k = {k} on {pdims:?}", method.name());
+            assert!(one == run(None), "silica {} k = {k} on {pdims:?}, threaded", method.name());
         }
+    }
+
+    /// BSP books its five wall slots — exchange, migrate, integrate,
+    /// compute, reduce — over disjoint intervals of a step, so on a pool
+    /// with a second lane they still sum to no more than the wall clock.
+    /// The ranks' own CPU seconds (`comm.phases`: bin, enumerate and the
+    /// scratch merges the reduce slot also carries) nest inside the compute
+    /// slot and are not wall time.
+    #[test]
+    fn wall_slots_sum_to_no_more_than_the_wall_clock() {
+        let (store, bbox) = build_fcc_lattice(&LatticeSpec::cubic(4, 1.5599), 0.1, 42);
+        let ff = ForceField {
+            pair: Some(Box::new(LennardJones::reduced(1.5))),
+            triplet: None,
+            quadruplet: None,
+            method: Method::ShiftCollapse,
+        };
+        let mut d = DistributedSim::new(store, bbox, IVec3::splat(2), ff, 0.002).unwrap();
+        d.pool = ThreadPool::new(2);
+        let t = std::time::Instant::now();
+        d.run(50);
+        let wall = t.elapsed().as_secs_f64();
+        let t = d.telemetry();
+        let slots =
+            [Phase::Exchange, Phase::Migrate, Phase::Integrate, Phase::Compute, Phase::Reduce];
+        let booked: f64 =
+            slots.iter().map(|&ph| t.total_phases.get(ph) - t.comm.phases.get(ph)).sum();
+        println!("booked {booked:.6} s of {wall:.6} s wall");
+        assert!(booked <= wall, "wall slots sum to {booked} s over a {wall} s run");
     }
 
     /// Newton's third law survives the force return: over all owned atoms

@@ -126,42 +126,6 @@ struct Worker {
 }
 
 impl Worker {
-    /// Puts this rank's sections for `x` on the wire, framed per
-    /// destination as planned. A send can fail only when the peer already
-    /// unwound with its own error; this rank then errors on its next
-    /// receive.
-    fn post(&mut self, x: &Exchange) {
-        self.phase += 1;
-        let (rank, phase, epoch) = (self.state.rank, self.phase, self.epoch);
-        step::outgoing(&mut self.state, &self.dec, x, &mut self.bufs, phase, epoch);
-        for f in &x.ranks[rank].frames {
-            let stats = &mut self.state.stats;
-            let unit = step::frame(f, phase, epoch, &mut self.bufs, stats, &self.tsink);
-            let _ = self.txs[f.to].send((rank, unit));
-        }
-    }
-
-    /// Receives the phase's expected wire units (in whatever order they
-    /// arrive), accepts each against the canonical slot it must fill, and
-    /// absorbs the payloads in canonical slot order.
-    fn collect(&mut self, x: &Exchange) -> Result<(), RuntimeError> {
-        let (rank, epoch) = (self.state.rank, self.epoch);
-        let plan = &x.ranks[rank];
-        for _ in 0..plan.units.len() {
-            let (from, m) = self.mailbox.next_unit(self.phase).ok_or(RuntimeError::MissingHop {
-                rank,
-                channel: plan.recvs[0].channel,
-                epoch,
-                attempts: 1,
-            })?;
-            let expected = step::expected(plan, rank, from, &m)?;
-            let channel = expected.channel;
-            step::accept_unit(&mut self.health, &self.tsink, &m, from, rank, channel, epoch)?;
-            step::receive(&self.tsink, epoch, rank, plan, expected, m, &mut self.bufs)?;
-        }
-        step::absorb(&mut self.state, x, &mut self.bufs)
-    }
-
     /// The post-command report: fresh energies plus the supervision
     /// invariants (atom count, finiteness) so the controller never needs a
     /// second round-trip to answer them.
@@ -187,37 +151,41 @@ impl Scheduler for Worker {
         f(&mut self.state);
     }
 
+    /// Puts this rank's sections for `x` on the wire, framed per
+    /// destination as planned, then receives the phase's expected wire units
+    /// (in whatever order they arrive), accepts each against the canonical
+    /// slot it must fill, and absorbs the payloads in canonical slot order.
+    /// A send can fail only when the peer already unwound with its own
+    /// error; this rank then errors on its receive.
     fn exchange(&mut self, x: &Exchange) -> Result<(), RuntimeError> {
-        self.post(x);
-        self.collect(x)
-    }
-
-    /// The interior tuples are computed between putting the first (axis 0)
-    /// ghost phase on the wire — its bands left from the still-ghost-free
-    /// store — and blocking on its arrivals, hiding peer latency.
-    fn import_ghosts(&mut self) -> Result<f64, RuntimeError> {
-        let t = std::time::Instant::now();
-        let dec = self.decomposition();
-        let mut interior_secs = 0.0;
-        for (group, x) in dec.ghosts.iter().enumerate() {
-            self.post(x);
-            if group == 0 {
-                let t_int = std::time::Instant::now();
-                self.state.compute_interior(&self.ff);
-                interior_secs = t_int.elapsed().as_secs_f64();
-            }
-            self.collect(x)?;
+        self.phase += 1;
+        let (rank, phase, epoch) = (self.state.rank, self.phase, self.epoch);
+        step::outgoing(&mut self.state, &self.dec, x, &mut self.bufs, phase, epoch);
+        let plan = &x.ranks[rank];
+        for f in &plan.frames {
+            let stats = &mut self.state.stats;
+            let unit = step::frame(f, phase, epoch, &mut self.bufs, stats, &self.tsink);
+            let _ = self.txs[f.to].send((rank, unit));
         }
-        // The interior pass is compute, not communication, even though it
-        // ran inside the exchange window.
-        self.book(Phase::Exchange, (t.elapsed().as_secs_f64() - interior_secs).max(0.0));
-        Ok(interior_secs)
+        for _ in 0..plan.units.len() {
+            let (from, m) = self.mailbox.next_unit(phase).ok_or(RuntimeError::MissingHop {
+                rank,
+                channel: plan.recvs[0].channel,
+                epoch,
+                attempts: 1,
+            })?;
+            let expected = step::expected(plan, rank, from, &m)?;
+            let channel = expected.channel;
+            step::accept_unit(&mut self.health, &self.tsink, &m, from, rank, channel, epoch)?;
+            step::receive(&self.tsink, epoch, rank, plan, expected, m, &mut self.bufs)?;
+        }
+        step::absorb(&mut self.state, x, &mut self.bufs)
     }
 
     /// The rank splits compute into bin / enumerate / reduce itself
     /// (`compute_forces` folds them into its stats), so no wall slot is
     /// booked for it.
-    fn compute(&mut self, _interior_secs: f64) {
+    fn compute(&mut self) {
         let start_ns = self.tsink.now_ns();
         let (energy, tuples, phases) = self.state.compute_forces(&self.ff);
         step::trace_compute(&self.tsink, self.epoch, start_ns, &phases);

@@ -20,8 +20,8 @@
 //! The paper's parallel step is one SPMD program per rank, and it is written
 //! here exactly once: the private `step` module holds the stage sequence
 //! (prime → half-kick/drift, ghost drop, Morton re-sort → 3 migrations →
-//! ghost import with the interior pass → compute → force return →
-//! half-kick), what a rank sends and absorbs in each exchange, how an
+//! ghost import → compute → force return → half-kick; nothing overlaps the
+//! import), what a rank sends and absorbs in each exchange, how an
 //! arriving wire unit is matched to its slot, verified and fed to the health
 //! watchdog, and the decomposition / gather / checkpoint / telemetry /
 //! registry-feed helpers. The two executors only *schedule* that program —
@@ -31,10 +31,10 @@
 //!
 //! | module | owns |
 //! |---|---|
-//! | `step` (private) | the rank-step protocol: stage sequence, the exchange schedule planned once at `decompose` (every rank's slots, frames and expected units for the 3 migrate + 3 ghost + 3 force phases), per-exchange `outgoing`/`absorb` through per-rank recycled buffers, unit acceptance (stamp + per-section verification, health feed, `RankDead` escalation), send accounting, gather, checkpoint, telemetry assembly, the `comm.*` / `health.*` / `dist.steps` feed |
-//! | [`rank`] | one rank's state and its message-level algorithms (band collection with the slots each entry was read from, ghost absorption, force computation, positional force return) |
+//! | `step` (private) | the rank-step protocol: stage sequence over a five-method `Scheduler`, the exchange schedule planned once at `decompose` (every rank's slots, frames and expected units for the 3 migrate + 3 ghost + 3 force phases), per-exchange `outgoing`/`absorb` through per-rank recycled buffers, unit acceptance (stamp + per-section verification, health feed, `RankDead` escalation), send accounting, gather, checkpoint, telemetry assembly, the `comm.*` / `health.*` / `dist.steps` feed |
+//! | [`rank`] | one rank's state and its message-level algorithms (band collection recording the slot each entry was read from, ghost absorption, force computation — one sweep per term — positional force return) |
 //! | [`transport`], [`msg`] | the merged-phase schedule and its per-rank plan, per-neighbor framing, stamps and word-wise checksums |
-//! | `exec_bsp` ([`DistributedSim`]) | BSP delivery + faults: lockstep phases through the [`FaultPlan`] with bounded retry, the `ThreadPool` compute fan-out, the staged exchange as a pool task beside the interior pass, rebalance, re-decomposition over survivors |
+//! | `exec_bsp` ([`DistributedSim`]) | BSP delivery + faults: lockstep phases through the [`FaultPlan`] with bounded retry, the `ThreadPool` compute fan-out, rebalance, re-decomposition over survivors |
 //! | `exec_threads` ([`ThreadedSim`]) | threaded transport: worker threads, command/reply channels, out-of-phase mailbox buffering, poison/shutdown |
 //!
 //! * [`DistributedSim`] — bulk-synchronous, deterministic: every message is

@@ -24,49 +24,19 @@ pub const DEFAULT_RESORT_EVERY: u64 = 8;
 /// The shared, immutable force-field configuration every rank evaluates.
 pub use sc_md::ForceField;
 
-/// One term's rank-local search structure, with its base cells split into
-/// an *interior* set (tuple enumeration provably touches only owned atoms —
-/// computable before any ghost arrives) and the complementary *frontier*
-/// set. Sweeps always visit interior cells first, then frontier cells, so
-/// the overlapped two-pass computation is bitwise-identical to the
-/// single-pass one.
+/// One term's rank-local search structure and the base cells it sweeps, in
+/// one list, once per rank step, after every ghost has arrived.
 ///
 /// SC-MD and FS-MD hold one per term and sweep the owned cells. Hybrid-MD
-/// holds the pair term's alone, feeding its Verlet list: all frontier, over
-/// the whole extended region, so ghost-ghost pairs near the boundary are in
-/// the list too (chain ends of n ≥ 3 tuples need them).
+/// holds the pair term's alone, feeding its Verlet list over the whole
+/// extended region, so ghost-ghost pairs near the boundary are in the list
+/// too (chain ends of n ≥ 3 tuples need them).
 struct TermLattice {
     n: usize,
     plan: PatternPlan,
     lat: GhostLattice,
-    /// Owned cells whose pattern sweep stays inside the owned region.
-    interior: Vec<IVec3>,
-    /// Owned cells whose sweep may read ghost cells.
-    frontier: Vec<IVec3>,
+    cells: Vec<IVec3>,
 }
-
-/// The banked result of an interior-cell pass, merged into the full result
-/// once the boundary exchange completes.
-#[derive(Default)]
-struct ComputePartial {
-    energy: EnergyBreakdown,
-    tuples: TupleCounts,
-    phases: PhaseBreakdown,
-}
-
-/// The mutable pieces of an interior-cell pass, extracted from
-/// [`RankState`] (via [`RankState::begin_interior`]) so an executor can run
-/// interior compute on worker lanes while another thread concurrently reads
-/// the same `RankState` for boundary-band collection.
-pub struct InteriorTask {
-    terms: Vec<TermLattice>,
-    scratch: ForceAccumulator,
-    partial: ComputePartial,
-}
-
-/// One received ghost band held outside the store by an overlapped
-/// exchange: `(hop, ghosts)`.
-pub type StagedBand = (usize, Vec<GhostMsg>);
 
 /// [`TupleSource`] over a rank-local ghost lattice: displacements are plain
 /// differences because ghosts are image-shifted into the local frame.
@@ -135,9 +105,6 @@ pub struct RankState {
     scratch: ForceAccumulator,
     /// Hybrid-MD's Verlet list, rebuilt in place every step.
     list: NeighborList,
-    /// Banked interior-pass result awaiting the post-exchange frontier
-    /// pass (`None` outside an overlap window).
-    pending: Option<ComputePartial>,
     /// Communication statistics, cumulative since this rank state was
     /// built.
     pub stats: CommCounters,
@@ -191,23 +158,10 @@ impl RankState {
                 }
             };
             let lat = GhostLattice::new(origin, cell, ext, lo, hi);
-            // Interior cells: the pattern sweep from cell `q` reads cells
-            // within the ghost margins, so `q` is interior exactly when it
-            // sits at least the margin away from every ghosted side (SC
-            // ghosts only the high sides; FS both). Interior-first sweep
-            // order is the contract the overlap path relies on.
             let base =
                 if hybrid { lat.extended_region() } else { CellRegion::new(IVec3::ZERO, ext) };
-            let (interior, frontier) = base
-                .iter()
-                .partition(|q| !hybrid && (0..3).all(|a| q[a] >= lo[a] && q[a] < ext[a] - hi[a]));
-            terms.push(TermLattice {
-                n,
-                plan: ff.method.plan_for_reach(n, k),
-                lat,
-                interior,
-                frontier,
-            });
+            let cells = base.iter().collect();
+            terms.push(TermLattice { n, plan: ff.method.plan_for_reach(n, k), lat, cells });
         }
         RankState {
             rank,
@@ -219,7 +173,6 @@ impl RankState {
             terms,
             scratch: ForceAccumulator::default(),
             list: NeighborList::default(),
-            pending: None,
             stats: CommCounters::default(),
         }
     }
@@ -356,31 +309,15 @@ impl RankState {
 
     /// Collects the boundary band for routing hop `hop` into the (emptied)
     /// `band`: the atoms this rank must send to its `-recv_dir` neighbour,
-    /// positions shifted into that neighbour's frame. `slots` receives, in
-    /// band order, the store slot each entry was read from — what
-    /// [`RankState::record_band`] keeps for the force return.
+    /// positions shifted into that neighbour's frame. The store slot each
+    /// entry was read from is recorded, in band order, as the route the
+    /// returned forces retrace ([`RankState::absorb_ghost_forces`]).
     ///
     /// Forwarded routing includes previously received ghosts — but only
     /// those that arrived on a *strictly earlier axis*. Forwarding a ghost
     /// back along the axis it arrived on would bounce it to its sender as a
     /// coincident duplicate of an owned atom.
-    ///
-    /// Received ghosts live in the store (the in-line exchange absorbs them
-    /// as they arrive) or in `staged` (an overlapped exchange keeps them in
-    /// a side inbox because the store is concurrently read by the interior
-    /// compute pass and must stay ghost-free): [`StagedBand`] entries in
-    /// canonical absorb order, positions already in this rank's frame. A
-    /// staged ghost's slot is the one that absorb order will give it. Both
-    /// sources pass the same earlier-axis rule and band predicate, so the
-    /// staged exchange ships exactly the bytes the in-line one does.
-    pub fn collect_ghost_band(
-        &self,
-        plan: &GhostPlan,
-        hop: usize,
-        staged: &[StagedBand],
-        band: &mut Vec<GhostMsg>,
-        slots: &mut Vec<u32>,
-    ) {
+    pub fn collect_ghost_band(&mut self, plan: &GhostPlan, hop: usize, band: &mut Vec<GhostMsg>) {
         let (axis, recv_dir) = plan.hops[hop];
         let origin = self.grid.origin_of(self.rank);
         let sub = self.grid.rank_box_lengths_of(self.rank);
@@ -394,44 +331,29 @@ impl RankState {
                 x >= origin[axis] + sub[axis] - plan.lo_width
             }
         };
+        if self.band_slots.len() <= hop {
+            self.band_slots.resize_with(hop + 1, Vec::new);
+        }
+        let RankState { store, owned, ghost_spans, band_slots, .. } = self;
+        let slots = &mut band_slots[hop];
         band.clear();
         slots.clear();
-        let earlier = |h: usize| plan.hops[h].0 < axis;
         let mut take = |i: usize| {
-            if in_band(self.store.positions()[i][axis]) {
+            if in_band(store.positions()[i][axis]) {
                 band.push(GhostMsg {
-                    id: self.store.ids()[i],
-                    species: self.store.species()[i],
-                    position: self.store.positions()[i] + shift,
+                    id: store.ids()[i],
+                    species: store.species()[i],
+                    position: store.positions()[i] + shift,
                 });
                 slots.push(i as u32);
             }
         };
-        (0..self.owned).for_each(&mut take);
-        for (h, span) in &self.ghost_spans {
-            if earlier(*h) {
+        (0..*owned).for_each(&mut take);
+        for (h, span) in ghost_spans.iter() {
+            if plan.hops[*h].0 < axis {
                 span.clone().for_each(&mut take);
             }
         }
-        let mut first = self.store.len();
-        for (h, ghosts) in staged {
-            if earlier(*h) {
-                for (j, g) in ghosts.iter().enumerate().filter(|(_, g)| in_band(g.position[axis])) {
-                    band.push(GhostMsg { position: g.position + shift, ..*g });
-                    slots.push((first + j) as u32);
-                }
-            }
-            first += ghosts.len();
-        }
-    }
-
-    /// Keeps the slots of the band exported in `hop` (swapping them out of
-    /// `slots`, which gets the previous cycle's vector back to refill).
-    pub fn record_band(&mut self, hop: usize, slots: &mut Vec<u32>) {
-        if self.band_slots.len() <= hop {
-            self.band_slots.resize_with(hop + 1, Vec::new);
-        }
-        std::mem::swap(&mut self.band_slots[hop], slots);
     }
 
     /// Absorbs ghosts received in routing hop `hop`.
@@ -489,62 +411,11 @@ impl RankState {
         Ok(())
     }
 
-    /// Starts an interior-cell pass: zeroes forces, extracts the term
-    /// lattices and force scratch into an [`InteriorTask`], leaving this
-    /// `RankState` free to be *shared* (band collection reads positions)
-    /// while [`RankState::run_interior`] computes on the task. Must be
-    /// called while the store is ghost-free.
-    pub fn begin_interior(&mut self) -> InteriorTask {
-        debug_assert_eq!(self.store.len(), self.owned, "interior pass with ghosts present");
-        self.store.zero_forces();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.reset();
-        scratch.ensure_len(self.store.len());
-        InteriorTask {
-            terms: std::mem::take(&mut self.terms),
-            scratch,
-            partial: ComputePartial::default(),
-        }
-    }
-
-    /// Runs the interior-cell sweeps of `task` against `rank`'s owned
-    /// atoms. Reads `rank` immutably — concurrent boundary-band collection
-    /// on the same `rank` is safe. A term without interior cells (a thin
-    /// rank; Hybrid, whose whole computation happens post-exchange) is left
-    /// for [`RankState::compute_forces`] to bin.
-    pub fn run_interior(task: &mut InteriorTask, rank: &RankState, ff: &ForceField) {
-        let p = &mut task.partial;
-        for term in task.terms.iter_mut().filter(|t| !t.interior.is_empty()) {
-            let t_bin = Instant::now();
-            term.lat.rebuild(&rank.store, rank.owned);
-            p.phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
-            let t_enum = Instant::now();
-            sweep_cells(ff, term, &rank.store, &term.interior, &mut task.scratch, p);
-            p.phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
-        }
-    }
-
-    /// Banks a finished interior pass: the next [`RankState::compute_forces`]
-    /// call runs only the frontier cells and merges.
-    pub fn finish_interior(&mut self, task: InteriorTask) {
-        self.terms = task.terms;
-        self.scratch = task.scratch;
-        self.pending = Some(task.partial);
-    }
-
-    /// Single-threaded convenience: the whole interior pass in one call.
-    pub fn compute_interior(&mut self, ff: &ForceField) {
-        let mut task = self.begin_interior();
-        Self::run_interior(&mut task, self, ff);
-        self.finish_interior(task);
-    }
-
-    /// Rebuilds the per-term lattices and computes forces over this rank's
-    /// owned base cells — interior cells first, then frontier cells, so an
-    /// interior pass banked via [`RankState::begin_interior`] (compute/comm
-    /// overlap) continues here with only the frontier sweep and produces
-    /// bitwise-identical results. Forces accumulate on owned *and ghost*
-    /// slots; the reverse reduction ships the ghost parts home.
+    /// Rebuilds the per-term lattices over owned atoms and ghosts and
+    /// computes forces: one sweep of each term's cells (SC-MD / FS-MD), or
+    /// the Verlet list build and walk (Hybrid-MD). Forces accumulate on
+    /// owned *and ghost* slots; the reverse reduction ships the ghost parts
+    /// home.
     ///
     /// Also returns the step-phase breakdown (binning / enumeration /
     /// scratch reduction) and folds it into [`CommCounters::phases`].
@@ -552,32 +423,28 @@ impl RankState {
         &mut self,
         ff: &ForceField,
     ) -> (EnergyBreakdown, TupleCounts, PhaseBreakdown) {
-        let fresh = self.pending.is_none();
-        let mut p = self.pending.take().unwrap_or_default();
-        // With a banked interior pass the forces were zeroed at
-        // `begin_interior` and ghosts arrive force-free, so this is a
-        // no-op re-zero; without one it clears the previous step.
+        let mut energy = EnergyBreakdown::default();
+        let mut tuples = TupleCounts::default();
+        let mut phases = PhaseBreakdown::default();
         self.store.zero_forces();
         let mut acc = std::mem::take(&mut self.scratch);
-        if fresh {
-            acc.reset();
-        }
+        acc.reset();
         acc.ensure_len(self.store.len());
         let RankState { terms, store, owned, list, .. } = self;
         for term in terms.iter_mut() {
             let t_bin = Instant::now();
             term.lat.rebuild(store, *owned);
-            p.phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
+            phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
         }
         if ff.method == Method::Hybrid {
             let pair = &terms[0];
             let t_bin = Instant::now();
             let src = LocalSource::new(&pair.lat, store);
             let rcut = ff.pair.as_ref().expect("hybrid has a pair term").cutoff();
-            let cells = pair.frontier.iter().copied();
+            let cells = pair.cells.iter().copied();
             let pair_stats = list.build_from_cells(&src, cells, *owned, &pair.plan, rcut);
-            p.phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
-            p.tuples.pair.merge(pair_stats);
+            phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
+            tuples.pair.merge(pair_stats);
             let t_enum = Instant::now();
             // Every global tuple is computed by exactly one rank: a triplet
             // by its vertex's owner (the walked rows are the owned ones), a
@@ -590,31 +457,26 @@ impl RankState {
                 gid_j > gid_i || (gid_j == gid_i && j >= owned)
             };
             let species = store.species();
-            hybrid_forces(ff, list, owns_bond, species, &mut acc, &mut p.energy, &mut p.tuples);
-            p.phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
+            hybrid_forces(ff, list, owns_bond, species, &mut acc, &mut energy, &mut tuples);
+            phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
         } else {
-            // Sweep *all* interiors before *any* frontier. The banked
-            // overlap path runs the interior sweeps of every term up front,
-            // so the fresh path must accumulate in the same term order or
-            // multi-term force sums (pair + triplet on the same atom) drift
-            // by an ulp.
             let t_enum = Instant::now();
-            if fresh {
-                for term in terms.iter() {
-                    sweep_cells(ff, term, store, &term.interior, &mut acc, &mut p);
-                }
-            }
             for term in terms.iter() {
-                sweep_cells(ff, term, store, &term.frontier, &mut acc, &mut p);
+                let src = LocalSource::new(&term.lat, store);
+                let potential = ff.term(term.n).expect("a lattice per active term");
+                let cells = term.cells.iter().copied();
+                potential.sweep(&src, &term.plan, cells, store.species(), &mut acc);
+                *energy.term_mut(term.n) += std::mem::take(&mut acc.energy);
+                tuples.term_mut(term.n).merge(std::mem::take(&mut acc.stats));
             }
-            p.phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
+            phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
         }
         let t_reduce = Instant::now();
         acc.merge_into(self.store.forces_mut());
-        p.phases.add(Phase::Reduce, t_reduce.elapsed().as_secs_f64());
+        phases.add(Phase::Reduce, t_reduce.elapsed().as_secs_f64());
         self.scratch = acc;
-        self.stats.phases.accumulate(&p.phases);
-        (p.energy, p.tuples, p.phases)
+        self.stats.phases.accumulate(&phases);
+        (energy, tuples, phases)
     }
 
     /// Gathers this rank's owned atoms (positions wrapped into the global
@@ -629,26 +491,6 @@ impl RankState {
             })
             .collect()
     }
-}
-
-/// One cell-list sweep of one term: enumerates every n-tuple with a base
-/// atom in `cells` and accumulates forces into `acc` and energies/counts
-/// into `partial`. Each call folds its own energy partial sum in one shot,
-/// so splitting a sweep into interior + frontier calls is
-/// bitwise-identical to any other split with the same cell order.
-fn sweep_cells(
-    ff: &ForceField,
-    term: &TermLattice,
-    store: &AtomStore,
-    cells: &[IVec3],
-    acc: &mut ForceAccumulator,
-    partial: &mut ComputePartial,
-) {
-    let src = LocalSource::new(&term.lat, store);
-    let potential = ff.term(term.n).expect("a lattice per active term");
-    potential.sweep(&src, &term.plan, cells.iter().copied(), store.species(), acc);
-    *partial.energy.term_mut(term.n) += std::mem::take(&mut acc.energy);
-    partial.tuples.term_mut(term.n).merge(std::mem::take(&mut acc.stats));
 }
 
 /// The real-space halo depth a force field needs: `max_n (n−1)·cell_edge_n`
@@ -753,8 +595,8 @@ mod tests {
     use sc_md::{build_fcc_lattice, LatticeSpec};
     use sc_potential::LennardJones;
 
-    /// Rank 0 of a 2×1×1 SC decomposition after it collected and recorded
-    /// the band of hop 0, with that band.
+    /// Rank 0 of a 2×1×1 SC decomposition after it collected the band of
+    /// hop 0, with that band.
     fn rank_with_recorded_band() -> (RankState, Vec<GhostMsg>) {
         let (store, bbox) = build_fcc_lattice(&LatticeSpec::cubic(7, 1.5599), 0.1, 42);
         let ff = ForceField {
@@ -766,9 +608,8 @@ mod tests {
         let grid = RankGrid::new(IVec3::new(2, 1, 1), bbox);
         let plan = GhostPlan::for_method(ff.method, halo_width_for(&ff, &grid)).unwrap();
         let mut rank = RankState::new(0, grid, &store, &ff, 1);
-        let (mut band, mut slots) = (Vec::new(), Vec::new());
-        rank.collect_ghost_band(&plan, 0, &[], &mut band, &mut slots);
-        rank.record_band(0, &mut slots);
+        let mut band = Vec::new();
+        rank.collect_ghost_band(&plan, 0, &mut band);
         (rank, band)
     }
 

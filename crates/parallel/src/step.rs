@@ -17,7 +17,7 @@ use crate::error::{RuntimeError, SetupError};
 use crate::grid::RankGrid;
 use crate::health::{HealthCounters, HealthTracker};
 use crate::msg::{AtomMsg, Channel, ForceMsg, GhostMsg, Message, Payload};
-use crate::rank::{validate_decomposition, ForceField, RankState, StagedBand};
+use crate::rank::{validate_decomposition, ForceField, RankState};
 use crate::transport::{self, Frame, PhasePlan, Slot, Unit};
 use sc_cell::AtomStore;
 use sc_md::checkpoint::{Checkpoint, SnapshotLayout};
@@ -64,8 +64,8 @@ pub(crate) struct Decomposition {
 /// One rank's exchange scratch: free lists that turn a received payload
 /// vector into the rank's next send buffer of the same kind, and the fixed
 /// positions a phase's sections and payloads move through. Kept beside the
-/// [`RankState`], not in it, because an overlapped exchange fills it while
-/// the rank state is shared with the interior pass. Nothing in it outlives
+/// [`RankState`], not in it, because a BSP delivery fills the receiver's
+/// inbox while the sender's rank state is borrowed. Nothing in it outlives
 /// a re-decomposition.
 #[derive(Default)]
 pub(crate) struct Buffers {
@@ -77,11 +77,6 @@ pub(crate) struct Buffers {
     sections: Vec<Option<Message>>,
     /// The phase's arrived payloads, one per receive slot, until absorbed.
     inbox: Vec<Option<Payload>>,
-    /// Per hop, the slots of the band collected for it this cycle, until the
-    /// rank records them.
-    bands: Vec<Vec<u32>>,
-    /// Bands an overlapped exchange received, in canonical absorb order.
-    staged: Vec<StagedBand>,
 }
 
 /// A decomposed run: the shared schedule, the rank states, and each rank's
@@ -127,17 +122,15 @@ pub(crate) fn decompose(
     let ghosts = groups.map(|hops| exchange(Kind::Ghosts, hops)).collect();
     let groups = transport::force_phase_groups(&plan).into_iter();
     let forces = groups.map(|hops| exchange(Kind::Forces, hops)).collect();
-    let bufs = ranks
-        .iter()
-        .map(|_| Buffers { bands: vec![Vec::new(); plan.hop_count()], ..Buffers::default() })
-        .collect();
+    let bufs = ranks.iter().map(|_| Buffers::default()).collect();
     Ok((Arc::new(Decomposition { grid, plan, migrate, ghosts, forces }), ranks, bufs))
 }
 
 /// What a scheduler of the rank-step protocol provides: where the ranks it
-/// drives live, how one exchange is carried out across them, and where
-/// phase seconds are booked. [`step`] and [`cycle`] are written against
-/// this and nothing else, so the stage sequence exists once.
+/// drives live, how one exchange is carried out across them, how forces are
+/// computed on them, and where phase seconds are booked. [`step`] and
+/// [`cycle`] are written against this and nothing else, so the stage
+/// sequence exists once.
 pub(crate) trait Scheduler {
     /// The decomposition in force.
     fn decomposition(&self) -> Arc<Decomposition>;
@@ -146,35 +139,32 @@ pub(crate) trait Scheduler {
     /// Carries out one exchange: every driven rank's [`outgoing`] sections
     /// travel, and every driven rank [`absorb`]s what arrived for it.
     fn exchange(&mut self, x: &Exchange) -> Result<(), RuntimeError>;
-    /// Imports the halo over the (ghost-free) ranks, computing interior
-    /// tuples while it is in flight where the scheduler has something to
-    /// hide it behind; books [`Phase::Exchange`] itself and returns the
-    /// seconds spent in the interior pass.
-    fn import_ghosts(&mut self) -> Result<f64, RuntimeError>;
-    /// Computes forces on every driven rank. `interior_secs` is what
-    /// [`Scheduler::import_ghosts`] already spent on the interior pass, for
-    /// schedulers that book compute as one wall-clock slot.
-    fn compute(&mut self, interior_secs: f64);
+    /// Computes forces on every driven rank.
+    fn compute(&mut self);
     /// Books `secs` of wall time under `phase`.
     fn book(&mut self, phase: Phase, secs: f64);
 }
 
-/// One ghost-import + force-computation + force-return cycle. Sweeps always
-/// run interior cells first, then frontier cells, and ghosts are absorbed
-/// in canonical order, so a cycle computes the same bits whether or not its
-/// scheduler ran the interior pass inside the exchange window. The
-/// force-return phases are booked under [`Phase::Reduce`].
+/// Runs the exchanges `xs` in order and books their wall time under `phase`.
+fn exchanges<S: Scheduler>(s: &mut S, xs: &[Exchange], phase: Phase) -> Result<(), RuntimeError> {
+    let t = Instant::now();
+    for x in xs {
+        s.exchange(x)?;
+    }
+    s.book(phase, t.elapsed().as_secs_f64());
+    Ok(())
+}
+
+/// One ghost-import + force-computation + force-return cycle, as in the
+/// paper: the whole halo arrives before any tuple is searched. The import is
+/// booked under [`Phase::Exchange`], the force return under
+/// [`Phase::Reduce`].
 pub(crate) fn cycle<S: Scheduler>(s: &mut S) -> Result<(), RuntimeError> {
     let dec = s.decomposition();
     s.each_rank(&|r| r.drop_ghosts());
-    let interior_secs = s.import_ghosts()?;
-    s.compute(interior_secs);
-    let t = Instant::now();
-    for x in &dec.forces {
-        s.exchange(x)?;
-    }
-    s.book(Phase::Reduce, t.elapsed().as_secs_f64());
-    Ok(())
+    exchanges(s, &dec.ghosts, Phase::Exchange)?;
+    s.compute();
+    exchanges(s, &dec.forces, Phase::Reduce)
 }
 
 /// One velocity-Verlet step: a priming [`cycle`] when forces are stale,
@@ -199,12 +189,8 @@ pub(crate) fn step<S: Scheduler>(
         }
     });
     s.book(Phase::Integrate, t.elapsed().as_secs_f64());
-    let t = Instant::now();
     let dec = s.decomposition();
-    for x in &dec.migrate {
-        s.exchange(x)?;
-    }
-    s.book(Phase::Migrate, t.elapsed().as_secs_f64());
+    exchanges(s, &dec.migrate, Phase::Migrate)?;
     cycle(s)?;
     let t = Instant::now();
     s.each_rank(&|r| r.vv_finish(dt));
@@ -228,30 +214,10 @@ fn stage(
     sections.push(Some(Message::stamped(phase, epoch, slot.channel, payload)));
 }
 
-/// Stages the stamped ghost sections of one hop group, one per send slot,
-/// and leaves each band's slots in `bufs` for the rank to record. Bands
-/// received earlier in the cycle are forwarded from the store (in-line
-/// exchange) or from the staged inbox (overlapped exchange; see
-/// [`RankState::collect_ghost_band`]).
-pub(crate) fn ghost_sections(
-    rank: &RankState,
-    dec: &Decomposition,
-    x: &Exchange,
-    bufs: &mut Buffers,
-    phase: u64,
-    epoch: u64,
-) {
-    bufs.sections.clear();
-    for (slot, &hop) in x.ranks[rank.rank].sends.iter().zip(&x.hops) {
-        let mut band = spare(&mut bufs.ghosts);
-        rank.collect_ghost_band(&dec.plan, hop, &bufs.staged, &mut band, &mut bufs.bands[hop]);
-        stage(&mut bufs.sections, slot, phase, epoch, Payload::Ghosts(band));
-    }
-}
-
 /// Stages what `rank` puts on the wire for exchange `x`: one stamped section
 /// per send slot in canonical order (empty payloads included, as MPI codes
-/// do, so message counts are fixed).
+/// do, so message counts are fixed). Bands received earlier in the cycle
+/// are forwarded from the store ([`RankState::collect_ghost_band`]).
 pub(crate) fn outgoing(
     rank: &mut RankState,
     dec: &Decomposition,
@@ -261,23 +227,23 @@ pub(crate) fn outgoing(
     epoch: u64,
 ) {
     let sends = &x.ranks[rank.rank].sends;
+    bufs.sections.clear();
     match x.kind {
         Kind::Migrate(axis) => {
             let (mut to_minus, mut to_plus) = (spare(&mut bufs.atoms), spare(&mut bufs.atoms));
             rank.collect_migrants(axis, &mut to_minus, &mut to_plus);
-            bufs.sections.clear();
             for (slot, atoms) in sends.iter().zip([to_minus, to_plus]) {
                 stage(&mut bufs.sections, slot, phase, epoch, Payload::Migrate(atoms));
             }
         }
         Kind::Ghosts => {
-            ghost_sections(rank, dec, x, bufs, phase, epoch);
-            for &hop in &x.hops {
-                rank.record_band(hop, &mut bufs.bands[hop]);
+            for (slot, &hop) in sends.iter().zip(&x.hops) {
+                let mut band = spare(&mut bufs.ghosts);
+                rank.collect_ghost_band(&dec.plan, hop, &mut band);
+                stage(&mut bufs.sections, slot, phase, epoch, Payload::Ghosts(band));
             }
         }
         Kind::Forces => {
-            bufs.sections.clear();
             for (slot, &hop) in sends.iter().zip(&x.hops) {
                 let mut forces = spare(&mut bufs.forces);
                 rank.collect_ghost_forces(hop, &mut forces);
@@ -320,36 +286,6 @@ pub(crate) fn absorb(
         }
     }
     Ok(())
-}
-
-/// The overlapped exchange's stand-in for [`absorb`] on a ghost group: rank
-/// `me`'s store is being read by the interior pass, so the arrived bands
-/// wait in the staged inbox, in canonical order.
-pub(crate) fn stage_ghosts(
-    me: usize,
-    x: &Exchange,
-    bufs: &mut Buffers,
-) -> Result<(), RuntimeError> {
-    for (k, slot) in x.ranks[me].recvs.iter().enumerate() {
-        let Payload::Ghosts(ghosts) = arrived(bufs, me, slot, k)? else {
-            return Err(RuntimeError::WrongPayload { rank: me, channel: slot.channel });
-        };
-        bufs.staged.push((x.hops[k], ghosts));
-    }
-    Ok(())
-}
-
-/// Ends an overlapped exchange once the rank state is exclusive again:
-/// absorbs the staged bands in the order the in-line exchange would have,
-/// and records the routes of the bands the rank exported meanwhile.
-pub(crate) fn absorb_staged(rank: &mut RankState, bufs: &mut Buffers) {
-    for (hop, ghosts) in bufs.staged.drain(..) {
-        rank.absorb_ghosts(hop, &ghosts);
-        bufs.ghosts.push(ghosts);
-    }
-    for (hop, slots) in bufs.bands.iter_mut().enumerate() {
-        rank.record_band(hop, slots);
-    }
 }
 
 /// Packs one planned frame of a rank's staged sections

@@ -70,20 +70,21 @@ fn steady_state_steps_stay_within_their_allocation_budget() {
     };
     let grid = IVec3::splat(2);
 
-    // Parent (per-step slot derivation, fresh payload and bookkeeping
+    // Before PR 22 (per-step slot derivation, fresh payload and bookkeeping
     // vectors, an id map per force section): 1348 allocations per BSP step.
-    // Now ≈ 14: two vectors of the staged import (interior tasks, lent
-    // counters) and the Morton re-sort every eighth step (≈ 97 a re-sort);
-    // the exchange itself allocates nothing once its free lists are warm.
-    // The budget leaves room for another host's pool, not for per-phase
-    // bookkeeping to come back (72 rank-phases a step).
+    // PR 22: 13.24, of which two per-step vectors of the staged import
+    // (interior tasks, lent counters). Now 11.2: the staged import is gone
+    // and what is left is the Morton re-sort every eighth step (≈ 90 a
+    // re-sort); the exchange itself allocates nothing once its free lists
+    // are warm. The budget leaves room for another host's pool, not for
+    // per-phase bookkeeping to come back (72 rank-phases a step).
     let mut bsp = DistributedSim::new(store.clone(), bbox, grid, ff(), 0.002).unwrap();
     let bsp_allocs = per_step(|| bsp.try_step().unwrap());
-    assert!(bsp_allocs <= 64.0, "BSP: {bsp_allocs} allocations per step (budget 64)");
+    assert!(bsp_allocs <= 24.0, "BSP: {bsp_allocs} allocations per step (budget 24)");
 
-    // Parent: 1336 allocations per threaded step. Now ≈ 28: each worker's
-    // boxed step report with the counter snapshot inside it, and the same
-    // re-sort.
+    // Before PR 22: 1336 allocations per threaded step. Since then 27.2
+    // (unchanged by dropping the interior pass): each worker's boxed step
+    // report with the counter snapshot inside it, and the same re-sort.
     let mut threaded = ThreadedSim::new(store, bbox, grid, ff(), 0.002).unwrap();
     let threaded_allocs = per_step(|| threaded.try_step().unwrap());
     assert!(

@@ -170,7 +170,7 @@ impl ExecutorSpec {
 }
 
 /// The `comm` block. The exchange schedule itself (merged phases, one frame
-/// per neighbor, interior pass inside the exchange window) is not
+/// per neighbor, the whole halo imported before compute) is not
 /// configurable; what is left is the load-balance cadence.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommSpec {
