@@ -159,7 +159,7 @@ impl std::error::Error for CliError {}
 /// whole setup-run-output pipeline is one `?`-chain:
 /// build ([`BuildError`]), trajectory I/O ([`XyzError`], [`std::io::Error`]),
 /// checkpointing ([`CheckpointError`]), supervised recovery
-/// ([`SupervisorError`]), and the distributed executors' setup/runtime
+/// ([`SupervisorError`]), and the distributed engine's setup/runtime
 /// failures (type-erased behind [`Error::Setup`] / [`Error::Runtime`];
 /// `sc-parallel` provides the `From` impls, keeping the crate layering
 /// acyclic). See DESIGN.md §6 for the stability contract.

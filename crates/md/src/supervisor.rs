@@ -7,8 +7,8 @@
 //! violation *or* an unrecovered communication fault it rolls the engine
 //! back to the last [`Checkpoint`] and replays, optionally with a reduced
 //! timestep (graceful degradation). Engines stay decoupled: the serial
-//! [`crate::Simulation`] and the distributed executors in `sc-parallel`
-//! both implement [`Recoverable`].
+//! [`crate::Simulation`] and the distributed engine in `sc-parallel` both
+//! implement [`Recoverable`].
 //!
 //! The escalation ladder, mildest rung first:
 //!

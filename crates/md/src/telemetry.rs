@@ -6,8 +6,8 @@
 //! (energy, virial, tuple counts), the per-phase time breakdown mapped to
 //! the paper's cost terms, communication counters, and allocation
 //! accounting. The serial [`Simulation`](crate::Simulation) leaves the
-//! communication fields empty; the distributed executors fill them per
-//! rank and in aggregate.
+//! communication fields empty; the distributed engine fills them per rank
+//! and in aggregate.
 
 use crate::stats::{EnergyBreakdown, TupleCounts};
 use sc_obs::json::Json;
@@ -24,12 +24,11 @@ pub struct Telemetry {
     pub tuples: TupleCounts,
     /// Scalar virial from the most recent force computation.
     pub virial: f64,
-    /// Phase breakdown of the most recent force computation / step. In every
-    /// distributed executor the reverse ghost-force return is booked under
+    /// Phase breakdown of the most recent force computation / step. In the
+    /// distributed engine the reverse ghost-force return is booked under
     /// [`sc_obs::Phase::Reduce`] (with the lane/scratch merge), never under
-    /// `Exchange`: the BSP executor books it on its wall clock (registry,
-    /// executor trace row), the threaded executor per rank
-    /// (these phases and the rank trace rows).
+    /// `Exchange`, on the engine's wall clock (registry, executor trace
+    /// row).
     pub phases: PhaseBreakdown,
     /// Phase breakdown accumulated since construction.
     pub total_phases: PhaseBreakdown,

@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 /// over ranks) — the empirical counterpart of the paper's communication
 /// model `T_comm = c_bw·V_import + c_lat·n_msg` (Eq. 31).
 ///
-/// This is plain data: the distributed executors fill one per rank and feed
+/// This is plain data: the distributed engine fills one per rank and feeds
 /// per-step deltas into a [`crate::Registry`] when metrics are enabled.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommCounters {

@@ -10,7 +10,7 @@
 //! - **counters / gauges / histograms** (lock-free, atomic, pre-registered
 //!   by name),
 //! - **communication accounting** ([`CommCounters`], the empirical Eq. 31
-//!   counterpart shared by the distributed executors).
+//!   counterpart filled by the distributed engine).
 //!
 //! A [`Registry`] is cheap to clone and thread-safe; the
 //! [`Registry::disabled`] variant hands out inert handles so the engine

@@ -39,7 +39,7 @@ const WORDS: usize = 8;
 /// Default ring capacity per sink, in events.
 pub const DEFAULT_CAPACITY: usize = 16_384;
 
-/// A communication channel class, matching the distributed executors'
+/// A communication channel class, matching the distributed engine's
 /// message taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommChannel {
@@ -150,7 +150,7 @@ pub struct TraceEvent {
     pub dur_ns: u64,
     /// Simulation step the event belongs to.
     pub step: u64,
-    /// Rank (process lane in the distributed executors; 0 serially).
+    /// Rank (process lane in the distributed engine; 0 serially).
     pub rank: u32,
     /// Thread/lane id within the rank.
     pub lane: u32,

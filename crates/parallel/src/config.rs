@@ -1,15 +1,13 @@
 //! The one run configuration of a distributed engine: everything that is
 //! not the system, the force field or the timestep, passed once to
-//! [`crate::DistributedSim::build`] / [`crate::ThreadedSim::build`].
+//! [`crate::DistributedSim::build`].
 
 use crate::fault::FaultPlan;
 use crate::rank::DEFAULT_RESORT_EVERY;
 use sc_obs::{Registry, Tracer};
 
 /// How a distributed engine runs. There is no way to change any of this
-/// on a built engine, so a scheduler cannot step with half a
-/// configuration. An engine handed a field it cannot honour refuses to
-/// build ([`crate::SetupError::Unsupported`]).
+/// on a built engine, so it cannot step with half a configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// `k`-fold subdivided rank-local cells with reach-k patterns (paper
@@ -20,12 +18,13 @@ pub struct EngineConfig {
     /// of the step. `0` disables re-sorting. Default 8, matching the serial
     /// engine.
     pub resort_every: u64,
-    /// Adaptive load balance (BSP only): re-fit the rank grid to measured
-    /// per-rank compute seconds every this many steps. `0` (the default)
-    /// never re-decomposes.
+    /// Adaptive load balance: re-fit the rank grid to measured per-rank
+    /// compute seconds every this many steps. `0` (the default) never
+    /// re-decomposes.
     pub rebalance_every: u64,
-    /// The scripted fault plan every delivery routes through (BSP only:
-    /// scripted faults need a reproducible delivery order). Default inert.
+    /// The scripted fault plan every delivery routes through (scripted
+    /// faults need the lockstep engine's reproducible delivery order).
+    /// Default inert.
     pub faults: FaultPlan,
     /// Where the per-step deltas of the communication, health and phase
     /// counters are exported (`comm.messages`, `comm.bytes`,
@@ -33,8 +32,8 @@ pub struct EngineConfig {
     /// histogram and the phase slots). Default disabled.
     pub metrics: Registry,
     /// Event-level tracing: one sink per rank carries that rank's comm
-    /// send/recv events and compute-phase intervals; the BSP executor adds
-    /// a sink tagged with the synthetic rank `nranks` for its synchronous
+    /// send/recv events and compute-phase intervals; the engine adds a sink
+    /// tagged with the synthetic rank `nranks` for its synchronous
     /// wall-clock phases. Rings are allocated at build; emitting during
     /// stepping never allocates. Default disabled.
     pub tracer: Tracer,

@@ -64,14 +64,6 @@ pub enum SetupError {
         /// Atoms claimed across all ranks.
         claimed: usize,
     },
-    /// The [`crate::EngineConfig`] asks for something this executor cannot
-    /// honour; it is refused rather than silently ignored.
-    Unsupported {
-        /// The executor that refused (`threaded`).
-        executor: &'static str,
-        /// The configuration field it cannot honour.
-        field: &'static str,
-    },
 }
 
 impl fmt::Display for SetupError {
@@ -103,9 +95,6 @@ impl fmt::Display for SetupError {
             }
             SetupError::AtomsLost { expected, claimed } => {
                 write!(f, "decomposition claimed {claimed} of {expected} atoms")
-            }
-            SetupError::Unsupported { executor, field } => {
-                write!(f, "the {executor} executor does not support `{field}`")
             }
         }
     }
@@ -264,8 +253,6 @@ mod tests {
         assert!(SetupError::NonPositiveHalo { width: -1.0 }.to_string().contains("positive"));
         assert!(SetupError::BadRankGrid { pdims: [0, 1, 1] }.to_string().contains("≥ 1"));
         assert!(SetupError::AtomsLost { expected: 10, claimed: 9 }.to_string().contains("10"));
-        let e = SetupError::Unsupported { executor: "threaded", field: "faults" };
-        assert!(e.to_string().contains("threaded") && e.to_string().contains("faults"));
     }
 
     #[test]

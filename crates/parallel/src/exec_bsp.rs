@@ -1,25 +1,27 @@
-//! Bulk-synchronous scheduler of the rank-step protocol ([`crate::step`]):
-//! the deterministic reference executor. What lives here is what makes it
-//! BSP — lockstep delivery of each phase through the scriptable
+//! The distributed engine: the rank-step protocol ([`crate::step`]) run
+//! bulk-synchronously over every rank. What lives here is the stage sequence
+//! of a step, lockstep delivery of each phase through the scriptable
 //! [`FaultPlan`] with bounded retry, the `ThreadPool` compute fan-out,
-//! adaptive rebalancing of the rank grid, and re-decomposition over the
-//! survivors of a rank death.
+//! adaptive rebalancing of the rank grid, re-decomposition over the
+//! survivors of a rank death, telemetry, and the supervisor's hooks.
 
 use crate::config::EngineConfig;
 use crate::error::{RuntimeError, SetupError};
 use crate::fault::{Delivery, FaultPlan};
 use crate::grid::RankGrid;
 use crate::health::{HealthConfig, HealthTracker};
-use crate::msg::{Channel, Message};
+use crate::msg::{AtomMsg, Channel, Message};
 use crate::rank::{best_grid_for, halo_width_for, validate_decomposition, ForceField, RankState};
-use crate::step::{self, Buffers, Decomposition, Exchange, Feed, Scheduler};
+use crate::step::{self, Buffers, Decomposition, Exchange, Feed};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
-use sc_md::checkpoint::Checkpoint;
+use sc_md::checkpoint::{Checkpoint, SnapshotLayout};
+use sc_md::supervisor::{Recoverable, StepFault};
 use sc_md::{EnergyBreakdown, LaneSlots, Telemetry, ThreadPool, TupleCounts};
 use sc_obs::trace::EventKind;
 use sc_obs::{CommCounters, ImbalanceReport, Phase, PhaseBreakdown, Registry, TraceSink, Tracer};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Retries after a failed delivery before escalating (so each hop gets
 /// `1 + MAX_RETRIES` attempts). Two retries cover every single-fault
@@ -60,8 +62,9 @@ impl Wire<'_> {
         // corrupted, so skip the retransmission copy and hand the message
         // straight across. Acceptance stays identical to the slow path.
         if self.fault.is_inert() {
-            step::accept_unit(self.health, self.exec_sink, &msg, from, to, channel, epoch)?;
-            return Ok(msg);
+            let verdict = step::verify_unit(&msg, to, epoch, channel);
+            self.note(from, channel, epoch, verdict.is_ok());
+            return self.dead_or(from, epoch, verdict.map(|()| msg));
         }
         let mut attempts = 0u32;
         loop {
@@ -80,21 +83,53 @@ impl Wire<'_> {
                     Err(RuntimeError::MissingHop { rank: to, channel, epoch, attempts })
                 }
             };
-            step::note_delivery(self.health, self.exec_sink, from, channel, epoch, arrived.is_ok());
+            self.note(from, channel, epoch, arrived.is_ok());
             if arrived.is_err() {
                 stats.faults_detected += 1;
             }
             if arrived.is_ok() || attempts > MAX_RETRIES {
-                return step::dead_or(self.health, from, epoch, arrived);
+                return self.dead_or(from, epoch, arrived);
             }
         }
+    }
+
+    /// Feeds one delivery attempt's outcome from `from` into the watchdog
+    /// and traces any health transition it caused.
+    fn note(&mut self, from: usize, channel: Channel, epoch: u64, delivered: bool) {
+        let class = channel.trace_class();
+        let moved = if delivered {
+            self.health.record_success(from, class, epoch)
+        } else {
+            self.health.record_failure(from, class, epoch)
+        };
+        if let Some(state) = moved {
+            let kind = EventKind::Health { peer: from as u32, state: state.code() };
+            self.exec_sink.instant(epoch, kind);
+        }
+    }
+
+    /// Escalates to [`RuntimeError::RankDead`] when the watchdog has
+    /// declared `from` dead — the signal for the supervisor to re-decompose
+    /// rather than roll back. A flapping link can trip the circuit breaker
+    /// on the very delivery that succeeded; death still wins.
+    fn dead_or<T>(
+        &self,
+        from: usize,
+        epoch: u64,
+        verdict: Result<T, RuntimeError>,
+    ) -> Result<T, RuntimeError> {
+        if self.health.is_dead(from) {
+            return Err(RuntimeError::RankDead { rank: from, step: epoch, epoch });
+        }
+        verdict
     }
 
     /// Puts rank `from`'s part of one merged exchange phase on the wire:
     /// packs its staged sections into the planned per-destination frames,
     /// delivers each with validation and retry against the canonical slot it
     /// must fill, and unpacks it into the receiver's inbox
-    /// ([`step::receive`]). `stats` are the sender's counters.
+    /// ([`step::receive`]). A unit from a rank the phase does not hear from
+    /// is refused under its own channel. `stats` are the sender's counters.
     fn send(
         &mut self,
         x: &Exchange,
@@ -107,7 +142,8 @@ impl Wire<'_> {
         for f in &x.ranks[from].frames {
             let unit = step::frame(f, phase, epoch, &mut bufs[from], stats, &self.tsinks[from]);
             let plan = &x.ranks[f.to];
-            let expected = step::expected(plan, f.to, from, &unit)?;
+            let wrong = RuntimeError::WrongPayload { rank: f.to, channel: unit.channel };
+            let expected = plan.unit_from(from).ok_or(wrong)?;
             let got = self.deliver(stats, epoch, from, f.to, expected.channel, unit)?;
             step::receive(&self.tsinks[f.to], epoch, f.to, plan, expected, got, &mut bufs[f.to])?;
         }
@@ -124,17 +160,17 @@ fn trace_sinks(tracer: &Tracer, nranks: usize) -> (Vec<TraceSink>, TraceSink) {
 
 /// A distributed MD simulation executed bulk-synchronously: all ranks run
 /// each phase of the rank-step protocol ([`crate::step`]) in lockstep, with
-/// messages delivered between a phase's send and absorb halves. Message
-/// content and counts are identical to the threaded executor — only the
-/// scheduling differs — so this is the deterministic reference for
-/// correctness tests and communication accounting.
+/// messages delivered between a phase's send and absorb halves, so every
+/// run is deterministic. This is the one distributed engine: the `bsp` and
+/// `threaded` spellings of a scenario both build it, and the correctness
+/// tests compare it against serial `sc-md`.
 ///
 /// The exchange schedule is the merged one from [`crate::transport`]: three
 /// migration phases, three ghost phases, and three force-return phases per
 /// step, with all per-channel payloads bound for the same neighbor packed
 /// into one framed message per phase. The whole halo is imported before the
-/// ranks compute, and the pool's lane count never changes a bit of the
-/// result.
+/// ranks compute, the ranks compute concurrently on the `ThreadPool`, and
+/// the pool's lane count never changes a bit of the result.
 ///
 /// How a run is scheduled, packed, faulted and observed is fixed at
 /// [`DistributedSim::build`] by one [`EngineConfig`]; only the timestep can
@@ -163,6 +199,9 @@ pub struct DistributedSim {
     last_tuples: TupleCounts,
     /// Accumulated wall-clock phases.
     timings: PhaseBreakdown,
+    /// The cumulative phase breakdown as it stood when the most recent step
+    /// began, so telemetry can report that step alone.
+    step_start: PhaseBreakdown,
     pool: ThreadPool,
     // Per-rank (energy, tuples, phases) slots reused every compute call so
     // the compute fan-out allocates nothing in steady state.
@@ -243,9 +282,10 @@ impl DistributedSim {
             last_energy: EnergyBreakdown::default(),
             last_tuples: TupleCounts::default(),
             timings: PhaseBreakdown::default(),
+            step_start: PhaseBreakdown::default(),
             pool: ThreadPool::auto(),
             results: vec![Default::default(); nranks],
-            feed: Feed::new(metrics, Default::default(), Default::default()),
+            feed: Feed::new(metrics),
             tracer,
             tsinks,
             exec_sink,
@@ -278,22 +318,44 @@ impl DistributedSim {
         &self.tracer
     }
 
+    /// The cumulative phase breakdown: the ranks' own CPU seconds (live and
+    /// retired rank sets) for bin / enumerate / eval / reduce, plus the
+    /// executor's wall clock for exchange / migrate / integrate / compute
+    /// and the rank-to-rank force return, which it adds to reduce.
+    fn total_phases(&self) -> PhaseBreakdown {
+        let mut phases = self.carried.phases;
+        for r in &self.ranks {
+            phases.accumulate(&r.stats.phases);
+        }
+        phases.accumulate(&self.timings);
+        phases
+    }
+
     /// The unified telemetry snapshot: global energies and tuple counts,
-    /// the merged phase breakdown (per-rank CPU seconds for bin / enumerate
-    /// / eval / reduce, executor wall clock for exchange / migrate /
-    /// integrate / compute), aggregate and per-rank communication counters,
-    /// and allocation accounting.
+    /// the phase breakdown of the most recent step and since construction
+    /// (the ranks' CPU seconds for bin / enumerate / eval / reduce, the
+    /// executor's wall clock for exchange / migrate / integrate / compute
+    /// and the force return, which it adds to reduce),
+    /// aggregate and per-rank communication counters, and allocation
+    /// accounting. The engine computes no virial.
     pub fn telemetry(&self) -> Telemetry {
-        step::telemetry(
-            self.steps_done,
-            self.last_energy,
-            self.last_tuples,
-            self.ranks.iter().map(|r| r.stats.clone()).collect(),
-            &self.carried,
-            &self.timings,
-            self.feed.registry().allocation_events(),
-            self.degraded,
-        )
+        let total_phases = self.total_phases();
+        let mut phases = total_phases;
+        for (phase, secs) in self.step_start.iter() {
+            phases.add(phase, -secs);
+        }
+        Telemetry {
+            step: self.steps_done,
+            energy: self.last_energy,
+            tuples: self.last_tuples,
+            virial: 0.0,
+            phases,
+            total_phases,
+            per_rank: self.ranks.iter().map(|r| r.stats.clone()).collect(),
+            comm: self.comm_stats(),
+            alloc_events: self.feed.registry().allocation_events(),
+            degraded: self.degraded,
+        }
     }
 
     /// The per-rank load-imbalance report, with the Eq. 33 import-volume
@@ -344,15 +406,15 @@ impl DistributedSim {
         self.ranks.iter().map(|r| r.kinetic_energy()).sum()
     }
 
-    /// Total energy; recomputes forces without integrating (and without
-    /// clearing the priming flag, so both executors run the same number of
-    /// exchange cycles over a run).
+    /// Total energy; recomputes forces without integrating, and without
+    /// clearing the priming flag, so the exchanges a step runs do not
+    /// depend on whether the energy was asked for before it.
     ///
     /// # Panics
     /// Panics on an unrecovered communication fault; fault-injected runs
     /// should step through [`DistributedSim::try_step`] instead.
     pub fn total_energy(&mut self) -> f64 {
-        step::cycle(self).unwrap_or_else(|e| panic!("{e}"));
+        self.cycle().unwrap_or_else(|e| panic!("{e}"));
         self.last_energy.total() + self.kinetic_energy()
     }
 
@@ -421,15 +483,146 @@ impl DistributedSim {
         {
             self.rebalance();
         }
+        self.step_start = self.total_phases();
         let resort = self.resort_every != 0 && self.steps_done.is_multiple_of(self.resort_every);
-        let (prime, dt) = (self.needs_prime, self.dt);
-        step::step(self, prime, dt, resort)?;
-        self.needs_prime = false;
+        self.rank_step(resort)?;
         self.steps_done += 1;
         if self.feed.registry().enabled() {
             self.feed.step(self.comm_stats(), self.health.counters());
         }
         Ok(())
+    }
+
+    /// One velocity-Verlet step: a priming [`DistributedSim::cycle`] when
+    /// forces are stale, half-kick + drift, the Morton re-sort at the
+    /// ghost-free point (so migration rebuilds the halo against the new slot
+    /// layout), three axis-ordered migrations, a cycle, and the second
+    /// half-kick.
+    fn rank_step(&mut self, resort: bool) -> Result<(), RuntimeError> {
+        if self.needs_prime {
+            self.cycle()?;
+        }
+        let (dt, t) = (self.dt, Instant::now());
+        for r in &mut self.ranks {
+            r.vv_start(dt);
+            r.drop_ghosts();
+            if resort {
+                r.resort_owned();
+            }
+        }
+        self.book(Phase::Integrate, t.elapsed().as_secs_f64());
+        let dec = Arc::clone(&self.dec);
+        self.exchanges(&dec.migrate, Phase::Migrate)?;
+        self.cycle()?;
+        let t = Instant::now();
+        for r in &mut self.ranks {
+            r.vv_finish(dt);
+        }
+        self.book(Phase::Integrate, t.elapsed().as_secs_f64());
+        self.needs_prime = false;
+        Ok(())
+    }
+
+    /// One ghost-import + force-computation + force-return cycle, as in the
+    /// paper: the whole halo arrives before any tuple is searched. The import
+    /// is booked under [`Phase::Exchange`], the force return under
+    /// [`Phase::Reduce`].
+    fn cycle(&mut self) -> Result<(), RuntimeError> {
+        let dec = Arc::clone(&self.dec);
+        self.ranks.iter_mut().for_each(RankState::drop_ghosts);
+        self.exchanges(&dec.ghosts, Phase::Exchange)?;
+        self.compute();
+        self.exchanges(&dec.forces, Phase::Reduce)
+    }
+
+    /// Runs the exchanges `xs` in order and books their wall time under
+    /// `phase`.
+    fn exchanges(&mut self, xs: &[Exchange], phase: Phase) -> Result<(), RuntimeError> {
+        let t = Instant::now();
+        for x in xs {
+            self.exchange(x)?;
+        }
+        self.book(phase, t.elapsed().as_secs_f64());
+        Ok(())
+    }
+
+    /// One merged phase in lockstep: rank by rank the sections are staged
+    /// and delivered into the receivers' inboxes, then every rank absorbs.
+    fn exchange(&mut self, x: &Exchange) -> Result<(), RuntimeError> {
+        self.phase += 1;
+        let (phase, epoch, dec) = (self.phase, self.steps_done, &*self.dec);
+        let mut wire = Wire {
+            fault: &mut self.fault_plan,
+            health: &mut self.health,
+            exec_sink: &self.exec_sink,
+            tsinks: &self.tsinks,
+        };
+        for (from, rank) in self.ranks.iter_mut().enumerate() {
+            step::outgoing(rank, dec, x, &mut self.bufs[from], phase, epoch);
+            wire.send(x, from, phase, epoch, &mut rank.stats, &mut self.bufs)?;
+        }
+        for (rank, bufs) in self.ranks.iter_mut().zip(&mut self.bufs) {
+            step::absorb(rank, x, bufs)?;
+        }
+        Ok(())
+    }
+
+    /// The per-rank force-computation fan-out — the BSP phase structure
+    /// makes this embarrassingly parallel: each pool task owns exactly one
+    /// rank slot and one result slot. Energies and tuple counts are summed
+    /// in rank order, for determinism; each rank's fine-grained compute
+    /// phases (bin / enumerate / eval / reduce) are traced cumulatively from
+    /// the fan-out's start on its own row.
+    fn compute(&mut self) {
+        let t = Instant::now();
+        let start_ns = if self.tracer.enabled() { self.exec_sink.now_ns() } else { 0 };
+        let ff = &self.ff;
+        let ranks = LaneSlots::new(self.ranks.as_mut_ptr());
+        let out = LaneSlots::new(self.results.as_mut_ptr());
+        self.pool.run(self.ranks.len(), &move |r| {
+            // SAFETY: task index r is claimed exactly once per run, so
+            // each rank/result slot is touched by a single lane.
+            let rank = unsafe { &mut *ranks.get(r) };
+            let slot = unsafe { &mut *out.get(r) };
+            *slot = rank.compute_forces(ff);
+        });
+        let (mut energy, mut tuples) = (EnergyBreakdown::default(), TupleCounts::default());
+        for (e, c, _) in &self.results {
+            energy.pair += e.pair;
+            energy.triplet += e.triplet;
+            energy.quadruplet += e.quadruplet;
+            tuples.pair.merge(c.pair);
+            tuples.triplet.merge(c.triplet);
+            tuples.quadruplet.merge(c.quadruplet);
+        }
+        (self.last_energy, self.last_tuples) = (energy, tuples);
+        self.book(Phase::Compute, t.elapsed().as_secs_f64());
+        for (sink, (_, _, phases)) in self.tsinks.iter().zip(&self.results) {
+            if !sink.enabled() {
+                continue;
+            }
+            let mut cursor = start_ns;
+            for (phase, secs) in phases.iter() {
+                let dur_ns = (secs * 1e9) as u64;
+                if dur_ns > 0 {
+                    sink.phase(self.steps_done, phase, cursor, dur_ns);
+                    cursor += dur_ns;
+                }
+            }
+        }
+    }
+
+    /// Books a wall-clock phase that just ended after `secs` in the
+    /// cumulative local breakdown, the registry, and the executor's
+    /// timeline row.
+    fn book(&mut self, phase: Phase, secs: f64) {
+        self.timings.add(phase, secs);
+        self.feed.registry().record_phase(phase, secs);
+        if self.exec_sink.enabled() {
+            let dur_ns = (secs * 1e9) as u64;
+            let start_ns = self.exec_sink.now_ns().saturating_sub(dur_ns);
+            self.exec_sink.phase(self.steps_done, phase, start_ns, dur_ns);
+        }
     }
 
     /// One velocity-Verlet step.
@@ -452,10 +645,13 @@ impl DistributedSim {
     /// positions wrapped into the global box — directly comparable with a
     /// serial [`sc_md::Simulation`].
     pub fn gather(&self) -> AtomStore {
-        step::gather(
-            self.ranks.iter().flat_map(|r| r.owned_atoms()).collect(),
-            self.ranks[0].store().species_masses().to_vec(),
-        )
+        let mut atoms: Vec<AtomMsg> = self.ranks.iter().flat_map(|r| r.owned_atoms()).collect();
+        atoms.sort_by_key(|a| a.id);
+        let mut out = AtomStore::new(self.ranks[0].store().species_masses().to_vec());
+        for a in &atoms {
+            out.push(a.id, a.species, a.position, a.velocity);
+        }
+        out
     }
 
     /// Re-decomposes a checkpoint onto an arbitrary `pdims` rank grid and
@@ -493,9 +689,11 @@ impl DistributedSim {
         self.needs_prime = true;
         self.last_energy = EnergyBreakdown::default();
         self.last_tuples = TupleCounts::default();
-        // Rank stats were rebuilt from scratch; re-baseline the delta feed.
+        // Rank stats were rebuilt from scratch; re-baseline the delta feed
+        // and the last-step breakdown.
         self.carried = CommCounters::default();
         self.feed.last = CommCounters::default();
+        self.step_start = self.total_phases();
         self.last_loads = vec![0.0; self.ranks.len()];
         Ok(())
     }
@@ -541,70 +739,19 @@ impl DistributedSim {
     }
 }
 
-impl Scheduler for DistributedSim {
-    fn decomposition(&self) -> Arc<Decomposition> {
-        Arc::clone(&self.dec)
+impl Recoverable for DistributedSim {
+    fn try_step(&mut self) -> Result<(), StepFault> {
+        DistributedSim::try_step(self).map_err(Into::into)
     }
 
-    fn each_rank(&mut self, f: &dyn Fn(&mut RankState)) {
-        self.ranks.iter_mut().for_each(f);
+    /// Snapshots the gathered run, recording the grid it was decomposed
+    /// over.
+    fn checkpoint(&self) -> Checkpoint {
+        let p = self.dec.grid.pdims();
+        Checkpoint::from_store(self.steps_done, self.dt, self.dec.grid.bbox(), &self.gather())
+            .with_layout(SnapshotLayout::Grid { pdims: [p.x, p.y, p.z] })
     }
 
-    /// One merged phase in lockstep: rank by rank the sections are staged
-    /// and delivered into the receivers' inboxes, then every rank absorbs.
-    fn exchange(&mut self, x: &Exchange) -> Result<(), RuntimeError> {
-        self.phase += 1;
-        let (phase, epoch, dec) = (self.phase, self.steps_done, &*self.dec);
-        let mut wire = Wire {
-            fault: &mut self.fault_plan,
-            health: &mut self.health,
-            exec_sink: &self.exec_sink,
-            tsinks: &self.tsinks,
-        };
-        for (from, rank) in self.ranks.iter_mut().enumerate() {
-            step::outgoing(rank, dec, x, &mut self.bufs[from], phase, epoch);
-            wire.send(x, from, phase, epoch, &mut rank.stats, &mut self.bufs)?;
-        }
-        for (rank, bufs) in self.ranks.iter_mut().zip(&mut self.bufs) {
-            step::absorb(rank, x, bufs)?;
-        }
-        Ok(())
-    }
-
-    /// The per-rank force-computation fan-out — the BSP phase structure
-    /// makes this embarrassingly parallel: each pool task owns exactly one
-    /// rank slot and one result slot.
-    fn compute(&mut self) {
-        let t = std::time::Instant::now();
-        let start_ns = if self.tracer.enabled() { self.exec_sink.now_ns() } else { 0 };
-        let ff = &self.ff;
-        let ranks = LaneSlots::new(self.ranks.as_mut_ptr());
-        let out = LaneSlots::new(self.results.as_mut_ptr());
-        self.pool.run(self.ranks.len(), &move |r| {
-            // SAFETY: task index r is claimed exactly once per run, so
-            // each rank/result slot is touched by a single lane.
-            let rank = unsafe { &mut *ranks.get(r) };
-            let slot = unsafe { &mut *out.get(r) };
-            *slot = rank.compute_forces(ff);
-        });
-        (self.last_energy, self.last_tuples) =
-            step::sum_results(self.results.iter().map(|(e, t, _)| (e, t)));
-        self.book(Phase::Compute, t.elapsed().as_secs_f64());
-        for (sink, (_, _, phases)) in self.tsinks.iter().zip(&self.results) {
-            step::trace_compute(sink, self.steps_done, start_ns, phases);
-        }
-    }
-
-    /// Books a wall-clock phase in the cumulative local breakdown, the
-    /// registry, and the executor's timeline row.
-    fn book(&mut self, phase: Phase, secs: f64) {
-        self.timings.add(phase, secs);
-        self.feed.registry().record_phase(phase, secs);
-        step::trace_booked(&self.exec_sink, self.steps_done, phase, secs);
-    }
-}
-
-step::recoverable!(DistributedSim {
     fn restore(&mut self, cp: &Checkpoint) {
         self.install(cp, self.dec.grid.clone())
             .expect("restoring onto the grid the run already validated cannot fail");
@@ -622,10 +769,22 @@ step::recoverable!(DistributedSim {
         self.ranks.iter().all(|r| r.is_finite())
     }
 
+    fn timestep(&self) -> f64 {
+        self.dt
+    }
+
+    fn set_timestep(&mut self, dt: f64) {
+        self.dt = dt;
+    }
+
+    fn steps_done(&self) -> u64 {
+        self.steps_done
+    }
+
     fn restore_excluding(&mut self, cp: &Checkpoint, exclude: &[usize]) -> Result<(), String> {
         DistributedSim::restore_excluding(self, cp, exclude).map_err(|e| e.to_string())
     }
-});
+}
 
 #[cfg(test)]
 mod tests {
@@ -634,10 +793,10 @@ mod tests {
     use sc_md::{build_fcc_lattice, build_silica_like, LatticeSpec, Method};
     use sc_potential::{LennardJones, Vashishta};
 
-    /// Gathered ids and phase-space words of a `steps`-step run: on the BSP
-    /// executor with a pool of `lanes`, or on the threaded executor (`None`).
+    /// Gathered ids and phase-space words of a `steps`-step run on a pool of
+    /// `lanes`.
     fn run_on(
-        lanes: Option<usize>,
+        lanes: usize,
         system: &(AtomStore, SimulationBox),
         pdims: IVec3,
         ff: ForceField,
@@ -647,28 +806,18 @@ mod tests {
     ) -> (Vec<u64>, Vec<[u64; 3]>) {
         let cfg = EngineConfig { subdivision, ..Default::default() };
         let (store, bbox) = system.clone();
-        let s = match lanes {
-            Some(lanes) => {
-                let mut d = DistributedSim::build(store, bbox, pdims, ff, dt, cfg).unwrap();
-                d.pool = ThreadPool::new(lanes);
-                d.run(steps);
-                d.gather()
-            }
-            None => {
-                let mut t = crate::ThreadedSim::build(store, bbox, pdims, ff, dt, cfg).unwrap();
-                t.run(steps);
-                t.gather()
-            }
-        };
+        let mut d = DistributedSim::build(store, bbox, pdims, ff, dt, cfg).unwrap();
+        d.pool = ThreadPool::new(lanes);
+        d.run(steps);
+        let s = d.gather();
         let words = |v: &Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
         (s.ids().to_vec(), s.positions().iter().chain(s.velocities()).map(words).collect())
     }
 
     /// The pool's lane count changes no bit — same ids, same position and
-    /// velocity words on one lane and on two — and the threaded executor
-    /// computes the same words, including on the grids where a rank is its
-    /// own neighbour. Setting the pool keeps the pair different on a
-    /// one-core host too.
+    /// velocity words on one lane and on two — including on the grids where
+    /// a rank is its own neighbour. Setting the pool keeps the pair different
+    /// on a one-core host too.
     #[test]
     fn pool_lane_count_changes_no_bit() {
         let silica_ff = |method| {
@@ -693,9 +842,7 @@ mod tests {
             // both images of an atom — comes from the rank itself.
             for pdims in [IVec3::splat(2), IVec3::new(1, 1, 2)] {
                 let run = |lanes| run_on(lanes, &lj, pdims, ff(), 0.002, 1, 4);
-                let one = run(Some(1));
-                assert!(one == run(Some(2)), "lj {} on {pdims:?}", method.name());
-                assert!(one == run(None), "lj {} on {pdims:?}, threaded", method.name());
+                assert!(run(1) == run(2), "lj {} on {pdims:?}", method.name());
             }
         }
         // Triplet forces exercise the force-return path with non-trivial
@@ -710,9 +857,7 @@ mod tests {
             (Method::Hybrid, IVec3::new(1, 1, 2), 2),
         ] {
             let run = |lanes| run_on(lanes, &silica, pdims, silica_ff(method), 0.0005, k, 3);
-            let one = run(Some(1));
-            assert!(one == run(Some(2)), "silica {} k = {k} on {pdims:?}", method.name());
-            assert!(one == run(None), "silica {} k = {k} on {pdims:?}, threaded", method.name());
+            assert!(run(1) == run(2), "silica {} k = {k} on {pdims:?}", method.name());
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] scripts transport failures per `(step, rank, channel)`:
 //! dropped payloads, payloads delayed by one delivery attempt, bit
-//! corruption (payload or header), and stalled ranks. The BSP executor
+//! corruption (payload or header), and stalled ranks. The distributed engine
 //! routes every send through [`FaultPlan::transmit`], so integration tests
 //! can script any failure and assert that validation + retry + rollback
 //! recover it. `FaultPlan::none()` is a guaranteed no-op: every message
@@ -70,7 +70,7 @@ pub struct Fault {
 impl Fault {
     /// Whether the fault fires on this transmission. A batched frame matches
     /// when *any* of its sections fills the scripted channel, so channel-
-    /// targeted faults fire on the per-neighbor frames the executors send.
+    /// targeted faults fire on the per-neighbor frames the engine sends.
     fn matches(&self, step: u64, rank: usize, msg: &Message) -> bool {
         if step < self.step || rank != self.rank {
             return false;

@@ -4,7 +4,7 @@
 //! Transient faults (drop / delay / corrupt / bounded stall) are absorbed by
 //! the validated-retry path and, when the retry budget is exhausted, by a
 //! supervisor rollback. A *crashed* rank defeats both: every replay delivers
-//! into the same silence. The executors therefore feed every delivery
+//! into the same silence. The engine therefore feeds every delivery
 //! outcome into a [`HealthTracker`], which runs a three-state machine per
 //! peer rank:
 //!

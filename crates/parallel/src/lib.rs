@@ -15,61 +15,51 @@
 //! * **atom migration** — after each drift, atoms that left their rank's
 //!   box are handed to the new owner in 3 axis-ordered exchanges.
 //!
-//! ## One rank-step protocol, two schedulers
+//! ## One rank-step protocol, one engine
 //!
 //! The paper's parallel step is one SPMD program per rank, and it is written
-//! here exactly once: the private `step` module holds the stage sequence
-//! (prime → half-kick/drift, ghost drop, Morton re-sort → 3 migrations →
-//! ghost import → compute → force return → half-kick; nothing overlaps the
-//! import), what a rank sends and absorbs in each exchange, how an
-//! arriving wire unit is matched to its slot, verified and fed to the health
-//! watchdog, and the decomposition / gather / checkpoint / telemetry /
-//! registry-feed helpers. The two executors only *schedule* that program —
-//! they differ in where ranks live and how a wire unit travels, never in
-//! what a rank does, so their physics, counters and exported series agree
-//! bitwise:
+//! here exactly once. [`DistributedSim`] runs the stage sequence (prime →
+//! half-kick/drift, ghost drop, Morton re-sort → 3 migrations → ghost
+//! import → compute → force return → half-kick; nothing overlaps the
+//! import) over every rank in lockstep; the private `step` module holds what
+//! a rank sends and absorbs in each exchange, how an arriving wire unit is
+//! matched to its slot and verified, and the decomposition and registry-feed
+//! helpers:
 //!
 //! | module | owns |
 //! |---|---|
-//! | `step` (private) | the rank-step protocol: stage sequence over a five-method `Scheduler`, the exchange schedule planned once at `decompose` (every rank's slots, frames and expected units for the 3 migrate + 3 ghost + 3 force phases), per-exchange `outgoing`/`absorb` through per-rank recycled buffers, unit acceptance (stamp + per-section verification, health feed, `RankDead` escalation), send accounting, gather, checkpoint, telemetry assembly, the `comm.*` / `health.*` / `dist.steps` feed |
+//! | `step` (private) | the rank-step protocol's exchanges: the schedule planned once at `decompose` (every rank's slots, frames and expected units for the 3 migrate + 3 ghost + 3 force phases), per-exchange `outgoing`/`absorb` through per-rank recycled buffers, send accounting, receipt and stamp + per-section verification, the `comm.*` / `health.*` / `dist.steps` feed |
 //! | [`rank`] | one rank's state and its message-level algorithms (band collection recording the slot each entry was read from, ghost absorption, force computation — one sweep per term — positional force return) |
 //! | [`transport`], [`msg`] | the merged-phase schedule and its per-rank plan, per-neighbor framing, stamps and word-wise checksums |
-//! | `exec_bsp` ([`DistributedSim`]) | BSP delivery + faults: lockstep phases through the [`FaultPlan`] with bounded retry, the `ThreadPool` compute fan-out, rebalance, re-decomposition over survivors |
-//! | `exec_threads` ([`ThreadedSim`]) | threaded transport: worker threads, command/reply channels, out-of-phase mailbox buffering, poison/shutdown |
+//! | `exec_bsp` ([`DistributedSim`]) | the engine: the stage sequence, lockstep delivery through the [`FaultPlan`] with bounded retry and the health watchdog, the `ThreadPool` compute fan-out, rebalance, re-decomposition over survivors, telemetry, gather, checkpoint |
 //!
-//! * [`DistributedSim`] — bulk-synchronous, deterministic: every message is
-//!   delivered between a phase's send and absorb halves. This is the
-//!   reference executor the correctness tests compare against serial
-//!   `sc-md`, and the only one with scriptable fault injection.
-//! * [`ThreadedSim`] — each rank on its own persistent OS thread with
-//!   `crossbeam-channel` mailboxes, exercising true concurrent message
-//!   passing (as close to MPI as a single process gets).
-//!
-//! Both count every message and byte ([`CommCounters`]), which is what the
-//! `sc-netmodel` crate calibrates the paper's communication model against.
+//! Every message is delivered between a phase's send and absorb halves, so a
+//! run is deterministic and the pool's lane count changes no bit: this is
+//! the executor the correctness tests compare against serial `sc-md`. The
+//! ranks' force computations — nearly all of a step's work — run
+//! concurrently on the pool. Scenario specs spell a distributed run `bsp`
+//! or `threaded`; both build this engine. It counts every message and byte
+//! ([`CommCounters`]), which is what the `sc-netmodel` crate calibrates the
+//! paper's communication model against.
 //!
 //! ## One run configuration
 //!
 //! Everything about a run that is not the system, the force field or the
 //! timestep is one [`EngineConfig`] (cell subdivision, re-sort cadence,
 //! rebalance cadence, [`FaultPlan`], metrics registry, tracer), taken once by
-//! `DistributedSim::build` / `ThreadedSim::build`. Neither engine has a
-//! post-construction setter besides `set_timestep` (the supervisor's dt
-//! back-off), and an engine refuses at build a field it cannot honour
-//! ([`SetupError::Unsupported`]) rather than ignoring it — so a third
-//! scheduler costs a constructor, not a setter surface.
+//! `DistributedSim::build`. The engine has no post-construction setter
+//! besides `set_timestep` (the supervisor's dt back-off).
 //!
 //! ## Fault tolerance
 //!
 //! Every payload travels as a stamped [`Message`] (step epoch, channel,
-//! word-wise checksum) and is verified on receipt — per section for aggregated
-//! frames — by the same acceptance routine in both executors; failures
-//! surface as typed [`RuntimeError`]s. The BSP executor additionally routes
-//! all deliveries through a scriptable, deterministic [`FaultPlan`] with a
+//! word-wise checksum) and is verified on receipt — per section for
+//! aggregated frames; failures surface as typed [`RuntimeError`]s. All
+//! deliveries route through a scriptable, deterministic [`FaultPlan`] with a
 //! bounded per-delivery retry, so tests can inject drops, delays,
 //! corruption, and rank stalls per `(step, rank, channel)`. Recovery
 //! (checkpoint/rollback) is orchestrated by the `Supervisor` in `sc-md`, for
-//! which both executors implement the `Recoverable` trait (a
+//! which [`DistributedSim`] implements the `Recoverable` trait (a
 //! [`RuntimeError`] reaches it as an `sc_md::StepFault`, which names the
 //! dead rank for [`RuntimeError::RankDead`] and nothing else).
 //!
@@ -92,14 +82,12 @@ pub mod rank;
 pub mod transport;
 
 mod exec_bsp;
-mod exec_threads;
 mod step;
 
 pub use comm::{CommCounters, GhostPlan};
 pub use config::EngineConfig;
 pub use error::{RuntimeError, SetupError};
 pub use exec_bsp::DistributedSim;
-pub use exec_threads::ThreadedSim;
 pub use fault::{Delivery, Fault, FaultEvent, FaultKind, FaultPlan};
 pub use grid::RankGrid;
 pub use health::{HealthConfig, HealthCounters, HealthTracker, RankHealth};

@@ -229,16 +229,18 @@ impl Payload {
 }
 
 /// A stamped message: every payload carries the step epoch it belongs to,
-/// the communication slot it fills, a monotone phase counter (used by the
-/// threaded executor to order concurrent deliveries), and a checksum over
-/// its content. Receivers [`verify`](Message::verify) all three before
+/// the communication slot it fills, a monotone phase counter, and a
+/// checksum over its content. Receivers [`verify`](Message::verify) the
+/// epoch, the slot and the checksum before
 /// absorbing, so out-of-order delivery, stale retransmits, and bit
 /// corruption surface as typed [`RuntimeError`]s instead of silently
 /// poisoning the n-tuple computation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// Monotone phase counter (each routing step of each MD step is one
-    /// phase; the threaded executor matches on it).
+    /// phase). Nothing reads it since delivery became lockstep-only; it
+    /// stays in [`Message::stamped`]'s signature because the `benchmark/`
+    /// crate's framing probe calls it.
     pub phase: u64,
     /// The MD step this payload belongs to.
     pub epoch: u64,

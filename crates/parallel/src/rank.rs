@@ -15,10 +15,8 @@ use sc_obs::{Phase, PhaseBreakdown};
 use std::ops::Range;
 use std::time::Instant;
 
-/// Default Morton re-sort cadence (steps between owned-atom re-sorts).
-/// Shared by both executors — the threaded executor promises bitwise-identical
-/// physics to the BSP executor, which requires identical slot layouts and
-/// hence identical re-sort schedules.
+/// Default Morton re-sort cadence (steps between owned-atom re-sorts), the
+/// serial engine's default too.
 pub const DEFAULT_RESORT_EVERY: u64 = 8;
 
 /// The shared, immutable force-field configuration every rank evaluates.

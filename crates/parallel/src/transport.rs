@@ -1,4 +1,4 @@
-//! The communication-optimal exchange schedule shared by both executors.
+//! The communication-optimal exchange schedule of the distributed engine.
 //!
 //! One message per channel would cost 3 migrate phases × 2 directions, plus
 //! one ghost message and one force message per routing hop — 12 (SC) or 18
@@ -16,8 +16,8 @@
 //!   (`c_lat · n_msg`) pays once per neighbor instead of once per channel.
 //! * Receivers absorb sections in *canonical slot order* (migration by
 //!   direction, ghosts by ascending hop, forces by descending hop) — never
-//!   in arrival order — which keeps the BSP and threaded executors in exact
-//!   agreement.
+//!   in arrival order — so the result does not depend on the order frames
+//!   are delivered in.
 //!
 //! The schedule is static for a decomposition, so it is *planned*: the slot
 //! builders below run once, and [`plan_phase`] turns their output into one
@@ -275,8 +275,8 @@ pub fn frame_sections(
 /// Unpacks one delivery-verified frame into the canonical receive slots its
 /// sections fill: `inbox[k]` gets the payload for `recvs[k]`, so a phase's
 /// payloads end up in absorb order whatever order its frames arrived in.
-/// `expected` is the plan's entry for the frame's source. Both executors
-/// verify the outer stamp *and* every section's own stamp at delivery (that
+/// `expected` is the plan's entry for the frame's source. The engine
+/// verifies the outer stamp *and* every section's own stamp at delivery (that
 /// is what localizes in-frame corruption and retries at frame granularity),
 /// so this only unpacks; it never re-hashes content. The emptied batch
 /// vector goes to `spare`.

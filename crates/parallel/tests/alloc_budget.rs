@@ -6,7 +6,7 @@
 use sc_geom::IVec3;
 use sc_md::{build_fcc_lattice, thermalize, LatticeSpec, Method};
 use sc_parallel::rank::ForceField;
-use sc_parallel::{DistributedSim, ThreadedSim};
+use sc_parallel::DistributedSim;
 use sc_potential::LennardJones;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,13 +62,12 @@ fn per_step(mut step: impl FnMut()) -> f64 {
 fn steady_state_steps_stay_within_their_allocation_budget() {
     let (mut store, bbox) = build_fcc_lattice(&LatticeSpec::cubic(4, 1.5599), 0.0, 42);
     thermalize(&mut store, 1.0, 42);
-    let ff = || ForceField {
+    let ff = ForceField {
         pair: Some(Box::new(LennardJones::reduced(1.5))),
         triplet: None,
         quadruplet: None,
         method: Method::ShiftCollapse,
     };
-    let grid = IVec3::splat(2);
 
     // Before PR 22 (per-step slot derivation, fresh payload and bookkeeping
     // vectors, an id map per force section): 1348 allocations per BSP step.
@@ -78,18 +77,8 @@ fn steady_state_steps_stay_within_their_allocation_budget() {
     // re-sort); the exchange itself allocates nothing once its free lists
     // are warm. The budget leaves room for another host's pool, not for
     // per-phase bookkeeping to come back (72 rank-phases a step).
-    let mut bsp = DistributedSim::new(store.clone(), bbox, grid, ff(), 0.002).unwrap();
-    let bsp_allocs = per_step(|| bsp.try_step().unwrap());
-    assert!(bsp_allocs <= 24.0, "BSP: {bsp_allocs} allocations per step (budget 24)");
-
-    // Before PR 22: 1336 allocations per threaded step. Since then 27.2
-    // (unchanged by dropping the interior pass): each worker's boxed step
-    // report with the counter snapshot inside it, and the same re-sort.
-    let mut threaded = ThreadedSim::new(store, bbox, grid, ff(), 0.002).unwrap();
-    let threaded_allocs = per_step(|| threaded.try_step().unwrap());
-    assert!(
-        threaded_allocs <= 96.0,
-        "threaded: {threaded_allocs} allocations per step (budget 96)"
-    );
-    println!("allocations per step: bsp {bsp_allocs}, threaded {threaded_allocs}");
+    let mut d = DistributedSim::new(store, bbox, IVec3::splat(2), ff, 0.002).unwrap();
+    let allocs = per_step(|| d.try_step().unwrap());
+    println!("allocations per step: {allocs}");
+    assert!(allocs <= 24.0, "{allocs} allocations per step (budget 24)");
 }

@@ -29,7 +29,6 @@
 use crate::job::{JobId, JobRecord, JobState};
 use crate::metrics::DaemonMetrics;
 use crate::watch::{WatchHandle, WatchShared};
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use sc_md::supervisor::{Supervisor, SupervisorConfig};
 use sc_md::Checkpoint;
 use sc_obs::json::Json;
@@ -38,6 +37,7 @@ use sc_spec::{observables_doc, RunHandle, ScenarioSpec, SpecError};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -98,8 +98,8 @@ pub enum SubmitError {
     },
     /// The spec failed validation.
     Spec(SpecError),
-    /// The spec is valid but cannot be served (e.g. the one-shot threaded
-    /// executor, which cannot be checkpointed or time-sliced).
+    /// The spec is valid but the job cannot be admitted (its state cannot
+    /// be persisted).
     Unservable(String),
     /// The scheduler is shutting down.
     ShuttingDown,
@@ -284,7 +284,7 @@ impl Scheduler {
         let mut lanes = Vec::new();
         let mut threads = Vec::new();
         for lane in 0..cfg.lanes {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let shared2 = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()
@@ -307,13 +307,6 @@ impl Scheduler {
     /// leaves no trace.
     pub fn submit(&self, spec: ScenarioSpec) -> Result<JobId, SubmitError> {
         spec.validate().map_err(SubmitError::Spec)?;
-        if spec.executor.kind() == "threaded" {
-            return Err(SubmitError::Unservable(
-                "the threaded executor is one-shot and cannot be time-sliced; \
-                 run it with 'scmd run --spec'"
-                    .to_string(),
-            ));
-        }
         let (id, lane) = {
             let mut inner = self.shared.inner.lock().unwrap();
             if inner.shutting_down {

@@ -3,7 +3,7 @@
 //! producing bitwise-identical results.
 
 use sc_serve::{JobId, JobState, Scheduler, SchedulerConfig, SubmitError};
-use sc_spec::ScenarioSpec;
+use sc_spec::{observables_doc, ScenarioSpec};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -114,28 +114,53 @@ fn backpressure_rejects_above_capacity_with_a_typed_error() {
 
 #[test]
 fn unservable_and_invalid_specs_are_rejected_at_submit() {
-    let sched = Scheduler::new(SchedulerConfig::default(), false).unwrap();
-    let threaded = r#"{
-        "schema": "sc-scenario/1",
-        "name": "t",
-        "system": {"kind": "lj", "cells": 7, "temp": 1.0, "seed": 42},
-        "potential": {"kind": "lj", "cutoff": 2.5},
-        "method": "sc",
-        "executor": {"kind": "threaded", "grid": [2, 1, 1]},
-        "dt": 0.002,
-        "steps": 4
-    }"#;
-    match sched.submit(ScenarioSpec::from_json_str(threaded).unwrap()) {
-        Err(SubmitError::Unservable(why)) => assert!(why.contains("threaded"), "{why}"),
-        other => panic!("expected Unservable, got {other:?}"),
-    }
+    let dir = tmp_dir("unservable");
+    let cfg = SchedulerConfig { state_dir: Some(dir.clone()), ..SchedulerConfig::default() };
+    let sched = Scheduler::new(cfg, false).unwrap();
     let mut invalid = lj_spec("x", 4, "");
     invalid.dt = -1.0;
     match sched.submit(invalid) {
         Err(SubmitError::Spec(e)) => assert!(e.to_string().contains("dt"), "{e}"),
         other => panic!("expected Spec error, got {other:?}"),
     }
+    // A job whose state cannot be persisted is not admitted: `jobs/` is a
+    // file now, so no job directory can be made under it.
+    std::fs::remove_dir_all(dir.join("jobs")).unwrap();
+    std::fs::write(dir.join("jobs"), "").unwrap();
+    match sched.submit(lj_spec("y", 4, "")) {
+        Err(SubmitError::Unservable(why)) => assert!(why.contains("persist"), "{why}"),
+        other => panic!("expected Unservable, got {other:?}"),
+    }
     assert_eq!(sched.list().len(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn threaded_specs_are_served_like_any_distributed_spec() {
+    let spec = ScenarioSpec::from_json_str(
+        r#"{
+            "schema": "sc-scenario/1",
+            "name": "t",
+            "system": {"kind": "lj", "cells": 7, "temp": 1.0, "seed": 42},
+            "potential": {"kind": "lj", "cutoff": 2.5},
+            "method": "sc",
+            "executor": {"kind": "threaded", "grid": [2, 1, 1]},
+            "dt": 0.002,
+            "steps": 4
+        }"#,
+    )
+    .unwrap();
+    let cfg = SchedulerConfig { lanes: 1, slice_steps: 2, ..SchedulerConfig::default() };
+    let sched = Scheduler::new(cfg, false).unwrap();
+    let id = sched.submit(spec.clone()).unwrap();
+    assert!(sched.wait_idle(IDLE), "threaded job did not finish: {:?}", sched.list());
+    assert_eq!(sched.status(id).unwrap().state, JobState::Done);
+    // Sliced and supervised, it ends where a standalone run of the spec does.
+    let mut standalone = spec.instantiate().unwrap();
+    standalone.run(spec.steps as usize);
+    let energy = standalone.total_energy();
+    let doc = observables_doc(&spec.name, standalone.steps_done(), &standalone.gather(), energy);
+    assert_eq!(sched.results(id).unwrap().to_string(), doc.to_string());
 }
 
 #[test]

@@ -14,18 +14,18 @@ use sc_md::{
 use sc_obs::json::Json;
 use sc_obs::{Registry, Tracer};
 use sc_parallel::rank::ForceField;
-use sc_parallel::{DistributedSim, EngineConfig, FaultPlan, ThreadedSim};
+use sc_parallel::{DistributedSim, EngineConfig, FaultPlan};
 use sc_potential::{LennardJones, Vashishta};
 
 /// The schema identifier of the observables document.
 pub const OBSERVABLES_SCHEMA_ID: &str = "sc-observables/1";
 
 /// What a run offers beyond supervision ([`Recoverable`]: step, checkpoint,
-/// restore, invariants, timestep). The serial in-process engine, the BSP
-/// distributed executor and the persistent threaded executor all
-/// instantiate to a `Box<dyn Executor>` inside [`RunHandle`], so the spec
-/// layer, the CLI, the bench harness and the job service drive them
-/// through identical calls instead of enum-matching per engine.
+/// restore, invariants, timestep). The serial in-process engine and the
+/// distributed engine both instantiate to a `Box<dyn Executor>` inside
+/// [`RunHandle`], so the spec layer, the CLI, the bench harness and the job
+/// service drive them through identical calls instead of enum-matching per
+/// engine.
 pub trait Executor: Recoverable + Send {
     /// The unified telemetry snapshot.
     fn telemetry(&self) -> Telemetry;
@@ -38,7 +38,7 @@ pub trait Executor: Recoverable + Send {
     fn metrics(&self) -> &Registry;
     /// The event tracer.
     fn tracer(&self) -> &Tracer;
-    /// Executor short name (`serial` / `bsp` / `threaded`).
+    /// Engine short name (`serial` / `bsp`).
     fn kind(&self) -> &'static str;
 }
 
@@ -76,7 +76,6 @@ macro_rules! executor {
 
 executor!(Simulation, "serial", |sim: &Simulation| sim.store().clone());
 executor!(DistributedSim, "bsp", DistributedSim::gather);
-executor!(ThreadedSim, "threaded", ThreadedSim::gather);
 
 /// A scenario instantiated on an executor: a thin owner of the one
 /// [`Executor`] object every engine hides behind.
@@ -147,7 +146,8 @@ impl RunHandle {
         self.exec.tracer()
     }
 
-    /// Executor short name (`serial` / `bsp` / `threaded`).
+    /// Engine short name (`serial` / `bsp`): a `threaded` spec runs on the
+    /// `bsp` engine.
     pub fn executor_kind(&self) -> &'static str {
         self.exec.kind()
     }
@@ -340,11 +340,8 @@ impl ScenarioSpec {
                 }
                 RunHandle::new(b.build()?)
             }
-            ExecutorSpec::Bsp { grid } => RunHandle::new(
+            ExecutorSpec::Bsp { grid } | ExecutorSpec::Threaded { grid } => RunHandle::new(
                 DistributedSim::build(store, bbox, pdims(grid), ff, dt, cfg).map_err(setup)?,
-            ),
-            ExecutorSpec::Threaded { grid } => RunHandle::new(
-                ThreadedSim::build(store, bbox, pdims(grid), ff, dt, cfg).map_err(setup)?,
             ),
         })
     }
@@ -436,7 +433,8 @@ mod tests {
     fn threaded_instantiates_like_any_other_executor() {
         let spec = spec(r#"{"kind": "threaded", "grid": [2, 1, 1]}"#);
         let mut handle = spec.instantiate().unwrap();
-        assert_eq!(handle.executor_kind(), "threaded");
+        // The spelling stays; the engine is the one distributed engine.
+        assert_eq!(handle.executor_kind(), "bsp");
         handle.try_step().unwrap();
         assert_eq!(handle.steps_done(), 1);
         assert_eq!(handle.gather().len(), 4 * 7usize.pow(3));

@@ -18,7 +18,8 @@
 //! file/str ── parse ──► Json ── decode+validate ──► ScenarioSpec
 //!                                                      │ engine_config() + instantiate()
 //!                                                      ▼
-//!                       RunHandle (Simulation | DistributedSim | ThreadedSim)
+//!                       RunHandle (Simulation | DistributedSim)
+//!                                  serial       bsp, threaded
 //! ```
 
 pub mod build;

@@ -45,11 +45,11 @@ pub struct ScenarioSpec {
     pub verlet_skin: f64,
     /// Morton re-sort cadence (0 = never).
     pub resort_every: u64,
-    /// The `comm` block: the rebalance cadence (BSP executor).
+    /// The `comm` block: the rebalance cadence (distributed executors).
     pub comm: CommSpec,
     /// Optional Berendsen thermostat (serial executor only).
     pub thermostat: Option<ThermostatSpec>,
-    /// Optional scripted fault storm (BSP executor only).
+    /// Optional scripted fault storm (distributed executors only).
     pub fault_plan: Option<FaultPlanSpec>,
     /// Observability sinks to enable.
     pub observability: ObservabilitySpec,
@@ -133,13 +133,14 @@ pub enum ExecutorSpec {
         /// Force-evaluation lanes (0 = auto).
         threads: u64,
     },
-    /// The BSP distributed executor over a `grid` of ranks.
+    /// The distributed engine over a `grid` of ranks.
     Bsp {
         /// Rank grid dimensions.
         grid: [u64; 3],
     },
-    /// The one-shot threaded executor over a `grid` of ranks (not
-    /// resumable — rejected by the job service).
+    /// Another spelling of [`ExecutorSpec::Bsp`]: it builds the same
+    /// engine, with the same results. It is kept because checked-in specs
+    /// and case names use it.
     Threaded {
         /// Rank grid dimensions.
         grid: [u64; 3],
@@ -175,7 +176,7 @@ impl ExecutorSpec {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommSpec {
     /// Re-fit the rank grid to measured per-rank compute seconds every
-    /// this many steps (0 = never; BSP executor only).
+    /// this many steps (0 = never; distributed executors only).
     pub rebalance_every: u64,
 }
 
@@ -519,17 +520,17 @@ impl ScenarioSpec {
         // builds its Hybrid list at the bare cutoff, so a skin there would
         // run another baseline than the one asked for.)
         let serial = matches!(self.executor, ExecutorSpec::Serial { .. });
-        let bsp = matches!(self.executor, ExecutorSpec::Bsp { .. });
         let only = |field: &str, set: bool, honoured: bool, who: &str| {
             if set && !honoured {
-                return Err(bad(field, format!("only the {who} executor honours this key")));
+                return Err(bad(field, format!("only {who} honours this key")));
             }
             Ok(())
         };
-        only("verlet_skin", self.verlet_skin != 0.0, serial, "serial")?;
-        only("thermostat", self.thermostat.is_some(), serial, "serial")?;
-        only("comm.rebalance_every", self.comm.rebalance_every != 0, bsp, "bsp")?;
-        only("fault_plan", self.fault_plan.is_some(), bsp, "bsp")?;
+        let distributed = "a distributed executor (bsp, threaded)";
+        only("verlet_skin", self.verlet_skin != 0.0, serial, "the serial executor")?;
+        only("thermostat", self.thermostat.is_some(), serial, "the serial executor")?;
+        only("comm.rebalance_every", self.comm.rebalance_every != 0, !serial, distributed)?;
+        only("fault_plan", self.fault_plan.is_some(), !serial, distributed)?;
         if let Some(t) = &self.thermostat {
             if !(t.target >= 0.0 && t.target.is_finite()) {
                 return Err(bad("thermostat.target", "must be finite and ≥ 0"));
@@ -539,7 +540,10 @@ impl ScenarioSpec {
             }
         }
         if let Some(fp) = &self.fault_plan {
-            let ExecutorSpec::Bsp { grid } = &self.executor else { unreachable!("refused above") };
+            let (ExecutorSpec::Bsp { grid } | ExecutorSpec::Threaded { grid }) = &self.executor
+            else {
+                unreachable!("refused above")
+            };
             let ranks = grid.iter().product::<u64>();
             if fp.count == 0 {
                 return Err(bad("fault_plan.count", "must be at least 1"));

@@ -1,21 +1,19 @@
-//! One spec, two schedulers: the BSP and threaded executors run the same
-//! rank-step protocol, so a spec that differs only in `executor.kind` must
-//! produce the same decomposition, the same trajectory, and the same
-//! exported series.
+//! One engine, two spellings: `"kind": "threaded"` builds the same
+//! distributed engine as `"kind": "bsp"`, so a spec that differs only in
+//! the spelling runs the same trajectory and exports the same series.
 
 use sc_cell::AtomStore;
 use sc_spec::{RunHandle, ScenarioSpec};
 
-const LJ: &str = r#""system": {"kind": "lj", "cells": 7, "a": 1.5599, "temp": 1.0, "seed": 42},
-    "potential": {"kind": "lj", "cutoff": 2.5}, "dt": 0.002"#;
-const SILICA: &str = r#""system": {"kind": "silica", "cells": 4, "a": 7.16, "temp": 0.05, "seed": 42},
-    "potential": {"kind": "vashishta"}, "dt": 0.0005"#;
-
-/// Instantiates `workload` on `kind` over `grid` and runs it to the end.
-fn run(workload: &str, kind: &str, grid: &str, extra: &str) -> RunHandle {
+/// Instantiates the LJ workload on `kind` over a 2×2×2 grid with metrics on
+/// and runs it to the end.
+fn run(kind: &str) -> RunHandle {
     let doc = format!(
-        r#"{{"schema": "sc-scenario/1", "name": "parity", {workload}, "method": "sc",
-            "executor": {{"kind": "{kind}", "grid": {grid}}}, "steps": 4{extra}}}"#
+        r#"{{"schema": "sc-scenario/1", "name": "parity", "method": "sc",
+            "system": {{"kind": "lj", "cells": 7, "a": 1.5599, "temp": 1.0, "seed": 42}},
+            "potential": {{"kind": "lj", "cutoff": 2.5}}, "dt": 0.002, "steps": 4,
+            "executor": {{"kind": "{kind}", "grid": [2, 2, 2]}},
+            "observability": {{"metrics": true}}}}"#
     );
     let spec = ScenarioSpec::from_json_str(&doc).unwrap();
     let mut handle = spec.instantiate().unwrap();
@@ -23,35 +21,22 @@ fn run(workload: &str, kind: &str, grid: &str, extra: &str) -> RunHandle {
     handle
 }
 
-fn assert_bitwise_eq(a: &AtomStore, b: &AtomStore, what: &str) {
-    assert_eq!(a.ids(), b.ids(), "{what}: id order differs");
-    let bits = |s: &AtomStore| -> Vec<[u64; 3]> {
-        let all = s.positions().iter().chain(s.velocities());
-        all.map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]).collect()
-    };
-    assert!(bits(a) == bits(b), "{what}: phase-space bits differ");
+/// Slot order and exact phase-space bits of a gathered run.
+fn bits(s: &AtomStore) -> (Vec<u64>, Vec<[u64; 3]>) {
+    let all = s.positions().iter().chain(s.velocities());
+    (s.ids().to_vec(), all.map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]).collect())
 }
 
-#[test]
-fn subdivision_reaches_both_executors() {
-    for (workload, grid) in [(LJ, "[2, 2, 2]"), (SILICA, "[2, 2, 1]")] {
-        let bsp = run(workload, "bsp", grid, r#", "subdivision": 2"#);
-        let threaded = run(workload, "threaded", grid, r#", "subdivision": 2"#);
-        assert_bitwise_eq(&bsp.gather(), &threaded.gather(), grid);
-        // Candidates depend on the cell edge, so they only agree when both
-        // executors really subdivided.
-        assert_eq!(bsp.telemetry().tuples, threaded.telemetry().tuples, "{grid}");
-        let coarse = run(workload, "threaded", grid, "");
-        assert_ne!(coarse.telemetry().tuples, threaded.telemetry().tuples, "{grid}: k ignored");
-    }
-}
-
+/// Both spellings build the `bsp` engine, gather the same bits, count the
+/// same tuples and export the same series with the same counter values.
 #[test]
 fn both_executors_export_the_same_series() {
-    let metrics = r#", "observability": {"metrics": true}"#;
-    let bsp = run(LJ, "bsp", "[2, 2, 2]", metrics).metrics().snapshot();
-    let threaded = run(LJ, "threaded", "[2, 2, 2]", metrics).metrics().snapshot();
+    let (bsp, threaded) = (run("bsp"), run("threaded"));
+    assert_eq!((bsp.executor_kind(), threaded.executor_kind()), ("bsp", "bsp"));
+    assert!(bits(&bsp.gather()) == bits(&threaded.gather()), "phase-space bits differ");
+    assert_eq!(bsp.telemetry().tuples, threaded.telemetry().tuples);
 
+    let (bsp, threaded) = (bsp.metrics().snapshot(), threaded.metrics().snapshot());
     let names = |s: &sc_obs::MetricsSnapshot| -> Vec<String> {
         let counters = s.counters.iter().map(|(n, _)| n.clone());
         let gauges = s.gauges.iter().map(|(n, _)| n.clone());

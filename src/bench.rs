@@ -1,10 +1,10 @@
 //! The counter/energy gate behind `scmd bench`.
 //!
-//! Runs a pinned, deterministic workload matrix — the serial engine, the
-//! threaded executor, and the BSP executor, each over the method set — once
-//! per row and writes one bench document whose layout is pinned by
-//! `schema/bench.schema.json`. A companion comparator diffs two bench
-//! documents exactly: the deterministic work counters (tuple
+//! Runs a pinned, deterministic workload matrix — the serial engine and the
+//! distributed engine (under both its `bsp` and `threaded` spellings), each
+//! over the method set — once per row and writes one bench document whose
+//! layout is pinned by `schema/bench.schema.json`. A companion comparator
+//! diffs two bench documents exactly: the deterministic work counters (tuple
 //! candidates/accepted, comm messages/bytes) must be equal and the energies
 //! must agree to 1e-6 relative. CI runs the matrix against the checked-in
 //! `BENCH_baseline.json` so behavioural regressions (more work, more
@@ -22,7 +22,7 @@ pub const SCHEMA_ID: &str = "sc-bench/2";
 pub struct BenchCase {
     /// Unique case name (`executor-method-system`).
     pub name: String,
-    /// `serial`, `threaded`, or `bsp`.
+    /// The spec's executor spelling: `serial`, `threaded`, or `bsp`.
     pub executor: String,
     /// Method short name (`sc`, `fs`, `hybrid`).
     pub method: String,
@@ -116,9 +116,10 @@ pub fn matrix_specs() -> Vec<ScenarioSpec> {
 /// of its checked-in `steps`.
 const QUICK_STEPS: u64 = 2;
 
-/// Runs one scenario as a bench case. Every executor — serial, threaded,
-/// BSP — goes through the same [`sc_spec::RunHandle`] instantiation the job
-/// service uses, so the bench doubles as a no-drift check on the spec layer.
+/// Runs one scenario as a bench case. Every executor spelling — serial,
+/// threaded, BSP — goes through the same [`sc_spec::RunHandle`]
+/// instantiation the job service uses, so the bench doubles as a no-drift
+/// check on the spec layer.
 pub fn run_spec_case(spec: &ScenarioSpec) -> Result<BenchCase, String> {
     let steps = spec.steps;
     let mut handle = spec.instantiate().map_err(|e| e.to_string())?;

@@ -25,7 +25,7 @@ pub struct ChaosConfig {
     /// `scenarios/chaos/*.json` document (`lj`, `silica`).
     pub cases: Vec<String>,
     /// Spec-defined cases stormed alongside the built-in ones; each must
-    /// use the BSP executor (`scmd chaos --spec PATH`).
+    /// use a distributed executor (`scmd chaos --spec PATH`).
     pub specs: Vec<ScenarioSpec>,
     /// Storms per case.
     pub storms: u64,
@@ -69,15 +69,15 @@ fn named_case(name: &str) -> Result<ScenarioSpec, String> {
         .ok_or_else(|| format!("unknown chaos case {name:?} (expected lj|silica)"))
 }
 
-/// The rank grid of a chaos case, which must run on the BSP executor (the
-/// only one with scripted faults).
+/// The rank grid of a chaos case, which must run on a distributed executor
+/// (`bsp` or its `threaded` spelling): a serial run has no ranks to fault.
 fn bsp_grid(spec: &ScenarioSpec) -> Result<IVec3, String> {
     match &spec.executor {
-        ExecutorSpec::Bsp { grid } => {
+        ExecutorSpec::Bsp { grid } | ExecutorSpec::Threaded { grid } => {
             Ok(IVec3::new(grid[0] as i32, grid[1] as i32, grid[2] as i32))
         }
         other => Err(format!(
-            "chaos spec {:?} must use the bsp executor, got {}",
+            "chaos spec {:?} must use a distributed executor (bsp, threaded), got {}",
             spec.name,
             other.kind()
         )),
@@ -330,27 +330,30 @@ mod tests {
         assert!(run_soak(&config).unwrap_err().contains("unknown chaos case"));
     }
 
-    /// A spec-defined BSP case storms alongside the built-ins, and its
-    /// own fault plan is stripped so the reference run is fault-free.
+    /// A spec-defined case storms alongside the built-ins, under either
+    /// spelling of the distributed executor, and its own fault plan is
+    /// stripped so the reference run is fault-free.
     #[test]
     fn spec_cases_storm_like_builtins() {
-        let spec = ScenarioSpec::from_json_str(
-            r#"{
-                "schema": "sc-scenario/1",
-                "name": "spec-lj-storm",
-                "system": {"kind": "lj", "cells": 7, "a": 1.5599, "temp": 1.0, "seed": 42},
-                "potential": {"kind": "lj", "cutoff": 2.5},
-                "method": "sc",
-                "executor": {"kind": "bsp", "grid": [2, 2, 2]},
-                "dt": 0.002,
-                "steps": 6,
-                "fault_plan": {"seed": 3, "count": 2, "max_crashes": 1}
-            }"#,
-        )
-        .unwrap();
+        let spec = |kind: &str| {
+            ScenarioSpec::from_json_str(&format!(
+                r#"{{
+                    "schema": "sc-scenario/1",
+                    "name": "spec-lj-storm-{kind}",
+                    "system": {{"kind": "lj", "cells": 7, "a": 1.5599, "temp": 1.0, "seed": 42}},
+                    "potential": {{"kind": "lj", "cutoff": 2.5}},
+                    "method": "sc",
+                    "executor": {{"kind": "{kind}", "grid": [2, 2, 2]}},
+                    "dt": 0.002,
+                    "steps": 6,
+                    "fault_plan": {{"seed": 3, "count": 2, "max_crashes": 1}}
+                }}"#
+            ))
+            .unwrap()
+        };
         let config = ChaosConfig {
             cases: vec![],
-            specs: vec![spec],
+            specs: vec![spec("bsp"), spec("threaded")],
             storms: 1,
             seed: 11,
             steps: 6,
@@ -358,9 +361,11 @@ mod tests {
             ..ChaosConfig::default()
         };
         let outcomes = run_soak(&config).expect("spec soak must run");
-        assert_eq!(outcomes.len(), 1);
-        assert_eq!(outcomes[0].case, "spec-lj-storm");
-        assert!(outcomes[0].failure.is_none(), "storm failed: {:?}", outcomes[0].failure);
+        let cases: Vec<_> = outcomes.iter().map(|o| o.case.as_str()).collect();
+        assert_eq!(cases, ["spec-lj-storm-bsp", "spec-lj-storm-threaded"]);
+        for o in &outcomes {
+            assert!(o.failure.is_none(), "{} storm failed: {:?}", o.case, o.failure);
+        }
     }
 
     /// Serial specs are configuration errors — there is nothing to crash.
@@ -380,7 +385,7 @@ mod tests {
         )
         .unwrap();
         let config = ChaosConfig { cases: vec![], specs: vec![spec], ..ChaosConfig::default() };
-        assert!(run_soak(&config).unwrap_err().contains("must use the bsp executor"));
+        assert!(run_soak(&config).unwrap_err().contains("must use a distributed executor"));
     }
 
     /// The reproducer bundle is complete and machine-readable: the

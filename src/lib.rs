@@ -82,6 +82,6 @@ pub mod prelude {
     };
     pub use sc_netmodel::{MachineProfile, MdCostModel, MethodCosts};
     pub use sc_obs::{Phase, PhaseBreakdown, Registry};
-    pub use sc_parallel::{DistributedSim, RankGrid, ThreadedSim};
+    pub use sc_parallel::{DistributedSim, RankGrid};
     pub use sc_potential::{LennardJones, StillingerWeber, TabulatedPair, TorsionToy, Vashishta};
 }
