@@ -714,7 +714,8 @@ impl LinkRows {
     }
 
     /// Whether the buffers have grown since the last call — the allocation
-    /// observable [`AccumulatorPool`](crate::AccumulatorPool) counts.
+    /// observable [`ForceAccumulator::allocation_events`](crate::ForceAccumulator::allocation_events)
+    /// counts for the accumulator that keeps these rows.
     pub(crate) fn settle(&mut self) -> bool {
         let capacity = self.of_atom.capacity()
             + self.bounds.capacity()

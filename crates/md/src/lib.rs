@@ -70,13 +70,13 @@ pub use error::{BuildError, CliError, Error};
 pub use integrate::{berendsen_rescale, velocity_verlet_step};
 pub use io::{read_xyz, write_xyz, XyzError};
 pub use methods::Method;
-pub use par::{AccumulatorPool, ForceAccumulator, LaneSlots, ThreadPool};
+pub use par::{ForceAccumulator, ThreadPool};
 pub use sim::{RuntimeConfig, Simulation, SimulationBuilder};
 pub use stats::{EnergyBreakdown, TupleCounts};
 pub use supervisor::{
     Recoverable, RecoveryStats, StepFault, Supervisor, SupervisorConfig, SupervisorError,
 };
-pub use telemetry::{Observer, Telemetry};
+pub use telemetry::Telemetry;
 pub use workload::{
     build_clustered_gas, build_fcc_lattice, build_silica_like, random_gas, thermalize, LatticeSpec,
 };

@@ -122,9 +122,9 @@ impl NeighborList {
         self.rows.link_count()
     }
 
-    /// Whether the buffers have grown since the last call — what
-    /// [`Simulation::scratch_allocation_events`](crate::Simulation::scratch_allocation_events)
-    /// counts for Hybrid-MD.
+    /// Whether the buffers have grown since the last call — the Hybrid-MD
+    /// list's share of
+    /// [`Simulation::scratch_allocation_events`](crate::Simulation::scratch_allocation_events).
     pub(crate) fn settle(&mut self) -> bool {
         self.rows.settle()
     }

@@ -1,28 +1,29 @@
-//! Shared-memory parallel substrate: a persistent worker pool plus reusable
-//! force accumulators.
+//! Shared-memory parallel substrate: a persistent worker pool plus the force
+//! accumulator every work unit owns.
 //!
-//! The force engine used to fold over cells with rayon, allocating a fresh
-//! `vec![Vec3::ZERO; n]` per thread-task in the fold identity and reducing
-//! O(N) vectors pairwise — the accumulation anti-pattern cell-decomposition
-//! MD literature warns about. This module replaces it with:
+//! One ownership rule holds for both engines: a work unit — a serial pool
+//! lane or a distributed rank — owns exactly one [`ForceAccumulator`] for its
+//! whole lifetime, sized on first use and reduced after each sweep, the way
+//! each node of a multi-cell MD code keeps its own force array.
 //!
-//! * [`ThreadPool`] — a small persistent pool. Dispatching a job performs no
-//!   heap allocation: the caller publishes a raw pointer to a borrowed
-//!   `dyn Fn(usize)` closure under a mutex, bumps an epoch, and blocks (while
-//!   cooperating on the task counter) until every worker has drained the
-//!   shared atomic task queue, so the borrow never escapes the call frame.
-//! * [`ForceAccumulator`] / [`AccumulatorPool`] — per-lane scratch buffers
-//!   that are *never* bulk-zeroed between uses. A per-slot stamp array marks
-//!   which entries belong to the current use epoch; the first touch of a slot
-//!   overwrites instead of accumulating and records the slot in a dirty list,
-//!   so both the merge into the global force array and the logical reset are
-//!   O(touched), not O(N). The pool hands buffers out lane-by-lane and counts
-//!   every allocation or growth event, which lets tests assert that steady-
-//!   state steps allocate nothing.
+//! * [`ThreadPool`] — a small persistent pool. [`ThreadPool::for_each_mut`]
+//!   hands task `i` the `i`-th element of a slice and is the one place a
+//!   task index becomes a `&mut`. Dispatching performs no heap allocation:
+//!   the caller publishes a raw pointer to a borrowed closure under a mutex,
+//!   bumps an epoch, and blocks (while cooperating on the task counter) until
+//!   every worker has drained the shared atomic task queue, so the borrow
+//!   never escapes the call frame.
+//! * [`ForceAccumulator`] — scratch that is *never* bulk-zeroed between uses.
+//!   A per-slot stamp array marks which entries belong to the current use
+//!   epoch; the first touch of a slot overwrites instead of accumulating and
+//!   records the slot in a dirty list, so both the merge into the global
+//!   force array and the logical reset are O(touched), not O(N). Each
+//!   accumulator counts its own buffer growth, which lets tests assert that
+//!   steady-state steps allocate nothing.
 
 use crate::engine::{LinkRows, VisitStats};
 use sc_geom::Vec3;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -101,11 +102,22 @@ impl ThreadPool {
         self.lanes
     }
 
+    /// Calls `f(i, &mut items[i])` exactly once for every index, distributing
+    /// the calls over all lanes, and returns after the last one finished.
+    /// Each task owns its element for the call; performs no heap allocation.
+    pub fn for_each_mut<T: Send>(&self, items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
+        let slots = LaneSlots(items.as_mut_ptr());
+        // SAFETY: `run` claims each index in `0..items.len()` exactly once,
+        // so every element is borrowed by one task at a time, and it returns
+        // only after the last task did — within the `items` borrow.
+        self.run(items.len(), &|i| f(i, unsafe { &mut *slots.get(i) }));
+    }
+
     /// Calls `job(i)` exactly once for every `i in 0..tasks`, distributing
     /// the calls over all lanes. Task indices are claimed dynamically from a
     /// shared counter; the caller participates as lane 0 and returns only
     /// after every task has finished. Performs no heap allocation.
-    pub fn run(&self, tasks: usize, job: &(dyn Fn(usize) + Sync)) {
+    fn run(&self, tasks: usize, job: &(dyn Fn(usize) + Sync)) {
         if self.workers.is_empty() || tasks <= 1 {
             for i in 0..tasks {
                 job(i);
@@ -190,54 +202,77 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Reusable per-lane force/energy/virial scratch with dirty-slot tracking.
+/// The base pointer of a slice whose elements pool tasks index disjointly.
+struct LaneSlots<T>(*mut T);
+// SAFETY: tasks index disjoint elements; synchronisation is provided by the
+// pool's dispatch/completion protocol.
+unsafe impl<T: Send> Sync for LaneSlots<T> {}
+
+impl<T> LaneSlots<T> {
+    /// Pointer to element `i`. Accessing it through a method (rather than the
+    /// field) keeps closures capturing the whole `Sync` wrapper instead of
+    /// the bare pointer under RFC 2229 disjoint capture.
+    ///
+    /// # Safety
+    /// `i` must be in bounds of the slice this was created from, and no two
+    /// tasks may use the same index concurrently.
+    unsafe fn get(&self, i: usize) -> *mut T {
+        self.0.add(i)
+    }
+}
+
+/// A work unit's force/energy/virial scratch with dirty-slot tracking.
 ///
 /// Slots are stamped with the accumulator's use epoch: the first [`add`] to
 /// a slot in an epoch *overwrites* the stale value and records the slot in
-/// the dirty list, so neither acquisition nor release ever zeroes the O(N)
-/// force array. [`merge_into`] and the reset on release both walk only the
-/// dirty list.
+/// the dirty list, so [`begin`] never zeroes the O(N) force array and
+/// [`merge_into`] walks only the dirty list.
 ///
 /// [`add`]: ForceAccumulator::add
+/// [`begin`]: ForceAccumulator::begin
 /// [`merge_into`]: ForceAccumulator::merge_into
+#[derive(Default)]
 pub struct ForceAccumulator {
     forces: Vec<Vec3>,
     stamp: Vec<u32>,
     dirty: Vec<u32>,
     epoch: u32,
-    /// Accumulated potential energy for this lane.
+    /// Buffer growths since construction.
+    grown: u64,
+    /// Accumulated potential energy for this use.
     pub energy: f64,
-    /// Accumulated virial for this lane.
+    /// Accumulated virial for this use.
     pub virial: f64,
     /// Total seconds this lane spent in its task (enumeration + evaluation).
     pub lane_s: f64,
-    /// Tuple-search statistics for this lane.
+    /// Tuple-search statistics for this use.
     pub stats: VisitStats,
     /// The chain visitor's link-row buffers, kept with the accumulator the
     /// chains are applied to so they are reused wherever it is.
     pub(crate) links: LinkRows,
 }
 
-impl Default for ForceAccumulator {
-    fn default() -> Self {
-        Self::with_len(0)
-    }
-}
-
 impl ForceAccumulator {
-    /// Standalone accumulator covering `n` slots (outside any pool — e.g.
-    /// one persistent scratch buffer per distributed rank).
-    pub fn with_len(n: usize) -> Self {
-        ForceAccumulator {
-            forces: vec![Vec3::ZERO; n],
-            stamp: vec![0; n],
-            dirty: Vec::new(),
-            epoch: 1,
-            energy: 0.0,
-            virial: 0.0,
-            lane_s: 0.0,
-            stats: VisitStats::default(),
-            links: LinkRows::default(),
+    /// Starts a use over `n` slots: bumps the epoch (invalidating every
+    /// stamped slot at once), resets the scalar tallies, and grows the buffer
+    /// to cover `n` slots — never shrinking it, and counting a growth as an
+    /// allocation event. O(1) except on growth or epoch wrap.
+    pub fn begin(&mut self, n: usize) {
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        } else {
+            self.epoch += 1;
+        }
+        self.dirty.clear();
+        self.energy = 0.0;
+        self.virial = 0.0;
+        self.lane_s = 0.0;
+        self.stats = VisitStats::default();
+        if self.forces.len() < n {
+            self.forces.resize(n, Vec3::ZERO);
+            self.stamp.resize(n, 0);
+            self.grown += 1;
         }
     }
 
@@ -266,123 +301,26 @@ impl ForceAccumulator {
     }
 
     /// Adds every touched slot into `out` (dirty-list order, deterministic
-    /// for a fixed task → lane assignment).
-    pub fn merge_into(&self, out: &mut [Vec3]) {
+    /// for a fixed task → lane assignment), ending the use: link-row buffers
+    /// that grew during it count as an allocation event.
+    pub fn merge_into(&mut self, out: &mut [Vec3]) {
         for &slot in &self.dirty {
             out[slot as usize] += self.forces[slot as usize];
         }
+        self.grown += u64::from(self.links.settle());
     }
 
-    /// Logical clear: bumps the epoch (invalidating every stamped slot at
-    /// once) and resets the scalar tallies. O(1) except on epoch wrap.
-    pub fn reset(&mut self) {
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-        }
-        self.dirty.clear();
-        self.energy = 0.0;
-        self.virial = 0.0;
-        self.lane_s = 0.0;
-        self.stats = VisitStats::default();
-    }
-
-    /// Grows the buffer to cover at least `n` slots, returning whether a
-    /// reallocation happened. Never shrinks.
-    pub fn ensure_len(&mut self, n: usize) -> bool {
-        if self.forces.len() >= n {
-            return false;
-        }
-        self.forces.resize(n, Vec3::ZERO);
-        self.stamp.resize(n, 0);
-        true
-    }
-}
-
-/// Pool of [`ForceAccumulator`]s shared by all force-kernel invocations of a
-/// simulation. Counts allocation events so tests can assert the steady state
-/// allocates nothing.
-#[derive(Default)]
-pub struct AccumulatorPool {
-    free: Mutex<Vec<ForceAccumulator>>,
-    alloc_events: AtomicU64,
-}
-
-impl AccumulatorPool {
-    /// Empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes a buffer covering at least `n` slots, reusing a pooled one when
-    /// possible. Creating or growing a buffer counts as an allocation event.
-    pub fn acquire(&self, n: usize) -> ForceAccumulator {
-        let reused = self.free.lock().unwrap().pop();
-        match reused {
-            Some(mut acc) => {
-                if acc.ensure_len(n) {
-                    self.alloc_events.fetch_add(1, Ordering::Relaxed);
-                }
-                acc
-            }
-            None => {
-                self.alloc_events.fetch_add(1, Ordering::Relaxed);
-                ForceAccumulator::with_len(n)
-            }
-        }
-    }
-
-    /// Resets `acc` and returns it to the pool. Link-row buffers that grew
-    /// while it was out count as an allocation event.
-    pub fn release(&self, mut acc: ForceAccumulator) {
-        if acc.links.settle() {
-            self.alloc_events.fetch_add(1, Ordering::Relaxed);
-        }
-        acc.reset();
-        self.free.lock().unwrap().push(acc);
-    }
-
-    /// Number of buffer creations + growths since construction. Flat across
-    /// steps ⇔ the steady state performs no scratch allocation.
+    /// Number of buffer growths since construction. Flat across steps ⇔ the
+    /// steady state performs no scratch allocation.
     pub fn allocation_events(&self) -> u64 {
-        self.alloc_events.load(Ordering::Relaxed)
-    }
-}
-
-/// Copyable raw-pointer wrapper for handing a disjointly-indexed mutable
-/// buffer to pool lanes. Callers must guarantee each element is accessed by
-/// at most one lane.
-#[derive(Clone, Copy)]
-pub struct LaneSlots<T>(*mut T);
-// SAFETY: lanes index disjoint elements; synchronisation is provided by the
-// pool's dispatch/completion protocol.
-unsafe impl<T: Send> Send for LaneSlots<T> {}
-unsafe impl<T: Send> Sync for LaneSlots<T> {}
-
-impl<T> LaneSlots<T> {
-    /// Wraps the base pointer of a buffer whose elements the lanes index
-    /// disjointly.
-    pub fn new(base: *mut T) -> Self {
-        LaneSlots(base)
-    }
-
-    /// Pointer to element `i`. Accessing it through a method (rather than a
-    /// public field) also keeps closures capturing the whole `Sync` wrapper
-    /// instead of the bare pointer under RFC 2229 disjoint capture.
-    ///
-    /// # Safety
-    /// `i` must be in bounds of the buffer this was created from, and no two
-    /// lanes may use the same index concurrently.
-    pub unsafe fn get(&self, i: usize) -> *mut T {
-        self.0.add(i)
+        self.grown
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn pool_covers_every_task_exactly_once() {
@@ -410,10 +348,28 @@ mod tests {
         assert_eq!(sum, 45);
     }
 
+    /// Every index is handed exactly once per call, with its own element —
+    /// element `i` remembers `i` and counts only calls that name it.
+    #[test]
+    fn for_each_mut_hands_every_task_its_own_element_once() {
+        for lanes in [1, 2, 4] {
+            let pool = ThreadPool::new(lanes);
+            let mut items: Vec<[u64; 2]> = (0..257).map(|i| [i, 0]).collect();
+            for round in 1..=50 {
+                pool.for_each_mut(&mut items, |i, item| {
+                    if item[0] == i as u64 {
+                        item[1] += 1;
+                    }
+                });
+                assert!(items.iter().all(|item| item[1] == round), "{lanes} lanes, round {round}");
+            }
+        }
+    }
+
     #[test]
     fn accumulator_first_touch_overwrites_stale_state() {
-        let pool = AccumulatorPool::new();
-        let mut acc = pool.acquire(8);
+        let mut acc = ForceAccumulator::default();
+        acc.begin(8);
         acc.add(3, Vec3::new(1.0, 0.0, 0.0));
         acc.add(3, Vec3::new(1.0, 0.0, 0.0));
         acc.add(5, Vec3::new(0.0, 2.0, 0.0));
@@ -422,27 +378,23 @@ mod tests {
         acc.merge_into(&mut out);
         assert_eq!(out[3], Vec3::new(2.0, 0.0, 0.0));
         assert_eq!(out[5], Vec3::new(0.0, 2.0, 0.0));
-        pool.release(acc);
-        // Re-acquired buffer sees clean slots without any bulk zeroing.
-        let mut acc = pool.acquire(8);
+        // The next use sees clean slots without any bulk zeroing.
+        acc.begin(8);
         acc.add(3, Vec3::new(0.5, 0.0, 0.0));
         let mut out2 = vec![Vec3::ZERO; 8];
         acc.merge_into(&mut out2);
         assert_eq!(out2[3], Vec3::new(0.5, 0.0, 0.0));
-        assert_eq!(pool.allocation_events(), 1, "reuse must not allocate");
+        assert_eq!(acc.allocation_events(), 1, "reuse must not allocate");
     }
 
     #[test]
-    fn pool_grows_buffers_and_counts_it() {
-        let pool = AccumulatorPool::new();
-        let acc = pool.acquire(4);
-        pool.release(acc);
-        let acc = pool.acquire(16);
-        assert_eq!(pool.allocation_events(), 2);
-        pool.release(acc);
-        let acc = pool.acquire(8);
-        assert_eq!(pool.allocation_events(), 2, "shrinking reuse is free");
-        pool.release(acc);
+    fn accumulator_counts_its_own_growth() {
+        let mut acc = ForceAccumulator::default();
+        acc.begin(4);
+        acc.begin(16);
+        assert_eq!(acc.allocation_events(), 2);
+        acc.begin(8);
+        assert_eq!(acc.allocation_events(), 2, "shrinking reuse is free");
     }
 
     #[test]
@@ -450,12 +402,11 @@ mod tests {
         let n = 256usize;
         let tasks = 64usize;
         let pool = ThreadPool::new(3);
-        let accs = AccumulatorPool::new();
-        let mut lanes: Vec<ForceAccumulator> = (0..pool.lanes()).map(|_| accs.acquire(n)).collect();
-        let slots = LaneSlots::new(lanes.as_mut_ptr());
         let lanes_n = pool.lanes();
-        pool.run(lanes_n, &move |t| {
-            let acc = unsafe { &mut *slots.get(t) };
+        let mut lanes: Vec<ForceAccumulator> =
+            (0..lanes_n).map(|_| ForceAccumulator::default()).collect();
+        pool.for_each_mut(&mut lanes, |t, acc| {
+            acc.begin(n);
             let lo = t * tasks / lanes_n;
             let hi = (t + 1) * tasks / lanes_n;
             for task in lo..hi {
@@ -469,12 +420,9 @@ mod tests {
         });
         let mut out = vec![Vec3::ZERO; n];
         let mut energy = 0.0;
-        for acc in &lanes {
+        for acc in &mut lanes {
             acc.merge_into(&mut out);
             energy += acc.energy;
-        }
-        for acc in lanes.drain(..) {
-            accs.release(acc);
         }
         let mut expect = vec![Vec3::ZERO; n];
         let mut expect_e = 0.0;

@@ -6,14 +6,13 @@ use crate::engine::{PatternPlan, PeriodicSource, VisitStats};
 use crate::error::BuildError;
 use crate::integrate::{berendsen_rescale, velocity_verlet_finish, velocity_verlet_start};
 use crate::methods::{lattice_for_cutoff_subdivided, Method, NeighborList};
-use crate::par::{AccumulatorPool, ForceAccumulator, LaneSlots, ThreadPool};
+use crate::par::{ForceAccumulator, ThreadPool};
 use crate::stats::{EnergyBreakdown, TupleCounts};
-use crate::telemetry::{Observer, Telemetry};
+use crate::telemetry::Telemetry;
 use sc_cell::{AtomStore, CellLattice};
 use sc_geom::{IVec3, SimulationBox, Vec3};
 use sc_obs::{CommCounters, Counter, Phase, PhaseBreakdown, Registry, TraceSink, Tracer};
 use sc_potential::{PairPotential, QuadrupletPotential, TripletPotential};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Runtime/observability configuration of a [`Simulation`], passed to
@@ -236,6 +235,10 @@ impl SimulationBuilder {
         // at this edge, so this construction cannot fail.
         let sort_cutoff = terms.iter().map(|&(_, rcut)| rcut).fold(f64::NEG_INFINITY, f64::max);
         let sort_lat = CellLattice::new(bbox, sort_cutoff);
+        let pool = match runtime.threads {
+            0 => ThreadPool::auto(),
+            threads => ThreadPool::new(threads),
+        };
         Ok(Simulation {
             store,
             bbox,
@@ -250,16 +253,15 @@ impl SimulationBuilder {
             sort_cutoff,
             sort_lat,
             last_sort_step: None,
-            id_cache: None,
             hybrid: HybridCache::default(),
             hybrid_builds: 0,
-            par: ParEngine::new(runtime.threads),
+            lanes: (0..pool.lanes()).map(|_| ForceAccumulator::default()).collect(),
+            pool,
             obs: SimMetrics::register(&runtime.metrics),
             metrics: runtime.metrics,
             tsink: runtime.tracer.sink(0, 0),
             tracer: runtime.tracer,
             total_phases: PhaseBreakdown::new(),
-            observer: None,
             last_stats: LastComputation::default(),
             steps_done: 0,
         })
@@ -331,14 +333,15 @@ pub struct Simulation {
     /// computations within one step (or explicit [`Simulation::compute_forces`]
     /// calls between steps) permute at most once per step.
     last_sort_step: Option<u64>,
-    /// Lazily rebuilt `id → slot` map, keyed by the store generation it was
-    /// built against (re-sorts and removals invalidate it).
-    id_cache: Option<(u64, HashMap<u64, u32>)>,
     hybrid: HybridCache,
     /// Monotonic count of Verlet-list builds — lives outside the cache so
     /// that cache invalidations (re-sort, geometry change) don't reset it.
     hybrid_builds: u64,
-    par: ParEngine,
+    /// The persistent worker pool the cell sweeps fan out on.
+    pool: ThreadPool,
+    /// One force accumulator per pool lane, owned for the simulation's
+    /// lifetime; Hybrid-MD uses lane 0's.
+    lanes: Vec<ForceAccumulator>,
     obs: SimMetrics,
     metrics: Registry,
     tracer: Tracer,
@@ -346,7 +349,6 @@ pub struct Simulation {
     /// disabled.
     tsink: TraceSink,
     total_phases: PhaseBreakdown,
-    observer: Option<(u64, Box<dyn Observer>)>,
     last_stats: LastComputation,
     steps_done: u64,
 }
@@ -370,24 +372,6 @@ struct LastComputation {
     /// the potential part of the pressure `P = (N k_B T + W/3) / V`.
     virial: f64,
     phases: PhaseBreakdown,
-}
-
-/// The simulation's parallel force-evaluation state: the persistent worker
-/// pool, the accumulator pool, and a reusable staging vector holding the
-/// per-lane accumulators of the kernel invocation in flight. All capacity is
-/// established on first use, so steady-state steps allocate nothing.
-struct ParEngine {
-    pool: ThreadPool,
-    accs: AccumulatorPool,
-    staging: Vec<ForceAccumulator>,
-}
-
-impl ParEngine {
-    fn new(threads: usize) -> Self {
-        let pool = if threads == 0 { ThreadPool::auto() } else { ThreadPool::new(threads) };
-        let staging = Vec::with_capacity(pool.lanes());
-        ParEngine { pool, accs: AccumulatorPool::new(), staging }
-    }
 }
 
 /// The Hybrid-MD Verlet list, rebuilt in place so its buffers are reused,
@@ -480,14 +464,6 @@ impl Simulation {
         &self.tracer
     }
 
-    /// Registers a periodic [`Observer`]: after every `every`-th completed
-    /// step, `observer` receives a fresh [`Telemetry`] snapshot. Replaces
-    /// any previously registered observer.
-    pub fn observe_every(&mut self, every: u64, observer: Box<dyn Observer>) {
-        assert!(every > 0, "observer period must be ≥ 1");
-        self.observer = Some((every, observer));
-    }
-
     /// Number of completed steps.
     pub fn steps_done(&self) -> u64 {
         self.steps_done
@@ -521,7 +497,8 @@ impl Simulation {
                 phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
                 let work0 = phases.enumerate_s();
                 let (e, w, s) = par_term_forces(
-                    &mut self.par,
+                    &self.pool,
+                    &mut self.lanes,
                     &search.lat,
                     &mut self.store,
                     &search.plan,
@@ -582,10 +559,10 @@ impl Simulation {
     /// store along the Z-order curve of the canonical sort lattice, keyed on
     /// `steps_done` so the decision is a pure function of replayable state
     /// (checkpoint restore replays it bitwise). Returns whether a permutation
-    /// was applied. Slot-indexed caches (the Hybrid Verlet list, the id map)
-    /// are keyed on the store generation the permutation bumps; re-binning
-    /// of the term lattices happens immediately after in `compute_forces`,
-    /// so no stale slot index survives.
+    /// was applied. The slot-indexed Hybrid Verlet list is keyed on the
+    /// store generation the permutation bumps; re-binning of the term
+    /// lattices happens immediately after in `compute_forces`, so no stale
+    /// slot index survives.
     fn maybe_resort(&mut self) -> bool {
         if self.resort_every == 0
             || !self.steps_done.is_multiple_of(self.resort_every)
@@ -598,30 +575,18 @@ impl Simulation {
         true
     }
 
-    /// The slot currently holding the atom with global id `id`, or `None` if
-    /// no such atom exists. Slots move under Morton re-sorts and
-    /// [`AtomStore::swap_remove`]; this map is the stable indirection
-    /// checkpoint consumers and telemetry should use instead of caching raw
-    /// slots. Rebuilt lazily (O(N)) after any structural change, then O(1)
-    /// per lookup.
-    pub fn slot_of_id(&mut self, id: u64) -> Option<u32> {
-        let generation = self.store.generation();
-        if self.id_cache.as_ref().map(|(g, _)| *g) != Some(generation) {
-            self.id_cache = Some((generation, self.store.id_index()));
-        }
-        self.id_cache.as_ref().and_then(|(_, map)| map.get(&id).copied())
-    }
-
-    /// Number of allocation events (buffer creations or growths) in the
-    /// force-scratch pool since construction. Flat across steps once warm —
-    /// the observable behind the zero-allocation steady-state guarantee.
+    /// Number of allocation events (buffer growths) in the force scratch
+    /// since construction: the lanes' accumulators plus the Hybrid-MD list.
+    /// Flat across steps once warm — the observable behind the
+    /// zero-allocation steady-state guarantee.
     pub fn scratch_allocation_events(&self) -> u64 {
-        self.par.accs.allocation_events() + self.hybrid.alloc_events
+        self.lanes.iter().map(ForceAccumulator::allocation_events).sum::<u64>()
+            + self.hybrid.alloc_events
     }
 
     /// Number of parallel force-evaluation lanes in use.
     pub fn force_lanes(&self) -> usize {
-        self.par.pool.lanes()
+        self.pool.lanes()
     }
 
     /// Instantaneous pressure `P = (N k_B T + W/3)/V` from the most recent
@@ -685,22 +650,14 @@ impl Simulation {
             cache.list.refresh(|i, j| bbox.min_image(positions[i as usize], positions[j as usize]));
         }
         tuples.pair = cache.build_stats;
-        let mut acc = self.par.accs.acquire(self.store.len());
+        let acc = &mut self.lanes[0];
+        acc.begin(self.store.len());
         // One rank owns every atom: each undirected pair / centre bond is
         // taken from its lower-slot row.
         let owns_bond = |i: u32, j: u32| j > i;
-        hybrid_forces(
-            &self.ff,
-            &cache.list,
-            owns_bond,
-            self.store.species(),
-            &mut acc,
-            energy,
-            tuples,
-        );
+        hybrid_forces(&self.ff, &cache.list, owns_bond, self.store.species(), acc, energy, tuples);
         acc.merge_into(self.store.forces_mut());
         let virial = acc.virial;
-        self.par.accs.release(acc);
         phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
         virial
     }
@@ -712,8 +669,7 @@ impl Simulation {
     }
 
     /// Advances one velocity-Verlet step (with thermostat, if configured).
-    /// Returns the step's [`Telemetry`] snapshot and notifies any
-    /// registered periodic observer.
+    /// Returns the step's [`Telemetry`] snapshot.
     pub fn step(&mut self) -> Telemetry {
         if self.steps_done == 0 {
             // Prime forces so the first half-kick uses real accelerations.
@@ -740,12 +696,6 @@ impl Simulation {
         self.steps_done += 1;
         self.obs.steps.inc();
         stats.step = self.steps_done;
-        if let Some((every, mut observer)) = self.observer.take() {
-            if self.steps_done.is_multiple_of(every) {
-                observer.observe(&self.telemetry());
-            }
-            self.observer = Some((every, observer));
-        }
         stats
     }
 
@@ -827,9 +777,8 @@ impl crate::supervisor::Recoverable for Simulation {
         // restores; clearing the latch lets the replayed run re-sort at
         // exactly the steps the original run did (checkpoints preserve slot
         // order, so the permutations — and hence the trajectory — replay
-        // bitwise). The id map is slot-indexed and must be rebuilt.
+        // bitwise).
         self.last_sort_step = None;
-        self.id_cache = None;
         // Restored forces came from the checkpoint, so a step-0 restore must
         // not re-prime over them — except a checkpoint taken before any force
         // computation, whose forces are identically zero and whose re-priming
@@ -881,17 +830,17 @@ fn decode_cell(dims: IVec3, c: usize) -> IVec3 {
 
 /// The parallel n-tuple force kernel for one term.
 ///
-/// The cell range is split into one contiguous span per pool lane; each lane
-/// draws a [`ForceAccumulator`] from the simulation's pool and sweeps its
-/// span with [`Term::sweep`]. Afterwards the driving thread merges the dirty
-/// slots of every accumulator into the store's force array in lane order, so
+/// The cell range is split into one contiguous span per used lane (at most
+/// one per cell); lane `t` begins a use of accumulator `t` and sweeps its span
+/// with [`Term::sweep`]. Afterwards the driving thread merges the dirty slots
+/// of every used accumulator into the store's force array in lane order, so
 /// results are deterministic for a fixed lane count. Steady-state
-/// invocations perform no heap allocation: the accumulators, the staging
-/// vector, and the pool's dispatch are all reused (see
-/// [`Simulation::scratch_allocation_events`]). Returns the term's
-/// `(energy, virial, search statistics)`.
+/// invocations perform no heap allocation: the accumulators and the pool's
+/// dispatch are reused (see [`Simulation::scratch_allocation_events`]).
+/// Returns the term's `(energy, virial, search statistics)`.
 fn par_term_forces(
-    eng: &mut ParEngine,
+    pool: &ThreadPool,
+    accs: &mut [ForceAccumulator],
     lat: &CellLattice,
     store: &mut AtomStore,
     plan: &PatternPlan,
@@ -901,37 +850,28 @@ fn par_term_forces(
     let n = store.len();
     let dims = lat.dims();
     let ncells = (dims.x as usize) * (dims.y as usize) * (dims.z as usize);
-    let lanes = eng.pool.lanes().min(ncells.max(1));
-    debug_assert!(eng.staging.is_empty());
-    for _ in 0..lanes {
-        eng.staging.push(eng.accs.acquire(n));
-    }
-    {
-        let src = PeriodicSource::new(lat, store);
-        let species = store.species();
-        let slots = LaneSlots::new(eng.staging.as_mut_ptr());
-        let job = move |t: usize| {
-            // SAFETY: lane `t` is the sole accessor of staging slot `t`.
-            let acc = unsafe { &mut *slots.get(t) };
-            let t_lane = Instant::now();
-            let span = t * ncells / lanes..(t + 1) * ncells / lanes;
-            term.sweep(&src, plan, span.map(|c| decode_cell(dims, c)), species, acc);
-            acc.lane_s += t_lane.elapsed().as_secs_f64();
-        };
-        eng.pool.run(lanes, &job);
-    }
+    let used = &mut accs[..pool.lanes().min(ncells.max(1))];
+    let lanes = used.len();
+    let src = PeriodicSource::new(lat, store);
+    let species = store.species();
+    pool.for_each_mut(used, |t, acc| {
+        acc.begin(n);
+        let t_lane = Instant::now();
+        let span = t * ncells / lanes..(t + 1) * ncells / lanes;
+        term.sweep(&src, plan, span.map(|c| decode_cell(dims, c)), species, acc);
+        acc.lane_s += t_lane.elapsed().as_secs_f64();
+    });
     let t_reduce = Instant::now();
     let forces = store.forces_mut();
     let mut energy = 0.0;
     let mut virial = 0.0;
     let mut stats = VisitStats::default();
-    for acc in eng.staging.drain(..) {
+    for acc in used.iter_mut() {
         acc.merge_into(forces);
         energy += acc.energy;
         virial += acc.virial;
         stats.merge(acc.stats);
         phases.add(Phase::Enumerate, acc.lane_s);
-        eng.accs.release(acc);
     }
     phases.add(Phase::Reduce, t_reduce.elapsed().as_secs_f64());
     (energy, virial, stats)
@@ -1469,12 +1409,12 @@ mod tests {
         // Regression for the zero-allocation guarantee, extended to the
         // observability layer: with the registry fully disabled, steady
         // state must add no allocations per step anywhere — neither in the
-        // force scratch pool nor in the (inert) metrics plumbing.
+        // lanes' force scratch nor in the (inert) metrics plumbing.
         let mut sim = silica_sim_threads(Method::ShiftCollapse, 2);
-        sim.run(2); // warm up: pool fills with per-lane buffers
+        sim.run(2); // warm up: every lane sizes its accumulator
         let warm = sim.scratch_allocation_events();
-        // One event per lane creates its accumulator; the triplet sweeps'
-        // link-row buffers, pooled with the accumulators, account for the
+        // One event per lane sizes its accumulator; the triplet sweeps'
+        // link-row buffers, kept with the accumulators, account for the
         // rest — so the flat-line assertions below cover them too.
         assert!(warm > sim.force_lanes() as u64, "warm-up must have grown the link rows");
         let warm_total = sim.telemetry().alloc_events;
@@ -1483,7 +1423,7 @@ mod tests {
         assert_eq!(
             sim.scratch_allocation_events(),
             warm,
-            "steady-state steps must reuse pooled accumulators, not allocate"
+            "steady-state steps must reuse the lanes' accumulators, not allocate"
         );
         assert_eq!(sim.metrics().allocation_events(), 0);
         assert_eq!(
@@ -1574,13 +1514,13 @@ mod tests {
         let reg = Registry::new();
         let c = reg.counter("lane.work");
         let pool = ThreadPool::new(4);
+        let mut lanes = [(); 4];
         for _ in 0..50 {
-            let job = |_lane: usize| {
+            pool.for_each_mut(&mut lanes, |_, _| {
                 for _ in 0..1000 {
                     c.inc();
                 }
-            };
-            pool.run(4, &job);
+            });
         }
         assert_eq!(c.get(), 200_000);
     }
@@ -1654,9 +1594,8 @@ mod tests {
         let mut sim = lj_sim(Method::ShiftCollapse);
         sim.run(2); // warm lattices, store already Morton-sorted
         let n0 = sim.store().len();
-        let (gone_id, ..) = sim.store_mut().swap_remove(3);
+        sim.store_mut().swap_remove(3);
         assert_eq!(sim.store().len(), n0 - 1);
-        assert_eq!(sim.slot_of_id(gone_id), None);
         // swap_remove moved the last atom into slot 3; every lattice binned
         // before the removal is stale (the generation counter marks it), and
         // the next force computation must rebuild before enumerating.
@@ -1668,11 +1607,6 @@ mod tests {
         }
         // Newton's third law over the surviving atoms.
         assert!(sim.store().net_force().norm() < 1e-7, "net force {:?}", sim.store().net_force());
-        // Every surviving id resolves to its current slot through the map.
-        for i in 0..sim.store().len() {
-            let id = sim.store().ids()[i];
-            assert_eq!(sim.slot_of_id(id), Some(i as u32));
-        }
     }
 
     #[test]
@@ -1715,23 +1649,5 @@ mod tests {
                 assert!((*a - *b).norm() < 1e-9, "middle = {middle}: {a:?} vs {b:?}");
             }
         }
-    }
-
-    #[test]
-    fn observer_fires_on_schedule_with_current_telemetry() {
-        use std::sync::{Arc, Mutex};
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let sink = seen.clone();
-        let mut sim = lj_sim(Method::ShiftCollapse);
-        sim.observe_every(
-            3,
-            Box::new(move |t: &Telemetry| {
-                sink.lock().unwrap().push((t.step, t.energy.total()));
-            }),
-        );
-        sim.run(7);
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.iter().map(|&(s, _)| s).collect::<Vec<_>>(), vec![3, 6]);
-        assert!(seen.iter().all(|&(_, e)| e.is_finite() && e != 0.0));
     }
 }

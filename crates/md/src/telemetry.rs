@@ -1,4 +1,4 @@
-//! The unified telemetry snapshot and the periodic [`Observer`] hook.
+//! The unified telemetry snapshot.
 //!
 //! [`Telemetry`] is the one type every runtime layer reports through. It
 //! collapses what used to be three overlapping types (`StepStats`,
@@ -176,22 +176,6 @@ impl Telemetry {
     }
 }
 
-/// A periodic telemetry sink, registered with
-/// [`Simulation::observe_every`](crate::Simulation::observe_every) (or the
-/// distributed equivalent) and invoked every N completed steps with a fresh
-/// snapshot — long runs can stream telemetry without touching engine
-/// internals.
-pub trait Observer: Send {
-    /// Called with a snapshot after every N-th completed step.
-    fn observe(&mut self, telemetry: &Telemetry);
-}
-
-impl<F: FnMut(&Telemetry) + Send> Observer for F {
-    fn observe(&mut self, telemetry: &Telemetry) {
-        self(telemetry)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,18 +219,6 @@ mod tests {
         assert!(t.imbalance().is_none());
         let v = Json::parse(&t.to_json()).unwrap();
         assert!(v.get("imbalance").is_none());
-    }
-
-    #[test]
-    fn closures_are_observers() {
-        let mut seen = Vec::new();
-        {
-            let mut obs: Box<dyn Observer> = Box::new(|t: &Telemetry| seen.push(t.step));
-            let t = Telemetry { step: 3, ..Default::default() };
-            obs.observe(&t);
-            obs.observe(&Telemetry { step: 6, ..t.clone() });
-        }
-        assert_eq!(seen, vec![3, 6]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::config::EngineConfig;
 use crate::error::{RuntimeError, SetupError};
 use crate::fault::{Delivery, FaultPlan};
 use crate::grid::RankGrid;
-use crate::health::{HealthConfig, HealthTracker};
+use crate::health::HealthTracker;
 use crate::msg::{AtomMsg, Channel, Message};
 use crate::rank::{best_grid_for, halo_width_for, validate_decomposition, ForceField, RankState};
 use crate::step::{self, Buffers, Decomposition, Exchange, Feed};
@@ -17,7 +17,7 @@ use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
 use sc_md::checkpoint::{Checkpoint, SnapshotLayout};
 use sc_md::supervisor::{Recoverable, StepFault};
-use sc_md::{EnergyBreakdown, LaneSlots, Telemetry, ThreadPool, TupleCounts};
+use sc_md::{EnergyBreakdown, Telemetry, ThreadPool, TupleCounts};
 use sc_obs::trace::EventKind;
 use sc_obs::{CommCounters, ImbalanceReport, Phase, PhaseBreakdown, Registry, TraceSink, Tracer};
 use std::sync::Arc;
@@ -203,9 +203,6 @@ pub struct DistributedSim {
     /// began, so telemetry can report that step alone.
     step_start: PhaseBreakdown,
     pool: ThreadPool,
-    // Per-rank (energy, tuples, phases) slots reused every compute call so
-    // the compute fan-out allocates nothing in steady state.
-    results: Vec<(EnergyBreakdown, TupleCounts, PhaseBreakdown)>,
     feed: Feed,
     tracer: Tracer,
     /// One event sink per rank (per-rank compute phases and comm events).
@@ -217,6 +214,10 @@ pub struct DistributedSim {
     /// [`DistributedSim::comm_stats`] so aggregate totals stay monotone
     /// across re-decompositions.
     carried: CommCounters,
+    /// Scratch growth of every retired rank set, folded into
+    /// [`DistributedSim::telemetry`]'s allocation count so it stays
+    /// monotone across re-decompositions and restores.
+    carried_alloc: u64,
     /// Per-rank compute-seconds baseline at the last rebalance, so each
     /// rebalance window measures fresh load deltas.
     last_loads: Vec<f64>,
@@ -284,14 +285,14 @@ impl DistributedSim {
             timings: PhaseBreakdown::default(),
             step_start: PhaseBreakdown::default(),
             pool: ThreadPool::auto(),
-            results: vec![Default::default(); nranks],
             feed: Feed::new(metrics),
             tracer,
             tsinks,
             exec_sink,
             carried: CommCounters::default(),
+            carried_alloc: 0,
             last_loads: vec![0.0; nranks],
-            health: HealthTracker::new(nranks, HealthConfig::default()),
+            health: HealthTracker::new(nranks),
             degraded: false,
         })
     }
@@ -337,7 +338,8 @@ impl DistributedSim {
     /// executor's wall clock for exchange / migrate / integrate / compute
     /// and the force return, which it adds to reduce),
     /// aggregate and per-rank communication counters, and allocation
-    /// accounting. The engine computes no virial.
+    /// accounting (the live and retired ranks' scratch growth plus the
+    /// registry's registrations). The engine computes no virial.
     pub fn telemetry(&self) -> Telemetry {
         let total_phases = self.total_phases();
         let mut phases = total_phases;
@@ -353,9 +355,16 @@ impl DistributedSim {
             total_phases,
             per_rank: self.ranks.iter().map(|r| r.stats.clone()).collect(),
             comm: self.comm_stats(),
-            alloc_events: self.feed.registry().allocation_events(),
+            alloc_events: self.scratch_allocation_events()
+                + self.feed.registry().allocation_events(),
             degraded: self.degraded,
         }
+    }
+
+    /// Scratch growth of the live ranks and of every retired rank set.
+    fn scratch_allocation_events(&self) -> u64 {
+        let live: u64 = self.ranks.iter().map(RankState::scratch_allocation_events).sum();
+        self.carried_alloc + live
     }
 
     /// The per-rank load-imbalance report, with the Eq. 33 import-volume
@@ -458,6 +467,7 @@ impl DistributedSim {
         for r in &self.ranks {
             self.carried.merge(&r.stats);
         }
+        self.carried_alloc = self.scratch_allocation_events();
         self.exec_sink.instant(
             self.steps_done,
             EventKind::Redecompose { rank: self.ranks.len() as u32, lost: false },
@@ -569,25 +579,18 @@ impl DistributedSim {
 
     /// The per-rank force-computation fan-out — the BSP phase structure
     /// makes this embarrassingly parallel: each pool task owns exactly one
-    /// rank slot and one result slot. Energies and tuple counts are summed
-    /// in rank order, for determinism; each rank's fine-grained compute
-    /// phases (bin / enumerate / eval / reduce) are traced cumulatively from
-    /// the fan-out's start on its own row.
+    /// rank, which keeps its own results. Energies and tuple counts are
+    /// summed in rank order, for determinism; each rank's fine-grained
+    /// compute phases (bin / enumerate / eval / reduce) are traced
+    /// cumulatively from the fan-out's start on its own row.
     fn compute(&mut self) {
         let t = Instant::now();
         let start_ns = if self.tracer.enabled() { self.exec_sink.now_ns() } else { 0 };
         let ff = &self.ff;
-        let ranks = LaneSlots::new(self.ranks.as_mut_ptr());
-        let out = LaneSlots::new(self.results.as_mut_ptr());
-        self.pool.run(self.ranks.len(), &move |r| {
-            // SAFETY: task index r is claimed exactly once per run, so
-            // each rank/result slot is touched by a single lane.
-            let rank = unsafe { &mut *ranks.get(r) };
-            let slot = unsafe { &mut *out.get(r) };
-            *slot = rank.compute_forces(ff);
-        });
+        self.pool.for_each_mut(&mut self.ranks, |_, rank| rank.compute_forces(ff));
         let (mut energy, mut tuples) = (EnergyBreakdown::default(), TupleCounts::default());
-        for (e, c, _) in &self.results {
+        for rank in &self.ranks {
+            let (e, c, _) = &rank.computed;
             energy.pair += e.pair;
             energy.triplet += e.triplet;
             energy.quadruplet += e.quadruplet;
@@ -597,10 +600,11 @@ impl DistributedSim {
         }
         (self.last_energy, self.last_tuples) = (energy, tuples);
         self.book(Phase::Compute, t.elapsed().as_secs_f64());
-        for (sink, (_, _, phases)) in self.tsinks.iter().zip(&self.results) {
+        for (sink, rank) in self.tsinks.iter().zip(&self.ranks) {
             if !sink.enabled() {
                 continue;
             }
+            let (_, _, phases) = &rank.computed;
             let mut cursor = start_ns;
             for (phase, secs) in phases.iter() {
                 let dur_ns = (secs * 1e9) as u64;
@@ -668,7 +672,6 @@ impl DistributedSim {
     pub fn restore_onto(&mut self, cp: &Checkpoint, pdims: IVec3) -> Result<(), SetupError> {
         self.install(cp, RankGrid::try_new(pdims, cp.bbox())?)?;
         let nranks = self.ranks.len();
-        self.results = vec![Default::default(); nranks];
         (self.tsinks, self.exec_sink) = trace_sinks(&self.tracer, nranks);
         // Rank indices mean something new now; per-rank health state from
         // the old grid is unusable (cumulative counters are kept).
@@ -682,8 +685,9 @@ impl DistributedSim {
     /// phase-space point (summation order inside a rank may differ from the
     /// pre-fault run, so continuation is exact physics, not bitwise).
     fn install(&mut self, cp: &Checkpoint, grid: RankGrid) -> Result<(), SetupError> {
-        (self.dec, self.ranks, self.bufs) =
-            step::decompose(grid, &cp.to_store(), &self.ff, self.subdivision)?;
+        let (dec, ranks, bufs) = step::decompose(grid, &cp.to_store(), &self.ff, self.subdivision)?;
+        self.carried_alloc = self.scratch_allocation_events();
+        (self.dec, self.ranks, self.bufs) = (dec, ranks, bufs);
         self.dt = cp.dt;
         self.steps_done = cp.step;
         self.needs_prime = true;

@@ -9,10 +9,10 @@
 //! peer rank:
 //!
 //! ```text
-//! Healthy --consecutive failures >= suspect_after--> Suspect
+//! Healthy --consecutive failures >= SUSPECT_AFTER--> Suspect
 //! Suspect --first successful delivery-------------> Healthy   (a "flap")
-//! Suspect --consecutive failures >= dead_after----> Dead
-//! Suspect --flaps in window > max_flaps-----------> Dead      (breaker trip)
+//! Suspect --consecutive failures >= DEAD_AFTER----> Dead
+//! Suspect --flaps in window > MAX_FLAPS-----------> Dead      (breaker trip)
 //! ```
 //!
 //! `Dead` is terminal for the tracker: only [`HealthTracker::reset`] — called
@@ -24,12 +24,25 @@
 //!
 //! The thresholds are measured in *consecutive failed delivery attempts*,
 //! which ties them to the executor's retry budget: one exhausted budget is
-//! `1 + MAX_RETRIES` attempts, so `suspect_after` equal to that marks a rank
-//! suspect the first time it wedges a step, and `dead_after` of several
+//! `1 + MAX_RETRIES` attempts, so `SUSPECT_AFTER` equal to that marks a
+//! rank suspect the first time it wedges a step, and `DEAD_AFTER` of several
 //! budgets distinguishes a long-but-bounded stall (which drains) from a
 //! crash (which does not).
 
 use sc_obs::CommChannel;
+
+/// Consecutive failures before `Healthy → Suspect`: one exhausted retry
+/// budget (`1 + MAX_RETRIES` = 3 attempts).
+const SUSPECT_AFTER: u32 = 3;
+/// Consecutive failures before `Suspect → Dead`: six budgets, comfortably
+/// above the longest scripted recoverable stall the tests use (12 attempts)
+/// and below the supervisor's default rollback budget for a real crash.
+const DEAD_AFTER: u32 = 18;
+/// `Suspect → Healthy` recoveries tolerated per channel class within
+/// [`FLAP_WINDOW`] before the circuit breaker declares the link dead.
+const MAX_FLAPS: u32 = 4;
+/// Width (in steps) of the sliding window the breaker counts flaps in.
+const FLAP_WINDOW: u64 = 16;
 
 /// Health state of one peer rank, as seen by the delivery watchdog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,32 +68,6 @@ impl RankHealth {
     }
 }
 
-/// Thresholds for the health state machine. All counts are consecutive
-/// failed delivery attempts; the flap window is in steps.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// Consecutive failures before `Healthy → Suspect`.
-    pub suspect_after: u32,
-    /// Consecutive failures before `Suspect → Dead`.
-    pub dead_after: u32,
-    /// `Suspect → Healthy` recoveries tolerated per channel class within
-    /// [`HealthConfig::flap_window`] before the circuit breaker declares the
-    /// link dead.
-    pub max_flaps: u32,
-    /// Width (in steps) of the sliding window the breaker counts flaps in.
-    pub flap_window: u64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        // suspect_after = one exhausted retry budget (1 + MAX_RETRIES = 3
-        // attempts); dead_after = six budgets, comfortably above the longest
-        // scripted recoverable stall the tests use (12 attempts) and below
-        // the supervisor's default rollback budget for a real crash.
-        HealthConfig { suspect_after: 3, dead_after: 18, max_flaps: 4, flap_window: 16 }
-    }
-}
-
 /// Cumulative transition counts, for observability deltas. Monotonic across
 /// [`HealthTracker::reset`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -98,7 +85,6 @@ pub struct HealthCounters {
 /// The per-rank health state machine. See the module docs.
 #[derive(Debug, Clone)]
 pub struct HealthTracker {
-    config: HealthConfig,
     states: Vec<RankHealth>,
     consecutive: Vec<u32>,
     /// Recent flap steps per rank per channel class (migrate/ghosts/forces).
@@ -108,9 +94,8 @@ pub struct HealthTracker {
 
 impl HealthTracker {
     /// A tracker for `ranks` peers, all initially healthy.
-    pub fn new(ranks: usize, config: HealthConfig) -> Self {
+    pub fn new(ranks: usize) -> Self {
         HealthTracker {
-            config,
             states: vec![RankHealth::Healthy; ranks],
             consecutive: vec![0; ranks],
             flaps: vec![Default::default(); ranks],
@@ -160,12 +145,12 @@ impl HealthTracker {
         self.consecutive[rank] = self.consecutive[rank].saturating_add(1);
         let n = self.consecutive[rank];
         match self.states[rank] {
-            RankHealth::Healthy if n >= self.config.suspect_after => {
+            RankHealth::Healthy if n >= SUSPECT_AFTER => {
                 self.states[rank] = RankHealth::Suspect;
                 self.counters.suspects += 1;
                 Some(RankHealth::Suspect)
             }
-            RankHealth::Suspect if n >= self.config.dead_after => {
+            RankHealth::Suspect if n >= DEAD_AFTER => {
                 self.states[rank] = RankHealth::Dead;
                 self.counters.deaths += 1;
                 Some(RankHealth::Dead)
@@ -196,9 +181,9 @@ impl HealthTracker {
             CommChannel::Forces => 2,
         };
         let window = &mut self.flaps[rank][class];
-        window.retain(|&s| s + self.config.flap_window > step);
+        window.retain(|&s| s + FLAP_WINDOW > step);
         window.push(step);
-        if window.len() as u32 > self.config.max_flaps {
+        if window.len() as u32 > MAX_FLAPS {
             self.states[rank] = RankHealth::Dead;
             self.counters.deaths += 1;
             self.counters.breaker_trips += 1;
@@ -219,18 +204,26 @@ mod tests {
         CommChannel::Ghosts
     }
 
+    /// `n` consecutive failed attempts from `rank` at `step`; returns the
+    /// transitions they caused.
+    fn fail(t: &mut HealthTracker, rank: usize, n: u32, step: u64) -> Vec<RankHealth> {
+        (0..n).filter_map(|_| t.record_failure(rank, ch(), step)).collect()
+    }
+
+    /// A suspect rank's outage followed by a delivery: one flap.
+    fn flap(t: &mut HealthTracker, channel: CommChannel, step: u64) -> Option<RankHealth> {
+        assert_eq!(fail(t, 0, SUSPECT_AFTER, step), [RankHealth::Suspect]);
+        t.record_success(0, channel, step)
+    }
+
     #[test]
     fn deadline_escalates_healthy_suspect_dead() {
-        let mut t = HealthTracker::new(
-            4,
-            HealthConfig { suspect_after: 2, dead_after: 5, ..Default::default() },
-        );
+        let mut t = HealthTracker::new(4);
         assert_eq!(t.state(1), RankHealth::Healthy);
-        assert_eq!(t.record_failure(1, ch(), 0), None);
-        assert_eq!(t.record_failure(1, ch(), 0), Some(RankHealth::Suspect));
-        assert_eq!(t.record_failure(1, ch(), 1), None);
-        assert_eq!(t.record_failure(1, ch(), 1), None);
-        assert_eq!(t.record_failure(1, ch(), 2), Some(RankHealth::Dead));
+        assert_eq!(fail(&mut t, 1, SUSPECT_AFTER - 1, 0), []);
+        assert_eq!(fail(&mut t, 1, 1, 0), [RankHealth::Suspect]);
+        assert_eq!(fail(&mut t, 1, DEAD_AFTER - SUSPECT_AFTER - 1, 1), []);
+        assert_eq!(fail(&mut t, 1, 1, 2), [RankHealth::Dead]);
         assert!(t.is_dead(1));
         // Terminal: neither more failures nor a late success changes it.
         assert_eq!(t.record_failure(1, ch(), 3), None);
@@ -245,65 +238,54 @@ mod tests {
 
     #[test]
     fn success_recovers_a_suspect_and_resets_the_deadline() {
-        let mut t = HealthTracker::new(
-            2,
-            HealthConfig { suspect_after: 2, dead_after: 4, ..Default::default() },
-        );
-        t.record_failure(0, ch(), 0);
-        assert_eq!(t.record_failure(0, ch(), 0), Some(RankHealth::Suspect));
+        let mut t = HealthTracker::new(2);
+        assert_eq!(fail(&mut t, 0, SUSPECT_AFTER, 0), [RankHealth::Suspect]);
         assert_eq!(t.record_success(0, ch(), 1), Some(RankHealth::Healthy));
         assert_eq!(t.counters().recoveries, 1);
-        // The consecutive count restarted: three more failures only reach
-        // Suspect, not Dead.
-        t.record_failure(0, ch(), 2);
-        assert_eq!(t.record_failure(0, ch(), 2), Some(RankHealth::Suspect));
-        assert_eq!(t.record_failure(0, ch(), 3), None);
+        // The consecutive count restarted: one failure short of the deadline
+        // again only reaches Suspect, though the run has now failed more
+        // often than that in total.
+        assert_eq!(fail(&mut t, 0, DEAD_AFTER - 1, 2), [RankHealth::Suspect]);
         assert_eq!(t.state(0), RankHealth::Suspect);
     }
 
     #[test]
     fn flapping_link_trips_the_breaker() {
-        let cfg = HealthConfig { suspect_after: 1, dead_after: 100, max_flaps: 2, flap_window: 50 };
-        let mut t = HealthTracker::new(2, cfg);
-        // Two flaps tolerated, the third within the window trips the breaker.
-        for step in 0..2u64 {
-            assert_eq!(t.record_failure(1, ch(), step), Some(RankHealth::Suspect));
-            assert_eq!(t.record_success(1, ch(), step), Some(RankHealth::Healthy));
+        let mut t = HealthTracker::new(2);
+        // MAX_FLAPS flaps are tolerated, the next within the window trips
+        // the breaker.
+        for step in 0..u64::from(MAX_FLAPS) {
+            assert_eq!(flap(&mut t, ch(), step), Some(RankHealth::Healthy));
         }
-        assert_eq!(t.record_failure(1, ch(), 2), Some(RankHealth::Suspect));
-        assert_eq!(t.record_success(1, ch(), 2), Some(RankHealth::Dead));
-        assert!(t.is_dead(1));
+        assert_eq!(flap(&mut t, ch(), u64::from(MAX_FLAPS)), Some(RankHealth::Dead));
+        assert!(t.is_dead(0));
         let c = t.counters();
         assert_eq!(c.breaker_trips, 1);
         assert_eq!(c.deaths, 1);
-        assert_eq!(c.recoveries, 2);
+        assert_eq!(c.recoveries, u64::from(MAX_FLAPS));
     }
 
     #[test]
     fn flaps_outside_the_window_are_forgotten() {
-        let cfg = HealthConfig { suspect_after: 1, dead_after: 100, max_flaps: 1, flap_window: 10 };
-        let mut t = HealthTracker::new(1, cfg);
-        t.record_failure(0, ch(), 0);
-        assert_eq!(t.record_success(0, ch(), 0), Some(RankHealth::Healthy));
-        // Far enough apart, the earlier flap has aged out.
-        t.record_failure(0, ch(), 100);
-        assert_eq!(t.record_success(0, ch(), 100), Some(RankHealth::Healthy));
-        assert!(!t.is_dead(0));
+        let mut t = HealthTracker::new(1);
+        for step in 0..u64::from(MAX_FLAPS) {
+            assert_eq!(flap(&mut t, ch(), step), Some(RankHealth::Healthy));
+        }
+        // One window later, the earlier flaps have aged out.
+        let later = u64::from(MAX_FLAPS) + FLAP_WINDOW;
+        assert_eq!(flap(&mut t, ch(), later), Some(RankHealth::Healthy));
         // But flaps on *different channel classes* do not pool: each class
         // has its own breaker.
-        t.record_failure(0, ch(), 101);
-        assert_eq!(t.record_success(0, CommChannel::Forces, 101), Some(RankHealth::Healthy));
+        for _ in 0..MAX_FLAPS {
+            assert_eq!(flap(&mut t, CommChannel::Forces, later), Some(RankHealth::Healthy));
+        }
         assert!(!t.is_dead(0));
     }
 
     #[test]
     fn reset_clears_states_but_keeps_counters() {
-        let mut t = HealthTracker::new(
-            3,
-            HealthConfig { suspect_after: 1, dead_after: 2, ..Default::default() },
-        );
-        t.record_failure(2, ch(), 0);
-        t.record_failure(2, ch(), 0);
+        let mut t = HealthTracker::new(3);
+        assert_eq!(fail(&mut t, 2, DEAD_AFTER, 0), [RankHealth::Suspect, RankHealth::Dead]);
         assert!(t.is_dead(2));
         t.reset(2);
         assert_eq!(t.state(0), RankHealth::Healthy);

@@ -90,5 +90,5 @@ pub use error::{RuntimeError, SetupError};
 pub use exec_bsp::DistributedSim;
 pub use fault::{Delivery, Fault, FaultEvent, FaultKind, FaultPlan};
 pub use grid::RankGrid;
-pub use health::{HealthConfig, HealthCounters, HealthTracker, RankHealth};
+pub use health::{HealthCounters, HealthTracker, RankHealth};
 pub use msg::{AtomMsg, Channel, GhostMsg, Message, Payload};

@@ -103,6 +103,9 @@ pub struct RankState {
     scratch: ForceAccumulator,
     /// Hybrid-MD's Verlet list, rebuilt in place every step.
     list: NeighborList,
+    /// The most recent force computation's energies, tuple counts and
+    /// step-phase breakdown (binning / enumeration / scratch reduction).
+    pub(crate) computed: (EnergyBreakdown, TupleCounts, PhaseBreakdown),
     /// Communication statistics, cumulative since this rank state was
     /// built.
     pub stats: CommCounters,
@@ -171,6 +174,7 @@ impl RankState {
             terms,
             scratch: ForceAccumulator::default(),
             list: NeighborList::default(),
+            computed: Default::default(),
             stats: CommCounters::default(),
         }
     }
@@ -178,6 +182,11 @@ impl RankState {
     /// Owned-atom count.
     pub fn owned(&self) -> usize {
         self.owned
+    }
+
+    /// Growths of this rank's force scratch since it was built.
+    pub(crate) fn scratch_allocation_events(&self) -> u64 {
+        self.scratch.allocation_events()
     }
 
     /// The atom store (owned atoms first, then ghosts).
@@ -415,20 +424,15 @@ impl RankState {
     /// owned *and ghost* slots; the reverse reduction ships the ghost parts
     /// home.
     ///
-    /// Also returns the step-phase breakdown (binning / enumeration /
-    /// scratch reduction) and folds it into [`CommCounters::phases`].
-    pub fn compute_forces(
-        &mut self,
-        ff: &ForceField,
-    ) -> (EnergyBreakdown, TupleCounts, PhaseBreakdown) {
+    /// Keeps the energies, tuple counts and step-phase breakdown on the
+    /// rank and folds the breakdown into [`CommCounters::phases`].
+    pub fn compute_forces(&mut self, ff: &ForceField) {
         let mut energy = EnergyBreakdown::default();
         let mut tuples = TupleCounts::default();
         let mut phases = PhaseBreakdown::default();
         self.store.zero_forces();
-        let mut acc = std::mem::take(&mut self.scratch);
-        acc.reset();
-        acc.ensure_len(self.store.len());
-        let RankState { terms, store, owned, list, .. } = self;
+        let RankState { terms, store, owned, list, scratch: acc, .. } = self;
+        acc.begin(store.len());
         for term in terms.iter_mut() {
             let t_bin = Instant::now();
             term.lat.rebuild(store, *owned);
@@ -455,7 +459,7 @@ impl RankState {
                 gid_j > gid_i || (gid_j == gid_i && j >= owned)
             };
             let species = store.species();
-            hybrid_forces(ff, list, owns_bond, species, &mut acc, &mut energy, &mut tuples);
+            hybrid_forces(ff, list, owns_bond, species, acc, &mut energy, &mut tuples);
             phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
         } else {
             let t_enum = Instant::now();
@@ -463,18 +467,17 @@ impl RankState {
                 let src = LocalSource::new(&term.lat, store);
                 let potential = ff.term(term.n).expect("a lattice per active term");
                 let cells = term.cells.iter().copied();
-                potential.sweep(&src, &term.plan, cells, store.species(), &mut acc);
+                potential.sweep(&src, &term.plan, cells, store.species(), acc);
                 *energy.term_mut(term.n) += std::mem::take(&mut acc.energy);
                 tuples.term_mut(term.n).merge(std::mem::take(&mut acc.stats));
             }
             phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
         }
         let t_reduce = Instant::now();
-        acc.merge_into(self.store.forces_mut());
+        acc.merge_into(store.forces_mut());
         phases.add(Phase::Reduce, t_reduce.elapsed().as_secs_f64());
-        self.scratch = acc;
         self.stats.phases.accumulate(&phases);
-        (energy, tuples, phases)
+        self.computed = (energy, tuples, phases);
     }
 
     /// Gathers this rank's owned atoms (positions wrapped into the global

@@ -452,6 +452,21 @@ fn telemetry_snapshot_carries_every_section() {
     assert!(v.get("comm").unwrap().get("retries").unwrap().as_f64().unwrap() > 0.0);
 }
 
+/// The ranks' force scratch is accounted like the serial lanes': sized by
+/// the first step, then flat in the steady state (a perfect crystal at rest
+/// keeps every rank's atom and ghost counts).
+#[test]
+fn rank_scratch_growth_is_counted_and_then_flat() {
+    let (store, bbox) = build_fcc_lattice(&LatticeSpec::cubic(7, 1.5599), 0.0, 42);
+    let ff = lj_ff(Method::ShiftCollapse);
+    let mut d = DistributedSim::new(store, bbox, IVec3::splat(2), ff, 0.002).unwrap();
+    d.step();
+    let warm = d.telemetry().alloc_events;
+    assert!(warm > 0, "the first step sized every rank's scratch");
+    d.run(20);
+    assert_eq!(d.telemetry().alloc_events, warm, "steady-state steps grow no scratch");
+}
+
 #[test]
 fn bsp_trace_events_agree_with_comm_counters() {
     use sc_obs::{EventKind, Tracer};

@@ -728,14 +728,19 @@ fn admit(id: JobId, shared: &Arc<Shared>) -> Option<ActiveJob> {
             entry.tracer = Some(sim.tracer().clone());
         }
     }
+    // The supervisor reports into the job's own registry and flight
+    // recorder, so its `supervisor.*` series and recovery markers export.
+    let sup = Supervisor::new(SupervisorConfig {
+        checkpoint_every: spec.checkpoint.as_ref().map_or(u64::MAX, |c| c.every),
+        max_rollbacks: shared.cfg.max_rollbacks,
+        metrics: sim.metrics().clone(),
+        tracer: sim.tracer().clone(),
+        ..SupervisorConfig::default()
+    });
     let mut job = ActiveJob {
         id,
         sim,
-        sup: Supervisor::new(SupervisorConfig {
-            checkpoint_every: spec.checkpoint.as_ref().map_or(u64::MAX, |c| c.every),
-            max_rollbacks: shared.cfg.max_rollbacks,
-            ..SupervisorConfig::default()
-        }),
+        sup,
         total: spec.steps,
         persist_every: spec.checkpoint.as_ref().map(|c| c.every),
         last_persisted: 0,

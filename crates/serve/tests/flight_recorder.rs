@@ -72,6 +72,11 @@ fn dump_on_a_running_bsp_job_is_merge_ordered_and_inside_the_step_window() {
         steps.push(step);
     }
     assert_eq!(steps.len() as u64, dump.events);
+    // The supervisor checkpoints before the first step, into the job's ring.
+    assert!(
+        rows.iter().any(|r| r.get("name").and_then(|v| v.as_str()) == Some("checkpoint")),
+        "no supervisor checkpoint marker in the dump"
+    );
     // events() merges the per-thread rings by (step, rank, time): the
     // document must come out step-ordered, all inside the run's window.
     assert!(steps.windows(2).all(|w| w[0] <= w[1]), "merge order broken: {steps:?}");

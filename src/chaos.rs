@@ -12,7 +12,7 @@
 
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, Vec3};
-use sc_md::supervisor::{Supervisor, SupervisorConfig};
+use sc_md::supervisor::{Supervisor, SupervisorConfig, SupervisorError};
 use sc_obs::json::Json;
 use sc_obs::{chrome_trace, Tracer};
 use sc_parallel::{DistributedSim, EngineConfig, FaultPlan};
@@ -220,6 +220,19 @@ fn write_bundle(
     Ok(())
 }
 
+/// Runs `steps` supervised steps of a stormed engine. The supervisor emits
+/// its recovery markers (checkpoint / rollback / fault) into the engine's
+/// tracer, so a reproducer bundle's trace carries them.
+fn supervise(sim: &mut DistributedSim, steps: u64) -> Result<(), SupervisorError> {
+    Supervisor::new(SupervisorConfig {
+        checkpoint_every: 2,
+        max_rollbacks: 64,
+        tracer: sim.tracer().clone(),
+        ..SupervisorConfig::default()
+    })
+    .run(sim, steps)
+}
+
 /// Runs one storm: a seeded fault schedule under supervision, checked
 /// against `reference`. Failing storms leave a reproducer bundle under
 /// `config.out_dir`.
@@ -237,12 +250,7 @@ fn run_storm(
     let plan = FaultPlan::storm(seed, config.faults, config.steps, nranks, crash_cap);
     let script = faults_json(plan.pending());
     let mut sim = build_engine(case, plan, Tracer::new())?;
-    let mut sup = Supervisor::new(SupervisorConfig {
-        checkpoint_every: 2,
-        max_rollbacks: 64,
-        ..SupervisorConfig::default()
-    });
-    let failure = match sup.run(&mut sim, config.steps) {
+    let failure = match supervise(&mut sim, config.steps) {
         Err(e) => Some(format!("supervision aborted: {e}")),
         Ok(()) => check(&sim, reference),
     };
@@ -322,6 +330,18 @@ mod tests {
         for o in &outcomes {
             assert!(o.failure.is_none(), "storm {} failed: {:?}", o.seed, o.failure);
         }
+    }
+
+    /// The supervisor's recovery markers reach the storm's tracer — the one
+    /// a reproducer bundle's `trace.json` is written from.
+    #[test]
+    fn storm_tracer_holds_the_supervisor_checkpoints() {
+        // `pinned_lj_storms_pass`'s first storm.
+        let plan = FaultPlan::storm(11, 2, 6, 8, 2);
+        let mut sim = build_engine(&named_case("lj").unwrap(), plan, Tracer::new()).unwrap();
+        supervise(&mut sim, 6).expect("the storm recovers");
+        let events = sim.tracer().events();
+        assert!(events.iter().any(|e| e.kind == sc_obs::EventKind::Checkpoint));
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub mod prelude {
     pub use sc_geom::{CellRegion, IVec3, SimulationBox, Vec3};
     pub use sc_md::{
         build_fcc_lattice, build_silica_like, pair_virial_pressure, LatticeSpec,
-        MeanSquaredDisplacement, Method, Observer, RadialDistribution, RuntimeConfig, Simulation,
+        MeanSquaredDisplacement, Method, RadialDistribution, RuntimeConfig, Simulation,
         SimulationBuilder, Telemetry,
     };
     pub use sc_netmodel::{MachineProfile, MdCostModel, MethodCosts};
