@@ -68,7 +68,6 @@ pub struct SimulationBuilder {
     ff: ForceField,
     dt: f64,
     thermostat: Option<(f64, f64)>,
-    barostat: Option<(f64, f64)>,
     subdivision: i32,
     runtime: RuntimeConfig,
 }
@@ -121,16 +120,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Enables a Berendsen barostat: weak pressure coupling toward
-    /// `p_target` with strength `beta_dt_over_tau` (compressibility × dt/τ).
-    /// Each step the box and all positions are rescaled by
-    /// `μ = (1 − β·(P_target − P))^{1/3}`, clamped to ±5% per step.
-    pub fn barostat(mut self, p_target: f64, beta_dt_over_tau: f64) -> Self {
-        assert!(beta_dt_over_tau > 0.0 && beta_dt_over_tau.is_finite());
-        self.barostat = Some((p_target, beta_dt_over_tau));
-        self
-    }
-
     /// Sets the runtime/observability configuration: threads, the Verlet
     /// skin, the re-sort cadence, the metrics registry and the tracer.
     /// Scalars are validated by [`SimulationBuilder::build`].
@@ -158,16 +147,7 @@ impl SimulationBuilder {
     /// degenerate scalar configuration value ([`BuildError::Config`] names
     /// the field), or non-finite initial positions/velocities.
     pub fn build(self) -> Result<Simulation, BuildError> {
-        let SimulationBuilder {
-            store,
-            bbox,
-            ff,
-            dt,
-            thermostat,
-            barostat,
-            subdivision: k,
-            runtime,
-        } = self;
+        let SimulationBuilder { store, bbox, ff, dt, thermostat, subdivision: k, runtime } = self;
         let terms = ff.terms();
         if terms.is_empty() {
             return Err(BuildError::NoTerms);
@@ -246,7 +226,6 @@ impl SimulationBuilder {
             dt,
             searches,
             thermostat,
-            barostat,
             skin,
             subdivision: k,
             resort_every: runtime.resort_every,
@@ -320,7 +299,6 @@ pub struct Simulation {
     /// Hybrid-MD.
     searches: Vec<TermSearch>,
     thermostat: Option<(f64, f64)>,
-    barostat: Option<(f64, f64)>,
     skin: f64,
     subdivision: i32,
     /// Morton re-sort cadence ([`RuntimeConfig::resort_every`]; 0 = never).
@@ -406,7 +384,6 @@ impl Simulation {
             },
             dt: 0.001,
             thermostat: None,
-            barostat: None,
             subdivision: 1,
             runtime: RuntimeConfig::default(),
         }
@@ -589,14 +566,6 @@ impl Simulation {
         self.pool.lanes()
     }
 
-    /// Instantaneous pressure `P = (N k_B T + W/3)/V` from the most recent
-    /// force computation's virial (recomputes forces to stay current).
-    pub fn pressure(&mut self) -> f64 {
-        let stats = self.compute_forces();
-        let n = self.store.len() as f64;
-        (n * self.store.temperature() + stats.virial / 3.0) / self.bbox.volume()
-    }
-
     /// Hybrid-MD force computation. With `verlet_skin > 0` the pair list is
     /// built with cutoff `r_cut2 + skin` and reused across steps until some
     /// atom has moved more than `skin/2` since the build (the classical
@@ -687,33 +656,15 @@ impl Simulation {
             berendsen_rescale(&mut self.store, target, c);
         }
         drop(integrate_finish);
-        if let Some((p_target, beta)) = self.barostat {
-            let n = self.store.len() as f64;
-            let p = (n * self.store.temperature() + stats.virial / 3.0) / self.bbox.volume();
-            let mu = (1.0 - beta * (p_target - p)).clamp(0.857, 1.158).cbrt();
-            self.rescale_box(mu);
-        }
         self.steps_done += 1;
         self.obs.steps.inc();
         stats.step = self.steps_done;
         stats
     }
 
-    /// Uniformly rescales the box and all positions by `mu`, rebuilding the
-    /// cell lattices for the new geometry.
-    fn rescale_box(&mut self, mu: f64) {
-        assert!(mu > 0.0 && mu.is_finite());
-        let new_len = self.bbox.lengths() * mu;
-        self.bbox = SimulationBox::new(new_len);
-        for r in self.store.positions_mut() {
-            *r *= mu;
-        }
-        self.rebuild_lattices();
-    }
-
     /// Rebuilds every term's cell lattice for the current box and drops the
-    /// cached Verlet list. Used after any geometry change (barostat rescale,
-    /// checkpoint restore).
+    /// cached Verlet list. Called by checkpoint restore, which replaces the
+    /// box and the store.
     fn rebuild_lattices(&mut self) {
         for search in &mut self.searches {
             search.lat =
@@ -1081,6 +1032,16 @@ mod tests {
             energies.push(st.energy.quadruplet);
             forces.push(sim.store().forces().to_vec());
             assert!(st.tuples.quadruplet.accepted > 0, "{} found no quads", m.name());
+            // The brute-force oracle: each method must match it, not just
+            // the others (they could all be wrong the same way).
+            let (mut store, bbox) = (sim.store().clone(), *sim.bbox());
+            store.zero_forces();
+            reference::pair_forces(&mut store, &bbox, &LennardJones::reduced(1.2));
+            let e4 = reference::quadruplet_forces(&mut store, &bbox, &torsion);
+            assert!((st.energy.quadruplet - e4).abs() < 1e-8, "{}: reference {e4}", m.name());
+            for (a, b) in store.forces().iter().zip(sim.store().forces()) {
+                assert!((*a - *b).norm() < 1e-8, "{} forces differ from reference", m.name());
+            }
         }
         for e in &energies[1..] {
             assert!((e - energies[0]).abs() < 1e-8, "quad energies {energies:?}");
@@ -1227,30 +1188,6 @@ mod tests {
                 "virials differ: {virials:?}"
             );
         }
-    }
-
-    #[test]
-    fn barostat_relaxes_pressure_toward_target() {
-        // A compressed LJ crystal has a large positive pressure; the
-        // barostat must expand the box and bring P down toward the target.
-        let (store, bbox) = build_fcc_lattice(&LatticeSpec::cubic(6, 1.35), 0.05, 3);
-        let mut sim = Simulation::builder(store, bbox)
-            .pair_potential(Box::new(LennardJones::reduced(2.5)))
-            .thermostat(0.8, 0.05)
-            .barostat(0.5, 0.002)
-            .timestep(0.002)
-            .build()
-            .unwrap();
-        let p0 = sim.pressure();
-        let v0 = sim.bbox().volume();
-        assert!(p0 > 5.0, "compressed crystal should start high: P = {p0}");
-        sim.run(300);
-        let p1 = sim.pressure();
-        let v1 = sim.bbox().volume();
-        assert!(v1 > v0, "box must expand: {v0} -> {v1}");
-        assert!(p1 < 0.5 * p0, "pressure must relax: {p0} -> {p1}");
-        // Atoms stay inside the rescaled box.
-        assert!(sim.store().positions().iter().all(|&r| sim.bbox().contains(r)));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub enum Phase {
     Reduce,
     /// Owner migration of atoms that left their rank sub-box.
     Migrate,
-    /// Time integration (velocity Verlet halves, thermostat, barostat).
+    /// Time integration (velocity Verlet halves, thermostat).
     Integrate,
     /// Aggregate compute wall time where bin/enumerate/eval are not split.
     Compute,

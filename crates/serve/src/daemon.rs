@@ -170,6 +170,12 @@ fn metrics_loop(
     }
 }
 
+/// The longest request line a connection may send. A longer one is
+/// answered `bad-request` and ends the connection, so a client that never
+/// sends `\n` cannot grow the daemon's memory without bound. (A `submit`
+/// of the largest checked-in scenario is well under 1 KiB.)
+const MAX_REQUEST_BYTES: u64 = 1 << 20;
+
 /// Handles one client connection; returns whether shutdown was requested.
 fn serve_connection(
     stream: UnixStream,
@@ -177,13 +183,28 @@ fn serve_connection(
     build: &BuildInfo,
 ) -> std::io::Result<bool> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the limit tells an over-long line from one that fits.
+        let read = (&mut reader).take(MAX_REQUEST_BYTES + 1).read_until(b'\n', &mut buf)?;
+        if read == 0 {
+            return Ok(false);
+        }
+        if read as u64 > MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') {
+            let limit = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+            write_line(&mut writer, &bad_request(limit))?;
+            return Ok(false);
+        }
+        let Ok(line) = std::str::from_utf8(&buf).map(str::trim) else {
+            write_line(&mut writer, &bad_request("request line is not UTF-8"))?;
+            continue;
+        };
+        if line.is_empty() {
             continue;
         }
-        let req = match Json::parse(&line)
+        let req = match Json::parse(line)
             .map_err(|e| e.to_string())
             .and_then(|doc| Request::from_json(&doc))
         {
@@ -205,7 +226,6 @@ fn serve_connection(
             return Ok(true);
         }
     }
-    Ok(false)
 }
 
 fn write_line(writer: &mut UnixStream, resp: &Response) -> std::io::Result<()> {
@@ -261,16 +281,6 @@ fn stream_watch(
 
 fn bad_request(message: impl Into<String>) -> Response {
     Response::Error { code: "bad-request".to_string(), message: message.into() }
-}
-
-/// Routes one request line; returns the response and whether the daemon
-/// should stop. (Non-streaming path: `watch` is intercepted by the
-/// connection loop and answers `bad-request` here.)
-pub fn handle_line(line: &str, scheduler: &Scheduler) -> (Response, bool) {
-    match Json::parse(line).map_err(|e| e.to_string()).and_then(|doc| Request::from_json(&doc)) {
-        Ok(req) => handle_request(req, scheduler, &BuildInfo::current()),
-        Err(e) => (bad_request(e), false),
-    }
 }
 
 /// Routes one parsed request (every verb except the streaming `watch`).

@@ -1,13 +1,14 @@
-//! The counter/energy gate behind `scmd bench`.
+//! The bench matrix behind `scmd bench` and the tier-1 counter/energy gate.
 //!
 //! Runs a pinned, deterministic workload matrix — the serial engine and the
 //! distributed engine (under both its `bsp` and `threaded` spellings), each
 //! over the method set — once per row and writes one bench document whose
-//! layout is pinned by `schema/bench.schema.json`. A companion comparator
-//! diffs two bench documents exactly: the deterministic work counters (tuple
-//! candidates/accepted, comm messages/bytes) must be equal and the energies
-//! must agree to 1e-6 relative. CI runs the matrix against the checked-in
-//! `BENCH_baseline.json` so behavioural regressions (more work, more
+//! layout is pinned by `schema/bench.schema.json`. `scmd bench` only
+//! records; the gate is this module's
+//! `matrix_matches_the_checked_in_baseline` test, which `cargo test -q`
+//! runs: the deterministic work counters (tuple candidates/accepted, comm
+//! messages/bytes) must equal `BENCH_baseline.json`'s and the energies must
+//! agree to 1e-6 relative, so behavioural regressions (more work, more
 //! traffic, different physics) fail loudly on any machine. Nothing here
 //! reads a clock: `benchmark/` and `scripts/ab.sh` are the timing authority.
 
@@ -44,8 +45,8 @@ pub struct BenchCase {
     /// Bytes sent over the whole run (0 for the serial engine).
     pub comm_bytes: u64,
     /// Messages per integration step (`comm_messages / steps`): one frame
-    /// per neighbor per exchange phase. The comparator gates on it exactly,
-    /// so a schedule that sends more wire units fails loudly.
+    /// per neighbor per exchange phase. The gate compares it exactly, so a
+    /// schedule that sends more wire units fails loudly.
     pub messages_per_step: f64,
 }
 
@@ -85,7 +86,7 @@ fn git_sha() -> String {
 /// `scenarios/bench/`. Array order is the canonical case order, and each
 /// file's `name` field matches `BENCH_baseline.json` case-for-case —
 /// editing a spec file changes what `scmd bench` measures, and the
-/// baseline comparator catches any counter drift that causes.
+/// tier-1 gate catches any counter drift that causes.
 const MATRIX_SPECS: [&str; 15] = [
     include_str!("../scenarios/bench/serial-sc-md-lj.json"),
     include_str!("../scenarios/bench/serial-fs-md-lj.json"),
@@ -111,10 +112,6 @@ pub fn matrix_specs() -> Vec<ScenarioSpec> {
         .map(|src| ScenarioSpec::from_json_str(src).expect("checked-in bench spec is valid"))
         .collect()
 }
-
-/// The step count `quick` mode (used by tests) runs every case for instead
-/// of its checked-in `steps`.
-const QUICK_STEPS: u64 = 2;
 
 /// Runs one scenario as a bench case. Every executor spelling — serial,
 /// threaded, BSP — goes through the same [`sc_spec::RunHandle`]
@@ -145,14 +142,13 @@ pub fn run_spec_case(spec: &ScenarioSpec) -> Result<BenchCase, String> {
 }
 
 /// Runs the pinned workload matrix from the embedded `scenarios/bench/`
-/// specs, each row once, for the `steps` its file carries; `quick` shrinks
-/// the step counts (used by tests; the full matrix completes in seconds).
-pub fn run_matrix(quick: bool) -> Vec<BenchCase> {
-    let mut specs = matrix_specs();
-    if quick {
-        specs.iter_mut().for_each(|spec| spec.steps = QUICK_STEPS);
-    }
-    specs.iter().map(|spec| run_spec_case(spec).expect("checked-in bench spec runs")).collect()
+/// specs, each row once, for the `steps` its file carries (the whole matrix
+/// takes seconds even in the debug profile).
+pub fn run_matrix() -> Vec<BenchCase> {
+    matrix_specs()
+        .iter()
+        .map(|spec| run_spec_case(spec).expect("checked-in bench spec runs"))
+        .collect()
 }
 
 /// Renders a bench document (the layout pinned by
@@ -165,124 +161,180 @@ pub fn to_document(cases: &[BenchCase]) -> Json {
     ])
 }
 
-fn num(case: &Json, key: &str) -> f64 {
-    case.get(key).and_then(|v| v.as_f64()).unwrap_or(f64::NAN)
-}
-
-fn cases_of(doc: &Json) -> &[Json] {
-    doc.get("cases").and_then(|c| c.as_array()).unwrap_or(&[])
-}
-
-fn name_of(case: &Json) -> &str {
-    case.get("name").and_then(|n| n.as_str()).unwrap_or("?")
-}
-
-/// Diffs `current` against `baseline`. Returns `(report, failures)`: one
-/// report line per case both documents hold, and one failure line per
-/// violated invariant. Deterministic counters (tuple candidates/accepted,
-/// comm messages/bytes) must match exactly and energies must agree to 1e-6
-/// relative; a case only one document holds is a failure either way — a new
-/// row is gated from the moment the baseline is re-recorded with it, never
-/// silently before.
-pub fn compare(baseline: &Json, current: &Json) -> (Vec<String>, Vec<String>) {
-    let mut report = Vec::new();
-    let mut failures = Vec::new();
-    let (base_cases, cur_cases) = (cases_of(baseline), cases_of(current));
-    for base in base_cases {
-        let name = name_of(base);
-        let Some(cur) = cur_cases.iter().find(|c| name_of(c) == name) else {
-            failures.push(format!("{name}: case missing from current run"));
-            continue;
-        };
-        let before = failures.len();
-        for key in [
-            "atoms",
-            "steps",
-            "tuples_candidates",
-            "tuples_accepted",
-            "comm_messages",
-            "comm_bytes",
-            "messages_per_step",
-        ] {
-            let (b, c) = (num(base, key), num(cur, key));
-            if b != c {
-                failures.push(format!("{name}: {key} changed {b} -> {c}"));
-            }
-        }
-        let (be, ce) = (num(base, "energy_total"), num(cur, "energy_total"));
-        if (be - ce).abs() > 1e-6 * be.abs().max(1.0) {
-            failures.push(format!("{name}: energy_total drifted {be} -> {ce}"));
-        }
-        let verdict =
-            if failures.len() == before { "counters and energy match" } else { "DIFFERS" };
-        report.push(format!("{name:<28} {verdict}"));
-    }
-    for cur in cur_cases {
-        let name = name_of(cur);
-        if !base_cases.iter().any(|b| name_of(b) == name) {
-            failures.push(format!("{name}: case missing from baseline — re-record it"));
-        }
-    }
-    (report, failures)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn case(name: &str, candidates: u64) -> BenchCase {
-        BenchCase {
-            name: name.into(),
-            executor: "serial".into(),
-            method: "sc".into(),
-            system: "lj".into(),
-            atoms: 256,
-            steps: 4,
-            tuples_candidates: candidates,
-            tuples_accepted: candidates / 2,
-            energy_total: -100.0,
-            comm_messages: 0,
-            comm_bytes: 0,
-            messages_per_step: 0.0,
+    /// The deterministic work counters the gate requires to match exactly.
+    const EXACT_KEYS: [&str; 7] = [
+        "atoms",
+        "steps",
+        "tuples_candidates",
+        "tuples_accepted",
+        "comm_messages",
+        "comm_bytes",
+        "messages_per_step",
+    ];
+
+    fn baseline() -> Json {
+        Json::parse(include_str!("../BENCH_baseline.json")).expect("baseline is valid JSON")
+    }
+
+    fn num(case: &Json, key: &str) -> f64 {
+        case.get(key).and_then(|v| v.as_f64()).unwrap_or(f64::NAN)
+    }
+
+    fn cases_of(doc: &Json) -> &[Json] {
+        doc.get("cases").and_then(|c| c.as_array()).unwrap_or(&[])
+    }
+
+    fn name_of(case: &Json) -> &str {
+        case.get("name").and_then(|n| n.as_str()).unwrap_or("?")
+    }
+
+    /// Diffs `current` against `baseline`, one failure line per violated
+    /// invariant. Exact counters must be equal and energies must agree to
+    /// 1e-6 relative — written so that a NaN or missing energy (`null` on
+    /// the wire) fails; a case only one document holds is a failure either
+    /// way, so a new row is gated from the moment the baseline is
+    /// re-recorded with it, never silently before.
+    fn compare(baseline: &Json, current: &Json) -> Vec<String> {
+        let mut failures = Vec::new();
+        let (base_cases, cur_cases) = (cases_of(baseline), cases_of(current));
+        for base in base_cases {
+            let name = name_of(base);
+            let Some(cur) = cur_cases.iter().find(|c| name_of(c) == name) else {
+                failures.push(format!("{name}: case missing from current run"));
+                continue;
+            };
+            for key in EXACT_KEYS {
+                let (b, c) = (num(base, key), num(cur, key));
+                if b != c {
+                    failures.push(format!("{name}: {key} changed {b} -> {c}"));
+                }
+            }
+            let (be, ce) = (num(base, "energy_total"), num(cur, "energy_total"));
+            // False when either side is NaN, so NaN fails.
+            let close = (be - ce).abs() <= 1e-6 * be.abs().max(1.0);
+            if !close {
+                failures.push(format!("{name}: energy_total drifted {be} -> {ce}"));
+            }
+        }
+        for cur in cur_cases {
+            let name = name_of(cur);
+            if !base_cases.iter().any(|b| name_of(b) == name) {
+                failures.push(format!("{name}: case missing from baseline — re-record it"));
+            }
+        }
+        failures
+    }
+
+    /// The `cases` array of a bench document, for doctoring.
+    fn cases_mut(doc: &mut Json) -> &mut Vec<Json> {
+        let Json::Obj(fields) = doc else { panic!("bench doc is an object") };
+        match fields.iter_mut().find(|(k, _)| k == "cases") {
+            Some((_, Json::Arr(cases))) => cases,
+            _ => panic!("bench doc has a cases array"),
         }
     }
 
-    fn doc(candidates: u64) -> Json {
-        to_document(&[case("serial-sc-lj", candidates)])
+    /// `doc` with case `i`'s `key` set to `value`, or removed when `None`.
+    fn doctored(doc: &Json, i: usize, key: &str, value: Option<Json>) -> Json {
+        let mut doc = doc.clone();
+        let Json::Obj(case) = &mut cases_mut(&mut doc)[i] else { panic!("case is an object") };
+        let at = case.iter().position(|(k, _)| k == key).expect("case holds the key");
+        match value {
+            Some(v) => case[at].1 = v,
+            None => drop(case.remove(at)),
+        }
+        doc
+    }
+
+    /// The baseline with one row dropped, and that row's name.
+    fn short_baseline() -> (Json, String) {
+        let mut short = baseline();
+        let dropped = cases_mut(&mut short).remove(3);
+        (short, name_of(&dropped).to_string())
+    }
+
+    #[test]
+    fn matrix_matches_the_checked_in_baseline() {
+        // The tier-1 gate. Two runs must render the same document string —
+        // `Json` writes a finite f64 in shortest round-trip form, so equal
+        // strings mean equal bits — and the first must match the pinned
+        // counters exactly and the pinned energies to 1e-6.
+        let first = to_document(&run_matrix());
+        let second = to_document(&run_matrix());
+        assert_eq!(first.to_string(), second.to_string(), "the matrix is not deterministic");
+        let failures = compare(&baseline(), &first);
+        assert!(
+            failures.is_empty(),
+            "bench matrix drifted from BENCH_baseline.json (re-record with \
+             `scmd bench --out BENCH_baseline.json` only if the change is meant):\n{}",
+            failures.join("\n")
+        );
     }
 
     #[test]
     fn identical_documents_compare_clean() {
-        let a = doc(1000);
-        let (report, failures) = compare(&a, &a);
-        assert_eq!(failures, Vec::<String>::new());
-        assert_eq!(report.len(), 1);
+        let base = baseline();
+        assert_eq!(compare(&base, &base), Vec::<String>::new());
     }
 
     #[test]
-    fn counter_drift_fails() {
-        let (_, failures) = compare(&doc(1000), &doc(1001));
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("tuples_candidates"), "{failures:?}");
+    fn every_gated_key_of_every_baseline_row_is_checked() {
+        let base = baseline();
+        let cases = cases_of(&base);
+        assert_eq!(cases.len(), MATRIX_SPECS.len());
+        for (i, c) in cases.iter().enumerate() {
+            let name = name_of(c);
+            for key in EXACT_KEYS {
+                let bumped = doctored(&base, i, key, Some(Json::num(num(c, key) + 1.0)));
+                let failures = compare(&base, &bumped);
+                assert_eq!(failures.len(), 1, "{name}.{key}: {failures:?}");
+                assert!(failures[0].starts_with(&format!("{name}: {key} ")), "{failures:?}");
+            }
+            let e = num(c, "energy_total");
+            let within = doctored(&base, i, "energy_total", Some(Json::num(e * (1.0 + 0.5e-6))));
+            assert_eq!(compare(&base, &within), Vec::<String>::new(), "{name}");
+            let beyond = doctored(&base, i, "energy_total", Some(Json::num(e * (1.0 + 2e-6))));
+            let failures = compare(&base, &beyond);
+            assert_eq!(failures.len(), 1, "{name}: {failures:?}");
+            assert!(failures[0].starts_with(&format!("{name}: energy_total ")), "{failures:?}");
+        }
+    }
+
+    #[test]
+    fn energy_gate_fails_a_null_or_missing_energy() {
+        // `Json::num` writes a non-finite energy as `null`; a blown-up run
+        // whose counters happen to match must not pass.
+        let base = baseline();
+        let name = name_of(&cases_of(&base)[0]).to_string();
+        for value in [Some(Json::Null), None] {
+            let blown = doctored(&base, 0, "energy_total", value.clone());
+            let failures = compare(&base, &blown);
+            assert_eq!(failures.len(), 1, "{value:?}: {failures:?}");
+            assert!(failures[0].starts_with(&format!("{name}: energy_total ")), "{failures:?}");
+        }
     }
 
     #[test]
     fn missing_case_fails() {
-        let (_, failures) = compare(&doc(1000), &to_document(&[]));
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("missing from current run"), "{failures:?}");
+        let (short, name) = short_baseline();
+        assert_eq!(
+            compare(&baseline(), &short),
+            [format!("{name}: case missing from current run")]
+        );
     }
 
     #[test]
     fn case_missing_from_baseline_fails() {
         // A row added to the matrix is not gated by a baseline that lacks
         // it; passing silently would hide that.
-        let grown = to_document(&[case("serial-sc-lj", 1000), case("bsp-SC-MD-silica", 7)]);
-        let (report, failures) = compare(&doc(1000), &grown);
-        assert_eq!(report.len(), 1);
+        let (short, name) = short_baseline();
         assert_eq!(
-            failures,
-            ["bsp-SC-MD-silica: case missing from baseline — re-record it".to_string()]
+            compare(&short, &baseline()),
+            [format!("{name}: case missing from baseline — re-record it")]
         );
     }
 
@@ -322,28 +374,8 @@ mod tests {
             );
         }
         // The checked-in baseline gates exactly these rows.
-        let baseline = Json::parse(include_str!("../BENCH_baseline.json")).unwrap();
-        let gated: Vec<&str> = cases_of(&baseline).iter().map(name_of).collect();
+        let base = baseline();
+        let gated: Vec<&str> = cases_of(&base).iter().map(name_of).collect();
         assert_eq!(gated, names);
-    }
-
-    #[test]
-    fn quick_matrix_is_deterministic_across_runs() {
-        // Two back-to-back runs must agree on every deterministic counter —
-        // this is the invariant the CI comparator relies on.
-        let a = run_matrix(true);
-        let b = run_matrix(true);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.tuples_candidates, y.tuples_candidates, "{}", x.name);
-            assert_eq!(x.tuples_accepted, y.tuples_accepted, "{}", x.name);
-            assert_eq!(x.comm_messages, y.comm_messages, "{}", x.name);
-            assert_eq!(x.comm_bytes, y.comm_bytes, "{}", x.name);
-            assert!((x.energy_total - y.energy_total).abs() < 1e-9, "{}", x.name);
-        }
-        let (report, failures) = compare(&to_document(&a), &to_document(&b));
-        assert!(failures.is_empty(), "{failures:?}");
-        assert_eq!(report.len(), a.len());
     }
 }

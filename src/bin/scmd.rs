@@ -3,8 +3,7 @@
 //! ```text
 //! scmd run      --spec PATH [--steps N]
 //!               [--xyz PATH] [--metrics-json PATH] [--trace PATH] [--results PATH]
-//! scmd bench    [--spec PATH] [--out PATH] [--quick true] [--baseline PATH]
-//! scmd bench    --compare OLD --with NEW
+//! scmd bench    [--spec PATH] [--out PATH]
 //! scmd chaos    [--cases lj,silica] [--spec PATH] [--storms N] [--seed S] [--steps N]
 //!               [--faults N] [--out DIR]
 //! scmd serve    [--socket PATH] [--lanes N] [--queue N] [--slice N] [--state DIR]
@@ -57,7 +56,6 @@
 //! offending flag; runtime failures exit with status 1.
 
 use shift_collapse_md::md::{write_xyz, CliError, Error, Method};
-use shift_collapse_md::obs::json::Json;
 use shift_collapse_md::pattern::{generate_fs, import_volume_cubic, shift_collapse, theory};
 use shift_collapse_md::prelude::*;
 use shift_collapse_md::serve::{Daemon, DaemonConfig, Request, Response, SchedulerConfig};
@@ -125,8 +123,7 @@ fn print_usage() {
         "scmd — shift-collapse molecular dynamics\n\n\
          USAGE:\n  scmd run      --spec PATH [--steps N] [--xyz PATH] [--metrics-json PATH]\n\
          \x20               [--trace PATH] [--results PATH]\n\
-         \x20 scmd bench    [--spec PATH] [--out PATH] [--quick true] [--baseline PATH]\n\
-         \x20 scmd bench    --compare OLD --with NEW\n\
+         \x20 scmd bench    [--spec PATH] [--out PATH]\n\
          \x20 scmd chaos    [--cases lj,silica] [--spec PATH] [--storms N] [--seed S]\n\
          \x20               [--steps N] [--faults N] [--out DIR]\n\
          \x20 scmd serve    [--socket PATH] [--lanes N] [--queue N] [--slice N]\n\
@@ -299,46 +296,22 @@ fn write_results(
 // scmd bench / chaos
 // ---------------------------------------------------------------------------
 
+/// Records the pinned matrix (or one `--spec` case) as a bench document.
+/// It gates nothing: `cargo test -q` compares the matrix with
+/// `BENCH_baseline.json`, and `scmd bench --out BENCH_baseline.json`
+/// re-records it, the `git diff` showing every counter that moved.
 fn bench(flags: &Flags) -> Result<(), Error> {
-    use shift_collapse_md::bench::{compare, run_matrix, run_spec_case, to_document};
+    use shift_collapse_md::bench::{run_matrix, run_spec_case, to_document};
 
-    check_flags(flags, &["spec", "out", "quick", "baseline", "compare", "with"])?;
-    let load = |path: &str| -> Result<Json, Error> {
-        let text = std::fs::read_to_string(path)?;
-        Json::parse(&text)
-            .map_err(|e| Error::Setup(format!("{path} is not a bench JSON document: {e}").into()))
-    };
-    let diff = |baseline: &Json, current: &Json| -> Result<(), Error> {
-        let (report, failures) = compare(baseline, current);
-        for line in &report {
-            println!("{line}");
-        }
-        if failures.is_empty() {
-            println!("# no regressions");
-            Ok(())
-        } else {
-            for f in &failures {
-                eprintln!("REGRESSION: {f}");
-            }
-            std::process::exit(1);
-        }
-    };
-
-    // Pure comparator mode: diff two existing bench files.
-    if let Some(old) = flags.get("compare") {
-        let new = required(flags, "with")?;
-        return diff(&load(old)?, &load(new)?);
-    }
-
+    check_flags(flags, &["spec", "out"])?;
     let cases = match flags.get("spec") {
         // A single spec-defined case instead of the pinned matrix.
         Some(path) => {
             let spec = ScenarioSpec::from_path(Path::new(path)).map_err(spec_err)?;
             vec![run_spec_case(&spec).map_err(|e| Error::Setup(e.into()))?]
         }
-        None => run_matrix(get(flags, "quick", false, "true|false")?),
+        None => run_matrix(),
     };
-    let doc = to_document(&cases);
     for c in &cases {
         println!(
             "{:<28} {:>6} atoms  {:>3} steps  {:>10} tuples  {:>6} messages",
@@ -346,12 +319,9 @@ fn bench(flags: &Flags) -> Result<(), Error> {
         );
     }
     let out = flags.get("out").map_or("BENCH_current.json", |s| s.as_str());
-    std::fs::write(out, doc.to_string())?;
+    std::fs::write(out, to_document(&cases).to_string())?;
     println!("# bench document written to {out}");
-    match flags.get("baseline") {
-        Some(path) => diff(&load(path)?, &doc),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
 fn chaos(flags: &Flags) -> Result<(), Error> {

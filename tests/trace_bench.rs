@@ -1,8 +1,9 @@
-//! CI contract tests for the observability tentpole: `scmd run --trace`
+//! CLI contract tests for the trace and bench writers: `scmd run --trace`
 //! must emit a Chrome Trace Format file that round-trips through the
 //! vendored JSON parser with at least one event for every phase in the
-//! taxonomy, and `scmd bench` must emit a schema-valid bench document
-//! whose comparator fails loudly on a degraded copy.
+//! taxonomy, and `scmd bench` must emit a schema-valid bench document and
+//! accept nothing but `--spec` and `--out` (it records; the gate against
+//! `BENCH_baseline.json` is the `bench` module's tier-1 test).
 
 use shift_collapse_md::obs::json::Json;
 use shift_collapse_md::obs::{schema, Phase};
@@ -65,12 +66,12 @@ fn run_bench(args: &[&str]) -> std::process::Output {
 }
 
 #[test]
-fn scmd_bench_emits_schema_valid_doc_and_comparator_rejects_degraded_copy() {
+fn scmd_bench_emits_schema_valid_doc_and_refuses_removed_flags() {
     let dir = tmp_dir("bench");
     let out_path = dir.join("bench.json");
     let out = out_path.to_str().unwrap();
 
-    let output = run_bench(&["bench", "--quick", "true", "--out", out]);
+    let output = run_bench(&["bench", "--out", out]);
     assert!(
         output.status.success(),
         "scmd bench failed: {}",
@@ -85,41 +86,20 @@ fn scmd_bench_emits_schema_valid_doc_and_comparator_rejects_degraded_copy() {
     let text = std::fs::read_to_string(&out_path).expect("bench document was written");
     let doc = Json::parse(&text).expect("bench document is valid JSON");
     schema::validate(&doc, &schema_doc).expect("bench document matches its schema");
-    assert!(
-        doc.get("cases").and_then(|c| c.as_array()).map(|c| c.len()).unwrap_or(0) >= 6,
+    assert_eq!(
+        doc.get("cases").and_then(|c| c.as_array()).map(|c| c.len()),
+        Some(15),
         "the pinned matrix covers serial, threaded, and BSP cases"
     );
 
-    // An identical pair compares clean…
-    let ok = run_bench(&["bench", "--compare", out, "--with", out]);
-    assert!(ok.status.success(), "identical documents must not regress");
-
-    // …and a degraded copy (counter drift — the deterministic signal the
-    // comparator guards) makes it exit non-zero.
-    let degraded_path = dir.join("degraded.json");
-    let degraded_text = {
-        let Json::Obj(mut fields) = doc else { panic!("bench doc is an object") };
-        for (key, value) in &mut fields {
-            if key != "cases" {
-                continue;
-            }
-            let Json::Arr(cases) = value else { panic!("cases is an array") };
-            let Json::Obj(case) = &mut cases[0] else { panic!("case is an object") };
-            for (k, v) in case.iter_mut() {
-                if k == "tuples_accepted" {
-                    let was = v.as_f64().unwrap();
-                    *v = Json::num(was + 1.0);
-                }
-            }
-        }
-        Json::Obj(fields).to_string()
-    };
-    std::fs::write(&degraded_path, degraded_text).unwrap();
-    let bad = run_bench(&["bench", "--compare", out, "--with", degraded_path.to_str().unwrap()]);
-    assert!(!bad.status.success(), "counter drift must exit non-zero");
-    let stderr = String::from_utf8_lossy(&bad.stderr);
-    assert!(stderr.contains("REGRESSION"), "stderr names the regression: {stderr}");
-    assert!(stderr.contains("tuples_accepted"), "{stderr}");
+    // Recording is all `scmd bench` does: any other flag is a malformed
+    // command line (exit 2) whose error names it.
+    for flag in ["--baseline", "--compare", "--with", "--quick"] {
+        let refused = run_bench(&["bench", flag, out]);
+        assert_eq!(refused.status.code(), Some(2), "{flag} must be refused");
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert!(stderr.contains(flag), "the error names {flag}: {stderr}");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
