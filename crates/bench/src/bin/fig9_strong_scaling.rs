@@ -95,7 +95,7 @@ fn measured(n_faults: usize, trace_dir: Option<&str>) {
     use sc_bench::fmt_time;
     use sc_geom::IVec3;
     use sc_md::build_silica_like;
-    use sc_obs::{chrome_trace, Registry, Tracer};
+    use sc_obs::{chrome_trace, Tracer};
     use sc_parallel::rank::ForceField;
     use sc_parallel::{DistributedSim, EngineConfig};
     use sc_potential::Vashishta;
@@ -126,8 +126,7 @@ fn measured(n_faults: usize, trace_dir: Option<&str>) {
             method,
         };
         let tracer = if trace_dir.is_some() { Tracer::new() } else { Tracer::disabled() };
-        let cfg =
-            EngineConfig { metrics: Registry::new(), tracer: tracer.clone(), ..Default::default() };
+        let cfg = EngineConfig { tracer: tracer.clone(), ..Default::default() };
         let mut d = DistributedSim::build(store, bbox, IVec3::splat(2), ff, 0.001, cfg)
             .expect("valid distributed setup");
         d.run(steps);
@@ -205,7 +204,6 @@ fn measured(n_faults: usize, trace_dir: Option<&str>) {
         method: Method::ShiftCollapse,
     };
     let cfg = EngineConfig {
-        metrics: Registry::new(),
         faults: FaultPlan::random(42, n_faults, steps as u64, 8),
         ..Default::default()
     };

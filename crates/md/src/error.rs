@@ -25,8 +25,8 @@ pub enum BuildError {
         rcut2: f64,
     },
     /// The periodic box cannot host the cell lattice a term needs (fewer
-    /// than 3 cutoffs per axis, or reach-k offsets would alias through the
-    /// wrap).
+    /// than 3 cutoffs per axis, a cutoff beyond half the shortest edge, or
+    /// reach-k offsets would alias through the wrap).
     BoxTooSmall {
         /// The tuple order whose lattice failed.
         n: usize,

@@ -76,7 +76,7 @@ pub use stats::{EnergyBreakdown, TupleCounts};
 pub use supervisor::{
     Recoverable, RecoveryStats, StepFault, Supervisor, SupervisorConfig, SupervisorError,
 };
-pub use telemetry::Telemetry;
+pub use telemetry::{MetricsFeed, Telemetry};
 pub use workload::{
     build_clustered_gas, build_fcc_lattice, build_silica_like, random_gas, thermalize, LatticeSpec,
 };

@@ -11,7 +11,7 @@ use crate::stats::{EnergyBreakdown, TupleCounts};
 use crate::telemetry::Telemetry;
 use sc_cell::{AtomStore, CellLattice};
 use sc_geom::{IVec3, SimulationBox, Vec3};
-use sc_obs::{CommCounters, Counter, Phase, PhaseBreakdown, Registry, TraceSink, Tracer};
+use sc_obs::{CommCounters, HealthCounters, Phase, PhaseBreakdown, TraceSink, Tracer};
 use sc_potential::{PairPotential, QuadrupletPotential, TripletPotential};
 use std::time::Instant;
 
@@ -39,25 +39,15 @@ pub struct RuntimeConfig {
     /// sorted, atoms drift across cells slowly, so a small power of two
     /// (default 8) keeps the layout tight at negligible cost.
     pub resort_every: u64,
-    /// The metrics registry every phase/counter observation flows into.
-    /// Defaults to [`Registry::disabled`], which is allocation-free and
-    /// never reads the clock.
-    pub metrics: Registry,
     /// The event tracer phase intervals and markers flow into. Defaults to
-    /// [`Tracer::disabled`], which is likewise allocation-free and never
-    /// reads the clock in the hot path.
+    /// [`Tracer::disabled`], which is allocation-free and never reads the
+    /// clock in the hot path.
     pub tracer: Tracer,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        RuntimeConfig {
-            threads: 0,
-            verlet_skin: 0.0,
-            resort_every: 8,
-            metrics: Registry::disabled(),
-            tracer: Tracer::disabled(),
-        }
+        RuntimeConfig { threads: 0, verlet_skin: 0.0, resort_every: 8, tracer: Tracer::disabled() }
     }
 }
 
@@ -121,7 +111,7 @@ impl SimulationBuilder {
     }
 
     /// Sets the runtime/observability configuration: threads, the Verlet
-    /// skin, the re-sort cadence, the metrics registry and the tracer.
+    /// skin, the re-sort cadence and the tracer.
     /// Scalars are validated by [`SimulationBuilder::build`].
     pub fn runtime(mut self, runtime: RuntimeConfig) -> Self {
         self.runtime = runtime;
@@ -189,8 +179,7 @@ impl SimulationBuilder {
         let min_edge = l.x.min(l.y).min(l.z);
         for &(n, rcut) in &terms {
             if reach(n, rcut) > 0.5 * min_edge {
-                let field = ["pair_cutoff", "triplet_cutoff", "quadruplet_cutoff"][n - 2];
-                return Err(BuildError::Config { field, value: reach(n, rcut) });
+                return Err(BuildError::BoxTooSmall { n, rcut: reach(n, rcut), subdivision: k });
             }
         }
         let mut searches = Vec::new();
@@ -236,53 +225,13 @@ impl SimulationBuilder {
             hybrid_builds: 0,
             lanes: (0..pool.lanes()).map(|_| ForceAccumulator::default()).collect(),
             pool,
-            obs: SimMetrics::register(&runtime.metrics),
-            metrics: runtime.metrics,
             tsink: runtime.tracer.sink(0, 0),
             tracer: runtime.tracer,
             total_phases: PhaseBreakdown::new(),
+            step_start: PhaseBreakdown::new(),
             last_stats: LastComputation::default(),
             steps_done: 0,
         })
-    }
-}
-
-/// Pre-registered metric handles, created once at build time so that
-/// steady-state steps touch only atomics (and, with a disabled registry,
-/// nothing at all).
-struct SimMetrics {
-    steps: Counter,
-    computations: Counter,
-    /// Accepted tuples per order (n = 2, 3, 4).
-    accepted: [Counter; 3],
-    /// Candidate tuples per order.
-    candidates: [Counter; 3],
-    /// Nanoseconds of enumerate+eval work per order — the paper's
-    /// per-n-tuple-order cost observable (Eq. 29).
-    work_ns: [Counter; 3],
-}
-
-impl SimMetrics {
-    fn register(reg: &Registry) -> Self {
-        SimMetrics {
-            steps: reg.counter("sim.steps"),
-            computations: reg.counter("sim.force_computations"),
-            accepted: [
-                reg.counter("tuples.pair.accepted"),
-                reg.counter("tuples.triplet.accepted"),
-                reg.counter("tuples.quadruplet.accepted"),
-            ],
-            candidates: [
-                reg.counter("tuples.pair.candidates"),
-                reg.counter("tuples.triplet.candidates"),
-                reg.counter("tuples.quadruplet.candidates"),
-            ],
-            work_ns: [
-                reg.counter("eval.pair_work_ns"),
-                reg.counter("eval.triplet_work_ns"),
-                reg.counter("eval.quadruplet_work_ns"),
-            ],
-        }
     }
 }
 
@@ -320,13 +269,15 @@ pub struct Simulation {
     /// One force accumulator per pool lane, owned for the simulation's
     /// lifetime; Hybrid-MD uses lane 0's.
     lanes: Vec<ForceAccumulator>,
-    obs: SimMetrics,
-    metrics: Registry,
     tracer: Tracer,
     /// The engine's own event sink (rank 0, lane 0); inert when tracing is
     /// disabled.
     tsink: TraceSink,
     total_phases: PhaseBreakdown,
+    /// The cumulative phase breakdown as it stood when the most recent step
+    /// began, so telemetry can report that step (and any force computation
+    /// since) alone.
+    step_start: PhaseBreakdown,
     last_stats: LastComputation,
     steps_done: u64,
 }
@@ -349,7 +300,6 @@ struct LastComputation {
     /// Scalar virial `W = Σ_tuples Σ_k f_k · (r_k − r_ref)` over all terms —
     /// the potential part of the pressure `P = (N k_B T + W/3) / V`.
     virial: f64,
-    phases: PhaseBreakdown,
 }
 
 /// The Hybrid-MD Verlet list, rebuilt in place so its buffers are reused,
@@ -410,28 +360,23 @@ impl Simulation {
     }
 
     /// The unified telemetry snapshot: physics of the most recent force
-    /// computation, per-phase timings (last and cumulative), and allocation
-    /// accounting. Communication fields are empty for the shared-memory
-    /// engine.
+    /// computation, per-phase timings (since the most recent step began,
+    /// and cumulative), and allocation accounting. Communication and health
+    /// fields are empty for the shared-memory engine.
     pub fn telemetry(&self) -> Telemetry {
         Telemetry {
             step: self.steps_done,
             energy: self.last_stats.energy,
             tuples: self.last_stats.tuples,
             virial: self.last_stats.virial,
-            phases: self.last_stats.phases,
+            phases: self.total_phases.since(&self.step_start),
             total_phases: self.total_phases,
             comm: CommCounters::default(),
             per_rank: Vec::new(),
-            alloc_events: self.scratch_allocation_events() + self.metrics.allocation_events(),
+            health: HealthCounters::default(),
+            alloc_events: self.scratch_allocation_events(),
             degraded: false,
         }
-    }
-
-    /// The metrics registry this simulation reports into (disabled unless
-    /// one was supplied via [`RuntimeConfig::metrics`]).
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
     }
 
     /// The event tracer this simulation emits into (disabled unless one was
@@ -449,9 +394,8 @@ impl Simulation {
     /// Recomputes all forces and energies from the current positions —
     /// rebinning the cell lattices (dynamic tuple computation), running the
     /// per-term UCP searches, and accumulating forces. Returns the
-    /// computation's [`Telemetry`] snapshot (also available afterwards via
-    /// [`Simulation::telemetry`]), and feeds every phase and counter into
-    /// the configured metrics registry.
+    /// [`Telemetry`] snapshot as it stands after the computation (also
+    /// available afterwards via [`Simulation::telemetry`]).
     pub fn compute_forces(&mut self) -> Telemetry {
         // Tracing is branch-guarded: a disabled sink reads no clock here.
         let trace_t0 = if self.tsink.enabled() { self.tsink.now_ns() } else { 0 };
@@ -472,7 +416,6 @@ impl Simulation {
                 let t_bin = Instant::now();
                 search.lat.rebuild(&self.store);
                 phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
-                let work0 = phases.enumerate_s();
                 let (e, w, s) = par_term_forces(
                     &self.pool,
                     &mut self.lanes,
@@ -482,29 +425,13 @@ impl Simulation {
                     term,
                     &mut phases,
                 );
-                self.obs.work_ns[search.n - 2].add(((phases.enumerate_s() - work0) * 1e9) as u64);
                 *energy.term_mut(search.n) = e;
                 virial += w;
                 *tuples.term_mut(search.n) = s;
             }
         }
-        self.last_stats = LastComputation { energy, tuples, virial, phases };
+        self.last_stats = LastComputation { energy, tuples, virial };
         self.total_phases.accumulate(&phases);
-        self.obs.computations.inc();
-        for (order, (cand, acc)) in [
-            (tuples.pair.candidates, tuples.pair.accepted),
-            (tuples.triplet.candidates, tuples.triplet.accepted),
-            (tuples.quadruplet.candidates, tuples.quadruplet.accepted),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            self.obs.candidates[order].add(cand);
-            self.obs.accepted[order].add(acc);
-        }
-        for (phase, secs) in phases.iter() {
-            self.metrics.record_phase(phase, secs);
-        }
         if self.tsink.enabled() {
             self.trace_computation(trace_t0, &phases);
         }
@@ -638,28 +565,40 @@ impl Simulation {
     }
 
     /// Advances one velocity-Verlet step (with thermostat, if configured).
-    /// Returns the step's [`Telemetry`] snapshot.
+    /// Returns the step's [`Telemetry`] snapshot, whose phases cover the
+    /// whole step: its force computations and both integrate halves.
     pub fn step(&mut self) -> Telemetry {
+        self.step_start = self.total_phases;
         if self.steps_done == 0 {
             // Prime forces so the first half-kick uses real accelerations.
             self.compute_forces();
         }
-        let integrate_start =
-            self.metrics.span_traced(Phase::Integrate, &self.tsink, self.steps_done + 1);
+        let t = Instant::now();
         velocity_verlet_start(&mut self.store, &self.bbox, self.dt);
-        drop(integrate_start);
-        let mut stats = self.compute_forces();
-        let integrate_finish =
-            self.metrics.span_traced(Phase::Integrate, &self.tsink, self.steps_done + 1);
+        let kick_drift = self.integrated(t);
+        self.compute_forces();
+        let t = Instant::now();
         velocity_verlet_finish(&mut self.store, self.dt);
         if let Some((target, c)) = self.thermostat {
             berendsen_rescale(&mut self.store, target, c);
         }
-        drop(integrate_finish);
+        let kick = self.integrated(t);
+        self.total_phases.add(Phase::Integrate, kick_drift + kick);
         self.steps_done += 1;
-        self.obs.steps.inc();
-        stats.step = self.steps_done;
-        stats
+        self.telemetry()
+    }
+
+    /// The seconds an integrate half begun at `t` took, traced as an
+    /// interval that ends now (as the distributed engine traces its
+    /// wall-clock phases).
+    fn integrated(&self, t: Instant) -> f64 {
+        let secs = t.elapsed().as_secs_f64();
+        if self.tsink.enabled() {
+            let dur_ns = (secs * 1e9) as u64;
+            let start_ns = self.tsink.now_ns().saturating_sub(dur_ns);
+            self.tsink.phase(self.steps_done + 1, Phase::Integrate, start_ns, dur_ns);
+        }
+        secs
     }
 
     /// Rebuilds every term's cell lattice for the current box and drops the
@@ -724,6 +663,7 @@ impl crate::supervisor::Recoverable for Simulation {
         self.dt = cp.dt;
         self.steps_done = cp.step;
         self.last_stats = LastComputation::default();
+        self.step_start = self.total_phases;
         // The resort cadence is keyed on `steps_done`, which the checkpoint
         // restores; clearing the latch lets the replayed run re-sort at
         // exactly the steps the original run did (checkpoints preserve slot
@@ -833,6 +773,7 @@ mod tests {
     use super::*;
     use crate::workload::{build_fcc_lattice, random_gas, LatticeSpec};
     use crate::{reference, Method};
+    use sc_obs::Registry;
     use sc_potential::{LennardJones, StillingerWeber, TorsionToy, Vashishta};
 
     fn lj_sim(method: Method) -> Simulation {
@@ -1245,10 +1186,9 @@ mod tests {
         assert!((t - 0.7).abs() < 0.2, "temperature {t} should approach 0.7");
     }
 
-    /// Builds the same silica system with an explicit lane count (and,
-    /// optionally, a live metrics registry) through the [`RuntimeConfig`]
-    /// path.
-    fn silica_sim_runtime(method: Method, threads: usize, metrics: Registry) -> Simulation {
+    /// Builds the same silica system with an explicit lane count through
+    /// the [`RuntimeConfig`] path.
+    fn silica_sim_threads(method: Method, threads: usize) -> Simulation {
         let v = Vashishta::silica();
         let masses = v.params().masses;
         let (store, bbox) = crate::workload::build_silica_like(3, 7.16, masses, 0.01, 7);
@@ -1256,14 +1196,10 @@ mod tests {
             .pair_potential(Box::new(v.pair.clone()))
             .triplet_potential(Box::new(v.triplet.clone()))
             .method(method)
-            .runtime(RuntimeConfig { threads, metrics, ..RuntimeConfig::default() })
+            .runtime(RuntimeConfig { threads, ..RuntimeConfig::default() })
             .timestep(0.0005)
             .build()
             .unwrap()
-    }
-
-    fn silica_sim_threads(method: Method, threads: usize) -> Simulation {
-        silica_sim_runtime(method, threads, Registry::disabled())
     }
 
     #[test]
@@ -1343,10 +1279,9 @@ mod tests {
 
     #[test]
     fn steady_state_steps_do_not_allocate_scratch() {
-        // Regression for the zero-allocation guarantee, extended to the
-        // observability layer: with the registry fully disabled, steady
-        // state must add no allocations per step anywhere — neither in the
-        // lanes' force scratch nor in the (inert) metrics plumbing.
+        // Regression for the zero-allocation guarantee: steady state must
+        // add no allocations per step anywhere — neither in the lanes'
+        // force scratch nor in the (inert) tracer.
         let mut sim = silica_sim_threads(Method::ShiftCollapse, 2);
         sim.run(2); // warm up: every lane sizes its accumulator
         let warm = sim.scratch_allocation_events();
@@ -1355,14 +1290,12 @@ mod tests {
         // rest — so the flat-line assertions below cover them too.
         assert!(warm > sim.force_lanes() as u64, "warm-up must have grown the link rows");
         let warm_total = sim.telemetry().alloc_events;
-        assert_eq!(sim.metrics().allocation_events(), 0, "disabled registry never allocates");
         sim.run(5);
         assert_eq!(
             sim.scratch_allocation_events(),
             warm,
             "steady-state steps must reuse the lanes' accumulators, not allocate"
         );
-        assert_eq!(sim.metrics().allocation_events(), 0);
         assert_eq!(
             sim.telemetry().alloc_events,
             warm_total,
@@ -1423,28 +1356,6 @@ mod tests {
     }
 
     #[test]
-    fn enabled_registry_allocates_only_at_registration() {
-        let reg = Registry::new();
-        let mut sim = silica_sim_runtime(Method::ShiftCollapse, 2, reg.clone());
-        let registered = reg.allocation_events();
-        assert!(registered > 0, "build() pre-registers the metric handles");
-        sim.run(3);
-        assert_eq!(
-            reg.allocation_events(),
-            registered,
-            "steady-state steps must not register (allocate) new metrics"
-        );
-        // The registry saw real data from the run.
-        assert_eq!(reg.counter("sim.steps").get(), 3);
-        assert!(reg.counter("tuples.triplet.accepted").get() > 0);
-        assert!(reg.counter("eval.pair_work_ns").get() > 0);
-        assert!(reg.phases().bin_s() > 0.0);
-        assert!(reg.phases().integrate_s() > 0.0);
-        let snap = reg.snapshot();
-        assert!(snap.counters.iter().any(|(n, v)| n == "sim.force_computations" && *v > 0));
-    }
-
-    #[test]
     fn registry_counters_sum_exactly_across_pool_lanes() {
         // Worker lanes of the simulation's own thread pool hammer one
         // counter; the total must be exact (atomicity under the pool).
@@ -1500,7 +1411,7 @@ mod tests {
         // Subdivided cells (edge r_cut/k) would happily build a lattice for
         // a cutoff beyond half the shortest box edge, where the
         // minimum-image convention becomes ambiguous and single-image sweeps
-        // double-count pairs; the builder must reject the value itself.
+        // double-count pairs; the builder must reject the box itself.
         let build = |rcut: f64| {
             let (store, bbox) = random_gas(10, 8.0, 1);
             Simulation::builder(store, bbox)
@@ -1511,16 +1422,22 @@ mod tests {
         // Exactly half the shortest edge is the boundary value: it passes
         // the half-box check (only *strictly* larger cutoffs are ambiguous)
         // and instead trips the stricter 3-cutoff minimum-image guard
-        // downstream — the typed Config error must not claim it.
+        // downstream. Either way the box is too small for the cutoff, and
+        // the error says so rather than blaming the cutoff's value.
         match build(4.0).map(|_| ()) {
-            Err(crate::BuildError::BoxTooSmall { .. }) => {}
+            Err(crate::BuildError::BoxTooSmall { n: 2, .. }) => {}
             other => panic!("expected BoxTooSmall at the boundary, got {other:?}"),
         }
-        match build(4.0 + 1e-9).map(|_| ()) {
-            Err(crate::BuildError::Config { field: "pair_cutoff", value }) => {
-                assert!(value > 4.0)
+        match build(4.0 + 1e-9) {
+            Err(e @ crate::BuildError::BoxTooSmall { n: 2, rcut, subdivision: 2 }) => {
+                assert!(rcut > 4.0);
+                let msg = e.to_string();
+                assert!(!msg.contains("positive and finite"), "{msg}");
+                assert!(msg.contains("box too small"), "{msg}");
             }
-            other => panic!("expected pair_cutoff Config error, got {other:?}"),
+            other => {
+                panic!("expected BoxTooSmall beyond half the box, got {:?}", other.map(|_| ()))
+            }
         }
         // Comfortably inside the limit still builds.
         assert!(build(2.5).is_ok());

@@ -1,17 +1,24 @@
-//! The unified telemetry snapshot.
+//! The unified telemetry snapshot, and the one metrics feed derived from it.
 //!
 //! [`Telemetry`] is the one type every runtime layer reports through. It
 //! collapses what used to be three overlapping types (`StepStats`,
 //! `CommStats`, `StepPhases`) into a single snapshot carrying physics
 //! (energy, virial, tuple counts), the per-phase time breakdown mapped to
-//! the paper's cost terms, communication counters, and allocation
-//! accounting. The serial [`Simulation`](crate::Simulation) leaves the
-//! communication fields empty; the distributed engine fills them per rank
-//! and in aggregate.
+//! the paper's cost terms, communication and health counters, and
+//! allocation accounting. The serial [`Simulation`](crate::Simulation)
+//! leaves the communication and health fields empty; the distributed engine
+//! fills them per rank and in aggregate.
+//!
+//! The engines measure and keep no registry. [`MetricsFeed`] turns each
+//! step's snapshot into registry series, the same series for every
+//! executor; every series name and the [`Telemetry`] field behind it are
+//! listed here.
 
 use crate::stats::{EnergyBreakdown, TupleCounts};
 use sc_obs::json::Json;
-use sc_obs::{CommCounters, ImbalanceReport, PhaseBreakdown};
+use sc_obs::{
+    CommCounters, Counter, HealthCounters, Histogram, ImbalanceReport, PhaseBreakdown, Registry,
+};
 
 /// One point-in-time snapshot of everything a simulation reports.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -24,8 +31,10 @@ pub struct Telemetry {
     pub tuples: TupleCounts,
     /// Scalar virial from the most recent force computation.
     pub virial: f64,
-    /// Phase breakdown of the most recent force computation / step. In the
-    /// distributed engine the reverse ghost-force return is booked under
+    /// Phase breakdown since the most recent step began: its force
+    /// computations, integrate halves and (distributed) exchanges, plus any
+    /// force computation run after it. In the distributed engine the
+    /// reverse ghost-force return is booked under
     /// [`sc_obs::Phase::Reduce`] (with the lane/scratch merge), never under
     /// `Exchange`, on the engine's wall clock (registry, executor trace
     /// row).
@@ -38,8 +47,12 @@ pub struct Telemetry {
     /// Per-rank communication counters, indexed by rank. Empty for the
     /// shared-memory engine.
     pub per_rank: Vec<CommCounters>,
-    /// Allocation events observed in the hot path: force-scratch
-    /// growth plus metric registrations. Flat across steady-state steps.
+    /// The health watchdog's cumulative transition counts. Zero for the
+    /// shared-memory engine. Exported as series, not on the JSON line.
+    pub health: HealthCounters,
+    /// Allocation events observed in the hot path: force-scratch growth
+    /// plus, once a run reports it, the run's metric registrations. Flat
+    /// across steady-state steps.
     pub alloc_events: u64,
     /// Whether the runtime is in degraded mode: it lost at least one rank
     /// and re-decomposed onto the survivors. Always `false` for the
@@ -173,6 +186,116 @@ impl Telemetry {
             );
         }
         out
+    }
+}
+
+/// A counter series: its exported name and the [`Telemetry`] reading
+/// behind it.
+type Series = (&'static str, fn(&Telemetry) -> u64);
+
+/// Series read from the step's force computation: each step adds the
+/// reading itself.
+const PER_STEP: [Series; 6] = [
+    ("tuples.pair.candidates", |t| t.tuples.pair.candidates),
+    ("tuples.pair.accepted", |t| t.tuples.pair.accepted),
+    ("tuples.triplet.candidates", |t| t.tuples.triplet.candidates),
+    ("tuples.triplet.accepted", |t| t.tuples.triplet.accepted),
+    ("tuples.quadruplet.candidates", |t| t.tuples.quadruplet.candidates),
+    ("tuples.quadruplet.accepted", |t| t.tuples.quadruplet.accepted),
+];
+
+/// Series read from cumulative counters: each step adds the difference from
+/// the previous reading.
+const CUMULATIVE: [Series; 11] = [
+    ("sim.steps", |t| t.step),
+    ("comm.messages", |t| t.comm.messages),
+    ("comm.bytes", |t| t.comm.bytes),
+    ("comm.ghosts_imported", |t| t.comm.ghosts_imported),
+    ("comm.atoms_migrated", |t| t.comm.atoms_migrated),
+    ("comm.retries", |t| t.comm.retries),
+    ("comm.faults_detected", |t| t.comm.faults_detected),
+    ("health.suspects", |t| t.health.suspects),
+    ("health.deaths", |t| t.health.deaths),
+    ("health.recoveries", |t| t.health.recoveries),
+    ("health.breaker_trips", |t| t.health.breaker_trips),
+];
+
+/// The index of `comm.bytes` in [`CUMULATIVE`]: its per-step delta is also
+/// observed by the `comm.step_bytes` histogram.
+const COMM_BYTES: usize = 2;
+
+/// The cumulative readings of `t` that deltas are taken between.
+type Reading = ([u64; CUMULATIVE.len()], PhaseBreakdown);
+
+fn reading(t: &Telemetry) -> Reading {
+    (CUMULATIVE.map(|(_, read)| read(t)), t.total_phases)
+}
+
+/// The one metrics feed: registers every series in a [`Registry`] and adds
+/// each completed step's share, read from that step's [`Telemetry`]. The
+/// series are `sim.steps`, the six `tuples.*` counters, the six `comm.*`
+/// counters with the `comm.step_bytes` histogram, the four `health.*`
+/// counters, and the registry's phase slots (from
+/// [`Telemetry::total_phases`]). An executor that has no communication
+/// layer reports zero for the `comm.*` and `health.*` series, which are
+/// registered all the same, so every executor exports the same names.
+pub struct MetricsFeed {
+    registry: Registry,
+    per_step: [Counter; PER_STEP.len()],
+    cumulative: [Counter; CUMULATIVE.len()],
+    step_bytes: Histogram,
+    /// The reading the next deltas are taken against.
+    last: Reading,
+}
+
+impl MetricsFeed {
+    /// Registers every series in `registry` (nothing, if it is disabled);
+    /// deltas count from zero.
+    pub fn new(registry: Registry) -> Self {
+        MetricsFeed {
+            per_step: PER_STEP.map(|(name, _)| registry.counter(name)),
+            cumulative: CUMULATIVE.map(|(name, _)| registry.counter(name)),
+            step_bytes: registry
+                .histogram("comm.step_bytes", &[1024.0, 16384.0, 262144.0, 4194304.0, 67108864.0]),
+            registry,
+            last: reading(&Telemetry::default()),
+        }
+    }
+
+    /// The registry the series live in.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Feeds one completed step, whose snapshot is `t`.
+    pub fn step(&mut self, t: &Telemetry) {
+        for (series, (_, read)) in self.per_step.iter().zip(PER_STEP) {
+            series.add(read(t));
+        }
+        self.advance(t);
+    }
+
+    /// Feeds the cumulative series' growth up to `t` and nothing else: all
+    /// that a step which failed half-way counted (its traffic, detected
+    /// faults and watchdog transitions, none of which a later restore
+    /// gives back), without its tuples.
+    pub fn advance(&mut self, t: &Telemetry) {
+        let ((last, last_phases), (now, phases)) = (self.last, reading(t));
+        for ((series, now), last) in self.cumulative.iter().zip(now).zip(last) {
+            series.add(now - last);
+        }
+        self.step_bytes.observe((now[COMM_BYTES] - last[COMM_BYTES]) as f64);
+        for (phase, secs) in phases.iter() {
+            self.registry.record_phase(phase, secs - last_phases.get(phase));
+        }
+        self.last = (now, phases);
+    }
+
+    /// Takes `t` as the new baseline without feeding anything: after a
+    /// restore has rewound the run's counters, so that no series goes down
+    /// and none counts a step twice.
+    pub fn rebaseline(&mut self, t: &Telemetry) {
+        self.last = reading(t);
     }
 }
 

@@ -1,4 +1,5 @@
-//! Communication accounting counters shared by every executor view.
+//! Communication and rank-health accounting counters shared by every
+//! executor view.
 
 use crate::phase::PhaseBreakdown;
 use std::collections::BTreeSet;
@@ -7,8 +8,8 @@ use std::collections::BTreeSet;
 /// over ranks) — the empirical counterpart of the paper's communication
 /// model `T_comm = c_bw·V_import + c_lat·n_msg` (Eq. 31).
 ///
-/// This is plain data: the distributed engine fills one per rank and feeds
-/// per-step deltas into a [`crate::Registry`] when metrics are enabled.
+/// This is plain data: the distributed engine fills one per rank, and a
+/// run's metrics feed exports their per-step deltas.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommCounters {
     /// Messages sent.
@@ -58,12 +59,21 @@ impl CommCounters {
         self.partners.extend(o.partners.iter().copied());
         self.phases.accumulate(&o.phases);
     }
+}
 
-    /// Clears the per-step counters (partners persist across steps).
-    pub fn reset_step(&mut self) {
-        self.ghosts_imported = 0;
-        self.atoms_migrated = 0;
-    }
+/// Cumulative transition counts of the distributed engine's per-rank health
+/// watchdog. Monotonic across the watchdog's resets; all zero for an engine
+/// without one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HealthCounters {
+    /// `Healthy → Suspect` transitions.
+    pub suspects: u64,
+    /// Declared deaths (deadline expiries and breaker trips).
+    pub deaths: u64,
+    /// `Suspect → Healthy` recoveries.
+    pub recoveries: u64,
+    /// Deaths caused by the flap circuit breaker specifically.
+    pub breaker_trips: u64,
 }
 
 #[cfg(test)]
@@ -72,7 +82,7 @@ mod tests {
     use crate::phase::Phase;
 
     #[test]
-    fn send_merge_and_reset() {
+    fn send_and_merge() {
         let mut s = CommCounters::default();
         s.record_send(3, 100);
         s.record_send(3, 50);
@@ -88,8 +98,6 @@ mod tests {
         assert_eq!(t.messages, 4);
         assert_eq!(t.partners.len(), 3);
         assert_eq!(t.phases.exchange_s(), 0.5);
-        t.reset_step();
-        assert_eq!(t.ghosts_imported, 0);
-        assert_eq!(t.messages, 4, "cumulative counters survive reset_step");
+        assert_eq!(t.ghosts_imported, 7);
     }
 }

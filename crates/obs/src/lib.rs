@@ -6,16 +6,18 @@
 //! the runtime a single place to record:
 //!
 //! - **per-phase time** over a fixed [`Phase`] taxonomy ([`PhaseBreakdown`],
-//!   scoped [`Span`] timers, [`Registry::record_phase`]),
+//!   [`Registry::record_phase`]),
 //! - **counters / gauges / histograms** (lock-free, atomic, pre-registered
 //!   by name),
-//! - **communication accounting** ([`CommCounters`], the empirical Eq. 31
-//!   counterpart filled by the distributed engine).
+//! - **communication and health accounting** ([`CommCounters`], the
+//!   empirical Eq. 31 counterpart, and [`HealthCounters`], both filled by
+//!   the distributed engine).
 //!
-//! A [`Registry`] is cheap to clone and thread-safe; the
-//! [`Registry::disabled`] variant hands out inert handles so the engine
-//! can instrument hot paths unconditionally with no allocation and no
-//! clock reads when observability is off.
+//! The engines only measure: each step yields a telemetry snapshot, and the
+//! run that owns the [`Registry`] turns every step's snapshot into the
+//! series deltas. A [`Registry`] is cheap to clone and thread-safe; the
+//! [`Registry::disabled`] variant hands out inert handles and never
+//! allocates, so a run with observability off pays nothing.
 //!
 //! Snapshots ([`Registry::snapshot`]) render through three exporters:
 //! [`human_table`], [`json_line`] (trajectory-style JSON lines), and
@@ -35,9 +37,9 @@ mod registry;
 pub mod schema;
 pub mod trace;
 
-pub use comm::CommCounters;
+pub use comm::{CommCounters, HealthCounters};
 pub use export::{human_table, json_line, json_value, prometheus, prometheus_with_labels};
 pub use imbalance::{v_omega, ImbalanceReport, RankLoad};
 pub use phase::{Phase, PhaseBreakdown};
-pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry, Span};
+pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use trace::{chrome_trace, CommChannel, EventKind, TraceEvent, TraceSink, Tracer};

@@ -123,6 +123,16 @@ impl PhaseBreakdown {
         }
     }
 
+    /// The seconds accumulated since `earlier`, a previous reading of the
+    /// same cumulative breakdown.
+    pub fn since(&self, earlier: &PhaseBreakdown) -> PhaseBreakdown {
+        let mut delta = *self;
+        for p in Phase::ALL {
+            delta.secs[p.index()] -= earlier.secs[p.index()];
+        }
+        delta
+    }
+
     /// Sum over every phase slot.
     pub fn total_s(&self) -> f64 {
         self.secs.iter().sum()

@@ -1,25 +1,23 @@
 //! The lock-free metrics registry: atomic counters, gauges, fixed-bucket
-//! histograms, per-phase time accumulators, and scoped span timers.
+//! histograms and per-phase time accumulators.
 //!
 //! Design points:
 //!
 //! - **Hot path is lock-free.** Handle types ([`Counter`], [`Gauge`],
-//!   [`Histogram`], [`Span`]) operate on pre-registered atomics with
+//!   [`Histogram`]) operate on pre-registered atomics with
 //!   `Relaxed` ordering; the registry mutex is taken only at registration
 //!   time (once per metric, at setup).
 //! - **Disabled mode is free.** [`Registry::disabled`] carries no
 //!   allocation at all — every handle it hands out is an empty shell whose
-//!   operations compile to a branch on a `None`, and [`Span`] does not even
-//!   read the clock. The engine can therefore wire metrics unconditionally.
+//!   operations compile to a branch on a `None`. A run can therefore wire
+//!   metrics unconditionally.
 //! - **Registration is idempotent.** Asking for the same name twice returns
 //!   a handle to the same underlying cell, so independently-constructed
 //!   components can share a series.
 
 use crate::phase::{Phase, PhaseBreakdown};
-use crate::trace::TraceSink;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// A shared, clonable handle to one metrics registry (or to the disabled
 /// no-op registry). Cloning is cheap and all clones observe the same data.
@@ -57,10 +55,6 @@ impl Inner {
             histograms: Mutex::new(Vec::new()),
             allocations: AtomicU64::new(0),
         }
-    }
-
-    fn add_phase_ns(&self, phase: Phase, ns: u64) {
-        self.phase_ns[phase.index()].fetch_add(ns, Ordering::Relaxed);
     }
 }
 
@@ -139,36 +133,11 @@ impl Registry {
         Histogram(Some(core))
     }
 
-    /// Start a scoped timer that adds its elapsed wall time to `phase` when
-    /// dropped. Spans nest lexically — an inner span's time is also inside
-    /// the outer span's, exactly as the paper's nested cost terms nest. On
-    /// a disabled registry the span is inert and the clock is never read.
-    #[must_use = "a span records on drop; binding it to _ discards the timing"]
-    pub fn span(&self, phase: Phase) -> Span {
-        Span {
-            inner: self.inner.clone(),
-            trace: None,
-            phase,
-            start: self.inner.is_some().then(Instant::now),
-        }
-    }
-
-    /// Like [`Registry::span`], but the span additionally emits a
-    /// [`crate::TraceEvent`] for `phase` into `sink` on drop, stamped with
-    /// `step`. When both the registry and the sink are disabled the span is
-    /// fully inert and the clock is never read.
-    #[must_use = "a span records on drop; binding it to _ discards the timing"]
-    pub fn span_traced(&self, phase: Phase, sink: &TraceSink, step: u64) -> Span {
-        let trace = sink.enabled().then(|| (sink.clone(), step, sink.now_ns()));
-        let start = (self.inner.is_some() || trace.is_some()).then(Instant::now);
-        Span { inner: self.inner.clone(), trace, phase, start }
-    }
-
     /// Add an externally-measured duration (in seconds) to a phase slot.
     pub fn record_phase(&self, phase: Phase, secs: f64) {
         if let Some(inner) = &self.inner {
             if secs > 0.0 {
-                inner.add_phase_ns(phase, (secs * 1e9) as u64);
+                inner.phase_ns[phase.index()].fetch_add((secs * 1e9) as u64, Ordering::Relaxed);
             }
         }
     }
@@ -344,33 +313,6 @@ impl Histogram {
     }
 }
 
-/// A scoped phase timer; records elapsed wall time into its phase slot when
-/// dropped, and (if obtained from [`Registry::span_traced`]) also emits a
-/// trace event covering the interval. Obtained from [`Registry::span`].
-#[derive(Debug)]
-pub struct Span {
-    inner: Option<Arc<Inner>>,
-    /// `(sink, step, start_ns)` when trace emission is armed.
-    trace: Option<(TraceSink, u64, u64)>,
-    phase: Phase,
-    /// `None` when both the registry and the trace are disabled — the clock
-    /// is never read for a fully-inert span.
-    start: Option<Instant>,
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let Some(start) = self.start.take() else { return };
-        let elapsed_ns = start.elapsed().as_nanos() as u64;
-        if let Some(inner) = self.inner.take() {
-            inner.add_phase_ns(self.phase, elapsed_ns);
-        }
-        if let Some((sink, step, start_ns)) = self.trace.take() {
-            sink.phase(step, self.phase, start_ns, elapsed_ns);
-        }
-    }
-}
-
 /// Point-in-time copy of a registry's contents, ready for export.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
@@ -433,7 +375,6 @@ mod tests {
         reg.gauge("g").set(3.0);
         reg.histogram("h", &[1.0]).observe(0.5);
         reg.record_phase(Phase::Eval, 1.0);
-        drop(reg.span(Phase::Bin));
         assert_eq!(reg.allocation_events(), 0);
         let snap = reg.snapshot();
         assert!(snap.counters.is_empty() && snap.histograms.is_empty());
@@ -485,23 +426,6 @@ mod tests {
         assert_eq!(hs.counts, vec![2, 2, 2, 2]);
         assert_eq!(hs.count, 8);
         assert!((hs.sum - 116.4002).abs() < 1e-9);
-    }
-
-    #[test]
-    fn spans_accumulate_into_phase_slots() {
-        let reg = Registry::new();
-        {
-            let _outer = reg.span(Phase::Compute);
-            let _inner = reg.span(Phase::Eval);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        reg.record_phase(Phase::Reduce, 0.125);
-        let p = reg.phases();
-        assert!(p.compute_s() > 0.0);
-        assert!(p.eval_s() > 0.0);
-        assert!((p.reduce_s() - 0.125).abs() < 1e-9);
-        // Nested spans both cover the sleep.
-        assert!(p.compute_s() >= p.eval_s() * 0.5);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::fault::FaultPlan;
 use crate::rank::DEFAULT_RESORT_EVERY;
-use sc_obs::{Registry, Tracer};
+use sc_obs::Tracer;
 
 /// How a distributed engine runs. There is no way to change any of this
 /// on a built engine, so it cannot step with half a configuration.
@@ -26,11 +26,6 @@ pub struct EngineConfig {
     /// faults need the lockstep engine's reproducible delivery order).
     /// Default inert.
     pub faults: FaultPlan,
-    /// Where the per-step deltas of the communication, health and phase
-    /// counters are exported (`comm.messages`, `comm.bytes`,
-    /// `comm.retries`, …, the `health.*` transitions, a `comm.step_bytes`
-    /// histogram and the phase slots). Default disabled.
-    pub metrics: Registry,
     /// Event-level tracing: one sink per rank carries that rank's comm
     /// send/recv events and compute-phase intervals; the engine adds a sink
     /// tagged with the synthetic rank `nranks` for its synchronous
@@ -46,7 +41,6 @@ impl Default for EngineConfig {
             resort_every: DEFAULT_RESORT_EVERY,
             rebalance_every: 0,
             faults: FaultPlan::none(),
-            metrics: Registry::disabled(),
             tracer: Tracer::disabled(),
         }
     }

@@ -12,14 +12,14 @@ use crate::grid::RankGrid;
 use crate::health::HealthTracker;
 use crate::msg::{AtomMsg, Channel, Message};
 use crate::rank::{best_grid_for, halo_width_for, validate_decomposition, ForceField, RankState};
-use crate::step::{self, Buffers, Decomposition, Exchange, Feed};
+use crate::step::{self, Buffers, Decomposition, Exchange};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
 use sc_md::checkpoint::{Checkpoint, SnapshotLayout};
 use sc_md::supervisor::{Recoverable, StepFault};
 use sc_md::{EnergyBreakdown, Telemetry, ThreadPool, TupleCounts};
 use sc_obs::trace::EventKind;
-use sc_obs::{CommCounters, ImbalanceReport, Phase, PhaseBreakdown, Registry, TraceSink, Tracer};
+use sc_obs::{CommCounters, ImbalanceReport, Phase, PhaseBreakdown, TraceSink, Tracer};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -203,7 +203,6 @@ pub struct DistributedSim {
     /// began, so telemetry can report that step alone.
     step_start: PhaseBreakdown,
     pool: ThreadPool,
-    feed: Feed,
     tracer: Tracer,
     /// One event sink per rank (per-rank compute phases and comm events).
     tsinks: Vec<TraceSink>,
@@ -245,8 +244,6 @@ impl DistributedSim {
     }
 
     /// Decomposes `store` over a `pdims` rank grid and configures the run.
-    /// The metrics feed counts from the freshly decomposed ranks' (zero)
-    /// counters.
     ///
     /// # Errors
     /// Rejects configurations where the halo would be deeper than one rank
@@ -261,8 +258,7 @@ impl DistributedSim {
         dt: f64,
         cfg: EngineConfig,
     ) -> Result<Self, SetupError> {
-        let EngineConfig { subdivision, resort_every, rebalance_every, faults, metrics, tracer } =
-            cfg;
+        let EngineConfig { subdivision, resort_every, rebalance_every, faults, tracer } = cfg;
         let (dec, ranks, bufs) =
             step::decompose(RankGrid::try_new(pdims, bbox)?, &store, &ff, subdivision)?;
         let nranks = ranks.len();
@@ -285,7 +281,6 @@ impl DistributedSim {
             timings: PhaseBreakdown::default(),
             step_start: PhaseBreakdown::default(),
             pool: ThreadPool::auto(),
-            feed: Feed::new(metrics),
             tracer,
             tsinks,
             exec_sink,
@@ -305,12 +300,6 @@ impl DistributedSim {
     /// Whether the runtime lost a rank and re-decomposed onto survivors.
     pub fn degraded(&self) -> bool {
         self.degraded
-    }
-
-    /// The metrics registry the run reports into (disabled unless the
-    /// [`EngineConfig`] carried a live one).
-    pub fn metrics(&self) -> &Registry {
-        self.feed.registry()
     }
 
     /// The tracer in use (disabled unless the [`EngineConfig`] carried a
@@ -337,26 +326,22 @@ impl DistributedSim {
     /// (the ranks' CPU seconds for bin / enumerate / eval / reduce, the
     /// executor's wall clock for exchange / migrate / integrate / compute
     /// and the force return, which it adds to reduce),
-    /// aggregate and per-rank communication counters, and allocation
-    /// accounting (the live and retired ranks' scratch growth plus the
-    /// registry's registrations). The engine computes no virial.
+    /// aggregate and per-rank communication counters, the health watchdog's
+    /// transition counts, and allocation accounting (the live and retired
+    /// ranks' scratch growth). The engine computes no virial.
     pub fn telemetry(&self) -> Telemetry {
         let total_phases = self.total_phases();
-        let mut phases = total_phases;
-        for (phase, secs) in self.step_start.iter() {
-            phases.add(phase, -secs);
-        }
         Telemetry {
             step: self.steps_done,
             energy: self.last_energy,
             tuples: self.last_tuples,
             virial: 0.0,
-            phases,
+            phases: total_phases.since(&self.step_start),
             total_phases,
             per_rank: self.ranks.iter().map(|r| r.stats.clone()).collect(),
             comm: self.comm_stats(),
-            alloc_events: self.scratch_allocation_events()
-                + self.feed.registry().allocation_events(),
+            health: self.health.counters(),
+            alloc_events: self.scratch_allocation_events(),
             degraded: self.degraded,
         }
     }
@@ -497,9 +482,6 @@ impl DistributedSim {
         let resort = self.resort_every != 0 && self.steps_done.is_multiple_of(self.resort_every);
         self.rank_step(resort)?;
         self.steps_done += 1;
-        if self.feed.registry().enabled() {
-            self.feed.step(self.comm_stats(), self.health.counters());
-        }
         Ok(())
     }
 
@@ -617,11 +599,9 @@ impl DistributedSim {
     }
 
     /// Books a wall-clock phase that just ended after `secs` in the
-    /// cumulative local breakdown, the registry, and the executor's
-    /// timeline row.
+    /// cumulative local breakdown and on the executor's timeline row.
     fn book(&mut self, phase: Phase, secs: f64) {
         self.timings.add(phase, secs);
-        self.feed.registry().record_phase(phase, secs);
         if self.exec_sink.enabled() {
             let dur_ns = (secs * 1e9) as u64;
             let start_ns = self.exec_sink.now_ns().saturating_sub(dur_ns);
@@ -693,10 +673,9 @@ impl DistributedSim {
         self.needs_prime = true;
         self.last_energy = EnergyBreakdown::default();
         self.last_tuples = TupleCounts::default();
-        // Rank stats were rebuilt from scratch; re-baseline the delta feed
-        // and the last-step breakdown.
+        // Rank stats were rebuilt from scratch; re-baseline the last-step
+        // breakdown.
         self.carried = CommCounters::default();
-        self.feed.last = CommCounters::default();
         self.step_start = self.total_phases();
         self.last_loads = vec![0.0; self.ranks.len()];
         Ok(())

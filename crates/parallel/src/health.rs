@@ -30,6 +30,7 @@
 //! crash (which does not).
 
 use sc_obs::CommChannel;
+pub use sc_obs::HealthCounters;
 
 /// Consecutive failures before `Healthy → Suspect`: one exhausted retry
 /// budget (`1 + MAX_RETRIES` = 3 attempts).
@@ -66,20 +67,6 @@ impl RankHealth {
             RankHealth::Dead => 2,
         }
     }
-}
-
-/// Cumulative transition counts, for observability deltas. Monotonic across
-/// [`HealthTracker::reset`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HealthCounters {
-    /// `Healthy → Suspect` transitions.
-    pub suspects: u64,
-    /// Declared deaths (deadline expiries and breaker trips).
-    pub deaths: u64,
-    /// `Suspect → Healthy` recoveries.
-    pub recoveries: u64,
-    /// Deaths caused by the flap circuit breaker specifically.
-    pub breaker_trips: u64,
 }
 
 /// The per-rank health state machine. See the module docs.

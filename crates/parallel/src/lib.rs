@@ -23,12 +23,11 @@
 //! import → compute → force return → half-kick; nothing overlaps the
 //! import) over every rank in lockstep; the private `step` module holds what
 //! a rank sends and absorbs in each exchange, how an arriving wire unit is
-//! matched to its slot and verified, and the decomposition and registry-feed
-//! helpers:
+//! matched to its slot and verified, and the decomposition:
 //!
 //! | module | owns |
 //! |---|---|
-//! | `step` (private) | the rank-step protocol's exchanges: the schedule planned once at `decompose` (every rank's slots, frames and expected units for the 3 migrate + 3 ghost + 3 force phases), per-exchange `outgoing`/`absorb` through per-rank recycled buffers, send accounting, receipt and stamp + per-section verification, the `comm.*` / `health.*` / `dist.steps` feed |
+//! | `step` (private) | the rank-step protocol's exchanges: the schedule planned once at `decompose` (every rank's slots, frames and expected units for the 3 migrate + 3 ghost + 3 force phases), per-exchange `outgoing`/`absorb` through per-rank recycled buffers, send accounting, receipt and stamp + per-section verification |
 //! | [`rank`] | one rank's state and its message-level algorithms (band collection recording the slot each entry was read from, ghost absorption, force computation — one sweep per term — positional force return) |
 //! | [`transport`], [`msg`] | the merged-phase schedule and its per-rank plan, per-neighbor framing, stamps and word-wise checksums |
 //! | `exec_bsp` ([`DistributedSim`]) | the engine: the stage sequence, lockstep delivery through the [`FaultPlan`] with bounded retry and the health watchdog, the `ThreadPool` compute fan-out, rebalance, re-decomposition over survivors, telemetry, gather, checkpoint |
@@ -46,8 +45,10 @@
 //!
 //! Everything about a run that is not the system, the force field or the
 //! timestep is one [`EngineConfig`] (cell subdivision, re-sort cadence,
-//! rebalance cadence, [`FaultPlan`], metrics registry, tracer), taken once by
-//! `DistributedSim::build`. The engine has no post-construction setter
+//! rebalance cadence, [`FaultPlan`], tracer), taken once by
+//! `DistributedSim::build`. The engine keeps no metrics registry: its
+//! telemetry carries the counters, and the run that owns the engine exports
+//! them. The engine has no post-construction setter
 //! besides `set_timestep` (the supervisor's dt back-off).
 //!
 //! ## Fault tolerance

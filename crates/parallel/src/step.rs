@@ -8,17 +8,16 @@
 //! once per decomposition ([`Exchange`]), what a rank puts on the wire and
 //! what it does with what arrives ([`outgoing`], [`frame`], [`receive`],
 //! [`absorb`]), how an arriving wire unit is verified ([`verify_unit`]) —
-//! plus how a run is decomposed and how its counters feed the registry.
+//! plus how a run is decomposed.
 
 use crate::comm::GhostPlan;
 use crate::error::{RuntimeError, SetupError};
 use crate::grid::RankGrid;
-use crate::health::HealthCounters;
 use crate::msg::{AtomMsg, Channel, ForceMsg, GhostMsg, Message, Payload};
 use crate::rank::{validate_decomposition, ForceField, RankState};
 use crate::transport::{self, Frame, PhasePlan, Slot, Unit};
 use sc_cell::AtomStore;
-use sc_obs::{CommCounters, Counter, Histogram, Registry, TraceSink};
+use sc_obs::{CommCounters, TraceSink};
 use std::sync::Arc;
 
 /// What an exchange of the step's fixed schedule carries.
@@ -270,80 +269,4 @@ pub(crate) fn verify_unit(
         }
     }
     Ok(())
-}
-
-/// A counter series: its exported name and the field it reports.
-type Series<T> = (&'static str, fn(&T) -> u64);
-
-/// The `comm.*` counter series and the [`CommCounters`] fields behind them.
-const COMM_SERIES: [Series<CommCounters>; 6] = [
-    ("comm.messages", |c| c.messages),
-    ("comm.bytes", |c| c.bytes),
-    ("comm.ghosts_imported", |c| c.ghosts_imported),
-    ("comm.atoms_migrated", |c| c.atoms_migrated),
-    ("comm.retries", |c| c.retries),
-    ("comm.faults_detected", |c| c.faults_detected),
-];
-
-/// The `health.*` counter series and the [`HealthCounters`] fields behind
-/// them.
-const HEALTH_SERIES: [Series<HealthCounters>; 4] = [
-    ("health.suspects", |h| h.suspects),
-    ("health.deaths", |h| h.deaths),
-    ("health.recoveries", |h| h.recoveries),
-    ("health.breaker_trips", |h| h.breaker_trips),
-];
-
-/// The engine's registry feed: pre-registered series handles (inert when the
-/// registry is disabled) fed per-step deltas of the aggregate communication
-/// and health counters.
-pub(crate) struct Feed {
-    registry: Registry,
-    steps: Counter,
-    comm: [Counter; 6],
-    step_bytes: Histogram,
-    health: [Counter; 4],
-    /// Aggregate counters at the previous feed (the delta baseline).
-    /// Reset when the rank counters behind them are rebuilt from scratch.
-    pub last: CommCounters,
-    /// Watchdog counters at the previous feed.
-    last_health: HealthCounters,
-}
-
-impl Feed {
-    /// Registers the series in `registry`; deltas count from zero.
-    pub fn new(registry: Registry) -> Self {
-        Feed {
-            steps: registry.counter("dist.steps"),
-            comm: COMM_SERIES.map(|(name, _)| registry.counter(name)),
-            step_bytes: registry
-                .histogram("comm.step_bytes", &[1024.0, 16384.0, 262144.0, 4194304.0, 67108864.0]),
-            health: HEALTH_SERIES.map(|(name, _)| registry.counter(name)),
-            registry,
-            last: CommCounters::default(),
-            last_health: HealthCounters::default(),
-        }
-    }
-
-    /// The registry the series live in.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Feeds one completed step: the deltas of the aggregate counters
-    /// (per-rank phase seconds included) since the previous feed.
-    pub fn step(&mut self, now: CommCounters, health: HealthCounters) {
-        self.steps.inc();
-        for (series, (_, field)) in self.comm.iter().zip(COMM_SERIES) {
-            series.add(field(&now) - field(&self.last));
-        }
-        self.step_bytes.observe((now.bytes - self.last.bytes) as f64);
-        for (phase, secs) in now.phases.iter() {
-            self.registry.record_phase(phase, secs - self.last.phases.get(phase));
-        }
-        for (series, (_, field)) in self.health.iter().zip(HEALTH_SERIES) {
-            series.add(field(&health) - field(&self.last_health));
-        }
-        (self.last, self.last_health) = (now, health);
-    }
 }

@@ -3,7 +3,7 @@
 //! The force fields that drive the n-tuple computation benchmarks:
 //!
 //! * [`LennardJones`] — the classic pair (n = 2) potential, used by the
-//!   quickstart example and the pair-only correctness tests.
+//!   LJ scenarios and the pair-only correctness tests.
 //! * [`Vashishta`] — a Vashishta-*form* silica (SiO₂) potential with 2-body
 //!   (steric repulsion + screened Coulomb + charge–dipole) and 3-body
 //!   (bond-bending) terms. This is the paper's benchmark application (§5):

@@ -9,7 +9,7 @@ use sc_geom::{IVec3, SimulationBox};
 use sc_md::supervisor::{Recoverable, StepFault};
 use sc_md::{
     build_clustered_gas, build_fcc_lattice, build_silica_like, random_gas, thermalize, Checkpoint,
-    LatticeSpec, RuntimeConfig, Simulation, Telemetry,
+    LatticeSpec, MetricsFeed, RuntimeConfig, Simulation, Telemetry,
 };
 use sc_obs::json::Json;
 use sc_obs::{Registry, Tracer};
@@ -34,8 +34,6 @@ pub trait Executor: Recoverable + Send {
     /// The full phase-space state, gathered into one store (owned atoms
     /// only, deterministic order for a fixed executor configuration).
     fn gather(&self) -> AtomStore;
-    /// The metrics registry the run reports into.
-    fn metrics(&self) -> &Registry;
     /// The event tracer.
     fn tracer(&self) -> &Tracer;
     /// Engine short name (`serial` / `bsp`).
@@ -59,10 +57,6 @@ macro_rules! executor {
                 ($gather)(self)
             }
 
-            fn metrics(&self) -> &Registry {
-                <$engine>::metrics(self)
-            }
-
             fn tracer(&self) -> &Tracer {
                 <$engine>::tracer(self)
             }
@@ -77,29 +71,58 @@ macro_rules! executor {
 executor!(Simulation, "serial", |sim: &Simulation| sim.store().clone());
 executor!(DistributedSim, "bsp", DistributedSim::gather);
 
-/// A scenario instantiated on an executor: a thin owner of the one
-/// [`Executor`] object every engine hides behind.
+/// A scenario instantiated on an executor: the owner of the one
+/// [`Executor`] object every engine hides behind, and of the run's metrics
+/// registry. The engines only measure; every step the handle takes feeds
+/// that step's [`Telemetry`] into the registry through one [`MetricsFeed`],
+/// so every executor exports the same series.
 pub struct RunHandle {
     exec: Box<dyn Executor>,
+    /// The run's registry, with the series the feed registered in it.
+    feed: MetricsFeed,
 }
 
 impl RunHandle {
-    /// Wraps a concrete engine (the spec layer's instantiation path; also
-    /// usable by harnesses that build engines directly).
-    pub fn new(exec: impl Executor + 'static) -> Self {
-        RunHandle { exec: Box::new(exec) }
+    /// Wraps a concrete engine whose steps report into `metrics` (the spec
+    /// layer's instantiation path; also usable by harnesses that build
+    /// engines directly).
+    pub fn new(exec: impl Executor + 'static, metrics: Registry) -> Self {
+        RunHandle { exec: Box::new(exec), feed: MetricsFeed::new(metrics) }
+    }
+
+    /// The one way a handle steps: the engine's step, then — with a live
+    /// registry only, so a dark run reads no telemetry — the feed. A failed
+    /// step still feeds what it counted before the fault.
+    fn step(&mut self) -> Result<(), StepFault> {
+        let stepped = self.exec.try_step();
+        if self.feed.registry().enabled() {
+            let t = self.exec.telemetry();
+            match stepped {
+                Ok(()) => self.feed.step(&t),
+                Err(_) => self.feed.advance(&t),
+            }
+        }
+        stepped
+    }
+
+    /// Takes the feed's baseline anew after a restore rewound the engine's
+    /// counters.
+    fn rebaseline(&mut self) {
+        if self.feed.registry().enabled() {
+            self.feed.rebaseline(&self.exec.telemetry());
+        }
     }
 
     /// Advances one step, surfacing unrecovered distributed faults as text.
     pub fn try_step(&mut self) -> Result<(), String> {
-        self.exec.try_step().map_err(|e| e.message)
+        self.step().map_err(|e| e.message)
     }
 
     /// Runs `n` steps (panicking on faults; use [`RunHandle::try_step`]
     /// for fault-tolerant loops).
     pub fn run(&mut self, n: usize) {
         for _ in 0..n {
-            self.exec.try_step().unwrap_or_else(|e| panic!("{e}"));
+            self.step().unwrap_or_else(|e| panic!("{e}"));
         }
     }
 
@@ -108,9 +131,12 @@ impl RunHandle {
         self.exec.steps_done()
     }
 
-    /// The unified telemetry snapshot.
+    /// The unified telemetry snapshot; its allocation count includes the
+    /// run's metric registrations.
     pub fn telemetry(&self) -> Telemetry {
-        self.exec.telemetry()
+        let mut t = self.exec.telemetry();
+        t.alloc_events += self.feed.registry().allocation_events();
+        t
     }
 
     /// Total (kinetic + potential) energy from fresh forces.
@@ -133,12 +159,13 @@ impl RunHandle {
     /// trajectories replay bitwise.
     pub fn restore(&mut self, cp: &Checkpoint) {
         self.exec.restore(cp);
+        self.rebaseline();
     }
 
     /// The metrics registry the run reports into (disabled unless the spec
     /// enabled metrics).
     pub fn metrics(&self) -> &Registry {
-        self.exec.metrics()
+        self.feed.registry()
     }
 
     /// The event tracer (disabled unless the spec enabled tracing).
@@ -155,10 +182,11 @@ impl RunHandle {
 
 /// Delegates supervision hooks to the engines' own [`Recoverable`] impls,
 /// so a [`sc_md::Supervisor`] can drive any spec-instantiated run — the
-/// job service leans on this for per-job rollback recovery.
+/// job service leans on this for per-job rollback recovery. Steps and
+/// restores go through the handle's own, so the feed sees them.
 impl Recoverable for RunHandle {
     fn try_step(&mut self) -> Result<(), StepFault> {
-        self.exec.try_step()
+        self.step()
     }
 
     fn checkpoint(&self) -> Checkpoint {
@@ -166,11 +194,13 @@ impl Recoverable for RunHandle {
     }
 
     fn restore(&mut self, cp: &Checkpoint) {
-        self.exec.restore(cp);
+        RunHandle::restore(self, cp);
     }
 
     fn restore_excluding(&mut self, cp: &Checkpoint, exclude: &[usize]) -> Result<(), String> {
-        self.exec.restore_excluding(cp, exclude)
+        self.exec.restore_excluding(cp, exclude)?;
+        self.rebaseline();
+        Ok(())
     }
 
     fn atom_count(&self) -> usize {
@@ -250,34 +280,27 @@ impl ScenarioSpec {
         }
     }
 
-    fn registries(&self, label: Option<&str>, flight_ring: Option<usize>) -> (Registry, Tracer) {
-        let ObservabilitySpec { metrics, trace, ring, .. } = self.observability;
-        let registry = match (metrics, label) {
-            (false, _) => Registry::disabled(),
-            (true, None) => Registry::new(),
-            (true, Some(label)) => Registry::labeled(label),
-        };
-        // The spec's explicit `ring` wins; otherwise `trace` arms a
-        // default-capacity ring, and a runner-supplied flight-recorder
-        // capacity (the job service's continuously armed ring) covers the
-        // remaining case. `ring: 0` explicitly disarms everything.
-        let tracer = match (ring, trace, flight_ring) {
+    /// The run's tracer. The spec's explicit `ring` wins; otherwise `trace`
+    /// arms a default-capacity ring, and a runner-supplied flight-recorder
+    /// capacity (the job service's continuously armed ring) covers the
+    /// remaining case. `ring: 0` explicitly disarms everything.
+    fn tracer(&self, flight_ring: Option<usize>) -> Tracer {
+        let ObservabilitySpec { trace, ring, .. } = self.observability;
+        match (ring, trace, flight_ring) {
             (Some(0), _, _) => Tracer::disabled(),
             (Some(n), _, _) => Tracer::with_capacity(n as usize),
             (None, true, _) => Tracer::new(),
             (None, false, Some(n)) if n > 0 => Tracer::with_capacity(n),
             (None, false, _) => Tracer::disabled(),
-        };
-        (registry, tracer)
+        }
     }
 
     /// The one mapping from a spec to a distributed engine's run
     /// configuration: every spec key an engine can honour travels through
     /// here, and [`ScenarioSpec::validate`] refuses the rest per executor.
-    /// `label` and `flight_ring` are the runner's, as in
+    /// `flight_ring` is the runner's, as in
     /// [`ScenarioSpec::instantiate_flight`].
-    pub fn engine_config(&self, label: Option<&str>, flight_ring: Option<usize>) -> EngineConfig {
-        let (metrics, tracer) = self.registries(label, flight_ring);
+    pub fn engine_config(&self, flight_ring: Option<usize>) -> EngineConfig {
         let ranks = match &self.executor {
             ExecutorSpec::Serial { .. } => 1,
             ExecutorSpec::Bsp { grid } | ExecutorSpec::Threaded { grid } => grid.iter().product(),
@@ -290,8 +313,7 @@ impl ScenarioSpec {
                 let (count, crashes) = (fp.count as usize, fp.max_crashes as usize);
                 FaultPlan::storm(fp.seed, count, self.steps, ranks as usize, crashes)
             }),
-            metrics,
-            tracer,
+            tracer: self.tracer(flight_ring),
         }
     }
 
@@ -318,7 +340,12 @@ impl ScenarioSpec {
     ) -> Result<RunHandle, SpecError> {
         let (store, bbox) = self.build_workload();
         let (ff, dt) = (self.force_field(), self.dt);
-        let cfg = self.engine_config(label, flight_ring);
+        let cfg = self.engine_config(flight_ring);
+        let metrics = match (self.observability.metrics, label) {
+            (false, _) => Registry::disabled(),
+            (true, None) => Registry::new(),
+            (true, Some(label)) => Registry::labeled(label),
+        };
         let pdims = |g: &[u64; 3]| IVec3::new(g[0] as i32, g[1] as i32, g[2] as i32);
         let setup = |e: sc_parallel::SetupError| SpecError::Setup(e.to_string());
         Ok(match &self.executor {
@@ -327,7 +354,6 @@ impl ScenarioSpec {
                     threads: *threads as usize,
                     verlet_skin: self.verlet_skin,
                     resort_every: cfg.resort_every,
-                    metrics: cfg.metrics,
                     tracer: cfg.tracer,
                 };
                 let mut b = Simulation::builder(store, bbox)
@@ -338,10 +364,11 @@ impl ScenarioSpec {
                 if let Some(t) = &self.thermostat {
                     b = b.thermostat(t.target, t.dt_over_tau);
                 }
-                RunHandle::new(b.build()?)
+                RunHandle::new(b.build()?, metrics)
             }
             ExecutorSpec::Bsp { grid } | ExecutorSpec::Threaded { grid } => RunHandle::new(
                 DistributedSim::build(store, bbox, pdims(grid), ff, dt, cfg).map_err(setup)?,
+                metrics,
             ),
         })
     }

@@ -345,6 +345,10 @@ impl<'a> Fields<'a> {
     }
 }
 
+/// The largest `observability.ring` a spec may ask for: 2^20 events per
+/// trace sink, which is 64 MiB of ring storage a sink (64 bytes an event).
+const MAX_RING: u64 = 1 << 20;
+
 fn bad(field: impl Into<String>, detail: impl Into<String>) -> SpecError {
     SpecError::BadValue { field: field.into(), detail: detail.into() }
 }
@@ -513,6 +517,13 @@ impl ScenarioSpec {
                 if grid.contains(&0) {
                     return Err(bad("executor.grid", "every dimension must be at least 1"));
                 }
+                if grid.iter().any(|&d| d > i32::MAX as u64) {
+                    let detail = format!("every dimension must be at most {}", i32::MAX);
+                    return Err(bad("executor.grid", detail));
+                }
+                if grid.iter().try_fold(1u64, |ranks, &d| ranks.checked_mul(d)).is_none() {
+                    return Err(bad("executor.grid", "the rank count overflows a 64-bit integer"));
+                }
             }
         }
         // The refusal rule: a key the chosen executor cannot honour is an
@@ -554,6 +565,10 @@ impl ScenarioSpec {
                     format!("{} crashes would leave no survivor of {ranks} ranks", fp.max_crashes),
                 ));
             }
+        }
+        if let Some(ring) = self.observability.ring.filter(|&ring| ring > MAX_RING) {
+            let detail = format!("{ring} events exceeds the {MAX_RING}-event (64 MiB) ring limit");
+            return Err(bad("observability.ring", detail));
         }
         if let Some(cp) = &self.checkpoint {
             if cp.every == 0 {
@@ -943,6 +958,50 @@ mod tests {
         match ScenarioSpec::from_json_str(&doc) {
             Err(SpecError::UnknownVariant { field, .. }) => assert_eq!(field, "schema"),
             other => panic!("expected UnknownVariant, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn oversized_rings_and_grids_are_rejected_by_name() {
+        let steps = r#""steps": 100"#;
+        let ring = |n: &str| {
+            lj_spec_json().replace(steps, &format!(r#"{steps}, "observability": {{"ring": {n}}}"#))
+        };
+        let grid = |g: &str| {
+            let bsp = format!(r#"{{"kind": "bsp", "grid": {g}}}"#);
+            lj_spec_json().replace(r#"{"kind": "serial"}"#, &bsp)
+        };
+        let storm = |g: &str| {
+            grid(g).replace(steps, r#""steps": 100, "fault_plan": {"seed": 1, "count": 1}"#)
+        };
+        let (ring_field, grid_field) = (Some("observability.ring"), Some("executor.grid"));
+        for (doc, rejected) in [
+            (ring("1e15"), ring_field),
+            (ring("1048577"), ring_field),
+            // The largest ring, and the default one the benchmark arms.
+            (ring("1048576"), None),
+            (ring("16384"), None),
+            // Dimensions that `as i32` would wrap.
+            (grid("[4294967297, 1, 1]"), grid_field),
+            (grid("[1, 2147483648, 1]"), grid_field),
+            // Dimensions that fit, with a rank count that overflows u64,
+            // with and without the fault plan that checks its crash budget
+            // against it.
+            (grid("[4194304, 4194304, 4194304]"), grid_field),
+            (grid("[2147483647, 2147483647, 5]"), grid_field),
+            (storm("[4194304, 4194304, 4194304]"), grid_field),
+            // The largest dimension and the largest rank count pass
+            // validation (the engine's setup decides whether they fit).
+            (grid("[2147483647, 1, 1]"), None),
+            (grid("[2147483647, 2147483647, 4]"), None),
+            (storm("[2147483647, 2147483647, 4]"), None),
+        ] {
+            let field = match ScenarioSpec::from_json_str(&doc) {
+                Err(SpecError::BadValue { field, .. }) => Some(field),
+                Ok(_) => None,
+                Err(other) => panic!("expected BadValue, got {other:?}"),
+            };
+            assert_eq!(field.as_deref(), rejected, "{doc}");
         }
     }
 }

@@ -95,7 +95,7 @@ fn build_engine(
 ) -> Result<DistributedSim, String> {
     let pdims = bsp_grid(spec)?;
     let (store, bbox) = spec.build_workload();
-    let cfg = EngineConfig { faults, tracer, ..spec.engine_config(None, None) };
+    let cfg = EngineConfig { faults, tracer, ..spec.engine_config(None) };
     DistributedSim::build(store, bbox, pdims, spec.force_field(), spec.dt, cfg)
         .map_err(|e| format!("{} case must build: {e}", spec.name))
 }

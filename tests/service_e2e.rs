@@ -4,9 +4,10 @@
 //!
 //! Covers the service contract the CI `service-smoke` job relies on:
 //! several concurrent jobs of mixed specs, cancellation releasing a lane,
-//! kill -9 + `--resume true` continuing bitwise-exactly, and the daemon's
+//! kill -9 + `--resume true` continuing bitwise-exactly, the daemon's
 //! results document matching a standalone `scmd run` of the same spec
-//! byte for byte.
+//! byte for byte, and hostile specs refused at submit by a typed error
+//! while the daemon keeps answering.
 
 use shift_collapse_md::obs::json::Json;
 use shift_collapse_md::serve::{client, Request, Response};
@@ -284,4 +285,33 @@ fn killed_daemon_resumes_bitwise() {
         std::fs::read_to_string(&standalone).unwrap(),
         "resumed results drifted from the uninterrupted run"
     );
+}
+
+/// Specs that would make the daemon allocate without bound or run another
+/// grid than the one asked for are refused at submit with a typed error
+/// naming the field, and the daemon stays up.
+#[test]
+fn hostile_submits_get_typed_errors_and_the_daemon_survives() {
+    let dir = TestDir::new("hostile");
+    let socket = dir.path("scmd.sock");
+    let _daemon = spawn_daemon(&socket, &dir.path("state"), false);
+    let wrapped_grid = lj_spec("wrapped-grid", 4, "")
+        .replace(r#"{"kind": "serial"}"#, r#"{"kind": "bsp", "grid": [4294967297, 1, 1]}"#);
+    for (spec, field) in [
+        (lj_spec("huge-ring", 4, r#", "observability": {"ring": 1e15}"#), "observability.ring"),
+        (wrapped_grid, "executor.grid"),
+    ] {
+        let spec = Json::parse(&spec).unwrap();
+        match client::request(&socket, &Request::Submit { spec }).unwrap() {
+            Response::Error { code, message } => {
+                assert_eq!(code, "bad-spec", "{message}");
+                assert!(message.contains(field), "{field} not named in {message:?}");
+            }
+            other => panic!("{field}: expected a typed error, got {}", other.to_json()),
+        }
+    }
+    match client::request(&socket, &Request::Status { id: None }) {
+        Ok(Response::Status { jobs }) => assert!(jobs.is_empty(), "refused specs queued no job"),
+        other => panic!("status after hostile submits: {other:?}"),
+    }
 }
