@@ -394,8 +394,9 @@ impl Simulation {
     /// Recomputes all forces and energies from the current positions —
     /// rebinning the cell lattices (dynamic tuple computation), running the
     /// per-term UCP searches, and accumulating forces. Returns the
-    /// [`Telemetry`] snapshot as it stands after the computation (also
-    /// available afterwards via [`Simulation::telemetry`]).
+    /// [`Telemetry`] snapshot as it stands after the computation, except
+    /// that its `phases` cover this computation alone (where
+    /// [`Simulation::telemetry`] reports everything since the step began).
     pub fn compute_forces(&mut self) -> Telemetry {
         // Tracing is branch-guarded: a disabled sink reads no clock here.
         let trace_t0 = if self.tsink.enabled() { self.tsink.now_ns() } else { 0 };
@@ -435,7 +436,7 @@ impl Simulation {
         if self.tsink.enabled() {
             self.trace_computation(trace_t0, &phases);
         }
-        self.telemetry()
+        Telemetry { phases, ..self.telemetry() }
     }
 
     /// Emits one trace event per [`Phase`] slot for the force computation
@@ -575,30 +576,25 @@ impl Simulation {
         }
         let t = Instant::now();
         velocity_verlet_start(&mut self.store, &self.bbox, self.dt);
-        let kick_drift = self.integrated(t);
+        self.integrated(t);
         self.compute_forces();
         let t = Instant::now();
         velocity_verlet_finish(&mut self.store, self.dt);
         if let Some((target, c)) = self.thermostat {
             berendsen_rescale(&mut self.store, target, c);
         }
-        let kick = self.integrated(t);
-        self.total_phases.add(Phase::Integrate, kick_drift + kick);
+        self.integrated(t);
         self.steps_done += 1;
         self.telemetry()
     }
 
-    /// The seconds an integrate half begun at `t` took, traced as an
-    /// interval that ends now (as the distributed engine traces its
-    /// wall-clock phases).
-    fn integrated(&self, t: Instant) -> f64 {
+    /// Books an integrate half begun at `t` in the cumulative breakdown
+    /// and traces it as an interval that ends now (as the distributed
+    /// engine books its wall-clock phases).
+    fn integrated(&mut self, t: Instant) {
         let secs = t.elapsed().as_secs_f64();
-        if self.tsink.enabled() {
-            let dur_ns = (secs * 1e9) as u64;
-            let start_ns = self.tsink.now_ns().saturating_sub(dur_ns);
-            self.tsink.phase(self.steps_done + 1, Phase::Integrate, start_ns, dur_ns);
-        }
-        secs
+        self.total_phases.add(Phase::Integrate, secs);
+        self.tsink.phase_ended(self.steps_done + 1, Phase::Integrate, secs);
     }
 
     /// Rebuilds every term's cell lattice for the current box and drops the
@@ -1383,6 +1379,17 @@ mod tests {
         assert_eq!(stats.phases.exchange_s(), 0.0, "no ghost exchange in shared memory");
         assert_eq!(stats.phases.eval_s(), 0.0, "evaluation is timed inside enumerate");
         assert!(stats.phases.total_s() > 0.0);
+        assert_eq!(stats.phases, stats.total_phases);
+        // A second computation with no step between: it reports its own
+        // breakdown, not the running total since the step began, which
+        // the step-level view still spans.
+        let second = sim.compute_forces();
+        for (phase, secs) in second.phases.iter() {
+            let own = second.total_phases.get(phase) - stats.total_phases.get(phase);
+            assert!((secs - own).abs() < 1e-12, "{}: {secs} s, own {own} s", phase.name());
+        }
+        assert!(second.phases.enumerate_s() < second.total_phases.enumerate_s());
+        assert_eq!(sim.telemetry().phases, second.total_phases);
     }
 
     #[test]

@@ -33,7 +33,9 @@ pub struct Telemetry {
     pub virial: f64,
     /// Phase breakdown since the most recent step began: its force
     /// computations, integrate halves and (distributed) exchanges, plus any
-    /// force computation run after it. In the distributed engine the
+    /// force computation run after it; the snapshot
+    /// [`Simulation::compute_forces`](crate::Simulation::compute_forces)
+    /// returns covers that computation alone. In the distributed engine the
     /// reverse ghost-force return is booked under
     /// [`sc_obs::Phase::Reduce`] (with the lane/scratch merge), never under
     /// `Exchange`, on the engine's wall clock (registry, executor trace
@@ -220,8 +222,8 @@ const CUMULATIVE: [Series; 11] = [
     ("health.breaker_trips", |t| t.health.breaker_trips),
 ];
 
-/// The index of `comm.bytes` in [`CUMULATIVE`]: its per-step delta is also
-/// observed by the `comm.step_bytes` histogram.
+/// The index of `comm.bytes` in [`CUMULATIVE`]: its delta over a completed
+/// step is also observed by the `comm.step_bytes` histogram.
 const COMM_BYTES: usize = 2;
 
 /// The cumulative readings of `t` that deltas are taken between.
@@ -267,24 +269,26 @@ impl MetricsFeed {
         &self.registry
     }
 
-    /// Feeds one completed step, whose snapshot is `t`.
+    /// Feeds one completed step, whose snapshot is `t`. Only completed
+    /// steps are observed by `comm.step_bytes`, so its count is the number
+    /// of completed steps.
     pub fn step(&mut self, t: &Telemetry) {
         for (series, (_, read)) in self.per_step.iter().zip(PER_STEP) {
             series.add(read(t));
         }
+        self.step_bytes.observe((t.comm.bytes - self.last.0[COMM_BYTES]) as f64);
         self.advance(t);
     }
 
     /// Feeds the cumulative series' growth up to `t` and nothing else: all
     /// that a step which failed half-way counted (its traffic, detected
     /// faults and watchdog transitions, none of which a later restore
-    /// gives back), without its tuples.
+    /// gives back), without its tuples or a `comm.step_bytes` observation.
     pub fn advance(&mut self, t: &Telemetry) {
         let ((last, last_phases), (now, phases)) = (self.last, reading(t));
         for ((series, now), last) in self.cumulative.iter().zip(now).zip(last) {
             series.add(now - last);
         }
-        self.step_bytes.observe((now[COMM_BYTES] - last[COMM_BYTES]) as f64);
         for (phase, secs) in phases.iter() {
             self.registry.record_phase(phase, secs - last_phases.get(phase));
         }

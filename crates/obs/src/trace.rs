@@ -455,6 +455,13 @@ impl TraceSink {
         });
     }
 
+    /// Emits a phase interval of `secs` seconds that ends now. A disabled
+    /// sink reads no clock.
+    pub fn phase_ended(&self, step: u64, phase: Phase, secs: f64) {
+        let dur_ns = (secs * 1e9) as u64;
+        self.phase(step, phase, self.now_ns().saturating_sub(dur_ns), dur_ns);
+    }
+
     /// Emits an instantaneous marker (checkpoint / rollback / fault / comm)
     /// stamped with the current time.
     pub fn instant(&self, step: u64, kind: EventKind) {

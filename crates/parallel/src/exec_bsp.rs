@@ -602,11 +602,7 @@ impl DistributedSim {
     /// cumulative local breakdown and on the executor's timeline row.
     fn book(&mut self, phase: Phase, secs: f64) {
         self.timings.add(phase, secs);
-        if self.exec_sink.enabled() {
-            let dur_ns = (secs * 1e9) as u64;
-            let start_ns = self.exec_sink.now_ns().saturating_sub(dur_ns);
-            self.exec_sink.phase(self.steps_done, phase, start_ns, dur_ns);
-        }
+        self.exec_sink.phase_ended(self.steps_done, phase, secs);
     }
 
     /// One velocity-Verlet step.

@@ -95,4 +95,8 @@ fn supervised_fault_storm_counters_never_decrease() {
     assert!(counter("comm.faults_detected") > 0);
     assert!(counter("health.deaths") > 0);
     assert!(counter("sim.steps") >= spec.steps);
+    // A failed step's traffic reaches `comm.bytes`, but only completed
+    // steps are observed by the per-step histogram.
+    assert_eq!(last.histograms[0].name, "comm.step_bytes");
+    assert_eq!(last.histograms[0].count, counter("sim.steps"));
 }
