@@ -20,6 +20,8 @@ use sc_geom::{CellRegion, IVec3, Vec3};
 #[derive(Debug, Clone)]
 pub struct GhostLattice {
     origin: Vec3,
+    /// `origin + lengths`: the owned region's high corner.
+    top: Vec3,
     cell: Vec3,
     inv_cell: Vec3,
     owned_extent: IVec3,
@@ -45,24 +47,31 @@ impl GhostLattice {
     /// Creates a local lattice.
     ///
     /// * `origin` — real-space coordinate of the owned region's low corner.
-    /// * `cell` — cell edge lengths (≥ cutoff).
+    /// * `lengths` — edge lengths of the owned region, split into
+    ///   `owned_extent` cells per axis (each edge ≥ cutoff).
     /// * `owned_extent` — owned cells per axis (≥ 1).
     /// * `lo_margin`, `hi_margin` — ghost cells below/above per axis (≥ 0).
     pub fn new(
         origin: Vec3,
-        cell: Vec3,
+        lengths: Vec3,
         owned_extent: IVec3,
         lo_margin: IVec3,
         hi_margin: IVec3,
     ) -> Self {
         assert!(owned_extent.x >= 1 && owned_extent.y >= 1 && owned_extent.z >= 1);
         assert!(lo_margin.in_first_octant() && hi_margin.in_first_octant());
-        assert!(cell.x > 0.0 && cell.y > 0.0 && cell.z > 0.0);
+        assert!(lengths.x > 0.0 && lengths.y > 0.0 && lengths.z > 0.0);
+        let cell = Vec3::new(
+            lengths.x / owned_extent.x as f64,
+            lengths.y / owned_extent.y as f64,
+            lengths.z / owned_extent.z as f64,
+        );
         let total = owned_extent + lo_margin + hi_margin;
         let ncell = total.product() as usize;
         assert!(ncell < UNBINNED as usize, "local lattice {total} has more cells than u32 indexes");
         GhostLattice {
             origin,
+            top: origin + lengths,
             cell,
             inv_cell: Vec3::new(1.0 / cell.x, 1.0 / cell.y, 1.0 / cell.z),
             owned_extent,
@@ -123,12 +132,6 @@ impl GhostLattice {
         )
     }
 
-    /// Whether a local-frame position lies in the owned region (decides
-    /// migration).
-    pub fn owns(&self, r: Vec3) -> bool {
-        self.owned_region().contains(self.local_cell_of(r))
-    }
-
     /// Linear index of a local cell coordinate.
     ///
     /// # Panics
@@ -145,6 +148,28 @@ impl GhostLattice {
         ((t.x * total.y + t.y) * total.z + t.z) as usize
     }
 
+    /// The cell [`GhostLattice::rebuild`] bins an atom in: its
+    /// [`GhostLattice::local_cell_of`], kept on the side of each owned-region
+    /// face that the position compares to, `origin ≤ r < origin + lengths`,
+    /// the test migration decides ownership by. Rounding in the cell
+    /// division could otherwise bin an atom on a face on the wrong side of
+    /// it: an atom at 0 imported as a ghost at exactly L would land in an
+    /// owned cell, one cell off from its images, and the tuples around it
+    /// would be computed twice.
+    fn bin(&self, r: Vec3) -> IVec3 {
+        let mut q = self.local_cell_of(r);
+        for a in 0..3 {
+            q[a] = if r[a] < self.origin[a] {
+                q[a].min(-1)
+            } else if r[a] >= self.top[a] {
+                q[a].max(self.owned_extent[a])
+            } else {
+                q[a].clamp(0, self.owned_extent[a] - 1)
+            };
+        }
+        q
+    }
+
     /// Rebuilds the bins. Atoms `0..owned_count` of the store are owned;
     /// the rest are ghosts. Atoms whose cell falls outside the extended
     /// region are skipped (they are awaiting migration).
@@ -157,7 +182,7 @@ impl GhostLattice {
         let mut atom_cell = std::mem::take(&mut self.atom_cell);
         atom_cell.clear();
         atom_cell.extend(store.positions().iter().map(|&r| {
-            let q = self.local_cell_of(r);
+            let q = self.bin(r);
             if region.contains(q) {
                 self.cell_index(q) as u32
             } else {
@@ -246,7 +271,7 @@ mod tests {
         // SC-style margins: none below, two above.
         GhostLattice::new(
             Vec3::splat(6.0),
-            Vec3::splat(3.0),
+            Vec3::splat(6.0),
             IVec3::splat(2),
             IVec3::ZERO,
             IVec3::splat(2),
@@ -268,11 +293,8 @@ mod tests {
         assert_eq!(l.local_cell_of(Vec3::splat(11.9)), IVec3::splat(1));
         // Ghost region above.
         assert_eq!(l.local_cell_of(Vec3::splat(12.1)), IVec3::splat(2));
-        assert!(l.owns(Vec3::splat(6.5)));
-        assert!(!l.owns(Vec3::splat(12.1)));
-        // Below the owned region → negative local cell (needs migration).
+        // Below the owned region → negative local cell.
         assert_eq!(l.local_cell_of(Vec3::splat(5.9)).x, -1);
-        assert!(!l.owns(Vec3::splat(5.9)));
     }
 
     #[test]
@@ -288,6 +310,21 @@ mod tests {
         assert_eq!(l.cell_atoms(IVec3::ZERO), &[0]);
         assert_eq!(l.cell_atoms(IVec3::splat(1)), &[1]);
         assert_eq!(l.cell_atoms(IVec3::splat(2)), &[2]);
+    }
+
+    /// The second rank of a 6.3-wide box split in two, three cells of 1.05:
+    /// the division puts its top face, 6.3, in owned cell 2. An atom at 0
+    /// imported there is binned across the face, as its images are.
+    #[test]
+    fn an_atom_on_the_top_face_is_binned_above_it() {
+        let (sub, ext) = (Vec3::splat(3.15), IVec3::splat(3));
+        let mut l = GhostLattice::new(sub, sub, ext, IVec3::ZERO, ext);
+        let on_face = Vec3::new(6.3, 4.0, 4.0);
+        assert_eq!(l.local_cell_of(on_face).x, 2, "rounding inside");
+        let mut store = AtomStore::single_species();
+        store.push(0, Species::DEFAULT, on_face, Vec3::ZERO); // a ghost
+        l.rebuild(&store, 0);
+        assert_eq!(l.cell_atoms(IVec3::new(3, 0, 0)), &[0]);
     }
 
     #[test]

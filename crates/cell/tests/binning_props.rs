@@ -83,7 +83,7 @@ proptest! {
     fn ghost_lattice_respects_region((store, _bbox) in store_strategy(), hi in 0i32..3) {
         let mut lat = GhostLattice::new(
             Vec3::splat(2.0),
-            Vec3::splat(1.0),
+            Vec3::splat(3.0),
             IVec3::splat(3),
             IVec3::ZERO,
             IVec3::splat(hi),

@@ -236,9 +236,11 @@ pub fn apply_quadruplet(
 }
 
 /// The Hybrid-MD force pass: every term of `ff` walked out of one pair
-/// `list` into one accumulator, in ascending n. Per-term energies and the
-/// n ≥ 3 search statistics are folded into `energy` / `tuples` (the pair
-/// search was the list build, whose statistics the caller holds); forces
+/// `list` into one accumulator, in ascending n. Per-term energies and
+/// accepted tuples are folded into `energy` / `tuples`, and so are the
+/// n ≥ 3 candidates; the pair candidates stay the list build's search
+/// statistics, which the caller holds (a list spans ghost–ghost and skin
+/// pairs, so only the walk knows which pairs this pass computed). Forces
 /// and the virial stay in `acc` for the caller to merge.
 pub fn hybrid_forces(
     ff: &ForceField,
@@ -252,8 +254,11 @@ pub fn hybrid_forces(
     for term in ff.active() {
         let stats = term.walk(list, owns_bond, species, acc);
         *energy.term_mut(term.n()) += std::mem::take(&mut acc.energy);
-        if term.n() > 2 {
-            tuples.term_mut(term.n()).merge(stats);
+        let counts = tuples.term_mut(term.n());
+        if term.n() == 2 {
+            counts.accepted = stats.accepted;
+        } else {
+            counts.merge(stats);
         }
     }
 }

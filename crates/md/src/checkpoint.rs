@@ -88,6 +88,14 @@ pub enum CheckpointError {
         /// The label recorded in the snapshot.
         found: String,
     },
+    /// The snapshot is further along than the run it was asked to resume —
+    /// e.g. a job directory holding another, longer job's checkpoint.
+    StepBeyondRun {
+        /// The step recorded in the snapshot.
+        step: u64,
+        /// The run's total step count.
+        steps: u64,
+    },
     /// The buffer ended before the declared content.
     Truncated,
     /// The trailing checksum does not match the content (torn write or bit
@@ -107,6 +115,9 @@ impl fmt::Display for CheckpointError {
             }
             CheckpointError::LabelMismatch { expected, found } => {
                 write!(f, "checkpoint label mismatch: expected {expected:?}, found {found:?}")
+            }
+            CheckpointError::StepBeyondRun { step, steps } => {
+                write!(f, "checkpoint is at step {step}, beyond the run's {steps} steps")
             }
             CheckpointError::Truncated => write!(f, "checkpoint truncated"),
             CheckpointError::ChecksumMismatch => write!(f, "checkpoint checksum mismatch"),

@@ -768,7 +768,7 @@ fn par_term_forces(
 mod tests {
     use super::*;
     use crate::workload::{build_fcc_lattice, random_gas, LatticeSpec};
-    use crate::{reference, Method};
+    use crate::Method;
     use sc_obs::Registry;
     use sc_potential::{LennardJones, StillingerWeber, TorsionToy, Vashishta};
 
@@ -803,44 +803,6 @@ mod tests {
     }
 
     #[test]
-    fn all_methods_agree_on_lj_forces() {
-        let mut sims: Vec<Simulation> = Method::ALL.iter().map(|&m| lj_sim(m)).collect();
-        let energies: Vec<f64> = sims.iter_mut().map(|s| s.compute_forces().energy.pair).collect();
-        let tol = 1e-11 * energies[0].abs();
-        for e in &energies[1..] {
-            assert!((e - energies[0]).abs() < tol, "pair energies differ: {energies:?}");
-        }
-        let f0: Vec<Vec3> = sims[0].store().forces().to_vec();
-        for sim in &sims[1..] {
-            for (a, b) in f0.iter().zip(sim.store().forces()) {
-                assert!((*a - *b).norm() < 1e-8);
-            }
-        }
-        // And they agree with the brute-force reference.
-        let mut store = sims[0].store().clone();
-        store.zero_forces();
-        let e_ref = reference::pair_forces(&mut store, sims[0].bbox(), &LennardJones::reduced(2.5));
-        assert!((e_ref - energies[0]).abs() < tol);
-        for (a, b) in f0.iter().zip(store.forces()) {
-            assert!((*a - *b).norm() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn net_force_vanishes_for_every_method() {
-        for &m in &Method::ALL {
-            let mut sim = lj_sim(m);
-            sim.compute_forces();
-            assert!(
-                sim.store().net_force().norm() < 1e-9,
-                "{} net force {:?}",
-                m.name(),
-                sim.store().net_force()
-            );
-        }
-    }
-
-    #[test]
     fn lj_nve_conserves_energy() {
         let mut sim = lj_sim(Method::ShiftCollapse);
         let e0 = sim.total_energy();
@@ -850,177 +812,15 @@ mod tests {
     }
 
     #[test]
-    fn methods_produce_identical_trajectories() {
-        // Same initial conditions, same forces ⇒ same trajectory (up to
-        // floating-point addition order; LJ with f64 stays bit-stable for
-        // tens of steps at this tolerance).
-        let mut sims: Vec<Simulation> = Method::ALL.iter().map(|&m| lj_sim(m)).collect();
-        for _ in 0..10 {
-            for sim in &mut sims {
-                sim.step();
-            }
-        }
-        let p0 = sims[0].store().positions();
-        for sim in &sims[1..] {
-            for (a, b) in p0.iter().zip(sim.store().positions()) {
-                assert!((*a - *b).norm() < 1e-7, "{} diverged from SC-MD", sim.method().name());
-            }
-        }
-    }
-
-    fn silica_sim(method: Method) -> Simulation {
-        let v = Vashishta::silica();
-        let masses = v.params().masses;
-        let (store, bbox) = crate::workload::build_silica_like(3, 7.16, masses, 0.01, 7);
-        Simulation::builder(store, bbox)
-            .pair_potential(Box::new(v.pair.clone()))
-            .triplet_potential(Box::new(v.triplet.clone()))
-            .method(method)
-            .timestep(0.0005)
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn silica_methods_agree_with_reference() {
-        let v = Vashishta::silica();
-        let mut sims: Vec<Simulation> = Method::ALL.iter().map(|&m| silica_sim(m)).collect();
-        let stats: Vec<_> = sims.iter_mut().map(|s| s.compute_forces()).collect();
-        // Reference forces.
-        let mut store = sims[0].store().clone();
-        store.zero_forces();
-        let e2 = reference::pair_forces(&mut store, sims[0].bbox(), &v.pair);
-        let e3 = reference::triplet_forces(&mut store, sims[0].bbox(), &v.triplet);
-        for (sim, st) in sims.iter().zip(&stats) {
-            assert!(
-                (st.energy.pair - e2).abs() < 1e-7 * e2.abs().max(1.0),
-                "{} pair energy {} vs reference {e2}",
-                sim.method().name(),
-                st.energy.pair
-            );
-            assert!(
-                (st.energy.triplet - e3).abs() < 1e-7 * e3.abs().max(1.0),
-                "{} triplet energy {} vs reference {e3}",
-                sim.method().name(),
-                st.energy.triplet
-            );
-            for (a, b) in store.forces().iter().zip(sim.store().forces()) {
-                assert!((*a - *b).norm() < 1e-7, "{} forces differ", sim.method().name());
-            }
-        }
-        // Triplet term is genuinely active in this configuration.
-        assert!(stats[0].tuples.triplet.accepted > 0);
-    }
-
-    #[test]
-    fn hybrid_silica_terms_match_the_brute_force_reference() {
-        // The list's row order is the force-summation order, so this pins
-        // Hybrid-MD term by term: energies to rounding, tuple counts exactly.
-        let v = Vashishta::silica();
-        let mut sim = silica_sim(Method::Hybrid);
-        let stats = sim.compute_forces();
-        let (mut store, bbox) = (sim.store().clone(), *sim.bbox());
-        store.zero_forces();
-        let e2 = reference::pair_forces(&mut store, &bbox, &v.pair);
-        let e3 = reference::triplet_forces(&mut store, &bbox, &v.triplet);
-        assert!((stats.energy.pair - e2).abs() <= 1e-12 * e2.abs(), "pair {e2}");
-        assert!((stats.energy.triplet - e3).abs() <= 1e-12 * e3.abs(), "triplet {e3}");
-        let pairs = reference::all_pairs(&store, &bbox, v.pair.cutoff()).len() as u64;
-        let triplets = reference::all_triplets(&store, &bbox, v.triplet.cutoff()).len() as u64;
-        assert!(pairs > 0 && triplets > 0);
-        assert_eq!(stats.tuples.pair.accepted, pairs);
-        assert_eq!(stats.tuples.triplet.accepted, triplets);
-        for (a, b) in store.forces().iter().zip(sim.store().forces()) {
-            assert!((*a - *b).norm() < 1e-10, "forces differ: {a:?} vs {b:?}");
-        }
-    }
-
-    #[test]
     fn sc_searches_fewer_candidates_than_fs() {
-        let mut sc = silica_sim(Method::ShiftCollapse);
-        let mut fs = silica_sim(Method::FullShell);
+        let mut sc = silica_sim(Method::ShiftCollapse, 0);
+        let mut fs = silica_sim(Method::FullShell, 0);
         let s_sc = sc.compute_forces();
         let s_fs = fs.compute_forces();
         let ratio = s_fs.tuples.triplet.candidates as f64 / s_sc.tuples.triplet.candidates as f64;
         assert!(ratio > 1.7, "FS/SC triplet candidate ratio {ratio}");
         // Identical accepted tuple counts: same force set.
         assert_eq!(s_fs.tuples.triplet.accepted, s_sc.tuples.triplet.accepted);
-    }
-
-    #[test]
-    fn quadruplet_term_runs_under_all_methods() {
-        let torsion = TorsionToy::new(0.05, 1.0, 0.3);
-        let build = |m: Method| {
-            // FCC with nearest-neighbour distance a/√2 ≈ 0.85 < rcut4 = 1.0,
-            // so bonded chains exist; the crystal keeps pair forces bounded.
-            let (store, bbox) = build_fcc_lattice(&LatticeSpec::cubic(4, 1.2), 0.02, 13);
-            Simulation::builder(store, bbox)
-                .pair_potential(Box::new(LennardJones::reduced(1.2)))
-                .quadruplet_potential(Box::new(torsion))
-                .method(m)
-                .build()
-                .unwrap()
-        };
-        let mut energies = vec![];
-        let mut forces = vec![];
-        for &m in &Method::ALL {
-            let mut sim = build(m);
-            let st = sim.compute_forces();
-            energies.push(st.energy.quadruplet);
-            forces.push(sim.store().forces().to_vec());
-            assert!(st.tuples.quadruplet.accepted > 0, "{} found no quads", m.name());
-            // The brute-force oracle: each method must match it, not just
-            // the others (they could all be wrong the same way).
-            let (mut store, bbox) = (sim.store().clone(), *sim.bbox());
-            store.zero_forces();
-            reference::pair_forces(&mut store, &bbox, &LennardJones::reduced(1.2));
-            let e4 = reference::quadruplet_forces(&mut store, &bbox, &torsion);
-            assert!((st.energy.quadruplet - e4).abs() < 1e-8, "{}: reference {e4}", m.name());
-            for (a, b) in store.forces().iter().zip(sim.store().forces()) {
-                assert!((*a - *b).norm() < 1e-8, "{} forces differ from reference", m.name());
-            }
-        }
-        for e in &energies[1..] {
-            assert!((e - energies[0]).abs() < 1e-8, "quad energies {energies:?}");
-        }
-        for f in &forces[1..] {
-            for (a, b) in forces[0].iter().zip(f) {
-                assert!((*a - *b).norm() < 1e-8);
-            }
-        }
-    }
-
-    #[test]
-    fn subdivided_cells_reproduce_forces_exactly() {
-        // §6 extension: reach-2 patterns on half-size cells find the same
-        // force set, hence identical energies and forces.
-        let build = |k: i32, method: Method| {
-            let (store, bbox) = build_fcc_lattice(&LatticeSpec::cubic(6, 1.5599), 0.1, 42);
-            Simulation::builder(store, bbox)
-                .pair_potential(Box::new(LennardJones::reduced(2.5)))
-                .method(method)
-                .cell_subdivision(k)
-                .build()
-                .unwrap()
-        };
-        for method in [Method::ShiftCollapse, Method::FullShell] {
-            let mut base = build(1, method);
-            let mut sub = build(2, method);
-            let e1 = base.compute_forces();
-            let e2 = sub.compute_forces();
-            assert!(
-                (e1.energy.pair - e2.energy.pair).abs() < 1e-10 * e1.energy.pair.abs(),
-                "{}: k=1 energy {} vs k=2 {}",
-                method.name(),
-                e1.energy.pair,
-                e2.energy.pair
-            );
-            // Identical accepted pair sets.
-            assert_eq!(e1.tuples.pair.accepted, e2.tuples.pair.accepted);
-            for (a, b) in base.store().forces().iter().zip(sub.store().forces()) {
-                assert!((*a - *b).norm() < 1e-9);
-            }
-        }
     }
 
     #[test]
@@ -1182,9 +982,9 @@ mod tests {
         assert!((t - 0.7).abs() < 0.2, "temperature {t} should approach 0.7");
     }
 
-    /// Builds the same silica system with an explicit lane count through
-    /// the [`RuntimeConfig`] path.
-    fn silica_sim_threads(method: Method, threads: usize) -> Simulation {
+    /// The 648-atom silica system on `threads` force lanes (0: the host's
+    /// parallelism).
+    fn silica_sim(method: Method, threads: usize) -> Simulation {
         let v = Vashishta::silica();
         let masses = v.params().masses;
         let (store, bbox) = crate::workload::build_silica_like(3, 7.16, masses, 0.01, 7);
@@ -1199,45 +999,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_forces_match_serial_pairs_and_triplets() {
-        // The unified kernel must give the same physics regardless of lane
-        // count — one lane runs inline, four lanes exercise the pool and the
-        // per-lane accumulator merge. Floating-point summation order differs
-        // across lane counts, so a tight (but not bitwise) tolerance.
-        for method in [Method::ShiftCollapse, Method::FullShell] {
-            let mut serial = silica_sim_threads(method, 1);
-            let mut par = silica_sim_threads(method, 4);
-            assert_eq!(par.force_lanes(), 4);
-            let s = serial.compute_forces();
-            let p = par.compute_forces();
-            assert!(s.tuples.pair.accepted > 0 && s.tuples.triplet.accepted > 0);
-            assert_eq!(s.tuples, p.tuples, "{method:?}: tuple counts must match exactly");
-            let scale = s.energy.total().abs().max(1.0);
-            assert!(
-                (s.energy.pair - p.energy.pair).abs() < 1e-10 * scale,
-                "{method:?}: pair energy {} vs {}",
-                s.energy.pair,
-                p.energy.pair
-            );
-            assert!(
-                (s.energy.triplet - p.energy.triplet).abs() < 1e-10 * scale,
-                "{method:?}: triplet energy {} vs {}",
-                s.energy.triplet,
-                p.energy.triplet
-            );
-            assert!((s.virial - p.virial).abs() < 1e-9 * scale);
-            for (a, b) in serial.store().forces().iter().zip(par.store().forces()) {
-                assert!((*a - *b).norm() < 1e-9, "{method:?}: force {a:?} vs {b:?}");
-            }
-        }
-    }
-
-    #[test]
     fn parallel_forces_deterministic_for_fixed_lane_count() {
         // Same lane count ⇒ same task → lane partition ⇒ bitwise-identical
         // forces across runs (merges happen in lane order).
         let forces = |_: usize| {
-            let mut sim = silica_sim_threads(Method::ShiftCollapse, 3);
+            let mut sim = silica_sim(Method::ShiftCollapse, 3);
             sim.compute_forces();
             sim.store().forces().to_vec()
         };
@@ -1278,7 +1044,8 @@ mod tests {
         // Regression for the zero-allocation guarantee: steady state must
         // add no allocations per step anywhere — neither in the lanes'
         // force scratch nor in the (inert) tracer.
-        let mut sim = silica_sim_threads(Method::ShiftCollapse, 2);
+        let mut sim = silica_sim(Method::ShiftCollapse, 2);
+        assert_eq!(sim.force_lanes(), 2);
         sim.run(2); // warm up: every lane sizes its accumulator
         let warm = sim.scratch_allocation_events();
         // One event per lane sizes its accumulator; the triplet sweeps'
@@ -1371,7 +1138,7 @@ mod tests {
 
     #[test]
     fn step_phases_are_recorded() {
-        let mut sim = silica_sim_threads(Method::ShiftCollapse, 2);
+        let mut sim = silica_sim(Method::ShiftCollapse, 2);
         let stats = sim.compute_forces();
         assert!(stats.phases.bin_s() > 0.0, "binning was timed");
         assert!(stats.phases.enumerate_s() > 0.0, "enumeration was timed");

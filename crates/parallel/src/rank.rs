@@ -158,7 +158,7 @@ impl RankState {
                     (mc, mc)
                 }
             };
-            let lat = GhostLattice::new(origin, cell, ext, lo, hi);
+            let lat = GhostLattice::new(origin, sub, ext, lo, hi);
             let base =
                 if hybrid { lat.extended_region() } else { CellRegion::new(IVec3::ZERO, ext) };
             let cells = base.iter().collect();

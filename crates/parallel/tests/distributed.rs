@@ -1,13 +1,14 @@
-//! Distributed-vs-serial equivalence: the correctness contract of the
-//! parallel runtime. Whatever the rank count or method, the physics must
-//! match the serial engine.
+//! The distributed runtime's own contract beyond parity (which
+//! `tests/parity.rs` sweeps against the brute-force oracle and the serial
+//! engine): import volume and routing, migration, NVE drift, setup
+//! refusals, and the telemetry, trace and metrics it reports.
 
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox, Vec3};
-use sc_md::{build_fcc_lattice, build_silica_like, LatticeSpec, Method, Simulation};
+use sc_md::{build_fcc_lattice, LatticeSpec, Method};
 use sc_parallel::rank::ForceField;
 use sc_parallel::{DistributedSim, EngineConfig};
-use sc_potential::{LennardJones, TorsionToy, Vashishta};
+use sc_potential::LennardJones;
 
 fn lj_system() -> (AtomStore, SimulationBox) {
     build_fcc_lattice(&LatticeSpec::cubic(7, 1.5599), 0.1, 42)
@@ -19,164 +20,6 @@ fn lj_ff(method: Method) -> ForceField {
         triplet: None,
         quadruplet: None,
         method,
-    }
-}
-
-fn serial_lj(method: Method) -> Simulation {
-    let (store, bbox) = lj_system();
-    Simulation::builder(store, bbox)
-        .pair_potential(Box::new(LennardJones::reduced(2.5)))
-        .method(method)
-        .timestep(0.002)
-        .build()
-        .unwrap()
-}
-
-/// Compares per-atom positions/velocities of a gathered store against a
-/// serial store (both sorted by id), up to periodic wrapping.
-fn assert_stores_match(bbox: &SimulationBox, a: &AtomStore, b: &AtomStore, tol: f64, what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: atom counts differ");
-    for i in 0..a.len() {
-        assert_eq!(a.ids()[i], b.ids()[i], "{what}: id order differs at {i}");
-        let dr = bbox.min_image(a.positions()[i], b.positions()[i]).norm();
-        let dv = (a.velocities()[i] - b.velocities()[i]).norm();
-        assert!(dr < tol, "{what}: atom {i} position differs by {dr}");
-        assert!(dv < tol, "{what}: atom {i} velocity differs by {dv}");
-    }
-}
-
-fn serial_snapshot(sim: &Simulation) -> AtomStore {
-    // The serial engine re-sorts atoms into Morton order as it runs, so the
-    // snapshot must be brought back to id order to line up with gather().
-    let mut store = sim.store().clone();
-    store.sort_by_id();
-    store
-}
-
-#[test]
-fn single_rank_matches_serial_lj() {
-    let (store, bbox) = lj_system();
-    let mut dist =
-        DistributedSim::new(store, bbox, IVec3::splat(1), lj_ff(Method::ShiftCollapse), 0.002)
-            .unwrap();
-    let mut serial = serial_lj(Method::ShiftCollapse);
-    let e_d = dist.total_energy();
-    let e_s = serial.total_energy();
-    assert!((e_d - e_s).abs() < 1e-9 * e_s.abs(), "single-rank energy {e_d} vs serial {e_s}");
-    dist.run(5);
-    serial.run(5);
-    assert_stores_match(&bbox, &dist.gather(), &serial_snapshot(&serial), 1e-8, "1-rank LJ");
-}
-
-#[test]
-fn eight_ranks_match_serial_all_methods() {
-    for method in Method::ALL {
-        let (store, bbox) = lj_system();
-        let mut dist =
-            DistributedSim::new(store, bbox, IVec3::splat(2), lj_ff(method), 0.002).unwrap();
-        let mut serial = serial_lj(method);
-        let e_d = dist.total_energy();
-        let e_s = serial.total_energy();
-        assert!(
-            (e_d - e_s).abs() < 1e-9 * e_s.abs(),
-            "{}: energy {e_d} vs serial {e_s}",
-            method.name()
-        );
-        dist.run(5);
-        serial.run(5);
-        assert_stores_match(&bbox, &dist.gather(), &serial_snapshot(&serial), 1e-7, method.name());
-    }
-}
-
-#[test]
-fn anisotropic_rank_grid_matches_serial() {
-    let (store, bbox) = lj_system();
-    let mut dist =
-        DistributedSim::new(store, bbox, IVec3::new(2, 1, 2), lj_ff(Method::ShiftCollapse), 0.002)
-            .unwrap();
-    let mut serial = serial_lj(Method::ShiftCollapse);
-    dist.run(4);
-    serial.run(4);
-    assert_stores_match(&bbox, &dist.gather(), &serial_snapshot(&serial), 1e-7, "2x1x2");
-}
-
-#[test]
-fn silica_distributed_matches_serial() {
-    let v = Vashishta::silica();
-    let masses = v.params().masses;
-    for method in Method::ALL {
-        let (store, bbox) = build_silica_like(4, 7.16, masses, 0.01, 7);
-        let ff = ForceField {
-            pair: Some(Box::new(v.pair.clone())),
-            triplet: Some(Box::new(v.triplet.clone())),
-            quadruplet: None,
-            method,
-        };
-        let mut dist =
-            DistributedSim::new(store.clone(), bbox, IVec3::splat(2), ff, 0.0005).unwrap();
-        let mut serial = Simulation::builder(store, bbox)
-            .pair_potential(Box::new(v.pair.clone()))
-            .triplet_potential(Box::new(v.triplet.clone()))
-            .method(method)
-            .timestep(0.0005)
-            .build()
-            .unwrap();
-        let e_d = dist.total_energy();
-        let e_s = serial.total_energy();
-        assert!(
-            (e_d - e_s).abs() < 1e-8 * e_s.abs().max(1.0),
-            "{}: silica energy {e_d} vs serial {e_s}",
-            method.name()
-        );
-        // Triplet work is real.
-        assert!(dist.telemetry().tuples.triplet.accepted > 0);
-        dist.run(3);
-        serial.run(3);
-        assert_stores_match(
-            &bbox,
-            &dist.gather(),
-            &serial_snapshot(&serial),
-            1e-6,
-            &format!("silica {}", method.name()),
-        );
-    }
-}
-
-#[test]
-fn quadruplet_distributed_matches_serial() {
-    let torsion = TorsionToy::new(0.05, 1.0, 0.3);
-    for method in Method::ALL {
-        let (store, bbox) = build_fcc_lattice(&LatticeSpec::cubic(6, 1.2), 0.02, 13);
-        let ff = ForceField {
-            pair: Some(Box::new(LennardJones::reduced(1.2))),
-            triplet: None,
-            quadruplet: Some(Box::new(torsion)),
-            method,
-        };
-        let mut dist =
-            DistributedSim::new(store.clone(), bbox, IVec3::splat(2), ff, 0.001).unwrap();
-        let mut serial = Simulation::builder(store, bbox)
-            .pair_potential(Box::new(LennardJones::reduced(1.2)))
-            .quadruplet_potential(Box::new(torsion))
-            .method(method)
-            .timestep(0.001)
-            .build()
-            .unwrap();
-        let e_d = dist.total_energy();
-        let serial_stats = serial.compute_forces();
-        let e_s = serial_stats.energy.total() + serial.store().kinetic_energy();
-        assert!(
-            (e_d - e_s).abs() < 1e-8 * e_s.abs().max(1.0),
-            "{}: quad energy {e_d} vs serial {e_s}",
-            method.name()
-        );
-        assert!(dist.telemetry().tuples.quadruplet.accepted > 0, "{}", method.name());
-        assert_eq!(
-            dist.telemetry().tuples.quadruplet.accepted,
-            serial_stats.tuples.quadruplet.accepted,
-            "{}: distributed and serial find different quad counts",
-            method.name()
-        );
     }
 }
 
@@ -254,40 +97,6 @@ fn distributed_nve_conserves_energy() {
 }
 
 #[test]
-fn subdivided_distributed_matches_serial() {
-    // §6 extension under the distributed runtime: reach-2 patterns on
-    // half-size rank-local cells, same physics.
-    let v = Vashishta::silica();
-    let masses = v.params().masses;
-    let (store, bbox) = build_silica_like(4, 7.16, masses, 0.01, 5);
-    let ff = ForceField {
-        pair: Some(Box::new(v.pair.clone())),
-        triplet: Some(Box::new(v.triplet.clone())),
-        quadruplet: None,
-        method: Method::ShiftCollapse,
-    };
-    let cfg = EngineConfig { subdivision: 2, ..Default::default() };
-    let mut dist =
-        DistributedSim::build(store.clone(), bbox, IVec3::splat(2), ff, 0.0005, cfg).unwrap();
-    let mut serial = Simulation::builder(store, bbox)
-        .pair_potential(Box::new(v.pair.clone()))
-        .triplet_potential(Box::new(v.triplet.clone()))
-        .method(Method::ShiftCollapse)
-        .timestep(0.0005)
-        .build()
-        .unwrap();
-    let e_d = dist.total_energy();
-    let e_s = serial.total_energy();
-    assert!(
-        (e_d - e_s).abs() < 1e-8 * e_s.abs().max(1.0),
-        "subdivided distributed energy {e_d} vs serial {e_s}"
-    );
-    dist.run(3);
-    serial.run(3);
-    assert_stores_match(&bbox, &dist.gather(), &serial_snapshot(&serial), 1e-6, "subdivided");
-}
-
-#[test]
 fn timings_and_load_are_reported() {
     let (store, bbox) = lj_system();
     let mut d =
@@ -316,66 +125,29 @@ fn too_many_ranks_rejected() {
     assert!(err.is_err(), "sub-box 2.18 < cutoff 2.5 should be rejected");
 }
 
-#[test]
-fn single_rank_matches_serial_silica() {
-    // 1×1×1 degenerates every exchange to self-sends; the one rank must
-    // still reproduce the serial silica trajectory exactly (one rank ⇒
-    // identical summation order up to the scratch merge).
-    let v = Vashishta::silica();
-    let masses = v.params().masses;
-    let (store, bbox) = build_silica_like(3, 7.16, masses, 0.01, 7);
-    let ff = ForceField {
-        pair: Some(Box::new(v.pair.clone())),
-        triplet: Some(Box::new(v.triplet.clone())),
-        quadruplet: None,
-        method: Method::ShiftCollapse,
-    };
-    let mut sim = DistributedSim::new(store.clone(), bbox, IVec3::splat(1), ff, 0.0005).unwrap();
-    sim.run(3);
-    let (gathered, t) = (sim.gather(), sim.telemetry());
-    let (energy, stats) = (t.energy, t.comm);
-    let mut serial = Simulation::builder(store, bbox)
-        .pair_potential(Box::new(v.pair.clone()))
-        .triplet_potential(Box::new(v.triplet.clone()))
-        .method(Method::ShiftCollapse)
-        .timestep(0.0005)
-        .build()
-        .unwrap();
-    serial.run(3);
-    assert_stores_match(&bbox, &gathered, &serial_snapshot(&serial), 1e-9, "1x1x1");
-    let e_s = serial.telemetry().energy.total();
-    assert!(
-        (energy.total() - e_s).abs() < 1e-9 * e_s.abs().max(1.0),
-        "1x1x1 energy {} vs serial {e_s}",
-        energy.total()
-    );
-    // The per-rank phase metrics rode along in the comm stats, and the
-    // self-sends were timed as exchanges.
-    assert!(stats.phases.bin_s() > 0.0);
-    assert!(stats.phases.enumerate_s() > 0.0);
-    assert!(stats.phases.reduce_s() > 0.0);
-    assert!(t.total_phases.exchange_s() > 0.0, "self-sends are timed as exchanges");
-}
-
+/// The ranks time their own bin / enumerate / reduce, and the executor the
+/// exchanges — on one rank too, whose exchanges are all self-sends.
 #[test]
 fn bsp_phase_breakdown_is_recorded() {
-    let (store, bbox) = lj_system();
-    let mut d =
-        DistributedSim::new(store, bbox, IVec3::splat(2), lj_ff(Method::ShiftCollapse), 0.002)
-            .unwrap();
-    d.run(2);
-    let p = d.telemetry().comm.phases;
-    assert!(p.bin_s() > 0.0, "ranks timed their binning: {p:?}");
-    assert!(p.enumerate_s() > 0.0, "ranks timed their enumeration: {p:?}");
-    assert!(p.reduce_s() > 0.0, "ranks timed their scratch merge: {p:?}");
-    assert_eq!(p.exchange_s(), 0.0, "BSP exchange time is counted centrally in PhaseTimings");
-    // The fine-grained rank view nests inside the coarse compute wall time.
-    assert!(d.telemetry().total_phases.compute_s() > 0.0);
-    assert_eq!(p, d.comm_stats().phases);
-    // Reduce is the ranks' scratch merges *plus* the executor's wall clock
-    // around the rank-to-rank force return.
-    let reduce = d.telemetry().total_phases.reduce_s();
-    assert!(reduce > p.reduce_s(), "force return missing from reduce: {reduce} vs {p:?}");
+    for pdims in [IVec3::splat(2), IVec3::splat(1)] {
+        let (store, bbox) = lj_system();
+        let ff = lj_ff(Method::ShiftCollapse);
+        let mut d = DistributedSim::new(store, bbox, pdims, ff, 0.002).unwrap();
+        d.run(2);
+        let p = d.telemetry().comm.phases;
+        assert!(p.bin_s() > 0.0, "{pdims}: ranks timed their binning: {p:?}");
+        assert!(p.enumerate_s() > 0.0, "{pdims}: ranks timed their enumeration: {p:?}");
+        assert!(p.reduce_s() > 0.0, "{pdims}: ranks timed their scratch merge: {p:?}");
+        assert_eq!(p.exchange_s(), 0.0, "BSP exchange time is counted centrally in PhaseTimings");
+        assert!(d.telemetry().total_phases.exchange_s() > 0.0, "{pdims}: exchanges are timed");
+        // The fine-grained rank view nests inside the coarse compute wall time.
+        assert!(d.telemetry().total_phases.compute_s() > 0.0);
+        assert_eq!(p, d.comm_stats().phases);
+        // Reduce is the ranks' scratch merges *plus* the executor's wall
+        // clock around the rank-to-rank force return.
+        let reduce = d.telemetry().total_phases.reduce_s();
+        assert!(reduce > p.reduce_s(), "force return missing from reduce: {reduce} vs {p:?}");
+    }
 }
 
 /// `Telemetry::phases` is the most recent step, as its doc says and as the
@@ -617,143 +389,4 @@ fn threaded_run_observed_traces_every_rank() {
     let mut sorted = keys.clone();
     sorted.sort();
     assert_eq!(keys, sorted);
-}
-
-/// Serial Hybrid-MD and the BSP Hybrid-MD ranks of `grid` drive the same
-/// list walkers (`NeighborList::visit_*` through `sc_md::apply`), one over
-/// the periodic lattice and the others over ghost halos: together the ranks
-/// accept the same n ≥ 3 tuples and every term's energy agrees. (A rank's
-/// list also holds the halo's ghost–ghost pairs, and the triplet walk's
-/// candidate count depends on the order of a row's entries, so those
-/// counters differ.)
-fn assert_rank_hybrid_matches_serial(
-    what: &str,
-    (store, bbox): (AtomStore, SimulationBox),
-    grid: IVec3,
-    k: i32,
-    hybrid_ff: fn() -> ForceField,
-) {
-    let cfg = EngineConfig { subdivision: k, ..Default::default() };
-    let mut dist =
-        DistributedSim::build(store.clone(), bbox, grid, hybrid_ff(), 0.001, cfg).unwrap();
-    let ff = hybrid_ff();
-    let mut builder = Simulation::builder(store, bbox)
-        .pair_potential(ff.pair.expect("hybrid has a pair term"))
-        .method(ff.method)
-        .cell_subdivision(k)
-        .timestep(0.001);
-    if let Some(t) = ff.triplet {
-        builder = builder.triplet_potential(t);
-    }
-    if let Some(q) = ff.quadruplet {
-        builder = builder.quadruplet_potential(q);
-    }
-    let serial = builder.build().unwrap().compute_forces();
-    dist.total_energy();
-    let rank = dist.telemetry();
-    let accepted = |t: &sc_md::TupleCounts| (t.triplet.accepted, t.quadruplet.accepted);
-    assert_eq!(accepted(&rank.tuples), accepted(&serial.tuples), "{what}: accepted tuples");
-    for (term, a, b) in [
-        ("pair", rank.energy.pair, serial.energy.pair),
-        ("triplet", rank.energy.triplet, serial.energy.triplet),
-        ("quadruplet", rank.energy.quadruplet, serial.energy.quadruplet),
-    ] {
-        assert!(b != 0.0 || a == 0.0, "{what}: {term} energy {a} vs {b}");
-        assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{what}: {term} energy {a} vs {b}");
-    }
-}
-
-#[test]
-fn rank_hybrid_matches_serial_hybrid_term_by_term() {
-    let silica_ff = || {
-        let v = Vashishta::silica();
-        ForceField {
-            pair: Some(Box::new(v.pair)),
-            triplet: Some(Box::new(v.triplet)),
-            quadruplet: None,
-            method: Method::Hybrid,
-        }
-    };
-    let silica = || build_silica_like(4, 7.16, Vashishta::silica().params().masses, 0.01, 7);
-    let one = IVec3::splat(1);
-    assert_rank_hybrid_matches_serial("lj", lj_system(), one, 1, || lj_ff(Method::Hybrid));
-    assert_rank_hybrid_matches_serial("silica", silica(), one, 1, silica_ff);
-    // Two ranks: each triplet is computed by its vertex's owner, each pair
-    // by one end's, out of lists that overlap in the halo.
-    assert_rank_hybrid_matches_serial("silica 2×1×1", silica(), IVec3::new(2, 1, 1), 1, silica_ff);
-    // Subdivided cells need reach-2 rows under the list build.
-    assert_rank_hybrid_matches_serial("silica k = 2", silica(), one, 2, silica_ff);
-    let fcc = build_fcc_lattice(&LatticeSpec::cubic(6, 1.2), 0.02, 13);
-    assert_rank_hybrid_matches_serial("torsion", fcc, one, 1, || ForceField {
-        pair: Some(Box::new(LennardJones::reduced(1.2))),
-        triplet: None,
-        quadruplet: Some(Box::new(TorsionToy::new(0.05, 1.0, 0.3))),
-        method: Method::Hybrid,
-    });
-}
-
-/// The grids where a rank is its own neighbour along an axis (one rank
-/// wide: both bands of an axis, and under FS / Hybrid both images of an
-/// atom, come from the rank itself) or meets the same neighbour on both
-/// sides (two wide). A force must return through the slot its ghost was
-/// forwarded from, whichever other images of the atom the rank holds: every
-/// term's energy equals the brute-force reference.
-#[test]
-fn self_neighbour_grids_match_the_reference_and_each_other() {
-    use sc_md::reference::{pair_forces, triplet_forces};
-
-    // Off the perfect lattices, where every force is zero by symmetry.
-    let shaken = |(mut store, bbox): (AtomStore, SimulationBox), by: f64| {
-        for (i, r) in store.positions_mut().iter_mut().enumerate() {
-            let t = i as f64;
-            *r += Vec3::new((1.3 * t).sin(), (2.1 * t + 1.0).sin(), (0.7 * t + 2.0).sin()) * by;
-        }
-        (store, bbox)
-    };
-    let v = Vashishta::silica();
-    let lj = shaken(lj_system(), 0.05);
-    let silica = shaken(build_silica_like(4, 7.16, v.params().masses, 0.01, 7), 0.08);
-    let lj_pair = pair_forces(&mut lj.0.clone(), &lj.1, &LennardJones::reduced(2.5));
-    let mut scratch = silica.0.clone();
-    let silica_pair = pair_forces(&mut scratch, &silica.1, &v.pair);
-    let silica_triplet = triplet_forces(&mut scratch, &silica.1, &v.triplet);
-    let silica_ff = |method| {
-        let v = Vashishta::silica();
-        ForceField {
-            pair: Some(Box::new(v.pair)),
-            triplet: Some(Box::new(v.triplet)),
-            quadruplet: None,
-            method,
-        }
-    };
-    let check = |what: &str,
-                 (store, bbox): &(AtomStore, SimulationBox),
-                 ff: &dyn Fn() -> ForceField,
-                 dt: f64,
-                 pdims: IVec3,
-                 k: i32,
-                 terms: [f64; 2]| {
-        let cfg = EngineConfig { subdivision: k, ..Default::default() };
-        let mut bsp = DistributedSim::build(store.clone(), *bbox, pdims, ff(), dt, cfg).unwrap();
-        bsp.total_energy();
-        let e = bsp.telemetry().energy;
-        for (term, got, want) in [("pair", e.pair, terms[0]), ("triplet", e.triplet, terms[1])] {
-            let tol = 1e-12 * want.abs();
-            assert!((got - want).abs() <= tol, "{what}: {term} energy {got} vs reference {want}");
-        }
-    };
-    for pdims in [IVec3::new(1, 1, 2), IVec3::new(2, 1, 1), IVec3::new(2, 2, 1)] {
-        for (method, k) in [
-            (Method::ShiftCollapse, 1),
-            (Method::FullShell, 1),
-            (Method::Hybrid, 1),
-            (Method::ShiftCollapse, 2),
-            (Method::Hybrid, 2),
-        ] {
-            let what = |system| format!("{system} {} k = {k} on {pdims:?}", method.name());
-            check(&what("lj"), &lj, &|| lj_ff(method), 0.002, pdims, k, [lj_pair, 0.0]);
-            let terms = [silica_pair, silica_triplet];
-            check(&what("silica"), &silica, &|| silica_ff(method), 0.0005, pdims, k, terms);
-        }
-    }
 }

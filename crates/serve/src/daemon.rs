@@ -3,7 +3,8 @@
 //!
 //! Each accepted connection gets its own thread, so a client streaming a
 //! `watch` subscription (the one verb that holds its connection open)
-//! never blocks submissions or status queries from other clients. An
+//! never blocks submissions or status queries from other clients; at most
+//! [`MAX_CONNECTIONS`] are served at once. An
 //! optional TCP listener ([`DaemonConfig::metrics_addr`]) serves the
 //! merged daemon + per-job Prometheus text exposition over plain HTTP
 //! for scrapers that do not speak the socket protocol.
@@ -89,15 +90,16 @@ impl Daemon {
         self.metrics_listener.as_ref().and_then(|l| l.local_addr().ok())
     }
 
-    /// Serves connections (one thread each) until a client sends
-    /// `shutdown`, then parks in-flight jobs resumably and removes the
-    /// socket. Connection threads are detached: an idle client cannot
-    /// hold the daemon open, and open watch streams end with a
-    /// `watch-end` line when the scheduler parks their jobs.
+    /// Serves connections (one thread each, at most [`MAX_CONNECTIONS`]
+    /// at once) until a client sends `shutdown`, then parks in-flight jobs
+    /// resumably and removes the socket. Connection threads are detached:
+    /// an idle client cannot hold the daemon open, and open watch streams
+    /// end with a `watch-end` line when the scheduler parks their jobs. A
+    /// connection beyond the cap gets one `busy` error line and is closed;
+    /// a failed accept or thread spawn drops only that connection.
     ///
     /// # Errors
-    /// Accept-loop I/O failures (per-connection errors only drop that
-    /// connection).
+    /// A failure to start the metrics listener's thread.
     pub fn run(self) -> std::io::Result<()> {
         let stop = Arc::new(AtomicBool::new(false));
         let build = Arc::new(BuildInfo::current());
@@ -109,29 +111,52 @@ impl Daemon {
                 .name("sc-serve-metrics".to_string())
                 .spawn(move || metrics_loop(&listener, &scheduler, &build, &stop))?;
         }
+        // Every connection thread holds a clone: the count beyond this one
+        // is the connections open.
+        let open = Arc::new(());
         for stream in self.listener.incoming() {
-            let stream = stream?;
+            let Ok(mut stream) = stream else {
+                // The peer hung up before the accept, or descriptors ran
+                // out for a moment: drop this one and keep serving.
+                std::thread::sleep(Duration::from_millis(10));
+                continue;
+            };
             if stop.load(Ordering::SeqCst) {
                 break;
             }
+            if Arc::strong_count(&open) > MAX_CONNECTIONS {
+                let message = format!("the daemon serves at most {MAX_CONNECTIONS} connections");
+                let _ = write_line(&mut stream, &Response::Error { code: "busy".into(), message });
+                continue;
+            }
+            let slot = Arc::clone(&open);
             let scheduler = Arc::clone(&self.scheduler);
             let stop = Arc::clone(&stop);
             let build = Arc::clone(&build);
             let socket = self.socket.clone();
-            std::thread::Builder::new().name("sc-serve-conn".to_string()).spawn(move || {
-                if let Ok(true) = serve_connection(stream, &scheduler, &build) {
-                    // Shutdown requested: raise the flag, then self-connect
-                    // to wake the accept loop blocked in `incoming`.
-                    stop.store(true, Ordering::SeqCst);
-                    let _ = UnixStream::connect(&socket);
-                }
-            })?;
+            // A failed spawn drops the closure, and with it the connection
+            // and its slot.
+            let _ =
+                std::thread::Builder::new().name("sc-serve-conn".to_string()).spawn(move || {
+                    let _slot = slot;
+                    if let Ok(true) = serve_connection(stream, &scheduler, &build) {
+                        // Shutdown requested: raise the flag, then self-connect
+                        // to wake the accept loop blocked in `incoming`.
+                        stop.store(true, Ordering::SeqCst);
+                        let _ = UnixStream::connect(&socket);
+                    }
+                });
         }
         let _ = std::fs::remove_file(&self.socket);
         self.scheduler.shutdown();
         Ok(())
     }
 }
+
+/// The most connections the daemon serves at once. Each holds a thread
+/// (an idle client included), so the cap bounds what clients can make the
+/// daemon hold.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Serves Prometheus scrapes: any HTTP request on the listener answers
 /// with the full merged exposition. Non-blocking accept so the loop can

@@ -23,7 +23,7 @@ pub mod watch;
 pub mod client;
 pub mod daemon;
 
-pub use daemon::{Daemon, DaemonConfig};
+pub use daemon::{Daemon, DaemonConfig, MAX_CONNECTIONS};
 pub use job::{JobId, JobRecord, JobState};
 pub use metrics::{exposition, BuildInfo};
 pub use protocol::{Request, Response};

@@ -222,7 +222,7 @@ pub enum Response {
     Error {
         /// Machine-readable code (`queue-full`, `bad-spec`, `unknown-job`,
         /// `not-done`, `not-watchable`, `not-running`, `trace-disabled`,
-        /// `bad-request`, `shutting-down`).
+        /// `bad-request`, `shutting-down`, `busy`).
         code: String,
         /// Human-readable reason.
         message: String,

@@ -30,7 +30,7 @@ use crate::job::{JobId, JobRecord, JobState};
 use crate::metrics::DaemonMetrics;
 use crate::watch::{WatchHandle, WatchShared};
 use sc_md::supervisor::{Supervisor, SupervisorConfig};
-use sc_md::Checkpoint;
+use sc_md::{Checkpoint, CheckpointError};
 use sc_obs::json::Json;
 use sc_obs::{chrome_trace, MetricsSnapshot, Registry, Tracer};
 use sc_spec::{observables_doc, RunHandle, ScenarioSpec, SpecError};
@@ -522,6 +522,9 @@ impl Scheduler {
         {
             let mut inner = self.shared.inner.lock().unwrap();
             for raw in job_ids {
+                // Every directory's id is spent, readable or not: a new job
+                // must never inherit a skipped job's checkpoint.
+                inner.next_id = inner.next_id.max(raw + 1);
                 let id = JobId(raw);
                 let dir = job_dir(&self.shared.cfg, id).expect("state_dir is set");
                 let Ok(mut record) = read_json(&dir.join("manifest.json"))
@@ -542,7 +545,6 @@ impl Scheduler {
                     record.lane = (raw as usize) % self.lanes.len();
                     restarts.push((raw, record.lane));
                 }
-                inner.next_id = inner.next_id.max(raw + 1);
                 inner.jobs.insert(raw, JobEntry::new(record, spec, results));
             }
             refresh_gauges(&inner, &self.shared.metrics);
@@ -747,13 +749,18 @@ fn admit(id: JobId, shared: &Arc<Shared>) -> Option<ActiveJob> {
         wall_s: wall_ms as f64 / 1e3,
     };
     // Resume: restore the persisted checkpoint if the previous daemon
-    // instance parked one (labels guard against cross-job mixups).
+    // instance parked one (labels guard against cross-job mixups, and a
+    // checkpoint past the job's end is not this job's).
     if let Some(dir) = job_dir(&shared.cfg, id) {
         let path = dir.join("checkpoint.bin");
         if path.exists() {
-            match Checkpoint::load(&path)
-                .and_then(|cp| cp.require_label(&id.to_string()).map(|()| cp))
-            {
+            let steps = job.total;
+            let loaded = Checkpoint::load(&path).and_then(|cp| {
+                cp.require_label(&id.to_string())?;
+                let step = cp.step;
+                (step <= steps).then_some(cp).ok_or(CheckpointError::StepBeyondRun { step, steps })
+            });
+            match loaded {
                 Ok(cp) => {
                     job.sim.restore(&cp);
                     job.last_persisted = cp.step;

@@ -285,3 +285,51 @@ fn terminal_jobs_and_results_survive_resume() {
     assert!(resumed.wait_idle(IDLE));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Rewrites one job file, requiring that `from` occurs in it.
+fn edit(path: PathBuf, from: &str, to: &str) {
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains(from), "{}: no {from:?} in {text}", path.display());
+    std::fs::write(&path, text.replace(from, to)).unwrap();
+}
+
+/// A job left with a checkpoint past its spec's step count fails as stale
+/// on resume instead of running. A job whose manifest no longer parses is
+/// skipped, but its id stays spent: the next submission must not take it
+/// and restore the skipped job's checkpoint.
+#[test]
+fn resume_never_runs_a_job_from_a_checkpoint_past_its_end() {
+    let dir = tmp_dir("stale-checkpoint");
+    let cfg = SchedulerConfig {
+        lanes: 1,
+        slice_steps: 4,
+        state_dir: Some(dir.clone()),
+        ..SchedulerConfig::default()
+    };
+    let sched = Scheduler::new(cfg.clone(), false).unwrap();
+    sched.submit(lj_spec("twelve", 12, r#", "checkpoint": {"every": 4}"#)).unwrap();
+    assert!(sched.wait_idle(IDLE));
+    sched.shutdown();
+    let job = |file: &str| dir.join("jobs/job-0").join(file);
+    assert!(job("checkpoint.bin").exists());
+
+    edit(job("spec.json"), r#""steps":12"#, r#""steps":8"#);
+    edit(job("manifest.json"), r#""state":"done""#, r#""state":"queued""#);
+    let resumed = Scheduler::new(cfg.clone(), true).unwrap();
+    assert!(resumed.wait_idle(IDLE), "{:?}", resumed.list());
+    let rec = resumed.status(JobId(0)).unwrap();
+    let why = rec.error.clone().unwrap_or_default();
+    assert_eq!(rec.state, JobState::Failed, "{rec:?}");
+    assert!(why.starts_with("stale checkpoint") && why.contains("beyond"), "{why}");
+    resumed.shutdown();
+
+    edit(job("manifest.json"), "{", "[");
+    let resumed = Scheduler::new(cfg, true).unwrap();
+    assert!(resumed.status(JobId(0)).is_none(), "the unreadable job is skipped");
+    let next = resumed.submit(lj_spec("eight", 8, "")).unwrap();
+    assert_eq!(next, JobId(1));
+    assert!(resumed.wait_idle(IDLE), "{:?}", resumed.list());
+    let rec = resumed.status(next).unwrap();
+    assert_eq!((rec.state, rec.steps_done), (JobState::Done, 8), "{rec:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

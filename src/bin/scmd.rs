@@ -180,6 +180,14 @@ fn get<T: std::str::FromStr>(
     }
 }
 
+/// Like [`get`] for a count that must be at least 1: `0` is refused with
+/// the same typed error as a value that does not parse.
+fn positive(flags: &Flags, key: &str, default: usize) -> Result<usize, Error> {
+    let expected = "a positive integer";
+    let zero = CliError::BadFlagValue { flag: key.into(), value: "0".into(), expected };
+    Some(get(flags, key, default, expected)?).filter(|&n| n > 0).ok_or_else(|| zero.into())
+}
+
 fn required<'a>(flags: &'a Flags, key: &str) -> Result<&'a String, Error> {
     flags.get(key).ok_or_else(|| CliError::MissingFlag(key.to_string()).into())
 }
@@ -396,9 +404,9 @@ fn serve(flags: &Flags) -> Result<(), Error> {
     let config = DaemonConfig {
         socket: socket_of(flags),
         scheduler: SchedulerConfig {
-            lanes: get(flags, "lanes", 2, "a positive integer")?,
-            queue_capacity: get(flags, "queue", 8, "a positive integer")?,
-            slice_steps: get(flags, "slice", 4, "a positive integer")?,
+            lanes: positive(flags, "lanes", 2)?,
+            queue_capacity: positive(flags, "queue", 8)?,
+            slice_steps: positive(flags, "slice", 4)? as u64,
             state_dir: Some(
                 flags.get("state").map(PathBuf::from).unwrap_or_else(|| "scmd-state".into()),
             ),

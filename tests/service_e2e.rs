@@ -6,11 +6,15 @@
 //! several concurrent jobs of mixed specs, cancellation releasing a lane,
 //! kill -9 + `--resume true` continuing bitwise-exactly, the daemon's
 //! results document matching a standalone `scmd run` of the same spec
-//! byte for byte, and hostile specs refused at submit by a typed error
-//! while the daemon keeps answering.
+//! byte for byte, hostile specs refused at submit by a typed error
+//! while the daemon keeps answering, connections beyond the daemon's cap
+//! refused with one typed line, and zero counts refused on the command
+//! line.
 
 use shift_collapse_md::obs::json::Json;
-use shift_collapse_md::serve::{client, Request, Response};
+use shift_collapse_md::serve::{client, Request, Response, MAX_CONNECTIONS};
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -313,5 +317,66 @@ fn hostile_submits_get_typed_errors_and_the_daemon_survives() {
     match client::request(&socket, &Request::Status { id: None }) {
         Ok(Response::Status { jobs }) => assert!(jobs.is_empty(), "refused specs queued no job"),
         other => panic!("status after hostile submits: {other:?}"),
+    }
+}
+
+/// Idle clients hold the daemon's connections up to its cap; the next one
+/// gets one typed `busy` line and is closed, and every held connection
+/// still answers.
+#[test]
+fn connections_beyond_the_cap_are_refused_and_the_daemon_keeps_answering() {
+    let dir = TestDir::new("connection-cap");
+    let socket = dir.path("scmd.sock");
+    let _daemon = spawn_daemon(&socket, &dir.path("state"), false);
+    let held: Vec<UnixStream> =
+        (0..MAX_CONNECTIONS).map(|_| UnixStream::connect(&socket).unwrap()).collect();
+    let refused = UnixStream::connect(&socket).unwrap();
+    refused.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut line = String::new();
+    BufReader::new(refused).read_line(&mut line).unwrap();
+    match Response::from_json(&Json::parse(line.trim()).unwrap()).unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, "busy", "{line}"),
+        other => panic!("over the cap: expected busy, got {}", other.to_json()),
+    }
+    let status = Request::Status { id: None }.to_json().to_string();
+    for mut conn in held.iter().rev().take(2) {
+        writeln!(conn, "{status}").unwrap();
+        let mut line = String::new();
+        BufReader::new(conn).read_line(&mut line).unwrap();
+        assert!(line.contains(r#""ok":true"#), "a held connection answers status: {line}");
+    }
+    drop(held);
+    // The slots free as the idle connections' threads see them close.
+    let status = || client::request(&socket, &Request::Status { id: None });
+    let answers = |_| matches!(status(), Ok(Response::Status { .. })) || pause(50);
+    assert!((0..400).any(answers), "the daemon stopped answering");
+}
+
+/// Sleeps `ms` milliseconds; false, so polling loops can call it inline.
+fn pause(ms: u64) -> bool {
+    std::thread::sleep(Duration::from_millis(ms));
+    false
+}
+
+/// `scmd serve` refuses a zero lane count, slice length or queue capacity
+/// with the typed flag error (exit 2, naming the flag), not a panic.
+#[test]
+fn serve_refuses_zero_counts_by_flag() {
+    let dir = TestDir::new("zero-counts");
+    for flag in ["--lanes", "--slice", "--queue"] {
+        let mut child = DaemonGuard(
+            scmd()
+                .args(["serve", "--socket", dir.path("scmd.sock").to_str().unwrap()])
+                .args(["--state", dir.path("state").to_str().unwrap(), flag, "0"])
+                .spawn()
+                .unwrap(),
+        );
+        let poll = |c: &mut DaemonGuard| c.0.try_wait().unwrap().ok_or_else(|| pause(20));
+        let exited = (0..1000).find_map(|_| poll(&mut child).ok());
+        let status = exited.unwrap_or_else(|| panic!("scmd serve {flag} 0 kept running"));
+        let stderr = std::io::read_to_string(child.0.stderr.take().unwrap()).unwrap();
+        assert_eq!(status.code(), Some(2), "{flag} 0: {stderr}");
+        assert!(stderr.contains(&format!("bad value for {flag}: \"0\"")), "{stderr}");
+        assert!(stderr.contains("positive integer") && !stderr.contains("panicked"), "{stderr}");
     }
 }
