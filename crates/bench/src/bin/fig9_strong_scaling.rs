@@ -10,7 +10,7 @@
 //! Run: `cargo run -p sc-bench --release --bin fig9_strong_scaling -- xeon`
 //!      `cargo run -p sc-bench --release --bin fig9_strong_scaling -- bgq`
 //!      `... -- --measured` (in-process distributed runs with phase timers)
-//!      `... -- --measured --faults 4` (additionally seed 4 transport faults)
+//!      `... -- --measured --faults 4` (additionally script 4 transport faults)
 //!      `... -- --measured --trace DIR` (write Chrome Trace timelines)
 //!
 //! `--measured` also emits one telemetry JSON line per method (the
@@ -89,7 +89,7 @@ fn main() {
 /// the BSP executor over a 2×2×2 rank grid on a small silica box, with the
 /// wall-clock phase decomposition (Eq. 30's `T_compute + T_comm`, measured)
 /// and the per-rank compute breakdown underneath it. With `n_faults > 0`,
-/// an extra SC-MD run seeds that many transport faults and reports the
+/// an extra SC-MD run scripts that many transport faults and reports the
 /// retry/fault counters; without it those sections are omitted entirely.
 fn measured(n_faults: usize, trace_dir: Option<&str>) {
     use sc_bench::fmt_time;
@@ -194,8 +194,23 @@ fn measured(n_faults: usize, trace_dir: Option<&str>) {
     }
 
     // Fault overhead: the same SC-MD run with scripted transport faults,
-    // recovered in-step by the validated exchange's retry protocol.
-    use sc_parallel::FaultPlan;
+    // recovered in-step by the validated exchange's retry protocol. Each
+    // fault has its own (step, rank), so no delivery sees two, and the
+    // kinds cycle through those the retry budget absorbs; faults scripted
+    // past the last step never fire.
+    use sc_parallel::{Fault, FaultKind, FaultPlan};
+    let kinds = [
+        FaultKind::Drop,
+        FaultKind::Delay,
+        FaultKind::Corrupt { header: false },
+        FaultKind::Corrupt { header: true },
+        FaultKind::Stall { attempts: 1 },
+        FaultKind::Stall { attempts: 2 },
+    ];
+    let faults = (0..n_faults).fold(FaultPlan::none(), |plan, i| {
+        let kind = kinds[i % kinds.len()];
+        plan.with(Fault { step: (i / 8) as u64, rank: i % 8, channel: None, kind })
+    });
     let (store, bbox) = build_silica_like(4, 7.16, masses, 0.01, 7);
     let ff = ForceField {
         pair: Some(Box::new(v.pair.clone())),
@@ -203,10 +218,7 @@ fn measured(n_faults: usize, trace_dir: Option<&str>) {
         quadruplet: None,
         method: Method::ShiftCollapse,
     };
-    let cfg = EngineConfig {
-        faults: FaultPlan::random(42, n_faults, steps as u64, 8),
-        ..Default::default()
-    };
+    let cfg = EngineConfig { faults, ..Default::default() };
     let mut d = DistributedSim::build(store, bbox, IVec3::splat(2), ff, 0.001, cfg)
         .expect("valid distributed setup");
     let t0 = std::time::Instant::now();
@@ -216,7 +228,7 @@ fn measured(n_faults: usize, trace_dir: Option<&str>) {
     let wall = t0.elapsed().as_secs_f64();
     let cs = d.comm_stats();
     println!();
-    println!("Fault overhead (SC-MD, {n_faults} seeded transport faults, validated exchange):");
+    println!("Fault overhead (SC-MD, {n_faults} scripted transport faults, validated exchange):");
     println!(
         "  fired {} fault events; detected {} delivery failures; {} retries; wall {}",
         d.fault_plan().events().len(),

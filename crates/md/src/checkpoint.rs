@@ -35,8 +35,9 @@ const OLDEST_READABLE_VERSION: u32 = 2;
 pub enum SnapshotLayout {
     /// Written by the serial engine (store order = summation order).
     Serial,
-    /// Written by a distributed executor running this rank grid (atoms are
-    /// gathered in global-id order).
+    /// Written by a distributed executor running this rank grid (atoms in
+    /// rank-major slot order, so a restore onto this grid keeps every
+    /// rank's summation order).
     Grid {
         /// Rank-grid dimensions of the producer.
         pdims: [i32; 3],
@@ -141,8 +142,8 @@ impl From<io::Error> for CheckpointError {
 }
 
 /// A full phase-space snapshot. Atom arrays are parallel and in store
-/// order (not id order), so restoring into a serial simulation reproduces
-/// the exact summation order of the saved run.
+/// order (not id order), so restoring onto the engine and grid that saved
+/// it reproduces the exact summation order of the saved run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Producer topology (format-version-2 header field).
@@ -341,12 +342,17 @@ impl Checkpoint {
         let step = r.u64()?;
         let dt = r.f64()?;
         let box_lengths = r.vec3()?;
-        let n_species = r.u32()? as usize;
+        // Counts are checked against the bytes left before anything is
+        // allocated for them: the checksum is no MAC, so a resealed file
+        // can declare any count.
+        let n_species = r.u32()?;
+        let n_species = r.count(n_species.into(), 8)?;
         let mut species_masses = Vec::with_capacity(n_species);
         for _ in 0..n_species {
             species_masses.push(r.f64()?);
         }
-        let n = r.u64()? as usize;
+        let n = r.u64()?;
+        let n = r.count(n, 8 + 1 + 72)?;
         let mut cp = Checkpoint {
             layout,
             label,
@@ -431,6 +437,15 @@ struct Cursor<'a> {
 }
 
 impl Cursor<'_> {
+    /// `count` items of `size` bytes each, if the rest of the buffer can
+    /// hold them.
+    fn count(&self, count: u64, size: u64) -> Result<usize, CheckpointError> {
+        let left = (self.buf.len() - self.pos) as u64;
+        match count.checked_mul(size) {
+            Some(bytes) if bytes <= left => Ok(count as usize),
+            _ => Err(CheckpointError::Truncated),
+        }
+    }
     fn take(&mut self, n: usize) -> Result<&[u8], CheckpointError> {
         let end = self.pos.checked_add(n).ok_or(CheckpointError::Truncated)?;
         if end > self.buf.len() {

@@ -4,6 +4,7 @@
 //! physics-invariant violations from the last snapshot.
 
 use sc_geom::Vec3;
+use sc_md::checkpoint::{Checkpoint, CheckpointError};
 use sc_md::supervisor::{Recoverable, Supervisor, SupervisorConfig};
 use sc_md::{build_fcc_lattice, BuildError, LatticeSpec, Method, Simulation};
 use sc_potential::LennardJones;
@@ -167,4 +168,63 @@ fn concurrent_load_never_observes_a_torn_save() {
     let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
     assert_eq!(left, [std::ffi::OsString::from("checkpoint.bin")], "temp file left behind");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A damaged snapshot decodes to a typed error and never panics or
+/// allocates what the buffer cannot hold: every truncation, every
+/// single-bit flip, and atom or species counts too large for the bytes
+/// that follow them, resealed with a valid checksum (FNV-1a is no MAC, so
+/// a hand-edited file passes it).
+#[test]
+fn damaged_snapshots_decode_to_typed_errors() {
+    let (store, bbox) = build_fcc_lattice(&LatticeSpec::cubic(1, 1.5599), 0.1, 42);
+    let cp = Checkpoint::from_store(3, 0.002, &bbox, &store).with_label("job-1");
+    let bytes = cp.to_bytes();
+    let refused = |bytes: &[u8], what: &str| {
+        let decoded = std::panic::catch_unwind(|| Checkpoint::from_bytes(bytes));
+        match decoded {
+            Ok(Err(_)) => {}
+            Ok(Ok(_)) => panic!("{what}: decoded"),
+            Err(_) => panic!("{what}: panicked"),
+        }
+    };
+    for len in 0..bytes.len() {
+        refused(&bytes[..len], &format!("truncated to {len} bytes"));
+    }
+    for bit in 0..bytes.len() * 8 {
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        refused(&flipped, &format!("bit {bit} flipped"));
+    }
+    // The atom count sits before the atoms (81 bytes each) and the
+    // checksum; the species count before the masses and the atom count.
+    let n_at = bytes.len() - 8 - 81 * cp.len() - 8;
+    let species_at = n_at - 8 * cp.species_masses.len() - 4;
+    let fnv1a = |bytes: &[u8]| {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    };
+    let resealed = |at: usize, count: &[u8]| {
+        let mut out = bytes[..bytes.len() - 8].to_vec();
+        out[at..at + count.len()].copy_from_slice(count);
+        let sum = fnv1a(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    };
+    assert!(Checkpoint::from_bytes(&resealed(n_at, &(cp.len() as u64).to_le_bytes())).is_ok());
+    for n in [1u64 << 40, 1 << 61, u64::MAX] {
+        let bad = resealed(n_at, &n.to_le_bytes());
+        assert!(
+            matches!(Checkpoint::from_bytes(&bad), Err(CheckpointError::Truncated)),
+            "{n} atoms"
+        );
+    }
+    for n in [1u32 << 30, u32::MAX] {
+        let bad = resealed(species_at, &n.to_le_bytes());
+        assert!(
+            matches!(Checkpoint::from_bytes(&bad), Err(CheckpointError::Truncated)),
+            "{n} species"
+        );
+    }
 }

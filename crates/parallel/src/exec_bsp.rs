@@ -10,7 +10,7 @@ use crate::error::{RuntimeError, SetupError};
 use crate::fault::{Delivery, FaultPlan};
 use crate::grid::RankGrid;
 use crate::health::HealthTracker;
-use crate::msg::{AtomMsg, Channel, Message};
+use crate::msg::{Channel, Message};
 use crate::rank::{best_grid_for, halo_width_for, validate_decomposition, ForceField, RankState};
 use crate::step::{self, Buffers, Decomposition, Exchange};
 use sc_cell::AtomStore;
@@ -625,10 +625,16 @@ impl DistributedSim {
     /// positions wrapped into the global box — directly comparable with a
     /// serial [`sc_md::Simulation`].
     pub fn gather(&self) -> AtomStore {
-        let mut atoms: Vec<AtomMsg> = self.ranks.iter().flat_map(|r| r.owned_atoms()).collect();
-        atoms.sort_by_key(|a| a.id);
+        let mut out = self.owned_store();
+        out.sort_by_id();
+        out
+    }
+
+    /// Every rank's owned atoms in one store, rank-major and in slot order
+    /// within a rank, with positions wrapped into the global box.
+    fn owned_store(&self) -> AtomStore {
         let mut out = AtomStore::new(self.ranks[0].store().species_masses().to_vec());
-        for a in &atoms {
+        for a in self.ranks.iter().flat_map(RankState::owned_atoms) {
             out.push(a.id, a.species, a.position, a.velocity);
         }
         out
@@ -656,10 +662,11 @@ impl DistributedSim {
     }
 
     /// Re-decomposes `cp` over `grid` and rewinds the run to it: every
-    /// rank reclaims its atoms and forces are recomputed by the priming
-    /// exchange, so the trajectory continues from exactly the checkpointed
-    /// phase-space point (summation order inside a rank may differ from the
-    /// pre-fault run, so continuation is exact physics, not bitwise).
+    /// rank reclaims its atoms in snapshot order and forces are recomputed
+    /// by the priming exchange. A snapshot of this grid is rank-major slot
+    /// order, so each rank gets its slots back as they were and the run
+    /// continues bitwise; on another grid the summation order inside a rank
+    /// changes, so continuation is exact physics, not bitwise.
     fn install(&mut self, cp: &Checkpoint, grid: RankGrid) -> Result<(), SetupError> {
         let (dec, ranks, bufs) = step::decompose(grid, &cp.to_store(), &self.ff, self.subdivision)?;
         self.carried_alloc = self.scratch_allocation_events();
@@ -723,11 +730,12 @@ impl Recoverable for DistributedSim {
         DistributedSim::try_step(self).map_err(Into::into)
     }
 
-    /// Snapshots the gathered run, recording the grid it was decomposed
-    /// over.
+    /// Snapshots every rank's owned atoms in rank-major slot order (not
+    /// [`DistributedSim::gather`]'s id order), recording the grid, so a
+    /// restore onto the same grid deals each rank its slots back in order.
     fn checkpoint(&self) -> Checkpoint {
         let p = self.dec.grid.pdims();
-        Checkpoint::from_store(self.steps_done, self.dt, self.dec.grid.bbox(), &self.gather())
+        Checkpoint::from_store(self.steps_done, self.dt, self.dec.grid.bbox(), &self.owned_store())
             .with_layout(SnapshotLayout::Grid { pdims: [p.x, p.y, p.z] })
     }
 

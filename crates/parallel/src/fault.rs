@@ -178,26 +178,6 @@ impl FaultPlan {
         self.held.retain(|(r, _, _)| *r != rank);
     }
 
-    /// A seed-derived plan of `count` single faults spread over
-    /// `steps` steps and `ranks` ranks — for randomized robustness tests.
-    /// The same seed always produces the same plan.
-    pub fn random(seed: u64, count: usize, steps: u64, ranks: usize) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut plan = FaultPlan::none();
-        for _ in 0..count {
-            let step = rng.gen_range(0..steps.max(1));
-            let rank = rng.gen_range(0..ranks.max(1));
-            let kind = match rng.gen_range(0u32..4) {
-                0 => FaultKind::Drop,
-                1 => FaultKind::Delay,
-                2 => FaultKind::Corrupt { header: rng.gen_range(0u32..2) == 1 },
-                _ => FaultKind::Stall { attempts: rng.gen_range(1u32..=2) },
-            };
-            plan = plan.with(Fault { step, rank, channel: None, kind });
-        }
-        plan
-    }
-
     /// A seed-derived fault *storm* mixing all five kinds — including
     /// [`FaultKind::Crash`] — for chaos soak runs. Crashes are capped at
     /// `max_crashes` (and at `ranks - 1`, so at least one rank survives);
@@ -510,19 +490,5 @@ mod tests {
         // A one-rank world never crashes its only rank.
         let solo = FaultPlan::storm(11, 40, 200, 1, 4);
         assert!(solo.faults.iter().all(|f| f.kind != FaultKind::Crash));
-    }
-
-    #[test]
-    fn random_plan_is_seed_deterministic() {
-        let a = FaultPlan::random(7, 5, 100, 8);
-        let b = FaultPlan::random(7, 5, 100, 8);
-        assert_eq!(a.faults, b.faults);
-        assert_eq!(a.faults.len(), 5);
-        let c = FaultPlan::random(8, 5, 100, 8);
-        assert_ne!(a.faults, c.faults, "different seed, different plan");
-        for f in &a.faults {
-            assert!(f.step < 100);
-            assert!(f.rank < 8);
-        }
     }
 }

@@ -11,14 +11,19 @@ const IDLE: Duration = Duration::from_secs(120);
 
 /// A small, fast LJ scenario (~500 atoms serial).
 fn lj_spec(name: &str, steps: u64, extra: &str) -> ScenarioSpec {
+    lj_spec_on(r#"{"kind": "serial"}"#, 5, name, steps, extra)
+}
+
+/// An LJ scenario of `cells`³ FCC cells on `executor`.
+fn lj_spec_on(executor: &str, cells: usize, name: &str, steps: u64, extra: &str) -> ScenarioSpec {
     let doc = format!(
         r#"{{
             "schema": "sc-scenario/1",
             "name": "{name}",
-            "system": {{"kind": "lj", "cells": 5, "temp": 1.0, "seed": 42}},
+            "system": {{"kind": "lj", "cells": {cells}, "temp": 1.0, "seed": 42}},
             "potential": {{"kind": "lj", "cutoff": 2.5}},
             "method": "sc",
-            "executor": {{"kind": "serial"}},
+            "executor": {executor},
             "dt": 0.002,
             "steps": {steps}{extra}
         }}"#
@@ -191,66 +196,78 @@ fn cancel_releases_the_lane_for_queued_work() {
     assert!(sched.results(long).is_none());
 }
 
+/// A job parked mid-run by a shutdown and resumed by a fresh scheduler
+/// writes the results of an uninterrupted run, byte for byte, on the
+/// serial engine and on a rank grid (whose checkpoint keeps every rank's
+/// slot order).
 #[test]
 fn restart_resume_matches_an_uninterrupted_run_bitwise() {
-    let spec_extra = r#", "checkpoint": {"every": 4}"#;
-    // Reference: one scheduler runs the job start-to-finish.
-    let dir_a = tmp_dir("uninterrupted");
-    let cfg_a = SchedulerConfig {
+    let extra = r#", "checkpoint": {"every": 4}"#;
+    let grid = r#"{"kind": "bsp", "grid": [2, 1, 1]}"#;
+    for (tag, spec) in [
+        ("serial", lj_spec("resume-me", 16, extra)),
+        ("bsp", lj_spec_on(grid, 7, "resume-me", 16, extra)),
+    ] {
+        let reference = uninterrupted_results(&spec, &format!("uninterrupted-{tag}"));
+
+        // Interrupted: the scheduler shuts down mid-run (the job parks with
+        // a labelled checkpoint) and a fresh scheduler resumes.
+        let dir = tmp_dir(&format!("interrupted-{tag}"));
+        let cfg = SchedulerConfig {
+            lanes: 1,
+            slice_steps: 4,
+            state_dir: Some(dir.clone()),
+            start_paused: true,
+            ..SchedulerConfig::default()
+        };
+        let sched = Scheduler::new(cfg.clone(), false).unwrap();
+        let id = sched.submit(spec.clone()).unwrap();
+        sched.start();
+        // Let it make partial progress, then stop the daemon.
+        let deadline = std::time::Instant::now() + IDLE;
+        loop {
+            let rec = sched.status(id).unwrap();
+            if rec.steps_done >= 4 {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "{tag}: no progress: {rec:?}");
+            std::thread::yield_now();
+        }
+        sched.shutdown();
+        let parked = sched_record(&dir);
+        assert!(!parked.1.is_terminal(), "{tag}: job must park non-terminal, got {parked:?}");
+
+        let resumed = Scheduler::new(SchedulerConfig { start_paused: false, ..cfg }, true).unwrap();
+        let rec = resumed.status(id).expect("resumed table entry");
+        assert_eq!(rec.spec_name, "resume-me");
+        assert!(resumed.wait_idle(IDLE), "{tag}: resumed job did not finish: {:?}", resumed.list());
+        assert_eq!(resumed.status(id).unwrap().state, JobState::Done);
+        let resumed_bytes = std::fs::read(dir.join("jobs/job-0/results.json")).unwrap();
+        assert_eq!(
+            reference, resumed_bytes,
+            "{tag}: resumed observables must be byte-identical to the uninterrupted run"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The `results.json` one scheduler writes running `spec` start to finish.
+fn uninterrupted_results(spec: &ScenarioSpec, tag: &str) -> Vec<u8> {
+    let dir = tmp_dir(tag);
+    let cfg = SchedulerConfig {
         lanes: 1,
         slice_steps: 4,
-        state_dir: Some(dir_a.clone()),
+        state_dir: Some(dir.clone()),
         ..SchedulerConfig::default()
     };
-    let sched = Scheduler::new(cfg_a, false).unwrap();
-    let id = sched.submit(lj_spec("resume-me", 16, spec_extra)).unwrap();
+    let sched = Scheduler::new(cfg, false).unwrap();
+    let id = sched.submit(spec.clone()).unwrap();
     assert!(sched.wait_idle(IDLE));
     assert_eq!(sched.status(id).unwrap().state, JobState::Done);
     sched.shutdown();
-    let reference =
-        std::fs::read(dir_a.join("jobs/job-0/results.json")).expect("reference results");
-
-    // Interrupted: same spec, but the scheduler shuts down mid-run (jobs
-    // park with a labelled checkpoint) and a fresh scheduler resumes.
-    let dir_b = tmp_dir("interrupted");
-    let cfg_b = SchedulerConfig {
-        lanes: 1,
-        slice_steps: 4,
-        state_dir: Some(dir_b.clone()),
-        start_paused: true,
-        ..SchedulerConfig::default()
-    };
-    let sched = Scheduler::new(cfg_b.clone(), false).unwrap();
-    let id = sched.submit(lj_spec("resume-me", 16, spec_extra)).unwrap();
-    sched.start();
-    // Let it make partial progress, then stop the daemon.
-    let deadline = std::time::Instant::now() + IDLE;
-    loop {
-        let rec = sched.status(id).unwrap();
-        if rec.steps_done >= 4 {
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "no progress: {rec:?}");
-        std::thread::yield_now();
-    }
-    sched.shutdown();
-    let parked = sched_record(&dir_b);
-    assert!(!parked.1.is_terminal(), "job must park non-terminal, got {parked:?}");
-
-    let resumed = Scheduler::new(SchedulerConfig { start_paused: false, ..cfg_b }, true).unwrap();
-    let rec = resumed.status(id).expect("resumed table entry");
-    assert_eq!(rec.spec_name, "resume-me");
-    assert!(resumed.wait_idle(IDLE), "resumed job did not finish: {:?}", resumed.list());
-    assert_eq!(resumed.status(id).unwrap().state, JobState::Done);
-    let resumed_bytes =
-        std::fs::read(dir_b.join("jobs/job-0/results.json")).expect("resumed results");
-    assert_eq!(
-        reference, resumed_bytes,
-        "resumed observables must be byte-identical to the uninterrupted run"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir_a);
-    let _ = std::fs::remove_dir_all(&dir_b);
+    let results = std::fs::read(dir.join("jobs").join(id.to_string()).join("results.json"));
+    let _ = std::fs::remove_dir_all(&dir);
+    results.expect("reference results")
 }
 
 /// Reads the parked job's manifest (id, state) from a state dir.
@@ -332,4 +349,70 @@ fn resume_never_runs_a_job_from_a_checkpoint_past_its_end() {
     let rec = resumed.status(next).unwrap();
     assert_eq!((rec.state, rec.steps_done), (JobState::Done, 8), "{rec:?}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Damage to a parked job's state directory ends typed on resume. Two jobs
+/// park; one job's `manifest.json`, `spec.json` or `checkpoint.bin` is then
+/// truncated to half or has its middle byte flipped. The damaged job either
+/// fails with a reason or is skipped with its id spent, and the undamaged
+/// sibling resumes to the results of an uninterrupted run, byte for byte.
+/// Both jobs share the one lane, the damaged job first, so a lane thread
+/// that panics leaves the sibling unfinished.
+#[test]
+fn a_damaged_state_directory_fails_one_job_and_resumes_its_sibling() {
+    let extra = r#", "checkpoint": {"every": 4}"#;
+    let sibling = lj_spec("sibling", 8, extra);
+    let reference = uninterrupted_results(&sibling, "damage-reference");
+    for file in ["manifest.json", "spec.json", "checkpoint.bin"] {
+        for how in ["truncated", "flipped"] {
+            let what = format!("{file} {how}");
+            // Park both jobs at step 0: a paused lane admits them, and the
+            // shutdown checkpoints them.
+            let dir = tmp_dir(&format!("damaged-{file}-{how}"));
+            let cfg = SchedulerConfig {
+                lanes: 1,
+                slice_steps: 4,
+                state_dir: Some(dir.clone()),
+                start_paused: true,
+                ..SchedulerConfig::default()
+            };
+            let sched = Scheduler::new(cfg.clone(), false).unwrap();
+            let (damaged, sib) = (
+                sched.submit(lj_spec("damaged", 8, extra)).unwrap(),
+                sched.submit(sibling.clone()).unwrap(),
+            );
+            sched.shutdown();
+            let path = dir.join("jobs").join(damaged.to_string()).join(file);
+            let mut bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let mid = bytes.len() / 2;
+            match how {
+                "truncated" => bytes.truncate(mid),
+                _ => bytes[mid] ^= 0xff,
+            }
+            std::fs::write(&path, bytes).unwrap();
+
+            let resumed =
+                Scheduler::new(SchedulerConfig { start_paused: false, ..cfg }, true).unwrap();
+            assert!(resumed.wait_idle(IDLE), "{what}: {:?}", resumed.list());
+            match resumed.status(damaged) {
+                None => {
+                    let next = resumed.submit(lj_spec("next", 1, "")).unwrap();
+                    assert_eq!(next, JobId(2), "{what}: the skipped job's id must stay spent");
+                    assert!(resumed.wait_idle(IDLE), "{what}: {:?}", resumed.list());
+                    println!("{what}: skipped");
+                }
+                Some(rec) => {
+                    let why = rec.error.clone().unwrap_or_default();
+                    assert!(rec.state == JobState::Failed && !why.is_empty(), "{what}: {rec:?}");
+                    println!("{what}: failed: {why}");
+                }
+            }
+            assert_eq!(resumed.status(sib).unwrap().state, JobState::Done, "{what}");
+            resumed.shutdown();
+            let results =
+                std::fs::read(dir.join("jobs").join(sib.to_string()).join("results.json"));
+            assert_eq!(results.unwrap(), reference, "{what}: the sibling's results differ");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }

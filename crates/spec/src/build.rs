@@ -474,42 +474,22 @@ mod tests {
         assert!(t.comm.messages > 0);
     }
 
-    #[test]
-    fn threaded_checkpoint_restore_continues_trajectory() {
-        // Restore re-decomposes from an id-sorted gather, so the replay is
-        // exact physics but rank-internal summation order may change:
-        // compare with a tolerance, not bitwise (same caveat as the BSP
-        // supervisor tests).
-        let mut sim = spec(r#"{"kind": "threaded", "grid": [2, 1, 1]}"#).instantiate().unwrap();
-        sim.run(2);
-        let cp = sim.checkpoint();
-        sim.run(2);
-        let reference = sim.gather();
-        sim.restore(&cp);
-        assert_eq!(sim.steps_done(), 2);
-        sim.run(2);
-        let replay = sim.gather();
-        assert_eq!(reference.len(), replay.len());
-        for i in 0..reference.len() {
-            assert_eq!(reference.ids()[i], replay.ids()[i], "id order differs at {i}");
-            let dr = (reference.positions()[i] - replay.positions()[i]).norm();
-            let dv = (reference.velocities()[i] - replay.velocities()[i]).norm();
-            assert!(dr < 1e-9 && dv < 1e-9, "atom {i} drifted: dr={dr} dv={dv}");
-        }
-    }
-
+    /// Both engines' snapshots keep slot order, so a restore onto the
+    /// same executor replays bitwise.
     #[test]
     fn checkpoint_restore_replays_bitwise() {
-        let mut sim = spec(r#"{"kind": "serial"}"#).instantiate().unwrap();
-        sim.run(2);
-        let cp = sim.checkpoint();
-        sim.run(3);
-        let reference = observables_doc("t", sim.steps_done(), &sim.gather(), 0.0);
-        sim.restore(&cp);
-        assert_eq!(sim.steps_done(), 2);
-        sim.run(3);
-        let replay = observables_doc("t", sim.steps_done(), &sim.gather(), 0.0);
-        assert_eq!(reference.to_string(), replay.to_string());
+        for executor in [r#"{"kind": "serial"}"#, r#"{"kind": "threaded", "grid": [2, 1, 1]}"#] {
+            let mut sim = spec(executor).instantiate().unwrap();
+            sim.run(2);
+            let cp = sim.checkpoint();
+            sim.run(3);
+            let reference = observables_doc("t", sim.steps_done(), &sim.gather(), 0.0);
+            sim.restore(&cp);
+            assert_eq!(sim.steps_done(), 2);
+            sim.run(3);
+            let replay = observables_doc("t", sim.steps_done(), &sim.gather(), 0.0);
+            assert_eq!(reference.to_string(), replay.to_string(), "{executor}");
+        }
     }
 
     #[test]
