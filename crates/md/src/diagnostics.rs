@@ -2,10 +2,7 @@
 //! use: radial distribution function, mean-squared displacement, and the
 //! pair-virial pressure.
 
-use crate::engine::{
-    visit_pairs, visit_pairs_in_cell_src, visit_triplets, ChainSweep, Dedup, LinkRows, PatternPlan,
-    PeriodicSource, VisitStats,
-};
+use crate::engine::{visit_pairs, Dedup, PatternPlan};
 use sc_cell::{AtomStore, CellLattice, Species};
 use sc_core::shift_collapse;
 use sc_geom::{SimulationBox, Vec3};
@@ -152,164 +149,6 @@ impl MeanSquaredDisplacement {
     }
 }
 
-/// A bond-angle distribution over chain triplets — the structural probe for
-/// network formers like silica (O-Si-O peaks at 109.47°, Si-O-Si near
-/// 140-150°). Built on the same SC(3) triplet enumeration the 3-body forces
-/// use.
-#[derive(Debug, Clone)]
-pub struct BondAngleDistribution {
-    rcut: f64,
-    bins: Vec<u64>,
-    /// Restrict to a species chain `(s0, vertex, s2)` (unordered ends), or
-    /// `None` for all triplets.
-    filter: Option<(Species, Species, Species)>,
-}
-
-impl BondAngleDistribution {
-    /// Creates an accumulator over `nbins` bins on [0°, 180°] for triplets
-    /// with both legs < `rcut`.
-    pub fn new(rcut: f64, nbins: usize) -> Self {
-        assert!(rcut > 0.0 && nbins > 0);
-        BondAngleDistribution { rcut, bins: vec![0; nbins], filter: None }
-    }
-
-    /// Restricts accumulation to `s0 - vertex - s2` chains (ends unordered).
-    pub fn for_species(mut self, s0: Species, vertex: Species, s2: Species) -> Self {
-        self.filter = Some((s0, vertex, s2));
-        self
-    }
-
-    /// Accumulates one snapshot.
-    pub fn accumulate(&mut self, store: &AtomStore, bbox: &SimulationBox) {
-        let mut lat = CellLattice::new(*bbox, self.rcut);
-        lat.rebuild(store);
-        let plan = PatternPlan::new(&shift_collapse(3), Dedup::Collapsed);
-        let nb = self.bins.len() as f64;
-        let bins = &mut self.bins;
-        let filter = self.filter;
-        let species = store.species();
-        visit_triplets(&lat, store, &plan, self.rcut, |i, j, k, d01, d12| {
-            if let Some((a, v, b)) = filter {
-                let (si, sj, sk) = (species[i as usize], species[j as usize], species[k as usize]);
-                if sj != v || !((si, sk) == (a, b) || (si, sk) == (b, a)) {
-                    return;
-                }
-            }
-            // Vertex at the chain middle: legs −d01 and d12.
-            let u = -d01;
-            let w = d12;
-            let cos = (u.dot(w) / (u.norm() * w.norm())).clamp(-1.0, 1.0);
-            let theta = cos.acos().to_degrees();
-            let bin = ((theta / 180.0 * nb) as usize).min(bins.len() - 1);
-            bins[bin] += 1;
-        });
-    }
-
-    /// The normalized distribution: `(θ_mid_degrees, probability_density)`.
-    pub fn normalized(&self) -> Vec<(f64, f64)> {
-        let total: u64 = self.bins.iter().sum();
-        let dtheta = 180.0 / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let p = if total > 0 { c as f64 / total as f64 / dtheta } else { 0.0 };
-                ((i as f64 + 0.5) * dtheta, p)
-            })
-            .collect()
-    }
-
-    /// The modal angle in degrees (0 if nothing accumulated).
-    pub fn peak_angle(&self) -> f64 {
-        let (i, _) = self.bins.iter().enumerate().max_by_key(|(_, &c)| c).unwrap_or((0, &0));
-        (i as f64 + 0.5) * 180.0 / self.bins.len() as f64
-    }
-}
-
-/// Coordination-number histogram: how many neighbours within `rcut` each
-/// atom has (optionally counting only neighbours of a given species).
-pub fn coordination_histogram(
-    store: &AtomStore,
-    bbox: &SimulationBox,
-    rcut: f64,
-    neighbor_species: Option<Species>,
-) -> Vec<u32> {
-    let mut lat = CellLattice::new(*bbox, rcut);
-    lat.rebuild(store);
-    let plan = PatternPlan::new(&shift_collapse(2), Dedup::Collapsed);
-    let mut counts = vec![0u32; store.len()];
-    visit_pairs(&lat, store, &plan, rcut, |i, j, _, _| {
-        let (si, sj) = (store.species()[i as usize], store.species()[j as usize]);
-        if neighbor_species.is_none_or(|s| sj == s) {
-            counts[i as usize] += 1;
-        }
-        if neighbor_species.is_none_or(|s| si == s) {
-            counts[j as usize] += 1;
-        }
-    });
-    counts
-}
-
-/// Searches the chain-cutoff n-tuples of every order 2..=`n_max` in a
-/// configuration, using the SC pattern of each order, and returns each
-/// order's search statistics: `accepted` is the size of the dynamic workload
-/// an n-body force field of that order would face (ReaxFF-style fields reach
-/// n = 6, §1), `candidates` the space searched for it. `n_max ≤ 5`.
-pub fn chain_statistics(
-    store: &AtomStore,
-    bbox: &SimulationBox,
-    rcut: f64,
-    n_max: usize,
-) -> Vec<(usize, VisitStats)> {
-    assert!((2..=5).contains(&n_max));
-    let mut lat = CellLattice::new(*bbox, rcut);
-    lat.rebuild(store);
-    let src = PeriodicSource::new(&lat, store);
-    (2..=n_max)
-        .map(|n| {
-            let plan = PatternPlan::new(&shift_collapse(n), Dedup::Collapsed);
-            let stats = if n == 2 {
-                lat.cells()
-                    .map(|q| visit_pairs_in_cell_src(&src, &plan, rcut, q, |_, _, _, _| {}))
-                    .sum()
-            } else {
-                let mut rows = LinkRows::default();
-                let mut sweep = ChainSweep::new(&src, &plan, rcut, &mut rows);
-                lat.cells().map(|q| sweep.visit_cell(q, |_, _| {})).sum()
-            };
-            (n, stats)
-        })
-        .collect()
-}
-
-/// The full instantaneous pair-virial tensor `Σ_pairs d ⊗ f` (row-major
-/// 3×3), whose trace/3V plus the kinetic term gives the scalar pressure.
-pub fn pair_virial_tensor(
-    store: &AtomStore,
-    bbox: &SimulationBox,
-    pot: &dyn PairPotential,
-) -> [[f64; 3]; 3] {
-    let mut lat = CellLattice::new(*bbox, pot.cutoff());
-    lat.rebuild(store);
-    let plan = PatternPlan::new(&shift_collapse(2), Dedup::Collapsed);
-    let mut w = [[0.0; 3]; 3];
-    visit_pairs(&lat, store, &plan, pot.cutoff(), |i, j, d, r| {
-        let (si, sj) = (store.species()[i as usize], store.species()[j as usize]);
-        if !pot.applies(si, sj) {
-            return;
-        }
-        let (_, du) = pot.eval(si, sj, r);
-        let f = d * (-(du / r)); // force on j
-        #[allow(clippy::needless_range_loop)]
-        for a in 0..3 {
-            for b in 0..3 {
-                w[a][b] += d[a] * f[b];
-            }
-        }
-    });
-    w
-}
-
 /// Instantaneous pair-virial pressure
 /// `P = (N k_B T + ⅓ Σ_pairs r·f) / V` (k_B = 1). Many-body virial terms are
 /// not included; for the pair-dominated systems in this repository the pair
@@ -453,97 +292,6 @@ mod tests {
         let peak =
             sio.normalized().into_iter().max_by(|x, y| x.1.partial_cmp(&y.1).unwrap()).unwrap();
         assert!((peak.0 - bond).abs() < 0.1, "Si-O peak at {} Å, bond length {bond} Å", peak.0);
-    }
-
-    #[test]
-    fn silica_bond_angles_peak_at_tetrahedral() {
-        // β-cristobalite-like SiO₂: O-Si-O angles are exactly 109.47°.
-        let (store, bbox) = crate::workload::build_silica_like(2, 7.16, [28.0855, 15.999], 0.0, 3);
-        let mut bad =
-            BondAngleDistribution::new(2.0, 90).for_species(Species::O, Species::SI, Species::O);
-        bad.accumulate(&store, &bbox);
-        let peak = bad.peak_angle();
-        assert!((peak - 109.47).abs() < 3.0, "O-Si-O peak at {peak}°");
-        // Si-O-Si in the ideal lattice is 180° (straight bridges).
-        let mut sos =
-            BondAngleDistribution::new(2.0, 90).for_species(Species::SI, Species::O, Species::SI);
-        sos.accumulate(&store, &bbox);
-        assert!(sos.peak_angle() > 170.0, "Si-O-Si peak at {}°", sos.peak_angle());
-        // The normalized distribution integrates to 1.
-        let total: f64 = bad.normalized().iter().map(|(_, p)| p * 2.0).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn silica_coordination_numbers() {
-        // Ideal SiO₂ network: every Si has 4 O neighbours, every O has 2 Si
-        // neighbours, at the bond distance.
-        let (store, bbox) = crate::workload::build_silica_like(2, 7.16, [28.0855, 15.999], 0.0, 3);
-        let bond = 7.16 * 0.25 * 3f64.sqrt() * 0.5 + 0.3;
-        let si_coord = coordination_histogram(&store, &bbox, bond, Some(Species::O));
-        let o_coord = coordination_histogram(&store, &bbox, bond, Some(Species::SI));
-        for i in 0..store.len() {
-            match store.species()[i] {
-                Species::SI => assert_eq!(si_coord[i], 4, "Si atom {i}"),
-                _ => assert_eq!(o_coord[i], 2, "O atom {i}"),
-            }
-        }
-    }
-
-    #[test]
-    fn chain_statistics_grow_with_order() {
-        let (store, bbox) = random_gas(150, 5.0, 9);
-        let stats = chain_statistics(&store, &bbox, 1.0, 5);
-        assert_eq!(stats.len(), 4);
-        // Pairs < triplets < quadruplets < quintuplets at this density
-        // (each extra link multiplies by ≈ the neighbour count).
-        for w in stats.windows(2) {
-            assert!(w[1].1.accepted > w[0].1.accepted, "chain counts must grow: {stats:?}");
-        }
-        // Pair count agrees with the brute-force reference.
-        let pairs = crate::reference::all_pairs(&store, &bbox, 1.0);
-        assert_eq!(stats[0].1.accepted, pairs.len() as u64);
-    }
-
-    #[test]
-    fn chain_statistics_search_what_an_sc_simulation_searches() {
-        // The diagnostic and the force engine run the same visitor with the
-        // same SC(3) plan on the same lattice: identical counters.
-        let sw = sc_potential::StillingerWeber::silicon();
-        let rcut = sc_potential::TripletPotential::cutoff(&sw);
-        let (store, bbox) = random_gas(300, 4.0 * rcut, 9);
-        let stats = chain_statistics(&store, &bbox, rcut, 3);
-        let mut sim = Simulation::builder(store, bbox)
-            .triplet_potential(Box::new(sw))
-            .method(Method::ShiftCollapse)
-            .build()
-            .unwrap();
-        let searched = sim.compute_forces().tuples.triplet;
-        assert!(searched.accepted > 0);
-        assert_eq!(stats[1], (3, searched));
-    }
-
-    #[test]
-    fn virial_tensor_trace_matches_scalar_pressure() {
-        let (mut store, bbox) = random_gas(60, 8.0, 5);
-        for v in store.velocities_mut() {
-            *v = Vec3::new(0.3, 0.1, -0.2);
-        }
-        store.remove_drift();
-        let lj = LennardJones::reduced(2.5);
-        let w = pair_virial_tensor(&store, &bbox, &lj);
-        let trace = w[0][0] + w[1][1] + w[2][2];
-        let p_from_tensor =
-            (store.len() as f64 * store.temperature() + trace / 3.0) / bbox.volume();
-        let p = pair_virial_pressure(&store, &bbox, &lj);
-        assert!((p - p_from_tensor).abs() < 1e-9 * p.abs().max(1.0));
-        // The tensor is symmetric for central forces.
-        #[allow(clippy::needless_range_loop)]
-        for a in 0..3 {
-            for b in 0..3 {
-                assert!((w[a][b] - w[b][a]).abs() < 1e-9 * w[a][b].abs().max(1.0));
-            }
-        }
     }
 
     #[test]

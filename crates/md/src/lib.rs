@@ -61,10 +61,7 @@ mod workload;
 
 pub use apply::{ForceField, Term};
 pub use checkpoint::{Checkpoint, CheckpointError, SnapshotLayout};
-pub use diagnostics::{
-    chain_statistics, coordination_histogram, pair_virial_pressure, pair_virial_tensor,
-    BondAngleDistribution, MeanSquaredDisplacement, RadialDistribution,
-};
+pub use diagnostics::{pair_virial_pressure, MeanSquaredDisplacement, RadialDistribution};
 pub use engine::{Dedup, PatternPlan};
 pub use error::{BuildError, CliError, Error};
 pub use integrate::{berendsen_rescale, velocity_verlet_step};

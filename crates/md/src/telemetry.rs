@@ -152,43 +152,6 @@ impl Telemetry {
         }
         Json::Obj(fields)
     }
-
-    /// Renders the snapshot as a small human-readable table.
-    pub fn render_table(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "step {:>8}  E_pot {:>12.5}  virial {:>12.5}",
-            self.step,
-            self.energy.total(),
-            self.virial
-        );
-        let _ = writeln!(
-            out,
-            "tuples accepted {} / {} candidates",
-            self.tuples.total_accepted(),
-            self.tuples.total_candidates()
-        );
-        for (phase, secs) in self.phases.iter() {
-            if secs > 0.0 {
-                let _ = writeln!(out, "  {:<10} {:.6} s", phase.name(), secs);
-            }
-        }
-        if self.comm.messages > 0 {
-            let _ = writeln!(
-                out,
-                "comm: {} msgs, {} bytes, {} ghosts, {} migrated, {} retries, {} faults",
-                self.comm.messages,
-                self.comm.bytes,
-                self.comm.ghosts_imported,
-                self.comm.atoms_migrated,
-                self.comm.retries,
-                self.comm.faults_detected
-            );
-        }
-        out
-    }
 }
 
 /// A counter series: its exported name and the [`Telemetry`] reading
@@ -346,16 +309,5 @@ mod tests {
         assert!(t.imbalance().is_none());
         let v = Json::parse(&t.to_json()).unwrap();
         assert!(v.get("imbalance").is_none());
-    }
-
-    #[test]
-    fn table_renders_nonzero_sections_only() {
-        let mut t = Telemetry::default();
-        t.phases.add(Phase::Eval, 0.5);
-        let table = t.render_table();
-        assert!(table.contains("eval"));
-        assert!(!table.contains("comm:"));
-        t.comm.record_send(0, 10);
-        assert!(t.render_table().contains("comm:"));
     }
 }

@@ -1,40 +1,9 @@
-//! Exporters: render a [`MetricsSnapshot`] as a human table, a JSON line,
-//! or Prometheus text exposition format.
+//! Exporters: render a [`MetricsSnapshot`] as a JSON line or in Prometheus
+//! text exposition format.
 
 use crate::json::Json;
 use crate::registry::MetricsSnapshot;
 use std::fmt::Write;
-
-/// Renders a snapshot as an aligned human-readable table. Phase rows with
-/// zero time are omitted; an empty snapshot renders a single header line.
-pub fn human_table(snap: &MetricsSnapshot) -> String {
-    let mut out = String::from("metric                              value\n");
-    if let Some(label) = &snap.label {
-        let _ = writeln!(out, "{:<35} {label}", "job");
-    }
-    for (phase, secs) in snap.phases.iter() {
-        if secs > 0.0 {
-            let _ = writeln!(out, "phase.{:<29} {:.6} s", phase.name(), secs);
-        }
-    }
-    for (name, value) in &snap.counters {
-        let _ = writeln!(out, "{name:<35} {value}");
-    }
-    for (name, value) in &snap.gauges {
-        let _ = writeln!(out, "{name:<35} {value}");
-    }
-    for h in &snap.histograms {
-        let _ = writeln!(out, "{:<35} n={} sum={}", h.name, h.count, h.sum);
-        for (i, &count) in h.counts.iter().enumerate() {
-            let edge = match h.bounds.get(i) {
-                Some(b) => format!("≤ {b}"),
-                None => "> rest".to_string(),
-            };
-            let _ = writeln!(out, "  {edge:<33} {count}");
-        }
-    }
-    out
-}
 
 /// Renders a snapshot as one compact JSON line (newline not included) —
 /// the `BENCH_*.json`-style trajectory record.
@@ -211,24 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn human_table_golden() {
-        let table = human_table(&golden_registry().snapshot());
-        let expected = "\
-metric                              value
-phase.bin                           0.500000 s
-phase.eval                          1.250000 s
-comm.bytes                          4096
-sim.steps                           10
-sim.temperature                     1.5
-comm.step_bytes                     n=3 sum=5550
-  ≤ 100                             1
-  ≤ 1000                            1
-  > rest                            1
-";
-        assert_eq!(table, expected);
-    }
-
-    #[test]
     fn json_line_golden_and_parses_back() {
         let line = json_line(&golden_registry().snapshot());
         let v = Json::parse(&line).unwrap();
@@ -281,8 +232,6 @@ comm_step_bytes_count 3
         let reg = Registry::labeled("job-3");
         reg.counter("sim.steps").add(2);
         let snap = reg.snapshot();
-        let table = human_table(&snap);
-        assert!(table.contains("job                                 job-3"), "{table}");
         let line = json_line(&snap);
         assert!(line.starts_with(r#"{"job":"job-3","phases":"#), "{line}");
         let v = Json::parse(&line).unwrap();

@@ -205,33 +205,6 @@ impl ImbalanceReport {
         }
         Json::Obj(fields)
     }
-
-    /// Renders the report as a fixed-width human table.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "load imbalance over {} rank(s): max/mean compute = {:.3}, comm-wait = {:.1}%\n",
-            self.ranks(),
-            self.compute_imbalance(),
-            self.comm_wait_fraction() * 100.0
-        ));
-        if let Some(v) = self.predicted_import_cells {
-            out.push_str(&format!("predicted import volume (Eq. 33): {v:.1} cells\n"));
-        }
-        out.push_str("rank     compute_s        comm_s  comm-wait%        ghosts        tuples\n");
-        for l in &self.per_rank {
-            out.push_str(&format!(
-                "{:>4}  {:>12.6}  {:>12.6}  {:>9.1}%  {:>12}  {:>12}\n",
-                l.rank,
-                l.compute_s,
-                l.comm_s,
-                l.comm_wait_fraction() * 100.0,
-                l.ghosts_imported,
-                l.tuples
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -302,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn json_and_table_render() {
+    fn json_report_round_trips() {
         let rep = ImbalanceReport::from_per_rank(&[counters(1.0, 0.25, 42)])
             .with_import_prediction(8.0, 2);
         let v = rep.to_json_value();
@@ -312,10 +285,6 @@ mod tests {
         assert_eq!(per_rank[0].get("ghosts_imported").unwrap().as_f64(), Some(42.0));
         // Round-trips through the writer/parser.
         assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
-        let table = rep.render_table();
-        assert!(table.contains("max/mean compute"));
-        assert!(table.contains("Eq. 33"));
-        assert!(table.contains("42"));
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! [`Registry::disabled`] variant hands out inert handles and never
 //! allocates, so a run with observability off pays nothing.
 //!
-//! Snapshots ([`Registry::snapshot`]) render through three exporters:
-//! [`human_table`], [`json_line`] (trajectory-style JSON lines), and
-//! [`prometheus`] text format. The [`json`] and [`schema`] modules carry a
+//! Snapshots ([`Registry::snapshot`]) render through two exporters:
+//! [`json_line`] (trajectory-style JSON lines) and [`prometheus`] text
+//! format. The [`json`] and [`schema`] modules carry a
 //! dependency-free JSON value type and a small schema validator used by the
 //! CI metrics check (the workspace's vendored `serde` is a no-op shim, so
 //! JSON is hand-rolled here).
@@ -38,7 +38,7 @@ pub mod schema;
 pub mod trace;
 
 pub use comm::{CommCounters, HealthCounters};
-pub use export::{human_table, json_line, json_value, prometheus, prometheus_with_labels};
+pub use export::{json_line, json_value, prometheus, prometheus_with_labels};
 pub use imbalance::{v_omega, ImbalanceReport, RankLoad};
 pub use phase::{Phase, PhaseBreakdown};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};

@@ -180,12 +180,26 @@ fn get<T: std::str::FromStr>(
     }
 }
 
-/// Like [`get`] for a count that must be at least 1: `0` is refused with
+/// Like [`get`], but a value that parses and fails `valid` is refused with
 /// the same typed error as a value that does not parse.
+fn get_valid<T: std::str::FromStr>(
+    flags: &Flags,
+    key: &str,
+    default: T,
+    expected: &'static str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, Error> {
+    let value = get(flags, key, default, expected)?;
+    if valid(&value) {
+        return Ok(value);
+    }
+    let typed = flags.get(key).cloned().unwrap_or_default();
+    Err(CliError::BadFlagValue { flag: key.into(), value: typed, expected }.into())
+}
+
+/// Like [`get`] for a count that must be at least 1.
 fn positive(flags: &Flags, key: &str, default: usize) -> Result<usize, Error> {
-    let expected = "a positive integer";
-    let zero = CliError::BadFlagValue { flag: key.into(), value: "0".into(), expected };
-    Some(get(flags, key, default, expected)?).filter(|&n| n > 0).ok_or_else(|| zero.into())
+    get_valid(flags, key, default, "a positive integer", |&n| n > 0)
 }
 
 fn required<'a>(flags: &'a Flags, key: &str) -> Result<&'a String, Error> {
@@ -658,7 +672,8 @@ fn unexpected(resp: Response) -> Error {
 
 fn patterns(flags: &Flags) -> Result<(), Error> {
     check_flags(flags, &["n"])?;
-    let n: usize = get(flags, "n", 3, "a tuple order ≥ 2")?;
+    // n = 6 would build 27⁵ ≈ 1.4·10⁷ full-shell walks.
+    let n: usize = get_valid(flags, "n", 3, "a tuple order from 2 to 5", |n| (2..=5).contains(n))?;
     let fs = generate_fs(n);
     let sc = shift_collapse(n);
     println!("n = {n}");
@@ -692,7 +707,9 @@ fn model(flags: &Flags) -> Result<(), Error> {
         }
     };
     let model = MdCostModel::new(shift_collapse_md::netmodel::SilicaWorkload::silica(), machine);
-    let grain: f64 = get(flags, "grain", 425.0, "a number")?;
+    let grain: f64 = get_valid(flags, "grain", 425.0, "a finite number > 0", |g: &f64| {
+        g.is_finite() && *g > 0.0
+    })?;
     println!("machine: {} | granularity N/P = {grain}", model.machine.name);
     for m in Method::ALL {
         let c = model.step_time(m, grain);

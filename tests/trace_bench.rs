@@ -93,10 +93,27 @@ fn scmd_bench_emits_schema_valid_doc_and_refuses_removed_flags() {
     );
 
     // Recording is all `scmd bench` does: any other flag is a malformed
-    // command line (exit 2) whose error names it.
-    for flag in ["--baseline", "--compare", "--with", "--quick"] {
-        let refused = run_bench(&["bench", flag, out]);
-        assert_eq!(refused.status.code(), Some(2), "{flag} must be refused");
+    // command line (exit 2) whose error names it. So is a `patterns` tuple
+    // order outside 2..=5 (the pattern walks grow as 27ⁿ⁻¹) and a `model`
+    // grain that is not a finite positive number.
+    let refused_lines: [&[&str]; 12] = [
+        &["bench", "--baseline", out],
+        &["bench", "--compare", out],
+        &["bench", "--with", out],
+        &["bench", "--quick", out],
+        &["patterns", "--n", "0"],
+        &["patterns", "--n", "1"],
+        &["patterns", "--n", "6"],
+        &["patterns", "--n", "9"],
+        &["model", "--grain", "0"],
+        &["model", "--grain", "-5"],
+        &["model", "--grain", "nan"],
+        &["model", "--grain", "inf"],
+    ];
+    for args in refused_lines {
+        let flag = args[1];
+        let refused = run_bench(args);
+        assert_eq!(refused.status.code(), Some(2), "{args:?} must be refused");
         let stderr = String::from_utf8_lossy(&refused.stderr);
         assert!(stderr.contains(flag), "the error names {flag}: {stderr}");
     }
