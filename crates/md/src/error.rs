@@ -113,7 +113,7 @@ pub enum CliError {
         /// The rejected value as typed.
         value: String,
         /// What the flag expects (e.g. `"a positive integer"`).
-        expected: &'static str,
+        expected: String,
     },
     /// A flag's value is not in the flag's closed set of alternatives.
     UnknownValue {
@@ -289,7 +289,7 @@ mod tests {
         let e = CliError::BadFlagValue {
             flag: "steps".into(),
             value: "lots".into(),
-            expected: "a positive integer",
+            expected: "a positive integer".into(),
         };
         assert!(e.to_string().contains("--steps"), "{e}");
         assert!(e.to_string().contains("lots"), "{e}");

@@ -625,19 +625,6 @@ impl Simulation {
         let stats = self.compute_forces();
         stats.energy.total() + self.store.kinetic_energy()
     }
-
-    /// The integration timestep.
-    pub fn timestep(&self) -> f64 {
-        self.dt
-    }
-
-    /// Overrides the integration timestep mid-run (used by the
-    /// [`crate::supervisor::Supervisor`] for timestep backoff after
-    /// physics-invariant rollbacks).
-    pub fn set_timestep(&mut self, dt: f64) {
-        assert!(dt > 0.0 && dt.is_finite(), "timestep {dt} must be positive and finite");
-        self.dt = dt;
-    }
 }
 
 impl crate::supervisor::Recoverable for Simulation {
@@ -692,14 +679,6 @@ impl crate::supervisor::Recoverable for Simulation {
                 && self.store.velocities()[i].is_finite()
                 && self.store.forces()[i].is_finite()
         })
-    }
-
-    fn timestep(&self) -> f64 {
-        self.dt
-    }
-
-    fn set_timestep(&mut self, dt: f64) {
-        Simulation::set_timestep(self, dt);
     }
 
     fn steps_done(&self) -> u64 {

@@ -5,30 +5,26 @@
 //! step it checks invariants no healthy MD trajectory violates — finite
 //! state, conserved atom count, bounded total-energy drift — and on a
 //! violation *or* an unrecovered communication fault it rolls the engine
-//! back to the last [`Checkpoint`] and replays, optionally with a reduced
-//! timestep (graceful degradation). Engines stay decoupled: the serial
-//! [`crate::Simulation`] and the distributed engine in `sc-parallel` both
-//! implement [`Recoverable`].
+//! back to the last [`Checkpoint`] and replays. Engines stay decoupled:
+//! the serial [`crate::Simulation`] and the distributed engine in
+//! `sc-parallel` both implement [`Recoverable`].
 //!
 //! The escalation ladder, mildest rung first:
 //!
-//! 1. **rollback** — replay the interval from the last checkpoint;
-//! 2. **dt backoff** — physics violations compound a timestep reduction
-//!    ([`SupervisorConfig::dt_backoff`]), restored after
-//!    [`SupervisorConfig::recovery_intervals`] clean intervals;
-//! 3. **re-decomposition** — a fault naming a permanently dead rank
+//! 1. **rollback** — replay the interval from the last checkpoint, budgeted
+//!    by [`SupervisorConfig::max_rollbacks`];
+//! 2. **re-decomposition** — a fault naming a permanently dead rank
 //!    ([`StepFault::dead_rank`]) skips the rollback loop entirely and
 //!    restores the last checkpoint onto the surviving ranks
 //!    ([`Recoverable::restore_excluding`]), budgeted by
 //!    [`SupervisorConfig::max_redecompositions`];
-//! 4. **abort** — budgets exhausted; [`SupervisorError`] carries the
+//! 3. **abort** — budgets exhausted; [`SupervisorError`] carries the
 //!    diagnostics.
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::Checkpoint;
 use sc_obs::trace::EventKind;
 use sc_obs::{Registry, TraceSink, Tracer};
 use std::fmt;
-use std::path::PathBuf;
 
 /// An unrecovered fault surfaced by [`Recoverable::try_step`]: what the
 /// supervisor's recovery ladder needs to know about it, whatever engine
@@ -51,7 +47,7 @@ impl fmt::Display for StepFault {
 
 impl std::error::Error for StepFault {}
 
-/// An engine the [`Supervisor`] can drive, roll back, and degrade.
+/// An engine the [`Supervisor`] can drive, roll back, and re-decompose.
 /// Object-safe: the spec layer drives every engine as one boxed trait
 /// object.
 pub trait Recoverable {
@@ -74,12 +70,6 @@ pub trait Recoverable {
 
     /// Whether all positions, velocities, and forces are finite.
     fn state_is_finite(&self) -> bool;
-
-    /// The integration timestep.
-    fn timestep(&self) -> f64;
-
-    /// Changes the integration timestep.
-    fn set_timestep(&mut self, dt: f64);
 
     /// Steps completed.
     fn steps_done(&self) -> u64;
@@ -108,21 +98,9 @@ pub struct SupervisorConfig {
     /// Relative total-energy drift allowed between checkpoints (`None`
     /// disables the energy guardrail — e.g. for thermostatted runs).
     pub energy_drift_tol: Option<f64>,
-    /// Timestep multiplier applied on each physics-invariant rollback
-    /// (1.0 = no degradation). Compounds across repeated violations.
-    pub dt_backoff: f64,
-    /// Floor for the degraded timestep.
-    pub min_dt: f64,
-    /// Clean checkpoint intervals (no rollback in between) after which a
-    /// backed-off timestep is restored to its original value. `0` disables
-    /// restoration: once degraded, the run stays degraded.
-    pub recovery_intervals: u32,
     /// Re-decompositions onto a surviving rank set before giving up (each
     /// lost rank spends one).
     pub max_redecompositions: u32,
-    /// When set, every checkpoint is also written to
-    /// `<dir>/checkpoint-<step>.sc` for out-of-process recovery.
-    pub checkpoint_dir: Option<PathBuf>,
     /// Metrics registry the supervisor reports recovery events into
     /// (`supervisor.checkpoints_saved`, `supervisor.rollbacks`,
     /// `supervisor.comm_faults`, `supervisor.invariant_violations`).
@@ -141,11 +119,7 @@ impl Default for SupervisorConfig {
             checkpoint_every: 10,
             max_rollbacks: 8,
             energy_drift_tol: None,
-            dt_backoff: 1.0,
-            min_dt: 0.0,
-            recovery_intervals: 0,
             max_redecompositions: 2,
-            checkpoint_dir: None,
             metrics: Registry::disabled(),
             tracer: Tracer::disabled(),
         }
@@ -168,8 +142,6 @@ pub struct RecoveryStats {
     pub redecompositions: u64,
     /// Ranks excluded across all re-decompositions.
     pub ranks_lost: u64,
-    /// Backed-off timesteps restored after clean running.
-    pub dt_restores: u64,
 }
 
 /// Why supervision gave up.
@@ -191,8 +163,6 @@ pub enum SupervisorError {
         /// Why re-decomposition could not proceed.
         detail: String,
     },
-    /// A checkpoint could not be written to disk.
-    Checkpoint(CheckpointError),
 }
 
 impl fmt::Display for SupervisorError {
@@ -204,18 +174,11 @@ impl fmt::Display for SupervisorError {
             SupervisorError::RankLost { rank, detail } => {
                 write!(f, "rank {rank} lost and not recoverable: {detail}")
             }
-            SupervisorError::Checkpoint(e) => write!(f, "checkpointing failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for SupervisorError {}
-
-impl From<CheckpointError> for SupervisorError {
-    fn from(e: CheckpointError) -> Self {
-        SupervisorError::Checkpoint(e)
-    }
-}
 
 /// Drives a [`Recoverable`] engine with guardrails and rollback recovery.
 pub struct Supervisor {
@@ -232,13 +195,6 @@ pub struct Supervisor {
     baseline_atoms: Option<usize>,
     /// Rollbacks since the last completed checkpoint interval.
     consecutive_rollbacks: u32,
-    /// Compounding timestep degradation factor.
-    dt_scale: f64,
-    /// The undegraded timestep, captured at the first checkpoint (the
-    /// dt-restore target).
-    baseline_dt: Option<f64>,
-    /// Checkpoint intervals completed without a rollback while degraded.
-    clean_intervals: u32,
     /// Re-decompositions performed so far (spends the budget).
     redecompositions: u32,
 }
@@ -254,9 +210,6 @@ impl Supervisor {
             ref_energy: 0.0,
             baseline_atoms: None,
             consecutive_rollbacks: 0,
-            dt_scale: 1.0,
-            baseline_dt: None,
-            clean_intervals: 0,
             redecompositions: 0,
         }
     }
@@ -271,26 +224,8 @@ impl Supervisor {
         self.last_good.as_ref()
     }
 
-    fn save_checkpoint<S: Recoverable>(&mut self, sim: &mut S) -> Result<(), SupervisorError> {
-        self.baseline_dt.get_or_insert(sim.timestep());
-        // dt restoration happens *before* the snapshot, so the checkpoint
-        // carries the restored timestep and a later rollback keeps it.
-        if self.dt_scale < 1.0 && self.config.recovery_intervals > 0 {
-            self.clean_intervals += 1;
-            if self.clean_intervals >= self.config.recovery_intervals {
-                self.dt_scale = 1.0;
-                self.clean_intervals = 0;
-                if let Some(dt) = self.baseline_dt {
-                    sim.set_timestep(dt);
-                }
-                self.stats.dt_restores += 1;
-                self.config.metrics.counter("supervisor.dt_restores").inc();
-            }
-        }
+    fn save_checkpoint<S: Recoverable>(&mut self, sim: &S) {
         let cp = sim.checkpoint();
-        if let Some(dir) = &self.config.checkpoint_dir {
-            cp.save(&dir.join(format!("checkpoint-{}.sc", cp.step)))?;
-        }
         self.ref_energy = sim.total_energy_estimate();
         self.baseline_atoms.get_or_insert(sim.atom_count());
         self.last_good = Some(cp);
@@ -298,7 +233,6 @@ impl Supervisor {
         self.config.metrics.counter("supervisor.checkpoints_saved").inc();
         self.tsink.instant(sim.steps_done(), EventKind::Checkpoint);
         self.consecutive_rollbacks = 0;
-        Ok(())
     }
 
     /// The physics guardrails; `None` means the step looks healthy.
@@ -338,7 +272,6 @@ impl Supervisor {
             });
         }
         self.consecutive_rollbacks += 1;
-        self.clean_intervals = 0;
         self.stats.rollbacks += 1;
         self.config.metrics.counter("supervisor.rollbacks").inc();
         self.tsink.instant(sim.steps_done(), EventKind::Rollback);
@@ -352,13 +285,7 @@ impl Supervisor {
             self.stats.comm_faults += 1;
             self.config.metrics.counter("supervisor.comm_faults").inc();
         }
-        let cp = self.last_good.as_ref().expect("rollback without a checkpoint");
-        sim.restore(cp);
-        if physics && self.config.dt_backoff < 1.0 {
-            self.dt_scale *= self.config.dt_backoff;
-            let dt = (self.baseline_dt.unwrap_or(cp.dt) * self.dt_scale).max(self.config.min_dt);
-            sim.set_timestep(dt);
-        }
+        sim.restore(self.last_good.as_ref().expect("rollback without a checkpoint"));
         Ok(())
     }
 
@@ -392,7 +319,6 @@ impl Supervisor {
         self.stats.ranks_lost += 1;
         self.config.metrics.counter("supervisor.redecompositions").inc();
         self.consecutive_rollbacks = 0;
-        self.clean_intervals = 0;
         Ok(())
     }
 
@@ -402,11 +328,11 @@ impl Supervisor {
     ///
     /// # Errors
     /// [`SupervisorError::RollbacksExhausted`] when the same checkpoint
-    /// interval keeps failing, [`SupervisorError::Checkpoint`] when a
-    /// snapshot cannot be written to the configured directory.
+    /// interval keeps failing, [`SupervisorError::RankLost`] when a dead
+    /// rank cannot be re-decomposed away.
     pub fn run<S: Recoverable>(&mut self, sim: &mut S, steps: u64) -> Result<(), SupervisorError> {
         if self.last_good.is_none() {
-            self.save_checkpoint(sim)?;
+            self.save_checkpoint(sim);
         }
         let target = sim.steps_done() + steps;
         while sim.steps_done() < target {
@@ -418,7 +344,7 @@ impl Supervisor {
                     }
                     let since = sim.steps_done() - self.last_good.as_ref().map_or(0, |cp| cp.step);
                     if since >= self.config.checkpoint_every {
-                        self.save_checkpoint(sim)?;
+                        self.save_checkpoint(sim);
                     }
                 }
                 Err(StepFault { message, dead_rank: Some(rank) }) => {
@@ -543,12 +469,6 @@ mod tests {
         fn state_is_finite(&self) -> bool {
             self.finite
         }
-        fn timestep(&self) -> f64 {
-            self.dt
-        }
-        fn set_timestep(&mut self, dt: f64) {
-            self.dt = dt;
-        }
         fn steps_done(&self) -> u64 {
             self.step
         }
@@ -623,22 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn invariant_violation_degrades_timestep() {
-        let mut sim = MockSim::new();
-        sim.blowup_at = vec![3];
-        let mut sup = Supervisor::new(SupervisorConfig {
-            checkpoint_every: 10,
-            dt_backoff: 0.5,
-            min_dt: 0.1,
-            ..Default::default()
-        });
-        sup.run(&mut sim, 6).unwrap();
-        assert_eq!(sim.step, 6);
-        assert_eq!(sup.stats().invariant_violations, 1);
-        assert_eq!(sim.dt, 0.5, "timestep halved after the physics rollback");
-    }
-
-    #[test]
     fn rollback_budget_exhaustion_is_terminal() {
         let mut sim = MockSim::new();
         sim.always_fail = true;
@@ -658,7 +562,7 @@ mod tests {
             ..Default::default()
         });
         // Prime the reference, then shift the energy beyond 1%.
-        sup.save_checkpoint(&mut sim).unwrap();
+        sup.save_checkpoint(&sim);
         sim.energy = -40.0;
         let err = sup.run(&mut sim, 5).unwrap_err();
         assert!(err.to_string().contains("energy drift"), "{err}");
@@ -711,47 +615,5 @@ mod tests {
         let err = sup.run(&mut sim, 5).unwrap_err();
         assert!(matches!(err, SupervisorError::RankLost { rank: 0, .. }), "{err}");
         assert!(err.to_string().contains("cannot shrink"), "{err}");
-    }
-
-    #[test]
-    fn backed_off_timestep_restores_after_clean_intervals() {
-        let mut sim = MockSim::new();
-        sim.blowup_at = vec![2];
-        let mut sup = Supervisor::new(SupervisorConfig {
-            checkpoint_every: 5,
-            dt_backoff: 0.5,
-            recovery_intervals: 2,
-            ..Default::default()
-        });
-        // The blowup at step 2 backs dt off to 0.5; the checkpoint at 5 is
-        // the first clean interval — not enough to restore yet.
-        sup.run(&mut sim, 7).unwrap();
-        assert_eq!(sim.dt, 0.5, "still degraded after one clean interval");
-        // The checkpoint at 10 completes the second clean interval: dt is
-        // restored *before* the snapshot, so the checkpoint carries it.
-        sup.run(&mut sim, 3).unwrap();
-        assert_eq!(sim.dt, 1.0, "restored after two clean intervals");
-        assert_eq!(sup.stats().dt_restores, 1);
-        assert_eq!(sup.last_checkpoint().unwrap().dt, 1.0);
-        // A later comm rollback replays with the restored timestep.
-        sim.comm_fail_at = vec![12];
-        sup.run(&mut sim, 5).unwrap();
-        assert_eq!(sim.dt, 1.0);
-    }
-
-    #[test]
-    fn checkpoints_reach_disk_when_configured() {
-        let dir = std::env::temp_dir().join(format!("sc-supervisor-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut sim = MockSim::new();
-        let mut sup = Supervisor::new(SupervisorConfig {
-            checkpoint_every: 5,
-            checkpoint_dir: Some(dir.clone()),
-            ..Default::default()
-        });
-        sup.run(&mut sim, 5).unwrap();
-        let cp = Checkpoint::load(&dir.join("checkpoint-5.sc")).unwrap();
-        assert_eq!(cp.step, 5);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -30,6 +30,10 @@ pub struct CommCounters {
     pub faults_detected: u64,
     /// Distinct ranks this rank sent to.
     pub partners: BTreeSet<usize>,
+    /// Tuples this rank accepted in its most recent force computation (a
+    /// reading, not a count: `merge` leaves it out, since the run's total
+    /// is its telemetry's `tuples`).
+    pub tuples_accepted: u64,
     /// Cumulative phase breakdown of this rank's work (seconds since
     /// construction; `merge` sums it across ranks, so a merged total is
     /// summed per-rank CPU time, not wall time). Which slots are filled

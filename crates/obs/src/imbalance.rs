@@ -5,29 +5,13 @@
 //! paper's own Fig. 9 efficiency argument) make per-rank load imbalance the
 //! dominant scaling killer: a step is as slow as its slowest rank, so the
 //! observable that matters is the **max/mean compute ratio** across ranks,
-//! together with each rank's **communication-wait fraction** and its ghost
-//! import volume measured against the SC prediction
-//! `Vω = (l + n − 1)³ − l³` (Eq. 33).
-//!
-//! Reports build from either source of per-rank data and agree with each
-//! other by construction:
-//!
-//! - [`ImbalanceReport::from_per_rank`] aggregates the executors'
-//!   [`CommCounters`] (what `Telemetry` carries), or
-//! - [`ImbalanceReport::from_events`] aggregates a merged trace
-//!   ([`crate::TraceEvent`]s) when event-level data is available.
+//! together with each rank's **communication-wait fraction**, its ghost
+//! import volume (the empirical side of Eq. 33) and the tuples it accepted.
+//! [`ImbalanceReport::from_per_rank`] builds the report from the executors'
+//! per-rank [`CommCounters`], which is what `Telemetry` carries.
 
 use crate::comm::CommCounters;
 use crate::json::Json;
-use crate::phase::Phase;
-use crate::trace::{EventKind, TraceEvent};
-
-/// The SC import-volume prediction `Vω = (l + n − 1)³ − l³` (Eq. 33) for a
-/// rank sub-box of `l` cells per side computing `n`-tuples: the number of
-/// cells a rank must import beyond the ones it owns.
-pub fn v_omega(l: f64, n: u32) -> f64 {
-    (l + n as f64 - 1.0).powi(3) - l.powi(3)
-}
 
 /// One rank's aggregated load, as seen by an [`ImbalanceReport`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -40,8 +24,7 @@ pub struct RankLoad {
     pub comm_s: f64,
     /// Ghost atoms imported (the empirical Eq. 31/33 observable).
     pub ghosts_imported: u64,
-    /// Tuples evaluated by this rank, when the caller supplied them
-    /// (0 when unknown — `CommCounters` does not carry tuple counts).
+    /// Tuples this rank accepted in its most recent force computation.
     pub tuples: u64,
 }
 
@@ -63,9 +46,6 @@ impl RankLoad {
 pub struct ImbalanceReport {
     /// One entry per rank, sorted by rank id.
     pub per_rank: Vec<RankLoad>,
-    /// Predicted import volume `Vω` in cells, when the caller supplied the
-    /// sub-box geometry via [`ImbalanceReport::with_import_prediction`].
-    pub predicted_import_cells: Option<f64>,
 }
 
 impl ImbalanceReport {
@@ -82,51 +62,10 @@ impl ImbalanceReport {
                 compute_s: c.phases.compute_total_s() + c.phases.integrate_s(),
                 comm_s: c.phases.exchange_s() + c.phases.migrate_s() + c.phases.reduce_s(),
                 ghosts_imported: c.ghosts_imported,
-                tuples: 0,
+                tuples: c.tuples_accepted,
             })
             .collect();
-        ImbalanceReport { per_rank: loads, predicted_import_cells: None }
-    }
-
-    /// Builds a report from a merged trace by summing each rank's phase
-    /// intervals. Instant events (comm markers, recovery markers) carry no
-    /// duration and do not contribute time.
-    pub fn from_events(events: &[TraceEvent]) -> ImbalanceReport {
-        let mut ranks: Vec<u32> = events.iter().map(|e| e.rank).collect();
-        ranks.sort_unstable();
-        ranks.dedup();
-        let mut loads: Vec<RankLoad> =
-            ranks.iter().map(|&rank| RankLoad { rank, ..RankLoad::default() }).collect();
-        for ev in events {
-            let load = loads.iter_mut().find(|l| l.rank == ev.rank).unwrap();
-            if let EventKind::Phase(p) = ev.kind {
-                let secs = ev.dur_ns as f64 / 1e9;
-                match p {
-                    Phase::Exchange | Phase::Migrate | Phase::Reduce => load.comm_s += secs,
-                    Phase::Bin
-                    | Phase::Enumerate
-                    | Phase::Eval
-                    | Phase::Integrate
-                    | Phase::Compute => load.compute_s += secs,
-                }
-            }
-        }
-        ImbalanceReport { per_rank: loads, predicted_import_cells: None }
-    }
-
-    /// Attaches per-rank tuple counts (entry `i` goes to `per_rank[i]`).
-    pub fn with_tuples(mut self, tuples: &[u64]) -> ImbalanceReport {
-        for (load, &t) in self.per_rank.iter_mut().zip(tuples) {
-            load.tuples = t;
-        }
-        self
-    }
-
-    /// Attaches the Eq. 33 import-volume prediction for a rank sub-box of
-    /// `l` cells per side under `n`-tuple computation.
-    pub fn with_import_prediction(mut self, l: f64, n: u32) -> ImbalanceReport {
-        self.predicted_import_cells = Some(v_omega(l, n));
-        self
+        ImbalanceReport { per_rank: loads }
     }
 
     /// Number of ranks in the report.
@@ -191,7 +130,7 @@ impl ImbalanceReport {
                 ])
             })
             .collect();
-        let mut fields = vec![
+        Json::Obj(vec![
             ("ranks".to_string(), Json::num(self.ranks() as f64)),
             ("max_compute_s".to_string(), Json::num(self.max_compute_s())),
             ("mean_compute_s".to_string(), Json::num(self.mean_compute_s())),
@@ -199,17 +138,14 @@ impl ImbalanceReport {
             ("comm_wait_fraction".to_string(), Json::num(self.comm_wait_fraction())),
             ("ghosts_imported".to_string(), Json::num(self.total_ghosts_imported() as f64)),
             ("per_rank".to_string(), Json::Arr(per_rank)),
-        ];
-        if let Some(v) = self.predicted_import_cells {
-            fields.insert(6, ("predicted_import_cells".to_string(), Json::num(v)));
-        }
-        Json::Obj(fields)
+        ])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phase::Phase;
 
     fn counters(compute_s: f64, comm_s: f64, ghosts: u64) -> CommCounters {
         let mut c = CommCounters::default();
@@ -223,18 +159,21 @@ mod tests {
 
     #[test]
     fn v_omega_matches_eq_33() {
+        // The SC import volume a rank's `ghosts_imported` is measured against,
+        // built from the pattern: Vω = (l + n − 1)³ − l³ (Eq. 33).
+        use sc_core::{import_volume_cubic, shift_collapse};
         // l=8, n=2: (8+1)³ − 8³ = 729 − 512 = 217.
-        assert_eq!(v_omega(8.0, 2), 217.0);
+        assert_eq!(import_volume_cubic(8, &shift_collapse(2)), 217);
         // l=8, n=3: 10³ − 8³ = 488.
-        assert_eq!(v_omega(8.0, 3), 488.0);
-        // Degenerate n=1: no import at all.
-        assert_eq!(v_omega(8.0, 1), 0.0);
+        assert_eq!(import_volume_cubic(8, &shift_collapse(3)), 488);
     }
 
     #[test]
     fn report_from_counters_computes_ratio_and_wait() {
-        let ranks = vec![counters(2.0, 0.5, 100), counters(1.0, 0.5, 80), counters(1.0, 1.0, 120)];
-        let rep = ImbalanceReport::from_per_rank(&ranks).with_tuples(&[10, 20, 30]);
+        let mut ranks =
+            vec![counters(2.0, 0.5, 100), counters(1.0, 0.5, 80), counters(1.0, 1.0, 120)];
+        ranks[1].tuples_accepted = 20;
+        let rep = ImbalanceReport::from_per_rank(&ranks);
         assert_eq!(rep.ranks(), 3);
         assert!((rep.max_compute_s() - 2.0).abs() < 1e-12);
         assert!((rep.mean_compute_s() - 4.0 / 3.0).abs() < 1e-12);
@@ -248,39 +187,10 @@ mod tests {
     }
 
     #[test]
-    fn report_from_events_agrees_with_counters() {
-        let mk = |rank: u32, phase: Phase, dur_ns: u64| TraceEvent {
-            t_ns: 0,
-            dur_ns,
-            step: 1,
-            rank,
-            lane: 0,
-            kind: EventKind::Phase(phase),
-        };
-        let events = vec![
-            mk(0, Phase::Eval, 2_000_000_000),
-            mk(0, Phase::Exchange, 500_000_000),
-            mk(1, Phase::Eval, 1_000_000_000),
-            mk(1, Phase::Reduce, 500_000_000),
-        ];
-        let rep = ImbalanceReport::from_events(&events);
-        assert_eq!(rep.ranks(), 2);
-        assert!((rep.per_rank[0].compute_s - 2.0).abs() < 1e-9);
-        assert!((rep.per_rank[0].comm_s - 0.5).abs() < 1e-9);
-        assert!((rep.per_rank[1].comm_wait_fraction() - 1.0 / 3.0).abs() < 1e-9);
-        let from_counters =
-            ImbalanceReport::from_per_rank(&[counters(2.0, 0.5, 0), counters(1.0, 0.5, 0)]);
-        assert!((rep.compute_imbalance() - from_counters.compute_imbalance()).abs() < 1e-9);
-        assert!((rep.comm_wait_fraction() - from_counters.comm_wait_fraction()).abs() < 1e-9);
-    }
-
-    #[test]
     fn json_report_round_trips() {
-        let rep = ImbalanceReport::from_per_rank(&[counters(1.0, 0.25, 42)])
-            .with_import_prediction(8.0, 2);
+        let rep = ImbalanceReport::from_per_rank(&[counters(1.0, 0.25, 42)]);
         let v = rep.to_json_value();
         assert_eq!(v.get("ranks").unwrap().as_f64(), Some(1.0));
-        assert_eq!(v.get("predicted_import_cells").unwrap().as_f64(), Some(217.0));
         let per_rank = v.get("per_rank").unwrap().as_array().unwrap();
         assert_eq!(per_rank[0].get("ghosts_imported").unwrap().as_f64(), Some(42.0));
         // Round-trips through the writer/parser.

@@ -39,7 +39,7 @@ pub mod trace;
 
 pub use comm::{CommCounters, HealthCounters};
 pub use export::{json_line, json_value, prometheus, prometheus_with_labels};
-pub use imbalance::{v_omega, ImbalanceReport, RankLoad};
+pub use imbalance::{ImbalanceReport, RankLoad};
 pub use phase::{Phase, PhaseBreakdown};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use trace::{chrome_trace, CommChannel, EventKind, TraceEvent, TraceSink, Tracer};

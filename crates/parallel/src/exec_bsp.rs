@@ -19,7 +19,7 @@ use sc_md::checkpoint::{Checkpoint, SnapshotLayout};
 use sc_md::supervisor::{Recoverable, StepFault};
 use sc_md::{EnergyBreakdown, Telemetry, ThreadPool, TupleCounts};
 use sc_obs::trace::EventKind;
-use sc_obs::{CommCounters, ImbalanceReport, Phase, PhaseBreakdown, TraceSink, Tracer};
+use sc_obs::{CommCounters, Phase, PhaseBreakdown, TraceSink, Tracer};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -173,8 +173,7 @@ fn trace_sinks(tracer: &Tracer, nranks: usize) -> (Vec<TraceSink>, TraceSink) {
 /// the pool's lane count never changes a bit of the result.
 ///
 /// How a run is scheduled, packed, faulted and observed is fixed at
-/// [`DistributedSim::build`] by one [`EngineConfig`]; only the timestep can
-/// change afterwards (the supervisor's dt back-off).
+/// [`DistributedSim::build`] by one [`EngineConfig`].
 ///
 /// Every delivery goes through the [`FaultPlan`] (a no-op by default) and is
 /// verified against its stamp on arrival; [`DistributedSim::try_step`]
@@ -352,22 +351,6 @@ impl DistributedSim {
         self.carried_alloc + live
     }
 
-    /// The per-rank load-imbalance report, with the Eq. 33 import-volume
-    /// prediction `Vω = (l + n − 1)³ − l³` attached for the largest active
-    /// tuple order (`l` = cells per sub-box side at that term's cutoff), so
-    /// measured ghost imports can be checked against the paper's model per
-    /// decomposition.
-    pub fn imbalance_report(&self) -> ImbalanceReport {
-        let per_rank: Vec<CommCounters> = self.ranks.iter().map(|r| r.stats.clone()).collect();
-        let mut rep = ImbalanceReport::from_per_rank(&per_rank);
-        if let Some((n, rcut)) = self.ff.terms().into_iter().max_by_key(|&(n, _)| n) {
-            let sub = self.dec.grid.rank_box_lengths();
-            let l = (sub.x.min(sub.y).min(sub.z) / rcut).floor().max(1.0);
-            rep = rep.with_import_prediction(l, n as u32);
-        }
-        rep
-    }
-
     /// The rank grid.
     pub fn grid(&self) -> &RankGrid {
         &self.dec.grid
@@ -382,17 +365,6 @@ impl DistributedSim {
     /// checkpoint's step).
     pub fn steps_done(&self) -> u64 {
         self.steps_done
-    }
-
-    /// The integration timestep.
-    pub fn timestep(&self) -> f64 {
-        self.dt
-    }
-
-    /// Changes the integration timestep (graceful degradation after
-    /// rollback).
-    pub fn set_timestep(&mut self, dt: f64) {
-        self.dt = dt;
     }
 
     /// Kinetic energy (global).
@@ -754,14 +726,6 @@ impl Recoverable for DistributedSim {
 
     fn state_is_finite(&self) -> bool {
         self.ranks.iter().all(|r| r.is_finite())
-    }
-
-    fn timestep(&self) -> f64 {
-        self.dt
-    }
-
-    fn set_timestep(&mut self, dt: f64) {
-        self.dt = dt;
     }
 
     fn steps_done(&self) -> u64 {

@@ -48,8 +48,7 @@
 //! rebalance cadence, [`FaultPlan`], tracer), taken once by
 //! `DistributedSim::build`. The engine keeps no metrics registry: its
 //! telemetry carries the counters, and the run that owns the engine exports
-//! them. The engine has no post-construction setter
-//! besides `set_timestep` (the supervisor's dt back-off).
+//! them. The engine has no post-construction setter.
 //!
 //! ## Fault tolerance
 //!

@@ -477,6 +477,7 @@ impl RankState {
         acc.merge_into(store.forces_mut());
         phases.add(Phase::Reduce, t_reduce.elapsed().as_secs_f64());
         self.stats.phases.accumulate(&phases);
+        self.stats.tuples_accepted = tuples.total_accepted();
         self.computed = (energy, tuples, phases);
     }
 

@@ -4,10 +4,11 @@
 //! without perturbing conservation laws.
 
 use sc_cell::AtomStore;
+use sc_core::{import_volume_cubic, shift_collapse};
 use sc_geom::{IVec3, SimulationBox};
 use sc_md::{build_clustered_gas, build_fcc_lattice, LatticeSpec, Method};
 use sc_obs::trace::EventKind;
-use sc_obs::{v_omega, CommCounters, Tracer};
+use sc_obs::{CommCounters, Tracer};
 use sc_parallel::rank::ForceField;
 use sc_parallel::{DistributedSim, EngineConfig};
 use sc_potential::LennardJones;
@@ -110,12 +111,11 @@ fn imbalance_report_cross_checks_measured_imports_against_eq33() {
     )
     .unwrap();
     d.run(2);
-    let report = d.imbalance_report();
-    let predicted_cells =
-        report.predicted_import_cells.expect("the BSP executor knows its sub-box geometry");
-    // Per-axis cells per rank: sub-box edge / cutoff.
+    let report = d.telemetry().imbalance().expect("a multi-rank run reports its imbalance");
+    // Per-axis cells per rank: sub-box edge / cutoff; pair interactions
+    // import the n = 2 shift-collapse volume.
     let l = (bbox.lengths().x / 2.0 / 2.5).floor();
-    assert_eq!(predicted_cells, v_omega(l, 2), "pair interactions predict n = 2");
+    let predicted_cells = import_volume_cubic(l as u32, &shift_collapse(2)) as f64;
     let atoms_per_cell = store.len() as f64 / 8.0 / l.powi(3);
     let predicted_ghosts = predicted_cells * atoms_per_cell;
     // Ghosts per rank per exchange: 2 steps + priming = 3 exchanges.

@@ -343,6 +343,24 @@ fn imbalance_report_is_consistent_with_aggregated_comm_counters() {
     assert!((0.0..=1.0).contains(&report.comm_wait_fraction()));
 }
 
+/// Each rank's imbalance record carries the tuples it accepted in the most
+/// recent force computation, so on every method the records sum to the
+/// snapshot's accepted total: every tuple is computed by exactly one rank.
+#[test]
+fn imbalance_tuples_sum_to_the_accepted_total() {
+    for method in Method::ALL {
+        let (store, bbox) = lj_system();
+        let mut d =
+            DistributedSim::new(store, bbox, IVec3::splat(2), lj_ff(method), 0.002).unwrap();
+        d.run(2);
+        let t = d.telemetry();
+        let report = t.imbalance().expect("multi-rank telemetry carries the imbalance report");
+        let per_rank: Vec<u64> = report.per_rank.iter().map(|l| l.tuples).collect();
+        assert!(per_rank.iter().all(|&n| n > 0), "{}: {per_rank:?}", method.name());
+        assert_eq!(per_rank.iter().sum::<u64>(), t.tuples.total_accepted(), "{}", method.name());
+    }
+}
+
 /// An observed run of the `threaded` spelling's engine: the traced sends
 /// add up to the aggregated counters, every rank's row receives, the
 /// lockstep exchange interval sits on the executor's row, and the merged

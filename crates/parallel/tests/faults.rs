@@ -327,7 +327,7 @@ fn truth(system: System, grid: [i32; 3]) -> Result<(AtomStore, Vec<u64>), String
         return Err(format!("the fault-free run recovered from something: {comm:?} {stats:?}"));
     }
     let ((store, bbox), pdims) = (atoms(system), IVec3::new(grid[0], grid[1], grid[2]));
-    let dt = Recoverable::timestep(&sim);
+    let dt = Recoverable::checkpoint(&sim).dt;
     let mut bare = DistributedSim::new(store, bbox, pdims, force_field(system), dt).unwrap();
     bare.run(STEPS as usize);
     match bits(&bare) == bits(&sim) {

@@ -12,11 +12,12 @@
 //! makes per-lane scheduling order deterministic — the fairness tests
 //! assert the exact interleaving.
 //!
-//! Each job is driven through a per-job [`sc_md::Supervisor`] over
-//! [`sc_spec::RunHandle`]'s `Recoverable` impl, so a served job with a
-//! fault plan gets the same rollback/re-decomposition ladder as
-//! `scmd chaos` runs. Unrecovered faults fail only that job; the lane and
-//! its other tenants keep running.
+//! Each job is driven through the per-job [`sc_md::Supervisor`] its spec
+//! builds ([`ScenarioSpec::supervisor`]) over [`sc_spec::RunHandle`]'s
+//! `Recoverable` impl, so a served job with a fault plan gets the same
+//! rollback/re-decomposition ladder as `scmd run` and `scmd chaos`.
+//! Unrecovered faults fail only that job; the lane and its other tenants
+//! keep running.
 //!
 //! With a state directory configured, every job persists its spec, a
 //! manifest, and (on its checkpoint schedule and at graceful shutdown) a
@@ -29,7 +30,7 @@
 use crate::job::{JobId, JobRecord, JobState};
 use crate::metrics::DaemonMetrics;
 use crate::watch::{WatchHandle, WatchShared};
-use sc_md::supervisor::{Supervisor, SupervisorConfig};
+use sc_md::supervisor::Supervisor;
 use sc_md::{Checkpoint, CheckpointError};
 use sc_obs::json::Json;
 use sc_obs::{chrome_trace, MetricsSnapshot, Registry, Tracer};
@@ -55,8 +56,6 @@ pub struct SchedulerConfig {
     /// Persistence root (specs, manifests, checkpoints, results). `None`
     /// runs fully in-memory (no restart resume).
     pub state_dir: Option<PathBuf>,
-    /// Rollback budget per job for fault recovery.
-    pub max_rollbacks: u32,
     /// Start with the lanes admitting but not stepping, until
     /// [`Scheduler::start`] — lets a batch of submissions land before any
     /// slicing begins, making the scheduling order exactly reproducible
@@ -80,7 +79,6 @@ impl Default for SchedulerConfig {
             queue_capacity: 8,
             slice_steps: 4,
             state_dir: None,
-            max_rollbacks: 64,
             start_paused: false,
             watch_queue: 16,
             flight_ring: sc_obs::trace::DEFAULT_CAPACITY,
@@ -730,15 +728,7 @@ fn admit(id: JobId, shared: &Arc<Shared>) -> Option<ActiveJob> {
             entry.tracer = Some(sim.tracer().clone());
         }
     }
-    // The supervisor reports into the job's own registry and flight
-    // recorder, so its `supervisor.*` series and recovery markers export.
-    let sup = Supervisor::new(SupervisorConfig {
-        checkpoint_every: spec.checkpoint.as_ref().map_or(u64::MAX, |c| c.every),
-        max_rollbacks: shared.cfg.max_rollbacks,
-        metrics: sim.metrics().clone(),
-        tracer: sim.tracer().clone(),
-        ..SupervisorConfig::default()
-    });
+    let sup = spec.supervisor(&sim);
     let mut job = ActiveJob {
         id,
         sim,

@@ -6,7 +6,7 @@ use crate::error::SpecError;
 use crate::model::{ExecutorSpec, ObservabilitySpec, PotentialSpec, ScenarioSpec, SystemSpec};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
-use sc_md::supervisor::{Recoverable, StepFault};
+use sc_md::supervisor::{Recoverable, StepFault, Supervisor, SupervisorConfig};
 use sc_md::{
     build_clustered_gas, build_fcc_lattice, build_silica_like, random_gas, thermalize, Checkpoint,
     LatticeSpec, MetricsFeed, RuntimeConfig, Simulation, Telemetry,
@@ -20,8 +20,12 @@ use sc_potential::{LennardJones, Vashishta};
 /// The schema identifier of the observables document.
 pub const OBSERVABLES_SCHEMA_ID: &str = "sc-observables/1";
 
+/// Consecutive rollbacks a supervised run may spend on one checkpoint
+/// interval before it fails.
+const ROLLBACK_BUDGET: u32 = 64;
+
 /// What a run offers beyond supervision ([`Recoverable`]: step, checkpoint,
-/// restore, invariants, timestep). The serial in-process engine and the
+/// restore, invariants). The serial in-process engine and the
 /// distributed engine both instantiate to a `Box<dyn Executor>` inside
 /// [`RunHandle`], so the spec layer, the CLI, the bench harness and the job
 /// service drive them through identical calls instead of enum-matching per
@@ -38,12 +42,18 @@ pub trait Executor: Recoverable + Send {
     fn tracer(&self) -> &Tracer;
     /// Engine short name (`serial` / `bsp`).
     fn kind(&self) -> &'static str;
+    /// The engine's fault plan, with its fired and pending faults; `None`
+    /// for an engine without a transport to fault.
+    fn fault_plan(&self) -> Option<&FaultPlan> {
+        None
+    }
 }
 
 /// Implements [`Executor`] by delegating to the engine's inherent methods
-/// of the same names; only `gather` and the short name differ per engine.
+/// of the same names; only `gather`, the short name and any further items
+/// differ per engine.
 macro_rules! executor {
-    ($engine:ty, $kind:literal, $gather:expr) => {
+    ($engine:ty, $kind:literal, $gather:expr $(, $item:item)*) => {
         impl Executor for $engine {
             fn telemetry(&self) -> Telemetry {
                 <$engine>::telemetry(self)
@@ -64,12 +74,21 @@ macro_rules! executor {
             fn kind(&self) -> &'static str {
                 $kind
             }
+
+            $($item)*
         }
     };
 }
 
 executor!(Simulation, "serial", |sim: &Simulation| sim.store().clone());
-executor!(DistributedSim, "bsp", DistributedSim::gather);
+executor!(
+    DistributedSim,
+    "bsp",
+    DistributedSim::gather,
+    fn fault_plan(&self) -> Option<&FaultPlan> {
+        Some(DistributedSim::fault_plan(self))
+    }
+);
 
 /// A scenario instantiated on an executor: the owner of the one
 /// [`Executor`] object every engine hides behind, and of the run's metrics
@@ -178,6 +197,12 @@ impl RunHandle {
     pub fn executor_kind(&self) -> &'static str {
         self.exec.kind()
     }
+
+    /// The engine's fault plan (fired and pending faults); `None` for the
+    /// serial engine.
+    pub fn fault_plan(&self) -> Option<&FaultPlan> {
+        self.exec.fault_plan()
+    }
 }
 
 /// Delegates supervision hooks to the engines' own [`Recoverable`] impls,
@@ -213,14 +238,6 @@ impl Recoverable for RunHandle {
 
     fn state_is_finite(&self) -> bool {
         self.exec.state_is_finite()
-    }
-
-    fn timestep(&self) -> f64 {
-        self.exec.timestep()
-    }
-
-    fn set_timestep(&mut self, dt: f64) {
-        self.exec.set_timestep(dt);
     }
 
     fn steps_done(&self) -> u64 {
@@ -315,6 +332,22 @@ impl ScenarioSpec {
             }),
             tracer: self.tracer(flight_ring),
         }
+    }
+
+    /// The run's recovery policy, the one every runner supervises a spec
+    /// with: a checkpoint every `checkpoint.every` steps (only the one
+    /// taken when supervision starts, if the spec sets none), a rollback
+    /// budget of 64 per checkpoint interval, and the run's own registry and
+    /// tracer, so the `supervisor.*` series and recovery markers export
+    /// with the run's.
+    pub fn supervisor(&self, run: &RunHandle) -> Supervisor {
+        Supervisor::new(SupervisorConfig {
+            checkpoint_every: self.checkpoint.as_ref().map_or(u64::MAX, |c| c.every),
+            max_rollbacks: ROLLBACK_BUDGET,
+            metrics: run.metrics().clone(),
+            tracer: run.tracer().clone(),
+            ..SupervisorConfig::default()
+        })
     }
 
     /// Instantiates the scenario on its executor.

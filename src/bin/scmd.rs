@@ -170,12 +170,13 @@ fn get<T: std::str::FromStr>(
     flags: &Flags,
     key: &str,
     default: T,
-    expected: &'static str,
+    expected: &str,
 ) -> Result<T, Error> {
     match flags.get(key) {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| {
-            CliError::BadFlagValue { flag: key.into(), value: v.clone(), expected }.into()
+            CliError::BadFlagValue { flag: key.into(), value: v.clone(), expected: expected.into() }
+                .into()
         }),
     }
 }
@@ -186,7 +187,7 @@ fn get_valid<T: std::str::FromStr>(
     flags: &Flags,
     key: &str,
     default: T,
-    expected: &'static str,
+    expected: &str,
     valid: impl Fn(&T) -> bool,
 ) -> Result<T, Error> {
     let value = get(flags, key, default, expected)?;
@@ -194,7 +195,7 @@ fn get_valid<T: std::str::FromStr>(
         return Ok(value);
     }
     let typed = flags.get(key).cloned().unwrap_or_default();
-    Err(CliError::BadFlagValue { flag: key.into(), value: typed, expected }.into())
+    Err(CliError::BadFlagValue { flag: key.into(), value: typed, expected: expected.into() }.into())
 }
 
 /// Like [`get`] for a count that must be at least 1.
@@ -230,10 +231,15 @@ fn run_scenario(flags: &Flags) -> Result<ScenarioSpec, Error> {
     Ok(spec)
 }
 
+/// Steps the scenario under its spec's recovery policy
+/// ([`ScenarioSpec::supervisor`], the job service's too), so a fault plan
+/// runs the same rollback / re-decomposition ladder as a served job and a
+/// fault that escapes it exits 1 with the supervisor's error.
 fn run(flags: &Flags) -> Result<(), Error> {
     check_flags(flags, &["spec", "steps", "xyz", "metrics-json", "trace", "results"])?;
     let spec = run_scenario(flags)?;
     let mut handle = spec.instantiate().map_err(spec_err)?;
+    let mut sup = spec.supervisor(&handle);
     let steps = spec.steps as usize;
     let mut metrics_out = match flags.get("metrics-json") {
         Some(path) => Some(std::io::BufWriter::new(std::fs::File::create(path)?)),
@@ -247,18 +253,23 @@ fn run(flags: &Flags) -> Result<(), Error> {
         handle.executor_kind(),
         spec.dt,
     );
-    let e0 = handle.total_energy();
+    // Drift is measured from the first reported step: an energy read
+    // before it would run an exchange, which a fault plan could fault,
+    // outside the supervisor.
+    let mut first = None;
     let t0 = std::time::Instant::now();
     let report_every = (steps / 10).max(1);
     for block in 0..steps.div_ceil(report_every) {
         let todo = report_every.min(steps - block * report_every);
-        handle.run(todo);
+        sup.run(&mut handle, todo as u64)?;
         let t = handle.telemetry();
         let store = handle.gather();
+        let e = t.energy.total() + store.kinetic_energy();
+        first.get_or_insert((handle.steps_done(), e));
         println!(
             "step {:>6}  E = {:>12.4}  T = {:>8.4}  tuples/step = {}",
             handle.steps_done(),
-            t.energy.total() + store.kinetic_energy(),
+            e,
             store.temperature(),
             t.tuples.total_accepted(),
         );
@@ -268,8 +279,9 @@ fn run(flags: &Flags) -> Result<(), Error> {
     }
     let wall = t0.elapsed().as_secs_f64();
     let e1 = handle.total_energy();
+    let (step0, e0) = first.expect("a spec runs at least one step");
     println!(
-        "# {:.2} ms/step | NVE drift {:.2e} | candidates/step: {}",
+        "# {:.2} ms/step | NVE drift {:.2e} since step {step0} | candidates/step: {}",
         wall / steps as f64 * 1e3,
         ((e1 - e0) / e0.abs()).abs(),
         handle.telemetry().tuples.total_candidates(),
@@ -707,9 +719,12 @@ fn model(flags: &Flags) -> Result<(), Error> {
         }
     };
     let model = MdCostModel::new(shift_collapse_md::netmodel::SilicaWorkload::silica(), machine);
-    let grain: f64 = get_valid(flags, "grain", 425.0, "a finite number > 0", |g: &f64| {
-        g.is_finite() && *g > 0.0
-    })?;
+    // Below ρ·r_cut2³ atoms a rank sub-box no longer fits the cutoff, the
+    // domain the model's step time is written for.
+    let min = model.min_granularity();
+    let expected = format!("a finite number ≥ {min:.2}, the model's minimum grain");
+    let grain: f64 =
+        get_valid(flags, "grain", 425.0, &expected, |g: &f64| g.is_finite() && *g >= min)?;
     println!("machine: {} | granularity N/P = {grain}", model.machine.name);
     for m in Method::ALL {
         let c = model.step_time(m, grain);

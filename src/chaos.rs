@@ -1,9 +1,11 @@
 //! `scmd chaos` — the seeded fault-storm soak harness.
 //!
-//! Each storm scripts a [`FaultPlan::storm`] (all five fault kinds with a
-//! capped crash budget) against a supervised 8-rank distributed run and
-//! checks the final state against a fault-free reference of the same
-//! case: no atom lost, *exact* accepted-tuple equality (candidate counts
+//! Each storm is its case spec with `steps` and a `fault_plan` set — a
+//! seeded [`sc_parallel::FaultPlan::storm`] (all five fault kinds with a
+//! capped crash budget) — run under the spec's own recovery policy
+//! ([`ScenarioSpec::supervisor`], as `scmd run` and the job service run
+//! it), and the final state is checked against a fault-free run of the
+//! same case: no atom lost, *exact* accepted-tuple equality (candidate counts
 //! are decomposition-dependent by design and deliberately not compared),
 //! and total-energy / total-momentum agreement. A failing storm writes a
 //! reproducer bundle — seed, the full fault script, the fired-fault log,
@@ -11,12 +13,10 @@
 //! replays offline from one directory.
 
 use sc_cell::AtomStore;
-use sc_geom::{IVec3, Vec3};
-use sc_md::supervisor::{Supervisor, SupervisorConfig, SupervisorError};
+use sc_geom::Vec3;
+use sc_obs::chrome_trace;
 use sc_obs::json::Json;
-use sc_obs::{chrome_trace, Tracer};
-use sc_parallel::{DistributedSim, EngineConfig, FaultPlan};
-use sc_spec::{ExecutorSpec, ScenarioSpec};
+use sc_spec::{ExecutorSpec, FaultPlanSpec, RunHandle, ScenarioSpec};
 use std::path::PathBuf;
 
 /// Soak-run parameters (one storm = one seeded fault schedule).
@@ -69,13 +69,12 @@ fn named_case(name: &str) -> Result<ScenarioSpec, String> {
         .ok_or_else(|| format!("unknown chaos case {name:?} (expected lj|silica)"))
 }
 
-/// The rank grid of a chaos case, which must run on a distributed executor
-/// (`bsp` or its `threaded` spelling): a serial run has no ranks to fault.
-fn bsp_grid(spec: &ScenarioSpec) -> Result<IVec3, String> {
+/// The rank count of a chaos case, which must run on a distributed
+/// executor (`bsp` or its `threaded` spelling): a serial run has no ranks
+/// to fault.
+fn ranks(spec: &ScenarioSpec) -> Result<u64, String> {
     match &spec.executor {
-        ExecutorSpec::Bsp { grid } | ExecutorSpec::Threaded { grid } => {
-            Ok(IVec3::new(grid[0] as i32, grid[1] as i32, grid[2] as i32))
-        }
+        ExecutorSpec::Bsp { grid } | ExecutorSpec::Threaded { grid } => Ok(grid.iter().product()),
         other => Err(format!(
             "chaos spec {:?} must use a distributed executor (bsp, threaded), got {}",
             spec.name,
@@ -84,20 +83,22 @@ fn bsp_grid(spec: &ScenarioSpec) -> Result<IVec3, String> {
     }
 }
 
-/// Builds a fresh engine for `spec` with the harness's fault plan and
-/// tracer in its configuration. The storm harness owns the fault schedule
-/// — a fault plan in the spec would fire during the fault-free reference
-/// run too, so it is replaced here.
-fn build_engine(
-    spec: &ScenarioSpec,
-    faults: FaultPlan,
-    tracer: Tracer,
-) -> Result<DistributedSim, String> {
-    let pdims = bsp_grid(spec)?;
-    let (store, bbox) = spec.build_workload();
-    let cfg = EngineConfig { faults, tracer, ..spec.engine_config(None) };
-    DistributedSim::build(store, bbox, pdims, spec.force_field(), spec.dt, cfg)
-        .map_err(|e| format!("{} case must build: {e}", spec.name))
+/// A run of the soak and the spec it runs: the case spec, `config.steps`
+/// long, with the storm's fault plan (`None` for the fault-free reference
+/// — the harness owns the schedule, so a plan in the case spec is replaced
+/// either way) and, for a storm, a trace for its reproducer bundle.
+fn build_run(
+    case: &ScenarioSpec,
+    config: &ChaosConfig,
+    storm: Option<FaultPlanSpec>,
+) -> Result<(ScenarioSpec, RunHandle), String> {
+    let mut spec = case.clone();
+    spec.steps = config.steps;
+    spec.observability.trace |= storm.is_some();
+    spec.fault_plan = storm;
+    spec.validate().map_err(|e| format!("{} case: {e}", case.name))?;
+    let run = spec.instantiate().map_err(|e| format!("{} case must build: {e}", case.name))?;
+    Ok((spec, run))
 }
 
 /// One storm's verdict.
@@ -132,9 +133,9 @@ fn total_momentum(store: &AtomStore) -> Vec3 {
     p
 }
 
-fn reference_for(case: &ScenarioSpec, steps: u64) -> Result<Reference, String> {
-    let mut sim = build_engine(case, FaultPlan::none(), Tracer::disabled())?;
-    sim.run(steps as usize);
+fn reference_for(case: &ScenarioSpec, config: &ChaosConfig) -> Result<Reference, String> {
+    let (_, mut sim) = build_run(case, config, None)?;
+    sim.run(config.steps as usize);
     let t = sim.telemetry();
     let out = sim.gather();
     Ok(Reference {
@@ -142,14 +143,14 @@ fn reference_for(case: &ScenarioSpec, steps: u64) -> Result<Reference, String> {
         pair_accepted: t.tuples.pair.accepted,
         triplet_accepted: t.tuples.triplet.accepted,
         quadruplet_accepted: t.tuples.quadruplet.accepted,
-        energy: t.energy.total() + sim.kinetic_energy(),
+        energy: t.energy.total() + out.kinetic_energy(),
         momentum: total_momentum(&out),
     })
 }
 
 /// Checks the stormed run against the fault-free invariants; the first
 /// violated guardrail is the verdict.
-fn check(sim: &DistributedSim, reference: &Reference) -> Option<String> {
+fn check(sim: &RunHandle, reference: &Reference) -> Option<String> {
     let out = sim.gather();
     if out.len() != reference.atoms {
         return Some(format!("atom count {} != reference {}", out.len(), reference.atoms));
@@ -164,7 +165,7 @@ fn check(sim: &DistributedSim, reference: &Reference) -> Option<String> {
             return Some(format!("{what} accepted {got} != reference {want}"));
         }
     }
-    let energy = t.energy.total() + sim.kinetic_energy();
+    let energy = t.energy.total() + out.kinetic_energy();
     let rel = ((energy - reference.energy) / reference.energy.abs().max(1e-300)).abs();
     if rel > 1e-6 {
         return Some(format!("total energy {energy} drifted {rel:.2e} from {}", reference.energy));
@@ -191,9 +192,10 @@ fn write_bundle(
     seed: u64,
     config: &ChaosConfig,
     script: &Json,
-    sim: &DistributedSim,
+    sim: &RunHandle,
     failure: &str,
 ) -> Result<(), String> {
+    let plan = sim.fault_plan().ok_or("a stormed run has a fault plan")?;
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let write = |name: &str, text: String| -> Result<(), String> {
         std::fs::write(dir.join(name), text).map_err(|e| format!("write {name}: {e}"))
@@ -205,32 +207,17 @@ fn write_bundle(
         ("faults".into(), Json::num(config.faults as f64)),
         ("failure".into(), Json::str(failure)),
         ("fault_script".into(), script.clone()),
-        ("fired".into(), faults_json(sim.fault_plan().events())),
-        ("unfired".into(), faults_json(sim.fault_plan().pending())),
+        ("fired".into(), faults_json(plan.events())),
+        ("unfired".into(), faults_json(plan.pending())),
         (
             "crashed_ranks".into(),
-            Json::Arr(
-                sim.fault_plan().crashed_ranks().iter().map(|&r| Json::num(r as f64)).collect(),
-            ),
+            Json::Arr(plan.crashed_ranks().iter().map(|&r| Json::num(r as f64)).collect()),
         ),
     ]);
     write("repro.json", repro.to_string())?;
     write("telemetry.json", sim.telemetry().to_json_value().to_string())?;
     write("trace.json", chrome_trace(&sim.tracer().events()).to_string())?;
     Ok(())
-}
-
-/// Runs `steps` supervised steps of a stormed engine. The supervisor emits
-/// its recovery markers (checkpoint / rollback / fault) into the engine's
-/// tracer, so a reproducer bundle's trace carries them.
-fn supervise(sim: &mut DistributedSim, steps: u64) -> Result<(), SupervisorError> {
-    Supervisor::new(SupervisorConfig {
-        checkpoint_every: 2,
-        max_rollbacks: 64,
-        tracer: sim.tracer().clone(),
-        ..SupervisorConfig::default()
-    })
-    .run(sim, steps)
 }
 
 /// Runs one storm: a seeded fault schedule under supervision, checked
@@ -242,15 +229,13 @@ fn run_storm(
     config: &ChaosConfig,
     reference: &Reference,
 ) -> Result<StormOutcome, String> {
-    let grid = bsp_grid(case)?;
-    let nranks = (grid.x * grid.y * grid.z) as usize;
     // Small spec-defined grids can't afford the built-in matrix's crash
     // budget of 2 — always leave at least one survivor.
-    let crash_cap = 2.min(nranks.saturating_sub(1));
-    let plan = FaultPlan::storm(seed, config.faults, config.steps, nranks, crash_cap);
-    let script = faults_json(plan.pending());
-    let mut sim = build_engine(case, plan, Tracer::new())?;
-    let failure = match supervise(&mut sim, config.steps) {
+    let max_crashes = 2.min(ranks(case)? - 1);
+    let storm = FaultPlanSpec { seed, count: config.faults as u64, max_crashes };
+    let (spec, mut sim) = build_run(case, config, Some(storm))?;
+    let script = faults_json(sim.fault_plan().ok_or("a stormed run has a fault plan")?.pending());
+    let failure = match spec.supervisor(&sim).run(&mut sim, config.steps) {
         Err(e) => Some(format!("supervision aborted: {e}")),
         Ok(()) => check(&sim, reference),
     };
@@ -278,7 +263,7 @@ pub fn run_soak(config: &ChaosConfig) -> Result<Vec<StormOutcome>, String> {
     cases.extend(config.specs.iter().cloned());
     let mut outcomes = Vec::new();
     for case in &cases {
-        let reference = reference_for(case, config.steps)?;
+        let reference = reference_for(case, config)?;
         for storm in 0..config.storms {
             outcomes.push(run_storm(case, config.seed + storm, config, &reference)?);
         }
@@ -303,8 +288,7 @@ mod tests {
             ("lj", "0xc0bfe4baeeb9847e", "0x1ea45841b39f4e6a"),
             ("silica", "0x409fca6f457306ca", "0x919ee251820f6277"),
         ] {
-            let spec = named_case(name).unwrap();
-            let mut sim = build_engine(&spec, FaultPlan::none(), Tracer::disabled()).unwrap();
+            let mut sim = named_case(name).unwrap().instantiate().unwrap();
             sim.run(4);
             let energy = sim.total_energy();
             let doc = sc_spec::observables_doc(name, sim.steps_done(), &sim.gather(), energy);
@@ -336,10 +320,11 @@ mod tests {
     /// a reproducer bundle's `trace.json` is written from.
     #[test]
     fn storm_tracer_holds_the_supervisor_checkpoints() {
-        // `pinned_lj_storms_pass`'s first storm.
-        let plan = FaultPlan::storm(11, 2, 6, 8, 2);
-        let mut sim = build_engine(&named_case("lj").unwrap(), plan, Tracer::new()).unwrap();
-        supervise(&mut sim, 6).expect("the storm recovers");
+        // `pinned_lj_storms_pass`'s first storm, built as the soak builds it.
+        let config = ChaosConfig { steps: 6, ..ChaosConfig::default() };
+        let storm = FaultPlanSpec { seed: 11, count: 2, max_crashes: 2 };
+        let (spec, mut sim) = build_run(&named_case("lj").unwrap(), &config, Some(storm)).unwrap();
+        spec.supervisor(&sim).run(&mut sim, 6).expect("the storm recovers");
         let events = sim.tracer().events();
         assert!(events.iter().any(|e| e.kind == sc_obs::EventKind::Checkpoint));
     }
@@ -366,7 +351,8 @@ mod tests {
                     "executor": {{"kind": "{kind}", "grid": [2, 2, 2]}},
                     "dt": 0.002,
                     "steps": 6,
-                    "fault_plan": {{"seed": 3, "count": 2, "max_crashes": 1}}
+                    "fault_plan": {{"seed": 3, "count": 2, "max_crashes": 1}},
+                    "checkpoint": {{"every": 2}}
                 }}"#
             ))
             .unwrap()
@@ -414,10 +400,10 @@ mod tests {
     #[test]
     fn reproducer_bundle_round_trips() {
         let dir = std::env::temp_dir().join(format!("sc-chaos-bundle-{}", std::process::id()));
-        let config = ChaosConfig::default();
-        let plan = FaultPlan::storm(3, 2, 6, 8, 1);
-        let script = faults_json(plan.pending());
-        let mut sim = build_engine(&named_case("lj").unwrap(), plan, Tracer::new()).unwrap();
+        let config = ChaosConfig { steps: 6, ..ChaosConfig::default() };
+        let storm = FaultPlanSpec { seed: 3, count: 2, max_crashes: 1 };
+        let (_, mut sim) = build_run(&named_case("lj").unwrap(), &config, Some(storm)).unwrap();
+        let script = faults_json(sim.fault_plan().unwrap().pending());
         // Unsupervised: an escalated fault is fine, the bundle is what is
         // under test here.
         for _ in 0..6 {

@@ -6,7 +6,7 @@
 //! several concurrent jobs of mixed specs, cancellation releasing a lane,
 //! kill -9 + `--resume true` continuing bitwise-exactly, the daemon's
 //! results document matching a standalone `scmd run` of the same spec
-//! byte for byte, hostile specs refused at submit by a typed error
+//! byte for byte (a rank crash included), hostile specs refused at submit by a typed error
 //! while the daemon keeps answering, connections beyond the daemon's cap
 //! refused with one typed line, and zero counts refused on the command
 //! line.
@@ -289,6 +289,51 @@ fn killed_daemon_resumes_bitwise() {
         std::fs::read_to_string(&standalone).unwrap(),
         "resumed results drifted from the uninterrupted run"
     );
+}
+
+/// A rank crash under a served job and under `scmd run` takes the same
+/// recovery ladder: the checked-in fault storm on a 2×2×1 grid with a
+/// crash budget of one ends `done` in the daemon, and the standalone run of
+/// the same document exits 0 with byte-equal results.
+#[test]
+fn crashed_rank_run_standalone_equals_served() {
+    let dir = TestDir::new("crash");
+    let socket = dir.path("scmd.sock");
+    let storm = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios/fault-storm.json"),
+    )
+    .unwrap()
+    .replace(r#""grid": [2, 1, 1]"#, r#""grid": [2, 2, 1]"#)
+    .replace(
+        r#""seed": 7, "count": 3, "max_crashes": 0"#,
+        r#""seed": 2, "count": 4, "max_crashes": 1"#,
+    );
+    assert!(storm.contains(r#""max_crashes": 1"#), "fault-storm.json changed shape");
+    let spec_path = dir.path("crash-storm.json");
+    std::fs::write(&spec_path, &storm).unwrap();
+
+    let _daemon = spawn_daemon(&socket, &dir.path("state"), false);
+    let id = match client::request(&socket, &Request::Submit { spec: Json::parse(&storm).unwrap() })
+        .unwrap()
+    {
+        Response::Submitted { id } => id,
+        other => panic!("unexpected response {}", other.to_json()),
+    };
+    wait_for_state(&socket, &id, "done");
+    let served = match client::request(&socket, &Request::Results { id }).unwrap() {
+        Response::Results { doc, .. } => doc.to_string(),
+        other => panic!("unexpected response {}", other.to_json()),
+    };
+
+    let standalone = dir.path("standalone.json");
+    run_ok(scmd().args([
+        "run",
+        "--spec",
+        spec_path.to_str().unwrap(),
+        "--results",
+        standalone.to_str().unwrap(),
+    ]));
+    assert_eq!(served, std::fs::read_to_string(&standalone).unwrap(), "served ≠ standalone");
 }
 
 /// Specs that would make the daemon allocate without bound or run another

@@ -95,8 +95,9 @@ fn scmd_bench_emits_schema_valid_doc_and_refuses_removed_flags() {
     // Recording is all `scmd bench` does: any other flag is a malformed
     // command line (exit 2) whose error names it. So is a `patterns` tuple
     // order outside 2..=5 (the pattern walks grow as 27ⁿ⁻¹) and a `model`
-    // grain that is not a finite positive number.
-    let refused_lines: [&[&str]; 12] = [
+    // grain that is not a finite number at or above the model's minimum
+    // (ρ·r_cut2³ ≈ 11 atoms, where a rank sub-box still fits the cutoff).
+    let refused_lines: [&[&str]; 14] = [
         &["bench", "--baseline", out],
         &["bench", "--compare", out],
         &["bench", "--with", out],
@@ -109,6 +110,8 @@ fn scmd_bench_emits_schema_valid_doc_and_refuses_removed_flags() {
         &["model", "--grain", "-5"],
         &["model", "--grain", "nan"],
         &["model", "--grain", "inf"],
+        &["model", "--grain", "0.5"],
+        &["model", "--grain", "10"],
     ];
     for args in refused_lines {
         let flag = args[1];
@@ -116,6 +119,13 @@ fn scmd_bench_emits_schema_valid_doc_and_refuses_removed_flags() {
         assert_eq!(refused.status.code(), Some(2), "{args:?} must be refused");
         let stderr = String::from_utf8_lossy(&refused.stderr);
         assert!(stderr.contains(flag), "the error names {flag}: {stderr}");
+        if args[0] == "model" {
+            assert!(stderr.contains("10.98"), "the error names the minimum grain: {stderr}");
+        }
+    }
+    for grain in ["11", "425"] {
+        let ran = run_bench(&["model", "--grain", grain]);
+        assert!(ran.status.success(), "grain {grain} must run: {:?}", ran.status);
     }
 
     std::fs::remove_dir_all(&dir).ok();
