@@ -563,10 +563,15 @@ struct RowRef {
 
 /// The atoms of the `(2·reach + 1)³` cells around the cell being filled,
 /// gathered once per cell into SoA lanes, and the lane kernel's output for
-/// the atom whose row is being written.
+/// the atom whose row is being written. The buffers only grow: the first
+/// `len` entries are the current gather, and the lanes past it hold an
+/// earlier gather's atoms (or zeros), which the lane kernel computes up to
+/// a whole block and the compaction never reads.
 #[derive(Debug, Default)]
 struct Neighbourhood {
     slot: Vec<u32>,
+    /// Atoms gathered for the current cell.
+    len: usize,
     /// Per cell step, in [`bucket_of`] order, where its atoms end in `slot`.
     ends: Vec<u32>,
     at: [Vec<f64>; 3],
@@ -576,25 +581,32 @@ struct Neighbourhood {
 }
 
 impl Neighbourhood {
-    /// Gathers the cells around `cell`, one bucket per cell step.
+    /// Gathers the cells around `cell`, one bucket per cell step, in one
+    /// pass: each cell's atoms are written by index behind the previous
+    /// cell's, growing the buffers only when a gather outgrows them.
     fn gather(&mut self, src: &impl TupleSource, reach: i32, cell: IVec3) {
-        self.slot.clear();
         self.ends.clear();
-        self.at.iter_mut().for_each(Vec::clear);
+        let mut len = 0;
         for step in IVec3::box_iter(IVec3::splat(-reach), IVec3::splat(reach)) {
-            for &j in src.atoms_in(cell + step) {
-                let p = src.pos(j);
-                self.slot.push(j);
-                self.at[0].push(p.x);
-                self.at[1].push(p.y);
-                self.at[2].push(p.z);
+            let atoms = src.atoms_in(cell + step);
+            let end = len + atoms.len();
+            // Whole lane blocks, so the kernel never runs past a buffer.
+            let padded = end.next_multiple_of(LANE_BLOCK);
+            if self.slot.len() < padded {
+                self.slot.resize(padded, 0);
+                self.hits.resize(padded, 0);
+                self.at.iter_mut().chain(&mut self.out).for_each(|lane| lane.resize(padded, 0.0));
             }
-            self.ends.push(self.slot.len() as u32);
+            let [x, y, z] = self.at.each_mut().map(|lane| &mut lane[len..end]);
+            for (k, (&j, s)) in atoms.iter().zip(&mut self.slot[len..end]).enumerate() {
+                let p = src.pos(j);
+                *s = j;
+                (x[k], y[k], z[k]) = (p.x, p.y, p.z);
+            }
+            len = end;
+            self.ends.push(len as u32);
         }
-        // Whole lane blocks; the padding lanes are computed and never read.
-        let padded = self.slot.len().next_multiple_of(LANE_BLOCK);
-        self.at.iter_mut().chain(&mut self.out).for_each(|lane| lane.resize(padded, 0.0));
-        self.hits.resize(padded, 0);
+        self.len = len;
     }
 
     fn capacity(&self) -> usize {
@@ -636,28 +648,34 @@ impl LinkRows {
         let LinkRows { of_atom, epoch, bounds, links, near, .. } = self;
         near.gather(src, reach, cell);
         let rule = DispRule::of(src);
+        // Local slices of the gathered lanes, so the compaction's stores
+        // cannot alias the buffers' lengths and pointers.
+        let Neighbourhood { slot, len, ends, at, out, hits } = near;
+        let (len, padded) = (*len, len.next_multiple_of(LANE_BLOCK));
+        let (slot, hits) = (&slot[..len], &mut hits[..len]);
         for &i in atoms {
             let start = u32::try_from(bounds.len() - 1).expect(OUTGROWN);
-            let (at, out) = (near.at.each_ref(), near.out.each_mut());
-            lane_loop(src.pos(i), rule, at.map(Vec::as_slice), out.map(Vec::as_mut_slice));
-            let [dx, dy, dz, r2] = &near.out;
+            let lanes = out.each_mut().map(|lane| &mut lane[..padded]);
+            lane_loop(src.pos(i), rule, at.each_ref().map(|lane| &lane[..padded]), lanes);
+            let [dx, dy, dz, r2] = out.each_ref().map(|lane| &lane[..len]);
             // Branch-free compaction: every lane writes its index, a hit
             // keeps it. One link in eight is a hit, at no predictable place.
             let first = links.len();
-            let (mut k, mut n) = (0, 0);
-            for &end in &near.ends {
-                while k < end as usize {
-                    near.hits[n] = k as u32;
-                    n += usize::from((r2[k] < rc2) & (near.slot[k] != i));
-                    k += 1;
+            let (mut from, mut n) = (0, 0);
+            for &end in ends.iter() {
+                let end = end as usize;
+                for (k, (&r, &j)) in (from..end).zip(r2[from..end].iter().zip(&slot[from..end])) {
+                    hits[n] = k as u32;
+                    n += usize::from((r < rc2) & (j != i));
                 }
+                from = end;
                 bounds.push(u32::try_from(first + n).expect(OUTGROWN));
             }
-            let hits = near.hits[..n].iter().map(|&k| k as usize);
-            links.extend(hits.map(|k| (near.slot[k], Vec3::new(dx[k], dy[k], dz[k]))));
+            let found = hits[..n].iter().map(|&k| k as usize);
+            links.extend(found.map(|k| (slot[k], Vec3::new(dx[k], dy[k], dz[k]))));
             of_atom[i as usize] = RowRef { stamp: *epoch, start };
         }
-        atoms.len() as u64 * near.slot.len() as u64
+        atoms.len() as u64 * len as u64
     }
 
     /// Forgets every row, then fills the rows of every atom of `cells` at
@@ -1614,6 +1632,41 @@ mod tests {
                 &plain_pairs,
             );
         }
+    }
+
+    #[test]
+    fn grown_rows_fill_a_sparse_neighbourhood_like_fresh_rows() {
+        // One table fills a dense cloud, then the same cloud thinned. In a
+        // 3-cutoff box every gather is the whole cloud, so the lanes past
+        // each sparse gather hold dense atoms of the same box, many within
+        // range of a sparse atom, and none of them may become a link.
+        let rcut = 1.0;
+        let (dense, bbox) = random_gas(200, 3.0, 7);
+        let mut sparse = AtomStore::single_species();
+        for (id, &r) in dense.positions().iter().enumerate().step_by(10) {
+            sparse.push(id as u64, sc_cell::Species::DEFAULT, r, Vec3::ZERO);
+        }
+        let plan = PatternPlan::new(&generate_fs(2), Dedup::Guarded);
+        let bits = |rows: &LinkRows| -> Vec<(u32, [u64; 3])> {
+            rows.links.iter().map(|&(j, d)| (j, [d.x, d.y, d.z].map(f64::to_bits))).collect()
+        };
+        let mut grown = LinkRows::default();
+        for store in [&dense, &sparse] {
+            let mut lat = CellLattice::new(bbox, rcut);
+            lat.rebuild(store);
+            let src = PeriodicSource::new(&lat, store);
+            let mut fresh = LinkRows::default();
+            let stats = grown.build(&src, &plan, rcut, lat.cells());
+            assert_eq!(stats, fresh.build(&src, &plan, rcut, lat.cells()));
+            assert_eq!(grown.bounds, fresh.bounds, "{} atoms: bucket bounds", store.len());
+            assert_eq!(bits(&grown), bits(&fresh), "{} atoms: links", store.len());
+            for i in 0..store.len() as u32 {
+                assert_eq!(grown.row_range(i), fresh.row_range(i), "row of atom {i}");
+            }
+            let in_range = |&(j, d): &(u32, Vec3)| (j as usize) < store.len() && d.norm() < rcut;
+            assert!(grown.links.iter().all(in_range));
+        }
+        assert!(grown.near.len < grown.near.slot.len(), "the sparse gathers left no stale lane");
     }
 
     #[test]

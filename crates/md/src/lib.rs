@@ -38,7 +38,7 @@
 //!   checksummed binary snapshots of the full dynamic state and a
 //!   physics-invariant supervisor that rolls a [`supervisor::Recoverable`]
 //!   simulation back to the last good checkpoint when a step fails or an
-//!   invariant (finiteness, atom conservation, energy drift) breaks.
+//!   invariant (finiteness, atom conservation) breaks.
 
 #![warn(missing_docs)]
 

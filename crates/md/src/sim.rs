@@ -665,9 +665,9 @@ impl crate::supervisor::Recoverable for Simulation {
     }
 
     /// Potential energy comes from the most recent force computation (zero
-    /// until the first step primes forces), so with the energy guardrail
-    /// enabled the simulation should take at least one step — or call
-    /// [`Simulation::total_energy`] — before supervision starts.
+    /// until the first step primes forces), so a driver that measures drift
+    /// from it takes its reference after one step, or calls
+    /// [`Simulation::total_energy`] first.
     fn total_energy_estimate(&self) -> f64 {
         self.last_stats.energy.total() + self.store.kinetic_energy()
     }

@@ -3,9 +3,9 @@
 //!
 //! The supervisor sits between a driver loop and a simulation. After every
 //! step it checks invariants no healthy MD trajectory violates — finite
-//! state, conserved atom count, bounded total-energy drift — and on a
-//! violation *or* an unrecovered communication fault it rolls the engine
-//! back to the last [`Checkpoint`] and replays. Engines stay decoupled:
+//! state and a conserved atom count — and on a violation *or* an
+//! unrecovered communication fault it rolls the engine back to the last
+//! [`Checkpoint`] and replays. Engines stay decoupled:
 //! the serial [`crate::Simulation`] and the distributed engine in
 //! `sc-parallel` both implement [`Recoverable`].
 //!
@@ -66,6 +66,8 @@ pub trait Recoverable {
     fn atom_count(&self) -> usize;
 
     /// Total energy from the most recent force computation (no recompute).
+    /// The supervisor does not read it; drivers do, to measure NVE drift
+    /// over a supervised run.
     fn total_energy_estimate(&self) -> f64;
 
     /// Whether all positions, velocities, and forces are finite.
@@ -95,9 +97,6 @@ pub struct SupervisorConfig {
     /// Consecutive rollbacks (without completing a checkpoint interval)
     /// before giving up.
     pub max_rollbacks: u32,
-    /// Relative total-energy drift allowed between checkpoints (`None`
-    /// disables the energy guardrail — e.g. for thermostatted runs).
-    pub energy_drift_tol: Option<f64>,
     /// Re-decompositions onto a surviving rank set before giving up (each
     /// lost rank spends one).
     pub max_redecompositions: u32,
@@ -118,7 +117,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             checkpoint_every: 10,
             max_rollbacks: 8,
-            energy_drift_tol: None,
             max_redecompositions: 2,
             metrics: Registry::disabled(),
             tracer: Tracer::disabled(),
@@ -188,8 +186,6 @@ pub struct Supervisor {
     tsink: TraceSink,
     stats: RecoveryStats,
     last_good: Option<Checkpoint>,
-    /// Total energy at the last checkpoint, the drift reference.
-    ref_energy: f64,
     /// Atom count captured at the first checkpoint (the conservation
     /// baseline).
     baseline_atoms: Option<usize>,
@@ -207,7 +203,6 @@ impl Supervisor {
             config,
             stats: RecoveryStats::default(),
             last_good: None,
-            ref_energy: 0.0,
             baseline_atoms: None,
             consecutive_rollbacks: 0,
             redecompositions: 0,
@@ -226,7 +221,6 @@ impl Supervisor {
 
     fn save_checkpoint<S: Recoverable>(&mut self, sim: &S) {
         let cp = sim.checkpoint();
-        self.ref_energy = sim.total_energy_estimate();
         self.baseline_atoms.get_or_insert(sim.atom_count());
         self.last_good = Some(cp);
         self.stats.checkpoints_saved += 1;
@@ -244,16 +238,6 @@ impl Supervisor {
             let now = sim.atom_count();
             if now != base {
                 return Some(format!("atom count changed: {base} -> {now}"));
-            }
-        }
-        if let Some(tol) = self.config.energy_drift_tol {
-            let e = sim.total_energy_estimate();
-            let drift = (e - self.ref_energy).abs();
-            if drift > tol * self.ref_energy.abs().max(1.0) {
-                return Some(format!(
-                    "energy drift {drift:.3e} exceeds tolerance (reference {:.6e})",
-                    self.ref_energy
-                ));
             }
         }
         None
@@ -378,7 +362,6 @@ mod tests {
         step: u64,
         dt: f64,
         atoms: usize,
-        energy: f64,
         finite: bool,
         /// Steps whose `try_step` fails once (consumed on trigger).
         comm_fail_at: Vec<u64>,
@@ -403,7 +386,6 @@ mod tests {
                 step: 0,
                 dt: 1.0,
                 atoms: 100,
-                energy: -50.0,
                 finite: true,
                 comm_fail_at: vec![],
                 blowup_at: vec![],
@@ -464,7 +446,7 @@ mod tests {
             self.atoms
         }
         fn total_energy_estimate(&self) -> f64 {
-            self.energy
+            0.0
         }
         fn state_is_finite(&self) -> bool {
             self.finite
@@ -550,23 +532,6 @@ mod tests {
         let err = sup.run(&mut sim, 5).unwrap_err();
         assert!(matches!(err, SupervisorError::RollbacksExhausted { rollbacks: 3, .. }), "{err}");
         assert_eq!(sup.stats().rollbacks, 3);
-    }
-
-    #[test]
-    fn energy_drift_guardrail_fires() {
-        let mut sim = MockSim::new();
-        let mut sup = Supervisor::new(SupervisorConfig {
-            checkpoint_every: 100,
-            energy_drift_tol: Some(0.01),
-            max_rollbacks: 1,
-            ..Default::default()
-        });
-        // Prime the reference, then shift the energy beyond 1%.
-        sup.save_checkpoint(&sim);
-        sim.energy = -40.0;
-        let err = sup.run(&mut sim, 5).unwrap_err();
-        assert!(err.to_string().contains("energy drift"), "{err}");
-        assert_eq!(sup.stats().invariant_violations, 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Tabulated pair potentials: cubic-Hermite interpolation of an arbitrary
 //! pair potential, the standard production trick for expensive functional
-//! forms (the Vashishta 2-body term costs a `powf` and two `exp`s per pair;
-//! a table lookup costs a few flops).
+//! forms (the Vashishta 2-body term costs a division, an integer power and
+//! two `exp`s per pair; a table lookup costs a few flops).
 
 use crate::PairPotential;
 use sc_cell::Species;

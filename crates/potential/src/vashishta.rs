@@ -40,8 +40,9 @@ pub struct VashishtaParams {
     pub xi: f64,
     /// Steric repulsion strengths H (eV·Å^η).
     pub h: [[f64; 2]; 2],
-    /// Steric repulsion exponents η.
-    pub eta: [[f64; 2]; 2],
+    /// Steric repulsion exponents η (integers, so `r^-η` is a product of
+    /// powers of `1/r`).
+    pub eta: [[i32; 2]; 2],
     /// Charge–dipole strengths D (eV·Å⁴).
     pub d: [[f64; 2]; 2],
     /// Van der Waals strengths W (eV·Å⁶).
@@ -78,7 +79,7 @@ impl VashishtaParams {
             lambda: 4.43,
             xi: 2.5,
             h: [[23.0, 160.0], [160.0, 350.0]],
-            eta: [[11.0, 9.0], [9.0, 7.0]],
+            eta: [[11, 9], [9, 7]],
             d: [[0.0, 3.456], [3.456, 1.728]],
             w: [[0.0; 2]; 2],
             b,
@@ -94,39 +95,48 @@ impl VashishtaParams {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VashishtaPair {
     params: VashishtaParams,
+    /// Coulomb prefactors `k·Z_i·Z_j`.
+    qq: [[f64; 2]; 2],
+    /// `1/λ` and `1/ξ`.
+    inv_lambda: f64,
+    inv_xi: f64,
     shift: [[f64; 2]; 2],
 }
 
 impl VashishtaPair {
-    /// Builds the pair term, precomputing the energy shifts at the cutoff.
+    /// Builds the pair term, precomputing the Coulomb prefactors, the
+    /// inverse screening lengths and the energy shifts at the cutoff.
     pub fn new(params: VashishtaParams) -> Self {
-        let mut pair = VashishtaPair { params, shift: [[0.0; 2]; 2] };
+        let z = params.z;
+        let qq = [0, 1].map(|i| [0, 1].map(|j| params.coulomb_k * z[i] * z[j]));
+        let (inv_lambda, inv_xi) = (1.0 / params.lambda, 1.0 / params.xi);
+        let mut pair = VashishtaPair { params, qq, inv_lambda, inv_xi, shift: [[0.0; 2]; 2] };
         for i in 0..2 {
             for j in 0..2 {
-                pair.shift[i][j] = pair.raw_energy(i, j, pair.params.rcut2);
+                pair.shift[i][j] = pair.raw(i, j, pair.params.rcut2).0;
             }
         }
         pair
     }
 
-    fn raw_energy(&self, i: usize, j: usize, r: f64) -> f64 {
+    /// Unshifted `(u, du/dr)` in one pass: one division for `1/r`, integer
+    /// powers of it and the two screening exponentials, each term's
+    /// derivative written as the term times a factor in `1/r`.
+    #[inline]
+    fn raw(&self, i: usize, j: usize, r: f64) -> (f64, f64) {
         let p = &self.params;
-        let qq = p.coulomb_k * p.z[i] * p.z[j];
-        p.h[i][j] / r.powf(p.eta[i][j]) + qq * (-r / p.lambda).exp() / r
-            - p.d[i][j] * (-r / p.xi).exp() / r.powi(4)
-            - p.w[i][j] / r.powi(6)
-    }
-
-    fn raw_derivative(&self, i: usize, j: usize, r: f64) -> f64 {
-        let p = &self.params;
-        let qq = p.coulomb_k * p.z[i] * p.z[j];
-        let eta = p.eta[i][j];
-        let e_l = (-r / p.lambda).exp();
-        let e_x = (-r / p.xi).exp();
-        -eta * p.h[i][j] / r.powf(eta + 1.0)
-            + qq * e_l * (-1.0 / (p.lambda * r) - 1.0 / (r * r))
-            + p.d[i][j] * e_x * (1.0 / (p.xi * r.powi(4)) + 4.0 / r.powi(5))
-            + 6.0 * p.w[i][j] / r.powi(7)
+        let inv = 1.0 / r;
+        let inv2 = inv * inv;
+        let inv4 = inv2 * inv2;
+        let steric = p.h[i][j] * inv.powi(p.eta[i][j]);
+        let coulomb = self.qq[i][j] * (-r * self.inv_lambda).exp() * inv;
+        let dipole = p.d[i][j] * (-r * self.inv_xi).exp() * inv4;
+        let vdw = p.w[i][j] * inv4 * inv2;
+        let u = steric + coulomb - dipole - vdw;
+        let du = -f64::from(p.eta[i][j]) * steric * inv - coulomb * (self.inv_lambda + inv)
+            + dipole * (self.inv_xi + 4.0 * inv)
+            + 6.0 * vdw * inv;
+        (u, du)
     }
 }
 
@@ -138,7 +148,8 @@ impl PairPotential for VashishtaPair {
     fn eval(&self, si: Species, sj: Species, r: f64) -> (f64, f64) {
         let (i, j) = (si.index(), sj.index());
         debug_assert!(i < 2 && j < 2, "Vashishta is a two-species potential");
-        (self.raw_energy(i, j, r) - self.shift[i][j], self.raw_derivative(i, j, r))
+        let (u, du) = self.raw(i, j, r);
+        (u - self.shift[i][j], du)
     }
 }
 
@@ -293,6 +304,53 @@ mod tests {
         assert!(found, "Si-O pair never binds — parameters are broken");
         // While O–O is repulsive at short range.
         assert!(v.pair.eval(O, O, 1.5).0 > 0.0);
+    }
+
+    /// The textbook form of the unshifted pair term, `powf` and four `exp`s:
+    /// the reference the one-pass evaluation is held to. Returns the four
+    /// terms of u and of du/dr apart, so a test can scale its tolerance by
+    /// the terms a sum cancels.
+    fn textbook(p: &VashishtaParams, i: usize, j: usize, r: f64) -> ([f64; 4], [f64; 4]) {
+        let qq = p.coulomb_k * p.z[i] * p.z[j];
+        let eta = f64::from(p.eta[i][j]);
+        let u = [
+            p.h[i][j] / r.powf(eta),
+            qq * (-r / p.lambda).exp() / r,
+            -p.d[i][j] * (-r / p.xi).exp() / r.powi(4),
+            -p.w[i][j] / r.powi(6),
+        ];
+        let du = [
+            -eta * p.h[i][j] / r.powf(eta + 1.0),
+            qq * (-r / p.lambda).exp() * (-1.0 / (p.lambda * r) - 1.0 / (r * r)),
+            p.d[i][j] * (-r / p.xi).exp() * (1.0 / (p.xi * r.powi(4)) + 4.0 / r.powi(5)),
+            6.0 * p.w[i][j] / r.powi(7),
+        ];
+        (u, du)
+    }
+
+    #[test]
+    fn one_pass_pair_matches_the_textbook_formula() {
+        let v = Vashishta::silica();
+        let p = v.params();
+        // Relative to the magnitudes summed: u and du/dr each cross zero
+        // where repulsion and attraction cancel, and there no formula is
+        // closer to the exact sum than the terms' own rounding.
+        let check = |what: &str, a: Species, b: Species, r: f64, got: f64, terms: [f64; 4]| {
+            let want: f64 = terms.iter().sum();
+            let rel = (got - want).abs() / terms.iter().map(|t| t.abs()).sum::<f64>();
+            assert!(rel <= 1e-13, "{a:?}-{b:?} {what} at r={r}: {got} vs {want} ({rel:.1e})");
+        };
+        let n = 20_000;
+        for (a, b) in [(SI, SI), (SI, O), (O, SI), (O, O)] {
+            let (i, j) = (a.index(), b.index());
+            for k in 0..=n {
+                let r = 0.8 + (p.rcut2 - 0.8) * k as f64 / n as f64;
+                let (u, du) = v.pair.raw(i, j, r);
+                let (u_ref, du_ref) = textbook(p, i, j, r);
+                check("u", a, b, r, u, u_ref);
+                check("du/dr", a, b, r, du, du_ref);
+            }
+        }
     }
 
     #[test]
