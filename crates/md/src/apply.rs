@@ -6,8 +6,8 @@
 //! the potential and accumulates the result, once per tuple order, into a
 //! [`ForceAccumulator`]. A [`Term`] joins the two: [`Term::sweep`] runs a
 //! cell search and [`Term::walk`] a list walk, each applying every tuple it
-//! finds. The serial [`Simulation`](crate::Simulation) and the distributed
-//! ranks of `sc-parallel` both drive their force computation through these.
+//! finds. The ranks of `sc-parallel`'s one engine drive their force
+//! computation through these.
 
 use crate::engine::{self, ChainSweep, PatternPlan, TupleSource, VisitStats};
 use crate::methods::{Method, NeighborList};

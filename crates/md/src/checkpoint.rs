@@ -5,8 +5,8 @@
 //! step counter, timestep, box, mass table, and per-atom id / species /
 //! position / velocity / force **in store order**. Scalars are encoded as
 //! exact IEEE-754 bit patterns (`f64::to_bits`, little-endian), so a
-//! save/load round trip is bitwise lossless and a restored serial
-//! simulation continues bitwise-identically to an uninterrupted run. The
+//! save/load round trip is bitwise lossless and a run restored onto the grid
+//! that wrote the snapshot continues bitwise-identically to an uninterrupted run. The
 //! encoding ends in an FNV-1a checksum so a torn or corrupted file is
 //! rejected on load instead of silently resuming from garbage.
 
@@ -33,7 +33,8 @@ const OLDEST_READABLE_VERSION: u32 = 2;
 /// want to insist on a producer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotLayout {
-    /// Written by the serial engine (store order = summation order).
+    /// Written from a plain store ([`Checkpoint::from_store`]), with no
+    /// grid recorded.
     Serial,
     /// Written by a distributed executor running this rank grid (atoms in
     /// rank-major slot order, so a restore onto this grid keeps every

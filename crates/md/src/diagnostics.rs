@@ -180,7 +180,6 @@ pub fn pair_virial_pressure(
 mod tests {
     use super::*;
     use crate::workload::{build_fcc_lattice, random_gas, LatticeSpec};
-    use crate::{Method, Simulation};
     use sc_cell::Species;
     use sc_potential::LennardJones;
 
@@ -327,11 +326,5 @@ mod tests {
         let lj = LennardJones::reduced(2.5);
         let p = pair_virial_pressure(&store, &bbox, &lj);
         assert!(p > 1.0, "compressed crystal pressure {p}");
-        let mut sim = Simulation::builder(store, bbox)
-            .pair_potential(Box::new(lj))
-            .method(Method::ShiftCollapse)
-            .build()
-            .unwrap();
-        sim.compute_forces();
     }
 }

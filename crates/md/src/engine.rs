@@ -21,10 +21,11 @@
 //! distributed runtime: for a pair owned by two different ranks, exactly one
 //! rank's directed generation passes the guard.
 //!
-//! Enumeration is generic over [`TupleSource`] — the serial engine runs it
-//! on a periodic [`CellLattice`] (minimum-image displacements), the
-//! distributed runtime on a rank-local ghost lattice (plain differences,
-//! since ghosts are image-shifted into the local frame).
+//! Enumeration is generic over [`TupleSource`] — the engine's ranks run it
+//! on a rank-local ghost lattice (plain differences, since ghosts are
+//! image-shifted into the local frame); [`visit_pairs`] and
+//! [`visit_triplets`] run it on a periodic [`CellLattice`] (minimum-image
+//! displacements) as an oracle-side search for tests and probes.
 //!
 //! There are two visitors. [`visit_pairs_in_cell_src`] carries a batched
 //! lane leaf (DESIGN.md §5d); [`ChainSweep`] serves every n ≥ 3 by walking
@@ -179,6 +180,12 @@ impl PatternPlan {
     /// Whether the plan has no paths.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The longest cell step between consecutive chain positions, per axis:
+    /// how many cells away from its own an atom's links can lie.
+    pub fn reach(&self) -> i32 {
+        self.reach
     }
 }
 
@@ -713,17 +720,6 @@ impl LinkRows {
         }
         let (start, buckets) = (row.start as usize, (2 * self.reach as usize + 1).pow(3));
         self.bounds[start] as usize..self.bounds[start + buckets] as usize
-    }
-
-    /// Recomputes every link's displacement as `disp(i, j)`, for rows kept
-    /// while their atoms moved.
-    pub(crate) fn refresh(&mut self, disp: impl Fn(u32, u32) -> Vec3) {
-        for i in 0..self.of_atom.len() as u32 {
-            let row = self.row_range(i);
-            for (j, d) in &mut self.links[row] {
-                *d = disp(i, *j);
-            }
-        }
     }
 
     /// Total number of links in the filled rows.

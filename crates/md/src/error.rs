@@ -1,4 +1,4 @@
-//! Typed configuration errors for the simulation builder, and the unified
+//! Typed input errors a run is refused with before it is built, and the unified
 //! top-level [`Error`] every binary can funnel a whole run through.
 
 use crate::checkpoint::CheckpointError;
@@ -6,7 +6,9 @@ use crate::io::XyzError;
 use crate::supervisor::SupervisorError;
 use std::fmt;
 
-/// Why a [`crate::SimulationBuilder`] refused to build.
+/// Why a run's inputs were refused before any decomposition was tried
+/// (`sc-parallel`'s `DistributedSim::build` returns these inside its
+/// `SetupError::Build`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum BuildError {
     /// No potential term was supplied.
@@ -24,25 +26,16 @@ pub enum BuildError {
         /// The pair cutoff it exceeds.
         rcut2: f64,
     },
-    /// The periodic box cannot host the cell lattice a term needs (fewer
-    /// than 3 cutoffs per axis, a cutoff beyond half the shortest edge, or
-    /// reach-k offsets would alias through the wrap).
-    BoxTooSmall {
-        /// The tuple order whose lattice failed.
-        n: usize,
-        /// The term's cutoff.
-        rcut: f64,
-        /// The configured cell subdivision.
-        subdivision: i32,
-    },
     /// A scalar configuration field carries an invalid value. `field` names
-    /// the offending [`crate::RuntimeConfig`] / builder knob (`"timestep"`,
-    /// `"verlet_skin"`, …) so callers can report exactly what to fix.
+    /// the offending input (`"timestep"`, `"thermostat.target"`, …) so
+    /// callers can report exactly what to fix.
     Config {
         /// The offending configuration field.
         field: &'static str,
         /// The rejected value.
         value: f64,
+        /// The rule the value broke, e.g. `"must be positive and finite"`.
+        rule: &'static str,
     },
     /// An initial position or velocity is NaN or infinite.
     NonFiniteAtom {
@@ -65,12 +58,8 @@ impl fmt::Display for BuildError {
             BuildError::CutoffOrder { n, rcut_n, rcut2 } => {
                 write!(f, "Hybrid-MD needs rcut{n} ({rcut_n}) ≤ rcut2 ({rcut2})")
             }
-            BuildError::BoxTooSmall { n, rcut, subdivision } => write!(
-                f,
-                "box too small for the n={n} lattice with cutoff {rcut} (subdivision {subdivision})"
-            ),
-            BuildError::Config { field, value } => {
-                write!(f, "invalid {field} {value}: must be positive and finite")
+            BuildError::Config { field, value, rule } => {
+                write!(f, "invalid {field} {value}: {rule}")
             }
             BuildError::NonFiniteAtom { index, what } => {
                 write!(f, "atom {index} has a non-finite {what}")
@@ -261,9 +250,6 @@ mod tests {
         assert!(BuildError::CutoffOrder { n: 3, rcut_n: 2.0, rcut2: 1.0 }
             .to_string()
             .contains("rcut3"));
-        assert!(BuildError::BoxTooSmall { n: 2, rcut: 2.5, subdivision: 1 }
-            .to_string()
-            .contains("too small"));
         assert!(BuildError::NonFiniteAtom { index: 4, what: "velocity" }
             .to_string()
             .contains("atom 4"));
@@ -271,11 +257,17 @@ mod tests {
 
     #[test]
     fn config_errors_carry_the_field_name() {
-        let e = BuildError::Config { field: "timestep", value: -0.5 };
+        let e = BuildError::Config {
+            field: "timestep",
+            value: -0.5,
+            rule: "must be positive and finite",
+        };
         assert!(e.to_string().contains("timestep"));
         assert!(e.to_string().contains("positive"));
-        let e = BuildError::Config { field: "verlet_skin", value: f64::NAN };
-        assert!(e.to_string().contains("verlet_skin"));
+        let rule = "must be in (0, 1]";
+        let e = BuildError::Config { field: "thermostat.dt_over_tau", value: 1.5, rule };
+        assert!(e.to_string().contains("thermostat.dt_over_tau"));
+        assert!(e.to_string().contains("(0, 1]"), "{e}");
     }
 
     #[test]

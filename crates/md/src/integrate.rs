@@ -48,14 +48,19 @@ pub fn velocity_verlet_step(
 /// Berendsen weak-coupling velocity rescale toward `t_target` with coupling
 /// ratio `dt / tau` (0 = no coupling, 1 = instantaneous rescale).
 pub fn berendsen_rescale(store: &mut AtomStore, t_target: f64, dt_over_tau: f64) {
-    let t = store.temperature();
-    if t <= 0.0 {
-        return;
-    }
-    let lambda = (1.0 + dt_over_tau * (t_target / t - 1.0)).max(0.0).sqrt();
+    let lambda = berendsen_factor(store.temperature(), t_target, dt_over_tau);
     for v in store.velocities_mut() {
         *v *= lambda;
     }
+}
+
+/// The Berendsen velocity scale factor `λ = √(1 + (dt/τ)·(T₀/T − 1))` that
+/// moves temperature `t` toward `t_target`; 1 for a system at rest.
+pub fn berendsen_factor(t: f64, t_target: f64, dt_over_tau: f64) -> f64 {
+    if t <= 0.0 {
+        return 1.0;
+    }
+    (1.0 + dt_over_tau * (t_target / t - 1.0)).max(0.0).sqrt()
 }
 
 #[cfg(test)]

@@ -26,9 +26,9 @@
 //!   walkers are the Hybrid-MD search.
 //! * [`apply`] — from a found tuple to energy, virial and forces, once per
 //!   tuple order; [`ForceField`] and its [`Term`]s join search and apply.
-//! * [`Simulation`] — the user-facing facade: velocity-Verlet NVE (plus an
-//!   optional Berendsen thermostat), per-step force computation, energy and
-//!   tuple-count accounting.
+//! * [`integrate`](velocity_verlet_step) — velocity Verlet and the Berendsen
+//!   factor; the one engine that steps every run, serial included, is
+//!   `sc-parallel`'s `DistributedSim` (a serial run is its 1×1×1 grid).
 //! * [`mod@reference`] — O(Nⁿ) brute-force tuple enumeration and forces, the
 //!   ground truth the test suite compares every method against.
 //! * workload builders ([`build_fcc_lattice`], [`build_silica_like`],
@@ -37,7 +37,7 @@
 //! * [`checkpoint`] / [`supervisor`] — fault-tolerant runtime support:
 //!   checksummed binary snapshots of the full dynamic state and a
 //!   physics-invariant supervisor that rolls a [`supervisor::Recoverable`]
-//!   simulation back to the last good checkpoint when a step fails or an
+//!   engine back to the last good checkpoint when a step fails or an
 //!   invariant (finiteness, atom conservation) breaks.
 
 #![warn(missing_docs)]
@@ -54,7 +54,6 @@ pub mod supervisor;
 
 mod error;
 mod integrate;
-mod sim;
 mod stats;
 mod telemetry;
 mod workload;
@@ -64,11 +63,10 @@ pub use checkpoint::{Checkpoint, CheckpointError, SnapshotLayout};
 pub use diagnostics::{pair_virial_pressure, MeanSquaredDisplacement, RadialDistribution};
 pub use engine::{Dedup, PatternPlan};
 pub use error::{BuildError, CliError, Error};
-pub use integrate::{berendsen_rescale, velocity_verlet_step};
+pub use integrate::{berendsen_factor, berendsen_rescale, velocity_verlet_step};
 pub use io::{read_xyz, write_xyz, XyzError};
 pub use methods::Method;
 pub use par::{ForceAccumulator, ThreadPool};
-pub use sim::{RuntimeConfig, Simulation, SimulationBuilder};
 pub use stats::{EnergyBreakdown, TupleCounts};
 pub use supervisor::{
     Recoverable, RecoveryStats, StepFault, Supervisor, SupervisorConfig, SupervisorError,

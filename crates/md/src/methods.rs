@@ -58,8 +58,8 @@ impl Method {
 /// [`engine::LinkRows`] filled eagerly at the pair cutoff — an atom's
 /// neighbours are its whole link row, so the list owns no search of its own.
 /// Hybrid-MD prunes every term's tuples from it with the `visit_*` walkers —
-/// the one Hybrid search, shared by the serial engine and the distributed
-/// ranks.
+/// the one Hybrid search, run by every rank and, over a periodic lattice,
+/// by [`NeighborList::build`].
 ///
 /// The walkers visit the leading rows named at build time. A rank's list
 /// covers owned atoms and ghosts but walks only the owned rows: a triplet is
@@ -104,13 +104,6 @@ impl NeighborList {
         self.rows.build(src, plan, rcut, cells)
     }
 
-    /// Recomputes every entry's displacement as `disp(i, j)` — the per-step
-    /// refresh of a list reused across steps (Verlet skin), whose build-time
-    /// displacements have gone stale.
-    pub fn refresh(&mut self, disp: impl Fn(u32, u32) -> Vec3) {
-        self.rows.refresh(disp);
-    }
-
     /// Neighbours of atom `i`: `(j, d_ij)` with `d_ij = r_j − r_i`.
     #[inline]
     pub fn neighbors(&self, i: u32) -> &[(u32, Vec3)] {
@@ -122,16 +115,9 @@ impl NeighborList {
         self.rows.link_count()
     }
 
-    /// Whether the buffers have grown since the last call — the Hybrid-MD
-    /// list's share of
-    /// [`Simulation::scratch_allocation_events`](crate::Simulation::scratch_allocation_events).
-    pub(crate) fn settle(&mut self) -> bool {
-        self.rows.settle()
-    }
-
     /// Visits every pair shorter than `rcut` once: of a pair's two directed
     /// entries, the one `(i, j)` in a walked row `i` with `owns_bond(i, j)`.
-    /// The serial engine passes `j > i`; a rank passes the global-id rule
+    /// A periodic list passes `j > i`; a rank passes the global-id rule
     /// that also names one owner for a pair straddling two ranks. The
     /// callback receives `(i, j, d_ij, r)`.
     pub fn visit_pairs(
@@ -429,8 +415,8 @@ mod tests {
     #[test]
     fn pair_walk_visits_each_list_pair_once_and_refresh_tracks_motion() {
         let rcut = 1.2;
-        let (lat, mut store) = setup(100, 4.0, rcut);
-        let (mut nl, stats) = NeighborList::build(&lat, &store, &Method::Hybrid.plan_for(2), rcut);
+        let (lat, store) = setup(100, 4.0, rcut);
+        let (nl, stats) = NeighborList::build(&lat, &store, &Method::Hybrid.plan_for(2), rcut);
         let mut pairs = HashSet::new();
         let walked = nl.visit_pairs(
             rcut,
@@ -458,18 +444,6 @@ mod tests {
             },
         );
         assert_eq!(short, crate::reference::all_pairs(&store, lat.bbox(), 0.8).len());
-        // Move an atom: the stored displacements go stale until refreshed.
-        let moved = nl.neighbors(0)[0].0;
-        store.positions_mut()[0] += Vec3::new(0.01, -0.02, 0.03);
-        let pos = store.positions();
-        let current = |i: u32, j: u32| lat.bbox().min_image(pos[i as usize], pos[j as usize]);
-        assert_ne!(nl.neighbors(0)[0].1, current(0, moved));
-        nl.refresh(current);
-        for i in 0..store.len() as u32 {
-            for &(j, d) in nl.neighbors(i) {
-                assert_eq!(d, current(i, j));
-            }
-        }
     }
 
     #[test]

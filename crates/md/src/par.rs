@@ -1,9 +1,9 @@
 //! Shared-memory parallel substrate: a persistent worker pool plus the force
 //! accumulator every work unit owns.
 //!
-//! One ownership rule holds for both engines: a work unit — a serial pool
-//! lane or a distributed rank — owns exactly one [`ForceAccumulator`] for its
-//! whole lifetime, sized on first use and reduced after each sweep, the way
+//! One ownership rule: a work unit — a rank, or one lane of a rank whose
+//! cells are split over the pool — owns exactly one [`ForceAccumulator`] for
+//! its whole lifetime, sized on first use and reduced after each sweep, the way
 //! each node of a multi-cell MD code keeps its own force array.
 //!
 //! * [`ThreadPool`] — a small persistent pool. [`ThreadPool::for_each_mut`]
@@ -243,8 +243,6 @@ pub struct ForceAccumulator {
     pub energy: f64,
     /// Accumulated virial for this use.
     pub virial: f64,
-    /// Total seconds this lane spent in its task (enumeration + evaluation).
-    pub lane_s: f64,
     /// Tuple-search statistics for this use.
     pub stats: VisitStats,
     /// The chain visitor's link-row buffers, kept with the accumulator the
@@ -267,7 +265,6 @@ impl ForceAccumulator {
         self.dirty.clear();
         self.energy = 0.0;
         self.virial = 0.0;
-        self.lane_s = 0.0;
         self.stats = VisitStats::default();
         if self.forces.len() < n {
             self.forces.resize(n, Vec3::ZERO);

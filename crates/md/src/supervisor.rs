@@ -6,8 +6,8 @@
 //! state and a conserved atom count — and on a violation *or* an
 //! unrecovered communication fault it rolls the engine back to the last
 //! [`Checkpoint`] and replays. Engines stay decoupled:
-//! the serial [`crate::Simulation`] and the distributed engine in
-//! `sc-parallel` both implement [`Recoverable`].
+//! the one engine in `sc-parallel` implements [`Recoverable`], and so does
+//! the spec layer's run handle around it.
 //!
 //! The escalation ladder, mildest rung first:
 //!

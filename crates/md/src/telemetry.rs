@@ -5,9 +5,8 @@
 //! `CommStats`, `StepPhases`) into a single snapshot carrying physics
 //! (energy, virial, tuple counts), the per-phase time breakdown mapped to
 //! the paper's cost terms, communication and health counters, and
-//! allocation accounting. The serial [`Simulation`](crate::Simulation)
-//! leaves the communication and health fields empty; the distributed engine
-//! fills them per rank and in aggregate.
+//! allocation accounting. The engine fills the communication and health
+//! fields per rank and in aggregate (a serial run is one rank).
 //!
 //! The engines measure and keep no registry. [`MetricsFeed`] turns each
 //! step's snapshot into registry series, the same series for every
@@ -32,33 +31,27 @@ pub struct Telemetry {
     /// Scalar virial from the most recent force computation.
     pub virial: f64,
     /// Phase breakdown since the most recent step began: its force
-    /// computations, integrate halves and (distributed) exchanges, plus any
-    /// force computation run after it; the snapshot
-    /// [`Simulation::compute_forces`](crate::Simulation::compute_forces)
-    /// returns covers that computation alone. In the distributed engine the
-    /// reverse ghost-force return is booked under
+    /// computations, integrate halves and exchanges, plus any force
+    /// computation run after it. The reverse ghost-force return is booked under
     /// [`sc_obs::Phase::Reduce`] (with the lane/scratch merge), never under
     /// `Exchange`, on the engine's wall clock (registry, executor trace
     /// row).
     pub phases: PhaseBreakdown,
     /// Phase breakdown accumulated since construction.
     pub total_phases: PhaseBreakdown,
-    /// Aggregate communication counters (all ranks merged). Empty for the
-    /// shared-memory engine.
+    /// Aggregate communication counters (all ranks merged).
     pub comm: CommCounters,
-    /// Per-rank communication counters, indexed by rank. Empty for the
-    /// shared-memory engine.
+    /// Per-rank communication counters, indexed by rank.
     pub per_rank: Vec<CommCounters>,
-    /// The health watchdog's cumulative transition counts. Zero for the
-    /// shared-memory engine. Exported as series, not on the JSON line.
+    /// The health watchdog's cumulative transition counts. Exported as
+    /// series, not on the JSON line.
     pub health: HealthCounters,
     /// Allocation events observed in the hot path: force-scratch growth
     /// plus, once a run reports it, the run's metric registrations. Flat
     /// across steady-state steps.
     pub alloc_events: u64,
     /// Whether the runtime is in degraded mode: it lost at least one rank
-    /// and re-decomposed onto the survivors. Always `false` for the
-    /// shared-memory engine.
+    /// and re-decomposed onto the survivors.
     pub degraded: bool,
 }
 

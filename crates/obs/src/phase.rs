@@ -84,8 +84,7 @@ impl Phase {
 }
 
 /// Seconds spent in each [`Phase`] — the single timing value type shared by
-/// the serial engine (per-computation CPU profile), the distributed
-/// executors (per-step wall profile and per-rank profiles), and the metrics
+/// the engine (per-step wall profile and per-rank profiles) and the metrics
 /// registry snapshot.
 ///
 /// Replaces the former `StepPhases` (sc-md) and `PhaseTimings`

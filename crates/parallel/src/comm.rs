@@ -1,7 +1,7 @@
 //! Communication plans and accounting.
 //!
-//! The accounting types live in `sc-obs` so the serial engine, the
-//! distributed engine, and the benchmark bins share one vocabulary:
+//! The accounting types live in `sc-obs` so the engine, the exporters and
+//! the benchmark share one vocabulary:
 //! [`sc_obs::CommCounters`] (re-exported here) for the empirical
 //! counterpart of Eq. 31 (`T_comm = c_bw·V_import + c_lat·n_msg`) and
 //! [`sc_obs::PhaseBreakdown`] for the Eq. 30 wall-clock decomposition.

@@ -7,6 +7,10 @@ use std::fmt;
 /// Why a distributed simulation could not be set up.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SetupError {
+    /// The inputs themselves are unusable on any grid: no potential term,
+    /// Hybrid-MD without a pair term or with a cutoff above it, a bad
+    /// timestep or thermostat, or a non-finite atom.
+    Build(sc_md::BuildError),
     /// The halo is deeper than one rank sub-box — forwarded routing only
     /// delivers nearest-neighbour data, so the decomposition is too fine.
     HaloTooDeep {
@@ -69,6 +73,7 @@ pub enum SetupError {
 impl fmt::Display for SetupError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SetupError::Build(e) => e.fmt(f),
             SetupError::HaloTooDeep { halo, sub_box, axis } => write!(
                 f,
                 "halo width {halo} exceeds rank sub-box {sub_box} along axis {axis}; \
@@ -101,6 +106,12 @@ impl fmt::Display for SetupError {
 }
 
 impl std::error::Error for SetupError {}
+
+impl From<sc_md::BuildError> for SetupError {
+    fn from(e: sc_md::BuildError) -> Self {
+        SetupError::Build(e)
+    }
+}
 
 /// A fault detected while the distributed runtime was stepping: a validated
 /// exchange failed and bounded retries did not recover it, or received data

@@ -10,13 +10,12 @@ use sc_geom::{CellRegion, IVec3, Vec3};
 use sc_md::apply::hybrid_forces;
 use sc_md::engine::{PatternPlan, TupleSource};
 use sc_md::methods::NeighborList;
-use sc_md::{EnergyBreakdown, ForceAccumulator, Method, TupleCounts};
+use sc_md::{EnergyBreakdown, ForceAccumulator, Method, ThreadPool, TupleCounts};
 use sc_obs::{Phase, PhaseBreakdown};
 use std::ops::Range;
 use std::time::Instant;
 
-/// Default Morton re-sort cadence (steps between owned-atom re-sorts), the
-/// serial engine's default too.
+/// Default Morton re-sort cadence (steps between owned-atom re-sorts).
 pub const DEFAULT_RESORT_EVERY: u64 = 8;
 
 /// The shared, immutable force-field configuration every rank evaluates.
@@ -26,9 +25,10 @@ pub use sc_md::ForceField;
 /// one list, once per rank step, after every ghost has arrived.
 ///
 /// SC-MD and FS-MD hold one per term and sweep the owned cells. Hybrid-MD
-/// holds the pair term's alone, feeding its Verlet list over the whole
-/// extended region, so ghost-ghost pairs near the boundary are in the list
-/// too (chain ends of n ≥ 3 tuples need them).
+/// holds the pair term's alone and fills the Verlet rows of the owned
+/// cells, which are the rows it walks; with a quadruplet term it also fills
+/// the ghost cells an owned row can link to, because a centre bond ending
+/// on a ghost reads that ghost's row.
 struct TermLattice {
     n: usize,
     plan: PatternPlan,
@@ -81,6 +81,15 @@ impl TupleSource for LocalSource<'_> {
     }
 }
 
+/// One force-evaluation lane of a rank: its accumulator and what its span
+/// of the base cells contributed to each term.
+#[derive(Default)]
+struct Lane {
+    acc: ForceAccumulator,
+    energy: EnergyBreakdown,
+    tuples: TupleCounts,
+}
+
 /// The full state of one rank: owned atoms (slots `0..owned`), ghosts
 /// appended behind them, per-term search lattices, and communication
 /// accounting.
@@ -98,14 +107,18 @@ pub struct RankState {
     /// retraces.
     band_slots: Vec<Vec<u32>>,
     terms: Vec<TermLattice>,
-    /// Persistent force scratch, reused (and grown, never shrunk) across
-    /// steps so the steady state allocates no per-step force buffer.
-    scratch: ForceAccumulator,
+    /// Persistent force scratch, one per lane the rank's cells were last
+    /// split over, reused (and grown, never shrunk) across steps so the
+    /// steady state allocates no per-step force buffer.
+    lanes: Vec<Lane>,
     /// Hybrid-MD's Verlet list, rebuilt in place every step.
     list: NeighborList,
     /// The most recent force computation's energies, tuple counts and
     /// step-phase breakdown (binning / enumeration / scratch reduction).
     pub(crate) computed: (EnergyBreakdown, TupleCounts, PhaseBreakdown),
+    /// The most recent force computation's scalar virial
+    /// `Σ_tuples Σ_k f_k · (r_k − r_ref)`.
+    pub(crate) virial: f64,
     /// Communication statistics, cumulative since this rank state was
     /// built.
     pub stats: CommCounters,
@@ -159,10 +172,16 @@ impl RankState {
                 }
             };
             let lat = GhostLattice::new(origin, sub, ext, lo, hi);
-            let base =
-                if hybrid { lat.extended_region() } else { CellRegion::new(IVec3::ZERO, ext) };
+            let plan = ff.method.plan_for_reach(n, k);
+            let mut base = CellRegion::new(IVec3::ZERO, ext);
+            if hybrid && ff.quadruplet.is_some() {
+                // The rows an owned row links to: one plan reach of ghost
+                // cells around the owned ones.
+                let shell = base.grown(plan.reach(), plan.reach());
+                base = shell.intersect(&lat.extended_region()).unwrap_or(base);
+            }
             let cells = base.iter().collect();
-            terms.push(TermLattice { n, plan: ff.method.plan_for_reach(n, k), lat, cells });
+            terms.push(TermLattice { n, plan, lat, cells });
         }
         RankState {
             rank,
@@ -172,9 +191,10 @@ impl RankState {
             ghost_spans: Vec::new(),
             band_slots: Vec::new(),
             terms,
-            scratch: ForceAccumulator::default(),
+            lanes: vec![Lane::default()],
             list: NeighborList::default(),
             computed: Default::default(),
+            virial: 0.0,
             stats: CommCounters::default(),
         }
     }
@@ -186,7 +206,7 @@ impl RankState {
 
     /// Growths of this rank's force scratch since it was built.
     pub(crate) fn scratch_allocation_events(&self) -> u64 {
-        self.scratch.allocation_events()
+        self.lanes.iter().map(|lane| lane.acc.allocation_events()).sum()
     }
 
     /// The atom store (owned atoms first, then ghosts).
@@ -238,6 +258,11 @@ impl RankState {
             let perm = term.lat.morton_permutation(&self.store, self.owned);
             self.store.apply_permutation(&perm);
         }
+    }
+
+    /// Multiplies every owned velocity by `scale` (a thermostat's rescale).
+    pub(crate) fn scale_velocities(&mut self, scale: f64) {
+        self.store.velocities_mut()[..self.owned].iter_mut().for_each(|v| *v *= scale);
     }
 
     /// Kinetic energy of owned atoms.
@@ -424,25 +449,38 @@ impl RankState {
     /// owned *and ghost* slots; the reverse reduction ships the ghost parts
     /// home.
     ///
-    /// Keeps the energies, tuple counts and step-phase breakdown on the
-    /// rank and folds the breakdown into [`CommCounters::phases`].
-    pub fn compute_forces(&mut self, ff: &ForceField) {
-        let mut energy = EnergyBreakdown::default();
-        let mut tuples = TupleCounts::default();
+    /// With a `pool`, the cell sweeps split each term's base cells into one
+    /// contiguous span per lane, each lane with its own accumulator, and the
+    /// lanes merge in span order — so the bits depend on the lane count.
+    /// Hybrid-MD walks its list on one lane either way.
+    ///
+    /// Keeps the energies, tuple counts, virial and step-phase breakdown on
+    /// the rank and folds the breakdown into [`CommCounters::phases`].
+    pub fn compute_forces(&mut self, ff: &ForceField, pool: Option<&ThreadPool>) {
         let mut phases = PhaseBreakdown::default();
         self.store.zero_forces();
-        let RankState { terms, store, owned, list, scratch: acc, .. } = self;
-        acc.begin(store.len());
+        let RankState { terms, store, owned, list, lanes, .. } = self;
         for term in terms.iter_mut() {
             let t_bin = Instant::now();
             term.lat.rebuild(store, *owned);
             phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
         }
-        if ff.method == Method::Hybrid {
+        let hybrid = ff.method == Method::Hybrid;
+        let split = pool.filter(|p| p.lanes() > 1 && !hybrid);
+        let used = split.map_or(1, ThreadPool::lanes);
+        if lanes.len() < used {
+            lanes.resize_with(used, Lane::default);
+        }
+        let used = &mut lanes[..used];
+        let slots = store.len();
+        if hybrid {
+            let Lane { acc, energy, tuples } = &mut used[0];
+            acc.begin(slots);
+            (*energy, *tuples) = Default::default();
             let pair = &terms[0];
             let t_bin = Instant::now();
             let src = LocalSource::new(&pair.lat, store);
-            let rcut = ff.pair.as_ref().expect("hybrid has a pair term").cutoff();
+            let rcut = ff.pair.as_ref().expect("a built Hybrid run has a pair term").cutoff();
             let cells = pair.cells.iter().copied();
             let pair_stats = list.build_from_cells(&src, cells, *owned, &pair.plan, rcut);
             phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
@@ -458,27 +496,50 @@ impl RankState {
                 let (gid_i, gid_j) = (ids[i as usize], ids[j as usize]);
                 gid_j > gid_i || (gid_j == gid_i && j >= owned)
             };
-            let species = store.species();
-            hybrid_forces(ff, list, owns_bond, species, acc, &mut energy, &mut tuples);
+            hybrid_forces(ff, list, owns_bond, store.species(), acc, energy, tuples);
             phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
         } else {
             let t_enum = Instant::now();
-            for term in terms.iter() {
-                let src = LocalSource::new(&term.lat, store);
-                let potential = ff.term(term.n).expect("a lattice per active term");
-                let cells = term.cells.iter().copied();
-                potential.sweep(&src, &term.plan, cells, store.species(), acc);
-                *energy.term_mut(term.n) += std::mem::take(&mut acc.energy);
-                tuples.term_mut(term.n).merge(std::mem::take(&mut acc.stats));
+            let spans = used.len();
+            let store = &*store;
+            let sweep = |t: usize, lane: &mut Lane| {
+                lane.acc.begin(slots);
+                (lane.energy, lane.tuples) = Default::default();
+                for term in terms.iter() {
+                    let src = LocalSource::new(&term.lat, store);
+                    let potential = ff.term(term.n).expect("a lattice per active term");
+                    let nc = term.cells.len();
+                    let span = &term.cells[t * nc / spans..(t + 1) * nc / spans];
+                    let acc = &mut lane.acc;
+                    potential.sweep(&src, &term.plan, span.iter().copied(), store.species(), acc);
+                    *lane.energy.term_mut(term.n) += std::mem::take(&mut acc.energy);
+                    lane.tuples.term_mut(term.n).merge(std::mem::take(&mut acc.stats));
+                }
+            };
+            match split {
+                Some(pool) => pool.for_each_mut(used, sweep),
+                None => sweep(0, &mut used[0]),
             }
             phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
         }
         let t_reduce = Instant::now();
-        acc.merge_into(store.forces_mut());
+        let (mut energy, mut tuples) = (EnergyBreakdown::default(), TupleCounts::default());
+        let mut virial = 0.0;
+        for Lane { acc, energy: e, tuples: c } in used.iter_mut() {
+            acc.merge_into(store.forces_mut());
+            energy.pair += e.pair;
+            energy.triplet += e.triplet;
+            energy.quadruplet += e.quadruplet;
+            tuples.pair.merge(c.pair);
+            tuples.triplet.merge(c.triplet);
+            tuples.quadruplet.merge(c.quadruplet);
+            virial += acc.virial;
+        }
         phases.add(Phase::Reduce, t_reduce.elapsed().as_secs_f64());
         self.stats.phases.accumulate(&phases);
         self.stats.tuples_accepted = tuples.total_accepted();
         self.computed = (energy, tuples, phases);
+        self.virial = virial;
     }
 
     /// Gathers this rank's owned atoms (positions wrapped into the global

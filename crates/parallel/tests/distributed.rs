@@ -150,8 +150,8 @@ fn bsp_phase_breakdown_is_recorded() {
     }
 }
 
-/// `Telemetry::phases` is the most recent step, as its doc says and as the
-/// serial engine reports it, while `total_phases` accumulates.
+/// `Telemetry::phases` is the most recent step, as its doc says, while
+/// `total_phases` accumulates.
 #[test]
 fn telemetry_phases_report_the_last_step() {
     use sc_obs::Phase;

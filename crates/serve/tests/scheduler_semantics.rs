@@ -198,8 +198,8 @@ fn cancel_releases_the_lane_for_queued_work() {
 
 /// A job parked mid-run by a shutdown and resumed by a fresh scheduler
 /// writes the results of an uninterrupted run, byte for byte, on the
-/// serial engine and on a rank grid (whose checkpoint keeps every rank's
-/// slot order).
+/// serial executor (one rank) and on a rank grid (a checkpoint keeps every
+/// rank's slot order).
 #[test]
 fn restart_resume_matches_an_uninterrupted_run_bitwise() {
     let extra = r#", "checkpoint": {"every": 4}"#;

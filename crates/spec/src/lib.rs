@@ -18,15 +18,15 @@
 //! file/str ── parse ──► Json ── decode+validate ──► ScenarioSpec
 //!                                                      │ engine_config() + instantiate()
 //!                                                      ▼
-//!                       RunHandle (Simulation | DistributedSim)
-//!                                  serial       bsp, threaded
+//!                       RunHandle (DistributedSim)
+//!                         serial = 1×1×1 grid, bsp, threaded
 //! ```
 
 pub mod build;
 pub mod error;
 pub mod model;
 
-pub use build::{observables_doc, Executor, RunHandle, OBSERVABLES_SCHEMA_ID};
+pub use build::{observables_doc, RunHandle, OBSERVABLES_SCHEMA_ID};
 pub use error::SpecError;
 pub use model::{
     method_name, CheckpointSpec, CommSpec, ExecutorSpec, FaultPlanSpec, ObservabilitySpec,

@@ -40,14 +40,11 @@ pub struct ScenarioSpec {
     pub steps: u64,
     /// Cell subdivision `k` (paper §6), 1–3.
     pub subdivision: i32,
-    /// Hybrid-MD Verlet skin (0 = rebuild every step; serial executor
-    /// only).
-    pub verlet_skin: f64,
     /// Morton re-sort cadence (0 = never).
     pub resort_every: u64,
     /// The `comm` block: the rebalance cadence (distributed executors).
     pub comm: CommSpec,
-    /// Optional Berendsen thermostat (serial executor only).
+    /// Optional Berendsen thermostat.
     pub thermostat: Option<ThermostatSpec>,
     /// Optional scripted fault storm (distributed executors only).
     pub fault_plan: Option<FaultPlanSpec>,
@@ -128,9 +125,9 @@ pub enum PotentialSpec {
 /// Which engine runs the scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecutorSpec {
-    /// The in-process serial/thread-pool engine ([`sc_md::Simulation`]).
+    /// One rank (a 1×1×1 grid) whose cell sweeps split over a pool.
     Serial {
-        /// Force-evaluation lanes (0 = auto).
+        /// Force-evaluation lanes (0 = the host's parallelism).
         threads: u64,
     },
     /// The distributed engine over a `grid` of ranks.
@@ -382,7 +379,6 @@ impl ScenarioSpec {
             "dt",
             "steps",
             "subdivision",
-            "verlet_skin",
             "resort_every",
             "comm",
             "thermostat",
@@ -407,7 +403,6 @@ impl ScenarioSpec {
             dt: root.f64("dt")?,
             steps: root.u64("steps")?,
             subdivision: root.u64_or("subdivision", 1)? as i32,
-            verlet_skin: root.f64_or("verlet_skin", 0.0)?,
             resort_every: root.u64_or("resort_every", 8)?,
             comm: match root.get("comm") {
                 None => CommSpec::default(),
@@ -447,9 +442,6 @@ impl ScenarioSpec {
         }
         if !(1..=3).contains(&self.subdivision) {
             return Err(bad("subdivision", format!("{} is outside 1..=3", self.subdivision)));
-        }
-        if !(self.verlet_skin >= 0.0 && self.verlet_skin.is_finite()) {
-            return Err(bad("verlet_skin", "must be finite and ≥ 0"));
         }
         match &self.system {
             SystemSpec::Lj { cells, a, temp, .. } | SystemSpec::Silica { cells, a, temp, .. } => {
@@ -527,9 +519,7 @@ impl ScenarioSpec {
             }
         }
         // The refusal rule: a key the chosen executor cannot honour is an
-        // error naming the key, never a silently different run. (A rank
-        // builds its Hybrid list at the bare cutoff, so a skin there would
-        // run another baseline than the one asked for.)
+        // error naming the key, never a silently different run.
         let serial = matches!(self.executor, ExecutorSpec::Serial { .. });
         let only = |field: &str, set: bool, honoured: bool, who: &str| {
             if set && !honoured {
@@ -538,8 +528,6 @@ impl ScenarioSpec {
             Ok(())
         };
         let distributed = "a distributed executor (bsp, threaded)";
-        only("verlet_skin", self.verlet_skin != 0.0, serial, "the serial executor")?;
-        only("thermostat", self.thermostat.is_some(), serial, "the serial executor")?;
         only("comm.rebalance_every", self.comm.rebalance_every != 0, !serial, distributed)?;
         only("fault_plan", self.fault_plan.is_some(), !serial, distributed)?;
         if let Some(t) = &self.thermostat {
@@ -592,7 +580,6 @@ impl ScenarioSpec {
             ("dt".to_string(), Json::num(self.dt)),
             ("steps".to_string(), Json::num(self.steps as f64)),
             ("subdivision".to_string(), Json::num(self.subdivision as f64)),
-            ("verlet_skin".to_string(), Json::num(self.verlet_skin)),
             ("resort_every".to_string(), Json::num(self.resort_every as f64)),
             (
                 "comm".to_string(),
@@ -880,7 +867,6 @@ mod tests {
         assert_eq!(spec.method, Method::ShiftCollapse);
         assert_eq!(spec.subdivision, 1);
         assert_eq!(spec.resort_every, 8);
-        assert_eq!(spec.verlet_skin, 0.0);
         assert!(spec.thermostat.is_none() && spec.fault_plan.is_none());
         assert!(!spec.observability.metrics);
         match spec.system {
@@ -941,13 +927,13 @@ mod tests {
             Err(SpecError::BadValue { field, .. }) => assert_eq!(field, "potential.kind"),
             other => panic!("expected BadValue, got {other:?}"),
         }
-        // Thermostat on a distributed executor.
+        // A thermostat coupling beyond instantaneous, on any executor.
         let doc = lj_spec_json().replace(
             r#""executor": {"kind": "serial"}"#,
-            r#""executor": {"kind": "bsp", "grid": [2, 1, 1]}, "thermostat": {"target": 1.0, "dt_over_tau": 0.1}"#,
+            r#""executor": {"kind": "bsp", "grid": [2, 1, 1]}, "thermostat": {"target": 1.0, "dt_over_tau": 2.0}"#,
         );
         match ScenarioSpec::from_json_str(&doc) {
-            Err(SpecError::BadValue { field, .. }) => assert_eq!(field, "thermostat"),
+            Err(SpecError::BadValue { field, .. }) => assert_eq!(field, "thermostat.dt_over_tau"),
             other => panic!("expected BadValue, got {other:?}"),
         }
     }

@@ -1,6 +1,6 @@
 //! The run owns the metrics: a `RunHandle` feeds each step's telemetry into
 //! its registry, keeps the series monotone across rollbacks and
-//! re-decompositions, and reports the serial engine's whole step.
+//! re-decompositions, and reports a serial run's whole step.
 
 use sc_md::supervisor::{Supervisor, SupervisorConfig};
 use sc_obs::Phase;

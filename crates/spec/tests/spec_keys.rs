@@ -66,14 +66,12 @@ fn every_spec_key_reaches_the_engine_or_is_refused() {
     let table: [(&str, [Expect; 3]); 11] = [
         // Smaller cells prune the candidate space on every engine.
         (r#""subdivision": 2"#, [Effect(candidates_moved); 3]),
-        // Without the Morton re-sort the slot layout differs: the serial
-        // store keeps input order, a rank sums its forces in another order.
+        // Without the Morton re-sort a rank sums its forces in another
+        // order.
         (r#""resort_every": 0"#, [Effect(state_moved); 3]),
-        // A skinned list is built over wider cells and reused across steps.
-        (
-            r#""verlet_skin": 0.5"#,
-            [Effect(candidates_moved), Refused("verlet_skin"), Refused("verlet_skin")],
-        ),
+        // A Verlet list kept across steps would need ranks whose ghosts
+        // keep their slots between steps: not a key, on any executor.
+        (r#""verlet_skin": 0.5"#, [Unknown("verlet_skin"); 3]),
         // The exchange schedule has no knobs: the keys that once selected a
         // packing mode or an import schedule are unknown everywhere.
         (r#""comm": {"overlap": false}"#, [Unknown("comm.overlap"); 3]),
@@ -87,10 +85,7 @@ fn every_spec_key_reaches_the_engine_or_is_refused() {
             r#""fault_plan": {"seed": 7, "count": 3, "max_crashes": 0}"#,
             [Refused("fault_plan"), Effect(faults_detected), Effect(faults_detected)],
         ),
-        (
-            r#""thermostat": {"target": 0.2, "dt_over_tau": 0.5}"#,
-            [Effect(state_moved), Refused("thermostat"), Refused("thermostat")],
-        ),
+        (r#""thermostat": {"target": 0.2, "dt_over_tau": 0.5}"#, [Effect(state_moved); 3]),
         (
             r#""observability": {"metrics": true}"#,
             [Effect(|b, r| !b.metrics().enabled() && r.metrics().enabled()); 3],

@@ -22,14 +22,16 @@ fn main() {
     let mut results = vec![];
     for method in Method::ALL {
         let (store, bbox) = build_fcc_lattice(&LatticeSpec::cubic(5, 1.2), 0.05, 13);
-        let mut sim = Simulation::builder(store, bbox)
-            .pair_potential(Box::new(LennardJones::reduced(1.2)))
-            .quadruplet_potential(Box::new(torsion))
-            .method(method)
-            .timestep(0.001)
-            .build()
-            .expect("valid simulation");
-        let stats = sim.compute_forces();
+        let ff = ForceField {
+            pair: Some(Box::new(LennardJones::reduced(1.2))),
+            triplet: None,
+            quadruplet: Some(Box::new(torsion)),
+            method,
+        };
+        let mut sim =
+            DistributedSim::new(store, bbox, IVec3::splat(1), ff, 0.001).expect("valid simulation");
+        sim.total_energy();
+        let stats = sim.telemetry();
         println!(
             "{:<10} E4 = {:>9.4} | quad chains found: {:>7} (searched {:>9} candidates)",
             method.name(),

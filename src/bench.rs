@@ -1,8 +1,8 @@
 //! The bench matrix behind `scmd bench` and the tier-1 counter/energy gate.
 //!
-//! Runs a pinned, deterministic workload matrix — the serial engine and the
-//! distributed engine (under both its `bsp` and `threaded` spellings), each
-//! over the method set — once per row and writes one bench document whose
+//! Runs a pinned, deterministic workload matrix — the one engine on a
+//! 1×1×1 grid (the `serial` spelling) and on larger `bsp` grids, each over
+//! the method set — once per row and writes one bench document whose
 //! layout is pinned by `schema/bench.schema.json`. `scmd bench` only
 //! records; the gate is this module's
 //! `matrix_matches_the_checked_in_baseline` test, which `cargo test -q`
@@ -40,9 +40,10 @@ pub struct BenchCase {
     pub tuples_accepted: u64,
     /// Final potential energy (deterministic given the pinned seeds).
     pub energy_total: f64,
-    /// Messages sent over the whole run (0 for the serial engine).
+    /// Messages sent over the whole run (a serial run's one rank sends to
+    /// itself).
     pub comm_messages: u64,
-    /// Bytes sent over the whole run (0 for the serial engine).
+    /// Bytes sent over the whole run.
     pub comm_bytes: u64,
     /// Messages per integration step (`comm_messages / steps`): one frame
     /// per neighbor per exchange phase. The gate compares it exactly, so a
@@ -87,7 +88,7 @@ fn git_sha() -> String {
 /// file's `name` field matches `BENCH_baseline.json` case-for-case —
 /// editing a spec file changes what `scmd bench` measures, and the
 /// tier-1 gate catches any counter drift that causes.
-const MATRIX_SPECS: [&str; 15] = [
+const MATRIX_SPECS: [&str; 12] = [
     include_str!("../scenarios/bench/serial-sc-md-lj.json"),
     include_str!("../scenarios/bench/serial-fs-md-lj.json"),
     include_str!("../scenarios/bench/serial-hybrid-md-lj.json"),
@@ -96,11 +97,8 @@ const MATRIX_SPECS: [&str; 15] = [
     include_str!("../scenarios/bench/serial-hybrid-md-silica.json"),
     include_str!("../scenarios/bench/bsp-sc-md-lj.json"),
     include_str!("../scenarios/bench/bsp-fs-md-lj.json"),
-    include_str!("../scenarios/bench/threaded-sc-md-lj.json"),
     include_str!("../scenarios/bench/bsp-sc-md-silica.json"),
-    include_str!("../scenarios/bench/threaded-sc-md-silica.json"),
     include_str!("../scenarios/bench/bsp-hybrid-md-silica.json"),
-    include_str!("../scenarios/bench/threaded-hybrid-md-silica.json"),
     include_str!("../scenarios/bench/bsp-hybrid-md-silica-k2.json"),
     include_str!("../scenarios/bench/bsp-sc-md-clustered.json"),
 ];
@@ -113,8 +111,7 @@ pub fn matrix_specs() -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// Runs one scenario as a bench case. Every executor spelling — serial,
-/// threaded, BSP — goes through the same [`sc_spec::RunHandle`]
+/// Runs one scenario as a bench case. Every executor spelling goes through the same [`sc_spec::RunHandle`]
 /// instantiation the job service uses, so the bench doubles as a no-drift
 /// check on the spec layer.
 pub fn run_spec_case(spec: &ScenarioSpec) -> Result<BenchCase, String> {
@@ -133,8 +130,6 @@ pub fn run_spec_case(spec: &ScenarioSpec) -> Result<BenchCase, String> {
         tuples_candidates: t.tuples.total_candidates(),
         tuples_accepted: t.tuples.total_accepted(),
         energy_total: t.energy.total(),
-        // The serial engine's telemetry reports zeroed comm counters,
-        // matching the baseline's serial cases.
         comm_messages: t.comm.messages,
         comm_bytes: t.comm.bytes,
         messages_per_step: t.comm.messages as f64 / steps as f64,
@@ -353,11 +348,8 @@ mod tests {
                 "serial-Hybrid-MD-silica",
                 "bsp-SC-MD-lj",
                 "bsp-FS-MD-lj",
-                "threaded-SC-MD-lj",
                 "bsp-SC-MD-silica",
-                "threaded-SC-MD-silica",
                 "bsp-Hybrid-MD-silica",
-                "threaded-Hybrid-MD-silica",
                 "bsp-Hybrid-MD-silica-k2",
                 "bsp-SC-MD-clustered",
             ]

@@ -250,7 +250,7 @@ fn run(flags: &Flags) -> Result<(), Error> {
         spec.name,
         handle.gather().len(),
         spec.method.name(),
-        handle.executor_kind(),
+        spec.executor.kind(),
         spec.dt,
     );
     // Drift is measured from the first reported step: an energy read

@@ -70,8 +70,8 @@ fn named_case(name: &str) -> Result<ScenarioSpec, String> {
 }
 
 /// The rank count of a chaos case, which must run on a distributed
-/// executor (`bsp` or its `threaded` spelling): a serial run has no ranks
-/// to fault.
+/// executor (`bsp` or its `threaded` spelling): a serial run is one rank,
+/// with nothing to fault but itself.
 fn ranks(spec: &ScenarioSpec) -> Result<u64, String> {
     match &spec.executor {
         ExecutorSpec::Bsp { grid } | ExecutorSpec::Threaded { grid } => Ok(grid.iter().product()),
@@ -195,7 +195,7 @@ fn write_bundle(
     sim: &RunHandle,
     failure: &str,
 ) -> Result<(), String> {
-    let plan = sim.fault_plan().ok_or("a stormed run has a fault plan")?;
+    let plan = sim.fault_plan();
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let write = |name: &str, text: String| -> Result<(), String> {
         std::fs::write(dir.join(name), text).map_err(|e| format!("write {name}: {e}"))
@@ -234,7 +234,7 @@ fn run_storm(
     let max_crashes = 2.min(ranks(case)? - 1);
     let storm = FaultPlanSpec { seed, count: config.faults as u64, max_crashes };
     let (spec, mut sim) = build_run(case, config, Some(storm))?;
-    let script = faults_json(sim.fault_plan().ok_or("a stormed run has a fault plan")?.pending());
+    let script = faults_json(sim.fault_plan().pending());
     let failure = match spec.supervisor(&sim).run(&mut sim, config.steps) {
         Err(e) => Some(format!("supervision aborted: {e}")),
         Ok(()) => check(&sim, reference),
@@ -404,7 +404,7 @@ mod tests {
         let config = ChaosConfig { steps: 6, ..ChaosConfig::default() };
         let storm = FaultPlanSpec { seed: 3, count: 2, max_crashes: 1 };
         let (_, mut sim) = build_run(&named_case("lj").unwrap(), &config, Some(storm)).unwrap();
-        let script = faults_json(sim.fault_plan().unwrap().pending());
+        let script = faults_json(sim.fault_plan().pending());
         // Unsupervised: an escalated fault is fine, the bundle is what is
         // under test here.
         for _ in 0..6 {

@@ -17,10 +17,11 @@
 //! * [`cell`] — the linked-cell data structure and atom storage.
 //! * [`potential`] — Lennard-Jones, Vashishta-form silica, Stillinger-Weber,
 //!   and a 4-body torsion potential.
-//! * [`md`] — the UCP enumeration engine and the SC-MD / FS-MD / Hybrid-MD
-//!   simulation drivers.
-//! * [`parallel`] — the thread-based distributed-memory runtime
-//!   (halo exchange, forwarded routing, force reduction, migration).
+//! * [`md`] — the UCP enumeration engine, the SC-MD / FS-MD / Hybrid-MD
+//!   searches and the force evaluation they feed.
+//! * [`parallel`] — the one engine, `DistributedSim`: rank grids, halo
+//!   exchange, forwarded routing, force reduction, migration; a serial run
+//!   is its 1×1×1 grid.
 //! * [`obs`] — the observability layer: lock-free metrics registry, phase
 //!   taxonomy, and the human / JSON / Prometheus exporters behind the
 //!   unified `Telemetry` snapshot.
@@ -40,13 +41,14 @@
 //! // A small Lennard-Jones liquid, integrated with the SC pattern.
 //! let spec = LatticeSpec::cubic(6, 1.5599); // 6³ FCC cells, 864 atoms
 //! let (store, bbox) = build_fcc_lattice(&spec, 0.05, 42);
-//! let lj = LennardJones::reduced(2.5);
-//! let mut sim = Simulation::builder(store, bbox)
-//!     .pair_potential(Box::new(lj))
-//!     .method(Method::ShiftCollapse)
-//!     .timestep(0.002)
-//!     .build()
-//!     .unwrap();
+//! let ff = ForceField {
+//!     pair: Some(Box::new(LennardJones::reduced(2.5))),
+//!     triplet: None,
+//!     quadruplet: None,
+//!     method: Method::ShiftCollapse,
+//! };
+//! // A serial run is the one engine on a 1×1×1 rank grid.
+//! let mut sim = DistributedSim::new(store, bbox, IVec3::splat(1), ff, 0.002).unwrap();
 //! let e0 = sim.total_energy();
 //! sim.run(10);
 //! let e1 = sim.total_energy();
@@ -76,12 +78,11 @@ pub mod prelude {
     };
     pub use sc_geom::{CellRegion, IVec3, SimulationBox, Vec3};
     pub use sc_md::{
-        build_fcc_lattice, build_silica_like, pair_virial_pressure, LatticeSpec,
-        MeanSquaredDisplacement, Method, RadialDistribution, RuntimeConfig, Simulation,
-        SimulationBuilder, Telemetry,
+        build_fcc_lattice, build_silica_like, pair_virial_pressure, ForceField, LatticeSpec,
+        MeanSquaredDisplacement, Method, RadialDistribution, Telemetry,
     };
     pub use sc_netmodel::{MachineProfile, MdCostModel, MethodCosts};
     pub use sc_obs::{Phase, PhaseBreakdown, Registry};
-    pub use sc_parallel::{DistributedSim, RankGrid};
+    pub use sc_parallel::{DistributedSim, EngineConfig, RankGrid};
     pub use sc_potential::{LennardJones, StillingerWeber, TabulatedPair, TorsionToy, Vashishta};
 }

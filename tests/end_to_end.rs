@@ -1,24 +1,30 @@
 //! Cross-crate end-to-end tests: the full pipeline from pattern algebra
-//! through serial MD to the distributed runtime, exercised through the
-//! umbrella crate's public API exactly as a downstream user would.
+//! through serial MD (the one engine on a 1×1×1 grid) to larger rank
+//! grids, exercised through the umbrella crate's public API exactly as a
+//! downstream user would.
 
 use shift_collapse_md::geom::IVec3;
 use shift_collapse_md::md::Method;
-use shift_collapse_md::parallel::rank::ForceField;
+use shift_collapse_md::potential::{PairPotential, QuadrupletPotential, TripletPotential};
 use shift_collapse_md::prelude::*;
+
+/// The silica force field with `pair` as its two-body term.
+fn silica_ff(pair: Box<dyn PairPotential>, method: Method) -> ForceField {
+    let triplet: Box<dyn TripletPotential> = Box::new(Vashishta::silica().triplet);
+    ForceField { pair: Some(pair), triplet: Some(triplet), quadruplet: None, method }
+}
+
+/// A serial run: one rank.
+fn serial((store, bbox): (AtomStore, SimulationBox), ff: ForceField, dt: f64) -> DistributedSim {
+    DistributedSim::new(store, bbox, IVec3::splat(1), ff, dt).unwrap()
+}
 
 #[test]
 fn silica_pipeline_end_to_end() {
     // The paper's benchmark app: pair + triplet silica, 20 NVE steps.
     let v = Vashishta::silica();
-    let (store, bbox) = build_silica_like(3, 7.16, v.params().masses, 0.01, 99);
-    let mut sim = Simulation::builder(store, bbox)
-        .pair_potential(Box::new(v.pair.clone()))
-        .triplet_potential(Box::new(v.triplet.clone()))
-        .method(Method::ShiftCollapse)
-        .timestep(0.0005)
-        .build()
-        .unwrap();
+    let system = build_silica_like(3, 7.16, v.params().masses, 0.01, 99);
+    let mut sim = serial(system, silica_ff(Box::new(v.pair), Method::ShiftCollapse), 0.0005);
     let e0 = sim.total_energy();
     sim.run(20);
     let e1 = sim.total_energy();
@@ -27,34 +33,21 @@ fn silica_pipeline_end_to_end() {
     let t = sim.telemetry().tuples;
     assert!(t.pair.accepted > 0 && t.triplet.accepted > 0);
     // Momentum conservation through many-body forces.
-    assert!(sim.store().net_force().norm() < 1e-7);
+    assert!(sim.gather().net_force().norm() < 1e-7);
 }
 
 #[test]
 fn serial_and_distributed_silica_agree_through_time() {
     let v = Vashishta::silica();
     let (store, bbox) = build_silica_like(4, 7.16, v.params().masses, 0.01, 5);
-    let mut serial = Simulation::builder(store.clone(), bbox)
-        .pair_potential(Box::new(v.pair.clone()))
-        .triplet_potential(Box::new(v.triplet.clone()))
-        .method(Method::ShiftCollapse)
-        .timestep(0.0005)
-        .build()
-        .unwrap();
-    let ff = ForceField {
-        pair: Some(Box::new(v.pair.clone())),
-        triplet: Some(Box::new(v.triplet.clone())),
-        quadruplet: None,
-        method: Method::ShiftCollapse,
-    };
-    let mut dist = DistributedSim::new(store, bbox, IVec3::new(2, 2, 1), ff, 0.0005).unwrap();
+    let ff = || silica_ff(Box::new(v.pair.clone()), Method::ShiftCollapse);
+    let mut serial = serial((store.clone(), bbox), ff(), 0.0005);
+    let mut dist = DistributedSim::new(store, bbox, IVec3::new(2, 2, 1), ff(), 0.0005).unwrap();
     serial.run(5);
     dist.run(5);
     let gathered = dist.gather();
-    // The serial engine re-sorts atoms into Morton order as it runs; compare
-    // through the id → slot indirection rather than assuming slot == id.
-    let mut snapshot = serial.store().clone();
-    snapshot.sort_by_id();
+    // Both gathers are in id order, however each grid re-sorted its ranks.
+    let snapshot = serial.gather();
     let sp = snapshot.positions();
     for (i, (&id, &r)) in gathered.ids().iter().zip(gathered.positions()).enumerate() {
         assert_eq!(id, i as u64);
@@ -70,15 +63,17 @@ fn every_method_finds_the_same_physics_with_all_terms() {
     let torsion = TorsionToy::new(0.02, 1.0, 0.3);
     let mut energies = vec![];
     for method in Method::ALL {
-        let (store, bbox) = build_fcc_lattice(&LatticeSpec::cubic(6, 1.2), 0.05, 21);
-        let mut sim = Simulation::builder(store, bbox)
-            .pair_potential(Box::new(LennardJones::reduced(1.2)))
-            .triplet_potential(Box::new(ScaledSw::new(0.9)))
-            .quadruplet_potential(Box::new(torsion))
-            .method(method)
-            .build()
-            .unwrap();
-        let st = sim.compute_forces();
+        let system = build_fcc_lattice(&LatticeSpec::cubic(6, 1.2), 0.05, 21);
+        let quadruplet: Box<dyn QuadrupletPotential> = Box::new(torsion);
+        let ff = ForceField {
+            pair: Some(Box::new(LennardJones::reduced(1.2))),
+            triplet: Some(Box::new(ScaledSw::new(0.9))),
+            quadruplet: Some(quadruplet),
+            method,
+        };
+        let mut sim = serial(system, ff, 0.001);
+        sim.total_energy();
+        let st = sim.telemetry();
         assert!(st.tuples.triplet.accepted > 0, "{}", method.name());
         assert!(st.tuples.quadruplet.accepted > 0, "{}", method.name());
         energies.push((st.energy.pair, st.energy.triplet, st.energy.quadruplet));
@@ -135,26 +130,22 @@ fn tabulated_silica_pair_term_matches_analytic() {
     // and trajectories must agree to interpolation accuracy.
     let v = Vashishta::silica();
     let masses = v.params().masses;
-    let (store, bbox) = build_silica_like(3, 7.16, masses, 0.01, 31);
+    let system = build_silica_like(3, 7.16, masses, 0.01, 31);
+    let bbox = system.1;
     let tab = TabulatedPair::from_potential(&v.pair, 2, 1.0, 8000);
-    let mut analytic = Simulation::builder(store.clone(), bbox)
-        .pair_potential(Box::new(v.pair.clone()))
-        .triplet_potential(Box::new(v.triplet.clone()))
-        .timestep(0.0005)
-        .build()
-        .unwrap();
-    let mut tabulated = Simulation::builder(store, bbox)
-        .pair_potential(Box::new(tab))
-        .triplet_potential(Box::new(v.triplet.clone()))
-        .timestep(0.0005)
-        .build()
-        .unwrap();
-    let ea = analytic.compute_forces().energy.pair;
-    let et = tabulated.compute_forces().energy.pair;
+    let sc = Method::ShiftCollapse;
+    let mut analytic = serial(system.clone(), silica_ff(Box::new(v.pair.clone()), sc), 0.0005);
+    let mut tabulated = serial(system, silica_ff(Box::new(tab), sc), 0.0005);
+    let pair_energy = |sim: &mut DistributedSim| {
+        sim.total_energy();
+        sim.telemetry().energy.pair
+    };
+    let (ea, et) = (pair_energy(&mut analytic), pair_energy(&mut tabulated));
     assert!(((ea - et) / ea).abs() < 1e-6, "tabulated pair energy {et} vs analytic {ea}");
     analytic.run(5);
     tabulated.run(5);
-    for (a, b) in analytic.store().positions().iter().zip(tabulated.store().positions()) {
+    let (a, b) = (analytic.gather(), tabulated.gather());
+    for (a, b) in a.positions().iter().zip(b.positions()) {
         assert!(bbox.min_image(*a, *b).norm() < 1e-5);
     }
     // The table conserves its own energy as well as the analytic form.
@@ -194,13 +185,8 @@ fn pattern_theory_matches_construction_through_public_api() {
 #[ignore = "soak test: ~minutes in release"]
 fn long_nve_silica_stability() {
     let v = Vashishta::silica();
-    let (store, bbox) = build_silica_like(3, 7.16, v.params().masses, 0.01, 17);
-    let mut sim = Simulation::builder(store, bbox)
-        .pair_potential(Box::new(v.pair.clone()))
-        .triplet_potential(Box::new(v.triplet.clone()))
-        .timestep(0.0005)
-        .build()
-        .unwrap();
+    let system = build_silica_like(3, 7.16, v.params().masses, 0.01, 17);
+    let mut sim = serial(system, silica_ff(Box::new(v.pair), Method::ShiftCollapse), 0.0005);
     let e0 = sim.total_energy();
     sim.run(2000);
     let e1 = sim.total_energy();

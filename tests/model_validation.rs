@@ -64,13 +64,15 @@ fn model_search_ratio_tracks_engine() {
     let masses = v.params().masses;
     let count = |method: Method| {
         let (store, bbox) = build_silica_like(3, 7.16, masses, 0.01, 7);
-        let mut sim = Simulation::builder(store, bbox)
-            .pair_potential(Box::new(v.pair.clone()))
-            .triplet_potential(Box::new(v.triplet.clone()))
-            .method(method)
-            .build()
-            .unwrap();
-        sim.compute_forces().tuples.triplet.candidates as f64
+        let ff = ForceField {
+            pair: Some(Box::new(v.pair.clone())),
+            triplet: Some(Box::new(v.triplet.clone())),
+            quadruplet: None,
+            method,
+        };
+        let mut sim = DistributedSim::new(store, bbox, IVec3::splat(1), ff, 0.001).unwrap();
+        sim.total_energy();
+        sim.telemetry().tuples.triplet.candidates as f64
     };
     let engine_ratio = count(Method::FullShell) / count(Method::ShiftCollapse);
     let model_ratio = shift_collapse_md::pattern::theory::fs_over_sc_ratio(3);

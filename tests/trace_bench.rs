@@ -88,8 +88,8 @@ fn scmd_bench_emits_schema_valid_doc_and_refuses_removed_flags() {
     schema::validate(&doc, &schema_doc).expect("bench document matches its schema");
     assert_eq!(
         doc.get("cases").and_then(|c| c.as_array()).map(|c| c.len()),
-        Some(15),
-        "the pinned matrix covers serial, threaded, and BSP cases"
+        Some(12),
+        "the pinned matrix covers serial (1×1×1) and BSP cases"
     );
 
     // Recording is all `scmd bench` does: any other flag is a malformed
