@@ -91,11 +91,6 @@ impl GhostLattice {
         CellRegion::new(-self.lo_margin, self.owned_extent + self.hi_margin)
     }
 
-    /// The owned region `[0, owned_extent)`.
-    pub fn owned_region(&self) -> CellRegion {
-        CellRegion::new(IVec3::ZERO, self.owned_extent)
-    }
-
     /// Owned cells per axis.
     #[inline]
     pub fn owned_extent(&self) -> IVec3 {
@@ -281,7 +276,6 @@ mod tests {
     #[test]
     fn regions() {
         let l = lat();
-        assert_eq!(l.owned_region(), CellRegion::new(IVec3::ZERO, IVec3::splat(2)));
         assert_eq!(l.extended_region(), CellRegion::new(IVec3::ZERO, IVec3::splat(4)));
         assert_eq!(l.extended_region().cell_count(), 64);
     }

@@ -1,9 +1,8 @@
 //! Structure-of-arrays atom storage.
 
 use crate::{CellLattice, Species};
-use sc_geom::{SimulationBox, Vec3};
+use sc_geom::Vec3;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Structure-of-arrays storage for an N-atom system.
 ///
@@ -146,13 +145,6 @@ impl AtomStore {
     /// Zeroes the force accumulators (start of every step).
     pub fn zero_forces(&mut self) {
         self.forces.iter_mut().for_each(|f| *f = Vec3::ZERO);
-    }
-
-    /// Wraps every position into the primary image of `bbox`.
-    pub fn wrap_positions(&mut self, bbox: &SimulationBox) {
-        for r in &mut self.positions {
-            *r = bbox.wrap(*r);
-        }
     }
 
     /// Total kinetic energy `Σ ½ m v²`.
@@ -304,18 +296,12 @@ impl AtomStore {
         self.apply_permutation(&perm);
         perm
     }
-
-    /// Builds the stable `id → slot` map for the current layout. Invalidated
-    /// by any generation bump; callers that cache it should key the cache on
-    /// [`AtomStore::generation`].
-    pub fn id_index(&self) -> HashMap<u64, u32> {
-        self.ids.iter().enumerate().map(|(slot, &id)| (id, slot as u32)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sc_geom::SimulationBox;
 
     fn two_atom_store() -> AtomStore {
         let mut s = AtomStore::new(vec![1.0, 16.0]);
@@ -381,8 +367,7 @@ mod tests {
     fn wrap_positions() {
         let mut s = AtomStore::single_species();
         s.push(0, Species::DEFAULT, Vec3::new(-0.5, 10.5, 3.0), Vec3::ZERO);
-        s.wrap_positions(&SimulationBox::cubic(10.0));
-        let r = s.positions()[0];
+        let r = SimulationBox::cubic(10.0).wrap(s.positions()[0]);
         assert!((r.x - 9.5).abs() < 1e-12);
         assert!((r.y - 0.5).abs() < 1e-12);
     }
@@ -401,7 +386,9 @@ mod tests {
         s.push(0, Species::DEFAULT, Vec3::new(-1e-17, 0.0, 0.0), Vec3::ZERO);
         s.push(1, Species::DEFAULT, Vec3::new(20.0f64.next_down(), -1e-300, 10.0), Vec3::ZERO);
         let bbox = SimulationBox::cubic(10.0);
-        s.wrap_positions(&bbox);
+        for r in s.positions_mut() {
+            *r = bbox.wrap(*r);
+        }
         for &r in s.positions() {
             assert!(bbox.contains(r), "wrapped position {r:?} escaped [0, L)");
         }
@@ -477,8 +464,5 @@ mod tests {
         assert_eq!(s.ids(), &[5, 0, 1]);
         s.sort_by_id();
         assert_eq!(s.ids(), &[0, 1, 5]);
-        let idx = s.id_index();
-        assert_eq!(idx[&5], 2);
-        assert_eq!(idx[&0], 0);
     }
 }

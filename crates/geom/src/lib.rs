@@ -32,7 +32,3 @@ pub use ivec3::IVec3;
 pub use pbc::SimulationBox;
 pub use region::CellRegion;
 pub use vec3::Vec3;
-
-/// The three Cartesian axes, convenient for loops that must treat x, y, z
-/// symmetrically (as the paper's proofs do).
-pub const AXES: [usize; 3] = [0, 1, 2];

@@ -89,12 +89,6 @@ impl Vec3 {
         Vec3::new(self.x.max(rhs.x), self.y.max(rhs.y), self.z.max(rhs.z))
     }
 
-    /// Component-wise multiplication (Hadamard product).
-    #[inline]
-    pub fn mul_elem(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(self.x * rhs.x, self.y * rhs.y, self.z * rhs.z)
-    }
-
     /// Returns `true` if every component is finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -284,7 +278,6 @@ mod tests {
         let b = Vec3::new(3.0, 2.0, -1.0);
         assert_eq!(a.min(b), Vec3::new(1.0, 2.0, -2.0));
         assert_eq!(a.max(b), Vec3::new(3.0, 5.0, -1.0));
-        assert_eq!(a.mul_elem(b), Vec3::new(3.0, 10.0, 2.0));
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //!   walkers are the Hybrid-MD search.
 //! * [`apply`] — from a found tuple to energy, virial and forces, once per
 //!   tuple order; [`ForceField`] and its [`Term`]s join search and apply.
-//! * [`integrate`](velocity_verlet_step) — velocity Verlet and the Berendsen
-//!   factor; the one engine that steps every run, serial included, is
-//!   `sc-parallel`'s `DistributedSim` (a serial run is its 1×1×1 grid).
+//! * [`berendsen_factor`] — the thermostat's velocity scale; the one engine
+//!   that steps every run, serial included, is `sc-parallel`'s
+//!   `DistributedSim` (a serial run is its 1×1×1 grid), whose ranks
+//!   integrate velocity Verlet.
 //! * [`mod@reference`] — O(Nⁿ) brute-force tuple enumeration and forces, the
 //!   ground truth the test suite compares every method against.
 //! * workload builders ([`build_fcc_lattice`], [`build_silica_like`],
@@ -63,7 +64,7 @@ pub use checkpoint::{Checkpoint, CheckpointError, SnapshotLayout};
 pub use diagnostics::{pair_virial_pressure, MeanSquaredDisplacement, RadialDistribution};
 pub use engine::{Dedup, PatternPlan};
 pub use error::{BuildError, CliError, Error};
-pub use integrate::{berendsen_factor, berendsen_rescale, velocity_verlet_step};
+pub use integrate::berendsen_factor;
 pub use io::{read_xyz, write_xyz, XyzError};
 pub use methods::Method;
 pub use par::{ForceAccumulator, ThreadPool};

@@ -214,11 +214,6 @@ impl Supervisor {
         self.stats
     }
 
-    /// The most recent good snapshot, if any.
-    pub fn last_checkpoint(&self) -> Option<&Checkpoint> {
-        self.last_good.as_ref()
-    }
-
     fn save_checkpoint<S: Recoverable>(&mut self, sim: &S) {
         let cp = sim.checkpoint();
         self.baseline_atoms.get_or_insert(sim.atom_count());

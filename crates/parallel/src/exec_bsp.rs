@@ -742,6 +742,7 @@ impl DistributedSim {
         let (dec, ranks, bufs) = step::decompose(grid, &cp.to_store(), &self.ff, self.subdivision)?;
         self.carried_alloc = self.scratch_allocation_events();
         (self.dec, self.ranks, self.bufs) = (dec, ranks, bufs);
+        self.fault_plan.abort_in_flight();
         self.dt = cp.dt;
         self.steps_done = cp.step;
         self.needs_prime = true;

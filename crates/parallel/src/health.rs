@@ -108,11 +108,6 @@ impl HealthTracker {
         self.states[rank] == RankHealth::Dead
     }
 
-    /// Ranks currently declared dead, in index order.
-    pub fn dead_ranks(&self) -> Vec<usize> {
-        (0..self.states.len()).filter(|&r| self.is_dead(r)).collect()
-    }
-
     /// Cumulative transition counts.
     pub fn counters(&self) -> HealthCounters {
         self.counters
@@ -216,7 +211,6 @@ mod tests {
         assert_eq!(t.record_failure(1, ch(), 3), None);
         assert_eq!(t.record_success(1, ch(), 3), None);
         assert!(t.is_dead(1));
-        assert_eq!(t.dead_ranks(), vec![1]);
         // Other ranks unaffected.
         assert_eq!(t.state(0), RankHealth::Healthy);
         let c = t.counters();
@@ -277,7 +271,7 @@ mod tests {
         t.reset(2);
         assert_eq!(t.state(0), RankHealth::Healthy);
         assert_eq!(t.state(1), RankHealth::Healthy);
-        assert_eq!(t.dead_ranks(), Vec::<usize>::new());
+        assert!((0..2).all(|r| !t.is_dead(r)));
         assert_eq!(t.counters().deaths, 1, "counters survive the reset");
     }
 }

@@ -15,7 +15,7 @@
 //! Each job is driven through the per-job [`sc_md::Supervisor`] its spec
 //! builds ([`ScenarioSpec::supervisor`]) over [`sc_spec::RunHandle`]'s
 //! `Recoverable` impl, so a served job with a fault plan gets the same
-//! rollback/re-decomposition ladder as `scmd run` and `scmd chaos`.
+//! rollback/re-decomposition ladder as `scmd run`.
 //! Unrecovered faults fail only that job; the lane and its other tenants
 //! keep running.
 //!

@@ -1,7 +1,7 @@
 //! The scenario data model: strict decode from JSON, cross-field
 //! validation, and canonical re-serialization.
 //!
-//! A scenario is the declarative unit of work for `scmd run/bench/chaos`
+//! A scenario is the declarative unit of work for `scmd run/bench`
 //! and the job service: workload system, potential, method Ψ, executor +
 //! rank grid, integration parameters, and the optional fault /
 //! observability / checkpoint plans. Decoding is *strict* — unknown fields

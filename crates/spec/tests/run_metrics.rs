@@ -100,3 +100,17 @@ fn supervised_fault_storm_counters_never_decrease() {
     assert_eq!(last.histograms[0].name, "comm.step_bytes");
     assert_eq!(last.histograms[0].count, counter("sim.steps"));
 }
+
+/// The spec's supervisor reports its recovery markers into the run's
+/// tracer, so `scmd run --spec S --trace T` shows where a stormed run took
+/// its checkpoints.
+#[test]
+fn storm_tracer_holds_the_supervisor_checkpoints() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/fault-storm.json");
+    let mut spec = ScenarioSpec::from_path(std::path::Path::new(path)).unwrap();
+    spec.observability.trace = true;
+    let mut sim = spec.instantiate().unwrap();
+    spec.supervisor(&sim).run(&mut sim, spec.steps).expect("the storm recovers");
+    let events = sim.tracer().events();
+    assert!(events.iter().any(|e| e.kind == sc_obs::EventKind::Checkpoint));
+}

@@ -4,8 +4,6 @@
 //! scmd run      --spec PATH [--steps N]
 //!               [--xyz PATH] [--metrics-json PATH] [--trace PATH] [--results PATH]
 //! scmd bench    [--spec PATH] [--out PATH]
-//! scmd chaos    [--cases lj,silica] [--spec PATH] [--storms N] [--seed S] [--steps N]
-//!               [--faults N] [--out DIR]
 //! scmd serve    [--socket PATH] [--lanes N] [--queue N] [--slice N] [--state DIR]
 //!               [--resume true] [--metrics-addr HOST:PORT]
 //! scmd submit   --spec PATH [--socket PATH]      # returns the job id
@@ -102,7 +100,6 @@ fn dispatch(args: &mut impl Iterator<Item = String>) -> Result<(), Error> {
     match cmd.as_str() {
         "run" => run(&flags),
         "bench" => bench(&flags),
-        "chaos" => chaos(&flags),
         "serve" => serve(&flags),
         "submit" => submit(&flags),
         "status" => status(&flags),
@@ -124,8 +121,6 @@ fn print_usage() {
          USAGE:\n  scmd run      --spec PATH [--steps N] [--xyz PATH] [--metrics-json PATH]\n\
          \x20               [--trace PATH] [--results PATH]\n\
          \x20 scmd bench    [--spec PATH] [--out PATH]\n\
-         \x20 scmd chaos    [--cases lj,silica] [--spec PATH] [--storms N] [--seed S]\n\
-         \x20               [--steps N] [--faults N] [--out DIR]\n\
          \x20 scmd serve    [--socket PATH] [--lanes N] [--queue N] [--slice N]\n\
          \x20               [--state DIR] [--resume true] [--metrics-addr HOST:PORT]\n\
          \x20 scmd submit   --spec PATH [--socket PATH]\n\
@@ -327,7 +322,7 @@ fn write_results(
 }
 
 // ---------------------------------------------------------------------------
-// scmd bench / chaos
+// scmd bench
 // ---------------------------------------------------------------------------
 
 /// Records the pinned matrix (or one `--spec` case) as a bench document.
@@ -355,65 +350,6 @@ fn bench(flags: &Flags) -> Result<(), Error> {
     let out = flags.get("out").map_or("BENCH_current.json", |s| s.as_str());
     std::fs::write(out, to_document(&cases).to_string())?;
     println!("# bench document written to {out}");
-    Ok(())
-}
-
-fn chaos(flags: &Flags) -> Result<(), Error> {
-    use shift_collapse_md::chaos::{run_soak, ChaosConfig};
-
-    check_flags(flags, &["cases", "spec", "storms", "seed", "steps", "faults", "out"])?;
-    let defaults = ChaosConfig::default();
-    let specs = match flags.get("spec") {
-        Some(path) => vec![ScenarioSpec::from_path(Path::new(path)).map_err(spec_err)?],
-        None => Vec::new(),
-    };
-    let config = ChaosConfig {
-        cases: match flags.get("cases") {
-            Some(v) => v.split(',').map(str::to_string).collect(),
-            // A spec-only soak storms just the spec.
-            None if !specs.is_empty() => Vec::new(),
-            None => defaults.cases,
-        },
-        specs,
-        storms: get(flags, "storms", defaults.storms, "a positive integer")?,
-        seed: get(flags, "seed", defaults.seed, "an integer")?,
-        steps: get(flags, "steps", defaults.steps, "a positive integer")?,
-        faults: get(flags, "faults", defaults.faults, "a positive integer")?,
-        out_dir: flags.get("out").map(Into::into).unwrap_or(defaults.out_dir),
-    };
-    let labels: Vec<&str> = config
-        .cases
-        .iter()
-        .map(String::as_str)
-        .chain(config.specs.iter().map(|s| s.name.as_str()))
-        .collect();
-    println!(
-        "# chaos soak: {} × {} storms | {} steps | {} faults/storm | base seed {}",
-        labels.join(","),
-        config.storms,
-        config.steps,
-        config.faults,
-        config.seed,
-    );
-    let outcomes = run_soak(&config).map_err(|e| Error::Setup(e.into()))?;
-    let mut failures = 0;
-    for o in &outcomes {
-        match (&o.failure, &o.bundle) {
-            (None, _) => println!("storm {:<8} seed {:>6}  ok", o.case, o.seed),
-            (Some(why), bundle) => {
-                failures += 1;
-                eprintln!("storm {:<8} seed {:>6}  FAILED: {why}", o.case, o.seed);
-                if let Some(dir) = bundle {
-                    eprintln!("  reproducer bundle: {}", dir.display());
-                }
-            }
-        }
-    }
-    if failures > 0 {
-        eprintln!("# {failures}/{} storms violated guardrails", outcomes.len());
-        std::process::exit(1);
-    }
-    println!("# all {} storms within guardrails", outcomes.len());
     Ok(())
 }
 

@@ -56,7 +56,6 @@
 //! ```
 
 pub mod bench;
-pub mod chaos;
 
 pub use sc_cell as cell;
 pub use sc_core as pattern;

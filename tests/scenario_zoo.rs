@@ -1,14 +1,17 @@
 //! CI contract test over the checked-in scenario zoo: every document in
 //! `scenarios/` (including the pinned bench matrix under
-//! `scenarios/bench/` and the chaos cases under `scenarios/chaos/`) must
-//! validate against
+//! `scenarios/bench/` and the two 2×2×2 specs under `scenarios/chaos/`)
+//! must validate against
 //! `schema/scenario.schema.json`, decode through `sc-spec`, and
-//! round-trip its canonical JSON form losslessly.
+//! round-trip its canonical JSON form losslessly. Two specs also pin what
+//! they run: the `scenarios/chaos/` pair its bits, and `fault-storm.json`
+//! that its storm leaves no trace in the results.
 
 use shift_collapse_md::obs::json::Json;
 use shift_collapse_md::obs::schema;
-use shift_collapse_md::spec::ScenarioSpec;
+use shift_collapse_md::spec::{observables_doc, ScenarioSpec};
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 fn repo_path(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -81,4 +84,54 @@ fn bench_specs_match_their_filenames() {
             spec.name
         );
     }
+}
+
+/// The two specs under `scenarios/chaos/`, 8-rank (2×2×2) SC-MD on BSP
+/// ranks, after 4 fault-free steps yield these observables documents (same
+/// host libm): the only tier-1 pin of a 2×2×2 BSP run's bits. The bits follow a
+/// rank's summation order, so a change to that order re-pins them here,
+/// deliberately.
+#[test]
+fn chaos_named_cases_are_the_checked_in_specs() {
+    for (name, energy_bits, phase_hash) in [
+        ("lj", "0xc0bfe4baeeb9847e", "0x1ea45841b39f4e6a"),
+        ("silica", "0x409fca6f457306c9", "0x49f81773d20d2412"),
+    ] {
+        let path = repo_path(&format!("scenarios/chaos/{name}.json"));
+        let spec = ScenarioSpec::from_path(&path).unwrap();
+        assert_eq!(spec.name, name, "{}", path.display());
+        let mut sim = spec.instantiate().unwrap();
+        sim.run(4);
+        let energy = sim.total_energy();
+        let doc = observables_doc(name, sim.steps_done(), &sim.gather(), energy);
+        assert_eq!(doc.get("energy_bits").unwrap().as_str(), Some(energy_bits), "{name}");
+        assert_eq!(doc.get("phase_hash").unwrap().as_str(), Some(phase_hash), "{name}");
+    }
+}
+
+/// A storm without a crash leaves no trace: `scmd run --spec` of
+/// `fault-storm.json` writes the same results document, byte for byte, as
+/// the same spec without its `fault_plan`. Every fault in it is absorbed
+/// by a retry or a bitwise rollback.
+#[test]
+fn a_storm_without_a_crash_leaves_no_trace() {
+    let storm = repo_path("scenarios/fault-storm.json");
+    let mut calm = ScenarioSpec::from_path(&storm).unwrap();
+    assert_eq!(calm.fault_plan.take().map(|p| p.max_crashes), Some(0), "the storm has no crash");
+    let dir = std::env::temp_dir().join(format!("sc-no-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let calm_path = dir.join("calm.json");
+    std::fs::write(&calm_path, calm.to_json().to_string()).unwrap();
+    let results = |spec: &Path, out: &str| {
+        let out = dir.join(out);
+        let status = Command::new(env!("CARGO_BIN_EXE_scmd"))
+            .args(["run", "--spec", spec.to_str().unwrap(), "--results", out.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(status.status.success(), "{}", String::from_utf8_lossy(&status.stderr));
+        std::fs::read(out).unwrap()
+    };
+    let (stormed, calm) = (results(&storm, "stormed.json"), results(&calm_path, "calm.json.out"));
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(stormed == calm, "the storm moved the results document");
 }

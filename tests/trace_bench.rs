@@ -127,6 +127,11 @@ fn scmd_bench_emits_schema_valid_doc_and_refuses_removed_flags() {
         let ran = run_bench(&["model", "--grain", grain]);
         assert!(ran.status.success(), "grain {grain} must run: {:?}", ran.status);
     }
+    // There is no soak verb: a storm is a spec's `fault_plan` under
+    // `scmd run --spec`.
+    let gone = run_bench(&["chaos"]);
+    assert_eq!(gone.status.code(), Some(2), "`scmd chaos` must be refused");
+    assert!(String::from_utf8_lossy(&gone.stderr).contains("unknown subcommand \"chaos\""));
 
     std::fs::remove_dir_all(&dir).ok();
 }
