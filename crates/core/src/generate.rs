@@ -9,36 +9,16 @@ use sc_geom::IVec3;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// The 27 nearest-neighbour offsets `{-1,0,1}³`, in lexicographic order.
-fn neighbor_offsets() -> Vec<IVec3> {
-    IVec3::box_iter(IVec3::splat(-1), IVec3::splat(1)).collect()
-}
-
 /// `GENERATE-FS(n)` (paper Table 3): the full-shell pattern — every walk
 /// `(v0, …, v_{n-1})` with `v0 = 0` and `v_{k+1}` a (26+self)-neighbour of
 /// `v_k`. Contains exactly `27^{n-1}` paths and is n-complete by construction
-/// (Lemma 1).
+/// (Lemma 1). It is the reach-1 case of [`crate::generate_fs_reach`].
 ///
 /// # Panics
 /// Panics if `n < 2` or if `27^{n-1}` would overflow practical memory
-/// (`n > 7`).
+/// (`n > 5`).
 pub fn generate_fs(n: usize) -> Pattern {
-    assert!((2..=7).contains(&n), "GENERATE-FS supports 2 ≤ n ≤ 7, got {n}");
-    let nbrs = neighbor_offsets();
-    let mut walks: Vec<Vec<IVec3>> = vec![vec![IVec3::ZERO]];
-    for _ in 1..n {
-        let mut next = Vec::with_capacity(walks.len() * 27);
-        for w in &walks {
-            let last = *w.last().expect("walks are non-empty");
-            for &d in &nbrs {
-                let mut w2 = w.clone();
-                w2.push(last + d);
-                next.push(w2);
-            }
-        }
-        walks = next;
-    }
-    Pattern::new(walks.into_iter().map(Path::new).collect())
+    crate::generate_fs_reach(n, 1)
 }
 
 /// `OC-SHIFT` (paper Table 4): octant compression. Every path is translated

@@ -114,15 +114,17 @@ pub mod reach_theory {
 mod tests {
     use super::reach_theory as rt;
     use super::*;
-    use crate::{chain_complete_reach, generate_fs, shift_collapse};
+    use crate::{chain_complete_reach, theory};
 
     #[test]
     fn reach1_reduces_to_classic() {
-        assert_eq!(generate_fs_reach(3, 1).canonicalized(), generate_fs(3).canonicalized());
-        assert_eq!(
-            shift_collapse_reach(2, 1).canonicalized().len(),
-            shift_collapse(2).canonicalized().len()
-        );
+        // Reach 1 is the paper's 27-neighbour walk: the Eq. 25/27/29 counts.
+        for n in 2..=4 {
+            let (fs, sc) = (generate_fs_reach(n, 1), shift_collapse_reach(n, 1));
+            assert_eq!(fs.len() as u64, theory::fs_path_count(n), "FS n={n}");
+            assert_eq!(sc.len() as u64, theory::sc_path_count(n), "SC n={n}");
+            assert_eq!(sc.self_reflective_count() as u64, theory::self_reflective_count(n));
+        }
     }
 
     #[test]

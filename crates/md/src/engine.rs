@@ -518,7 +518,7 @@ const MAX_ORDER: usize = 8;
 /// its *link row* — every atom within the cutoff in the `(2·reach + 1)³`
 /// cells around its own, bucketed by cell step, each bucket in cell order
 /// with the displacement [`TupleSource::disp`] gives. Rows are filled a cell
-/// at a time by [`LinkRows::fill`], the one range search behind both n ≥ 3
+/// at a time by `LinkRows::fill`, the one range search behind both n ≥ 3
 /// paths:
 ///
 /// * **Lazily, per chain sweep.** The chain cutoff `r_{k,k+1} < r_cut-n`
@@ -529,17 +529,17 @@ const MAX_ORDER: usize = 8;
 ///   level k of the walk is `for (i, d) in bucket(prev, node.step)`. The
 ///   cell steps keep the pattern, not the row, in charge of which base cell
 ///   computes which tuple.
-/// * **Eagerly, as the Hybrid-MD Verlet list.** [`LinkRows::build`] fills
+/// * **Eagerly, as the Hybrid-MD Verlet list.** `LinkRows::build` fills
 ///   every cell of a cell set at the pair cutoff; an atom's whole row, all
 ///   buckets together, is its neighbour list
 ///   ([`NeighborList`](crate::methods::NeighborList) is that view).
 ///
-/// Rows are valid until the next [`LinkRows::begin`] — for a chain sweep,
+/// Rows are valid until the next `LinkRows::begin` — for a chain sweep,
 /// the sweep itself, which borrows its source, so atoms and bins cannot
 /// move under a row. A sweep cut into cell subsets (a pool lane's span)
 /// visits what the whole sweep visits. The buffers are kept, so a
 /// steady-state sweep or build allocates nothing (see
-/// [`LinkRows::settle`]).
+/// `LinkRows::settle`).
 #[derive(Debug, Default)]
 pub struct LinkRows {
     /// Per atom slot, where its row is.

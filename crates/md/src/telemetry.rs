@@ -8,10 +8,12 @@
 //! allocation accounting. The engine fills the communication and health
 //! fields per rank and in aggregate (a serial run is one rank).
 //!
-//! The engines measure and keep no registry. [`MetricsFeed`] turns each
-//! step's snapshot into registry series, the same series for every
-//! executor; every series name and the [`Telemetry`] field behind it are
-//! listed here.
+//! [`MetricsFeed`] turns each step's snapshot into registry series, the
+//! same series for every executor spelling; every series name and the
+//! [`Telemetry`] field behind it are listed here. The engine
+//! (`sc_parallel::DistributedSim`) owns the one feed, over the registry its
+//! run configuration carries: it feeds every step and rebaselines on every
+//! restore.
 
 use crate::stats::{EnergyBreakdown, TupleCounts};
 use sc_obs::json::Json;
@@ -194,9 +196,8 @@ fn reading(t: &Telemetry) -> Reading {
 /// series are `sim.steps`, the six `tuples.*` counters, the six `comm.*`
 /// counters with the `comm.step_bytes` histogram, the four `health.*`
 /// counters, and the registry's phase slots (from
-/// [`Telemetry::total_phases`]). An executor that has no communication
-/// layer reports zero for the `comm.*` and `health.*` series, which are
-/// registered all the same, so every executor exports the same names.
+/// [`Telemetry::total_phases`]). Every series is registered up front, so
+/// every run exports the same names whatever its grid.
 pub struct MetricsFeed {
     registry: Registry,
     per_step: [Counter; PER_STEP.len()],

@@ -51,7 +51,7 @@ pub struct ImbalanceReport {
 impl ImbalanceReport {
     /// Builds a report from per-rank [`CommCounters`] (the form `Telemetry`
     /// carries). Compute time is each rank's
-    /// [`PhaseBreakdown::compute_total_s`]; comm time is
+    /// [`crate::PhaseBreakdown::compute_total_s`]; comm time is
     /// exchange + migrate + reduce.
     pub fn from_per_rank(per_rank: &[CommCounters]) -> ImbalanceReport {
         let loads = per_rank

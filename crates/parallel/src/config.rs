@@ -1,10 +1,11 @@
 //! The one run configuration of a distributed engine: everything that is
 //! not the system, the force field or the timestep, passed once to
-//! [`crate::DistributedSim::build`].
+//! [`crate::DistributedSim::build`], observability included — the tracer
+//! the engine emits into and the metrics registry it feeds.
 
 use crate::fault::FaultPlan;
 use crate::rank::DEFAULT_RESORT_EVERY;
-use sc_obs::Tracer;
+use sc_obs::{Registry, Tracer};
 
 /// How a distributed engine runs. There is no way to change any of this
 /// on a built engine, so it cannot step with half a configuration.
@@ -38,6 +39,11 @@ pub struct EngineConfig {
     /// wall-clock phases. Rings are allocated at build; emitting during
     /// stepping never allocates. Default disabled.
     pub tracer: Tracer,
+    /// The metrics registry every step's telemetry is fed into, through the
+    /// engine's one [`sc_md::MetricsFeed`] (the `sim.*`, `tuples.*`,
+    /// `comm.*` and `health.*` series and the phase slots). The feed reads
+    /// telemetry only while the registry is enabled. Default disabled.
+    pub metrics: Registry,
     /// A Berendsen thermostat, `(target temperature, dt/τ ∈ (0, 1])`: after
     /// every step all velocities are rescaled toward the target by the
     /// global kinetic energy, summed over ranks in rank order. Default
@@ -54,6 +60,7 @@ impl Default for EngineConfig {
             rebalance_every: 0,
             faults: FaultPlan::none(),
             tracer: Tracer::disabled(),
+            metrics: Registry::disabled(),
             thermostat: None,
         }
     }

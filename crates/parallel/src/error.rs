@@ -61,6 +61,12 @@ pub enum SetupError {
         /// What was wrong.
         reason: &'static str,
     },
+    /// Every rank of the run is lost: no survivor is left to re-decompose
+    /// onto.
+    NoSurvivor {
+        /// The lost ranks, as the recovery named them.
+        lost: Vec<usize>,
+    },
     /// The decomposition did not claim every atom exactly once.
     AtomsLost {
         /// Atoms in the input store.
@@ -97,6 +103,9 @@ impl fmt::Display for SetupError {
             }
             SetupError::BadGridCuts { axis, reason } => {
                 write!(f, "rank grid cuts along axis {axis}: {reason}")
+            }
+            SetupError::NoSurvivor { lost } => {
+                write!(f, "losing ranks {lost:?} leaves no surviving rank to re-decompose onto")
             }
             SetupError::AtomsLost { expected, claimed } => {
                 write!(f, "decomposition claimed {claimed} of {expected} atoms")

@@ -3,7 +3,8 @@
 //! of a step, lockstep delivery of each phase through the scriptable
 //! [`FaultPlan`] with bounded retry, the `ThreadPool` compute fan-out,
 //! adaptive rebalancing of the rank grid, re-decomposition over the
-//! survivors of a rank death, telemetry, and the supervisor's hooks.
+//! survivors of a rank death, telemetry and the metrics feed, checkpoints,
+//! and the supervisor's hooks.
 
 use crate::config::EngineConfig;
 use crate::error::{RuntimeError, SetupError};
@@ -18,10 +19,11 @@ use sc_geom::{IVec3, SimulationBox};
 use sc_md::checkpoint::{Checkpoint, SnapshotLayout};
 use sc_md::supervisor::{Recoverable, StepFault};
 use sc_md::{
-    berendsen_factor, BuildError, EnergyBreakdown, Method, Telemetry, ThreadPool, TupleCounts,
+    berendsen_factor, BuildError, EnergyBreakdown, Method, MetricsFeed, Telemetry, ThreadPool,
+    TupleCounts,
 };
 use sc_obs::trace::EventKind;
-use sc_obs::{CommCounters, Phase, PhaseBreakdown, TraceSink, Tracer};
+use sc_obs::{CommCounters, Phase, PhaseBreakdown, Registry, TraceSink, Tracer};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -161,12 +163,12 @@ fn trace_sinks(tracer: &Tracer, nranks: usize) -> (Vec<TraceSink>, TraceSink) {
 }
 
 /// A distributed MD simulation executed bulk-synchronously: all ranks run
-/// each phase of the rank-step protocol ([`crate::step`]) in lockstep, with
-/// messages delivered between a phase's send and absorb halves, so every
-/// run is deterministic. This is the one engine: the `serial` spelling of a
-/// scenario builds it on a 1×1×1 grid (the paper's P = 1 baseline), the
-/// `bsp` and `threaded` spellings on their grids, and the correctness tests
-/// compare it against the brute-force oracle of `sc-md`.
+/// each phase of the rank-step protocol (the private `step` module) in
+/// lockstep, with messages delivered between a phase's send and absorb
+/// halves, so every run is deterministic. This is the one engine and the
+/// one run object: a scenario's `serial` spelling builds it on a 1×1×1 grid
+/// (the paper's P = 1 baseline), `bsp` on its grid, and the correctness
+/// tests compare it against the brute-force oracle of `sc-md`.
 ///
 /// The exchange schedule is the merged one from [`crate::transport`]: three
 /// migration phases, three ghost phases, and three force-return phases per
@@ -178,7 +180,9 @@ fn trace_sinks(tracer: &Tracer, nranks: usize) -> (Vec<TraceSink>, TraceSink) {
 /// lanes.
 ///
 /// How a run is scheduled, packed, faulted and observed is fixed at
-/// [`DistributedSim::build`] by one [`EngineConfig`].
+/// [`DistributedSim::build`] by one [`EngineConfig`]; the engine feeds its
+/// own metrics registry after every step and rebaselines it on every
+/// restore, so a supervised run's series never go down.
 ///
 /// Every delivery goes through the [`FaultPlan`] (a no-op by default) and is
 /// verified against its stamp on arrival; [`DistributedSim::try_step`]
@@ -218,6 +222,8 @@ pub struct DistributedSim {
     /// re-decomposition onto one rank — changes its bits.
     split_sweeps: bool,
     tracer: Tracer,
+    /// The run's metrics registry and the series fed into it.
+    feed: MetricsFeed,
     /// One event sink per rank (per-rank compute phases and comm events).
     tsinks: Vec<TraceSink>,
     /// Executor-level sink for the synchronous wall-clock phases, tagged
@@ -329,6 +335,7 @@ impl DistributedSim {
             rebalance_every,
             faults,
             tracer,
+            metrics,
             thermostat,
         } = cfg;
         check_inputs(&store, &ff, dt, thermostat)?;
@@ -358,6 +365,7 @@ impl DistributedSim {
             pool: if lanes == 0 { ThreadPool::auto() } else { ThreadPool::new(lanes) },
             split_sweeps: nranks == 1,
             tracer,
+            feed: MetricsFeed::new(metrics),
             tsinks,
             exec_sink,
             carried: CommCounters::default(),
@@ -384,6 +392,12 @@ impl DistributedSim {
         &self.tracer
     }
 
+    /// The metrics registry the run reports into (disabled unless the
+    /// [`EngineConfig`] carried a live one).
+    pub fn metrics(&self) -> &Registry {
+        self.feed.registry()
+    }
+
     /// The cumulative phase breakdown: the ranks' own CPU seconds (live and
     /// retired rank sets) for bin / enumerate / eval / reduce, plus the
     /// executor's wall clock for exchange / migrate / integrate / compute
@@ -404,7 +418,7 @@ impl DistributedSim {
     /// and the force return, which it adds to reduce),
     /// aggregate and per-rank communication counters, the health watchdog's
     /// transition counts, and allocation accounting (the live and retired
-    /// ranks' scratch growth).
+    /// ranks' scratch growth plus the metric registrations).
     pub fn telemetry(&self) -> Telemetry {
         let total_phases = self.total_phases();
         Telemetry {
@@ -417,7 +431,7 @@ impl DistributedSim {
             per_rank: self.ranks.iter().map(|r| r.stats.clone()).collect(),
             comm: self.comm_stats(),
             health: self.health.counters(),
-            alloc_events: self.scratch_allocation_events(),
+            alloc_events: self.scratch_allocation_events() + self.metrics().allocation_events(),
             degraded: self.degraded,
         }
     }
@@ -512,7 +526,10 @@ impl DistributedSim {
         self.needs_prime = true;
     }
 
-    /// One velocity-Verlet step, surfacing unrecovered communication faults.
+    /// One velocity-Verlet step, surfacing unrecovered communication faults,
+    /// then — with an enabled registry only, so a dark run reads no
+    /// telemetry — the metrics feed. A failed step still feeds what it
+    /// counted before the fault.
     ///
     /// # Errors
     /// Any [`RuntimeError`] that survived the per-delivery retry budget. On
@@ -529,9 +546,16 @@ impl DistributedSim {
         }
         self.step_start = self.total_phases();
         let resort = self.resort_every != 0 && self.steps_done.is_multiple_of(self.resort_every);
-        self.rank_step(resort)?;
-        self.steps_done += 1;
-        Ok(())
+        let stepped = self.rank_step(resort);
+        self.steps_done += u64::from(stepped.is_ok());
+        if self.metrics().enabled() {
+            let t = self.telemetry();
+            match stepped {
+                Ok(()) => self.feed.step(&t),
+                Err(_) => self.feed.advance(&t),
+            }
+        }
+        stepped
     }
 
     /// One velocity-Verlet step: a priming [`DistributedSim::cycle`] when
@@ -711,6 +735,22 @@ impl DistributedSim {
         out
     }
 
+    /// Snapshots every rank's owned atoms in rank-major slot order (not
+    /// [`DistributedSim::gather`]'s id order), recording the grid, so a
+    /// restore onto the same grid deals each rank its slots back in order.
+    pub fn checkpoint(&self) -> Checkpoint {
+        let p = self.dec.grid.pdims();
+        Checkpoint::from_store(self.steps_done, self.dt, self.dec.grid.bbox(), &self.owned_store())
+            .with_layout(SnapshotLayout::Grid { pdims: [p.x, p.y, p.z] })
+    }
+
+    /// Rewinds to a snapshot taken by [`DistributedSim::checkpoint`] on the
+    /// run's current grid. Restored trajectories replay bitwise.
+    pub fn restore(&mut self, cp: &Checkpoint) {
+        self.install(cp, self.dec.grid.clone())
+            .expect("restoring onto the grid the run already validated cannot fail");
+    }
+
     /// Re-decomposes a checkpoint onto an arbitrary `pdims` rank grid and
     /// resumes from it: atoms are re-sorted into the new sub-boxes, forces
     /// are recomputed by the priming exchange, and the health watchdog is
@@ -754,6 +794,10 @@ impl DistributedSim {
         self.carried = CommCounters::default();
         self.step_start = self.total_phases();
         self.last_loads = vec![0.0; self.ranks.len()];
+        // The counters were rewound: feed nothing until the next step.
+        if self.metrics().enabled() {
+            self.feed.rebaseline(&self.telemetry());
+        }
         Ok(())
     }
 
@@ -765,7 +809,8 @@ impl DistributedSim {
     /// [`EventKind::Redecompose`] instant is traced per lost rank.
     ///
     /// # Errors
-    /// Fails when no survivor grid is feasible (even `1×1×1`) or the
+    /// [`SetupError::NoSurvivor`] when `exclude` takes every rank; otherwise
+    /// fails when no survivor grid is feasible (even `1×1×1`) or the
     /// re-decomposition itself fails its setup checks.
     pub fn restore_excluding(
         &mut self,
@@ -774,7 +819,7 @@ impl DistributedSim {
     ) -> Result<(), SetupError> {
         let survivors = self.ranks.len().saturating_sub(exclude.len());
         if survivors == 0 {
-            return Err(SetupError::BadRankGrid { pdims: [0, 0, 0] });
+            return Err(SetupError::NoSurvivor { lost: exclude.to_vec() });
         }
         for &r in exclude {
             self.fault_plan.retire_rank(r);
@@ -803,18 +848,12 @@ impl Recoverable for DistributedSim {
         DistributedSim::try_step(self).map_err(Into::into)
     }
 
-    /// Snapshots every rank's owned atoms in rank-major slot order (not
-    /// [`DistributedSim::gather`]'s id order), recording the grid, so a
-    /// restore onto the same grid deals each rank its slots back in order.
     fn checkpoint(&self) -> Checkpoint {
-        let p = self.dec.grid.pdims();
-        Checkpoint::from_store(self.steps_done, self.dt, self.dec.grid.bbox(), &self.owned_store())
-            .with_layout(SnapshotLayout::Grid { pdims: [p.x, p.y, p.z] })
+        DistributedSim::checkpoint(self)
     }
 
     fn restore(&mut self, cp: &Checkpoint) {
-        self.install(cp, self.dec.grid.clone())
-            .expect("restoring onto the grid the run already validated cannot fail");
+        DistributedSim::restore(self, cp);
     }
 
     fn atom_count(&self) -> usize {

@@ -36,8 +36,9 @@
 //! run is deterministic and the pool's lane count changes no bit: this is
 //! the executor the correctness tests compare against serial `sc-md`. The
 //! ranks' force computations — nearly all of a step's work — run
-//! concurrently on the pool. Scenario specs spell a distributed run `bsp`
-//! or `threaded`; both build this engine. It counts every message and byte
+//! concurrently on the pool. Scenario specs spell a run `serial` (a 1×1×1
+//! grid) or `bsp` (`threaded` decodes to `bsp`); both build this engine,
+//! which is the run object itself. It counts every message and byte
 //! ([`CommCounters`]), which is what the `sc-netmodel` crate calibrates the
 //! paper's communication model against.
 //!
@@ -45,10 +46,10 @@
 //!
 //! Everything about a run that is not the system, the force field or the
 //! timestep is one [`EngineConfig`] (cell subdivision, re-sort cadence,
-//! rebalance cadence, [`FaultPlan`], tracer), taken once by
-//! `DistributedSim::build`. The engine keeps no metrics registry: its
-//! telemetry carries the counters, and the run that owns the engine exports
-//! them. The engine has no post-construction setter.
+//! rebalance cadence, [`FaultPlan`], tracer, metrics registry), taken once
+//! by `DistributedSim::build`. The engine feeds its telemetry into that
+//! registry after every step (only while it is enabled) and rebaselines it
+//! on every restore. The engine has no post-construction setter.
 //!
 //! ## Fault tolerance
 //!

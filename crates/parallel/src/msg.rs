@@ -180,7 +180,7 @@ impl Payload {
         }
     }
 
-    /// Word-wise checksum ([`mix`]) over the payload's wire content: the
+    /// Word-wise checksum (`mix`) over the payload's wire content: the
     /// kind tag (domain separation), then one word per field — ids, exact
     /// `f64` bit patterns, the species. It detects every corruption confined
     /// to one word and, short of a 2⁻⁶⁴ coincidence, anything wider; it is

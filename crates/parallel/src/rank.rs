@@ -292,7 +292,7 @@ impl RankState {
     /// stale afterwards (its bins still point the moved atom at its old
     /// slot). The store's generation counter records this: all term lattices
     /// report `!is_current` until their rebuild at the next force
-    /// computation, and the [`LocalSource`] constructor asserts on it.
+    /// computation, and the `LocalSource` constructor asserts on it.
     pub fn collect_migrants(
         &mut self,
         axis: usize,

@@ -7,7 +7,7 @@
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox, Vec3};
 use sc_md::checkpoint::{Checkpoint, CheckpointError};
-use sc_md::supervisor::{Recoverable, Supervisor, SupervisorConfig};
+use sc_md::supervisor::{Supervisor, SupervisorConfig};
 use sc_md::{build_fcc_lattice, BuildError, ForceField, LatticeSpec, Method};
 use sc_parallel::{DistributedSim, SetupError};
 use sc_potential::LennardJones;

@@ -290,22 +290,18 @@ fn bsp_trace_events_agree_with_comm_counters() {
     }
 }
 
-/// The `threaded` executor spelling builds this engine; its telemetry, fed
-/// step by step into a metrics registry, reports the aggregated totals and
-/// the ranks' own phases.
+/// A run on the grid a `threaded` (or `bsp`) spec builds, with a live
+/// registry in its configuration: the engine feeds it step by step, and
+/// the series report the aggregated totals and the ranks' own phases.
 #[test]
 fn threaded_run_with_metrics_reports_totals() {
-    use sc_md::MetricsFeed;
     use sc_obs::{Phase, Registry};
     let reg = Registry::new();
-    let mut feed = MetricsFeed::new(reg.clone());
     let (store, bbox) = lj_system();
+    let cfg = EngineConfig { metrics: reg.clone(), ..Default::default() };
     let ff = lj_ff(Method::ShiftCollapse);
-    let mut sim = DistributedSim::new(store, bbox, IVec3::splat(2), ff, 0.002).unwrap();
-    for _ in 0..3 {
-        sim.step();
-        feed.step(&sim.telemetry());
-    }
+    let mut sim = DistributedSim::build(store, bbox, IVec3::splat(2), ff, 0.002, cfg).unwrap();
+    sim.run(3);
     let stats = sim.comm_stats();
     assert_eq!(reg.counter("sim.steps").get(), 3);
     assert_eq!(reg.counter("comm.messages").get(), stats.messages);
@@ -361,10 +357,10 @@ fn imbalance_tuples_sum_to_the_accepted_total() {
     }
 }
 
-/// An observed run of the `threaded` spelling's engine: the traced sends
-/// add up to the aggregated counters, every rank's row receives, the
-/// lockstep exchange interval sits on the executor's row, and the merged
-/// timeline is in order.
+/// An observed run on the grid a `threaded` (or `bsp`) spec builds: the
+/// traced sends add up to the aggregated counters, every rank's row
+/// receives, the lockstep exchange interval sits on the executor's row, and
+/// the merged timeline is in order.
 #[test]
 fn threaded_run_observed_traces_every_rank() {
     use sc_obs::{EventKind, Tracer};

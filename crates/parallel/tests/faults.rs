@@ -19,7 +19,8 @@
 //!   it after its crash, or for a rank index the survivors' grid does not
 //!   reach, never fires;
 //! - a crash past the re-decomposition budget, or of the last rank, is a
-//!   **typed abort** naming the rank and the budget or the empty grid left;
+//!   **typed abort** naming the rank and the budget or that no rank
+//!   survives;
 //! - otherwise the faults are **absorbed**: bitwise equal to the
 //!   fault-free run, with one retry and one detected fault per spoiled
 //!   attempt.
@@ -380,7 +381,7 @@ impl Case {
                 Crash if retired.len() == self.redecompositions as usize => {
                     aborted_by = Some((f.rank, "budget"))
                 }
-                Crash if ranks == 1 => aborted_by = Some((f.rank, "dims [0, 0, 0]")),
+                Crash if ranks == 1 => aborted_by = Some((f.rank, "no surviving rank")),
                 Crash => {
                     retired.push(f.rank);
                     let (ff, bbox) = (force_field(self.system), atoms(self.system).1);

@@ -13,8 +13,8 @@
 //! assert the exact interleaving.
 //!
 //! Each job is driven through the per-job [`sc_md::Supervisor`] its spec
-//! builds ([`ScenarioSpec::supervisor`]) over [`sc_spec::RunHandle`]'s
-//! `Recoverable` impl, so a served job with a fault plan gets the same
+//! builds ([`ScenarioSpec::supervisor`]) over the engine's `Recoverable`
+//! impl, so a served job with a fault plan gets the same
 //! rollback/re-decomposition ladder as `scmd run`.
 //! Unrecovered faults fail only that job; the lane and its other tenants
 //! keep running.
@@ -34,7 +34,8 @@ use sc_md::supervisor::Supervisor;
 use sc_md::{Checkpoint, CheckpointError};
 use sc_obs::json::Json;
 use sc_obs::{chrome_trace, MetricsSnapshot, Registry, Tracer};
-use sc_spec::{observables_doc, RunHandle, ScenarioSpec, SpecError};
+use sc_parallel::DistributedSim;
+use sc_spec::{observables_doc, ScenarioSpec, SpecError};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -627,7 +628,7 @@ fn read_json(path: &Path) -> Result<Json, String> {
 /// A job resident on a lane: its live engine plus supervision state.
 struct ActiveJob {
     id: JobId,
-    sim: RunHandle,
+    sim: DistributedSim,
     sup: Supervisor,
     total: u64,
     /// Persist a checkpoint whenever `steps_done` crosses a multiple of

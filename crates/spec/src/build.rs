@@ -1,15 +1,15 @@
-//! Turning a validated [`ScenarioSpec`] into a running simulation, plus the
-//! bitwise observables document served runs and standalone runs are
-//! compared on.
+//! Turning a validated [`ScenarioSpec`] into a running simulation — one
+//! [`EngineConfig`] built by [`ScenarioSpec::engine_config`], one engine
+//! built on it — plus the bitwise observables document served runs and
+//! standalone runs are compared on.
 
 use crate::error::SpecError;
 use crate::model::{ExecutorSpec, ObservabilitySpec, PotentialSpec, ScenarioSpec, SystemSpec};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
-use sc_md::supervisor::{Recoverable, StepFault, Supervisor, SupervisorConfig};
+use sc_md::supervisor::{Supervisor, SupervisorConfig};
 use sc_md::{
-    build_clustered_gas, build_fcc_lattice, build_silica_like, random_gas, thermalize, Checkpoint,
-    LatticeSpec, MetricsFeed, Telemetry,
+    build_clustered_gas, build_fcc_lattice, build_silica_like, random_gas, thermalize, LatticeSpec,
 };
 use sc_obs::json::Json;
 use sc_obs::{Registry, Tracer};
@@ -24,149 +24,11 @@ pub const OBSERVABLES_SCHEMA_ID: &str = "sc-observables/1";
 /// interval before it fails.
 const ROLLBACK_BUDGET: u32 = 64;
 
-/// A scenario instantiated on the one engine: the owner of the
-/// [`DistributedSim`] every executor spelling builds (`serial` a 1×1×1
-/// grid), and of the run's metrics registry. The engine only measures;
-/// every step the handle takes feeds that step's [`Telemetry`] into the
-/// registry through one [`MetricsFeed`], so every executor exports the same
-/// series.
-pub struct RunHandle {
-    exec: DistributedSim,
-    /// The run's registry, with the series the feed registered in it.
-    feed: MetricsFeed,
-}
-
-impl RunHandle {
-    /// Wraps an engine whose steps report into `metrics` (the spec layer's
-    /// instantiation path; also usable by harnesses that build engines
-    /// directly).
-    pub fn new(exec: DistributedSim, metrics: Registry) -> Self {
-        RunHandle { exec, feed: MetricsFeed::new(metrics) }
-    }
-
-    /// The one way a handle steps: the engine's step, then — with a live
-    /// registry only, so a dark run reads no telemetry — the feed. A failed
-    /// step still feeds what it counted before the fault.
-    fn step(&mut self) -> Result<(), StepFault> {
-        let stepped = Recoverable::try_step(&mut self.exec);
-        if self.feed.registry().enabled() {
-            let t = self.exec.telemetry();
-            match stepped {
-                Ok(()) => self.feed.step(&t),
-                Err(_) => self.feed.advance(&t),
-            }
-        }
-        stepped
-    }
-
-    /// Takes the feed's baseline anew after a restore rewound the engine's
-    /// counters.
-    fn rebaseline(&mut self) {
-        if self.feed.registry().enabled() {
-            self.feed.rebaseline(&self.exec.telemetry());
-        }
-    }
-
-    /// Advances one step, surfacing unrecovered distributed faults as text.
-    pub fn try_step(&mut self) -> Result<(), String> {
-        self.step().map_err(|e| e.message)
-    }
-
-    /// Runs `n` steps (panicking on faults; use [`RunHandle::try_step`]
-    /// for fault-tolerant loops).
-    pub fn run(&mut self, n: usize) {
-        for _ in 0..n {
-            self.step().unwrap_or_else(|e| panic!("{e}"));
-        }
-    }
-
-    /// Steps completed so far.
-    pub fn steps_done(&self) -> u64 {
-        self.exec.steps_done()
-    }
-
-    /// The unified telemetry snapshot; its allocation count includes the
-    /// run's metric registrations.
-    pub fn telemetry(&self) -> Telemetry {
-        let mut t = self.exec.telemetry();
-        t.alloc_events += self.feed.registry().allocation_events();
-        t
-    }
-
-    /// Total (kinetic + potential) energy from fresh forces.
-    pub fn total_energy(&mut self) -> f64 {
-        self.exec.total_energy()
-    }
-
-    /// The full phase-space state, gathered into one store (owned atoms
-    /// only, deterministic order for a fixed executor configuration).
-    pub fn gather(&self) -> AtomStore {
-        self.exec.gather()
-    }
-
-    /// Snapshots the full dynamic state (bitwise-lossless, PR 2 contract).
-    pub fn checkpoint(&self) -> Checkpoint {
-        self.exec.checkpoint()
-    }
-
-    /// Rewinds to a snapshot taken by [`RunHandle::checkpoint`]. Restored
-    /// trajectories replay bitwise.
-    pub fn restore(&mut self, cp: &Checkpoint) {
-        self.exec.restore(cp);
-        self.rebaseline();
-    }
-
-    /// The metrics registry the run reports into (disabled unless the spec
-    /// enabled metrics).
-    pub fn metrics(&self) -> &Registry {
-        self.feed.registry()
-    }
-
-    /// The event tracer (disabled unless the spec enabled tracing).
-    pub fn tracer(&self) -> &Tracer {
-        self.exec.tracer()
-    }
-}
-
-/// Delegates supervision hooks to the engine's own [`Recoverable`] impl,
-/// so a [`sc_md::Supervisor`] can drive any spec-instantiated run — the
-/// job service leans on this for per-job rollback recovery. Steps and
-/// restores go through the handle's own, so the feed sees them.
-impl Recoverable for RunHandle {
-    fn try_step(&mut self) -> Result<(), StepFault> {
-        self.step()
-    }
-
-    fn checkpoint(&self) -> Checkpoint {
-        self.exec.checkpoint()
-    }
-
-    fn restore(&mut self, cp: &Checkpoint) {
-        RunHandle::restore(self, cp);
-    }
-
-    fn restore_excluding(&mut self, cp: &Checkpoint, exclude: &[usize]) -> Result<(), String> {
-        Recoverable::restore_excluding(&mut self.exec, cp, exclude)?;
-        self.rebaseline();
-        Ok(())
-    }
-
-    fn atom_count(&self) -> usize {
-        self.exec.atom_count()
-    }
-
-    fn total_energy_estimate(&self) -> f64 {
-        self.exec.total_energy_estimate()
-    }
-
-    fn state_is_finite(&self) -> bool {
-        self.exec.state_is_finite()
-    }
-
-    fn steps_done(&self) -> u64 {
-        self.exec.steps_done()
-    }
-}
+/// A scenario instantiated on the one engine: every executor spelling
+/// builds a [`DistributedSim`] (`serial` a 1×1×1 grid), which owns the
+/// run's metrics registry and feeds it after every step. Only a name: it
+/// stays for the external benchmark harness, which holds its runs by it.
+pub type RunHandle = DistributedSim;
 
 impl ScenarioSpec {
     /// Builds the workload system (deterministic per the spec's seeds),
@@ -239,16 +101,28 @@ impl ScenarioSpec {
     pub(crate) fn grid(&self) -> [u64; 3] {
         match &self.executor {
             ExecutorSpec::Serial { .. } => [1, 1, 1],
-            ExecutorSpec::Bsp { grid } | ExecutorSpec::Threaded { grid } => *grid,
+            ExecutorSpec::Bsp { grid } => *grid,
+        }
+    }
+
+    /// The run's metrics registry: disabled unless the spec enables
+    /// metrics, and labelled with the runner's `label` (a served job's id)
+    /// so multiplexed jobs stay distinguishable.
+    fn metrics(&self, label: Option<&str>) -> Registry {
+        match (self.observability.metrics, label) {
+            (false, _) => Registry::disabled(),
+            (true, None) => Registry::new(),
+            (true, Some(label)) => Registry::labeled(label),
         }
     }
 
     /// The one mapping from a spec to the engine's run configuration:
-    /// every spec key the engine can honour travels through here, and
-    /// [`ScenarioSpec::validate`] refuses the rest per executor.
-    /// `flight_ring` is the runner's, as in
+    /// every spec key the engine can honour travels through here, the
+    /// tracer and the metrics registry included, and
+    /// [`ScenarioSpec::validate`] refuses the rest. `label` and
+    /// `flight_ring` are the runner's, as in
     /// [`ScenarioSpec::instantiate_flight`].
-    pub fn engine_config(&self, flight_ring: Option<usize>) -> EngineConfig {
+    pub fn engine_config(&self, label: Option<&str>, flight_ring: Option<usize>) -> EngineConfig {
         let ranks: u64 = self.grid().iter().product();
         EngineConfig {
             // A serial run's lanes are its `threads`. A grid's ranks are one
@@ -256,7 +130,7 @@ impl ScenarioSpec {
             // one-rank grid would split its sweeps over them, so it gets one.
             lanes: match &self.executor {
                 ExecutorSpec::Serial { threads } => *threads as usize,
-                ExecutorSpec::Bsp { .. } | ExecutorSpec::Threaded { .. } => usize::from(ranks == 1),
+                ExecutorSpec::Bsp { .. } => usize::from(ranks == 1),
             },
             subdivision: self.subdivision,
             resort_every: self.resort_every,
@@ -266,6 +140,7 @@ impl ScenarioSpec {
                 FaultPlan::storm(fp.seed, count, self.steps, ranks as usize, crashes, self.method)
             }),
             tracer: self.tracer(flight_ring),
+            metrics: self.metrics(label),
             thermostat: self.thermostat.as_ref().map(|t| (t.target, t.dt_over_tau)),
         }
     }
@@ -276,7 +151,7 @@ impl ScenarioSpec {
     /// budget of 64 per checkpoint interval, and the run's own registry and
     /// tracer, so the `supervisor.*` series and recovery markers export
     /// with the run's.
-    pub fn supervisor(&self, run: &RunHandle) -> Supervisor {
+    pub fn supervisor(&self, run: &DistributedSim) -> Supervisor {
         Supervisor::new(SupervisorConfig {
             checkpoint_every: self.checkpoint.as_ref().map_or(u64::MAX, |c| c.every),
             max_rollbacks: ROLLBACK_BUDGET,
@@ -290,7 +165,7 @@ impl ScenarioSpec {
     ///
     /// # Errors
     /// [`SpecError::Setup`] when the engine rejects the configuration.
-    pub fn instantiate(&self) -> Result<RunHandle, SpecError> {
+    pub fn instantiate(&self) -> Result<DistributedSim, SpecError> {
         self.instantiate_flight(None, None)
     }
 
@@ -305,24 +180,15 @@ impl ScenarioSpec {
         &self,
         label: Option<&str>,
         flight_ring: Option<usize>,
-    ) -> Result<RunHandle, SpecError> {
+    ) -> Result<DistributedSim, SpecError> {
         let (store, bbox) = self.build_workload();
         let (ff, dt) = (self.force_field(), self.dt);
-        let cfg = self.engine_config(flight_ring);
-        let metrics = match (self.observability.metrics, label) {
-            (false, _) => Registry::disabled(),
-            (true, None) => Registry::new(),
-            (true, Some(label)) => Registry::labeled(label),
-        };
+        let cfg = self.engine_config(label, flight_ring);
         let [x, y, z] = self.grid().map(|d| d as i32);
-        let sim =
-            DistributedSim::build(store, bbox, IVec3::new(x, y, z), ff, dt, cfg).map_err(|e| {
-                match e {
-                    SetupError::Build(e) => SpecError::Build(e),
-                    e => SpecError::Setup(e.to_string()),
-                }
-            })?;
-        Ok(RunHandle::new(sim, metrics))
+        DistributedSim::build(store, bbox, IVec3::new(x, y, z), ff, dt, cfg).map_err(|e| match e {
+            SetupError::Build(e) => SpecError::Build(e),
+            e => SpecError::Setup(e.to_string()),
+        })
     }
 }
 
@@ -415,7 +281,7 @@ mod tests {
         let grid = spec(r#"{"kind": "bsp", "grid": [2, 1, 1]}"#);
         let run = |lanes| {
             let (store, bbox) = grid.build_workload();
-            let cfg = EngineConfig { lanes, ..grid.engine_config(None) };
+            let cfg = EngineConfig { lanes, ..grid.engine_config(None, None) };
             let pdims = IVec3::new(2, 1, 1);
             let mut sim =
                 DistributedSim::build(store, bbox, pdims, grid.force_field(), grid.dt, cfg)
@@ -428,27 +294,23 @@ mod tests {
         assert!(run(1) == run(4), "a 2×1×1 grid on four lanes moved");
         for kind in ["bsp", "threaded"] {
             let one = spec(&format!(r#"{{"kind": "{kind}", "grid": [1, 1, 1]}}"#));
-            assert_eq!(one.engine_config(None).lanes, 1, "{kind}");
+            assert_eq!(one.engine_config(None, None).lanes, 1, "{kind}");
         }
-        assert_eq!(grid.engine_config(None).lanes, 0);
+        assert_eq!(grid.engine_config(None, None).lanes, 0);
     }
 
+    /// `threaded` is a spelling, not an executor: it decodes to `bsp` on
+    /// its grid (the canonical form prints `bsp`) and runs like it.
     #[test]
     fn threaded_instantiates_like_any_other_executor() {
         let spec = spec(r#"{"kind": "threaded", "grid": [2, 1, 1]}"#);
+        assert_eq!(spec.executor, ExecutorSpec::Bsp { grid: [2, 1, 1] });
+        let canonical = spec.to_json().to_string();
+        assert!(canonical.contains(r#""kind":"bsp""#), "{canonical}");
         let mut handle = spec.instantiate().unwrap();
-        // The spelling stays; the engine is the one engine, on the grid.
-        assert_eq!(spec.grid(), [2, 1, 1]);
-        handle.try_step().unwrap();
-        assert_eq!(handle.steps_done(), 1);
-        assert_eq!(handle.gather().len(), 4 * 7usize.pow(3));
-        // The one handle runs the full spec.
-        handle.run(spec.steps as usize - 1);
+        handle.run(spec.steps as usize);
         assert_eq!(handle.steps_done(), spec.steps);
         assert_eq!(handle.gather().len(), 4 * 7usize.pow(3));
-        let t = handle.telemetry();
-        assert!(t.energy.total().is_finite());
-        assert!(t.comm.messages > 0);
     }
 
     /// Snapshots keep rank-major slot order, so a restore onto the same

@@ -10,16 +10,17 @@
 //!
 //! The crate deliberately has **no** external dependencies: documents are
 //! read by [`sc_obs::json::Json`], and decoding is strict — unknown
-//! fields, wrong types, out-of-range values and keys the chosen executor
-//! cannot honour all fail with a [`SpecError`] naming the offending
-//! field's dotted path.
+//! fields, wrong types, out-of-range values and keys the run cannot honour
+//! (`comm.rebalance_every` on a one-rank grid) all fail with a
+//! [`SpecError`] naming the offending field's dotted path.
 //!
 //! ```text
 //! file/str ── parse ──► Json ── decode+validate ──► ScenarioSpec
-//!                                                      │ engine_config() + instantiate()
-//!                                                      ▼
-//!                       RunHandle (DistributedSim)
-//!                         serial = 1×1×1 grid, bsp, threaded
+//!                                                      │ engine_config(): lanes, faults,
+//!                                                      │ tracer, metrics registry, …
+//!                                                      ▼ instantiate()
+//!                       DistributedSim (RunHandle names it)
+//!                         serial = 1×1×1 grid; bsp (also spelled threaded)
 //! ```
 
 pub mod build;

@@ -42,11 +42,12 @@ pub struct ScenarioSpec {
     pub subdivision: i32,
     /// Morton re-sort cadence (0 = never).
     pub resort_every: u64,
-    /// The `comm` block: the rebalance cadence (distributed executors).
+    /// The `comm` block: the rebalance cadence (refused on a one-rank grid).
     pub comm: CommSpec,
     /// Optional Berendsen thermostat.
     pub thermostat: Option<ThermostatSpec>,
-    /// Optional scripted fault storm (distributed executors only).
+    /// Optional scripted fault storm (every executor; on `serial` the one
+    /// rank faults its own self-messages).
     pub fault_plan: Option<FaultPlanSpec>,
     /// Observability sinks to enable.
     pub observability: ObservabilitySpec,
@@ -130,15 +131,9 @@ pub enum ExecutorSpec {
         /// Force-evaluation lanes (0 = the host's parallelism).
         threads: u64,
     },
-    /// The distributed engine over a `grid` of ranks.
+    /// The distributed engine over a `grid` of ranks. The spelling
+    /// `"threaded"` decodes to this variant too.
     Bsp {
-        /// Rank grid dimensions.
-        grid: [u64; 3],
-    },
-    /// Another spelling of [`ExecutorSpec::Bsp`]: it builds the same
-    /// engine, with the same results. It is kept because checked-in specs
-    /// and case names use it.
-    Threaded {
         /// Rank grid dimensions.
         grid: [u64; 3],
     },
@@ -162,7 +157,6 @@ impl ExecutorSpec {
         match self {
             ExecutorSpec::Serial { .. } => "serial",
             ExecutorSpec::Bsp { .. } => "bsp",
-            ExecutorSpec::Threaded { .. } => "threaded",
         }
     }
 }
@@ -173,7 +167,7 @@ impl ExecutorSpec {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommSpec {
     /// Re-fit the rank grid to measured per-rank compute seconds every
-    /// this many steps (0 = never; distributed executors only).
+    /// this many steps (0 = never; refused on a one-rank grid).
     pub rebalance_every: u64,
 }
 
@@ -505,7 +499,7 @@ impl ScenarioSpec {
         }
         match &self.executor {
             ExecutorSpec::Serial { .. } => {}
-            ExecutorSpec::Bsp { grid } | ExecutorSpec::Threaded { grid } => {
+            ExecutorSpec::Bsp { grid } => {
                 if grid.contains(&0) {
                     return Err(bad("executor.grid", "every dimension must be at least 1"));
                 }
@@ -518,18 +512,13 @@ impl ScenarioSpec {
                 }
             }
         }
-        // The refusal rule: a key the chosen executor cannot honour is an
-        // error naming the key, never a silently different run.
-        let serial = matches!(self.executor, ExecutorSpec::Serial { .. });
-        let only = |field: &str, set: bool, honoured: bool, who: &str| {
-            if set && !honoured {
-                return Err(bad(field, format!("only {who} honours this key")));
-            }
-            Ok(())
-        };
-        let distributed = "a distributed executor (bsp, threaded)";
-        only("comm.rebalance_every", self.comm.rebalance_every != 0, !serial, distributed)?;
-        only("fault_plan", self.fault_plan.is_some(), !serial, distributed)?;
+        // The refusal rule: a key the run cannot honour is an error naming
+        // the key, never a silently different run. One rank has no cut
+        // plane to re-fit, whatever the spelling.
+        let ranks: u64 = self.grid().iter().product();
+        if self.comm.rebalance_every != 0 && ranks == 1 {
+            return Err(bad("comm.rebalance_every", "a one-rank grid has nothing to rebalance"));
+        }
         if let Some(t) = &self.thermostat {
             if !(t.target >= 0.0 && t.target.is_finite()) {
                 return Err(bad("thermostat.target", "must be finite and ≥ 0"));
@@ -539,11 +528,6 @@ impl ScenarioSpec {
             }
         }
         if let Some(fp) = &self.fault_plan {
-            let (ExecutorSpec::Bsp { grid } | ExecutorSpec::Threaded { grid }) = &self.executor
-            else {
-                unreachable!("refused above")
-            };
-            let ranks = grid.iter().product::<u64>();
             if fp.count == 0 {
                 return Err(bad("fault_plan.count", "must be at least 1"));
             }
@@ -771,13 +755,10 @@ fn decode_executor(f: &Fields) -> Result<ExecutorSpec, SpecError> {
             f.deny_unknown(&["kind", "threads"])?;
             Ok(ExecutorSpec::Serial { threads: f.u64_or("threads", 0)? })
         }
-        "bsp" => {
+        // `threaded` is another spelling of the same engine on its grid.
+        "bsp" | "threaded" => {
             f.deny_unknown(&["kind", "grid"])?;
             Ok(ExecutorSpec::Bsp { grid: f.grid("grid")? })
-        }
-        "threaded" => {
-            f.deny_unknown(&["kind", "grid"])?;
-            Ok(ExecutorSpec::Threaded { grid: f.grid("grid")? })
         }
         other => Err(SpecError::UnknownVariant {
             field: f.path("kind"),
@@ -796,10 +777,6 @@ fn executor_json(e: &ExecutorSpec) -> Json {
         ]),
         ExecutorSpec::Bsp { grid } => Json::Obj(vec![
             ("kind".to_string(), Json::str("bsp")),
-            ("grid".to_string(), grid_json(grid)),
-        ]),
-        ExecutorSpec::Threaded { grid } => Json::Obj(vec![
-            ("kind".to_string(), Json::str("threaded")),
             ("grid".to_string(), grid_json(grid)),
         ]),
     }
@@ -934,6 +911,15 @@ mod tests {
         );
         match ScenarioSpec::from_json_str(&doc) {
             Err(SpecError::BadValue { field, .. }) => assert_eq!(field, "thermostat.dt_over_tau"),
+            other => panic!("expected BadValue, got {other:?}"),
+        }
+        // A rebalance cadence on a one-rank grid, whatever the spelling.
+        let doc = lj_spec_json().replace(
+            r#""executor": {"kind": "serial"}"#,
+            r#""executor": {"kind": "bsp", "grid": [1, 1, 1]}, "comm": {"rebalance_every": 2}"#,
+        );
+        match ScenarioSpec::from_json_str(&doc) {
+            Err(SpecError::BadValue { field, .. }) => assert_eq!(field, "comm.rebalance_every"),
             other => panic!("expected BadValue, got {other:?}"),
         }
     }

@@ -23,7 +23,8 @@ pub const SCHEMA_ID: &str = "sc-bench/2";
 pub struct BenchCase {
     /// Unique case name (`executor-method-system`).
     pub name: String,
-    /// The spec's executor spelling: `serial`, `threaded`, or `bsp`.
+    /// The spec's executor kind: `serial` or `bsp` (`threaded` decodes to
+    /// `bsp`).
     pub executor: String,
     /// Method short name (`sc`, `fs`, `hybrid`).
     pub method: String,
@@ -111,9 +112,9 @@ pub fn matrix_specs() -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// Runs one scenario as a bench case. Every executor spelling goes through the same [`sc_spec::RunHandle`]
-/// instantiation the job service uses, so the bench doubles as a no-drift
-/// check on the spec layer.
+/// Runs one scenario as a bench case. Every executor spelling goes through
+/// the same [`ScenarioSpec::instantiate`] the job service uses, so the
+/// bench doubles as a no-drift check on the spec layer.
 pub fn run_spec_case(spec: &ScenarioSpec) -> Result<BenchCase, String> {
     let steps = spec.steps;
     let mut handle = spec.instantiate().map_err(|e| e.to_string())?;

@@ -27,9 +27,9 @@
 //!   unified `Telemetry` snapshot.
 //! * [`netmodel`] — calibrated machine profiles used to regenerate the
 //!   paper's granularity and strong-scaling figures.
-//! * [`spec`] — declarative `sc-scenario/1` JSON documents, the one
-//!   mapping from a spec to an engine configuration, and the `RunHandle`
-//!   every executor instantiates to.
+//! * [`spec`] — declarative `sc-scenario/1` JSON documents and the one
+//!   mapping from a spec to an engine configuration; every executor
+//!   spelling instantiates to the one engine (`RunHandle` names it).
 //! * [`serve`] — the multi-tenant job service behind `scmd serve`:
 //!   fair-share scheduling, backpressure, and restartable jobs.
 //!

@@ -38,7 +38,7 @@ use shift_collapse_md::md::supervisor::Recoverable;
 use shift_collapse_md::md::{
     build_clustered_gas, build_fcc_lattice, build_silica_like, thermalize, ForceField, LatticeSpec,
 };
-use shift_collapse_md::obs::Tracer;
+use shift_collapse_md::obs::{Registry, Tracer};
 use shift_collapse_md::parallel::{
     DistributedSim, EngineConfig, Fault, FaultKind, FaultPlan, RankGrid, SetupError,
 };
@@ -302,7 +302,8 @@ impl Case {
 /// The one place a case becomes an engine. A refusal comes back as the
 /// engine's typed error, named.
 fn build(case: &Case, store: AtomStore, bbox: SimulationBox, dt: f64) -> Result<Engine, String> {
-    let (ff, tracer) = (force_field(case.pot, case.method), Tracer::disabled());
+    let ff = force_field(case.pot, case.method);
+    let (tracer, metrics) = (Tracer::disabled(), Registry::disabled());
     let (subdivision, resort_every) = (case.subdivision, case.resort_every);
     let pdims = case.ranks();
     // As a spec gives them: a grid's ranks are one task each, and a
@@ -327,6 +328,7 @@ fn build(case: &Case, store: AtomStore, bbox: SimulationBox, dt: f64) -> Result<
         rebalance_every,
         faults,
         tracer,
+        metrics,
         thermostat,
     };
     let sim = DistributedSim::build(store, bbox, pdims, ff, dt, cfg);

@@ -9,7 +9,7 @@
 
 use shift_collapse_md::obs::json::Json;
 use shift_collapse_md::obs::schema;
-use shift_collapse_md::spec::{observables_doc, ScenarioSpec};
+use shift_collapse_md::spec::{observables_doc, ExecutorSpec, ScenarioSpec};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -110,18 +110,25 @@ fn chaos_named_cases_are_the_checked_in_specs() {
 }
 
 /// A storm without a crash leaves no trace: `scmd run --spec` of
-/// `fault-storm.json` writes the same results document, byte for byte, as
-/// the same spec without its `fault_plan`. Every fault in it is absorbed
-/// by a retry or a bitwise rollback.
+/// `fault-storm.json`, as checked in (a 2×1×1 grid) and on one serial
+/// thread (one rank faulting its own self-messages), writes the same
+/// results document, byte for byte, as the same spec without its
+/// `fault_plan`. Every fault in it is absorbed by a retry or a bitwise
+/// rollback.
 #[test]
 fn a_storm_without_a_crash_leaves_no_trace() {
     let storm = repo_path("scenarios/fault-storm.json");
-    let mut calm = ScenarioSpec::from_path(&storm).unwrap();
-    assert_eq!(calm.fault_plan.take().map(|p| p.max_crashes), Some(0), "the storm has no crash");
+    let checked_in = ScenarioSpec::from_path(&storm).unwrap();
+    assert_eq!(checked_in.fault_plan.as_ref().map(|p| p.max_crashes), Some(0), "no crash");
+    let serial =
+        ScenarioSpec { executor: ExecutorSpec::Serial { threads: 1 }, ..checked_in.clone() };
     let dir = std::env::temp_dir().join(format!("sc-no-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let calm_path = dir.join("calm.json");
-    std::fs::write(&calm_path, calm.to_json().to_string()).unwrap();
+    let write = |spec: &ScenarioSpec, name: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, spec.to_json().to_string()).unwrap();
+        path
+    };
     let results = |spec: &Path, out: &str| {
         let out = dir.join(out);
         let status = Command::new(env!("CARGO_BIN_EXE_scmd"))
@@ -131,7 +138,13 @@ fn a_storm_without_a_crash_leaves_no_trace() {
         assert!(status.status.success(), "{}", String::from_utf8_lossy(&status.stderr));
         std::fs::read(out).unwrap()
     };
-    let (stormed, calm) = (results(&storm, "stormed.json"), results(&calm_path, "calm.json.out"));
+    for (name, stormed, spec) in
+        [("bsp", storm.clone(), &checked_in), ("serial", write(&serial, "serial.json"), &serial)]
+    {
+        let calm = ScenarioSpec { fault_plan: None, ..spec.clone() };
+        let calm = write(&calm, &format!("{name}-calm.json"));
+        let (stormed, calm) = (results(&stormed, "stormed.out"), results(&calm, "calm.out"));
+        assert!(stormed == calm, "{name}: the storm moved the results document");
+    }
     std::fs::remove_dir_all(&dir).ok();
-    assert!(stormed == calm, "the storm moved the results document");
 }
