@@ -2,7 +2,6 @@
 //! top-level [`Error`] every binary can funnel a whole run through.
 
 use crate::checkpoint::CheckpointError;
-use crate::io::XyzError;
 use crate::supervisor::SupervisorError;
 use std::fmt;
 
@@ -146,7 +145,7 @@ impl std::error::Error for CliError {}
 ///
 /// Every fallible entry point converts into this via `From`, so a binary's
 /// whole setup-run-output pipeline is one `?`-chain:
-/// build ([`BuildError`]), trajectory I/O ([`XyzError`], [`std::io::Error`]),
+/// build ([`BuildError`]), trajectory I/O ([`std::io::Error`]),
 /// checkpointing ([`CheckpointError`]), supervised recovery
 /// ([`SupervisorError`]), and the distributed engine's setup/runtime
 /// failures (type-erased behind [`Error::Setup`] / [`Error::Runtime`];
@@ -158,8 +157,6 @@ pub enum Error {
     Cli(CliError),
     /// Simulation configuration was rejected at build time.
     Build(BuildError),
-    /// XYZ trajectory I/O failed.
-    Xyz(XyzError),
     /// Checkpoint save/load failed.
     Checkpoint(CheckpointError),
     /// The supervisor exhausted its recovery budget.
@@ -179,7 +176,6 @@ impl fmt::Display for Error {
         match self {
             Error::Cli(e) => write!(f, "cli: {e}"),
             Error::Build(e) => write!(f, "build: {e}"),
-            Error::Xyz(e) => write!(f, "xyz: {e}"),
             Error::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             Error::Supervisor(e) => write!(f, "supervisor: {e}"),
             Error::Setup(e) => write!(f, "setup: {e}"),
@@ -194,7 +190,6 @@ impl std::error::Error for Error {
         match self {
             Error::Cli(e) => Some(e),
             Error::Build(e) => Some(e),
-            Error::Xyz(e) => Some(e),
             Error::Checkpoint(e) => Some(e),
             Error::Supervisor(e) => Some(e),
             Error::Setup(e) | Error::Runtime(e) => Some(e.as_ref()),
@@ -212,12 +207,6 @@ impl From<BuildError> for Error {
 impl From<CliError> for Error {
     fn from(e: CliError) -> Self {
         Error::Cli(e)
-    }
-}
-
-impl From<XyzError> for Error {
-    fn from(e: XyzError) -> Self {
-        Error::Xyz(e)
     }
 }
 

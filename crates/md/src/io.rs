@@ -1,9 +1,8 @@
 //! Trajectory I/O: the extended-XYZ format every MD visualizer reads.
 
 use sc_cell::{AtomStore, Species};
-use sc_geom::{SimulationBox, Vec3};
-use std::fmt;
-use std::io::{self, BufRead, Write};
+use sc_geom::SimulationBox;
+use std::io::{self, Write};
 
 /// Default species → element-symbol mapping (Si/O for the silica system,
 /// Ar for single-species runs beyond index 1).
@@ -57,214 +56,41 @@ pub fn write_xyz(
     Ok(())
 }
 
-/// Why an extended-XYZ snapshot could not be read: I/O failure or one of
-/// the malformed-input cases, each naming the offending row.
-#[derive(Debug)]
-pub enum XyzError {
-    /// Underlying reader failure.
-    Io(io::Error),
-    /// The first line is not a non-negative atom count.
-    BadAtomCount,
-    /// The header has no parseable `Lattice="..."` entry of 9 numbers.
-    BadLattice,
-    /// The lattice diagonal is not positive and finite.
-    DegenerateBox,
-    /// The snapshot ended before all declared atoms were read.
-    Truncated {
-        /// Atoms the header declared.
-        expected: usize,
-        /// Complete rows actually present.
-        got: usize,
-    },
-    /// An atom row is missing its symbol or one of its 6 numbers.
-    ShortRow {
-        /// 0-based atom row index.
-        row: usize,
-    },
-    /// An atom row holds a token that does not parse as a number.
-    BadNumber {
-        /// 0-based atom row index.
-        row: usize,
-    },
-    /// A coordinate or velocity is NaN or infinite.
-    NonFinite {
-        /// 0-based atom row index.
-        row: usize,
-    },
-}
-
-impl fmt::Display for XyzError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            XyzError::Io(e) => write!(f, "xyz read failed: {e}"),
-            XyzError::BadAtomCount => write!(f, "first line is not an atom count"),
-            XyzError::BadLattice => write!(f, "header has no Lattice=\"...\" with 9 numbers"),
-            XyzError::DegenerateBox => {
-                write!(f, "lattice diagonal must be positive and finite")
-            }
-            XyzError::Truncated { expected, got } => {
-                write!(f, "snapshot truncated: {got} of {expected} atom rows")
-            }
-            XyzError::ShortRow { row } => {
-                write!(f, "atom row {row} is missing fields (need symbol + 6 numbers)")
-            }
-            XyzError::BadNumber { row } => write!(f, "atom row {row} has an unparseable number"),
-            XyzError::NonFinite { row } => {
-                write!(f, "atom row {row} has a non-finite coordinate or velocity")
-            }
-        }
-    }
-}
-
-impl std::error::Error for XyzError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            XyzError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for XyzError {
-    fn from(e: io::Error) -> Self {
-        XyzError::Io(e)
-    }
-}
-
-/// Reads one extended-XYZ snapshot written by [`write_xyz`]. Returns the
-/// store (ids assigned in row order) and the box parsed from the lattice
-/// header. `masses` supplies the per-species mass table (symbols map back
-/// to indices: Si→0, O→1, anything else→0).
-///
-/// # Errors
-/// [`XyzError`] naming the malformed element: bad counts, missing or
-/// degenerate lattice, truncated snapshots, short rows, and non-finite
-/// coordinates are all rejected instead of producing a poisoned store.
-pub fn read_xyz(
-    input: &mut impl BufRead,
-    masses: Vec<f64>,
-) -> Result<(AtomStore, SimulationBox), XyzError> {
-    let mut line = String::new();
-    input.read_line(&mut line)?;
-    let n: usize = line.trim().parse().map_err(|_| XyzError::BadAtomCount)?;
-    line.clear();
-    input.read_line(&mut line)?;
-    let lat_start = line.find("Lattice=\"").ok_or(XyzError::BadLattice)? + 9;
-    let lat_end = line[lat_start..].find('"').ok_or(XyzError::BadLattice)?;
-    let nums: Vec<f64> = line[lat_start..lat_start + lat_end]
-        .split_whitespace()
-        .map(|t| t.parse().map_err(|_| XyzError::BadLattice))
-        .collect::<Result<_, _>>()?;
-    if nums.len() != 9 {
-        return Err(XyzError::BadLattice);
-    }
-    let diag = Vec3::new(nums[0], nums[4], nums[8]);
-    if !(diag.is_finite() && diag.x > 0.0 && diag.y > 0.0 && diag.z > 0.0) {
-        return Err(XyzError::DegenerateBox);
-    }
-    let bbox = SimulationBox::new(diag);
-    let multi = masses.len() >= 2;
-    let mut store = AtomStore::new(masses);
-    for id in 0..n {
-        line.clear();
-        if input.read_line(&mut line)? == 0 {
-            return Err(XyzError::Truncated { expected: n, got: id });
-        }
-        let mut tok = line.split_whitespace();
-        let sym = tok.next().ok_or(XyzError::ShortRow { row: id })?;
-        let sp = if multi && sym == "O" { Species::O } else { Species(0) };
-        let mut vals = [0.0f64; 6];
-        for v in &mut vals {
-            *v = tok
-                .next()
-                .ok_or(XyzError::ShortRow { row: id })?
-                .parse()
-                .map_err(|_| XyzError::BadNumber { row: id })?;
-        }
-        if vals.iter().any(|v| !v.is_finite()) {
-            return Err(XyzError::NonFinite { row: id });
-        }
-        store.push(
-            id as u64,
-            sp,
-            Vec3::new(vals[0], vals[1], vals[2]),
-            Vec3::new(vals[3], vals[4], vals[5]),
-        );
-    }
-    Ok((store, bbox))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::build_silica_like;
-    use std::io::BufReader;
-
-    #[test]
-    fn xyz_roundtrip_preserves_everything() {
-        let (store, bbox) = build_silica_like(2, 7.16, [28.0855, 15.999], 0.3, 9);
-        let mut buf = Vec::new();
-        write_xyz(&mut buf, &store, &bbox, "step=42").unwrap();
-        let (back, bbox2) =
-            read_xyz(&mut BufReader::new(buf.as_slice()), vec![28.0855, 15.999]).unwrap();
-        assert_eq!(back.len(), store.len());
-        assert_eq!(bbox2.lengths(), bbox.lengths());
-        for i in 0..store.len() {
-            assert_eq!(back.species()[i], store.species()[i]);
-            assert!((back.positions()[i] - store.positions()[i]).norm() < 1e-9);
-            assert!((back.velocities()[i] - store.velocities()[i]).norm() < 1e-9);
-        }
-    }
 
     #[test]
     fn header_carries_comment_and_counts() {
-        let (store, bbox) = build_silica_like(2, 7.16, [28.0855, 15.999], 0.0, 9);
+        let (store, bbox) = build_silica_like(2, 7.16, [28.0855, 15.999], 0.3, 9);
         let mut buf = Vec::new();
         write_xyz(&mut buf, &store, &bbox, "test-comment").unwrap();
         let text = String::from_utf8(buf).unwrap();
         let mut lines = text.lines();
         assert_eq!(lines.next().unwrap().trim(), store.len().to_string());
         let header = lines.next().unwrap();
-        assert!(header.contains("Lattice="));
+        let l = bbox.lengths();
+        assert!(header.contains(&format!("Lattice=\"{} 0 0 0 {} 0 0 0 {}\"", l.x, l.y, l.z)));
         assert!(header.contains("test-comment"));
+        // Every row, in id order, carries the atom's symbol, position and
+        // velocity to 1e-9.
+        let mut order: Vec<usize> = (0..store.len()).collect();
+        order.sort_by_key(|&i| store.ids()[i]);
+        let rows: Vec<&str> = lines.collect();
+        assert_eq!(rows.len(), store.len());
+        for (row, i) in rows.iter().zip(order) {
+            let mut tok = row.split_whitespace();
+            let sym = if store.species()[i].index() == 0 { "Si" } else { "O" };
+            assert_eq!(tok.next(), Some(sym), "{row}");
+            let vals: Vec<f64> = tok.map(|t| t.parse().unwrap()).collect();
+            let (r, v) = (store.positions()[i], store.velocities()[i]);
+            let want = [r.x, r.y, r.z, v.x, v.y, v.z];
+            assert_eq!(vals.len(), 6, "{row}");
+            assert!(vals.iter().zip(want).all(|(a, b)| (a - b).abs() < 1e-9), "{row}");
+        }
         // Si and O both present.
         assert!(text.lines().any(|l| l.starts_with("Si ")));
         assert!(text.lines().any(|l| l.starts_with("O ")));
-    }
-
-    #[test]
-    fn malformed_input_gets_typed_errors() {
-        let lat = "Lattice=\"1 0 0 0 1 0 0 0 1\"";
-        type Check = fn(&XyzError) -> bool;
-        let cases: Vec<(String, Check)> = vec![
-            (String::new(), |e| matches!(e, XyzError::BadAtomCount)),
-            ("x\n".into(), |e| matches!(e, XyzError::BadAtomCount)),
-            ("3\nno lattice here\n".into(), |e| matches!(e, XyzError::BadLattice)),
-            ("1\nLattice=\"1 0 0\"\n".into(), |e| matches!(e, XyzError::BadLattice)),
-            ("1\nLattice=\"0 0 0 0 1 0 0 0 1\"\nAr 0 0 0 0 0 0\n".into(), |e| {
-                matches!(e, XyzError::DegenerateBox)
-            }),
-            ("1\nLattice=\"nan 0 0 0 1 0 0 0 1\"\nAr 0 0 0 0 0 0\n".into(), |e| {
-                matches!(e, XyzError::DegenerateBox)
-            }),
-            (format!("2\n{lat}\nAr 0 0 0 0 0 0\n"), |e| {
-                matches!(e, XyzError::Truncated { expected: 2, got: 1 })
-            }),
-            (format!("1\n{lat}\nAr 0 0\n"), |e| matches!(e, XyzError::ShortRow { row: 0 })),
-            (format!("1\n{lat}\nAr 0 0 zero 0 0 0\n"), |e| {
-                matches!(e, XyzError::BadNumber { row: 0 })
-            }),
-            (format!("1\n{lat}\nAr 0 0 inf 0 0 0\n"), |e| {
-                matches!(e, XyzError::NonFinite { row: 0 })
-            }),
-            (format!("1\n{lat}\nAr 0 0 0 0 NaN 0\n"), |e| {
-                matches!(e, XyzError::NonFinite { row: 0 })
-            }),
-        ];
-        for (input, check) in cases {
-            let err = read_xyz(&mut BufReader::new(input.as_bytes()), vec![1.0])
-                .expect_err(&format!("case {input:?} should fail"));
-            assert!(check(&err), "case {input:?} gave {err:?}");
-        }
     }
 }

@@ -65,7 +65,7 @@ pub use diagnostics::{pair_virial_pressure, MeanSquaredDisplacement, RadialDistr
 pub use engine::{Dedup, PatternPlan};
 pub use error::{BuildError, CliError, Error};
 pub use integrate::berendsen_factor;
-pub use io::{read_xyz, write_xyz, XyzError};
+pub use io::write_xyz;
 pub use methods::Method;
 pub use par::{ForceAccumulator, ThreadPool};
 pub use stats::{EnergyBreakdown, TupleCounts};

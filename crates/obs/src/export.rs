@@ -5,14 +5,8 @@ use crate::json::Json;
 use crate::registry::MetricsSnapshot;
 use std::fmt::Write;
 
-/// Renders a snapshot as one compact JSON line (newline not included) —
-/// the `BENCH_*.json`-style trajectory record.
-pub fn json_line(snap: &MetricsSnapshot) -> String {
-    json_value(snap).to_string()
-}
-
-/// Builds the JSON value behind [`json_line`], for callers that want to
-/// embed a snapshot in a larger document.
+/// Builds a snapshot's JSON value; `to_string()` renders it as one
+/// compact JSON line.
 pub fn json_value(snap: &MetricsSnapshot) -> Json {
     let phases = Json::Obj(
         snap.phases.iter().map(|(p, secs)| (format!("{}_s", p.name()), Json::num(secs))).collect(),
@@ -181,7 +175,7 @@ mod tests {
 
     #[test]
     fn json_line_golden_and_parses_back() {
-        let line = json_line(&golden_registry().snapshot());
+        let line = json_value(&golden_registry().snapshot()).to_string();
         let v = Json::parse(&line).unwrap();
         assert_eq!(v.get("phases").unwrap().get("bin_s").unwrap().as_f64(), Some(0.5));
         assert_eq!(v.get("phases").unwrap().get("exchange_s").unwrap().as_f64(), Some(0.0));
@@ -232,7 +226,7 @@ comm_step_bytes_count 3
         let reg = Registry::labeled("job-3");
         reg.counter("sim.steps").add(2);
         let snap = reg.snapshot();
-        let line = json_line(&snap);
+        let line = json_value(&snap).to_string();
         assert!(line.starts_with(r#"{"job":"job-3","phases":"#), "{line}");
         let v = Json::parse(&line).unwrap();
         assert_eq!(v.get("job").unwrap().as_str(), Some("job-3"));

@@ -20,8 +20,8 @@
 //! allocates, so a run with observability off pays nothing.
 //!
 //! Snapshots ([`Registry::snapshot`]) render through two exporters:
-//! [`json_line`] (trajectory-style JSON lines) and [`prometheus`] text
-//! format. The [`json`] and [`schema`] modules carry a
+//! [`json_value`] (a JSON value, one compact line via `to_string()`) and
+//! [`prometheus`] text format. The [`json`] and [`schema`] modules carry a
 //! dependency-free JSON value type and a small schema validator used by the
 //! CI metrics check (the workspace's vendored `serde` is a no-op shim, so
 //! JSON is hand-rolled here).
@@ -38,7 +38,7 @@ pub mod schema;
 pub mod trace;
 
 pub use comm::{CommCounters, HealthCounters};
-pub use export::{json_line, json_value, prometheus, prometheus_with_labels};
+pub use export::{json_value, prometheus, prometheus_with_labels};
 pub use imbalance::{ImbalanceReport, RankLoad};
 pub use phase::{Phase, PhaseBreakdown};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};

@@ -63,11 +63,6 @@ impl Phase {
         self as usize
     }
 
-    /// The phase with the given dense index, inverse of [`Phase::index`].
-    pub fn from_index(index: usize) -> Option<Phase> {
-        Phase::ALL.get(index).copied()
-    }
-
     /// Lower-case stable name used by every exporter.
     pub fn name(self) -> &'static str {
         match self {

@@ -1,6 +1,6 @@
-//! Event-level tracing: bounded, lock-free per-thread ring buffers of
-//! [`TraceEvent`]s, a cross-thread/cross-rank merge, and a Chrome Trace
-//! Format exporter (`chrome://tracing` / Perfetto loadable).
+//! Event-level tracing: bounded per-sink ring buffers of [`TraceEvent`]s,
+//! a cross-thread/cross-rank merge, and a Chrome Trace Format exporter
+//! (`chrome://tracing` / Perfetto loadable).
 //!
 //! The metrics [`crate::Registry`] answers *how much* time each phase
 //! costs; this module answers *when* and *on which rank*. The paper's
@@ -13,28 +13,26 @@
 //!
 //! Design points, mirroring the registry:
 //!
-//! - **The hot path is lock-free and bounded.** A [`TraceSink`] writes into
-//!   its own fixed-capacity ring of atomic words: a write claims a slot
-//!   with one `fetch_add` and stores eight words — no locks, no heap, no
-//!   waiting. When the ring wraps, the oldest events are overwritten (and
-//!   counted as dropped); emitting never blocks.
+//! - **The hot path is bounded.** A [`TraceSink`] writes into its own
+//!   lock-guarded ring of events, pre-sized when the sink is created, so
+//!   emitting never allocates. Every sink is written by one thread (the
+//!   engine's), so its lock is contended only while a reader copies the
+//!   ring out. When the ring is full, the oldest event is dropped (and
+//!   counted).
 //! - **Disabled mode is free.** [`Tracer::disabled`] hands out inert sinks
 //!   that perform no allocation and never read the clock, so engines can
 //!   instrument unconditionally.
-//! - **Merging is offline.** [`Tracer::events`] snapshots every registered
+//! - **Merging is offline.** [`Tracer::events`] copies every registered
 //!   ring and sorts by `(step, rank, timestamp)` — the merge key that makes
 //!   per-rank timelines comparable even though each thread's ring fills at
-//!   its own rate. Slots that are mid-overwrite at snapshot time are
-//!   detected by a per-slot sequence word and skipped, never torn.
+//!   its own rate. Each ring is copied under its lock, so a snapshot taken
+//!   mid-run holds whole events only.
 
 use crate::json::Json;
 use crate::phase::Phase;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Words of ring storage per event (see the encoding in `encode`).
-const WORDS: usize = 8;
 
 /// Default ring capacity per sink, in events.
 pub const DEFAULT_CAPACITY: usize = 16_384;
@@ -58,23 +56,6 @@ impl CommChannel {
             CommChannel::Migrate => "migrate",
             CommChannel::Ghosts => "ghosts",
             CommChannel::Forces => "forces",
-        }
-    }
-
-    fn code(self) -> u64 {
-        match self {
-            CommChannel::Migrate => 0,
-            CommChannel::Ghosts => 1,
-            CommChannel::Forces => 2,
-        }
-    }
-
-    fn from_code(code: u64) -> Option<CommChannel> {
-        match code {
-            0 => Some(CommChannel::Migrate),
-            1 => Some(CommChannel::Ghosts),
-            2 => Some(CommChannel::Forces),
-            _ => None,
         }
     }
 }
@@ -141,7 +122,7 @@ pub enum EventKind {
     },
 }
 
-/// One timestamped event, as decoded from a ring.
+/// One timestamped event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Nanoseconds since the owning [`Tracer`]'s epoch.
@@ -158,166 +139,27 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-const TAG_PHASE: u64 = 0;
-const TAG_SEND: u64 = 1;
-const TAG_RECV: u64 = 2;
-const TAG_CHECKPOINT: u64 = 3;
-const TAG_ROLLBACK: u64 = 4;
-const TAG_FAULT: u64 = 5;
-const TAG_HEALTH: u64 = 6;
-const TAG_REDECOMP: u64 = 7;
-
-/// Encodes an event into ring words `w1..w7` (`w0` is the sequence word,
-/// written by the ring itself).
-fn encode(ev: &TraceEvent) -> [u64; WORDS - 1] {
-    // Word 4 layout: tag in bits 56..63, code in 48..55, the send/recv
-    // section count in 32..47, peer in 0..31.
-    let (tag, code, peer, bytes, epoch, sections) = match ev.kind {
-        EventKind::Phase(p) => (TAG_PHASE, p.index() as u64, 0, 0, 0, 0),
-        EventKind::Send { channel, peer, bytes, epoch, sections } => {
-            (TAG_SEND, channel.code(), peer, bytes, epoch, sections)
-        }
-        EventKind::Recv { channel, peer, bytes, epoch, sections } => {
-            (TAG_RECV, channel.code(), peer, bytes, epoch, sections)
-        }
-        EventKind::Checkpoint => (TAG_CHECKPOINT, 0, 0, 0, 0, 0),
-        EventKind::Rollback => (TAG_ROLLBACK, 0, 0, 0, 0, 0),
-        EventKind::Fault => (TAG_FAULT, 0, 0, 0, 0, 0),
-        EventKind::Health { peer, state } => (TAG_HEALTH, state as u64, peer, 0, 0, 0),
-        EventKind::Redecompose { rank, lost } => (TAG_REDECOMP, lost as u64, rank, 0, 0, 0),
-    };
-    [
-        ev.t_ns,
-        ev.dur_ns,
-        ev.step,
-        (ev.rank as u64) << 32 | ev.lane as u64,
-        tag << 56 | code << 48 | (sections as u64) << 32 | peer as u64,
-        bytes,
-        epoch,
-    ]
-}
-
-fn decode(words: &[u64; WORDS - 1]) -> Option<TraceEvent> {
-    let tag = words[4] >> 56;
-    let code = (words[4] >> 48) & 0xff;
-    let sections = ((words[4] >> 32) & 0xffff) as u16;
-    let peer = (words[4] & 0xffff_ffff) as u32;
-    let kind = match tag {
-        TAG_PHASE => EventKind::Phase(Phase::from_index(code as usize)?),
-        TAG_SEND => EventKind::Send {
-            channel: CommChannel::from_code(code)?,
-            peer,
-            bytes: words[5],
-            sections,
-            epoch: words[6],
-        },
-        TAG_RECV => EventKind::Recv {
-            channel: CommChannel::from_code(code)?,
-            peer,
-            bytes: words[5],
-            sections,
-            epoch: words[6],
-        },
-        TAG_CHECKPOINT => EventKind::Checkpoint,
-        TAG_ROLLBACK => EventKind::Rollback,
-        TAG_FAULT => EventKind::Fault,
-        TAG_HEALTH => {
-            if code > 2 {
-                return None;
-            }
-            EventKind::Health { peer, state: code as u8 }
-        }
-        TAG_REDECOMP => EventKind::Redecompose { rank: peer, lost: code != 0 },
-        _ => return None,
-    };
-    Some(TraceEvent {
-        t_ns: words[0],
-        dur_ns: words[1],
-        step: words[2],
-        rank: (words[3] >> 32) as u32,
-        lane: (words[3] & 0xffff_ffff) as u32,
-        kind,
-    })
-}
-
-/// One bounded ring of events. All slot storage is atomic words, so writers
-/// never lock and concurrent snapshots are data-race-free; a per-slot
-/// sequence word detects (and skips) slots caught mid-overwrite.
+/// One sink's history: the newest events, at most the tracer's capacity,
+/// and the count of older ones dropped to make room.
 #[derive(Debug)]
-struct RingCore {
-    capacity: usize,
-    /// `capacity * WORDS` atomic words; slot `i` occupies
-    /// `words[i*WORDS .. (i+1)*WORDS]`, word 0 holding `seq + 1`.
-    words: Box<[AtomicU64]>,
-    /// Total events ever claimed (monotonic; `min(written, capacity)` are
-    /// live, the rest were overwritten — dropped oldest-first).
-    written: AtomicU64,
-}
-
-impl RingCore {
-    fn new(capacity: usize) -> Self {
-        let n = capacity.max(1) * WORDS;
-        RingCore {
-            capacity: capacity.max(1),
-            words: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            written: AtomicU64::new(0),
-        }
-    }
-
-    fn push(&self, ev: &TraceEvent) {
-        let seq = self.written.fetch_add(1, Ordering::Relaxed);
-        let base = (seq as usize % self.capacity) * WORDS;
-        // Invalidate the slot first so a concurrent snapshot never pairs the
-        // new sequence word with stale payload words.
-        self.words[base].store(0, Ordering::Release);
-        for (i, w) in encode(ev).iter().enumerate() {
-            self.words[base + 1 + i].store(*w, Ordering::Relaxed);
-        }
-        self.words[base].store(seq + 1, Ordering::Release);
-    }
-
-    fn dropped(&self) -> u64 {
-        self.written.load(Ordering::Relaxed).saturating_sub(self.capacity as u64)
-    }
-
-    /// Snapshot the live events, oldest first. Slots claimed but not yet
-    /// fully written (or overwritten mid-read) fail the sequence check and
-    /// are skipped.
-    fn snapshot(&self, out: &mut Vec<TraceEvent>) {
-        let written = self.written.load(Ordering::Acquire);
-        let live = written.min(self.capacity as u64);
-        for seq in (written - live)..written {
-            let base = (seq as usize % self.capacity) * WORDS;
-            if self.words[base].load(Ordering::Acquire) != seq + 1 {
-                continue;
-            }
-            let mut payload = [0u64; WORDS - 1];
-            for (i, w) in payload.iter_mut().enumerate() {
-                *w = self.words[base + 1 + i].load(Ordering::Relaxed);
-            }
-            // Re-check the sequence word: if it moved, the slot was being
-            // overwritten while we read it.
-            if self.words[base].load(Ordering::Acquire) != seq + 1 {
-                continue;
-            }
-            if let Some(ev) = decode(&payload) {
-                out.push(ev);
-            }
-        }
-    }
+struct Ring {
+    events: VecDeque<TraceEvent>,
+    dropped: u64,
 }
 
 #[derive(Debug)]
 struct TracerInner {
     epoch: Instant,
+    /// Events per ring, at least 1.
     capacity: usize,
-    /// Every ring ever handed out; locked only at sink creation.
-    rings: Mutex<Vec<Arc<RingCore>>>,
+    /// Every ring ever handed out. Readers lock this list first and then
+    /// one ring at a time; a sink locks only its own ring.
+    rings: Mutex<Vec<Arc<Mutex<Ring>>>>,
 }
 
 /// A shared, clonable handle to one trace collection (or to the inert
 /// disabled tracer). Hand [`Tracer::sink`] to each thread/rank; collect
-/// with [`Tracer::events`] once the producers are quiescent.
+/// with [`Tracer::events`], during or after the run.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<TracerInner>>,
@@ -334,7 +176,7 @@ impl Tracer {
         Tracer {
             inner: Some(Arc::new(TracerInner {
                 epoch: Instant::now(),
-                capacity,
+                capacity: capacity.max(1),
                 rings: Mutex::new(Vec::new()),
             })),
         }
@@ -360,14 +202,15 @@ impl Tracer {
         }
     }
 
-    /// Creates a new per-thread sink writing into its own ring, tagged with
+    /// Creates a new sink writing into its own ring, tagged with
     /// `(rank, lane)`. Allocates the ring once here; emitting through the
     /// sink never allocates.
     pub fn sink(&self, rank: u32, lane: u32) -> TraceSink {
         let Some(inner) = &self.inner else {
             return TraceSink::disabled();
         };
-        let ring = Arc::new(RingCore::new(inner.capacity));
+        let events = VecDeque::with_capacity(inner.capacity);
+        let ring = Arc::new(Mutex::new(Ring { events, dropped: 0 }));
         inner.rings.lock().unwrap().push(ring.clone());
         TraceSink { core: Some((inner.clone(), ring)), rank, lane }
     }
@@ -375,34 +218,36 @@ impl Tracer {
     /// Total events dropped to ring wraparound across every sink.
     pub fn dropped(&self) -> u64 {
         match &self.inner {
-            Some(inner) => inner.rings.lock().unwrap().iter().map(|r| r.dropped()).sum(),
+            Some(inner) => {
+                inner.rings.lock().unwrap().iter().map(|r| r.lock().unwrap().dropped).sum()
+            }
             None => 0,
         }
     }
 
     /// Merges every sink's ring into one event list sorted by
     /// `(step, rank, t_ns, lane)` — the cross-thread/cross-rank timeline.
-    /// Call when producers are quiescent (between steps or after a run);
-    /// slots being overwritten concurrently are skipped, not torn.
+    /// Safe while producers run: each ring is copied whole under its lock,
+    /// and a sink emitting meanwhile waits for that copy.
     pub fn events(&self) -> Vec<TraceEvent> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
         let mut out = Vec::new();
         for ring in inner.rings.lock().unwrap().iter() {
-            ring.snapshot(&mut out);
+            out.extend(ring.lock().unwrap().events.iter().copied());
         }
         out.sort_by_key(|e| (e.step, e.rank, e.t_ns, e.lane));
         out
     }
 }
 
-/// A per-thread event writer bound to one ring. Inert when obtained from a
-/// disabled tracer: every emit is a branch on `None`, with no allocation
-/// and no clock read.
+/// An event writer bound to one ring, for one producing thread. Inert when
+/// obtained from a disabled tracer: every emit is a branch on `None`, with
+/// no allocation and no clock read.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSink {
-    core: Option<(Arc<TracerInner>, Arc<RingCore>)>,
+    core: Option<(Arc<TracerInner>, Arc<Mutex<Ring>>)>,
     rank: u32,
     lane: u32,
 }
@@ -433,12 +278,17 @@ impl TraceSink {
     }
 
     /// Emits a fully-specified event (rank/lane are overridden with this
-    /// sink's tags).
+    /// sink's tags). A full ring drops its oldest event, counted.
     pub fn emit(&self, mut ev: TraceEvent) {
-        if let Some((_, ring)) = &self.core {
+        if let Some((inner, ring)) = &self.core {
             ev.rank = self.rank;
             ev.lane = self.lane;
-            ring.push(&ev);
+            let mut ring = ring.lock().unwrap();
+            if ring.events.len() == inner.capacity {
+                ring.events.pop_front();
+                ring.dropped += 1;
+            }
+            ring.events.push_back(ev);
         }
     }
 
@@ -713,11 +563,11 @@ mod tests {
     }
 
     #[test]
-    fn emitting_never_allocates_or_blocks_in_steady_state() {
-        // The ring is fully pre-allocated at sink creation; pushing is a
-        // fetch_add plus word stores. We can't count allocations directly
-        // here, but we can assert the ring accepts unbounded writes and
-        // stays bounded.
+    fn emitting_stays_bounded_in_steady_state() {
+        // The ring is pre-sized at sink creation and never grows past its
+        // capacity, so pushing never reallocates. We can't count
+        // allocations directly here, but we can assert the ring accepts
+        // unbounded writes and stays bounded.
         let tr = Tracer::with_capacity(4);
         let sink = tr.sink(0, 0);
         for i in 0..10_000u64 {
@@ -762,6 +612,57 @@ mod tests {
         });
         assert_eq!(tr.events().len(), 8_000);
         assert_eq!(tr.dropped(), 0);
+    }
+
+    #[test]
+    fn a_snapshot_taken_mid_write_returns_whole_events() {
+        const WRITTEN: u64 = 200_000;
+        const CAPACITY: usize = 4096;
+        let tr = Tracer::with_capacity(CAPACITY);
+        let sink = tr.sink(0, 0);
+        // The writer pauses halfway until the reader has taken its first
+        // snapshot, so the reader's loop overlaps the second half. The
+        // reader waits before it asserts, so a failure cannot strand the
+        // writer at the barrier.
+        let halfway = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                for i in 0..WRITTEN {
+                    if i == WRITTEN / 2 {
+                        halfway.wait();
+                    }
+                    let kind = EventKind::Send {
+                        channel: CommChannel::Ghosts,
+                        peer: i as u32,
+                        bytes: i,
+                        sections: 1,
+                        epoch: i,
+                    };
+                    sink.emit(TraceEvent { t_ns: i, dur_ns: i, step: i, rank: 0, lane: 0, kind });
+                }
+            });
+            let mut first = true;
+            loop {
+                let finished = writer.is_finished();
+                let evs = tr.events();
+                if std::mem::take(&mut first) {
+                    halfway.wait();
+                }
+                assert!(evs.len() <= CAPACITY);
+                for ev in &evs {
+                    let EventKind::Send { peer, bytes, epoch, .. } = ev.kind else {
+                        panic!("not a send: {ev:?}");
+                    };
+                    let i = ev.step;
+                    assert_eq!([ev.t_ns, ev.dur_ns, bytes, epoch, peer as u64], [i; 5], "{ev:?}");
+                }
+                assert!(evs.windows(2).all(|w| w[1].step == w[0].step + 1), "gap in a snapshot");
+                if finished {
+                    break;
+                }
+            }
+        });
+        assert_eq!(tr.events().len() as u64 + tr.dropped(), WRITTEN);
     }
 
     #[test]

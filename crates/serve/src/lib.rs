@@ -27,5 +27,7 @@ pub use daemon::{Daemon, DaemonConfig, MAX_CONNECTIONS};
 pub use job::{JobId, JobRecord, JobState};
 pub use metrics::{exposition, BuildInfo};
 pub use protocol::{Request, Response};
-pub use scheduler::{DumpError, Scheduler, SchedulerConfig, SubmitError, TraceDump, WatchError};
+pub use scheduler::{
+    DumpError, Scheduler, SchedulerConfig, SubmitError, TraceDump, WatchError, TRACE_SLICES,
+};
 pub use watch::{WatchEvent, WatchHandle};

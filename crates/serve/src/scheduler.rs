@@ -44,6 +44,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Slices the slice record ([`Scheduler::trace`]) keeps: the newest ones.
+pub const TRACE_SLICES: usize = 1024;
+
 /// Scheduler policy.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
@@ -219,9 +222,9 @@ struct Inner {
     jobs: BTreeMap<u64, JobEntry>,
     next_id: u64,
     shutting_down: bool,
-    /// `(job, steps_done)` after every completed slice — the scheduling
-    /// trace the fairness tests assert on.
-    trace: Vec<(JobId, u64)>,
+    /// `(job, steps_done)` after each of the newest [`TRACE_SLICES`]
+    /// completed slices — the scheduling trace the fairness tests assert on.
+    trace: VecDeque<(JobId, u64)>,
 }
 
 struct Shared {
@@ -274,7 +277,7 @@ impl Scheduler {
                 jobs: BTreeMap::new(),
                 next_id: 0,
                 shutting_down: false,
-                trace: Vec::new(),
+                trace: VecDeque::with_capacity(TRACE_SLICES),
             }),
             progress: Condvar::new(),
             cfg: cfg.clone(),
@@ -392,9 +395,11 @@ impl Scheduler {
     }
 
     /// The slice-order trace: `(job, steps_done)` after each slice, in
-    /// execution order. Test observability for fairness assertions.
+    /// execution order. Only the newest [`TRACE_SLICES`] slices are kept,
+    /// so a long-lived daemon's record stays bounded. Test observability
+    /// for fairness assertions.
     pub fn trace(&self) -> Vec<(JobId, u64)> {
-        self.shared.inner.lock().unwrap().trace.clone()
+        self.shared.inner.lock().unwrap().trace.iter().copied().collect()
     }
 
     /// Subscribes to a live job's periodic telemetry snapshots. `every`
@@ -422,8 +427,8 @@ impl Scheduler {
 
     /// Snapshots a job's flight-recorder ring — the recent trace history
     /// of a (typically still running) job — as a Chrome Trace Format
-    /// document. Safe mid-run: ring slots overwritten concurrently are
-    /// skipped, never torn.
+    /// document. Safe mid-run: each ring is copied whole under its lock,
+    /// so the dump holds whole events only.
     ///
     /// # Errors
     /// [`DumpError::UnknownJob`] / [`DumpError::NotStarted`] /
@@ -811,7 +816,10 @@ fn run_slice(_lane: usize, shared: &Arc<Shared>, job: &mut ActiveJob) -> SliceOu
             }
             None => Vec::new(),
         };
-        inner.trace.push((job.id, done));
+        if inner.trace.len() == TRACE_SLICES {
+            inner.trace.pop_front();
+        }
+        inner.trace.push_back((job.id, done));
         due
     };
     if !due.is_empty() {

@@ -2,7 +2,7 @@
 //! backpressure, cancellation releasing lanes, and daemon-restart resume
 //! producing bitwise-identical results.
 
-use sc_serve::{JobId, JobState, Scheduler, SchedulerConfig, SubmitError};
+use sc_serve::{JobId, JobState, Scheduler, SchedulerConfig, SubmitError, TRACE_SLICES};
 use sc_spec::{observables_doc, ScenarioSpec};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -61,6 +61,18 @@ fn fair_share_round_robin_is_deterministic() {
         assert_eq!(rec.state, JobState::Done, "{rec:?}");
         assert_eq!(rec.steps_done, 12);
     }
+}
+
+#[test]
+fn the_slice_record_keeps_only_the_newest_slices() {
+    let cfg = SchedulerConfig { lanes: 1, slice_steps: 1, ..SchedulerConfig::default() };
+    let sched = Scheduler::new(cfg, false).unwrap();
+    let steps = TRACE_SLICES as u64 + 3;
+    let id = sched.submit(lj_spec("long", steps, "")).unwrap();
+    assert!(sched.wait_idle(IDLE), "job did not finish");
+    let trace = sched.trace();
+    assert_eq!(trace.len(), TRACE_SLICES, "{:?}", sched.status(id));
+    assert_eq!(trace.last(), Some(&(id, steps)));
 }
 
 #[test]

@@ -337,7 +337,7 @@ impl<'a> Fields<'a> {
 }
 
 /// The largest `observability.ring` a spec may ask for: 2^20 events per
-/// trace sink, which is 64 MiB of ring storage a sink (64 bytes an event).
+/// trace sink, which is 56 MiB of ring storage a sink (56 bytes an event).
 const MAX_RING: u64 = 1 << 20;
 
 fn bad(field: impl Into<String>, detail: impl Into<String>) -> SpecError {
@@ -539,7 +539,7 @@ impl ScenarioSpec {
             }
         }
         if let Some(ring) = self.observability.ring.filter(|&ring| ring > MAX_RING) {
-            let detail = format!("{ring} events exceeds the {MAX_RING}-event (64 MiB) ring limit");
+            let detail = format!("{ring} events exceeds the {MAX_RING}-event (56 MiB) ring limit");
             return Err(bad("observability.ring", detail));
         }
         if let Some(cp) = &self.checkpoint {

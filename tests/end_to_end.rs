@@ -156,19 +156,6 @@ fn tabulated_silica_pair_term_matches_analytic() {
 }
 
 #[test]
-fn xyz_roundtrip_through_simulation() {
-    use shift_collapse_md::md::{read_xyz, write_xyz};
-    let (mut store, bbox) = build_fcc_lattice(&LatticeSpec::cubic(4, 1.6), 0.0, 3);
-    shift_collapse_md::md::thermalize(&mut store, 1.2, 7);
-    let mut buf = Vec::new();
-    write_xyz(&mut buf, &store, &bbox, "t=0").unwrap();
-    let (back, bbox2) = read_xyz(&mut std::io::BufReader::new(buf.as_slice()), vec![1.0]).unwrap();
-    assert_eq!(back.len(), store.len());
-    assert!((back.temperature() - store.temperature()).abs() < 1e-9);
-    assert_eq!(bbox2.lengths(), bbox.lengths());
-}
-
-#[test]
 fn pattern_theory_matches_construction_through_public_api() {
     use shift_collapse_md::pattern::theory;
     for n in 2..=4 {
