@@ -166,7 +166,7 @@ const PER_STEP: [Series; 6] = [
 
 /// Series read from cumulative counters: each step adds the difference from
 /// the previous reading.
-const CUMULATIVE: [Series; 11] = [
+const CUMULATIVE: [Series; 10] = [
     ("sim.steps", |t| t.step),
     ("comm.messages", |t| t.comm.messages),
     ("comm.bytes", |t| t.comm.bytes),
@@ -177,7 +177,6 @@ const CUMULATIVE: [Series; 11] = [
     ("health.suspects", |t| t.health.suspects),
     ("health.deaths", |t| t.health.deaths),
     ("health.recoveries", |t| t.health.recoveries),
-    ("health.breaker_trips", |t| t.health.breaker_trips),
 ];
 
 /// The index of `comm.bytes` in [`CUMULATIVE`]: its delta over a completed
@@ -194,7 +193,7 @@ fn reading(t: &Telemetry) -> Reading {
 /// The one metrics feed: registers every series in a [`Registry`] and adds
 /// each completed step's share, read from that step's [`Telemetry`]. The
 /// series are `sim.steps`, the six `tuples.*` counters, the six `comm.*`
-/// counters with the `comm.step_bytes` histogram, the four `health.*`
+/// counters with the `comm.step_bytes` histogram, the three `health.*`
 /// counters, and the registry's phase slots (from
 /// [`Telemetry::total_phases`]). Every series is registered up front, so
 /// every run exports the same names whatever its grid.

@@ -72,12 +72,11 @@ impl CommCounters {
 pub struct HealthCounters {
     /// `Healthy → Suspect` transitions.
     pub suspects: u64,
-    /// Declared deaths (deadline expiries and breaker trips).
+    /// Declared deaths: a peer whose consecutive failed deliveries reached
+    /// the watchdog's deadline.
     pub deaths: u64,
     /// `Suspect → Healthy` recoveries.
     pub recoveries: u64,
-    /// Deaths caused by the flap circuit breaker specifically.
-    pub breaker_trips: u64,
 }
 
 #[cfg(test)]

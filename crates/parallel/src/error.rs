@@ -139,6 +139,16 @@ pub enum RuntimeError {
         /// The epoch the message claims.
         got: u64,
     },
+    /// A payload arrived stamped with another exchange's phase: a copy sent
+    /// before a restore, released into the replay of its step.
+    PhaseMismatch {
+        /// The receiving rank.
+        rank: usize,
+        /// The phase of the exchange the receiver is in.
+        expected: u64,
+        /// The phase the message claims.
+        got: u64,
+    },
     /// A payload failed checksum verification (bit corruption in transit).
     ChecksumMismatch {
         /// The receiving rank.
@@ -202,6 +212,9 @@ impl fmt::Display for RuntimeError {
         match self {
             RuntimeError::EpochMismatch { rank, expected, got } => {
                 write!(f, "rank {rank}: payload stamped epoch {got}, expected {expected}")
+            }
+            RuntimeError::PhaseMismatch { rank, expected, got } => {
+                write!(f, "rank {rank}: stale payload stamped phase {got}, expected {expected}")
             }
             RuntimeError::ChecksumMismatch { rank, channel, epoch } => {
                 write!(f, "rank {rank}: checksum mismatch on {channel:?} in epoch {epoch}")
@@ -306,6 +319,7 @@ mod tests {
         assert!(dead.message.contains("rank 5"), "{dead}");
         for e in [
             RuntimeError::EpochMismatch { rank: 5, expected: 2, got: 3 },
+            RuntimeError::PhaseMismatch { rank: 5, expected: 40, got: 31 },
             RuntimeError::ChecksumMismatch { rank: 5, channel, epoch: 7 },
             RuntimeError::MissingHop { rank: 5, channel, epoch: 1, attempts: 3 },
             RuntimeError::RankStalled { rank: 5, epoch: 4, attempts: 3 },

@@ -33,9 +33,14 @@ use std::time::Instant;
 /// stall) while keeping worst-case latency bounded.
 const MAX_RETRIES: u32 = 2;
 
-/// The lockstep interconnect: every wire unit of a phase is handed across
-/// between the ranks' send and absorb halves, through the fault plan.
+/// The lockstep interconnect of one exchange: every wire unit of the phase
+/// is handed across between the ranks' send and absorb halves, through the
+/// fault plan.
 struct Wire<'a> {
+    /// The exchange's phase stamp.
+    phase: u64,
+    /// The step being exchanged for.
+    epoch: u64,
     fault: &'a mut FaultPlan,
     health: &'a mut HealthTracker,
     /// Where health transitions are traced (the executor row).
@@ -45,8 +50,8 @@ struct Wire<'a> {
 }
 
 impl Wire<'_> {
-    /// Delivers one wire unit (a per-neighbor frame) from
-    /// `from` to `to` through the fault plan, verifying it on arrival
+    /// Delivers one wire unit (a per-neighbor frame) from `from` to `to`
+    /// through the fault plan, verifying it on arrival
     /// ([`step::verify_unit`]) and retrying (the sender re-sends its
     /// buffered copy) up to [`MAX_RETRIES`] times. Detected faults and
     /// retries are recorded in the sender's `stats`; every attempt's
@@ -56,19 +61,19 @@ impl Wire<'_> {
     fn deliver(
         &mut self,
         stats: &mut CommCounters,
-        epoch: u64,
         from: usize,
         to: usize,
         channel: Channel,
         msg: Message,
     ) -> Result<Message, RuntimeError> {
+        let (phase, epoch) = (self.phase, self.epoch);
         // Inert plan: the delivery cannot be dropped, delayed, or
         // corrupted, so skip the retransmission copy and hand the message
         // straight across. Acceptance stays identical to the slow path.
         if self.fault.is_inert() {
-            let verdict = step::verify_unit(&msg, to, epoch, channel);
-            self.note(from, channel, epoch, verdict.is_ok());
-            return self.dead_or(from, epoch, verdict.map(|()| msg));
+            let verdict = step::verify_unit(&msg, to, phase, epoch, channel);
+            self.note(from, verdict.is_ok());
+            return self.dead_or(from, verdict.map(|()| msg));
         }
         let mut attempts = 0u32;
         loop {
@@ -79,7 +84,9 @@ impl Wire<'_> {
             // The transit copy may be corrupted; the sender keeps the
             // original for retransmission.
             let arrived = match self.fault.transmit(epoch, from, msg.clone()) {
-                Delivery::Deliver(m) => step::verify_unit(&m, to, epoch, channel).map(|()| m),
+                Delivery::Deliver(m) => {
+                    step::verify_unit(&m, to, phase, epoch, channel).map(|()| m)
+                }
                 Delivery::Lost { stalled: true } => {
                     Err(RuntimeError::RankStalled { rank: from, epoch, attempts })
                 }
@@ -87,43 +94,36 @@ impl Wire<'_> {
                     Err(RuntimeError::MissingHop { rank: to, channel, epoch, attempts })
                 }
             };
-            self.note(from, channel, epoch, arrived.is_ok());
+            self.note(from, arrived.is_ok());
             if arrived.is_err() {
                 stats.faults_detected += 1;
             }
             if arrived.is_ok() || attempts > MAX_RETRIES {
-                return self.dead_or(from, epoch, arrived);
+                return self.dead_or(from, arrived);
             }
         }
     }
 
     /// Feeds one delivery attempt's outcome from `from` into the watchdog
     /// and traces any health transition it caused.
-    fn note(&mut self, from: usize, channel: Channel, epoch: u64, delivered: bool) {
-        let class = channel.trace_class();
+    fn note(&mut self, from: usize, delivered: bool) {
         let moved = if delivered {
-            self.health.record_success(from, class, epoch)
+            self.health.record_success(from)
         } else {
-            self.health.record_failure(from, class, epoch)
+            self.health.record_failure(from)
         };
         if let Some(state) = moved {
             let kind = EventKind::Health { peer: from as u32, state: state.code() };
-            self.exec_sink.instant(epoch, kind);
+            self.exec_sink.instant(self.epoch, kind);
         }
     }
 
     /// Escalates to [`RuntimeError::RankDead`] when the watchdog has
     /// declared `from` dead — the signal for the supervisor to re-decompose
-    /// rather than roll back. A flapping link can trip the circuit breaker
-    /// on the very delivery that succeeded; death still wins.
-    fn dead_or<T>(
-        &self,
-        from: usize,
-        epoch: u64,
-        verdict: Result<T, RuntimeError>,
-    ) -> Result<T, RuntimeError> {
+    /// rather than roll back.
+    fn dead_or<T>(&self, from: usize, verdict: Result<T, RuntimeError>) -> Result<T, RuntimeError> {
         if self.health.is_dead(from) {
-            return Err(RuntimeError::RankDead { rank: from, step: epoch, epoch });
+            return Err(RuntimeError::RankDead { rank: from, step: self.epoch, epoch: self.epoch });
         }
         verdict
     }
@@ -138,17 +138,16 @@ impl Wire<'_> {
         &mut self,
         x: &Exchange,
         from: usize,
-        phase: u64,
-        epoch: u64,
         stats: &mut CommCounters,
         bufs: &mut [Buffers],
     ) -> Result<(), RuntimeError> {
+        let (phase, epoch) = (self.phase, self.epoch);
         for f in &x.ranks[from].frames {
             let unit = step::frame(f, phase, epoch, &mut bufs[from], stats, &self.tsinks[from]);
             let plan = &x.ranks[f.to];
             let wrong = RuntimeError::WrongPayload { rank: f.to, channel: unit.channel };
             let expected = plan.unit_from(from).ok_or(wrong)?;
-            let got = self.deliver(stats, epoch, from, f.to, expected.channel, unit)?;
+            let got = self.deliver(stats, from, f.to, expected.channel, unit)?;
             step::receive(&self.tsinks[f.to], epoch, f.to, plan, expected, got, &mut bufs[f.to])?;
         }
         Ok(())
@@ -204,6 +203,11 @@ pub struct DistributedSim {
     needs_prime: bool,
     fault_plan: FaultPlan,
     rebalance_every: u64,
+    /// The exchange counter every wire unit and section is stamped with
+    /// and verified against ([`step::verify_unit`]). It goes up once per
+    /// exchange and nothing rewinds it — not a restore, not a
+    /// re-decomposition — so a copy sent before a restore always carries
+    /// an older phase than any exchange after it, and is refused.
     phase: u64,
     last_energy: EnergyBreakdown,
     last_tuples: TupleCounts,
@@ -240,7 +244,7 @@ pub struct DistributedSim {
     /// Per-rank compute-seconds baseline at the last rebalance, so each
     /// rebalance window measures fresh load deltas.
     last_loads: Vec<f64>,
-    /// The per-rank deadline watchdog / circuit breaker.
+    /// The per-rank deadline watchdog.
     health: HealthTracker,
     /// Set by [`DistributedSim::restore_excluding`]: the runtime lost at
     /// least one rank and is running on a re-decomposed survivor grid.
@@ -623,6 +627,8 @@ impl DistributedSim {
         self.phase += 1;
         let (phase, epoch, dec) = (self.phase, self.steps_done, &*self.dec);
         let mut wire = Wire {
+            phase,
+            epoch,
             fault: &mut self.fault_plan,
             health: &mut self.health,
             exec_sink: &self.exec_sink,
@@ -630,7 +636,7 @@ impl DistributedSim {
         };
         for (from, rank) in self.ranks.iter_mut().enumerate() {
             step::outgoing(rank, dec, x, &mut self.bufs[from], phase, epoch);
-            wire.send(x, from, phase, epoch, &mut rank.stats, &mut self.bufs)?;
+            wire.send(x, from, &mut rank.stats, &mut self.bufs)?;
         }
         for (rank, bufs) in self.ranks.iter_mut().zip(&mut self.bufs) {
             step::absorb(rank, x, bufs)?;
@@ -782,7 +788,6 @@ impl DistributedSim {
         let (dec, ranks, bufs) = step::decompose(grid, &cp.to_store(), &self.ff, self.subdivision)?;
         self.carried_alloc = self.scratch_allocation_events();
         (self.dec, self.ranks, self.bufs) = (dec, ranks, bufs);
-        self.fault_plan.abort_in_flight();
         self.dt = cp.dt;
         self.steps_done = cp.step;
         self.needs_prime = true;

@@ -12,10 +12,11 @@
 //! [`FaultKind::Stall`] is attempt-based (it swallows the next `attempts`
 //! delivery attempts from the rank) rather than step-based, so recovery by
 //! rollback — which replays the same step numbers — converges instead of
-//! re-triggering forever. A restore loses the messages a Delay still
-//! withholds ([`FaultPlan::abort_in_flight`]). Faults that match one
-//! delivery spoil its attempts one after another in plan order, so their
-//! spoiled attempts add up; the fault sweep
+//! re-triggering forever. A restore leaves the plan as it is: a copy a
+//! Delay still withholds is released into the replay, where the receiver
+//! refuses it by its phase stamp, one more spoiled attempt. Faults that
+//! match one delivery spoil its attempts one after another in plan order,
+//! so their spoiled attempts add up; the fault sweep
 //! (`crates/parallel/tests/faults.rs`) holds the engine to that law for
 //! every pair of faults and for seeded storms.
 //!
@@ -149,12 +150,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether any scripted *transient* fault is still pending. Crashed
-    /// ranks are permanent state, not pending work, so they do not count.
-    pub fn is_exhausted(&self) -> bool {
-        self.faults.is_empty() && self.held.is_empty()
-    }
-
     /// Whether the plan can still affect any transmission: pending faults,
     /// held (delayed) messages, or crashed ranks that swallow sends. An
     /// inert plan lets the transport skip the per-delivery retransmission
@@ -173,15 +168,13 @@ impl FaultPlan {
         &self.faults
     }
 
-    /// Messages a [`FaultKind::Delay`] still withholds: each is released by
-    /// its delivery's next attempt, or lost to a restore or a retired rank.
-    pub fn withheld(&self) -> usize {
-        self.held.len()
-    }
-
-    /// Ranks retired by a fired [`FaultKind::Crash`], in firing order.
-    pub fn crashed_ranks(&self) -> &[usize] {
-        &self.crashed
+    /// The sending rank of each message a [`FaultKind::Delay`] still
+    /// withholds. A copy is released by the next attempt from its rank on
+    /// its channel that no pending fault spoils — within its delivery, or
+    /// in the replay after a restore — or lost with a retired rank; one from
+    /// a rank index the grid no longer reaches is never released.
+    pub fn withheld(&self) -> impl Iterator<Item = usize> + '_ {
+        self.held.iter().map(|(rank, _, _)| *rank)
     }
 
     /// Removes `rank` from the plan entirely: its crashed status, its
@@ -194,15 +187,6 @@ impl FaultPlan {
         self.crashed.retain(|&r| r != rank);
         self.faults.retain(|f| f.rank != rank);
         self.held.retain(|(r, _, _)| *r != rank);
-    }
-
-    /// Loses every message a [`FaultKind::Delay`] still withholds. The
-    /// engine calls this when it restores a checkpoint: the restore aborts
-    /// the exchanges those messages belonged to, and a late copy would
-    /// carry a replayed epoch that verification cannot tell from a fresh
-    /// message's.
-    pub fn abort_in_flight(&mut self) {
-        self.held.clear();
     }
 
     /// A seed-derived fault *storm* mixing all five kinds — including
@@ -368,7 +352,7 @@ mod tests {
         let m = msg(3, ch);
         assert_eq!(plan.transmit(3, 0, m.clone()), Delivery::Deliver(m));
         assert!(plan.events().is_empty());
-        assert!(plan.is_exhausted());
+        assert!(plan.pending().is_empty());
     }
 
     #[test]
@@ -391,7 +375,7 @@ mod tests {
         assert_eq!(plan.transmit(2, 1, msg(2, ch)), Delivery::Lost { stalled: false });
         assert!(matches!(plan.transmit(2, 1, msg(2, ch)), Delivery::Deliver(_)));
         assert_eq!(plan.events().len(), 1);
-        assert!(plan.is_exhausted());
+        assert!(plan.pending().is_empty());
     }
 
     #[test]
@@ -405,10 +389,10 @@ mod tests {
         });
         let original = msg(0, ch);
         assert_eq!(plan.transmit(0, 0, original.clone()), Delivery::Lost { stalled: false });
-        assert!(!plan.is_exhausted(), "held message still pending");
+        assert_eq!(plan.withheld().collect::<Vec<_>>(), [0], "the original is held");
         // The retry's copy is discarded; the held original arrives late.
         assert_eq!(plan.transmit(0, 0, original.clone()), Delivery::Deliver(original));
-        assert!(plan.is_exhausted());
+        assert_eq!(plan.withheld().count(), 0);
     }
 
     #[test]
@@ -482,7 +466,6 @@ mod tests {
         // The crash fires and is logged exactly once...
         assert_eq!(plan.transmit(3, 1, msg(3, ch)), Delivery::Lost { stalled: true });
         assert_eq!(plan.events().len(), 1);
-        assert_eq!(plan.crashed_ranks(), &[1]);
         // ...then every later attempt is swallowed silently, across steps,
         // channels, and rollback replays of earlier steps.
         for step in [3u64, 4, 5, 0, 3] {
@@ -492,13 +475,10 @@ mod tests {
             );
         }
         assert_eq!(plan.events().len(), 1, "a crash is logged once, not per attempt");
-        // Other ranks are unaffected, and the plan counts as exhausted:
-        // crashed state is permanent, not pending work.
+        // Other ranks are unaffected; retiring the rank clears its crashed
+        // status.
         assert!(matches!(plan.transmit(3, 0, msg(3, ch)), Delivery::Deliver(_)));
-        assert!(plan.is_exhausted());
-        // Retiring the rank clears the crashed status.
         plan.retire_rank(1);
-        assert!(plan.crashed_ranks().is_empty());
         assert!(matches!(plan.transmit(9, 1, msg(9, ch)), Delivery::Deliver(_)));
     }
 
@@ -511,7 +491,7 @@ mod tests {
             .with(Fault { step: 5, rank: 0, channel: None, kind: FaultKind::Drop });
         // Fire the delay so a message is held from rank 2.
         assert_eq!(plan.transmit(0, 2, msg(0, ch)), Delivery::Lost { stalled: false });
-        assert!(!plan.is_exhausted());
+        assert_eq!(plan.withheld().collect::<Vec<_>>(), [2]);
         plan.retire_rank(2);
         // Rank 2's pending drop and held message are gone; rank 0's fault
         // survives.

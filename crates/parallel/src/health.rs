@@ -10,17 +10,16 @@
 //!
 //! ```text
 //! Healthy --consecutive failures >= SUSPECT_AFTER--> Suspect
-//! Suspect --first successful delivery-------------> Healthy   (a "flap")
+//! Suspect --first successful delivery-------------> Healthy
 //! Suspect --consecutive failures >= DEAD_AFTER----> Dead
-//! Suspect --flaps in window > MAX_FLAPS-----------> Dead      (breaker trip)
 //! ```
 //!
 //! `Dead` is terminal for the tracker: only [`HealthTracker::reset`] — called
 //! when the recovery layer re-decomposes onto the survivors and rank indices
-//! are renumbered — clears it. The flap circuit breaker is per
-//! `(rank, channel class)`: a link that keeps oscillating between failing
-//! and working is as useless as a silent one, and declaring it dead bounds
-//! the time the runtime spends re-proving that.
+//! are renumbered — clears it. The deadline is the only death verdict: a
+//! link that fails and then delivers is making progress however often it
+//! does so, and the supervisor's per-interval rollback budget is what bounds
+//! the time spent re-proving a bad one (the run then ends typed).
 //!
 //! The thresholds are measured in *consecutive failed delivery attempts*,
 //! which ties them to the executor's retry budget: one exhausted budget is
@@ -29,7 +28,6 @@
 //! budgets distinguishes a long-but-bounded stall (which drains) from a
 //! crash (which does not).
 
-use sc_obs::CommChannel;
 pub use sc_obs::HealthCounters;
 
 /// Consecutive failures before `Healthy → Suspect`: one exhausted retry
@@ -39,11 +37,6 @@ const SUSPECT_AFTER: u32 = 3;
 /// above the longest scripted recoverable stall the tests use (12 attempts)
 /// and below the supervisor's default rollback budget for a real crash.
 const DEAD_AFTER: u32 = 18;
-/// `Suspect → Healthy` recoveries tolerated per channel class within
-/// [`FLAP_WINDOW`] before the circuit breaker declares the link dead.
-const MAX_FLAPS: u32 = 4;
-/// Width (in steps) of the sliding window the breaker counts flaps in.
-const FLAP_WINDOW: u64 = 16;
 
 /// Health state of one peer rank, as seen by the delivery watchdog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,8 +67,6 @@ impl RankHealth {
 pub struct HealthTracker {
     states: Vec<RankHealth>,
     consecutive: Vec<u32>,
-    /// Recent flap steps per rank per channel class (migrate/ghosts/forces).
-    flaps: Vec<[Vec<u64>; 3]>,
     counters: HealthCounters,
 }
 
@@ -85,7 +76,6 @@ impl HealthTracker {
         HealthTracker {
             states: vec![RankHealth::Healthy; ranks],
             consecutive: vec![0; ranks],
-            flaps: vec![Default::default(); ranks],
             counters: HealthCounters::default(),
         }
     }
@@ -95,7 +85,6 @@ impl HealthTracker {
     pub fn reset(&mut self, ranks: usize) {
         self.states = vec![RankHealth::Healthy; ranks];
         self.consecutive = vec![0; ranks];
-        self.flaps = vec![Default::default(); ranks];
     }
 
     /// Current state of `rank`.
@@ -113,14 +102,9 @@ impl HealthTracker {
         self.counters
     }
 
-    /// Records one failed delivery attempt from `rank` on `channel` at
-    /// `step`. Returns the new state if this failure caused a transition.
-    pub fn record_failure(
-        &mut self,
-        rank: usize,
-        _channel: CommChannel,
-        _step: u64,
-    ) -> Option<RankHealth> {
+    /// Records one failed delivery attempt from `rank`. Returns the new
+    /// state if this failure caused a transition.
+    pub fn record_failure(&mut self, rank: usize) -> Option<RankHealth> {
         if self.states[rank] == RankHealth::Dead {
             return None;
         }
@@ -141,40 +125,16 @@ impl HealthTracker {
         }
     }
 
-    /// Records one successful delivery from `rank` on `channel` at `step`.
-    /// A suspect rank recovers (one flap for the breaker); too many flaps in
-    /// the window trips the breaker and the returned state is `Dead`.
-    pub fn record_success(
-        &mut self,
-        rank: usize,
-        channel: CommChannel,
-        step: u64,
-    ) -> Option<RankHealth> {
-        if self.states[rank] == RankHealth::Dead {
-            return None;
-        }
+    /// Records one successful delivery from `rank`: a suspect rank
+    /// recovers. Returns the new state if this delivery caused a transition.
+    pub fn record_success(&mut self, rank: usize) -> Option<RankHealth> {
         self.consecutive[rank] = 0;
         if self.states[rank] != RankHealth::Suspect {
             return None;
         }
-        let class = match channel {
-            CommChannel::Migrate => 0,
-            CommChannel::Ghosts => 1,
-            CommChannel::Forces => 2,
-        };
-        let window = &mut self.flaps[rank][class];
-        window.retain(|&s| s + FLAP_WINDOW > step);
-        window.push(step);
-        if window.len() as u32 > MAX_FLAPS {
-            self.states[rank] = RankHealth::Dead;
-            self.counters.deaths += 1;
-            self.counters.breaker_trips += 1;
-            Some(RankHealth::Dead)
-        } else {
-            self.states[rank] = RankHealth::Healthy;
-            self.counters.recoveries += 1;
-            Some(RankHealth::Healthy)
-        }
+        self.states[rank] = RankHealth::Healthy;
+        self.counters.recoveries += 1;
+        Some(RankHealth::Healthy)
     }
 }
 
@@ -182,91 +142,54 @@ impl HealthTracker {
 mod tests {
     use super::*;
 
-    fn ch() -> CommChannel {
-        CommChannel::Ghosts
-    }
-
-    /// `n` consecutive failed attempts from `rank` at `step`; returns the
+    /// `n` consecutive failed attempts from `rank`; returns the
     /// transitions they caused.
-    fn fail(t: &mut HealthTracker, rank: usize, n: u32, step: u64) -> Vec<RankHealth> {
-        (0..n).filter_map(|_| t.record_failure(rank, ch(), step)).collect()
-    }
-
-    /// A suspect rank's outage followed by a delivery: one flap.
-    fn flap(t: &mut HealthTracker, channel: CommChannel, step: u64) -> Option<RankHealth> {
-        assert_eq!(fail(t, 0, SUSPECT_AFTER, step), [RankHealth::Suspect]);
-        t.record_success(0, channel, step)
+    fn fail(t: &mut HealthTracker, rank: usize, n: u32) -> Vec<RankHealth> {
+        (0..n).filter_map(|_| t.record_failure(rank)).collect()
     }
 
     #[test]
     fn deadline_escalates_healthy_suspect_dead() {
         let mut t = HealthTracker::new(4);
         assert_eq!(t.state(1), RankHealth::Healthy);
-        assert_eq!(fail(&mut t, 1, SUSPECT_AFTER - 1, 0), []);
-        assert_eq!(fail(&mut t, 1, 1, 0), [RankHealth::Suspect]);
-        assert_eq!(fail(&mut t, 1, DEAD_AFTER - SUSPECT_AFTER - 1, 1), []);
-        assert_eq!(fail(&mut t, 1, 1, 2), [RankHealth::Dead]);
+        assert_eq!(fail(&mut t, 1, SUSPECT_AFTER - 1), []);
+        assert_eq!(fail(&mut t, 1, 1), [RankHealth::Suspect]);
+        assert_eq!(fail(&mut t, 1, DEAD_AFTER - SUSPECT_AFTER - 1), []);
+        assert_eq!(fail(&mut t, 1, 1), [RankHealth::Dead]);
         assert!(t.is_dead(1));
         // Terminal: neither more failures nor a late success changes it.
-        assert_eq!(t.record_failure(1, ch(), 3), None);
-        assert_eq!(t.record_success(1, ch(), 3), None);
+        assert_eq!(t.record_failure(1), None);
+        assert_eq!(t.record_success(1), None);
         assert!(t.is_dead(1));
         // Other ranks unaffected.
         assert_eq!(t.state(0), RankHealth::Healthy);
         let c = t.counters();
-        assert_eq!((c.suspects, c.deaths, c.recoveries, c.breaker_trips), (1, 1, 0, 0));
+        assert_eq!((c.suspects, c.deaths, c.recoveries), (1, 1, 0));
     }
 
     #[test]
     fn success_recovers_a_suspect_and_resets_the_deadline() {
         let mut t = HealthTracker::new(2);
-        assert_eq!(fail(&mut t, 0, SUSPECT_AFTER, 0), [RankHealth::Suspect]);
-        assert_eq!(t.record_success(0, ch(), 1), Some(RankHealth::Healthy));
+        assert_eq!(fail(&mut t, 0, SUSPECT_AFTER), [RankHealth::Suspect]);
+        assert_eq!(t.record_success(0), Some(RankHealth::Healthy));
         assert_eq!(t.counters().recoveries, 1);
         // The consecutive count restarted: one failure short of the deadline
         // again only reaches Suspect, though the run has now failed more
         // often than that in total.
-        assert_eq!(fail(&mut t, 0, DEAD_AFTER - 1, 2), [RankHealth::Suspect]);
+        assert_eq!(fail(&mut t, 0, DEAD_AFTER - 1), [RankHealth::Suspect]);
         assert_eq!(t.state(0), RankHealth::Suspect);
-    }
-
-    #[test]
-    fn flapping_link_trips_the_breaker() {
-        let mut t = HealthTracker::new(2);
-        // MAX_FLAPS flaps are tolerated, the next within the window trips
-        // the breaker.
-        for step in 0..u64::from(MAX_FLAPS) {
-            assert_eq!(flap(&mut t, ch(), step), Some(RankHealth::Healthy));
+        // However often a link fails and recovers, it is never declared dead.
+        for _ in 0..8 {
+            assert_eq!(t.record_success(0), Some(RankHealth::Healthy));
+            assert_eq!(fail(&mut t, 0, SUSPECT_AFTER), [RankHealth::Suspect]);
         }
-        assert_eq!(flap(&mut t, ch(), u64::from(MAX_FLAPS)), Some(RankHealth::Dead));
-        assert!(t.is_dead(0));
-        let c = t.counters();
-        assert_eq!(c.breaker_trips, 1);
-        assert_eq!(c.deaths, 1);
-        assert_eq!(c.recoveries, u64::from(MAX_FLAPS));
-    }
-
-    #[test]
-    fn flaps_outside_the_window_are_forgotten() {
-        let mut t = HealthTracker::new(1);
-        for step in 0..u64::from(MAX_FLAPS) {
-            assert_eq!(flap(&mut t, ch(), step), Some(RankHealth::Healthy));
-        }
-        // One window later, the earlier flaps have aged out.
-        let later = u64::from(MAX_FLAPS) + FLAP_WINDOW;
-        assert_eq!(flap(&mut t, ch(), later), Some(RankHealth::Healthy));
-        // But flaps on *different channel classes* do not pool: each class
-        // has its own breaker.
-        for _ in 0..MAX_FLAPS {
-            assert_eq!(flap(&mut t, CommChannel::Forces, later), Some(RankHealth::Healthy));
-        }
-        assert!(!t.is_dead(0));
+        assert_eq!((t.counters().recoveries, t.counters().deaths), (9, 0));
     }
 
     #[test]
     fn reset_clears_states_but_keeps_counters() {
         let mut t = HealthTracker::new(3);
-        assert_eq!(fail(&mut t, 2, DEAD_AFTER, 0), [RankHealth::Suspect, RankHealth::Dead]);
+        assert_eq!(fail(&mut t, 2, DEAD_AFTER), [RankHealth::Suspect, RankHealth::Dead]);
         assert!(t.is_dead(2));
         t.reset(2);
         assert_eq!(t.state(0), RankHealth::Healthy);

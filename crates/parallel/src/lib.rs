@@ -53,9 +53,13 @@
 //!
 //! ## Fault tolerance
 //!
-//! Every payload travels as a stamped [`Message`] (step epoch, channel,
-//! word-wise checksum) and is verified on receipt — per section for
-//! aggregated frames; failures surface as typed [`RuntimeError`]s. All
+//! Every payload travels as a stamped [`Message`] (exchange phase, step
+//! epoch, channel, word-wise checksum) and is verified on receipt — per
+//! section for aggregated frames; failures surface as typed
+//! [`RuntimeError`]s. The phase goes up once per exchange and a restore
+//! does not rewind it, so a copy sent before a rollback is refused in the
+//! replay ([`RuntimeError::PhaseMismatch`]) though its epoch is the
+//! replay's. All
 //! deliveries route through a scriptable, deterministic [`FaultPlan`] with a
 //! bounded per-delivery retry, so tests can inject drops, delays,
 //! corruption, and rank stalls per `(step, rank, channel)`. Recovery
@@ -65,8 +69,8 @@
 //! dead rank for [`RuntimeError::RankDead`] and nothing else).
 //!
 //! Permanent rank death ([`fault::FaultKind::Crash`]) is detected by a
-//! per-rank [`health`] state machine (deadline watchdog + flap circuit
-//! breaker) and surfaces as [`RuntimeError::RankDead`]; the supervisor then
+//! per-rank [`health`] deadline watchdog, the only death verdict, and
+//! surfaces as [`RuntimeError::RankDead`]; the supervisor then
 //! re-decomposes the last checkpoint over the surviving ranks
 //! ([`DistributedSim::restore_excluding`]) instead of rolling back forever.
 

@@ -1,5 +1,5 @@
 //! Message types exchanged between ranks, with the validation metadata
-//! (epoch, channel, checksum) every payload is stamped with.
+//! (phase, epoch, channel, checksum) every payload is stamped with.
 
 use crate::error::RuntimeError;
 use sc_cell::Species;
@@ -230,46 +230,50 @@ impl Payload {
 
 /// A stamped message: every payload carries the step epoch it belongs to,
 /// the communication slot it fills, a monotone phase counter, and a
-/// checksum over its content. Receivers [`verify`](Message::verify) the
-/// epoch, the slot and the checksum before
-/// absorbing, so out-of-order delivery, stale retransmits, and bit
-/// corruption surface as typed [`RuntimeError`]s instead of silently
-/// poisoning the n-tuple computation.
+/// checksum over all three and its content. Receivers
+/// [`verify`](Message::verify) the epoch, the slot and the checksum, and
+/// the engine checks the phase, before absorbing, so out-of-order delivery,
+/// stale retransmits, and bit corruption surface as typed
+/// [`RuntimeError`]s instead of silently poisoning the n-tuple computation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
-    /// Monotone phase counter (each routing step of each MD step is one
-    /// phase). Nothing reads it since delivery became lockstep-only; it
-    /// stays in [`Message::stamped`]'s signature because the `benchmark/`
-    /// crate's framing probe calls it.
+    /// Monotone phase counter: each exchange of each MD step is one phase,
+    /// and a restore does not rewind it. The engine refuses a unit or
+    /// section whose phase is not the exchange's
+    /// ([`RuntimeError::PhaseMismatch`]), which is what tells a copy sent
+    /// before a restore from the replay's own: both carry the same epoch.
     pub phase: u64,
     /// The MD step this payload belongs to.
     pub epoch: u64,
     /// The communication slot this payload fills.
     pub channel: Channel,
-    /// Checksum of `(epoch, channel, payload)` at send time.
+    /// Checksum of `(phase, epoch, channel, payload)` at send time.
     pub checksum: u64,
     /// The payload.
     pub payload: Payload,
 }
 
 impl Message {
-    /// Stamps a payload with its epoch, channel, and checksum.
+    /// Stamps a payload with its phase, epoch, channel, and checksum.
     pub fn stamped(phase: u64, epoch: u64, channel: Channel, payload: Payload) -> Self {
-        let checksum = Self::expected_checksum(epoch, channel, &payload);
+        let checksum = Self::expected_checksum(phase, epoch, channel, &payload);
         Message { phase, epoch, channel, checksum, payload }
     }
 
     /// The checksum a well-formed message with this content carries. The
     /// header fields are folded in so header corruption is detected even
     /// when the payload survives intact.
-    fn expected_checksum(epoch: u64, channel: Channel, payload: &Payload) -> u64 {
+    fn expected_checksum(phase: u64, epoch: u64, channel: Channel, payload: &Payload) -> u64 {
         let mut h = payload.checksum();
+        mix(&mut h, phase);
         mix(&mut h, epoch);
         mix(&mut h, channel.word());
         h
     }
 
-    /// Verifies the stamp against the slot `rank` is currently filling.
+    /// Verifies the stamp against the slot `rank` is currently filling. The
+    /// phase is covered by the checksum but compared by the caller, which
+    /// knows the exchange it is in.
     ///
     /// # Errors
     /// [`RuntimeError::EpochMismatch`] for a stale or relabeled epoch,
@@ -283,7 +287,8 @@ impl Message {
         if !self.channel.matches(channel) {
             return Err(RuntimeError::WrongPayload { rank, channel });
         }
-        if Self::expected_checksum(self.epoch, self.channel, &self.payload) != self.checksum {
+        let expected = Self::expected_checksum(self.phase, self.epoch, self.channel, &self.payload);
+        if expected != self.checksum {
             return Err(RuntimeError::ChecksumMismatch { rank, channel, epoch });
         }
         Ok(())
@@ -540,8 +545,8 @@ mod tests {
             for pb in &empties[a + 1..] {
                 assert_ne!(pa.checksum(), pb.checksum());
                 assert_ne!(
-                    Message::expected_checksum(3, ch, pa),
-                    Message::expected_checksum(3, ch, pb)
+                    Message::expected_checksum(0, 3, ch, pa),
+                    Message::expected_checksum(0, 3, ch, pb)
                 );
             }
         }
@@ -568,17 +573,18 @@ mod tests {
         /// payloads of every kind and random headers: any one flipped bit in
         /// any field; any two flipped bits in the same or adjacent words,
         /// the sign bits of neighbouring coordinates included; a relabelled
-        /// epoch or channel.
+        /// phase, epoch or channel.
         #[test]
         fn corruption_always_changes_the_stamp(
             (kind, words) in (0usize..4, vec(0u64..=u64::MAX, 8..48)),
             (epoch, ch) in (0u64..1 << 40, 0u64..=u64::MAX),
             (field, bit, next, bit2) in (0usize..1 << 16, 0u32..64, 0usize..2, 0u32..64),
             (epoch2, ch2) in (0u64..1 << 40, 0u64..=u64::MAX),
+            (phase, phase2) in (0u64..1 << 40, 0u64..1 << 40),
         ) {
             let clean = payload_of(kind, &words);
             let channel = channel_of(ch);
-            let stamp = |p: &Payload| Message::expected_checksum(epoch, channel, p);
+            let stamp = |p: &Payload| Message::expected_checksum(phase, epoch, channel, p);
             let fields = FIELDS[kind] * entries(&clean);
             let first = field % fields;
 
@@ -607,12 +613,11 @@ mod tests {
                 prop_assert_ne!(stamp(&signs), stamp(&clean));
             }
 
-            if epoch2 != epoch {
-                prop_assert_ne!(Message::expected_checksum(epoch2, channel, &clean), stamp(&clean));
-            }
-            if channel_of(ch2) != channel {
-                let relabelled = Message::expected_checksum(epoch, channel_of(ch2), &clean);
-                prop_assert_ne!(relabelled, stamp(&clean));
+            let header = (phase, epoch, channel);
+            for (p, e, c) in [(phase2, epoch, channel), (phase, epoch2, channel), (phase, epoch, channel_of(ch2))] {
+                if (p, e, c) != header {
+                    prop_assert_ne!(Message::expected_checksum(p, e, c, &clean), stamp(&clean));
+                }
             }
         }
 
@@ -631,7 +636,7 @@ mod tests {
             let mut swapped = sections.clone();
             swapped.swap(i, j);
             let stamp = |s: Vec<Message>| {
-                Message::expected_checksum(epoch, channel_of(ch), &Payload::Batch(s))
+                Message::expected_checksum(0, epoch, channel_of(ch), &Payload::Batch(s))
             };
             prop_assert_ne!(stamp(swapped), stamp(sections));
         }

@@ -255,18 +255,48 @@ pub(crate) fn receive(
 /// Verifies a wire unit's outer stamp against the slot `to` is filling and
 /// every section of a batched frame against its own stamp, so in-frame
 /// corruption is detected — and retried at frame granularity — before the
-/// receiver unpacks anything.
+/// receiver unpacks anything. Each stamp must also carry the exchange's
+/// `phase`: a copy sent before a restore verifies against its own epoch,
+/// channel and checksum, and only its older phase tells it from the replay's
+/// fresh one.
 pub(crate) fn verify_unit(
     unit: &Message,
     to: usize,
+    phase: u64,
     epoch: u64,
     channel: Channel,
 ) -> Result<(), RuntimeError> {
-    unit.verify(to, epoch, channel)?;
+    let stamped = |m: &Message, channel| {
+        m.verify(to, epoch, channel)?;
+        let stale = RuntimeError::PhaseMismatch { rank: to, expected: phase, got: m.phase };
+        (m.phase == phase).then_some(()).ok_or(stale)
+    };
+    stamped(unit, channel)?;
     if let Payload::Batch(sections) = &unit.payload {
         for s in sections {
-            s.verify(to, epoch, s.channel)?;
+            stamped(s, s.channel)?;
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A unit or a section stamped in another exchange is refused by its
+    /// phase, though its epoch, channel and checksum are its own.
+    #[test]
+    fn a_stale_phase_is_refused_in_the_unit_and_in_every_section() {
+        let ch = Channel::Ghosts { hop: 0 };
+        let section = |phase| Message::stamped(phase, 7, ch, Payload::Ghosts(vec![]));
+        let unit = |outer, inner| {
+            Message::stamped(outer, 7, ch, Payload::Batch(vec![section(outer), section(inner)]))
+        };
+        assert_eq!(verify_unit(&unit(4, 4), 1, 4, 7, ch), Ok(()));
+        let stale = Err(RuntimeError::PhaseMismatch { rank: 1, expected: 5, got: 4 });
+        for refused in [unit(4, 4), unit(5, 4), section(4)] {
+            assert_eq!(verify_unit(&refused, 1, 5, 7, ch), stale);
+        }
+    }
 }

@@ -340,6 +340,13 @@ impl<'a> Fields<'a> {
 /// trace sink, which is 56 MiB of ring storage a sink (56 bytes an event).
 const MAX_RING: u64 = 1 << 20;
 
+/// The most atoms a spec's system may hold: 2^20. A run builds its whole
+/// lattice or gas before the first step, so an unchecked `system.cells` or
+/// `system.n` allocates without bound (`"cells": 100000` is 4·10¹⁵ LJ
+/// atoms); the atom store alone is 81 bytes an atom, 85 MB at the cap. The cap admits the paper's largest silica point, 8192 ranks × 96
+/// atoms = 786 432 atoms (32³ cells).
+const MAX_ATOMS: u64 = 1 << 20;
+
 fn bad(field: impl Into<String>, detail: impl Into<String>) -> SpecError {
     SpecError::BadValue { field: field.into(), detail: detail.into() }
 }
@@ -477,6 +484,18 @@ impl ScenarioSpec {
                     return Err(bad("system.temp", "must be finite and ≥ 0"));
                 }
             }
+        }
+        // Counted with checked arithmetic: `None` is past 2^64 atoms.
+        let lattice =
+            |cells: u64, per_cell| cells.checked_pow(3).and_then(|c| c.checked_mul(per_cell));
+        let (field, atoms) = match &self.system {
+            SystemSpec::Lj { cells, .. } => ("system.cells", lattice(*cells, 4)),
+            SystemSpec::Silica { cells, .. } => ("system.cells", lattice(*cells, 24)),
+            SystemSpec::Gas { n, .. } | SystemSpec::Clustered { n, .. } => ("system.n", Some(*n)),
+        };
+        if atoms.is_none_or(|atoms| atoms > MAX_ATOMS) {
+            let atoms = atoms.map_or("over 2^64".to_string(), |n| n.to_string());
+            return Err(bad(field, format!("{atoms} atoms exceeds the {MAX_ATOMS}-atom limit")));
         }
         // The potential must match the system's species set: Vashishta is
         // the two-species silica model; everything else is single-species
@@ -933,6 +952,10 @@ mod tests {
         }
     }
 
+    /// Every count that sizes an allocation is capped and refused by name
+    /// before anything is built: the trace ring, the rank grid, and the
+    /// system's atoms (4·cells³ LJ, 24·cells³ silica, `n` for the gases,
+    /// with a cell count whose cube overflows 64 bits among them).
     #[test]
     fn oversized_rings_and_grids_are_rejected_by_name() {
         let steps = r#""steps": 100"#;
@@ -946,7 +969,17 @@ mod tests {
         let storm = |g: &str| {
             grid(g).replace(steps, r#""steps": 100, "fault_plan": {"seed": 1, "count": 1}"#)
         };
+        let system = |json: &str| {
+            let potential = match json.contains("silica") {
+                true => r#"{"kind": "vashishta"}"#,
+                false => r#"{"kind": "lj", "cutoff": 2.5}"#,
+            };
+            lj_spec_json()
+                .replace(r#"{"kind": "lj", "cells": 6, "temp": 1.0, "seed": 42}"#, json)
+                .replace(r#"{"kind": "lj", "cutoff": 2.5}"#, potential)
+        };
         let (ring_field, grid_field) = (Some("observability.ring"), Some("executor.grid"));
+        let (cells, n) = (Some("system.cells"), Some("system.n"));
         for (doc, rejected) in [
             (ring("1e15"), ring_field),
             (ring("1048577"), ring_field),
@@ -967,6 +1000,20 @@ mod tests {
             (grid("[2147483647, 1, 1]"), None),
             (grid("[2147483647, 2147483647, 4]"), None),
             (storm("[2147483647, 2147483647, 4]"), None),
+            // Over the atom cap, a cube past 2^64 included; the cap itself
+            // and the paper's 786 432-atom silica point (32³ cells) pass.
+            (system(r#"{"kind": "lj", "cells": 100000}"#), cells),
+            (system(r#"{"kind": "lj", "cells": 65}"#), cells),
+            (system(r#"{"kind": "lj", "cells": 3000000}"#), cells),
+            (system(r#"{"kind": "silica", "cells": 36}"#), cells),
+            (system(r#"{"kind": "gas", "n": 1048577, "box": 10.0}"#), n),
+            (
+                system(r#"{"kind": "clustered", "n": 1e15, "box": 9, "clusters": 2, "spread": 1}"#),
+                n,
+            ),
+            (system(r#"{"kind": "lj", "cells": 64}"#), None),
+            (system(r#"{"kind": "silica", "cells": 32}"#), None),
+            (system(r#"{"kind": "gas", "n": 1048576, "box": 10.0}"#), None),
         ] {
             let field = match ScenarioSpec::from_json_str(&doc) {
                 Err(SpecError::BadValue { field, .. }) => Some(field),

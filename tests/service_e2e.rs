@@ -8,12 +8,12 @@
 //! results document matching a standalone `scmd run` of the same spec
 //! byte for byte (a rank crash included), hostile specs refused at submit by a typed error
 //! while the daemon keeps answering, connections beyond the daemon's cap
-//! refused with one typed line, and zero counts refused on the command
-//! line.
+//! refused with one typed line, a client that half-closes mid-line, and
+//! zero counts refused on the command line.
 
 use shift_collapse_md::obs::json::Json;
 use shift_collapse_md::serve::{client, Request, Response, MAX_CONNECTIONS};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -346,9 +346,12 @@ fn hostile_submits_get_typed_errors_and_the_daemon_survives() {
     let _daemon = spawn_daemon(&socket, &dir.path("state"), false);
     let wrapped_grid = lj_spec("wrapped-grid", 4, "")
         .replace(r#"{"kind": "serial"}"#, r#"{"kind": "bsp", "grid": [4294967297, 1, 1]}"#);
+    let huge_lattice =
+        lj_spec("huge-lattice", 4, "").replace(r#""cells": 5"#, r#""cells": 100000"#);
     for (spec, field) in [
         (lj_spec("huge-ring", 4, r#", "observability": {"ring": 1e15}"#), "observability.ring"),
         (wrapped_grid, "executor.grid"),
+        (huge_lattice, "system.cells"),
     ] {
         let spec = Json::parse(&spec).unwrap();
         match client::request(&socket, &Request::Submit { spec }).unwrap() {
@@ -395,6 +398,31 @@ fn connections_beyond_the_cap_are_refused_and_the_daemon_keeps_answering() {
     let status = || client::request(&socket, &Request::Status { id: None });
     let answers = |_| matches!(status(), Ok(Response::Status { .. })) || pause(50);
     assert!((0..400).any(answers), "the daemon stopped answering");
+}
+
+/// A client that writes half a request line and then shuts down its write
+/// side gets one typed `bad-request` line for the fragment and then the end
+/// of the stream, and the daemon keeps answering `scmd status`.
+#[test]
+fn a_half_closed_request_line_leaves_the_daemon_answering() {
+    let dir = TestDir::new("half-close");
+    let socket = dir.path("scmd.sock");
+    let _daemon = spawn_daemon(&socket, &dir.path("state"), false);
+    let mut conn = UnixStream::connect(&socket).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    conn.write_all(br#"{"verb": "sta"#).unwrap();
+    conn.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut reply = String::new();
+    conn.read_to_string(&mut reply).unwrap();
+    let lines: Vec<&str> = reply.lines().collect();
+    match lines[..] {
+        [line] => match Response::from_json(&Json::parse(line).unwrap()).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, "bad-request", "{line}"),
+            other => panic!("half a line: expected bad-request, got {}", other.to_json()),
+        },
+        _ => panic!("half a line: expected one reply line, got {reply:?}"),
+    }
+    run_ok(scmd().args(["status", "--socket", socket.to_str().unwrap()]));
 }
 
 /// Sleeps `ms` milliseconds; false, so polling loops can call it inline.
