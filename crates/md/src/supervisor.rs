@@ -289,8 +289,7 @@ impl Supervisor {
             });
         }
         let cp = self.last_good.clone().expect("dead-rank recovery without a checkpoint");
-        self.tsink
-            .instant(sim.steps_done(), EventKind::Redecompose { rank: rank as u32, lost: true });
+        self.tsink.instant(sim.steps_done(), EventKind::Redecompose { rank: rank as u32 });
         sim.restore_excluding(&cp, &[rank])
             .map_err(|detail| SupervisorError::RankLost { rank, detail })?;
         self.redecompositions += 1;
@@ -546,11 +545,8 @@ mod tests {
         assert_eq!(s.redecompositions, 1);
         assert_eq!(s.ranks_lost, 1);
         assert_eq!(s.rollbacks, 0, "rank death takes the re-decomposition rung, not rollback");
-        let marks = tracer
-            .events()
-            .iter()
-            .filter(|e| e.kind == EventKind::Redecompose { rank: 2, lost: true })
-            .count();
+        let marks =
+            tracer.events().iter().filter(|e| e.kind == EventKind::Redecompose { rank: 2 }).count();
         assert_eq!(marks, 1);
     }
 

@@ -109,16 +109,11 @@ pub enum EventKind {
         /// The new state code (0 healthy / 1 suspect / 2 dead).
         state: u8,
     },
-    /// The runtime re-decomposed the rank grid: either onto a surviving
-    /// rank set after a rank was declared dead (`lost`), or as an adaptive
-    /// load-balance refit with every rank retained.
+    /// The runtime re-decomposed the rank grid onto the surviving ranks
+    /// after a rank was declared dead (crash recovery).
     Redecompose {
-        /// `lost`: the rank excluded from the new decomposition.
-        /// Otherwise: the rank count of the refit grid.
+        /// The rank excluded from the new decomposition.
         rank: u32,
-        /// Whether a rank was lost (crash recovery) as opposed to an
-        /// adaptive rebalance.
-        lost: bool,
     },
 }
 
@@ -440,18 +435,14 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Json {
                 ));
                 Json::Obj(fields)
             }
-            EventKind::Redecompose { rank, lost } => {
-                let (label, cat, key) = if lost {
-                    (format!("re-decompose (lost rank {rank})"), "recovery", "lost_rank")
-                } else {
-                    (format!("re-decompose (rebalance, {rank} ranks)"), "rebalance", "ranks")
-                };
+            EventKind::Redecompose { rank } => {
+                let label = format!("re-decompose (lost rank {rank})");
                 let mut fields = base(label, "i");
                 fields.push(("s".to_string(), Json::str("g")));
-                fields.push(("cat".to_string(), Json::str(cat)));
+                fields.push(("cat".to_string(), Json::str("recovery")));
                 fields.push((
                     "args".to_string(),
-                    Json::Obj(vec![step, (key.to_string(), Json::num(rank as f64))]),
+                    Json::Obj(vec![step, ("lost_rank".to_string(), Json::num(rank as f64))]),
                 ));
                 Json::Obj(fields)
             }
@@ -531,20 +522,17 @@ mod tests {
         let sink = tr.sink(0, 0);
         sink.instant(4, EventKind::Health { peer: 6, state: 1 });
         sink.instant(5, EventKind::Health { peer: 6, state: 2 });
-        sink.instant(5, EventKind::Redecompose { rank: 6, lost: true });
-        sink.instant(6, EventKind::Redecompose { rank: 8, lost: false });
+        sink.instant(5, EventKind::Redecompose { rank: 6 });
         let evs = tr.events();
-        assert_eq!(evs.len(), 4);
+        assert_eq!(evs.len(), 3);
         assert_eq!(evs[0].kind, EventKind::Health { peer: 6, state: 1 });
         assert_eq!(evs[1].kind, EventKind::Health { peer: 6, state: 2 });
-        assert_eq!(evs[2].kind, EventKind::Redecompose { rank: 6, lost: true });
-        assert_eq!(evs[3].kind, EventKind::Redecompose { rank: 8, lost: false });
+        assert_eq!(evs[2].kind, EventKind::Redecompose { rank: 6 });
         // The chrome exporter labels the transitions for the timeline.
         let doc = chrome_trace(&evs).to_string();
         assert!(doc.contains("rank 6 suspect"), "{doc}");
         assert!(doc.contains("rank 6 dead"), "{doc}");
         assert!(doc.contains("re-decompose (lost rank 6)"), "{doc}");
-        assert!(doc.contains("re-decompose (rebalance, 8 ranks)"), "{doc}");
     }
 
     #[test]

@@ -25,10 +25,6 @@ pub struct EngineConfig {
     /// permutes its owned atoms into cell Z-order at the ghost-free point
     /// of the step. `0` disables re-sorting. Default 8.
     pub resort_every: u64,
-    /// Adaptive load balance: re-fit the rank grid to measured per-rank
-    /// compute seconds every this many steps. `0` (the default) never
-    /// re-decomposes.
-    pub rebalance_every: u64,
     /// The scripted fault plan every delivery routes through (scripted
     /// faults need the lockstep engine's reproducible delivery order).
     /// Default inert.
@@ -57,7 +53,6 @@ impl Default for EngineConfig {
             lanes: 0,
             subdivision: 1,
             resort_every: DEFAULT_RESORT_EVERY,
-            rebalance_every: 0,
             faults: FaultPlan::none(),
             tracer: Tracer::disabled(),
             metrics: Registry::disabled(),

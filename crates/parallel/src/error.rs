@@ -53,14 +53,6 @@ pub enum SetupError {
         /// The offending grid dimensions.
         pdims: [i32; 3],
     },
-    /// Weighted rank-grid cut planes are malformed: wrong count, not
-    /// strictly increasing, or outside the open box interval.
-    BadGridCuts {
-        /// The failing axis.
-        axis: usize,
-        /// What was wrong.
-        reason: &'static str,
-    },
     /// Every rank of the run is lost: no survivor is left to re-decompose
     /// onto.
     NoSurvivor {
@@ -100,9 +92,6 @@ impl fmt::Display for SetupError {
             }
             SetupError::BadRankGrid { pdims } => {
                 write!(f, "rank grid dims {pdims:?} must all be ≥ 1")
-            }
-            SetupError::BadGridCuts { axis, reason } => {
-                write!(f, "rank grid cuts along axis {axis}: {reason}")
             }
             SetupError::NoSurvivor { lost } => {
                 write!(f, "losing ranks {lost:?} leaves no surviving rank to re-decompose onto")

@@ -2,9 +2,8 @@
 //! bulk-synchronously over every rank. What lives here is the stage sequence
 //! of a step, lockstep delivery of each phase through the scriptable
 //! [`FaultPlan`] with bounded retry, the `ThreadPool` compute fan-out,
-//! adaptive rebalancing of the rank grid, re-decomposition over the
-//! survivors of a rank death, telemetry and the metrics feed, checkpoints,
-//! and the supervisor's hooks.
+//! re-decomposition over the survivors of a rank death, telemetry and the
+//! metrics feed, checkpoints, and the supervisor's hooks.
 
 use crate::config::EngineConfig;
 use crate::error::{RuntimeError, SetupError};
@@ -12,7 +11,7 @@ use crate::fault::{Delivery, FaultPlan};
 use crate::grid::RankGrid;
 use crate::health::HealthTracker;
 use crate::msg::{Channel, Message};
-use crate::rank::{best_grid_for, halo_width_for, validate_decomposition, ForceField, RankState};
+use crate::rank::{best_grid_for, validate_decomposition, ForceField, RankState};
 use crate::step::{self, Buffers, Decomposition, Exchange};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
@@ -202,7 +201,6 @@ pub struct DistributedSim {
     steps_done: u64,
     needs_prime: bool,
     fault_plan: FaultPlan,
-    rebalance_every: u64,
     /// The exchange counter every wire unit and section is stamped with
     /// and verified against ([`step::verify_unit`]). It goes up once per
     /// exchange and nothing rewinds it — not a restore, not a
@@ -233,17 +231,10 @@ pub struct DistributedSim {
     /// Executor-level sink for the synchronous wall-clock phases, tagged
     /// with the synthetic rank `nranks` so it gets its own timeline row.
     exec_sink: TraceSink,
-    /// Counters of rank sets retired by adaptive rebalancing, folded into
-    /// [`DistributedSim::comm_stats`] so aggregate totals stay monotone
-    /// across re-decompositions.
-    carried: CommCounters,
     /// Scratch growth of every retired rank set, folded into
     /// [`DistributedSim::telemetry`]'s allocation count so it stays
     /// monotone across re-decompositions and restores.
     carried_alloc: u64,
-    /// Per-rank compute-seconds baseline at the last rebalance, so each
-    /// rebalance window measures fresh load deltas.
-    last_loads: Vec<f64>,
     /// The per-rank deadline watchdog.
     health: HealthTracker,
     /// Set by [`DistributedSim::restore_excluding`]: the runtime lost at
@@ -332,16 +323,8 @@ impl DistributedSim {
         dt: f64,
         cfg: EngineConfig,
     ) -> Result<Self, SetupError> {
-        let EngineConfig {
-            lanes,
-            subdivision,
-            resort_every,
-            rebalance_every,
-            faults,
-            tracer,
-            metrics,
-            thermostat,
-        } = cfg;
+        let EngineConfig { lanes, subdivision, resort_every, faults, tracer, metrics, thermostat } =
+            cfg;
         check_inputs(&store, &ff, dt, thermostat)?;
         let (dec, ranks, bufs) =
             step::decompose(RankGrid::try_new(pdims, bbox)?, &store, &ff, subdivision)?;
@@ -359,7 +342,6 @@ impl DistributedSim {
             steps_done: 0,
             needs_prime: true,
             fault_plan: faults,
-            rebalance_every,
             phase: 0,
             last_energy: EnergyBreakdown::default(),
             last_tuples: TupleCounts::default(),
@@ -372,9 +354,7 @@ impl DistributedSim {
             feed: MetricsFeed::new(metrics),
             tsinks,
             exec_sink,
-            carried: CommCounters::default(),
             carried_alloc: 0,
-            last_loads: vec![0.0; nranks],
             health: HealthTracker::new(nranks),
             degraded: false,
         })
@@ -402,12 +382,12 @@ impl DistributedSim {
         self.feed.registry()
     }
 
-    /// The cumulative phase breakdown: the ranks' own CPU seconds (live and
-    /// retired rank sets) for bin / enumerate / eval / reduce, plus the
+    /// The cumulative phase breakdown: the ranks' own CPU seconds for bin /
+    /// enumerate / eval / reduce, plus the
     /// executor's wall clock for exchange / migrate / integrate / compute
     /// and the rank-to-rank force return, which it adds to reduce.
     fn total_phases(&self) -> PhaseBreakdown {
-        let mut phases = self.carried.phases;
+        let mut phases = PhaseBreakdown::default();
         for r in &self.ranks {
             phases.accumulate(&r.stats.phases);
         }
@@ -479,55 +459,14 @@ impl DistributedSim {
         self.last_energy.total() + self.kinetic_energy()
     }
 
-    /// Aggregated communication statistics since start: the live ranks'
-    /// counters plus the totals of rank sets retired by adaptive
-    /// rebalancing, so aggregates stay monotone across re-decompositions.
+    /// Aggregated communication statistics of the live ranks, since start
+    /// or since the last restore (which rebuilds every rank).
     pub fn comm_stats(&self) -> CommCounters {
-        let mut total = self.carried.clone();
+        let mut total = CommCounters::default();
         for r in &self.ranks {
             total.merge(&r.stats);
         }
         total
-    }
-
-    /// Closes the adaptive load-balance loop: converts the last window's
-    /// per-rank compute seconds into non-uniform axis cuts
-    /// ([`RankGrid::rebalanced_cuts`]), validates the candidate grid, and
-    /// re-decomposes onto it. Infeasible proposals are skipped — the
-    /// simulation keeps its current grid. Retired rank counters fold into
-    /// [`DistributedSim::comm_stats`] and forces are recomputed by the
-    /// priming exchange.
-    fn rebalance(&mut self) {
-        let loads: Vec<f64> = self
-            .ranks
-            .iter()
-            .zip(&self.last_loads)
-            .map(|(r, last)| (r.stats.phases.compute_total_s() - last).max(0.0))
-            .collect();
-        self.last_loads = self.ranks.iter().map(|r| r.stats.phases.compute_total_s()).collect();
-        let grid = &self.dec.grid;
-        let min_width = halo_width_for(&self.ff, grid);
-        let Some(cuts) = grid.rebalanced_cuts(&loads, 0.5, min_width) else { return };
-        let Ok(grid) = RankGrid::with_splits(grid.pdims(), *grid.bbox(), cuts) else { return };
-        // A proposal that fails validation (or whose split would lose
-        // atoms) is skipped: keep the old grid.
-        let Ok((dec, ranks, bufs)) =
-            step::decompose(grid, &self.gather(), &self.ff, self.subdivision)
-        else {
-            return;
-        };
-        for r in &self.ranks {
-            self.carried.merge(&r.stats);
-        }
-        self.carried_alloc = self.scratch_allocation_events();
-        self.exec_sink.instant(
-            self.steps_done,
-            EventKind::Redecompose { rank: self.ranks.len() as u32, lost: false },
-        );
-        (self.dec, self.ranks, self.bufs) = (dec, ranks, bufs);
-        self.last_loads = vec![0.0; self.ranks.len()];
-        self.health.reset(self.ranks.len());
-        self.needs_prime = true;
     }
 
     /// One velocity-Verlet step, surfacing unrecovered communication faults,
@@ -540,14 +479,6 @@ impl DistributedSim {
     /// error the simulation state is unspecified (a phase may have half
     /// run); restore from a checkpoint before stepping again.
     pub fn try_step(&mut self) -> Result<(), RuntimeError> {
-        // Rebalance before the priming check: re-decomposition drops the
-        // force state, and the priming exchange rebuilds it.
-        if self.rebalance_every != 0
-            && self.steps_done > 0
-            && self.steps_done.is_multiple_of(self.rebalance_every)
-        {
-            self.rebalance();
-        }
         self.step_start = self.total_phases();
         let resort = self.resort_every != 0 && self.steps_done.is_multiple_of(self.resort_every);
         let stepped = self.rank_step(resort);
@@ -796,9 +727,7 @@ impl DistributedSim {
         self.last_virial = 0.0;
         // Rank stats were rebuilt from scratch; re-baseline the last-step
         // breakdown.
-        self.carried = CommCounters::default();
         self.step_start = self.total_phases();
-        self.last_loads = vec![0.0; self.ranks.len()];
         // The counters were rewound: feed nothing until the next step.
         if self.metrics().enabled() {
             self.feed.rebaseline(&self.telemetry());
@@ -828,8 +757,7 @@ impl DistributedSim {
         }
         for &r in exclude {
             self.fault_plan.retire_rank(r);
-            self.exec_sink
-                .instant(self.steps_done, EventKind::Redecompose { rank: r as u32, lost: true });
+            self.exec_sink.instant(self.steps_done, EventKind::Redecompose { rank: r as u32 });
         }
         let pdims = match best_grid_for(&self.ff, cp.bbox(), survivors) {
             Some(p) => p,

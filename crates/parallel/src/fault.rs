@@ -117,7 +117,8 @@ pub struct FaultEvent {
     pub step: u64,
     /// The sending rank.
     pub rank: usize,
-    /// The communication slot that was hit.
+    /// The communication slot that was hit: the channel the fault was
+    /// scripted on, or the wire unit's outer channel for an unscoped fault.
     pub channel: Channel,
     /// The fault that fired.
     pub kind: FaultKind,
@@ -257,7 +258,10 @@ impl FaultPlan {
         };
         let kind = self.faults[i].kind;
         let target = self.faults[i].channel;
-        self.events.push(FaultEvent { step, rank: from, channel, kind });
+        // The event names the slot the fault was scripted on (a frame's
+        // outer channel is only its first section's); withheld copies stay
+        // keyed by the outer channel, so a retry of the frame releases them.
+        self.events.push(FaultEvent { step, rank: from, channel: target.unwrap_or(channel), kind });
         match kind {
             FaultKind::Drop => {
                 self.faults.swap_remove(i);

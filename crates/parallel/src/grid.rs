@@ -4,28 +4,17 @@ use crate::error::SetupError;
 use sc_geom::{IVec3, SimulationBox, Vec3};
 use serde::{Deserialize, Serialize};
 
-/// A `px × py × pz` grid of ranks, each owning a rectangular sub-volume of
-/// the periodic simulation box (the paper's spatial decomposition,
-/// §1/§3.1.3).
-///
-/// By default the sub-volumes are equal (uniform splits). A *weighted* grid
-/// built with [`RankGrid::with_splits`] instead places explicit cut planes
-/// per axis, so the adaptive load balancer can shrink the slabs of
-/// overloaded ranks — the non-uniform decomposition the clustered-gas
-/// scenarios need.
+/// A `px × py × pz` grid of ranks, each owning an equal rectangular
+/// sub-volume (`L/p` per axis) of the periodic simulation box: the paper's
+/// uniform spatial decomposition (§1/§3.1.3).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RankGrid {
     pdims: IVec3,
     bbox: SimulationBox,
-    /// Interior cut coordinates per axis (`pdims[a] − 1` strictly
-    /// increasing values in the open interval `(0, L[a])`), or `None` for
-    /// the uniform decomposition.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    cuts: Option<[Vec<f64>; 3]>,
 }
 
 impl RankGrid {
-    /// Creates a uniform rank grid over `bbox`.
+    /// Creates a rank grid over `bbox`.
     ///
     /// # Panics
     /// Panics if any `pdims` component is < 1; [`RankGrid::try_new`] is the
@@ -34,8 +23,7 @@ impl RankGrid {
         Self::try_new(pdims, bbox).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Creates a uniform rank grid over `bbox`, rejecting degenerate
-    /// dimensions.
+    /// Creates a rank grid over `bbox`, rejecting degenerate dimensions.
     ///
     /// # Errors
     /// [`SetupError::BadRankGrid`] if any `pdims` component is < 1.
@@ -43,72 +31,7 @@ impl RankGrid {
         if pdims.x < 1 || pdims.y < 1 || pdims.z < 1 {
             return Err(SetupError::BadRankGrid { pdims: [pdims.x, pdims.y, pdims.z] });
         }
-        Ok(RankGrid { pdims, bbox, cuts: None })
-    }
-
-    /// Creates a weighted rank grid with explicit interior cut planes per
-    /// axis. `cuts[a]` must hold `pdims[a] − 1` strictly increasing finite
-    /// values inside the open interval `(0, L[a])`.
-    ///
-    /// # Errors
-    /// [`SetupError::BadRankGrid`] for degenerate dimensions,
-    /// [`SetupError::BadGridCuts`] for malformed cut planes.
-    pub fn with_splits(
-        pdims: IVec3,
-        bbox: SimulationBox,
-        cuts: [Vec<f64>; 3],
-    ) -> Result<Self, SetupError> {
-        let mut grid = Self::try_new(pdims, bbox)?;
-        let lengths = bbox.lengths();
-        for axis in 0..3 {
-            let c = &cuts[axis];
-            if c.len() != (pdims[axis] - 1) as usize {
-                return Err(SetupError::BadGridCuts { axis, reason: "wrong cut count" });
-            }
-            if c.iter().any(|v| !v.is_finite()) {
-                return Err(SetupError::BadGridCuts { axis, reason: "non-finite cut" });
-            }
-            let mut prev = 0.0;
-            for &v in c {
-                if v <= prev {
-                    return Err(SetupError::BadGridCuts {
-                        axis,
-                        reason: "cuts must be strictly increasing from 0",
-                    });
-                }
-                prev = v;
-            }
-            if prev >= lengths[axis] {
-                return Err(SetupError::BadGridCuts { axis, reason: "cut beyond box length" });
-            }
-        }
-        // All-uniform cuts are still stored; equality of decompositions is
-        // judged by geometry, not representation.
-        grid.cuts = Some(cuts);
-        Ok(grid)
-    }
-
-    /// The explicit cut planes of a weighted grid (`None` when uniform).
-    pub fn cuts(&self) -> Option<&[Vec<f64>; 3]> {
-        self.cuts.as_ref()
-    }
-
-    /// The lower boundary coordinate of slab `i` along `axis`.
-    fn slab_lo(&self, axis: usize, i: i32) -> f64 {
-        match (&self.cuts, i) {
-            (_, 0) => 0.0,
-            (Some(c), _) => c[axis][(i - 1) as usize],
-            (None, _) => i as f64 * self.bbox.lengths()[axis] / self.pdims[axis] as f64,
-        }
-    }
-
-    /// The upper boundary coordinate of slab `i` along `axis`.
-    fn slab_hi(&self, axis: usize, i: i32) -> f64 {
-        if i == self.pdims[axis] - 1 {
-            self.bbox.lengths()[axis]
-        } else {
-            self.slab_lo(axis, i + 1)
-        }
+        Ok(RankGrid { pdims, bbox })
     }
 
     /// Ranks per axis.
@@ -134,51 +57,10 @@ impl RankGrid {
         &self.bbox
     }
 
-    /// Edge lengths of the *uniform* rank sub-box (`L/p` per axis). For a
-    /// weighted grid this is the nominal average; per-rank extents come
-    /// from [`RankGrid::rank_box_lengths_of`] and the safety floor from
-    /// [`RankGrid::min_slab_lengths`].
+    /// Edge lengths of every rank's sub-box (`L/p` per axis).
     pub fn rank_box_lengths(&self) -> Vec3 {
         let l = self.bbox.lengths();
         Vec3::new(l.x / self.pdims.x as f64, l.y / self.pdims.y as f64, l.z / self.pdims.z as f64)
-    }
-
-    /// Edge lengths of a specific rank's sub-box (equals
-    /// [`RankGrid::rank_box_lengths`] on a uniform grid).
-    pub fn rank_box_lengths_of(&self, rank: usize) -> Vec3 {
-        if self.cuts.is_none() {
-            return self.rank_box_lengths();
-        }
-        let b = self.block_of_rank(rank);
-        let mut out = Vec3::ZERO;
-        for axis in 0..3 {
-            out[axis] = self.slab_hi(axis, b[axis]) - self.slab_lo(axis, b[axis]);
-        }
-        out
-    }
-
-    /// The widths of all slabs along `axis`, low to high (length
-    /// `pdims[axis]`).
-    pub fn slab_widths(&self, axis: usize) -> Vec<f64> {
-        (0..self.pdims[axis]).map(|i| self.slab_hi(axis, i) - self.slab_lo(axis, i)).collect()
-    }
-
-    /// The narrowest slab width per axis over all ranks — the extent the
-    /// halo-depth and cutoff feasibility checks must validate against,
-    /// since forwarded routing only ever delivers nearest-neighbour data.
-    pub fn min_slab_lengths(&self) -> Vec3 {
-        let Some(_) = &self.cuts else {
-            return self.rank_box_lengths();
-        };
-        let mut out = Vec3::ZERO;
-        for axis in 0..3 {
-            let mut min = f64::INFINITY;
-            for i in 0..self.pdims[axis] {
-                min = min.min(self.slab_hi(axis, i) - self.slab_lo(axis, i));
-            }
-            out[axis] = min;
-        }
-        out
     }
 
     /// Linear rank id of grid block `b` (periodically wrapped).
@@ -201,35 +83,17 @@ impl RankGrid {
     /// The rank owning a (wrapped) global position.
     pub fn owner_of(&self, r: Vec3) -> usize {
         let r = self.bbox.wrap(r);
-        let b = match &self.cuts {
-            None => {
-                let sub = self.rank_box_lengths();
-                IVec3::new((r.x / sub.x) as i32, (r.y / sub.y) as i32, (r.z / sub.z) as i32)
-                    .min(self.pdims - IVec3::splat(1))
-            }
-            Some(cuts) => {
-                let mut b = IVec3::ZERO;
-                for axis in 0..3 {
-                    // Slab i covers [lo_i, lo_{i+1}); count the cuts at or
-                    // below the coordinate.
-                    b[axis] = cuts[axis].partition_point(|&c| c <= r[axis]) as i32;
-                }
-                b.min(self.pdims - IVec3::splat(1))
-            }
-        };
+        let sub = self.rank_box_lengths();
+        let b = IVec3::new((r.x / sub.x) as i32, (r.y / sub.y) as i32, (r.z / sub.z) as i32)
+            .min(self.pdims - IVec3::splat(1));
         self.rank_of_block(b)
     }
 
     /// Real-space low corner of a rank's sub-box.
     pub fn origin_of(&self, rank: usize) -> Vec3 {
         let b = self.block_of_rank(rank);
-        match &self.cuts {
-            None => {
-                let sub = self.rank_box_lengths();
-                Vec3::new(b.x as f64 * sub.x, b.y as f64 * sub.y, b.z as f64 * sub.z)
-            }
-            Some(_) => Vec3::new(self.slab_lo(0, b.x), self.slab_lo(1, b.y), self.slab_lo(2, b.z)),
-        }
+        let sub = self.rank_box_lengths();
+        Vec3::new(b.x as f64 * sub.x, b.y as f64 * sub.y, b.z as f64 * sub.z)
     }
 
     /// The neighbour rank one step along `axis` in direction `dir` (±1),
@@ -260,90 +124,6 @@ impl RankGrid {
             s[axis] = -(dir as f64) * self.bbox.lengths()[axis];
         }
         s
-    }
-
-    /// Proposes rebalanced cut planes from measured per-rank loads (compute
-    /// seconds from the imbalance profiler): per axis, slab loads are
-    /// summed over the perpendicular plane, the piecewise-linear load CDF
-    /// is inverted at the equal-load quantiles, and the move is damped by
-    /// `alpha` (0 = keep current cuts, 1 = jump to the equal-load cuts).
-    /// Cuts are clamped so every slab keeps at least `min_width`.
-    ///
-    /// Returns `None` when `loads` has the wrong length, the total load is
-    /// not positive, or `min_width` makes any axis infeasible — callers
-    /// should then keep the current decomposition.
-    pub fn rebalanced_cuts(
-        &self,
-        loads: &[f64],
-        alpha: f64,
-        min_width: f64,
-    ) -> Option<[Vec<f64>; 3]> {
-        if loads.len() != self.len() || !loads.iter().all(|l| l.is_finite() && *l >= 0.0) {
-            return None;
-        }
-        let lengths = self.bbox.lengths();
-        let mut out: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for axis in 0..3 {
-            let p = self.pdims[axis];
-            if p == 1 {
-                continue;
-            }
-            if (p as f64) * min_width > lengths[axis] {
-                return None;
-            }
-            // Load per slab of this axis, summed over the perpendicular
-            // plane of ranks.
-            let mut slab = vec![0.0f64; p as usize];
-            for (r, &l) in loads.iter().enumerate() {
-                slab[self.block_of_rank(r)[axis] as usize] += l;
-            }
-            let total: f64 = slab.iter().sum();
-            if total.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                return None;
-            }
-            // Invert the piecewise-linear CDF at the equal-load quantiles.
-            let mut cuts = Vec::with_capacity((p - 1) as usize);
-            let mut cum = 0.0;
-            let mut i = 0usize;
-            for j in 1..p {
-                let q = total * j as f64 / p as f64;
-                while i < slab.len() - 1 && cum + slab[i] < q {
-                    cum += slab[i];
-                    i += 1;
-                }
-                let lo = self.slab_lo(axis, i as i32);
-                let w = self.slab_hi(axis, i as i32) - lo;
-                let frac = if slab[i] > 0.0 { (q - cum) / slab[i] } else { 0.5 };
-                let target = lo + frac.clamp(0.0, 1.0) * w;
-                let old = self.slab_lo(axis, j);
-                cuts.push(old + alpha.clamp(0.0, 1.0) * (target - old));
-            }
-            // Enforce the minimum slab width: forward sweep pushes cuts up,
-            // backward sweep pulls them below the box ceiling.
-            for j in 0..cuts.len() {
-                let floor = if j == 0 { min_width } else { cuts[j - 1] + min_width };
-                if cuts[j] < floor {
-                    cuts[j] = floor;
-                }
-            }
-            for j in (0..cuts.len()).rev() {
-                let ceil = if j == cuts.len() - 1 {
-                    lengths[axis] - min_width
-                } else {
-                    cuts[j + 1] - min_width
-                };
-                if cuts[j] > ceil {
-                    cuts[j] = ceil;
-                }
-            }
-            if cuts[0] < min_width * 0.999 {
-                return None;
-            }
-            out[axis] = cuts;
-        }
-        // Axes with p == 1 keep their empty cut list, which `with_splits`
-        // accepts (0 interior cuts).
-        Some(out)
     }
 }
 
@@ -412,96 +192,6 @@ mod tests {
         assert_eq!(g.neighbor(0, 0, 1), 0);
         assert!(g.crosses_wrap(0, 2, -1));
         assert_eq!(g.send_shift(0, 2, -1).z, 5.0);
-    }
-
-    #[test]
-    fn weighted_grid_places_explicit_cuts() {
-        let bbox = SimulationBox::new(Vec3::new(10.0, 8.0, 6.0));
-        let g = RankGrid::with_splits(IVec3::new(2, 2, 1), bbox, [vec![3.0], vec![4.0], vec![]])
-            .unwrap();
-        // Origins and extents follow the cuts, not L/p.
-        assert_eq!(g.origin_of(g.rank_of_block(IVec3::new(1, 0, 0))).x, 3.0);
-        assert_eq!(g.rank_box_lengths_of(g.rank_of_block(IVec3::new(0, 0, 0))).x, 3.0);
-        assert_eq!(g.rank_box_lengths_of(g.rank_of_block(IVec3::new(1, 0, 0))).x, 7.0);
-        assert_eq!(g.min_slab_lengths(), Vec3::new(3.0, 4.0, 6.0));
-        // Ownership respects the cut plane.
-        assert_eq!(g.owner_of(Vec3::new(2.9, 1.0, 1.0)), g.rank_of_block(IVec3::new(0, 0, 0)));
-        assert_eq!(g.owner_of(Vec3::new(3.1, 1.0, 1.0)), g.rank_of_block(IVec3::new(1, 0, 0)));
-        // Every wrapped point lands inside its owner's box.
-        for p in [Vec3::new(9.9, 7.9, 5.9), Vec3::new(-0.5, 4.0, 3.0), Vec3::new(3.0, 3.9, 0.0)] {
-            let r = g.owner_of(p);
-            let o = g.origin_of(r);
-            let ext = g.rank_box_lengths_of(r);
-            let w = g.bbox().wrap(p);
-            for a in 0..3 {
-                assert!(w[a] >= o[a] - 1e-12 && w[a] < o[a] + ext[a] + 1e-12, "{p:?} axis {a}");
-            }
-        }
-    }
-
-    #[test]
-    fn malformed_cuts_are_rejected_typed() {
-        let bbox = SimulationBox::cubic(8.0);
-        let p = IVec3::new(2, 1, 1);
-        for bad in [
-            [vec![], vec![], vec![]],         // wrong count
-            [vec![0.0], vec![], vec![]],      // not > 0
-            [vec![8.0], vec![], vec![]],      // not < L
-            [vec![f64::NAN], vec![], vec![]], // non-finite
-            [vec![4.0], vec![1.0], vec![]],   // extra cut on a p=1 axis
-        ] {
-            let err = RankGrid::with_splits(p, bbox, bad).unwrap_err();
-            assert!(matches!(err, SetupError::BadGridCuts { .. }), "{err}");
-        }
-        let err =
-            RankGrid::with_splits(IVec3::new(3, 1, 1), bbox, [vec![4.0, 3.0], vec![], vec![]])
-                .unwrap_err();
-        assert!(matches!(err, SetupError::BadGridCuts { .. }));
-    }
-
-    #[test]
-    fn uniform_grid_matches_weighted_with_uniform_cuts() {
-        let bbox = SimulationBox::new(Vec3::new(8.0, 8.0, 12.0));
-        let u = RankGrid::new(IVec3::new(2, 2, 3), bbox);
-        let w = RankGrid::with_splits(
-            IVec3::new(2, 2, 3),
-            bbox,
-            [vec![4.0], vec![4.0], vec![4.0, 8.0]],
-        )
-        .unwrap();
-        for r in 0..u.len() {
-            assert_eq!(u.origin_of(r), w.origin_of(r));
-            assert_eq!(u.rank_box_lengths_of(r), w.rank_box_lengths_of(r));
-        }
-        for p in [Vec3::new(0.1, 0.1, 0.1), Vec3::new(5.0, 7.0, 9.0), Vec3::new(3.99, 4.01, 8.0)] {
-            assert_eq!(u.owner_of(p), w.owner_of(p));
-        }
-    }
-
-    #[test]
-    fn rebalanced_cuts_shift_toward_the_load() {
-        let g = RankGrid::new(IVec3::new(2, 1, 1), SimulationBox::cubic(10.0));
-        // Rank 0 carries 3× the load of rank 1: the equal-load cut for a
-        // uniform density estimate is at 10·(0.5/0.75)·... — concretely the
-        // CDF inversion lands at 5·(2/3); with α=1 the cut moves below 5.
-        let cuts = g.rebalanced_cuts(&[3.0, 1.0], 1.0, 1.0).unwrap();
-        assert!(cuts[0][0] < 5.0, "cut {:?}", cuts[0]);
-        assert!(cuts[1].is_empty() && cuts[2].is_empty());
-        // Damping halves the move.
-        let damped = g.rebalanced_cuts(&[3.0, 1.0], 0.5, 1.0).unwrap();
-        assert!((damped[0][0] - (5.0 + cuts[0][0]) / 2.0).abs() < 1e-12);
-        // Balanced load keeps the cut in place.
-        let same = g.rebalanced_cuts(&[1.0, 1.0], 1.0, 1.0).unwrap();
-        assert!((same[0][0] - 5.0).abs() < 1e-12);
-        // The proposal is always constructible.
-        assert!(RankGrid::with_splits(g.pdims(), *g.bbox(), cuts).is_ok());
-        // Extreme skew still respects the minimum slab width.
-        let extreme = g.rebalanced_cuts(&[1.0, 0.0], 1.0, 2.0).unwrap();
-        assert!(extreme[0][0] >= 2.0 - 1e-12 && extreme[0][0] <= 8.0 + 1e-12);
-        // Infeasible floors and bad inputs are refused.
-        assert!(g.rebalanced_cuts(&[1.0, 1.0], 0.5, 6.0).is_none());
-        assert!(g.rebalanced_cuts(&[1.0], 0.5, 1.0).is_none());
-        assert!(g.rebalanced_cuts(&[0.0, 0.0], 0.5, 1.0).is_none());
     }
 
     #[test]

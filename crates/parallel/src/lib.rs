@@ -4,8 +4,9 @@
 //! *algorithmic* content of that parallelization as a message-passing runtime
 //! whose ranks are plain Rust values exchanging explicit messages:
 //!
-//! * spatial decomposition of the periodic box over a [`RankGrid`]
-//!   (paper §3.1.3: each processor owns a cell domain Ω);
+//! * spatial decomposition of the periodic box over a uniform [`RankGrid`]
+//!   (paper §3.1.3: each processor owns an equal cell domain Ω; the grid
+//!   changes only when crash recovery re-decomposes onto the survivors);
 //! * **halo exchange with forwarded routing** — SC-MD imports ghost atoms
 //!   from its 7 first-octant neighbour ranks in 3 communication steps
 //!   (+x, +y, +z, §4.2), FS/Hybrid from all 26 in 6 steps;
@@ -30,7 +31,7 @@
 //! | `step` (private) | the rank-step protocol's exchanges: the schedule planned once at `decompose` (every rank's slots, frames and expected units for the 3 migrate + 3 ghost + 3 force phases), per-exchange `outgoing`/`absorb` through per-rank recycled buffers, send accounting, receipt and stamp + per-section verification |
 //! | [`rank`] | one rank's state and its message-level algorithms (band collection recording the slot each entry was read from, ghost absorption, force computation — one sweep per term — positional force return) |
 //! | [`transport`], [`msg`] | the merged-phase schedule and its per-rank plan, per-neighbor framing, stamps and word-wise checksums |
-//! | `exec_bsp` ([`DistributedSim`]) | the engine: the stage sequence, lockstep delivery through the [`FaultPlan`] with bounded retry and the health watchdog, the `ThreadPool` compute fan-out, rebalance, re-decomposition over survivors, telemetry, gather, checkpoint |
+//! | `exec_bsp` ([`DistributedSim`]) | the engine: the stage sequence, lockstep delivery through the [`FaultPlan`] with bounded retry and the health watchdog, the `ThreadPool` compute fan-out, re-decomposition over survivors, telemetry, gather, checkpoint |
 //!
 //! Every message is delivered between a phase's send and absorb halves, so a
 //! run is deterministic and the pool's lane count changes no bit: this is
@@ -45,8 +46,8 @@
 //! ## One run configuration
 //!
 //! Everything about a run that is not the system, the force field or the
-//! timestep is one [`EngineConfig`] (cell subdivision, re-sort cadence,
-//! rebalance cadence, [`FaultPlan`], tracer, metrics registry), taken once
+//! timestep is one [`EngineConfig`] (lanes, cell subdivision, re-sort
+//! cadence, [`FaultPlan`], tracer, metrics registry, thermostat), taken once
 //! by `DistributedSim::build`. The engine feeds its telemetry into that
 //! registry after every step (only while it is enabled) and rebaselines it
 //! on every restore. The engine has no post-construction setter.

@@ -140,7 +140,7 @@ impl RankState {
         }
         let owned = store.len();
         let origin = grid.origin_of(rank);
-        let sub = grid.rank_box_lengths_of(rank);
+        let sub = grid.rank_box_lengths();
         let hybrid = ff.method == Method::Hybrid;
         let mut terms = Vec::new();
         for (n, rcut) in ff.terms() {
@@ -303,7 +303,7 @@ impl RankState {
         to_minus.clear();
         to_plus.clear();
         let origin = self.grid.origin_of(self.rank);
-        let sub = self.grid.rank_box_lengths_of(self.rank);
+        let sub = self.grid.rank_box_lengths();
         let lo = origin[axis];
         let hi = origin[axis] + sub[axis];
         let mut i = 0;
@@ -352,7 +352,7 @@ impl RankState {
     pub fn collect_ghost_band(&mut self, plan: &GhostPlan, hop: usize, band: &mut Vec<GhostMsg>) {
         let (axis, recv_dir) = plan.hops[hop];
         let origin = self.grid.origin_of(self.rank);
-        let sub = self.grid.rank_box_lengths_of(self.rank);
+        let sub = self.grid.rank_box_lengths();
         let shift = self.grid.send_shift(self.rank, axis, -recv_dir);
         let in_band = |x: f64| {
             if recv_dir > 0 {
@@ -558,18 +558,15 @@ impl RankState {
 
 /// The real-space halo depth a force field needs: `max_n (n−1)·cell_edge_n`
 /// over the active terms, with each term's local cell edge computed from
-/// the rank sub-box exactly as [`RankState::new`] does — maximised over
-/// every rank's slab widths, so weighted grids get a band deep enough for
-/// their widest-celled rank.
+/// the rank sub-box exactly as [`RankState::new`] does.
 pub fn halo_width_for(ff: &ForceField, grid: &RankGrid) -> f64 {
+    let sub = grid.rank_box_lengths();
     let mut w: f64 = 0.0;
     for (n, rcut) in ff.terms() {
         for axis in 0..3 {
-            for s in grid.slab_widths(axis) {
-                let ext = ((s / rcut).floor() as i32).max(1);
-                let cell = s / ext as f64;
-                w = w.max((n as f64 - 1.0) * cell);
-            }
+            let ext = ((sub[axis] / rcut).floor() as i32).max(1);
+            let cell = sub[axis] / ext as f64;
+            w = w.max((n as f64 - 1.0) * cell);
         }
     }
     w
@@ -580,16 +577,14 @@ pub fn halo_width_for(ff: &ForceField, grid: &RankGrid) -> f64 {
 /// the union of rank lattices large enough that pattern offsets do not alias
 /// through the periodic wrap. Returns the halo width on success. This is the
 /// same gate `DistributedSim::new` applies at construction, factored out so
-/// online re-decomposition can test candidate grids before committing.
+/// crash recovery can test candidate grids before committing.
 pub fn validate_decomposition(
     ff: &ForceField,
     grid: &RankGrid,
 ) -> Result<f64, crate::error::SetupError> {
     use crate::error::SetupError;
     let width = halo_width_for(ff, grid);
-    // Forwarded routing only delivers nearest-neighbour data, so every
-    // individual slab — not just the average — must host the halo.
-    let sub = grid.min_slab_lengths();
+    let sub = grid.rank_box_lengths();
     for a in 0..3 {
         if width > sub[a] + 1e-12 {
             return Err(SetupError::HaloTooDeep { halo: width, sub_box: sub[a], axis: a });
@@ -600,8 +595,7 @@ pub fn validate_decomposition(
             if sub[a] < rcut {
                 return Err(SetupError::SubBoxBelowCutoff { rcut, sub_box: sub[a], axis: a });
             }
-            let global: i32 =
-                grid.slab_widths(a).iter().map(|s| ((s / rcut).floor() as i32).max(1)).sum();
+            let global = grid.pdims()[a] * ((sub[a] / rcut).floor() as i32).max(1);
             if global < (n as i32).max(3) {
                 return Err(SetupError::LatticeTooSmall {
                     global_cells: global,

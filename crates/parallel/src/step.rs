@@ -77,8 +77,8 @@ pub(crate) struct Buffers {
 pub(crate) type Decomposed = (Arc<Decomposition>, Vec<RankState>, Vec<Buffers>);
 
 /// Decomposes `store` over `grid` with `k`-fold subdivided rank-local
-/// cells: the one construction path behind the engine's constructor, its
-/// restores, and its rebalance.
+/// cells: the one construction path behind the engine's constructor and
+/// its restores.
 ///
 /// # Errors
 /// Rejects configurations where the halo would be deeper than one rank

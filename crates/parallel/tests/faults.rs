@@ -29,12 +29,12 @@
 //!   fault-free run, with one retry and one detected fault per spoiled
 //!   attempt.
 //!
-//! Every fault the law fires must fire at its own step (one event, a stall
-//! one per attempt), every other fault must end pending or retired with its
-//! rank, and no copy a `Delay` withheld from a rank the run's grid reaches
-//! may be left: withheld copies are keyed by rank index, as pending faults
-//! are, so one from an index the survivors' grid does not reach is never
-//! released.
+//! Every fault the law fires must fire at its own step and be logged on the
+//! channel it was scripted on (one event, a stall one per attempt), every
+//! other fault must end pending or retired with its rank, and no copy a
+//! `Delay` withheld from a rank the run's grid reaches may be left:
+//! withheld copies are keyed by rank index, as pending faults are, so one
+//! from an index the survivors' grid does not reach is never released.
 //!
 //! The cases, all SC unless named: every single fault of 2×2×1 LJ one step
 //! before and one after a checkpoint, every kind on a silica grid, five
@@ -623,11 +623,11 @@ fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> 
     out.into_iter().map(|(_, r)| r).collect()
 }
 
-/// `(step, rank, kind)` with a stall's attempts left out, as one sortable
-/// line.
-fn event_key(step: u64, rank: usize, kind: FaultKind) -> String {
+/// `(step, rank, channel, kind)` with a stall's attempts left out, as one
+/// sortable line.
+fn event_key(step: u64, rank: usize, channel: Option<Channel>, kind: FaultKind) -> String {
     let kind = if let Stall { .. } = kind { Stall { attempts: 0 } } else { kind };
-    format!("{step} {rank} {kind:?}")
+    format!("{step} {rank} {channel:?} {kind:?}")
 }
 
 /// Runs one case and checks it ended as the composition law calls for:
@@ -640,11 +640,13 @@ fn check(case: &Case, truth: &Truth) -> Result<(Outcome, Vec<FaultEvent>), Strin
     let result = sup.run(&mut sim, case.steps);
     let plan = sim.fault_plan();
     let fired = case.faults.iter().zip(&want.fires).filter(|&(_, &fires)| fires);
-    let each =
-        |(f, _): (&Fault, _)| vec![event_key(f.step, f.rank, f.kind); spoils(f.kind) as usize];
+    // Each event names the channel its fault was scripted on.
+    let each = |(f, _): (&Fault, _)| {
+        vec![event_key(f.step, f.rank, f.channel, f.kind); spoils(f.kind) as usize]
+    };
     let mut expected: Vec<String> = fired.flat_map(each).collect();
     let mut events: Vec<String> =
-        plan.events().iter().map(|e| event_key(e.step, e.rank, e.kind)).collect();
+        plan.events().iter().map(|e| event_key(e.step, e.rank, Some(e.channel), e.kind)).collect();
     expected.sort();
     events.sort();
     if events != expected {

@@ -134,7 +134,6 @@ impl ScenarioSpec {
             },
             subdivision: self.subdivision,
             resort_every: self.resort_every,
-            rebalance_every: self.comm.rebalance_every,
             faults: self.fault_plan.as_ref().map_or_else(FaultPlan::none, |fp| {
                 let (count, crashes) = (fp.count as usize, fp.max_crashes as usize);
                 FaultPlan::storm(fp.seed, count, self.steps, ranks as usize, crashes, self.method)

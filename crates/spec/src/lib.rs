@@ -10,8 +10,7 @@
 //!
 //! The crate deliberately has **no** external dependencies: documents are
 //! read by [`sc_obs::json::Json`], and decoding is strict — unknown
-//! fields, wrong types, out-of-range values and keys the run cannot honour
-//! (`comm.rebalance_every` on a one-rank grid) all fail with a
+//! fields, wrong types and out-of-range values all fail with a
 //! [`SpecError`] naming the offending field's dotted path.
 //!
 //! ```text
@@ -30,6 +29,6 @@ pub mod model;
 pub use build::{observables_doc, RunHandle, OBSERVABLES_SCHEMA_ID};
 pub use error::SpecError;
 pub use model::{
-    method_name, CheckpointSpec, CommSpec, ExecutorSpec, FaultPlanSpec, ObservabilitySpec,
-    PotentialSpec, ScenarioSpec, SystemSpec, ThermostatSpec, SCHEMA_ID,
+    method_name, CheckpointSpec, ExecutorSpec, FaultPlanSpec, ObservabilitySpec, PotentialSpec,
+    ScenarioSpec, SystemSpec, ThermostatSpec, SCHEMA_ID,
 };

@@ -42,8 +42,6 @@ pub struct ScenarioSpec {
     pub subdivision: i32,
     /// Morton re-sort cadence (0 = never).
     pub resort_every: u64,
-    /// The `comm` block: the rebalance cadence (refused on a one-rank grid).
-    pub comm: CommSpec,
     /// Optional Berendsen thermostat.
     pub thermostat: Option<ThermostatSpec>,
     /// Optional scripted fault storm (every executor; on `serial` the one
@@ -159,16 +157,6 @@ impl ExecutorSpec {
             ExecutorSpec::Bsp { .. } => "bsp",
         }
     }
-}
-
-/// The `comm` block. The exchange schedule itself (merged phases, one frame
-/// per neighbor, the whole halo imported before compute) is not
-/// configurable; what is left is the load-balance cadence.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CommSpec {
-    /// Re-fit the rank grid to measured per-rank compute seconds every
-    /// this many steps (0 = never; refused on a one-rank grid).
-    pub rebalance_every: u64,
 }
 
 /// Berendsen thermostat parameters.
@@ -381,7 +369,6 @@ impl ScenarioSpec {
             "steps",
             "subdivision",
             "resort_every",
-            "comm",
             "thermostat",
             "fault_plan",
             "observability",
@@ -405,10 +392,6 @@ impl ScenarioSpec {
             steps: root.u64("steps")?,
             subdivision: root.u64_or("subdivision", 1)? as i32,
             resort_every: root.u64_or("resort_every", 8)?,
-            comm: match root.get("comm") {
-                None => CommSpec::default(),
-                Some(_) => decode_comm(&root.obj("comm")?)?,
-            },
             thermostat: match root.get("thermostat") {
                 None => None,
                 Some(_) => Some(decode_thermostat(&root.obj("thermostat")?)?),
@@ -531,13 +514,7 @@ impl ScenarioSpec {
                 }
             }
         }
-        // The refusal rule: a key the run cannot honour is an error naming
-        // the key, never a silently different run. One rank has no cut
-        // plane to re-fit, whatever the spelling.
         let ranks: u64 = self.grid().iter().product();
-        if self.comm.rebalance_every != 0 && ranks == 1 {
-            return Err(bad("comm.rebalance_every", "a one-rank grid has nothing to rebalance"));
-        }
         if let Some(t) = &self.thermostat {
             if !(t.target >= 0.0 && t.target.is_finite()) {
                 return Err(bad("thermostat.target", "must be finite and ≥ 0"));
@@ -584,13 +561,6 @@ impl ScenarioSpec {
             ("steps".to_string(), Json::num(self.steps as f64)),
             ("subdivision".to_string(), Json::num(self.subdivision as f64)),
             ("resort_every".to_string(), Json::num(self.resort_every as f64)),
-            (
-                "comm".to_string(),
-                Json::Obj(vec![(
-                    "rebalance_every".to_string(),
-                    Json::num(self.comm.rebalance_every as f64),
-                )]),
-            ),
         ];
         if let Some(t) = &self.thermostat {
             fields.push((
@@ -801,11 +771,6 @@ fn executor_json(e: &ExecutorSpec) -> Json {
     }
 }
 
-fn decode_comm(f: &Fields) -> Result<CommSpec, SpecError> {
-    f.deny_unknown(&["rebalance_every"])?;
-    Ok(CommSpec { rebalance_every: f.u64_or("rebalance_every", 0)? })
-}
-
 fn decode_thermostat(f: &Fields) -> Result<ThermostatSpec, SpecError> {
     f.deny_unknown(&["target", "dt_over_tau"])?;
     Ok(ThermostatSpec { target: f.f64("target")?, dt_over_tau: f.f64("dt_over_tau")? })
@@ -930,15 +895,6 @@ mod tests {
         );
         match ScenarioSpec::from_json_str(&doc) {
             Err(SpecError::BadValue { field, .. }) => assert_eq!(field, "thermostat.dt_over_tau"),
-            other => panic!("expected BadValue, got {other:?}"),
-        }
-        // A rebalance cadence on a one-rank grid, whatever the spelling.
-        let doc = lj_spec_json().replace(
-            r#""executor": {"kind": "serial"}"#,
-            r#""executor": {"kind": "bsp", "grid": [1, 1, 1]}, "comm": {"rebalance_every": 2}"#,
-        );
-        match ScenarioSpec::from_json_str(&doc) {
-            Err(SpecError::BadValue { field, .. }) => assert_eq!(field, "comm.rebalance_every"),
             other => panic!("expected BadValue, got {other:?}"),
         }
     }

@@ -16,9 +16,10 @@
 #   cargo build --release && scripts/fingerprint.sh --against <ref>
 #
 # copies the files of <ref> (git archive) into a fresh directory, builds its
-# scmd there, fingerprints both sides (each with its own scenarios) and
-# prints only the lines that moved, as `S <ref hash> <this hash>` (`-` for a
-# scenario one side lacks); nothing when every line is identical.
+# scmd there, fingerprints both sides (each with its own script's scenario
+# list and its own scenario files) and prints only the lines that moved, as
+# `S <ref hash> <this hash>` (`-` for a scenario one side does not pin);
+# nothing when every line is identical.
 #
 # Hashes are not pinned anywhere: libm differs across hosts, so only two
 # builds on one host compare. SCMD overrides this checkout's binary.
@@ -45,7 +46,7 @@ trap 'rm -f "$results"; [ -z "$work" ] || rm -rf "$work"' EXIT
 fingerprint() { # checkout scmd -> one line per scenario
     cd "$1"
     for spec in scenarios/bench/*.json scenarios/silica-triplet.json scenarios/hybrid-lj.json \
-        scenarios/lj-bsp.json scenarios/fault-storm.json; do
+        scenarios/lj-bsp.json scenarios/fault-storm.json scenarios/clustered-gas.json; do
         "$2" run --spec "$spec" --results "$results" >/dev/null
         printf '%s %s\n' "$spec" "$(sha256sum <"$results" | cut -d' ' -f1)"
     done
@@ -62,7 +63,8 @@ work=$(mktemp -d)
 git -C "$root" archive "$against" | tar -x -C "$work"
 echo "# building $against" >&2
 (cd "$work" && cargo build --release --offline --quiet --bin scmd) >&2
-fingerprint "$work" "$work/target/release/scmd" >"$work/ref.txt"
+# The ref's own script, so a scenario pinned only since <ref> reads `-`.
+SCMD="$work/target/release/scmd" "$work/scripts/fingerprint.sh" >"$work/ref.txt"
 fingerprint "$root" "$scmd" >"$work/this.txt"
 # Joined on the scenario path; a line moved when its hashes differ.
 export LC_ALL=C

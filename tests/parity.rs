@@ -1,9 +1,9 @@
 //! The parity sweep: SC is correct only if every range-limited tuple is
 //! found exactly once on any decomposition (Theorem 2, Lemma 6). One
 //! constant list of cases spans executor × method × potential ×
-//! subdivision × re-sort × thermostat × rebalance × transport fault ×
-//! system shape, and every case is checked term by term against the
-//! brute-force oracle (`sc_md::reference`) and against its siblings:
+//! subdivision × re-sort × thermostat × transport fault × system shape,
+//! and every case is checked term by term against the brute-force oracle
+//! (`sc_md::reference`) and against its siblings:
 //!
 //! - **step 0, against the oracle:** per-term energies, per-atom forces and
 //!   net force, per-term accepted counts equal to the oracle's tuple
@@ -102,8 +102,6 @@ struct Case {
     resort_every: u64,
     /// A Berendsen thermostat ([`THERMOSTAT`]).
     thermostat: bool,
-    /// Multi-rank grids only.
-    rebalance_every: u64,
     /// Multi-rank grids only: a drop and a corrupted payload, both
     /// absorbed by the transport's retry.
     faults: bool,
@@ -117,7 +115,6 @@ const BASE: Case = Case {
     subdivision: 1,
     resort_every: 8,
     thermostat: false,
-    rebalance_every: 0,
     faults: false,
 };
 
@@ -152,9 +149,9 @@ const CASES: &[Case] = &[
     // Two ranks on an axis: a rank meets one neighbour on both sides.
     Case { exec: Grid([2, 1, 1]), method: FullShell, subdivision: 2, ..BASE },
     Case { exec: Grid([2, 1, 1]), method: Hybrid, shape: NonCubic, faults: true, ..BASE },
-    Case { exec: Grid([2, 1, 1]), shape: Clustered, rebalance_every: 3, ..BASE },
+    Case { exec: Grid([2, 1, 1]), shape: Clustered, ..BASE },
     Case { exec: Grid([2, 1, 1]), method: Hybrid, subdivision: 2, shape: OnPlanes, ..BASE },
-    Case { exec: Grid([2, 1, 1]), method: FullShell, shape: OnPlanes, rebalance_every: 4, ..BASE },
+    Case { exec: Grid([2, 1, 1]), method: FullShell, shape: OnPlanes, ..BASE },
     Case { exec: Grid([2, 1, 1]), method: Hybrid, pot: Silica, ..BASE },
     Case { exec: Grid([2, 1, 1]), pot: LjTorsion, method: Hybrid, ..BASE },
     Case { exec: Grid([1, 1, 2]), pot: Silica, resort_every: 0, ..BASE },
@@ -179,7 +176,7 @@ const CASES: &[Case] = &[
     Case { exec: Grid([1, 3, 3]), method: FullShell, ..BASE },
     Case { exec: Grid([1, 3, 3]), method: Hybrid, shape: Clustered, ..BASE },
     Case { exec: Grid([1, 3, 3]), shape: OnPlanes, resort_every: 0, ..BASE },
-    Case { exec: Grid([1, 3, 3]), pot: Silica, shape: NonCubic, rebalance_every: 3, ..BASE },
+    Case { exec: Grid([1, 3, 3]), pot: Silica, shape: NonCubic, ..BASE },
     Case { exec: Grid([3, 3, 3]), ..BASE },
     Case { exec: Grid([3, 3, 3]), method: FullShell, shape: Clustered, ..BASE },
     Case { exec: Grid([3, 3, 3]), pot: Silica, method: FullShell, faults: true, ..BASE },
@@ -193,7 +190,7 @@ const REFUSED: &[Case] = &[
 ];
 
 /// Steps every case runs before its state is compared: past one re-sort at
-/// the default cadence and past rebalances at 3 and 4.
+/// the default cadence.
 const STEPS: usize = 10;
 
 /// How far the probe step moves the atom with the largest force.
@@ -319,18 +316,9 @@ fn build(case: &Case, store: AtomStore, bbox: SimulationBox, dt: f64) -> Result<
             .with(fault(1, (pdims.x * pdims.y * pdims.z - 1) as usize, FaultKind::Drop))
             .with(fault(2, 0, FaultKind::Corrupt { header: false })),
     };
-    let rebalance_every = case.rebalance_every;
     let thermostat = case.thermostat.then_some(THERMOSTAT);
-    let cfg = EngineConfig {
-        lanes,
-        subdivision,
-        resort_every,
-        rebalance_every,
-        faults,
-        tracer,
-        metrics,
-        thermostat,
-    };
+    let cfg =
+        EngineConfig { lanes, subdivision, resort_every, faults, tracer, metrics, thermostat };
     let sim = DistributedSim::build(store, bbox, pdims, ff, dt, cfg);
     sim.map_err(|e: SetupError| format!("SetupError: {e}"))
 }
@@ -682,7 +670,6 @@ fn coverage(cases: &[Case]) {
             ("subdivision", c.subdivision.to_string()),
             ("resort_every", c.resort_every.to_string()),
             ("thermostat", c.thermostat.to_string()),
-            ("rebalance_every > 0", (c.rebalance_every > 0).to_string()),
             ("faults", c.faults.to_string()),
         ];
         let shapes = shapes.into_iter().filter(|s| s.1).map(|s| ("shape", s.0.to_string()));
@@ -695,7 +682,7 @@ fn coverage(cases: &[Case]) {
         println!("  {axis:<20} {}", values.iter().cloned().collect::<Vec<_>>().join(" | "));
     }
     let counts: Vec<usize> = seen.values().map(BTreeSet::len).collect();
-    // Alphabetical: executor, faults, method, potential, rebalance,
-    // resort, shape, subdivision, thermostat.
-    assert_eq!(counts, [9, 2, 3, 3, 2, 2, 5, 2, 2], "an axis value is missing: {seen:?}");
+    // Alphabetical: executor, faults, method, potential, resort, shape,
+    // subdivision, thermostat.
+    assert_eq!(counts, [9, 2, 3, 3, 2, 5, 2, 2], "an axis value is missing: {seen:?}");
 }

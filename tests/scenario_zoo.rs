@@ -3,7 +3,8 @@
 //! `scenarios/bench/` and the two 2×2×2 specs under `scenarios/chaos/`)
 //! must validate against
 //! `schema/scenario.schema.json`, decode through `sc-spec`, and
-//! round-trip its canonical JSON form losslessly. Two specs also pin what
+//! round-trip its canonical JSON form losslessly. Every spec outside the
+//! bench matrix runs to the same bits twice, and two specs also pin what
 //! they run: the `scenarios/chaos/` pair its bits, and `fault-storm.json`
 //! that its storm leaves no trace in the results.
 
@@ -106,6 +107,28 @@ fn chaos_named_cases_are_the_checked_in_specs() {
         let doc = observables_doc(name, sim.steps_done(), &sim.gather(), energy);
         assert_eq!(doc.get("energy_bits").unwrap().as_str(), Some(energy_bits), "{name}");
         assert_eq!(doc.get("phase_hash").unwrap().as_str(), Some(phase_hash), "{name}");
+    }
+}
+
+/// Every zoo scenario outside `scenarios/bench/` (the bench gate runs that
+/// matrix twice already) writes the same results document twice on one
+/// host: run under its spec's supervisor, as `scmd run` steps it, no spec
+/// reads a clock or any other host state into its bits.
+#[test]
+fn every_zoo_scenario_runs_to_the_same_bits_twice() {
+    let results = |spec: &ScenarioSpec| {
+        let mut sim = spec.instantiate().unwrap();
+        let mut sup = spec.supervisor(&sim);
+        sup.run(&mut sim, spec.steps).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        let energy = sim.total_energy();
+        observables_doc(&spec.name, sim.steps_done(), &sim.gather(), energy).to_string()
+    };
+    for path in zoo_files() {
+        if path.parent().and_then(|p| p.file_name()) == Some(std::ffi::OsStr::new("bench")) {
+            continue;
+        }
+        let spec = ScenarioSpec::from_path(&path).unwrap();
+        assert!(results(&spec) == results(&spec), "{}: two runs differ", path.display());
     }
 }
 

@@ -425,6 +425,61 @@ fn a_half_closed_request_line_leaves_the_daemon_answering() {
     run_ok(scmd().args(["status", "--socket", socket.to_str().unwrap()]));
 }
 
+/// A client that sends `watch` and then never reads: its snapshots pile up
+/// in the socket and the subscription's bounded queue, while `scmd status`
+/// still answers, the watched job ends `done`, and its results byte-match a
+/// standalone `scmd run` of the same spec.
+#[test]
+fn a_watcher_that_never_reads_stalls_nothing() {
+    let dir = TestDir::new("deaf-watcher");
+    let socket = dir.path("scmd.sock");
+    let _daemon = spawn_daemon(&socket, &dir.path("state"), false);
+    let submit = |text: String| match client::request(
+        &socket,
+        &Request::Submit { spec: Json::parse(&text).unwrap() },
+    )
+    .unwrap()
+    {
+        Response::Submitted { id } => id,
+        other => panic!("unexpected response {}", other.to_json()),
+    };
+    // Two long jobs hold both lanes, so the watched job is still queued (and
+    // watchable) when the watch arrives.
+    let blockers =
+        [submit(lj_spec("e2e-block-a", 200000, "")), submit(lj_spec("e2e-block-b", 200000, ""))];
+    let spec_path = dir.path("e2e-watched.json");
+    std::fs::write(&spec_path, lj_spec("e2e-watched", 400, "")).unwrap();
+    let watched = submit(std::fs::read_to_string(&spec_path).unwrap());
+    let mut deaf = UnixStream::connect(&socket).unwrap();
+    let watch = Request::Watch { id: watched.clone(), every: Some(1) };
+    writeln!(deaf, "{}", watch.to_json()).unwrap();
+    for id in &blockers {
+        run_ok(scmd().args(["cancel", "--id", id, "--socket", socket.to_str().unwrap()]));
+    }
+    wait_for_state(&socket, &watched, "done");
+    let table = run_ok(scmd().args(["status", "--socket", socket.to_str().unwrap()]));
+    assert!(table.contains(watched.as_str()), "table:\n{table}");
+    // The watch was live: the job pushed snapshots the client never read.
+    let metrics = run_ok(scmd().args(["metrics", "--socket", socket.to_str().unwrap()]));
+    let pushed = metrics.lines().find_map(|l| l.strip_prefix("serve_watch_snapshots_total "));
+    assert!(pushed.is_some_and(|n| n != "0"), "no snapshot was pushed:\n{metrics}");
+    let served = dir.path("served.json");
+    run_ok(
+        scmd()
+            .args(["results", "--id", &watched, "--socket", socket.to_str().unwrap()])
+            .args(["--out", served.to_str().unwrap()]),
+    );
+    let standalone = dir.path("standalone.json");
+    run_ok(
+        scmd()
+            .args(["run", "--spec", spec_path.to_str().unwrap()])
+            .args(["--results", standalone.to_str().unwrap()]),
+    );
+    let (a, b) = (std::fs::read(&served).unwrap(), std::fs::read(&standalone).unwrap());
+    assert!(!a.is_empty() && a == b, "served and standalone observables differ");
+    drop(deaf);
+}
+
 /// Sleeps `ms` milliseconds; false, so polling loops can call it inline.
 fn pause(ms: u64) -> bool {
     std::thread::sleep(Duration::from_millis(ms));
