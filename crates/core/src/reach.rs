@@ -17,8 +17,8 @@
 //! Why bother: per-cell density scales as `ρ·(r_cut/k)³`, so a reach-k
 //! triplet search examines `|Ψ(k)|·(ρ_cell)³ ∝ (2k+1)⁶ / k⁹` candidates per
 //! atom — smaller cells prune the search volume faster than the pattern
-//! grows, at the price of more cells and more pattern paths. The
-//! `cell_subdivision` benchmark quantifies the trade-off.
+//! grows, at the price of more cells and more pattern paths. EXPERIMENTS.md
+//! E9 quantifies the trade-off.
 
 use crate::{oc_shift, r_collapse, Path, Pattern};
 use sc_geom::IVec3;

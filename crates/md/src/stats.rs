@@ -31,6 +31,13 @@ impl EnergyBreakdown {
             n => panic!("no n = {n} energy term"),
         }
     }
+
+    /// Adds `o` term by term.
+    pub fn merge(&mut self, o: EnergyBreakdown) {
+        self.pair += o.pair;
+        self.triplet += o.triplet;
+        self.quadruplet += o.quadruplet;
+    }
 }
 
 /// Search statistics per tuple order — the measurable form of the paper's
@@ -65,6 +72,13 @@ impl TupleCounts {
             4 => &mut self.quadruplet,
             n => panic!("no n = {n} tuple order"),
         }
+    }
+
+    /// Adds `o` order by order.
+    pub fn merge(&mut self, o: TupleCounts) {
+        self.pair.merge(o.pair);
+        self.triplet.merge(o.triplet);
+        self.quadruplet.merge(o.quadruplet);
     }
 }
 

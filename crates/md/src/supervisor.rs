@@ -6,8 +6,8 @@
 //! state and a conserved atom count — and on a violation *or* an
 //! unrecovered communication fault it rolls the engine back to the last
 //! [`Checkpoint`] and replays. Engines stay decoupled:
-//! the one engine in `sc-parallel` implements [`Recoverable`], and so does
-//! the spec layer's run handle around it.
+//! the one engine in `sc-parallel` implements [`Recoverable`] (the spec
+//! layer's `RunHandle` is only a name for it).
 //!
 //! The escalation ladder, mildest rung first:
 //!
@@ -48,8 +48,8 @@ impl fmt::Display for StepFault {
 impl std::error::Error for StepFault {}
 
 /// An engine the [`Supervisor`] can drive, roll back, and re-decompose.
-/// Object-safe: the spec layer drives every engine as one boxed trait
-/// object.
+/// `sc-parallel`'s `DistributedSim` is the one implementor outside this
+/// module's tests.
 pub trait Recoverable {
     /// Advances one step, surfacing unrecovered faults. After an `Err` the
     /// engine state is unspecified; [`restore`](Recoverable::restore) must
@@ -77,16 +77,13 @@ pub trait Recoverable {
     fn steps_done(&self) -> u64;
 
     /// Restores `cp` onto a decomposition that excludes `exclude`,
-    /// re-partitioning the snapshot over the survivors. Engines that cannot
-    /// re-decompose keep the default, which refuses (the supervisor then
-    /// aborts with [`SupervisorError::RankLost`]).
+    /// re-partitioning the snapshot over the survivors. A refusal makes the
+    /// supervisor abort with [`SupervisorError::RankLost`].
     ///
     /// # Errors
     /// A human-readable reason re-decomposition is impossible (no feasible
-    /// surviving grid, unsupported engine, …).
-    fn restore_excluding(&mut self, _cp: &Checkpoint, _exclude: &[usize]) -> Result<(), String> {
-        Err("engine does not support re-decomposition onto survivors".to_string())
-    }
+    /// surviving grid, …).
+    fn restore_excluding(&mut self, cp: &Checkpoint, exclude: &[usize]) -> Result<(), String>;
 }
 
 /// Supervision policy.
@@ -95,7 +92,7 @@ pub struct SupervisorConfig {
     /// Steps between checkpoints.
     pub checkpoint_every: u64,
     /// Consecutive rollbacks (without completing a checkpoint interval)
-    /// before giving up.
+    /// before giving up; 64 by default, the budget every runner uses.
     pub max_rollbacks: u32,
     /// Re-decompositions onto a surviving rank set before giving up (each
     /// lost rank spends one).
@@ -116,7 +113,7 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             checkpoint_every: 10,
-            max_rollbacks: 8,
+            max_rollbacks: 64,
             max_redecompositions: 2,
             metrics: Registry::disabled(),
             tracer: Tracer::disabled(),

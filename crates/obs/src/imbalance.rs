@@ -74,12 +74,12 @@ impl ImbalanceReport {
     }
 
     /// Maximum per-rank compute seconds.
-    pub fn max_compute_s(&self) -> f64 {
+    fn max_compute_s(&self) -> f64 {
         self.per_rank.iter().map(|l| l.compute_s).fold(0.0, f64::max)
     }
 
     /// Mean per-rank compute seconds.
-    pub fn mean_compute_s(&self) -> f64 {
+    fn mean_compute_s(&self) -> f64 {
         if self.per_rank.is_empty() {
             return 0.0;
         }
@@ -109,7 +109,7 @@ impl ImbalanceReport {
     }
 
     /// Total ghost atoms imported across ranks (empirical import volume).
-    pub fn total_ghosts_imported(&self) -> u64 {
+    fn total_ghosts_imported(&self) -> u64 {
         self.per_rank.iter().map(|l| l.ghosts_imported).sum()
     }
 

@@ -595,12 +595,8 @@ impl DistributedSim {
         let (mut energy, mut tuples) = (EnergyBreakdown::default(), TupleCounts::default());
         for rank in &self.ranks {
             let (e, c, _) = &rank.computed;
-            energy.pair += e.pair;
-            energy.triplet += e.triplet;
-            energy.quadruplet += e.quadruplet;
-            tuples.pair.merge(c.pair);
-            tuples.triplet.merge(c.triplet);
-            tuples.quadruplet.merge(c.quadruplet);
+            energy.merge(*e);
+            tuples.merge(*c);
         }
         (self.last_energy, self.last_tuples) = (energy, tuples);
         self.book(Phase::Compute, t.elapsed().as_secs_f64());

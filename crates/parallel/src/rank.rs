@@ -527,12 +527,8 @@ impl RankState {
         let mut virial = 0.0;
         for Lane { acc, energy: e, tuples: c } in used.iter_mut() {
             acc.merge_into(store.forces_mut());
-            energy.pair += e.pair;
-            energy.triplet += e.triplet;
-            energy.quadruplet += e.quadruplet;
-            tuples.pair.merge(c.pair);
-            tuples.triplet.merge(c.triplet);
-            tuples.quadruplet.merge(c.quadruplet);
+            energy.merge(*e);
+            tuples.merge(*c);
             virial += acc.virial;
         }
         phases.add(Phase::Reduce, t_reduce.elapsed().as_secs_f64());

@@ -41,8 +41,8 @@ pub enum Request {
     Watch {
         /// `job-<n>`.
         id: String,
-        /// Snapshot cadence in steps (`None`: the spec's
-        /// `observability.watch_every`; `0`: every slice boundary).
+        /// Snapshot cadence in steps (`None` or `0`: every slice
+        /// boundary).
         every: Option<u64>,
     },
     /// Fetch the merged Prometheus text exposition (daemon + jobs).

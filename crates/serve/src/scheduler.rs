@@ -69,11 +69,6 @@ pub struct SchedulerConfig {
     /// that falls further behind loses its **oldest** snapshots (counted,
     /// never blocking the lane).
     pub watch_queue: usize,
-    /// Flight-recorder ring capacity (events per trace sink) armed for
-    /// every job whose spec does not set `observability.ring` or `trace`
-    /// itself. `0` leaves un-traced jobs dark (Dump then answers with a
-    /// typed error).
-    pub flight_ring: usize,
 }
 
 impl Default for SchedulerConfig {
@@ -85,7 +80,6 @@ impl Default for SchedulerConfig {
             state_dir: None,
             start_paused: false,
             watch_queue: 16,
-            flight_ring: sc_obs::trace::DEFAULT_CAPACITY,
         }
     }
 }
@@ -403,11 +397,10 @@ impl Scheduler {
     }
 
     /// Subscribes to a live job's periodic telemetry snapshots. `every`
-    /// is the snapshot cadence in steps (`None`: the spec's
-    /// `observability.watch_every`; `0`: every slice boundary). The
-    /// subscription is bounded ([`SchedulerConfig::watch_queue`]):
-    /// a slow consumer loses its oldest snapshots, counted, and the lane
-    /// never blocks on it.
+    /// is the snapshot cadence in steps (`None` or `0`: every slice
+    /// boundary). The subscription is bounded
+    /// ([`SchedulerConfig::watch_queue`]): a slow consumer loses its
+    /// oldest snapshots, counted, and the lane never blocks on it.
     ///
     /// # Errors
     /// [`WatchError::UnknownJob`] / [`WatchError::Terminal`].
@@ -419,7 +412,7 @@ impl Scheduler {
         if entry.record.state.is_terminal() {
             return Err(WatchError::Terminal(entry.record.state));
         }
-        let every = every.unwrap_or(entry.spec.observability.watch_every);
+        let every = every.unwrap_or(0);
         let shared = WatchShared::new(self.shared.cfg.watch_queue, every);
         entry.watchers.push(Arc::clone(&shared));
         Ok(WatchHandle { shared })
@@ -718,7 +711,7 @@ fn admit(id: JobId, shared: &Arc<Shared>) -> Option<ActiveJob> {
         out
     };
     persist_manifest(shared, id);
-    let sim = match spec.instantiate_flight(Some(&id.to_string()), Some(shared.cfg.flight_ring)) {
+    let sim = match spec.instantiate_flight(Some(&id.to_string())) {
         Ok(sim) => sim,
         Err(e) => {
             finalize_failed(shared, id, &format!("instantiation failed: {e}"));

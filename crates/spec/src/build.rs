@@ -4,7 +4,7 @@
 //! standalone runs are compared on.
 
 use crate::error::SpecError;
-use crate::model::{ExecutorSpec, ObservabilitySpec, PotentialSpec, ScenarioSpec, SystemSpec};
+use crate::model::{ExecutorSpec, PotentialSpec, ScenarioSpec, SystemSpec};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
 use sc_md::supervisor::{Supervisor, SupervisorConfig};
@@ -12,6 +12,7 @@ use sc_md::{
     build_clustered_gas, build_fcc_lattice, build_silica_like, random_gas, thermalize, LatticeSpec,
 };
 use sc_obs::json::Json;
+use sc_obs::trace::DEFAULT_CAPACITY;
 use sc_obs::{Registry, Tracer};
 use sc_parallel::rank::ForceField;
 use sc_parallel::{DistributedSim, EngineConfig, FaultPlan, SetupError};
@@ -19,10 +20,6 @@ use sc_potential::{LennardJones, Vashishta};
 
 /// The schema identifier of the observables document.
 pub const OBSERVABLES_SCHEMA_ID: &str = "sc-observables/1";
-
-/// Consecutive rollbacks a supervised run may spend on one checkpoint
-/// interval before it fails.
-const ROLLBACK_BUDGET: u32 = 64;
 
 /// A scenario instantiated on the one engine: every executor spelling
 /// builds a [`DistributedSim`] (`serial` a 1×1×1 grid), which owns the
@@ -82,18 +79,15 @@ impl ScenarioSpec {
         }
     }
 
-    /// The run's tracer. The spec's explicit `ring` wins; otherwise `trace`
-    /// arms a default-capacity ring, and a runner-supplied flight-recorder
-    /// capacity (the job service's continuously armed ring) covers the
-    /// remaining case. `ring: 0` explicitly disarms everything.
-    fn tracer(&self, flight_ring: Option<usize>) -> Tracer {
-        let ObservabilitySpec { trace, ring, .. } = self.observability;
-        match (ring, trace, flight_ring) {
-            (Some(0), _, _) => Tracer::disabled(),
-            (Some(n), _, _) => Tracer::with_capacity(n as usize),
-            (None, true, _) => Tracer::new(),
-            (None, false, Some(n)) if n > 0 => Tracer::with_capacity(n),
-            (None, false, _) => Tracer::disabled(),
+    /// The run's tracer, from the spec's `ring`: `0` disarms it, `n` arms
+    /// `n`-event rings, and unset leaves a standalone run dark while a
+    /// served job keeps its [`DEFAULT_CAPACITY`]-event flight recorder
+    /// armed, so `Dump` can snapshot its recent past.
+    fn tracer(&self, served: bool) -> Tracer {
+        match (self.observability.ring, served) {
+            (Some(0), _) | (None, false) => Tracer::disabled(),
+            (Some(n), _) => Tracer::with_capacity(n as usize),
+            (None, true) => Tracer::with_capacity(DEFAULT_CAPACITY),
         }
     }
 
@@ -119,10 +113,9 @@ impl ScenarioSpec {
     /// The one mapping from a spec to the engine's run configuration:
     /// every spec key the engine can honour travels through here, the
     /// tracer and the metrics registry included, and
-    /// [`ScenarioSpec::validate`] refuses the rest. `label` and
-    /// `flight_ring` are the runner's, as in
-    /// [`ScenarioSpec::instantiate_flight`].
-    pub fn engine_config(&self, label: Option<&str>, flight_ring: Option<usize>) -> EngineConfig {
+    /// [`ScenarioSpec::validate`] refuses the rest. `label` is a served
+    /// job's id, as in [`ScenarioSpec::instantiate_flight`].
+    pub fn engine_config(&self, label: Option<&str>) -> EngineConfig {
         let ranks: u64 = self.grid().iter().product();
         EngineConfig {
             // A serial run's lanes are its `threads`. A grid's ranks are one
@@ -138,7 +131,7 @@ impl ScenarioSpec {
                 let (count, crashes) = (fp.count as usize, fp.max_crashes as usize);
                 FaultPlan::storm(fp.seed, count, self.steps, ranks as usize, crashes, self.method)
             }),
-            tracer: self.tracer(flight_ring),
+            tracer: self.tracer(label.is_some()),
             metrics: self.metrics(label),
             thermostat: self.thermostat.as_ref().map(|t| (t.target, t.dt_over_tau)),
         }
@@ -146,14 +139,12 @@ impl ScenarioSpec {
 
     /// The run's recovery policy, the one every runner supervises a spec
     /// with: a checkpoint every `checkpoint.every` steps (only the one
-    /// taken when supervision starts, if the spec sets none), a rollback
-    /// budget of 64 per checkpoint interval, and the run's own registry and
-    /// tracer, so the `supervisor.*` series and recovery markers export
-    /// with the run's.
+    /// taken when supervision starts, if the spec sets none), the default
+    /// budgets, and the run's own registry and tracer, so the
+    /// `supervisor.*` series and recovery markers export with the run's.
     pub fn supervisor(&self, run: &DistributedSim) -> Supervisor {
         Supervisor::new(SupervisorConfig {
             checkpoint_every: self.checkpoint.as_ref().map_or(u64::MAX, |c| c.every),
-            max_rollbacks: ROLLBACK_BUDGET,
             metrics: run.metrics().clone(),
             tracer: run.tracer().clone(),
             ..SupervisorConfig::default()
@@ -165,24 +156,19 @@ impl ScenarioSpec {
     /// # Errors
     /// [`SpecError::Setup`] when the engine rejects the configuration.
     pub fn instantiate(&self) -> Result<DistributedSim, SpecError> {
-        self.instantiate_flight(None, None)
+        self.instantiate_flight(None)
     }
 
-    /// Like [`ScenarioSpec::instantiate`], stamping `label` (a job id) onto
-    /// the metrics registry so multiplexed jobs stay distinguishable, and
-    /// arming a flight-recorder trace ring of `flight_ring` events per sink
-    /// when the spec itself leaves tracing unset — the job service keeps
-    /// every job's ring continuously armed this way so `Dump` can snapshot
-    /// a running job's recent past. A spec-level `observability.ring`
-    /// (including an explicit `0`) overrides the runner's choice.
-    pub fn instantiate_flight(
-        &self,
-        label: Option<&str>,
-        flight_ring: Option<usize>,
-    ) -> Result<DistributedSim, SpecError> {
+    /// Like [`ScenarioSpec::instantiate`], for a served job: `label` (its
+    /// id) is stamped onto the metrics registry so multiplexed jobs stay
+    /// distinguishable, and a spec that leaves `observability.ring` unset
+    /// gets the job service's continuously armed flight-recorder ring, so
+    /// `Dump` can snapshot a running job's recent past. An explicit
+    /// `ring` (`0` included) wins.
+    pub fn instantiate_flight(&self, label: Option<&str>) -> Result<DistributedSim, SpecError> {
         let (store, bbox) = self.build_workload();
         let (ff, dt) = (self.force_field(), self.dt);
-        let cfg = self.engine_config(label, flight_ring);
+        let cfg = self.engine_config(label);
         let [x, y, z] = self.grid().map(|d| d as i32);
         DistributedSim::build(store, bbox, IVec3::new(x, y, z), ff, dt, cfg).map_err(|e| match e {
             SetupError::Build(e) => SpecError::Build(e),
@@ -280,7 +266,7 @@ mod tests {
         let grid = spec(r#"{"kind": "bsp", "grid": [2, 1, 1]}"#);
         let run = |lanes| {
             let (store, bbox) = grid.build_workload();
-            let cfg = EngineConfig { lanes, ..grid.engine_config(None, None) };
+            let cfg = EngineConfig { lanes, ..grid.engine_config(None) };
             let pdims = IVec3::new(2, 1, 1);
             let mut sim =
                 DistributedSim::build(store, bbox, pdims, grid.force_field(), grid.dt, cfg)
@@ -293,9 +279,9 @@ mod tests {
         assert!(run(1) == run(4), "a 2×1×1 grid on four lanes moved");
         for kind in ["bsp", "threaded"] {
             let one = spec(&format!(r#"{{"kind": "{kind}", "grid": [1, 1, 1]}}"#));
-            assert_eq!(one.engine_config(None, None).lanes, 1, "{kind}");
+            assert_eq!(one.engine_config(None).lanes, 1, "{kind}");
         }
-        assert_eq!(grid.engine_config(None, None).lanes, 0);
+        assert_eq!(grid.engine_config(None).lanes, 0);
     }
 
     /// `threaded` is a spelling, not an executor: it decodes to `bsp` on
@@ -349,7 +335,7 @@ mod tests {
     fn labeled_instantiation_labels_the_registry() {
         let mut spec = spec(r#"{"kind": "serial"}"#);
         spec.observability.metrics = true;
-        let sim = spec.instantiate_flight(Some("job-9"), None).unwrap();
+        let sim = spec.instantiate_flight(Some("job-9")).unwrap();
         assert_eq!(sim.metrics().label(), Some("job-9"));
         // Unlabeled: metrics on, no label.
         let sim = spec.instantiate().unwrap();

@@ -184,16 +184,11 @@ pub struct FaultPlanSpec {
 pub struct ObservabilitySpec {
     /// Enable the lock-free metrics registry.
     pub metrics: bool,
-    /// Enable the event tracer.
-    pub trace: bool,
-    /// Steps between live `watch` telemetry snapshots when a subscriber
-    /// does not ask for its own cadence (`0`: one snapshot per scheduler
-    /// slice boundary).
-    pub watch_every: u64,
-    /// Flight-recorder ring capacity per trace sink, in events. `None`
-    /// leaves the choice to the runner (the job service arms its default
-    /// ring; standalone runs stay dark unless `trace` is set), `Some(0)`
-    /// disables the ring explicitly, `Some(n)` arms `n`-event rings.
+    /// Trace ring capacity per trace sink, in events: the one tracer
+    /// setting. `None` leaves the choice to the runner (a served job keeps
+    /// its default flight-recorder ring armed; a standalone run stays dark
+    /// unless `scmd run --trace` asks for a trace), `Some(0)` disables the
+    /// ring explicitly, `Some(n)` arms `n`-event rings.
     pub ring: Option<u64>,
 }
 
@@ -584,11 +579,7 @@ impl ScenarioSpec {
         fields.push((
             "observability".to_string(),
             Json::Obj({
-                let mut obs = vec![
-                    ("metrics".to_string(), Json::Bool(self.observability.metrics)),
-                    ("trace".to_string(), Json::Bool(self.observability.trace)),
-                    ("watch_every".to_string(), Json::num(self.observability.watch_every as f64)),
-                ];
+                let mut obs = vec![("metrics".to_string(), Json::Bool(self.observability.metrics))];
                 if let Some(ring) = self.observability.ring {
                     obs.push(("ring".to_string(), Json::num(ring as f64)));
                 }
@@ -786,11 +777,9 @@ fn decode_fault_plan(f: &Fields) -> Result<FaultPlanSpec, SpecError> {
 }
 
 fn decode_observability(f: &Fields) -> Result<ObservabilitySpec, SpecError> {
-    f.deny_unknown(&["metrics", "trace", "watch_every", "ring"])?;
+    f.deny_unknown(&["metrics", "ring"])?;
     Ok(ObservabilitySpec {
         metrics: f.bool_or("metrics", false)?,
-        trace: f.bool_or("trace", false)?,
-        watch_every: f.u64_or("watch_every", 0)?,
         ring: match f.get("ring") {
             None => None,
             Some(_) => Some(f.u64("ring")?),

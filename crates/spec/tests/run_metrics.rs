@@ -108,7 +108,7 @@ fn supervised_fault_storm_counters_never_decrease() {
 fn storm_tracer_holds_the_supervisor_checkpoints() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/fault-storm.json");
     let mut spec = ScenarioSpec::from_path(std::path::Path::new(path)).unwrap();
-    spec.observability.trace = true;
+    spec.observability.ring = Some(16_384);
     let mut sim = spec.instantiate().unwrap();
     spec.supervisor(&sim).run(&mut sim, spec.steps).expect("the storm recovers");
     let events = sim.tracer().events();

@@ -57,7 +57,7 @@ fn faults_detected(_: &RunHandle, run: &RunHandle) -> bool {
 
 #[test]
 fn every_spec_key_reaches_the_engine_or_is_refused() {
-    let table: [(&str, [Expect; 3]); 11] = [
+    let table: [(&str, [Expect; 3]); 13] = [
         // Smaller cells prune the candidate space on every engine.
         (r#""subdivision": 2"#, [Effect(candidates_moved); 3]),
         // Without the Morton re-sort a rank sums its forces in another
@@ -82,14 +82,17 @@ fn every_spec_key_reaches_the_engine_or_is_refused() {
             r#""observability": {"metrics": true}"#,
             [Effect(|b, r| !b.metrics().enabled() && r.metrics().enabled()); 3],
         ),
+        // `ring` is the one tracer setting: a standalone run is dark
+        // without it.
         (
-            r#""observability": {"trace": true}"#,
+            r#""observability": {"ring": 64}"#,
             [Effect(|b, r| b.tracer().events().is_empty() && !r.tracer().events().is_empty()); 3],
         ),
-        (
-            r#""observability": {"trace": true, "ring": 0}"#,
-            [Effect(|_, r| !r.tracer().enabled() && r.tracer().events().is_empty()); 3],
-        ),
+        // Not keys: `ring` alone arms the tracer, and a `watch` request
+        // carries its own `every`.
+        (r#""observability": {"trace": true}"#, [Unknown("observability.trace"); 3]),
+        (r#""observability": {"trace": true, "ring": 0}"#, [Unknown("observability.trace"); 3]),
+        (r#""observability": {"watch_every": 4}"#, [Unknown("observability.watch_every"); 3]),
     ];
     for (i, (kind, executor)) in EXECUTORS.iter().enumerate() {
         let base = run(&spec(executor, "").unwrap());

@@ -29,7 +29,9 @@
 //! `schema/metrics.schema.json` and validated in CI.
 //!
 //! `--trace PATH` records event-level traces and writes a Chrome Trace
-//! Format file loadable in `chrome://tracing` or Perfetto.
+//! Format file loadable in `chrome://tracing` or Perfetto. It arms a
+//! default-capacity ring when the spec sets no `observability.ring`; a
+//! spec's own `ring` (`0` included) wins.
 //!
 //! `--results PATH` writes the run's `sc-observables/1` document — the
 //! same byte-stable layout `scmd serve` persists per finished job, so a
@@ -54,6 +56,7 @@
 //! offending flag; runtime failures exit with status 1.
 
 use shift_collapse_md::md::{write_xyz, CliError, Error, Method};
+use shift_collapse_md::obs::trace::DEFAULT_CAPACITY;
 use shift_collapse_md::pattern::{generate_fs, import_volume_cubic, shift_collapse, theory};
 use shift_collapse_md::prelude::*;
 use shift_collapse_md::serve::{Daemon, DaemonConfig, Request, Response, SchedulerConfig};
@@ -219,9 +222,12 @@ fn run_scenario(flags: &Flags) -> Result<ScenarioSpec, Error> {
         ScenarioSpec::from_path(Path::new(required(flags, "spec")?)).map_err(spec_err)?;
     spec.steps = get(flags, "steps", spec.steps, "a positive integer")?;
     // Output flags enable the matching sinks even if the spec left them
-    // off — asking for a file implies wanting its contents.
+    // off — asking for a file implies wanting its contents — but an
+    // explicit `ring: 0` keeps the tracer dark.
     spec.observability.metrics |= flags.contains_key("metrics-json");
-    spec.observability.trace |= flags.contains_key("trace");
+    if flags.contains_key("trace") {
+        spec.observability.ring.get_or_insert(DEFAULT_CAPACITY as u64);
+    }
     spec.validate().map_err(spec_err)?;
     Ok(spec)
 }

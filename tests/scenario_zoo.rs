@@ -3,14 +3,15 @@
 //! `scenarios/bench/` and the two 2×2×2 specs under `scenarios/chaos/`)
 //! must validate against
 //! `schema/scenario.schema.json`, decode through `sc-spec`, and
-//! round-trip its canonical JSON form losslessly. Every spec outside the
+//! round-trip its canonical JSON form losslessly, and every property the
+//! schema lists must be a key the decoder knows. Every spec outside the
 //! bench matrix runs to the same bits twice, and two specs also pin what
 //! they run: the `scenarios/chaos/` pair its bits, and `fault-storm.json`
 //! that its storm leaves no trace in the results.
 
 use shift_collapse_md::obs::json::Json;
 use shift_collapse_md::obs::schema;
-use shift_collapse_md::spec::{observables_doc, ExecutorSpec, ScenarioSpec};
+use shift_collapse_md::spec::{observables_doc, ExecutorSpec, ScenarioSpec, SpecError};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -45,6 +46,66 @@ fn every_zoo_scenario_validates_against_the_schema() {
             .unwrap_or_else(|e| panic!("{} is not JSON: {e}", path.display()));
         schema::validate(&doc, &schema)
             .unwrap_or_else(|e| panic!("{} violates the scenario schema: {e}", path.display()));
+    }
+}
+
+/// `doc` with `leaf` at the dotted `path`, creating the objects on the way;
+/// a key `doc` already holds keeps its value.
+fn with_key(doc: &Json, path: &[String], leaf: &Json) -> Json {
+    let (Json::Obj(fields), Some((key, rest))) = (doc, path.split_first()) else {
+        return doc.clone();
+    };
+    let mut fields = fields.clone();
+    match fields.iter_mut().find(|(k, _)| k == key) {
+        Some((_, value)) => *value = with_key(value, rest, leaf),
+        None if rest.is_empty() => fields.push((key.clone(), leaf.clone())),
+        None => fields.push((key.clone(), with_key(&Json::Obj(vec![]), rest, leaf))),
+    }
+    Json::Obj(fields)
+}
+
+/// Every property path the schema lists, at every nesting level, with a
+/// sample value of its declared type.
+fn schema_properties(node: &Json, prefix: &mut Vec<String>, out: &mut Vec<(Vec<String>, Json)>) {
+    for (key, sub) in node.get("properties").and_then(Json::as_object).unwrap_or_default() {
+        prefix.push(key.clone());
+        let sample = match sub.get("type").and_then(Json::as_str) {
+            Some("boolean") => Json::Bool(true),
+            Some("string") => Json::str("x"),
+            Some("array") => Json::Arr(vec![Json::num(1.0); 3]),
+            Some("object") => Json::Obj(vec![]),
+            _ => Json::num(1.0),
+        };
+        out.push((prefix.clone(), sample));
+        schema_properties(sub, prefix, out);
+        prefix.pop();
+    }
+}
+
+/// The schema checks structure only, so nothing else ties its property
+/// lists to the decoder's key lists: every property it lists, at every
+/// nesting level, set on some zoo document (a `clusters` on the clustered
+/// gas, a `threads` on a serial executor), must decode without
+/// [`SpecError::UnknownField`]. A key the decoder dropped but the schema
+/// kept fails here.
+#[test]
+fn every_schema_property_is_a_key_the_decoder_knows() {
+    let schema =
+        Json::parse(&std::fs::read_to_string(repo_path("schema/scenario.schema.json")).unwrap())
+            .unwrap();
+    let zoo: Vec<Json> = zoo_files()
+        .iter()
+        .map(|path| Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap())
+        .collect();
+    let mut properties = Vec::new();
+    schema_properties(&schema, &mut Vec::new(), &mut properties);
+    assert!(properties.len() >= 30, "the schema lists {} properties", properties.len());
+    for (path, sample) in &properties {
+        let known = zoo.iter().any(|doc| {
+            let doc = with_key(doc, path, sample);
+            !matches!(ScenarioSpec::from_json(&doc), Err(SpecError::UnknownField { .. }))
+        });
+        assert!(known, "schema property {} is an unknown key to the decoder", path.join("."));
     }
 }
 
